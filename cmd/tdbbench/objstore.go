@@ -1,5 +1,5 @@
 // The objstore experiment measures object-store commit performance — the
-// workload the group-commit and off-mutex pipeline PRs optimize. W workers
+// workload the harden-round and off-mutex pipeline PRs optimize. W workers
 // each run durable update transactions against private 4 KiB objects on the
 // AES/SHA-256 suite with a one-way counter, reporting commit throughput,
 // latency percentiles, and log syncs per commit. With -json the results are
@@ -38,7 +38,7 @@ type objstoreResult struct {
 	SyncsPerCommit float64 `json:"syncs_per_commit"`
 	// Write-op and write-byte derivations make the write-behind batching
 	// visible in the record, not just wall-clock: with the tail buffer, a
-	// whole group-commit round of records lands as one WriteAt.
+	// whole harden round of records lands as one WriteAt.
 	WritesPerCommit     float64 `json:"writes_per_commit"`
 	WriteBytesPerCommit float64 `json:"write_bytes_per_commit"`
 }
@@ -100,46 +100,23 @@ func (o *benchBlob) Unpickle(u *objectstore.Unpickler) error {
 
 const objstorePayload = 4 << 10
 
-// objstoreVariant names a chunk-store configuration to measure. Disk
-// variants run over a real directory store, where every durable commit
-// pays a true fsync — the regime group commit exists for; they disable
+// objstoreVariant names a backing store to measure the one commit path on.
+// The disk variant runs over a real directory store, where every durable
+// commit pays a true fsync — the regime harden rounds exist for; it disables
 // background cleaning and checkpointing so the measurement isolates commit
 // cost (the paper's §7.3 experiments drive cleaning separately).
 type objstoreVariant struct {
-	name  string
-	disk  bool
-	chunk func(chunkstore.Config, int) chunkstore.Config
+	name string
+	disk bool
 }
 
-// groupCommitChunk enables group commit tuned for `workers` concurrent
-// committers: rounds close as soon as no more announced commits are
-// inbound, capped at the worker count, bounded by a 2ms window.
-func groupCommitChunk(c chunkstore.Config, workers int) chunkstore.Config {
-	c.GroupCommit = chunkstore.GroupCommitConfig{
-		Enabled:  true,
-		MaxDelay: 2 * time.Millisecond,
-		MaxOps:   workers,
-	}
-	return c
-}
-
-// objstoreConfigs lists the configurations the experiment compares:
-// solo-sync durable commits versus group commit coalescing concurrent
-// commits into shared log syncs and counter advances, on memory and on
-// disk.
+// objstoreConfigs lists the configurations the experiment compares: durable
+// commits coalescing into shared log syncs and counter advances, on memory
+// and on disk.
 func objstoreConfigs() []objstoreVariant {
 	return []objstoreVariant{
-		{name: "default", chunk: nil},
-		{name: "group-commit", chunk: groupCommitChunk},
-		{name: "default-disk", disk: true, chunk: nil},
-		{name: "group-commit-disk", disk: true, chunk: groupCommitChunk},
-		// Ablation: group commit with the write-behind tail buffer disabled,
-		// so the writes/commit column isolates what the buffer saves.
-		{name: "group-commit-disk-nowb", disk: true, chunk: func(c chunkstore.Config, workers int) chunkstore.Config {
-			c = groupCommitChunk(c, workers)
-			c.WriteBehind = -1
-			return c
-		}},
+		{name: "default"},
+		{name: "default-disk", disk: true},
 	}
 }
 
@@ -174,9 +151,6 @@ func runObjstoreConfig(v objstoreVariant, workers, commitsPer int) (objstoreResu
 		ccfg.SegmentSize = 4 << 20
 		ccfg.DisableAutoClean = true
 		ccfg.DisableAutoCheckpoint = true
-	}
-	if v.chunk != nil {
-		ccfg = v.chunk(ccfg, workers)
 	}
 	cs, err := chunkstore.Open(ccfg)
 	if err != nil {

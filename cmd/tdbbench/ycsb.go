@@ -70,8 +70,7 @@ func ycsbPicker(w ycsbWorkload, seed int64) func() int {
 }
 
 // runYCSBWorkload runs one mix: workers × opsPer operations against a
-// shared object pool on a metered in-memory store with group commit sized
-// for the worker count.
+// shared object pool on a metered in-memory store.
 func runYCSBWorkload(w ycsbWorkload, workers, opsPer int) (ycsbRunResult, error) {
 	suite, err := sec.NewSuite("aes-sha256", []byte("tdbbench-ycsb"))
 	if err != nil {
@@ -79,13 +78,13 @@ func runYCSBWorkload(w ycsbWorkload, workers, opsPer int) (ycsbRunResult, error)
 	}
 	meter := platform.NewMeterStore(platform.NewMemStore())
 	pool := lru.NewPool(64 << 20)
-	cs, err := chunkstore.Open(groupCommitChunk(chunkstore.Config{
+	cs, err := chunkstore.Open(chunkstore.Config{
 		Store:      meter,
 		Suite:      suite,
 		Counter:    platform.NewMemCounter(),
 		UseCounter: true,
 		CachePool:  pool,
-	}, workers))
+	})
 	if err != nil {
 		return ycsbRunResult{}, err
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"tdb"
-	"tdb/internal/chunkstore"
 	"tdb/internal/platform"
 )
 
@@ -142,27 +141,69 @@ func (h *harness) mutateOne(hdl *tdb.Collection, col string, view map[int64]ObjS
 }
 
 // finishCommit commits the transaction and records the outcome in the
-// shadow log. A commit that fails because the store crashed under it is
+// shadow log, holding it to the commit contract (chunkstore.Store.Commit):
+// ErrMaintenance means applied as asked; ErrNotDurable means applied and
+// visible but not acknowledged durable — the shadow records it as a
+// nondurable commit, free to fall either side of the next crash until a
+// later durable commit hardens it — and is legal only inside a failing-sync
+// window, where it is also the only legal outcome of a durable commit; any
+// other error means nothing was applied, which on a healthy store is a
+// violation. A commit that fails because the store crashed under it is
 // recorded unacknowledged — recovery decides whether it landed.
 func (h *harness) finishCommit(txn *tdb.Txn, label string, ops []Op) error {
 	durable := h.rng.Chance(0.5)
 	err := txn.Commit(durable)
-	acked := err == nil
-	if err != nil {
-		switch {
-		case errors.Is(err, chunkstore.ErrMaintenance):
-			// The commit itself is applied; only post-commit maintenance
-			// failed (and only a crash can make it fail here).
-			acked = true
-		case h.fs.Crashed():
-			// Unacked: the commit may or may not have reached the log.
-		default:
-			return fmt.Errorf("%s: commit durable=%v failed with store healthy: %w", label, durable, err)
+	acked, hardened := err == nil, durable
+	switch {
+	case err == nil:
+		if durable && h.syncFailing {
+			return fmt.Errorf("%s: durable commit acknowledged through a failing sync", label)
+		}
+	case errors.Is(err, tdb.ErrNotDurable) && durable && h.syncFailing:
+		acked, hardened = true, false
+		h.res.NotDurable++
+	case errors.Is(err, tdb.ErrMaintenance):
+		// The commit itself is applied; only post-commit maintenance
+		// failed (and only a crash can make it fail here).
+		acked = true
+	case h.fs.Crashed():
+		// Unacked: the commit may or may not have reached the log.
+	case h.syncFailing && errors.Is(err, tdb.ErrIO):
+		// A sync the commit needs before stage 2 (extending the IV
+		// reservation after a reopen) hit the window: nothing was applied
+		// and the transaction is still active. The state checks hold the
+		// store to that.
+		txn.Abort()
+		h.tracef("%s durable=%v not applied", label, durable)
+		return nil
+	default:
+		return fmt.Errorf("%s: commit durable=%v failed with store healthy: %w", label, durable, err)
+	}
+	h.sh.Record(Commit{Action: h.action, Durable: hardened, Acked: acked, Ops: ops})
+	h.res.Commits++
+	h.tracef("%s ops=%d durable=%v acked=%v hardened=%v", label, len(ops), durable, acked, acked && hardened)
+	return nil
+}
+
+// actSyncFailWindow opens a failing-sync window on the device — every file
+// sync times out, reads and writes still work — and runs 1..3 commit
+// transactions through it: the durable ones must come back ErrNotDurable,
+// applied and visible, and whatever the window leaves unhardened rides on
+// the next durable commit, checkpoint or restart.
+func (h *harness) actSyncFailWindow() error {
+	n := 1 + h.rng.Intn(3)
+	h.tracef("sync-fail window commits=%d", n)
+	h.fs.SetSyncFailures(true)
+	h.syncFailing = true
+	defer func() {
+		h.fs.SetSyncFailures(false)
+		h.syncFailing = false
+	}()
+	for i := 0; i < n; i++ {
+		if err := h.actCommit(); err != nil {
+			return err
 		}
 	}
-	h.sh.Record(Commit{Action: h.action, Durable: durable, Acked: acked, Ops: ops})
-	h.res.Commits++
-	h.tracef("%s ops=%d durable=%v acked=%v", label, len(ops), durable, acked)
 	return nil
 }
 

@@ -23,9 +23,6 @@ type Config struct {
 	// in-memory store. The trace never mentions the path, so runs in
 	// different directories still replay identically.
 	Dir string
-	// WriteBehind passes through tdb.Options.WriteBehind (0 = default,
-	// honoring the TDB_WRITEBEHIND environment override).
-	WriteBehind int
 	// Logf, when set, receives coarse progress lines (testing.T.Logf fits).
 	Logf func(format string, args ...any)
 }
@@ -38,6 +35,7 @@ type Result struct {
 	// Counters of notable events.
 	Actions      int
 	Commits      int
+	NotDurable   int // durable commits that returned ErrNotDurable
 	Crashes      int
 	Recoveries   int
 	Restarts     int
@@ -84,6 +82,8 @@ type harness struct {
 	armed       bool
 	armedAt     int
 	armedFlavor int
+	// syncFailing is true inside a failing-sync window (actSyncFailWindow).
+	syncFailing bool
 
 	haveBackup bool
 	lastBackup State // archive-chain state as of the newest backup
@@ -109,9 +109,7 @@ func Run(cfg Config) (*Result, error) {
 		SegmentSize:           32 << 10,
 		DisableAutoClean:      true, // cleaning and checkpointing are
 		DisableAutoCheckpoint: true, // explicit actions in the mix
-		WriteBehind:           cfg.WriteBehind,
 		Retry:                 tdb.RetryPolicy{Sleep: func(time.Duration) {}},
-		GroupCommit:           tdb.GroupCommitConfig{Enabled: true},
 	}
 	if err := h.freshStore(); err != nil {
 		return h.result(), h.failure(err)
@@ -288,6 +286,8 @@ func (h *harness) step() error {
 		return h.actDropCollection()
 	case pick < 85:
 		return h.actReadStorm()
+	case pick < 89:
+		return h.actSyncFailWindow()
 	default:
 		return h.actArmCrash()
 	}

@@ -155,7 +155,8 @@ func (s State) apply(op Op) {
 type Commit struct {
 	// Action is the harness action index that issued the commit (traces).
 	Action int
-	// Durable is the durability the commit requested.
+	// Durable is the durability the commit was acknowledged with: requested
+	// and not refused with ErrNotDurable.
 	Durable bool
 	// Acked reports whether Commit returned success to the caller. A
 	// commit that failed because the store crashed under it is recorded
@@ -171,8 +172,9 @@ type Commit struct {
 // rounds): after a crash, the surviving state is replay(base, commits[0..k])
 // for some prefix k — commit order is log order, so a later commit can never
 // survive without every earlier one — and the prefix must include every
-// acknowledged durable commit. Acknowledged nondurable commits and a
-// crashed-under unacked tail commit may fall either side of the cut.
+// acknowledged durable commit. Acknowledged nondurable commits — which is
+// what a durable commit that returned ErrNotDurable is — and a crashed-under
+// unacked tail commit may fall either side of the cut.
 type Shadow struct {
 	base    State
 	cur     State

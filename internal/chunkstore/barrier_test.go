@@ -108,7 +108,7 @@ func TestCrashBeforeDeferredSuperblockSync(t *testing.T) {
 func TestLargeAppendBypassesWriteBehindBuffer(t *testing.T) {
 	mem := platform.NewMemStore()
 	meter := platform.NewMeterStore(mem)
-	ss := newSegmentSet(meter, RetryPolicy{}, 64<<10)
+	ss := newSegmentSet(meter, RetryPolicy{})
 
 	// Settle the tail: one buffered record, flushed to the device so the
 	// buffer is empty and every op below is the bulk append's own.
@@ -122,7 +122,7 @@ func TestLargeAppendBypassesWriteBehindBuffer(t *testing.T) {
 	}
 
 	// Below the write-through threshold (len*2 < cap): still buffered.
-	mid := segRecord('m', 20<<10)
+	mid := segRecord('m', 80<<10)
 	before := meter.Stats().Snapshot()
 	locMid, err := ss.append(mid, 1<<20)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestLargeAppendBypassesWriteBehindBuffer(t *testing.T) {
 	// At the threshold (len*2 >= cap): the buffered prefix flushes (one
 	// write) and the record itself writes through (one write) — the record
 	// bytes must hit the device exactly once, never staged into the buffer.
-	big := segRecord('L', 40<<10)
+	big := segRecord('L', 160<<10)
 	before = meter.Stats().Snapshot()
 	locBig, err := ss.append(big, 1<<20)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestLargeAppendBypassesWriteBehindBuffer(t *testing.T) {
 	}
 
 	// With an empty buffer the direct write is the ONLY write.
-	big2 := segRecord('M', 33<<10)
+	big2 := segRecord('M', 132<<10)
 	before = meter.Stats().Snapshot()
 	locBig2, err := ss.append(big2, 1<<20)
 	if err != nil {

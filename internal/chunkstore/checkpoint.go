@@ -227,7 +227,7 @@ func (s *Store) writeSuperblock(ckptLoc Location, ivGenReserved uint64, syncNow 
 
 // syncSuperIfDirtyLocked pays the fsync deferred by a checkpoint's
 // superblock write. It is folded into every log-tail harden barrier
-// (hardenLocked, group-commit rounds), and run eagerly where a stale
+// (hardenLocked, harden rounds), and run eagerly where a stale
 // durable anchor would be unsafe or lost: before a new slot write
 // (ping-pong safety), before the cleaner frees victim segments the old
 // anchor still references, and at format/Close. Caller holds s.mu.
@@ -429,11 +429,16 @@ func (s *Store) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	// Checkpoints always harden immediately: the superblock written below
-	// must point at a checkpoint that is durable, and the inline harden also
-	// pays any harden deferred by earlier group commits (one sync covers
-	// them all).
-	if err := s.appendCommitRecordLocked(true, false, nil); err != nil {
+	// Checkpoints harden inline, under the mutex they already hold: the
+	// superblock written below must point at a checkpoint that is durable,
+	// and the harden also pays whatever earlier durable commits still owe
+	// (one sync covers them all). On failure the record stays appended and
+	// pending like any unhardened durable commit; the next round, checkpoint
+	// or Close retries.
+	if _, err := s.appendCommitRecordLocked(true); err != nil {
+		return err
+	}
+	if err := s.hardenLocked(); err != nil {
 		return err
 	}
 	// Write the new anchor into the alternate slot but defer its fsync to

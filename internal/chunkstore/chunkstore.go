@@ -87,9 +87,16 @@ var (
 	// checkpointing or cleaning). When Commit returns an error matching
 	// ErrMaintenance the commit itself HAS been applied — durably, for a
 	// durable commit — and only the background maintenance work failed;
-	// callers must not treat the batch as lost. Any other Commit error means
-	// the batch left no trace in the store.
+	// callers must not treat the batch as lost.
 	ErrMaintenance = errors.New("chunkstore: post-commit maintenance failed")
+	// ErrNotDurable wraps the failure of a durable commit's harden (log sync
+	// or one-way counter advance). The commit HAS been applied and is
+	// visible, but was not acknowledged durable: it stands exactly like a
+	// §3.2.2 nondurable commit — hardened by the next successful durable
+	// commit, checkpoint or Close, lost by a crash before then. A Commit
+	// error matching neither this nor ErrMaintenance means the batch left no
+	// trace in the store (see Store.Commit).
+	ErrNotDurable = errors.New("chunkstore: commit applied but not durable")
 )
 
 // MaxBatchOps is the maximum number of operations in one Batch. Each

@@ -35,9 +35,10 @@ import (
 //     state exactly (undo descents are infallible because the forward
 //     mutation left the whole path cached and dirty, and dirty nodes are
 //     never evicted).
-//  3. seal — the commit record over the post-merge Merkle root is appended
-//     (and synced, for durable commits). Failure here also rolls back the
-//     merge and marks the tail for rewind.
+//  3. seal — the commit record over the post-merge Merkle root is appended.
+//     Failure here also rolls back the merge and marks the tail for rewind.
+//     A durable commit's record joins the pending harden, paid off the
+//     mutex by a round (groupcommit.go).
 //
 // The net effect is the §3.1 guarantee by construction: a commit either
 // fully applies or leaves the in-memory store exactly as it was.
@@ -152,10 +153,8 @@ type stagedOp struct {
 }
 
 // commitPreparedLocked is stage 2 of Commit: validate, append, merge, seal.
-// Caller holds s.mu; prep is the stage-1 output aligned with b.ops. With
-// deferHarden a durable seal leaves the log sync and counter advance to the
-// group-commit coordinator (see groupcommit.go).
-func (s *Store) commitPreparedLocked(b *Batch, prep []preparedOp, durable, deferHarden bool) error {
+// Caller holds s.mu; prep is the stage-1 output aligned with b.ops.
+func (s *Store) commitPreparedLocked(b *Batch, prep []preparedOp, durable bool) error {
 	if err := s.completePendingRewindLocked(); err != nil {
 		return err
 	}
@@ -296,13 +295,13 @@ func (s *Store) commitPreparedLocked(b *Batch, prep []preparedOp, durable, defer
 		}
 	}
 
-	// Seal: commit record over the post-merge root, sync for durability
-	// (immediately, or deferred to the group-commit round).
-	if err := s.appendCommitRecordLocked(durable, deferHarden, &appended); err != nil {
+	// Seal: commit record over the post-merge root.
+	sealed, err := s.appendCommitRecordLocked(durable)
+	if err != nil {
 		rollback()
 		return fail(err)
 	}
-	s.residualBytes += appended
+	s.residualBytes += appended + sealed
 
 	// Publish the batch into the read cache (write-through for writes,
 	// invalidation for deallocs) before Commit returns, so any read that

@@ -2,63 +2,12 @@ package chunkstore
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
-	"sync"
-	"time"
 
 	"tdb/internal/lru"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
 )
-
-// defaultWriteBehind resolves the write-behind default once per process: the
-// TDB_WRITEBEHIND environment variable when set (the CI fault suites run with
-// it both on and off so neither mode rots), otherwise 256 KiB.
-var defaultWriteBehind = sync.OnceValue(func() int {
-	switch v := os.Getenv("TDB_WRITEBEHIND"); v {
-	case "", "on", "true":
-		return 256 << 10
-	case "off", "false", "0":
-		return -1
-	default:
-		if n, err := strconv.Atoi(v); err == nil && n != 0 {
-			return n
-		}
-		return 256 << 10
-	}
-})
-
-// GroupCommitConfig configures the durable-commit coordinator. When enabled,
-// concurrent durable commits coalesce into group-commit rounds: one log sync
-// plus one one-way-counter advance hardens every commit record of the round
-// (leader/follower; see groupcommit.go). The §3.2.2 ordering guarantee is
-// preserved — the round's sync covers all earlier nondurable commits too.
-//
-// Group commit trades failure semantics for throughput: with it disabled
-// (the default), a durable commit whose log sync fails is rolled back
-// entirely and the batch stays retryable; with it enabled, the commit is
-// already applied in memory when the deferred sync runs, so a sync failure
-// surfaces the error from Commit while the state remains applied
-// nondurably (a later durable commit or Close may still harden it).
-type GroupCommitConfig struct {
-	// Enabled turns group commit on. The zero value (off) preserves the
-	// immediate sync-per-commit behavior.
-	Enabled bool
-	// MaxDelay bounds a round leader's batching window. The window stays
-	// open only while announced durable commits are still inbound (pickled
-	// or encrypting but not yet appended) — it closes the moment nothing
-	// more is imminently arriving, so an idle store never waits out the
-	// full delay. 0 disables the window entirely: the leader syncs
-	// immediately, and coalescing still emerges naturally from commits
-	// that append while a sync is in flight.
-	MaxDelay time.Duration
-	// MaxOps closes the batching window early once this many commits are
-	// waiting on the round, bounding per-commit latency under sustained
-	// load. 0 selects 64.
-	MaxOps int
-}
 
 // Config configures a chunk store.
 type Config struct {
@@ -115,23 +64,10 @@ type Config struct {
 	// DisableAutoCheckpoint turns off the automatic residual-size
 	// checkpoint trigger.
 	DisableAutoCheckpoint bool
-	// WriteBehind caps the in-memory tail buffer that batches record appends
-	// into one large WriteAt per flush point (group-commit round sync, cap
-	// overflow, segment seal, checkpoint, cleaning, scrub, snapshot, close).
-	// 0 selects the default: the TDB_WRITEBEHIND environment variable when
-	// set ("off"/"0"/"false" disables, an integer sets the cap in bytes),
-	// otherwise 256 KiB. A negative value disables buffering, restoring the
-	// WriteAt-per-record behavior. Durability is unaffected either way —
-	// every fsync flushes first, and unflushed bytes of a crash are exactly
-	// the nondurable suffix recovery already discards.
-	WriteBehind int
 	// Retry bounds how raw segment and superblock I/O retries transient
 	// storage errors (platform.ErrTransient). Zero fields select defaults:
 	// 4 attempts with 1ms backoff doubling to a 50ms cap.
 	Retry RetryPolicy
-	// GroupCommit coalesces concurrent durable commits into shared log
-	// syncs and counter advances. Disabled by default.
-	GroupCommit GroupCommitConfig
 }
 
 func (c *Config) fillDefaults() error {
@@ -185,18 +121,6 @@ func (c *Config) fillDefaults() error {
 		if c.PrefetchWorkers > 8 {
 			c.PrefetchWorkers = 8
 		}
-	}
-	if c.WriteBehind == 0 {
-		c.WriteBehind = defaultWriteBehind()
-	}
-	if c.GroupCommit.MaxDelay < 0 {
-		return fmt.Errorf("%w: group commit delay %v negative", ErrUsage, c.GroupCommit.MaxDelay)
-	}
-	if c.GroupCommit.MaxOps < 0 {
-		return fmt.Errorf("%w: group commit ops %d negative", ErrUsage, c.GroupCommit.MaxOps)
-	}
-	if c.GroupCommit.Enabled && c.GroupCommit.MaxOps == 0 {
-		c.GroupCommit.MaxOps = 64
 	}
 	c.Retry.fillDefaults()
 	return nil

@@ -100,36 +100,26 @@ func (m *crashModel) check(t *testing.T, budget int64, s *Store, ids map[int]Chu
 func TestCrashAtEveryWriteBoundary(t *testing.T) {
 	for _, suiteName := range []string{"3des-sha1", "null"} {
 		for _, torn := range []bool{false, true} {
-			for _, wb := range []bool{false, true} {
-				name := suiteName
-				if torn {
-					name += "/torn"
-				}
-				if wb {
-					name += "/writebehind"
-				}
-				t.Run(name, func(t *testing.T) {
-					const dryBudget = int64(1) << 40
-					used := dryBudget - runCrashWorkload(t, suiteName, torn, wb, dryBudget)
-					// Write-behind coalesces appends, so the same workload
-					// crosses fewer write boundaries — every one still gets a
-					// crash.
-					floor := int64(20)
-					if wb {
-						floor = 10
-					}
-					if used < floor {
-						t.Fatalf("workload too small to be interesting: %d write ops", used)
-					}
-					step := int64(1)
-					if used > 200 {
-						step = used / 200
-					}
-					for budget := int64(1); budget <= used; budget += step {
-						runCrashWorkload(t, suiteName, torn, wb, budget)
-					}
-				})
+			name := suiteName
+			if torn {
+				name += "/torn"
 			}
+			t.Run(name, func(t *testing.T) {
+				const dryBudget = int64(1) << 40
+				used := dryBudget - runCrashWorkload(t, suiteName, torn, dryBudget)
+				// Write-behind coalesces appends, so the workload crosses few
+				// write boundaries — every one gets a crash.
+				if used < 10 {
+					t.Fatalf("workload too small to be interesting: %d write ops", used)
+				}
+				step := int64(1)
+				if used > 200 {
+					step = used / 200
+				}
+				for budget := int64(1); budget <= used; budget += step {
+					runCrashWorkload(t, suiteName, torn, budget)
+				}
+			})
 		}
 	}
 }
@@ -138,16 +128,12 @@ func TestCrashAtEveryWriteBoundary(t *testing.T) {
 // commits against a store that crashes after `budget` write operations,
 // then recovers and validates against the crash model. It returns the fault
 // store's remaining budget.
-func runCrashWorkload(t *testing.T, suiteName string, torn, wb bool, budget int64) int64 {
+func runCrashWorkload(t *testing.T, suiteName string, torn bool, budget int64) int64 {
 	t.Helper()
 	env := newTestEnv(t, suiteName)
 	env.fs.TornTail = torn
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.CheckpointBytes = 8 << 10 // force frequent checkpoints
-	env.cfg.WriteBehind = -1
-	if wb {
-		env.cfg.WriteBehind = 256 << 10
-	}
 
 	const slots = 8
 	model := newCrashModel()

@@ -3,17 +3,19 @@ package chunkstore
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
-// Group commit (Config.GroupCommit).
+// The durable-commit coordinator: every durable commit is a round.
 //
-// With group commit enabled, a durable Commit's stage 2 appends its commit
-// record but defers the expensive harden — the log sync plus the one-way
-// counter advance — to a shared coordinator. Concurrent durable commits
-// coalesce into rounds: the first waiter becomes the round's leader,
-// optionally lingers for companions (MaxDelay/MaxOps), then hardens the log
-// once under the store mutex; everyone whose record the sync covered
-// completes with that single sync and single counter advance.
+// A durable Commit's stage 2 appends its commit record and leaves the
+// expensive harden — the log sync plus the one-way counter advance — to a
+// shared coordinator. The first commit waiting on an unhardened record
+// becomes the round's leader, lingers only while announced companions are
+// still inbound, then hardens the log once; everyone whose record the sync
+// covered completes with that single sync and single counter advance. A
+// lone committer leads a round of one: nothing is inbound, so it snapshots,
+// syncs and advances at once, at the cost of the sync it owed anyway.
 //
 // Durability ordering survives coalescing because hardening is not
 // per-record: a round flushes every unsynced segment in append order, so
@@ -23,8 +25,11 @@ import (
 // all of the round's durable records are stamped with the same post-advance
 // value (counterVal+1): crash recovery sees the newest durable record carry
 // either the hardware counter value (harden completed) or hardware+1 (crash
-// between sync and increment, the pre-existing catch-up window). No new
-// recovery states are introduced.
+// between sync and increment, the pre-existing catch-up window). Replay
+// detection therefore distinguishes rounds, not individual commits: rolling
+// the store back to a round boundary is equivalent to having crashed there,
+// and a durable commit is only acknowledged after both the sync and the
+// advance.
 //
 // The round's fsync runs OFF the store mutex. The leader snapshots the
 // dirty segments under s.mu (gcSnapshotRound), syncs them with the mutex
@@ -45,12 +50,21 @@ import (
 //     — never twice for the same stamp, which would push the counter past
 //     every stored record and read as replay tampering at recovery.
 //
-// Trade-off, deliberate: commits hardened by the same round share one
-// counter advance, so replay detection distinguishes rounds, not individual
-// commits — rolling the store back within a round's records is detected,
-// rolling back to the round boundary is equivalent to having crashed there.
-// Durable commits are only acknowledged after both the sync and the
-// advance, so the §3.2.3 guarantee callers observe is unchanged.
+// A round that fails leaves its records applied and pending: every commit it
+// stranded gets ErrNotDurable, and the next round, checkpoint or Close
+// retries the harden (see Store.Commit for the contract).
+
+const (
+	// groupCommitWindow bounds a round leader's batching window. The window
+	// stays open only while announced durable commits are still inbound
+	// (pickled or encrypting but not yet appended) — it closes the moment
+	// nothing more is imminently arriving, so a lone committer never waits.
+	groupCommitWindow = 2 * time.Millisecond
+	// groupCommitMaxOps closes the batching window early once this many
+	// commits are waiting on the round, bounding per-commit latency under
+	// sustained load.
+	groupCommitMaxOps = 64
+)
 
 // groupCommitter coordinates group-commit rounds. Its mutex is leaf-level:
 // it is taken with the store mutex held (noteHardenedLocked) and on its
@@ -90,8 +104,9 @@ func newGroupCommitter() *groupCommitter {
 	return gc
 }
 
-// addWaiter adjusts the waiter count. Arrivals wake a lingering leader so
-// it can cut its batching window short the moment MaxOps commits are queued.
+// addWaiter adjusts the waiter count. Arrivals wake a lingering leader so it
+// can cut its batching window short the moment groupCommitMaxOps commits are
+// queued.
 func (gc *groupCommitter) addWaiter(d int) {
 	gc.mu.Lock()
 	gc.waiters += d
@@ -117,23 +132,24 @@ func (gc *groupCommitter) addInbound(d int) {
 }
 
 // linger is the leader's batching window: it blocks while more durable
-// commits are imminently arriving (inbound > 0), until cap commits are
-// already waiting, or until the window times out. sync.Cond has no timed
-// wait, so the timeout is a watchdog goroutine that runs the injectable
-// clock seam once and then wakes the leader; lingerGen keeps a watchdog
-// from a previous window from expiring this one.
-func (gc *groupCommitter) linger(capOps int, timeout func()) {
+// commits are imminently arriving (inbound > 0), until groupCommitMaxOps
+// commits are already waiting, or until the window times out. sync.Cond has
+// no timed wait, so the timeout is a watchdog goroutine that runs sleep —
+// Retry.Sleep, the injectable clock seam: tests substitute a blocking or
+// no-op sleep for determinism — once and then wakes the leader; lingerGen
+// keeps a watchdog from a previous window from expiring this one.
+func (gc *groupCommitter) linger(sleep func(time.Duration)) {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
-	if gc.waiters >= capOps || gc.inbound == 0 {
+	if gc.waiters >= groupCommitMaxOps || gc.inbound == 0 {
 		return
 	}
 	gen := gc.lingerGen
 	go func() {
-		timeout()
+		sleep(groupCommitWindow)
 		gc.expireLinger(gen)
 	}()
-	for gc.waiters < capOps && gc.inbound > 0 && !gc.lingerExpired {
+	for gc.waiters < groupCommitMaxOps && gc.inbound > 0 && !gc.lingerExpired {
 		gc.cond.Wait()
 	}
 	gc.lingerExpired = false
@@ -199,8 +215,9 @@ func (gc *groupCommitter) finishRound(err error) {
 }
 
 // awaitHarden blocks until commit record seq is durable, leading a harden
-// round when none is running. Rounds that fail report the harden error to
-// every commit they stranded.
+// round when none is running. A round that fails hands the same error —
+// ErrNotDurable wrapping the cause — to its leader and to every commit it
+// stranded.
 func (s *Store) awaitHarden(seq uint64) error {
 	gc := s.gc
 	gc.addWaiter(1)
@@ -214,24 +231,21 @@ func (s *Store) awaitHarden(seq uint64) error {
 			return err
 		}
 		hErr := s.gcHarden()
+		if hErr != nil {
+			hErr = fmt.Errorf("%w: %w", ErrNotDurable, hErr)
+		}
 		gc.finishRound(hErr)
 		if hErr != nil {
-			return fmt.Errorf("chunkstore: group commit harden: %w", hErr)
+			return hErr
 		}
 	}
 }
 
-// gcHarden is the leader's half of a round: linger for companion commits
-// (bounded by MaxDelay, cut short by MaxOps), then harden the log with the
-// fsync itself running off the store mutex so companions can keep
-// appending into the next round.
+// gcHarden is the leader's half of a round: linger while announced
+// companions are inbound, then harden the log with the fsync itself running
+// off the store mutex so companions can keep appending into the next round.
 func (s *Store) gcHarden() error {
-	cfg := s.cfg.GroupCommit
-	if cfg.MaxDelay > 0 {
-		// The timeout runs through Retry.Sleep, the injectable clock seam:
-		// tests substitute a blocking or no-op sleep for determinism.
-		s.gc.linger(cfg.MaxOps, func() { s.cfg.Retry.Sleep(cfg.MaxDelay) })
-	}
+	s.gc.linger(s.cfg.Retry.Sleep)
 	tasks, seq, done, err := s.gcSnapshotRound()
 	if done {
 		return err
@@ -316,27 +330,26 @@ func (s *Store) advanceCounterLocked() error {
 // hardenLocked makes every appended commit record durable: one log sync
 // covers all of them (segments sync in append order), then one counter
 // advance matches the counterVal+1 stamp the pending durable records carry.
-// This is the inline (non-group) harden; group-commit rounds use
-// gcSnapshotRound/gcFinishRound to keep the fsync off the mutex. Caller
-// holds s.mu.
+// It is the harden of the two operations that already hold s.mu exclusively
+// for their whole duration and seal with a commit record of their own —
+// checkpointLocked and Close; user commits harden through rounds, which keep
+// the fsync off the mutex. Caller holds s.mu.
 func (s *Store) hardenLocked() error {
-	if s.groupPending {
-		// The harden barrier also pays any superblock fsync deferred by an
-		// earlier checkpoint (one barrier event instead of two). Order does
-		// not matter for safety — the dirty slot points at a checkpoint
-		// record hardened before the slot was written — but syncing it first
-		// keeps a failure from acknowledging the commit.
-		if err := s.syncSuperIfDirtyLocked(); err != nil {
-			return err
-		}
-		if err := s.segs.syncDirty(); err != nil {
-			return err
-		}
-		if err := s.advanceCounterLocked(); err != nil {
-			return err
-		}
-		s.groupPending = false
+	// The harden barrier also pays any superblock fsync deferred by an
+	// earlier checkpoint (one barrier event instead of two). Order does not
+	// matter for safety — the dirty slot points at a checkpoint record
+	// hardened before the slot was written — but syncing it first keeps a
+	// failure from acknowledging the commit.
+	if err := s.syncSuperIfDirtyLocked(); err != nil {
+		return err
 	}
+	if err := s.segs.syncDirty(); err != nil {
+		return err
+	}
+	if err := s.advanceCounterLocked(); err != nil {
+		return err
+	}
+	s.groupPending = false
 	s.noteHardenedLocked(s.commitSeq)
 	return nil
 }

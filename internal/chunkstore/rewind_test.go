@@ -2,21 +2,24 @@ package chunkstore
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
 // failCommitWithOrphans drives the batch against an injected storage crash
 // until a Commit failure leaves orphaned records at the log tail
-// (pendingRewind set). The batch's operations survive the failures, so the
-// caller can retry it once storage recovers.
+// (pendingRewind set). The batch must hold a write larger than a segment, so
+// stage 2 does I/O of its own (sealing and creating segments) for the crash
+// to land in. The batch's operations survive the failures, so the caller can
+// retry it once storage recovers.
 func failCommitWithOrphans(t *testing.T, env *testEnv, s *Store, b *Batch) {
 	t.Helper()
 	for budget := int64(1); ; budget++ {
 		env.fs.SetWriteBudget(budget)
 		err := s.Commit(b, true)
 		env.fs.SetWriteBudget(-1)
-		if err == nil {
-			t.Fatal("commit succeeded before a failure left an orphaned tail")
+		if err == nil || errors.Is(err, ErrNotDurable) {
+			t.Fatalf("commit applied (%v) before a failure left an orphaned tail", err)
 		}
 		if s.pendingRewind != nil {
 			return
@@ -45,7 +48,7 @@ func TestCheckpointAfterFailedCommit(t *testing.T) {
 			oldA := bytes.Repeat([]byte("a"), 512)
 			a := allocWrite(t, s, oldA)
 
-			newA := bytes.Repeat([]byte("A"), 700)
+			newA := bytes.Repeat([]byte("A"), env.cfg.SegmentSize+700)
 			batch := s.NewBatch()
 			batch.Write(a, newA)
 			failCommitWithOrphans(t, env, s, batch)
@@ -107,7 +110,7 @@ func TestCleanAfterFailedCommit(t *testing.T) {
 		want[cid] = bytes.Repeat([]byte{byte(20 + i)}, 900)
 	}
 
-	fresh := bytes.Repeat([]byte("z"), 700)
+	fresh := bytes.Repeat([]byte("z"), env.cfg.SegmentSize+700)
 	batch := s.NewBatch()
 	batch.Write(ids[0], fresh)
 	failCommitWithOrphans(t, env, s, batch)
@@ -153,7 +156,7 @@ func TestCloseAfterFailedCommit(t *testing.T) {
 	oldA := []byte("before")
 	a := allocWrite(t, s, oldA)
 	batch := s.NewBatch()
-	batch.Write(a, bytes.Repeat([]byte("x"), 600))
+	batch.Write(a, bytes.Repeat([]byte("x"), env.cfg.SegmentSize+600))
 	failCommitWithOrphans(t, env, s, batch)
 
 	if err := s.Close(); err != nil {

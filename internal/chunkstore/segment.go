@@ -2,6 +2,7 @@ package chunkstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -69,11 +70,14 @@ type segment struct {
 // truncate): transient device errors are absorbed within the retry policy's
 // bound, and failures surface as *IOError with segment and offset context.
 //
-// With a write-behind cap configured, appends land in an in-memory tail
-// buffer instead of issuing one WriteAt syscall per record; the buffer is
-// flushed as a single WriteAt at well-defined flush points (group-commit
-// round snapshot, inline harden, cap overflow, segment seal, checkpoint,
-// cleaning, scrub, snapshot, close). Reads transparently serve the buffered
+// Appends land in an in-memory write-behind tail buffer instead of issuing
+// one WriteAt syscall per record; the buffer is flushed as a single WriteAt
+// at well-defined flush points (harden round snapshot, checkpoint and Close
+// harden, cap overflow, segment seal, cleaning, scrub, snapshot, close).
+// Records of half the cap or more write through directly (see append).
+// Durability is unaffected: every fsync flushes first, and the unflushed
+// bytes of a crash are exactly the nondurable suffix recovery already
+// discards. Reads transparently serve the buffered
 // suffix from memory, so the location map, cleaner, and scrub never observe
 // a torn view. seg.size is always the LOGICAL size (flushed + buffered);
 // only wbOff tracks what has physically reached the file.
@@ -87,9 +91,6 @@ type segmentSet struct {
 	// retry bounds transient-error retries on raw segment I/O.
 	retry RetryPolicy
 
-	// wbCap is the write-behind buffer capacity; <= 0 disables buffering
-	// and restores the WriteAt-per-record behavior.
-	wbCap int
 	// wbSeg is the segment owning the buffered suffix (the tail at the time
 	// of the first buffered append). nil until the first buffered append.
 	wbSeg *segment
@@ -108,9 +109,13 @@ type segmentSet struct {
 	wbDirty int64
 }
 
-func newSegmentSet(store platform.UntrustedStore, retry RetryPolicy, writeBehind int) *segmentSet {
+// writeBehindCap is the write-behind tail buffer's capacity: reaching it
+// forces a flush.
+const writeBehindCap = 256 << 10
+
+func newSegmentSet(store platform.UntrustedStore, retry RetryPolicy) *segmentSet {
 	retry.fillDefaults()
-	return &segmentSet{store: store, segs: make(map[uint64]*segment), next: 1, retry: retry, wbCap: writeBehind}
+	return &segmentSet{store: store, segs: make(map[uint64]*segment), next: 1, retry: retry}
 }
 
 // flushLocked writes the buffered tail suffix to its segment file as one
@@ -216,11 +221,18 @@ func (ss *segmentSet) create() (*segment, error) {
 		return nil, err
 	}
 	num := ss.next
-	ss.next++
 	var f platform.File
 	attempts, err := ss.retry.run(func() error {
 		var cerr error
 		f, cerr = ss.store.Create(segmentName(num))
+		if errors.Is(cerr, platform.ErrExists) {
+			// Every loaded segment is numbered below next, so a file of this
+			// number is referenced by nothing: it is the leftover of a create
+			// that failed after the file appeared. Replace it.
+			if cerr = ss.store.Remove(segmentName(num)); cerr == nil {
+				f, cerr = ss.store.Create(segmentName(num))
+			}
+		}
 		return cerr
 	})
 	if err != nil {
@@ -231,8 +243,12 @@ func (ss *segmentSet) create() (*segment, error) {
 	binary.BigEndian.PutUint64(hdr[8:16], num)
 	seg := &segment{num: num, file: f, size: segHeaderSize}
 	if err := ss.writeAt(seg, hdr[:], 0); err != nil {
+		f.Close()
 		return nil, err
 	}
+	// The number is consumed only now: a failed create must not leave a gap,
+	// recovery's log scan expects dense numbering.
+	ss.next = num + 1
 	ss.segs[num] = seg
 	if ss.tail != nil {
 		ss.tail.sealed = true
@@ -458,7 +474,7 @@ func (ss *segmentSet) append(rec []byte, segmentSize int) (Location, error) {
 	}
 	tail := ss.tail
 	loc := Location{Seg: tail.num, Off: uint32(tail.size), Len: uint32(len(rec))}
-	if ss.wbCap > 0 && len(rec)*2 >= ss.wbCap {
+	if len(rec)*2 >= writeBehindCap {
 		// Bulk records write through directly, skipping the buffer memcpy:
 		// a record at or above half the cap would immediately force a flush
 		// anyway, so buffering it buys nothing and costs a copy. Flush any
@@ -489,32 +505,23 @@ func (ss *segmentSet) append(rec []byte, segmentSize int) (Location, error) {
 		tail.gen++
 		return loc, nil
 	}
-	if ss.wbCap > 0 {
-		if ss.wbSeg != tail {
-			// Adopt the current tail. The buffer is empty here: create()
-			// flushes before sealing, and free/rewind drop or flush it.
-			ss.wbSeg = tail
-			ss.wbOff = tail.size
-		}
-		ss.wb = append(ss.wb, rec...)
-		tail.size += int64(len(rec))
-		tail.synced = false
-		tail.gen++
-		if len(ss.wb) >= ss.wbCap {
-			// Cap overflow. On failure the record stays buffered and logically
-			// appended; the caller's rewind trims it from memory.
-			if err := ss.flushLocked(); err != nil {
-				return Location{}, err
-			}
-		}
-		return loc, nil
+	if ss.wbSeg != tail {
+		// Adopt the current tail. The buffer is empty here: create()
+		// flushes before sealing, and free/rewind drop or flush it.
+		ss.wbSeg = tail
+		ss.wbOff = tail.size
 	}
-	if err := ss.writeAt(tail, rec, tail.size); err != nil {
-		return Location{}, err
-	}
+	ss.wb = append(ss.wb, rec...)
 	tail.size += int64(len(rec))
 	tail.synced = false
 	tail.gen++
+	if len(ss.wb) >= writeBehindCap {
+		// Cap overflow. On failure the record stays buffered and logically
+		// appended; the caller's rewind trims it from memory.
+		if err := ss.flushLocked(); err != nil {
+			return Location{}, err
+		}
+	}
 	return loc, nil
 }
 

@@ -77,9 +77,8 @@ type Store struct {
 
 	// groupPending is true while durable commit records are appended whose
 	// harden — log sync plus (possibly) a counter advance — is still owed
-	// (group commit's deferred harden, see groupcommit.go). A harden pays
-	// one sync and at most one counter advance for all of them. Mutated
-	// only under mu.
+	// (see groupcommit.go). A harden pays one sync and at most one counter
+	// advance for all of them. Mutated only under mu.
 	groupPending bool
 	// stampCtr is the counter value stamped into the newest durable commit
 	// record. Durable appends stamp counterVal+1, so the invariant is
@@ -88,8 +87,8 @@ type Store struct {
 	// re-sync records already covered by an earlier advance from pushing
 	// the counter past every stored stamp. Mutated only under mu.
 	stampCtr uint64
-	// gc coordinates group-commit rounds (leader/follower). Created at Open
-	// and never reassigned.
+	// gc coordinates harden rounds (leader/follower). Created at Open and
+	// never reassigned.
 	gc *groupCommitter
 
 	// commitSeq is the sequence number of the last commit record appended.
@@ -150,7 +149,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:        cfg,
 		suite:      cfg.Suite,
-		segs:       newSegmentSet(cfg.Store, cfg.Retry, cfg.WriteBehind),
+		segs:       newSegmentSet(cfg.Store, cfg.Retry),
 		snapshots:  make(map[*Snapshot]struct{}),
 		quarantine: make(map[ChunkID]string),
 		gc:         newGroupCommitter(),
@@ -306,9 +305,9 @@ func (s *Store) Close() error {
 	// mistaken for log content by offline tools; recovery would discard it
 	// anyway (it follows the last durable commit record).
 	err := s.completePendingRewindLocked()
-	// Pay any deferred group-commit harden before shutting the segments
-	// down: the pending records are already applied and visible, and their
-	// waiters must be released before Close marks the store closed.
+	// Pay any harden still owed before shutting the segments down: the
+	// pending records are already applied and visible, and their waiters
+	// must be released before Close marks the store closed.
 	if s.groupPending {
 		if herr := s.hardenLocked(); herr != nil && err == nil {
 			err = herr
@@ -766,17 +765,25 @@ func (b *Batch) Len() int { return len(b.ops) }
 
 // Commit applies the batch atomically. A durable commit survives crashes; a
 // nondurable commit is guaranteed *not* to survive a crash unless a
-// subsequent durable commit completes (paper §3.2.2).
+// subsequent durable commit completes (paper §3.2.2). A durable commit
+// appends its record and hardens it — one log sync plus one counter advance
+// — in a round shared with every durable commit in flight beside it; a lone
+// commit is a round of one (see groupcommit.go).
 //
-// Atomicity holds in memory as well as on disk: if Commit returns an error
-// that does not match ErrMaintenance, the batch left no trace — location
-// map, allocator, accounting, and the readable state of every chunk are
-// exactly as before the call, and the batch's operations remain staged so
-// the caller may retry the same Batch. An ErrMaintenance error means the
-// commit itself fully applied (durably, if requested) and only post-commit
-// maintenance failed. Exception, with Config.GroupCommit enabled: a durable
-// commit whose deferred group harden fails returns the harden error with
-// the batch applied nondurably (see GroupCommitConfig).
+// The failure contract, stated once for every layer above:
+//
+//   - An error matching neither ErrMaintenance nor ErrNotDurable means
+//     nothing was applied. Atomicity holds in memory as well as on disk:
+//     location map, allocator, accounting, and the readable state of every
+//     chunk are exactly as before the call, and the batch's operations
+//     remain staged so the caller may retry the same Batch.
+//   - ErrMaintenance means the commit fully applied (durably, if requested)
+//     and only post-commit maintenance failed.
+//   - ErrNotDurable means the commit applied and is visible, but was not
+//     acknowledged durable: it is exactly a §3.2.2 nondurable commit. It
+//     hardens with the next successful durable commit, checkpoint or Close,
+//     and is lost by a crash before then. When maintenance and the harden
+//     both fail, ErrNotDurable is the one reported.
 //
 // Batches larger than MaxBatchOps are rejected with ErrBatchTooLarge.
 //
@@ -805,16 +812,16 @@ func (s *Store) Commit(b *Batch, durable bool) error {
 	return err
 }
 
-// AnnounceDurable tells the group-commit coordinator that a durable commit
-// is being prepared, so a round leader's batching window waits for its
-// record instead of syncing just before it arrives. It reports whether the
-// announcement was made (durable, group commit enabled). Callers announce
-// before stage 1 and must balance the announcement exactly once: the commit
+// AnnounceDurable tells the harden coordinator that a durable commit is
+// being prepared, so a round leader's batching window waits for its record
+// instead of syncing just before it arrives. It reports whether the
+// announcement was made (durable commits only). Callers announce before
+// stage 1 and must balance the announcement exactly once: the commit
 // record's append settles it implicitly; on any path where CommitPrepared
 // does not seal (preparation failure, commit error other than
 // ErrMaintenance), call RetractDurable.
 func (s *Store) AnnounceDurable(durable bool) bool {
-	if !durable || !s.cfg.GroupCommit.Enabled {
+	if !durable {
 		return false
 	}
 	s.gc.addInbound(1)
@@ -862,24 +869,21 @@ func (s *Store) PrepareBatch(b *Batch) (*PreparedBatch, error) {
 	return &PreparedBatch{s: s, prep: prep, n: len(b.ops)}, nil
 }
 
-// CommitTicket is CommitPrepared's receipt. With group commit enabled, a
-// durable commit's harden (log sync + counter advance) may still be owed
-// when CommitPrepared returns; AwaitDurable blocks until it is paid.
+// CommitTicket is CommitPrepared's receipt. A durable commit's harden (log
+// sync + counter advance) is still owed when CommitPrepared returns;
+// AwaitDurable blocks until it is paid. The zero ticket — what a nondurable
+// commit gets — owes nothing.
 type CommitTicket struct {
-	s       *Store
-	seq     uint64
-	pending bool
+	s   *Store
+	seq uint64
 }
-
-// Pending reports whether the commit still awaits its group harden.
-func (t CommitTicket) Pending() bool { return t.pending }
 
 // CommitPrepared runs commit stage 2 under the store mutex: validate,
 // append, merge, seal (commit_pipeline.go). Error semantics match Commit,
-// except that with group commit enabled a durable commit returns with the
-// harden deferred — the caller completes it with AwaitDurable on the
-// returned ticket. The ticket is valid (and AwaitDurable required) even
-// when the error matches ErrMaintenance, since the commit itself applied.
+// except that a durable commit returns with its harden still owed — the
+// caller completes it with AwaitDurable on the returned ticket. The ticket
+// is valid (and AwaitDurable required) even when the error matches
+// ErrMaintenance, since the commit itself applied.
 func (s *Store) CommitPrepared(b *Batch, p *PreparedBatch, durable bool) (CommitTicket, error) {
 	if p == nil || p.s != s {
 		return CommitTicket{}, fmt.Errorf("%w: prepared batch does not belong to this store", ErrUsage)
@@ -887,16 +891,21 @@ func (s *Store) CommitPrepared(b *Batch, p *PreparedBatch, durable bool) (Commit
 	if p.n != len(b.ops) {
 		return CommitTicket{}, fmt.Errorf("%w: batch modified since preparation (%d ops prepared, %d staged)", ErrUsage, p.n, len(b.ops))
 	}
-	deferHarden := durable && s.cfg.GroupCommit.Enabled
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return CommitTicket{}, ErrClosed
 	}
-	if err := s.commitPreparedLocked(b, p.prep, durable, deferHarden); err != nil {
+	if err := s.commitPreparedLocked(b, p.prep, durable); err != nil {
 		return CommitTicket{}, err
 	}
-	ticket := CommitTicket{s: s, seq: s.commitSeq, pending: deferHarden}
+	var ticket CommitTicket
+	if durable {
+		// The record is in the log: any round syncing from here on covers
+		// it, so the commit no longer counts as inbound.
+		s.gc.addInbound(-1)
+		ticket = CommitTicket{s: s, seq: s.commitSeq}
+	}
 	if err := s.maybeMaintain(); err != nil {
 		return ticket, fmt.Errorf("%w: %w", ErrMaintenance, err)
 	}
@@ -904,11 +913,11 @@ func (s *Store) CommitPrepared(b *Batch, p *PreparedBatch, durable bool) (Commit
 }
 
 // AwaitDurable blocks until the ticket's commit record is hardened, joining
-// (or leading) a group-commit round when the harden is still owed. It
-// returns immediately for tickets with nothing pending. A non-nil error
-// means the commit remains applied but not durable.
+// (or leading) a harden round. It returns immediately for the zero ticket.
+// A non-nil error matches ErrNotDurable: the commit remains applied but was
+// not acknowledged durable.
 func (s *Store) AwaitDurable(t CommitTicket) error {
-	if !t.pending {
+	if t.s == nil {
 		return nil
 	}
 	if t.s != s {
@@ -919,11 +928,10 @@ func (s *Store) AwaitDurable(t CommitTicket) error {
 
 // appendCommitRecordLocked writes the commit record for the current
 // in-memory state. Durable records are stamped with counterVal+1 — the
-// counter value after the harden that will cover them. With deferHarden the
-// harden is left to the group-commit coordinator (the record joins the
-// pending round); otherwise it runs inline, and on failure the record's
-// effects are rolled back (callers rewind the appended bytes).
-func (s *Store) appendCommitRecordLocked(durable, deferHarden bool, appended *int64) error {
+// counter value after the harden that will cover them — and join the
+// pending harden; the caller decides who pays it (a round for user commits,
+// hardenLocked for a checkpoint). It returns the record's length.
+func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 	seq := s.commitSeq + 1
 	ctr := s.counterVal
 	if durable && s.cfg.UseCounter {
@@ -933,38 +941,16 @@ func (s *Store) appendCommitRecordLocked(durable, deferHarden bool, appended *in
 	signed := commitSignedPortion(seq, durable, ctr, rootHash)
 	rec := encodeRecord(recCommit, commitRecordBody(signed, s.suite.MAC(signed)))
 	if _, err := s.segs.append(rec, s.cfg.SegmentSize); err != nil {
-		return err
-	}
-	if appended != nil {
-		*appended += int64(len(rec))
+		return 0, err
 	}
 	s.commitSeq = seq
 	if durable {
-		wasPending, wasStamp := s.groupPending, s.stampCtr
 		s.groupPending = true
 		if s.cfg.UseCounter {
 			s.stampCtr = ctr
 		}
-		if deferHarden {
-			// The record is in the log: any round syncing from here on
-			// covers it, so the commit no longer counts as inbound.
-			s.gc.addInbound(-1)
-		}
-		if !deferHarden {
-			if err := s.hardenLocked(); err != nil {
-				// The caller rewinds the appended record, so the pending
-				// round must not keep counting it: a later harden would
-				// advance the hardware counter past every surviving durable
-				// record's stamp, and recovery would read that as replay
-				// tampering.
-				s.groupPending = wasPending
-				s.stampCtr = wasStamp
-				s.commitSeq = seq - 1
-				return err
-			}
-		}
 	}
-	return nil
+	return int64(len(rec)), nil
 }
 
 // adjustLive updates a segment's live-byte count.

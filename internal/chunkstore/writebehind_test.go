@@ -34,7 +34,6 @@ func newWBEnv(t *testing.T) *wbEnv {
 		Suite:       suite,
 		UseCounter:  true,
 		SegmentSize: 1 << 20,
-		WriteBehind: 256 << 10,
 		// No background maintenance: every metered op below is attributable
 		// to the commits under test.
 		DisableAutoClean:      true,
@@ -122,7 +121,7 @@ func readSegRecord(t *testing.T, ss *segmentSet, loc Location, want []byte) {
 func TestRewindOverBufferedBytesIsPureMemory(t *testing.T) {
 	mem := platform.NewMemStore()
 	meter := platform.NewMeterStore(mem)
-	ss := newSegmentSet(meter, RetryPolicy{}, 64<<10)
+	ss := newSegmentSet(meter, RetryPolicy{})
 
 	recA, recB, recC := segRecord('A', 100), segRecord('B', 200), segRecord('C', 300)
 	locA, err := ss.append(recA, 1<<20)
@@ -199,7 +198,7 @@ func TestRewindAfterFailedFlushKeepsEarlierBufferedBytes(t *testing.T) {
 	fs := platform.NewFaultStore(meter)
 	// MaxAttempts 1: the injected transient error is terminal, not retried.
 	retry := RetryPolicy{MaxAttempts: 1, Sleep: func(time.Duration) {}}
-	ss := newSegmentSet(fs, retry, 64<<10)
+	ss := newSegmentSet(fs, retry)
 
 	recA, recB := segRecord('A', 100), segRecord('B', 200)
 	locA, err := ss.append(recA, 1<<20)
@@ -241,7 +240,7 @@ func TestRewindAfterFailedFlushKeepsEarlierBufferedBytes(t *testing.T) {
 }
 
 // TestWriteBehindConcurrentMaintenanceStress races buffered commits (durable
-// via group commit and nondurable) against the cleaner and the scrubber.
+// through harden rounds, and nondurable) against the cleaner and the scrubber.
 // Run with -race this checks the buffer's single-writer discipline: every
 // maintenance path flushes under the store mutex before reading the log.
 func TestWriteBehindConcurrentMaintenanceStress(t *testing.T) {
@@ -250,7 +249,6 @@ func TestWriteBehindConcurrentMaintenanceStress(t *testing.T) {
 	env.cfg.DisableAutoClean = false
 	env.cfg.DisableAutoCheckpoint = false
 	env.cfg.CheckpointBytes = 32 << 10
-	env.cfg.GroupCommit = GroupCommitConfig{Enabled: true}
 	s, err := Open(env.cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)

@@ -71,21 +71,25 @@ func (h *Handle) newIterator(collect func(fn func(objectstore.ObjectID) error) e
 		h:        h,
 		oids:     oids,
 		pos:      -1,
-		prefetch: -1,
+		prefetch: defaultScanPrefetch,
 	}, nil
 }
 
+// defaultScanPrefetch is the sliding-window depth an iterator prefetches
+// ahead of its cursor unless SetPrefetch says otherwise.
+const defaultScanPrefetch = 32
+
 // SetPrefetch overrides the scan-prefetch window for this iterator: n
 // objects are fetched, validated, and decrypted ahead of the cursor. 0
-// disables prefetching; negative restores the store default (Options
-// ScanPrefetch / TDB_SCANPREFETCH, default 32). Effective only before the
-// first Next; later calls are ignored.
+// disables prefetching and reproduces the point-read scan exactly; negative
+// restores the default (32). Effective only before the first Next; later
+// calls are ignored.
 func (it *Iterator) SetPrefetch(n int) {
 	if it.pfStarted {
 		return
 	}
 	if n < 0 {
-		n = -1
+		n = defaultScanPrefetch
 	}
 	it.prefetch = n
 }
@@ -103,12 +107,8 @@ func (it *Iterator) Next() bool {
 	it.pos++
 	if !it.pfStarted {
 		it.pfStarted = true
-		w := it.prefetch
-		if w < 0 {
-			w = it.h.ct.t.ScanPrefetch()
-		}
-		if w > 0 && it.pos+1 < len(it.oids) {
-			it.pf = startPrefetcher(it.h.ct.t, it.oids, w, it.pos)
+		if it.prefetch > 0 && it.pos+1 < len(it.oids) {
+			it.pf = startPrefetcher(it.h.ct.t, it.oids, it.prefetch, it.pos)
 		}
 	} else if it.pf != nil {
 		it.pf.advance(it.pos)

@@ -76,20 +76,6 @@ type Options struct {
 	DisableAutoClean      bool
 	DisableAutoCheckpoint bool
 
-	// WriteBehind caps the chunk store's in-memory tail buffer, which
-	// batches log appends into one large write per flush point. 0 selects
-	// the default (TDB_WRITEBEHIND env override, else 256 KiB); negative
-	// disables buffering. Durability guarantees are unchanged either way
-	// (see chunkstore.Config.WriteBehind).
-	WriteBehind int
-
-	// ScanPrefetch is the default sliding-window depth iterators prefetch
-	// ahead of their cursor: planned, coalesced, and decrypted off-mutex,
-	// landing in the read cache just before dereference. 0 selects the
-	// default (TDB_SCANPREFETCH env override, else 32); negative disables.
-	// Iterator.SetPrefetch overrides per scan.
-	ScanPrefetch int
-
 	// ReadCacheBytes bounds the chunk store's validated-plaintext read
 	// cache, where prefetched chunks land and concurrent scanners share
 	// each other's fetches (default 4 MiB; see
@@ -99,11 +85,6 @@ type Options struct {
 	// Retry governs how transient storage I/O errors are retried (zero
 	// fields select the defaults; see chunkstore.RetryPolicy).
 	Retry chunkstore.RetryPolicy
-
-	// GroupCommit coalesces concurrent durable commits into shared log
-	// syncs and one-way-counter advances (disabled by default; see
-	// chunkstore.GroupCommitConfig for the semantics trade-off).
-	GroupCommit chunkstore.GroupCommitConfig
 
 	// LockTimeout bounds object lock waits (deadlock breaking); zero
 	// selects the default.
@@ -230,10 +211,8 @@ func (db *DB) chunkConfig() chunkstore.Config {
 		CachePool:             db.pool,
 		DisableAutoClean:      db.opts.DisableAutoClean,
 		DisableAutoCheckpoint: db.opts.DisableAutoCheckpoint,
-		WriteBehind:           db.opts.WriteBehind,
 		ReadCacheBytes:        db.opts.ReadCacheBytes,
 		Retry:                 db.opts.Retry,
-		GroupCommit:           db.opts.GroupCommit,
 	}
 }
 
@@ -246,7 +225,6 @@ func (db *DB) layerUp() error {
 		LockTimeout:    db.opts.LockTimeout,
 		DisableLocking: db.opts.DisableLocking,
 		ReadonlyChecks: db.opts.ReadonlyChecks,
-		ScanPrefetch:   db.opts.ScanPrefetch,
 	})
 	if err != nil {
 		return err

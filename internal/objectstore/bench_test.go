@@ -103,12 +103,8 @@ func BenchmarkCachedRead(b *testing.B) {
 
 // benchParallelChunkConfig is the chunk-store configuration shared by the
 // parallel-commit benchmark workers: the real AES/SHA-256 suite plus a
-// one-way counter, so every durable commit pays the full §3.2.2 cost. With
-// group set, concurrent durable commits coalesce their log syncs and
-// counter advances; MaxOps is tuned to the committer count so a round
-// gathers every concurrent committer before its (shared) fsync, with
-// MaxDelay bounding the wait.
-func benchParallelChunkConfig(store platform.UntrustedStore, suite sec.Suite, ctr platform.OneWayCounter, pool *lru.Pool, group bool, workers int) chunkstore.Config {
+// one-way counter, so every durable commit pays the full §3.2.2 cost.
+func benchParallelChunkConfig(store platform.UntrustedStore, suite sec.Suite, ctr platform.OneWayCounter, pool *lru.Pool) chunkstore.Config {
 	return chunkstore.Config{
 		Store:      store,
 		Suite:      suite,
@@ -121,11 +117,6 @@ func benchParallelChunkConfig(store platform.UntrustedStore, suite sec.Suite, ct
 		SegmentSize:           4 << 20,
 		DisableAutoClean:      true,
 		DisableAutoCheckpoint: true,
-		GroupCommit: chunkstore.GroupCommitConfig{
-			Enabled:  group,
-			MaxDelay: 2 * time.Millisecond,
-			MaxOps:   workers,
-		},
 	}
 }
 
@@ -152,25 +143,18 @@ func (o *benchBlob) Unpickle(u *Unpickler) error {
 // (so every durable commit pays a true fsync): each worker repeatedly
 // rewrites its own 8 KiB object in a durable transaction. Contention is
 // purely structural (the store mutexes, the log, the counter) — workers
-// never touch each other's objects, so lock waits play no part. This is
-// the acceptance benchmark for the off-mutex commit pipeline plus group
-// commit: "solo-sync" pays one inline fsync per durable commit (the
-// pre-pipeline behavior), "group-commit" coalesces concurrent commits into
-// shared log syncs.
+// never touch each other's objects, so lock waits play no part. One
+// committer shows the round of one; more show concurrent commits
+// coalescing into shared log syncs (syncs/op falls below 1).
 func BenchmarkTxnCommitParallel(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		group bool
-	}{{"solo-sync", false}, {"group-commit", true}} {
-		for _, workers := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("%s/committers=%d", mode.name, workers), func(b *testing.B) {
-				benchCommitParallel(b, mode.group, workers)
-			})
-		}
+	for _, workers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("committers=%d", workers), func(b *testing.B) {
+			benchCommitParallel(b, workers)
+		})
 	}
 }
 
-func benchCommitParallel(b *testing.B, group bool, workers int) {
+func benchCommitParallel(b *testing.B, workers int) {
 	suite, err := sec.NewSuite("aes-sha256", []byte("bench-parallel-commit"))
 	if err != nil {
 		b.Fatal(err)
@@ -182,7 +166,7 @@ func benchCommitParallel(b *testing.B, group bool, workers int) {
 	store := platform.NewMeterStore(dir)
 	ctr := platform.NewMemCounter()
 	pool := lru.NewPool(64 << 20)
-	cs, err := chunkstore.Open(benchParallelChunkConfig(store, suite, ctr, pool, group, workers))
+	cs, err := chunkstore.Open(benchParallelChunkConfig(store, suite, ctr, pool))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,34 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"tdb/internal/chunkstore"
 )
-
-// openMVCC opens an object store whose chunk store runs with group commit
-// enabled, the configuration the snapshot-read stress cares about: durable
-// commits coalesce into rounds whose fsync runs off the store mutex.
-func (e *osEnv) openMVCC(t *testing.T) *Store {
-	t.Helper()
-	cs, err := chunkstore.Open(chunkstore.Config{
-		Store:       e.mem,
-		Counter:     e.counter,
-		Suite:       e.suite,
-		UseCounter:  true,
-		CachePool:   e.pool,
-		GroupCommit: chunkstore.GroupCommitConfig{Enabled: true},
-	})
-	if err != nil {
-		t.Fatalf("chunkstore.Open: %v", err)
-	}
-	cfg := e.cfg
-	cfg.Chunks = cs
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("objectstore.Open: %v", err)
-	}
-	return s
-}
 
 // TestSnapshotIsolation pins the tentpole guarantee deterministically: a
 // read-only transaction begun before a commit sees the pre-commit value of
@@ -432,7 +405,7 @@ func TestDecodeCacheTableInvariants(t *testing.T) {
 // and resolution.
 func TestSnapshotStress(t *testing.T) {
 	e := newOSEnv(t)
-	s := e.openMVCC(t)
+	s := e.open(t)
 	defer s.Close()
 
 	const writers = 4

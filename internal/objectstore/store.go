@@ -3,8 +3,6 @@ package objectstore
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,30 +34,7 @@ type Config struct {
 	// read-only were not mutated (Go cannot enforce const statically the
 	// way the paper's C++ Refs do).
 	ReadonlyChecks bool
-	// ScanPrefetch is the default sliding-window depth iterators prefetch
-	// ahead of their cursor through Txn.Prefetch. 0 selects the default:
-	// the TDB_SCANPREFETCH environment variable when set ("off"/"0"/"false"
-	// disables, an integer sets the window), otherwise 32. A negative value
-	// disables scan prefetching.
-	ScanPrefetch int
 }
-
-// defaultScanPrefetch resolves the scan-prefetch default once per process:
-// the TDB_SCANPREFETCH environment variable when set (the chaos and bench
-// suites sweep it so the disabled path stays exercised), otherwise 32.
-var defaultScanPrefetch = sync.OnceValue(func() int {
-	switch v := os.Getenv("TDB_SCANPREFETCH"); v {
-	case "", "on", "true":
-		return 32
-	case "off", "false", "0":
-		return -1
-	default:
-		if n, err := strconv.Atoi(v); err == nil && n != 0 {
-			return n
-		}
-		return 32
-	}
-})
 
 // Store is the object store. Its single state mutex serializes operations;
 // the mutex is released while a transaction waits on an object lock
@@ -114,9 +89,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if cfg.LockTimeout == 0 {
 		cfg.LockTimeout = 250 * time.Millisecond
-	}
-	if cfg.ScanPrefetch == 0 {
-		cfg.ScanPrefetch = defaultScanPrefetch()
 	}
 	s := &Store{
 		cfg:      cfg,
@@ -189,16 +161,6 @@ func (s *Store) closeLocked() error {
 
 // Chunks exposes the underlying chunk store (for backups and stats).
 func (s *Store) Chunks() *chunkstore.Store { return s.chunks }
-
-// ScanPrefetch returns the resolved default scan-prefetch window: 0 when
-// prefetching is disabled, otherwise the window depth iterators should keep
-// in flight ahead of their cursor.
-func (s *Store) ScanPrefetch() int {
-	if s.cfg.ScanPrefetch < 0 {
-		return 0
-	}
-	return s.cfg.ScanPrefetch
-}
 
 // Root returns the registered root object id (NilObject if none).
 func (s *Store) Root() ObjectID {

@@ -252,10 +252,6 @@ func (t *Txn) Prefetch(oids []ObjectID) int {
 	return warmed
 }
 
-// ScanPrefetch reports the store's effective scan-prefetch window (0 when
-// disabled); iterators consult it when no per-iterator override is set.
-func (t *Txn) ScanPrefetch() int { return t.s.ScanPrefetch() }
-
 // openLocked opens an object for a read-write transaction with the store
 // mutex held by design: strict 2PL reads serialize on the store mutex, and
 // a cache miss faults the object in from the chunk store under it (§4.2.2).
@@ -400,12 +396,12 @@ func (t *Txn) Active() bool {
 // (With DisableLocking the application asserts there are no concurrent
 // transactions; it gets no isolation here either.)
 //
-// A non-nil error matching chunkstore.ErrMaintenance means the commit
-// itself fully applied and only post-commit work — chunk-store maintenance
-// or returning unused chunk ids — failed. Any other error leaves the
-// transaction active so the application can retry or abort; except that
-// with group commit enabled, a failed deferred harden surfaces here after
-// the commit applied (see chunkstore.GroupCommitConfig).
+// The failure contract is chunkstore.Store.Commit's: an error matching
+// chunkstore.ErrMaintenance (post-commit work failed — chunk-store
+// maintenance or returning unused chunk ids) or chunkstore.ErrNotDurable
+// (the harden failed) means the commit applied and the transaction is
+// finished; any other error applied nothing and leaves the transaction
+// active so the application can retry or abort.
 func (t *Txn) Commit(durable bool) error {
 	if t.readOnly {
 		return t.finishReadOnly()
@@ -437,8 +433,8 @@ func (t *Txn) Commit(durable bool) error {
 		}
 	}
 	// Announce the durable commit before the expensive unlocked work, so a
-	// group-commit round leader's batching window waits for this record
-	// instead of syncing just before it lands.
+	// harden round leader's batching window waits for this record instead of
+	// syncing just before it lands.
 	announced := t.s.chunks.AnnounceDurable(durable)
 	// Build the batch and run stage-1 crypto, still unlocked. Each batch
 	// entry also becomes a staged version-table entry so snapshot readers
@@ -497,8 +493,8 @@ func (t *Txn) Commit(durable bool) error {
 	// this commit's state, so the chains carrying the pre-images must be
 	// in place first (see versionTable).
 	t.s.versions.stage(t.staged)
-	// Stage 2 + publish under the mutex, then the (possibly deferred)
-	// durability wait outside it.
+	// Stage 2 + publish under the mutex, then the durability wait outside
+	// it.
 	ticket, err := t.commitPublish(batch, prep, unusedIDs, durable)
 	if err != nil && !errors.Is(err, chunkstore.ErrMaintenance) {
 		// The chunk store applied nothing; keep the transaction active so
@@ -529,8 +525,8 @@ func (t *Txn) commitPublish(batch *chunkstore.Batch, prep *chunkstore.PreparedBa
 	// strict 2PL keeps the write set exclusively locked until finish, so no
 	// concurrent transaction can observe the gap between the chunk commit
 	// and the cache publish, and disjoint committers serialize only on the
-	// chunk store's own short stage 2. This is also what lets group-commit
-	// rounds form — while one round's log sync is in flight, other
+	// chunk store's own short stage 2. This is also what lets harden rounds
+	// form — while one round's log sync is in flight, other
 	// committers can append their records and join the next round.
 	ticket, err := t.s.chunks.CommitPrepared(batch, prep, durable)
 	if err != nil && !errors.Is(err, chunkstore.ErrMaintenance) {

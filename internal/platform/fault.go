@@ -26,6 +26,9 @@ import (
 //   - lost unsynced writes: with SetLoseUnsynced, the store behaves like a
 //     write-back cache: CrashLoseUnsynced reverts every file to its content
 //     as of its last Sync, discarding writes the device never acknowledged.
+//   - failing syncs: with SetSyncFailures, every file Sync fails with
+//     ErrTransient however often it is retried — a device whose cache flush
+//     times out while reads and writes still work.
 //
 // The zero budget (-1) means "never crash".
 //
@@ -93,6 +96,8 @@ type FaultStore struct {
 	// unsynced maps file name to the durable (last-synced) content of files
 	// with unacknowledged writes.
 	unsynced map[string][]byte
+	// failSyncs makes every file Sync fail (see SetSyncFailures).
+	failSyncs bool
 
 	stats FaultStats
 }
@@ -260,6 +265,16 @@ func (s *FaultStore) SetLoseUnsynced(on bool) {
 	if !on {
 		s.unsynced = make(map[string][]byte)
 	}
+}
+
+// SetSyncFailures opens (on) or closes a failing-sync window: while open,
+// every file Sync the fault filter approves fails with ErrTransient before
+// reaching the inner store, on every retry, so nothing written meanwhile is
+// acknowledged durable. Reads and writes are unaffected.
+func (s *FaultStore) SetSyncFailures(on bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.failSyncs = on
 }
 
 // CrashLoseUnsynced simulates a power loss under the write-back cache
@@ -612,6 +627,12 @@ func (f *faultFile) Truncate(size int64) error {
 func (f *faultFile) Sync() error {
 	if _, err := f.store.beforeWrite(f.name, "sync:"+f.name); err != nil {
 		return err
+	}
+	f.store.mu.Lock()
+	fail := f.store.failSyncs && f.store.filteredLocked(f.name)
+	f.store.mu.Unlock()
+	if fail {
+		return fmt.Errorf("platform: sync:%s: failing-sync window: %w", f.name, ErrTransient)
 	}
 	if err := f.inner.Sync(); err != nil {
 		return err

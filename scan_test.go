@@ -245,15 +245,12 @@ func TestScanRacesCleanerRelocation(t *testing.T) {
 
 // TestScannersRaceGroupCommitWriter stresses the full pipeline under -race:
 // eight prefetching scanners sweep the collection in snapshot transactions
-// while a writer keeps mutating it through durable group commits and the
-// cleaner churns the log underneath. Scanners must always observe a
+// while a writer keeps mutating it through durable commits and the cleaner
+// churns the log underneath. Scanners must always observe a
 // consistent snapshot: every title matches its ID, no duplicates, no errors.
 func TestScannersRaceGroupCommitWriter(t *testing.T) {
 	const n = 120
-	db, opts := openScanDB(t, n, tdb.Options{
-		SegmentSize: 8 << 10,
-		GroupCommit: tdb.GroupCommitConfig{Enabled: true},
-	})
+	db, opts := openScanDB(t, n, tdb.Options{SegmentSize: 8 << 10})
 	defer func() { db.Close() }()
 	db = reopen(t, db, opts)
 

@@ -49,14 +49,14 @@ import (
 // and never returns ErrLockTimeout (mutations fail with ErrReadOnlyTxn).
 type DB = core.DB
 
-// Options configures Open and Restore. Performance knobs surfaced from the
-// chunk store include Options.GroupCommit (durable-commit coalescing),
-// Options.WriteBehind (tail-buffer batching of log appends; the
-// TDB_WRITEBEHIND environment variable overrides the default cap), and
-// Options.ScanPrefetch (the iterator scan-prefetch window; TDB_SCANPREFETCH
-// overrides the default, Iterator.SetPrefetch overrides per scan), and
-// Options.ReadCacheBytes (the validated-plaintext read cache prefetched
-// chunks land in and concurrent scanners share).
+// Options configures Open and Restore. There is one commit path and it has
+// no knobs: every durable commit hardens in a round shared with the durable
+// commits in flight beside it (a lone commit is a round of one), and log
+// appends always batch through the write-behind tail buffer. The one
+// performance knob surfaced from the chunk store is Options.ReadCacheBytes
+// (the validated-plaintext read cache prefetched chunks land in and
+// concurrent scanners share); Iterator.SetPrefetch overrides the
+// scan-prefetch window per scan.
 type Options = core.Options
 
 // Open opens or creates a database, performing recovery and tamper
@@ -72,6 +72,18 @@ func Restore(opts Options, archive platform.ArchivalStore) (*DB, error) {
 // ErrTampered is the tamper-detection signal: validation of stored data,
 // the signed database anchor, or the one-way counter failed.
 var ErrTampered = chunkstore.ErrTampered
+
+// Commit outcome errors. A Commit error matching neither means nothing was
+// applied and the transaction is still active (retry or abort). ErrMaintenance
+// means the commit applied — durably, if asked — and only post-commit
+// maintenance failed. ErrNotDurable means the commit applied and is visible
+// but was not acknowledged durable: it hardens with the next successful
+// durable commit, Checkpoint or Close, and is lost by a crash before then,
+// exactly like a nondurable commit (paper §3.2.2).
+var (
+	ErrMaintenance = chunkstore.ErrMaintenance
+	ErrNotDurable  = chunkstore.ErrNotDurable
+)
 
 // Storage health errors. ErrIO is an environmental storage failure that
 // persisted through retries (distinct from tampering — the bytes never
@@ -98,8 +110,6 @@ type (
 	RepairResult = backupstore.RepairResult
 	// RetryPolicy tunes transient-I/O retry (Options.Retry).
 	RetryPolicy = chunkstore.RetryPolicy
-	// GroupCommitConfig tunes durable-commit coalescing (Options.GroupCommit).
-	GroupCommitConfig = chunkstore.GroupCommitConfig
 	// Stats is what DB.Stats reports: storage sizes, commit/cleaning
 	// counters, and read-path telemetry (read-cache hits, misses, shard
 	// count, slow-path fallbacks, and the scan-prefetch counters:

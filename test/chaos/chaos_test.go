@@ -38,8 +38,8 @@ func TestChaosOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos run failed:\n%v", err)
 	}
-	t.Logf("chaos: %d actions, %d commits, %d crashes/%d recoveries, %d restarts, %d storms, %d read-storms, %d backups, %d restores, %d tamper checks",
-		res.Actions, res.Commits, res.Crashes, res.Recoveries, res.Restarts,
+	t.Logf("chaos: %d actions, %d commits (%d not durable), %d crashes/%d recoveries, %d restarts, %d storms, %d read-storms, %d backups, %d restores, %d tamper checks",
+		res.Actions, res.Commits, res.NotDurable, res.Crashes, res.Recoveries, res.Restarts,
 		res.Storms, res.ReadStorms, res.Backups, res.Restores, res.TamperChecks)
 	t.Logf("chaos: injector saw %d reads, %d writes; injected %d transient errors, flipped %d bits",
 		res.FaultStats.Reads, res.FaultStats.Writes, res.FaultStats.TransientErrors, res.FaultStats.BitsFlipped)
@@ -57,6 +57,11 @@ func TestChaosOracle(t *testing.T) {
 	// concurrent-reader schedule stopped being exercised.
 	if *chaosActions >= 400 && res.ReadStorms == 0 {
 		t.Fatalf("no read storms in %d actions", res.Actions)
+	}
+	// Failing-sync windows have the same ~4% slot; without them the oracle
+	// never sees ErrNotDurable, one third of the commit contract.
+	if *chaosActions >= 400 && res.NotDurable == 0 {
+		t.Fatalf("no ErrNotDurable commit in %d actions", res.Actions)
 	}
 }
 
@@ -291,18 +296,17 @@ outer:
 	return -1
 }
 
-// TestChaosScrubVsGroupCommit races Scrub against live group-commit
-// rounds: concurrent durable committers share log syncs while the scrubber
+// TestChaosScrubVsGroupCommit races Scrub against live harden rounds:
+// concurrent durable committers share log syncs while the scrubber
 // walks the Merkle tree. Every scrub of the undamaged store must come back
 // clean, and every committed increment must survive.
 func TestChaosScrubVsGroupCommit(t *testing.T) {
 	opts := tdb.Options{
-		Store:       platform.NewMemStore(),
-		Counter:     platform.NewMemCounter(),
-		Secret:      []byte("scrub-vs-groupcommit-secret-0123"),
-		Suite:       "aes-sha256",
-		Registry:    registerObj(),
-		GroupCommit: tdb.GroupCommitConfig{Enabled: true},
+		Store:    platform.NewMemStore(),
+		Counter:  platform.NewMemCounter(),
+		Secret:   []byte("scrub-vs-groupcommit-secret-0123"),
+		Suite:    "aes-sha256",
+		Registry: registerObj(),
 	}
 	db, err := tdb.Open(opts)
 	if err != nil {
