@@ -10,7 +10,7 @@ LINTFLAGS ?=
 CHAOS_SEED ?= 42
 CHAOS_ACTIONS ?= 1000
 
-.PHONY: build test check faults lint bench bench-smoke bench-read-scaling bench-scan bench-module chaos
+.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-scan bench-module chaos
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,11 @@ test:
 # clock injection, and unlock-path pairing. Stdlib-only; see DESIGN.md §6.
 lint:
 	$(GO) run ./cmd/tdblint $(LINTFLAGS) ./...
+
+# fmt fails if any Go source in the tree (fixtures and the nested benchmark
+# module included) is not gofmt-clean, naming the files.
+fmt:
+	@out="$$(gofmt -l . | grep -v '^\.bench_build/')"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # faults runs the hostile-disk suites under the race detector in short mode:
 # programmable fault injection (transient I/O errors, bit rot, torn tails,
@@ -45,11 +50,11 @@ chaos:
 		-args -chaos.seed=$(CHAOS_SEED) -chaos.actions=$(CHAOS_ACTIONS)
 
 # check is the pre-merge gate: the fault-injection suite, the chaos oracle,
-# vet, the trust-invariant analyzers, the full suite under the race
+# gofmt, vet, the trust-invariant analyzers, the full suite under the race
 # detector (the chunk store's commit pipeline and read cache are
 # concurrent), a one-shot pass over every benchmark so the perf harness
 # can't silently rot, and the nested benchmark module's own vet and tests.
-check: faults chaos
+check: faults chaos fmt
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...

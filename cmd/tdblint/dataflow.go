@@ -26,7 +26,7 @@ import (
 // allocates.
 type taintSet map[string]bool
 
-func paramTaint(i int) taintSet     { return taintSet{fmt.Sprintf("p%d", i): true} }
+func paramTaint(i int) taintSet        { return taintSet{fmt.Sprintf("p%d", i): true} }
 func sourceTaint(desc string) taintSet { return taintSet{"s:" + desc: true} }
 
 // tsUnion merges two taint sets without mutating either.

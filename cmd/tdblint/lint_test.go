@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"go/ast"
 	"go/token"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,6 +43,7 @@ func TestFixtureFindings(t *testing.T) {
 		`internal/chunkstore/flow.go:32: [plaintext-flow] plaintext decrypted at internal/chunkstore/flow.go:31 reaches writeRaw → (fixmod/internal/platform.File).WriteAt without passing through sec.Suite.Encrypt; encrypt before handing bytes to the untrusted store`,
 		`internal/chunkstore/flow.go:38: [plaintext-flow] caller-supplied plaintext parameter "plain" of leakParam reaches writeRaw → (fixmod/internal/platform.File).WriteAt without passing through sec.Suite.Encrypt; encrypt before handing bytes to the untrusted store`,
 		`internal/chunkstore/flow.go:50: [plaintext-flow] plaintext decrypted at internal/chunkstore/flow.go:43 reaches writeRaw → (fixmod/internal/platform.File).WriteAt without passing through sec.Suite.Encrypt; encrypt before handing bytes to the untrusted store`,
+		`internal/chunkstore/harden.go:29: [locked-io] (fixmod/internal/platform.Counter).Increment called while s.mu is held; move I/O and crypto off the critical section or declare a serialization point (*Locked / //tdblint:serial)`,
 		`internal/chunkstore/ignore.go:15: [bare-ignore] //tdblint:ignore without a reason; document why the invariant does not apply here`,
 		`internal/chunkstore/ignore.go:16: [err-taxonomy] fmt.Errorf without %w mints an unclassifiable error; wrap a package sentinel or the underlying cause`,
 		`internal/chunkstore/ignore.go:21: [bare-ignore] //tdblint:ignore names unknown analyzer "spellcheck"`,
@@ -96,7 +99,7 @@ func TestFixtureFindings(t *testing.T) {
 // hygiene).
 func TestFixturePerAnalyzer(t *testing.T) {
 	counts := map[string]int{
-		"locked-io":       5, // lockedio.go ×2, readpath.go ×1 (decrypt under RLock), prefetch.go ×1 (decrypt under the pool mutex), the cross-package snapshot-path case in objectstore/mvcc.go
+		"locked-io":       6, // lockedio.go ×2, harden.go ×1 (counter advance under the store mutex in a round; the off-mutex stage and the checkpoint path are clean), readpath.go ×1 (decrypt under RLock), prefetch.go ×1 (decrypt under the pool mutex), the cross-package snapshot-path case in objectstore/mvcc.go
 		"err-taxonomy":    5, // taxonomy.go ×3, ignore.go ×2 (bare directives suppress nothing)
 		"secret-hygiene":  3,
 		"clock-injection": 2,
@@ -224,5 +227,76 @@ func TestSelectAnalyzers(t *testing.T) {
 	}
 	if _, err := selectAnalyzers("", "bogus"); err == nil {
 		t.Fatal("-skip bogus: expected error")
+	}
+}
+
+// TestCounterAdvanceOffStoreMutex is the harden pipeline's proof obligation
+// on the live tree (DESIGN.md §7.2): in the chunk store, the one-way
+// counter is incremented in exactly one function, the declared stage-2
+// serialization point, and the only caller that reaches it with Store.mu
+// held is hardenLocked — the checkpoint/Close harden. A commit round calls
+// it under the stage-2 turn alone.
+func TestCounterAdvanceOffStoreMutex(t *testing.T) {
+	mod, err := loadModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatalf("loadModule: %v", err)
+	}
+	l := &linter{mod: mod, serial: make(map[*ast.FuncDecl]bool)}
+	var pkg *Package
+	for _, p := range mod.Pkgs {
+		if strings.HasSuffix(p.Path, "internal/chunkstore") {
+			pkg = p
+		}
+	}
+	if pkg == nil {
+		t.Fatal("chunkstore package not loaded")
+	}
+	increments := 0
+	callers := map[string]string{} // caller of advanceCounter → locks held at the call
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			fd, isFunc := decl.(*ast.FuncDecl)
+			if !isFunc || fd.Body == nil {
+				continue
+			}
+			regions := l.lockRegions(pkg, fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, isCall := n.(*ast.CallExpr)
+				if !isCall {
+					return true
+				}
+				callee := calleeFunc(pkg, call)
+				if callee == nil {
+					return true
+				}
+				switch callee.FullName() {
+				case "(tdb/internal/platform.OneWayCounter).Increment":
+					increments++
+					if fd.Name.Name != "advanceCounter" || !l.isSerialDecl(fd) {
+						t.Errorf("%s increments the one-way counter; only the declared stage-2 serialization point advanceCounter may", fd.Name.Name)
+					}
+				case "(*tdb/internal/chunkstore.Store).advanceCounter":
+					var held []string
+					for _, r := range regions {
+						if call.Pos() > r.start && call.Pos() < r.end {
+							held = append(held, r.recv)
+						}
+					}
+					callers[fd.Name.Name] = strings.Join(held, ",")
+				}
+				return true
+			})
+		}
+	}
+	want := map[string]string{
+		"gcHarden":     "gc.advMu",   // a commit round: the stage-2 turn, never Store.mu
+		"hardenLocked": "s.gc.advMu", // checkpoint and Close, which already hold Store.mu
+		"recover":      "",           // Open, single-threaded
+	}
+	if increments != 1 {
+		t.Errorf("%d Increment call sites in the chunk store, want 1", increments)
+	}
+	if !reflect.DeepEqual(callers, want) {
+		t.Errorf("advanceCounter callers and the locks they hold: %v, want %v", callers, want)
 	}
 }

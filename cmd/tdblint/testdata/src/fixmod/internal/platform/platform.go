@@ -10,3 +10,8 @@ func (File) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
 func (File) Sync() error                              { return nil }
 func (File) Truncate(size int64) error                { return nil }
 func (File) Close() error                             { return nil }
+
+// Counter is the fixture one-way counter: its Increment is device I/O.
+type Counter struct{}
+
+func (Counter) Increment() (uint64, error) { return 0, nil }

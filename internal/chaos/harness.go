@@ -41,6 +41,7 @@ type Result struct {
 	Restarts     int
 	Storms       int
 	ReadStorms   int
+	CommitStorms int
 	Backups      int
 	Restores     int
 	TamperChecks int
@@ -256,6 +257,8 @@ func (h *harness) step() error {
 		return nil
 	}
 	switch pick := h.rng.Intn(100); {
+	case pick < 3:
+		return h.actCommitStorm()
 	case pick < 26:
 		return h.actCommit()
 	case pick < 31:

@@ -6,53 +6,61 @@ import (
 	"time"
 )
 
-// The durable-commit coordinator: every durable commit is a round.
+// The durable-commit coordinator: every durable commit is a round, and
+// rounds run through a two-stage pipeline.
 //
 // A durable Commit's stage 2 appends its commit record and leaves the
-// expensive harden — the log sync plus the one-way counter advance — to a
-// shared coordinator. The first commit waiting on an unhardened record
-// becomes the round's leader, lingers only while announced companions are
-// still inbound, then hardens the log once; everyone whose record the sync
-// covered completes with that single sync and single counter advance. A
-// lone committer leads a round of one: nothing is inbound, so it snapshots,
-// syncs and advances at once, at the cost of the sync it owed anyway.
+// expensive harden — the log sync, then the one-way counter advance
+// (§3.2.2) — to a shared coordinator. The first commit waiting on an
+// unsynced record leads a round: it lingers only while announced companions
+// are still inbound, then hardens once for everyone whose record its
+// snapshot covered. A lone committer leads a round of one: nothing is
+// inbound, so it snapshots, syncs and advances at once, at the cost of the
+// sync and the advance it owed anyway.
 //
-// Durability ordering survives coalescing because hardening is not
-// per-record: a round flushes every unsynced segment in append order, so
-// one sync makes the round's records — and every earlier nondurable commit
-// record — durable together, exactly the §3.2.2 guarantee. The one-way
-// counter survives it because a round advances the counter at most once and
-// all of the round's durable records are stamped with the same post-advance
-// value (counterVal+1): crash recovery sees the newest durable record carry
-// either the hardware counter value (harden completed) or hardware+1 (crash
-// between sync and increment, the pre-existing catch-up window). Replay
-// detection therefore distinguishes rounds, not individual commits: rolling
-// the store back to a round boundary is equivalent to having crashed there,
-// and a durable commit is only acknowledged after both the sync and the
-// advance.
+// Stage 1 is the log sync, one round at a time and OFF the store mutex: the
+// leader snapshots the dirty segments under s.mu (gcSnapshotRound), syncs
+// them with the mutex released (segmentSet.syncTasks) so companions keep
+// appending, and retakes s.mu only to publish which segments came clean. A
+// segment may grow, be rewound or be retired while its fsync is in flight:
+// each carries a modification generation, a segment is marked clean only if
+// its generation is unchanged, and the cleaner defers closing a retired
+// segment's handle until the sync lets go (segment.syncing/doomed). One sync
+// flushes every unsynced segment in append order, so it makes the round's
+// records and every earlier nondurable commit durable together.
 //
-// The round's fsync runs OFF the store mutex. The leader snapshots the
-// dirty segments under s.mu (gcSnapshotRound), syncs them with the mutex
-// released (segmentSet.syncTasks) so companion commits keep appending, then
-// retakes s.mu to publish the outcome (gcFinishRound). Two subtleties:
+// Stage 2 is the counter advance, also off the store mutex and serialised
+// only against other advances (groupCommitter.advMu). A leader takes the
+// stage-2 turn and only then lets go of stage 1, so while round N's
+// Increment is in flight round N+1 is already syncing — a commit that just
+// missed round N's snapshot waits for one more sync and one more advance,
+// never for a whole foreign round and then its own. The file-emulated
+// counter makes an advance cost a write and an fsync, which the paper's
+// hardware counter would not; that is a substitution cost, so it is
+// overlapped rather than removed. Stage 2 never takes s.mu: it publishes
+// through groupCommitter.mu and the atomic counterVal only, which is what
+// lets a checkpoint or Close (hardenLocked, holding s.mu) wait for the turn.
 //
-//   - A segment may grow, be rewound, or be retired while its fsync is in
-//     flight. Each segment carries a modification generation; the finish
-//     step only marks a segment clean if its generation is unchanged, and
-//     the cleaner defers closing a retired segment's file handle until the
-//     in-flight sync lets go (segment.syncing/doomed).
+// Stamps are per round. A snapshot seals its round at the newest durable
+// record's stamp, and every durable record appended behind the snapshot is
+// stamped one higher, so two rounds never share a stamp. A round is
+// acknowledged only once the hardware counter has reached its stamp, after
+// its sync — the §3.2.2 order, per round. Rolling the disk back to an
+// acknowledged round therefore leaves the log BEHIND the counter once any
+// later round has been acknowledged, which recovery reports as ErrTampered;
+// a log AHEAD of the counter is a crash between the stages, never a replay,
+// and recovery catches the counter up one increment at a time. The lead is
+// bounded: a snapshot seals a new stamp only while fewer than hardenDepth
+// sealed stamps await the counter, so with one more for the open stamp no
+// record is ever stamped beyond counterVal+hardenDepth+1. (Replay detection
+// distinguishes rounds, not the commits inside one: a round's records share
+// its stamp, so the counter cannot tell a log cut inside the newest round
+// from that round having been smaller.)
 //
-//   - Records appended DURING the round's sync are stamped counterVal+1 but
-//     are not covered by it, so a later round may find the log already
-//     synced past every stamp it owes. The store therefore tracks stampCtr,
-//     the stamp on the newest durable record, and a round advances the
-//     hardware counter only while stampCtr exceeds it (advanceCounterLocked)
-//     — never twice for the same stamp, which would push the counter past
-//     every stored record and read as replay tampering at recovery.
-//
-// A round that fails leaves its records applied and pending: every commit it
-// stranded gets ErrNotDurable, and the next round, checkpoint or Close
-// retries the harden (see Store.Commit for the contract).
+// A round that fails — in either stage — leaves its records applied and
+// pending and hands every commit it covered ErrNotDurable; the next round,
+// checkpoint or Close syncs again and advances through every stamp still
+// owed (see Store.Commit for the contract).
 
 const (
 	// groupCommitWindow bounds a round leader's batching window. The window
@@ -64,24 +72,35 @@ const (
 	// commits are waiting on the round, bounding per-commit latency under
 	// sustained load.
 	groupCommitMaxOps = 64
+	// hardenDepth is the pipeline's depth: how many sealed rounds may await
+	// the counter at once — one in each stage.
+	hardenDepth = 2
 )
 
-// groupCommitter coordinates group-commit rounds. Its mutex is leaf-level:
-// it is taken with the store mutex held (noteHardenedLocked) and on its
-// own, but never the other way around, so the lock order is always
-// Store.mu → groupCommitter.mu.
+// groupCommitter coordinates harden rounds. Its mutex is leaf-level: it is
+// taken with the store mutex or the stage-2 turn held and on its own, but
+// nothing is acquired under it, so the lock order is always
+// Store.mu → advMu → groupCommitter.mu.
 type groupCommitter struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// hardened is the highest commit sequence known durable.
+	// hardened is the highest commit sequence acknowledged durable: its
+	// round's sync is done and the counter has reached its round's stamp.
 	hardened uint64
-	// leader is true while some commit is running a round.
-	leader bool
-	// round counts completed rounds; followers wait for it to change.
-	round uint64
-	// lastErr is the outcome of the most recent completed round. It is not
-	// sticky: the next round may succeed.
-	lastErr error
+	// synced is the highest commit sequence whose round has finished stage
+	// 1. A commit in (hardened, synced] awaits only the counter: it neither
+	// leads a round nor is acknowledged yet.
+	synced uint64
+	// syncing is true while a leader holds stage 1 (linger, snapshot, sync).
+	syncing bool
+	// failedSeq and failedErr record the newest failed round: every commit
+	// up to failedSeq that is not hardened gets failedErr. A failure is not
+	// sticky — later commits lead new rounds, which harden these too.
+	failedSeq uint64
+	failedErr error
+	// advMu is the stage-2 turn: it serialises counter advances against
+	// each other. Its holders never take the store mutex.
+	advMu sync.Mutex
 	// waiters counts commits currently waiting to be hardened (the leader
 	// included); leaders use it to end their batching window early.
 	waiters int
@@ -167,201 +186,201 @@ func (gc *groupCommitter) expireLinger(gen uint64) {
 	}
 }
 
-// claim outcomes.
-const (
-	gcCovered = iota
-	gcLeader
-	gcFailedRound
-)
-
-// claim blocks until seq is hardened (gcCovered), the caller should lead a
-// round (gcLeader), or a round that should have covered seq failed
-// (gcFailedRound, with the round's error).
-func (gc *groupCommitter) claim(seq uint64) (int, error) {
+// claim blocks until seq is acknowledged durable (false, nil), a round that
+// covered seq failed (false, that round's error), or the caller should lead
+// a round (true): stage 1 is free and no finished sync covers seq.
+func (gc *groupCommitter) claim(seq uint64) (lead bool, err error) {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
 	for {
-		if gc.hardened >= seq {
-			return gcCovered, nil
+		switch {
+		case gc.hardened >= seq:
+			return false, nil
+		case gc.failedSeq >= seq:
+			return false, gc.failedErr
+		case gc.synced < seq && !gc.syncing:
+			gc.syncing = true
+			return true, nil
 		}
-		if !gc.leader {
-			gc.leader = true
-			return gcLeader, nil
-		}
-		round := gc.round
-		for gc.round == round && gc.hardened < seq {
-			gc.cond.Wait()
-		}
-		if gc.hardened >= seq {
-			return gcCovered, nil
-		}
-		if gc.round != round && gc.lastErr != nil {
-			return gcFailedRound, gc.lastErr
-		}
-		// The round completed without error yet did not cover seq: seq's
-		// record was appended after the leader's sync. Loop and lead the
-		// next round (or join it).
+		gc.cond.Wait()
 	}
 }
 
-// finishRound publishes a round's outcome and wakes the followers.
-func (gc *groupCommitter) finishRound(err error) {
+// endSync releases stage 1. synced is the newest commit the round's sync
+// covered (zero if it covered nothing): its waiters now await the counter.
+func (gc *groupCommitter) endSync(synced uint64) {
 	gc.mu.Lock()
-	gc.leader = false
-	gc.round++
-	gc.lastErr = err
+	gc.syncing = false
+	if synced > gc.synced {
+		gc.synced = synced
+	}
 	gc.cond.Broadcast()
 	gc.mu.Unlock()
 }
 
-// awaitHarden blocks until commit record seq is durable, leading a harden
-// round when none is running. A round that fails hands the same error —
-// ErrNotDurable wrapping the cause — to its leader and to every commit it
-// stranded.
-func (s *Store) awaitHarden(seq uint64) error {
-	gc := s.gc
-	gc.addWaiter(1)
-	defer gc.addWaiter(-1)
-	for {
-		st, err := gc.claim(seq)
-		switch st {
-		case gcCovered:
-			return nil
-		case gcFailedRound:
-			return err
-		}
-		hErr := s.gcHarden()
-		if hErr != nil {
-			hErr = fmt.Errorf("%w: %w", ErrNotDurable, hErr)
-		}
-		gc.finishRound(hErr)
-		if hErr != nil {
-			return hErr
-		}
+// fail publishes a failed round: every unhardened commit up to seq gets the
+// returned error, ErrNotDurable wrapping the cause.
+func (gc *groupCommitter) fail(seq uint64, cause error) error {
+	err := fmt.Errorf("%w: %w", ErrNotDurable, cause)
+	gc.mu.Lock()
+	if seq >= gc.failedSeq {
+		gc.failedSeq, gc.failedErr = seq, err
 	}
+	gc.cond.Broadcast()
+	gc.mu.Unlock()
+	return err
 }
 
-// gcHarden is the leader's half of a round: linger while announced
-// companions are inbound, then harden the log with the fsync itself running
-// off the store mutex so companions can keep appending into the next round.
-func (s *Store) gcHarden() error {
-	s.gc.linger(s.cfg.Retry.Sleep)
-	tasks, seq, done, err := s.gcSnapshotRound()
-	if done {
-		return err
-	}
-	return s.gcFinishRound(tasks, seq, s.segs.syncTasks(tasks))
-}
-
-// gcSnapshotRound starts a round under the store mutex: it claims the
-// pending harden and snapshots the dirty segments for an off-mutex sync.
-// done reports that no off-mutex work is needed (nothing pending, or the
-// store raced with Close).
-func (s *Store) gcSnapshotRound() (tasks []syncTask, seq uint64, done bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		// Close hardens pending commits before closing; records still
-		// pending here lost the race with a close whose harden failed.
-		if s.groupPending {
-			return nil, 0, true, ErrClosed
-		}
-		return nil, 0, true, nil
-	}
-	if !s.groupPending {
-		s.noteHardenedLocked(s.commitSeq)
-		return nil, 0, true, nil
-	}
-	// Pay any deferred checkpoint-superblock fsync as part of this round's
-	// barrier. It runs under the mutex (rare — at most once per checkpoint)
-	// so no new slot write can race it; on failure groupPending stays set
-	// and a later round retries, like a failed write-behind flush below.
-	if err := s.syncSuperIfDirtyLocked(); err != nil {
-		return nil, 0, true, err
-	}
-	tasks, err = s.segs.syncSnapshotLocked()
-	if err != nil {
-		// The write-behind flush failed before anything was snapshotted:
-		// groupPending stays set so a later round (or Close) retries the
-		// flush — the buffer is intact.
-		return nil, 0, true, err
-	}
-	s.groupPending = false
-	return tasks, s.commitSeq, false, nil
-}
-
-// gcFinishRound publishes an off-mutex sync's outcome: it releases the
-// snapshot, advances the one-way counter if the round owes an advance, and
-// marks the round's records hardened. On failure the pending harden is
-// re-armed so a later round retries.
-func (s *Store) gcFinishRound(tasks []syncTask, seq uint64, syncErr error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.segs.finishSyncLocked(tasks, syncErr == nil)
-	if syncErr != nil {
-		s.groupPending = true
-		return syncErr
-	}
-	if err := s.advanceCounterLocked(); err != nil {
-		s.groupPending = true
-		return err
-	}
-	s.noteHardenedLocked(seq)
-	return nil
-}
-
-// advanceCounterLocked advances the one-way counter if the newest durable
-// commit record is stamped ahead of it. If the increment fails after a
-// successful sync, the log holds durable records stamped counterVal+1
-// against a hardware counter of counterVal — the same window as a crash
-// between sync and increment, which recovery already absorbs by catching
-// the counter up. Caller holds s.mu.
-func (s *Store) advanceCounterLocked() error {
-	if !s.cfg.UseCounter || s.stampCtr <= s.counterVal {
-		return nil
-	}
-	if _, err := s.cfg.Counter.Increment(); err != nil {
-		return fmt.Errorf("chunkstore: incrementing one-way counter: %w", err)
-	}
-	s.counterVal++
-	return nil
-}
-
-// hardenLocked makes every appended commit record durable: one log sync
-// covers all of them (segments sync in append order), then one counter
-// advance matches the counterVal+1 stamp the pending durable records carry.
-// It is the harden of the two operations that already hold s.mu exclusively
-// for their whole duration and seal with a commit record of their own —
-// checkpointLocked and Close; user commits harden through rounds, which keep
-// the fsync off the mutex. Caller holds s.mu.
-func (s *Store) hardenLocked() error {
-	// The harden barrier also pays any superblock fsync deferred by an
-	// earlier checkpoint (one barrier event instead of two). Order does not
-	// matter for safety — the dirty slot points at a checkpoint record
-	// hardened before the slot was written — but syncing it first keeps a
-	// failure from acknowledging the commit.
-	if err := s.syncSuperIfDirtyLocked(); err != nil {
-		return err
-	}
-	if err := s.segs.syncDirty(); err != nil {
-		return err
-	}
-	if err := s.advanceCounterLocked(); err != nil {
-		return err
-	}
-	s.groupPending = false
-	s.noteHardenedLocked(s.commitSeq)
-	return nil
-}
-
-// noteHardenedLocked records that every commit record up to and including
-// seq is durable and wakes group-commit waiters. Caller holds s.mu.
-func (s *Store) noteHardenedLocked(seq uint64) {
-	gc := s.gc
+// noteHardened acknowledges every commit record up to and including seq.
+func (gc *groupCommitter) noteHardened(seq uint64) {
 	gc.mu.Lock()
 	if seq > gc.hardened {
 		gc.hardened = seq
 		gc.cond.Broadcast()
 	}
 	gc.mu.Unlock()
+}
+
+// awaitHarden blocks until commit record seq is acknowledged durable,
+// leading a round when stage 1 is free and no finished sync covers seq. A
+// round that fails hands the same error — ErrNotDurable wrapping the cause
+// — to its leader and to every commit it covered.
+func (s *Store) awaitHarden(seq uint64) error {
+	gc := s.gc
+	gc.addWaiter(1)
+	defer gc.addWaiter(-1)
+	for {
+		lead, err := gc.claim(seq)
+		if !lead {
+			return err
+		}
+		if err := s.gcHarden(); err != nil {
+			return err
+		}
+	}
+}
+
+// gcHarden leads one round through both stages. Stage 1: linger while
+// announced companions are inbound, snapshot, sync off the store mutex.
+// Stage 2: advance the counter to the round's stamp off the store mutex,
+// then acknowledge. The stage-2 turn is taken BEFORE stage 1 is released,
+// so the next round starts syncing the moment this one starts advancing and
+// at most hardenDepth rounds are ever in flight.
+func (s *Store) gcHarden() error {
+	gc := s.gc
+	gc.linger(s.cfg.Retry.Sleep)
+	tasks, seq, stamp, owed, err := s.gcSnapshotRound()
+	if !owed {
+		gc.endSync(0)
+		return nil
+	}
+	if err == nil {
+		err = s.segs.syncTasks(tasks)
+		s.mu.Lock()
+		s.segs.finishSyncLocked(tasks, err == nil)
+		s.mu.Unlock()
+	}
+	if err != nil {
+		gc.endSync(0)
+		return gc.fail(seq, err)
+	}
+	gc.advMu.Lock()
+	defer gc.advMu.Unlock()
+	gc.endSync(seq)
+	if err := s.advanceCounter(stamp); err != nil {
+		return gc.fail(seq, err)
+	}
+	gc.noteHardened(seq)
+	return nil
+}
+
+// gcSnapshotRound opens a round under the store mutex: it seals the round's
+// stamp and snapshots the dirty segments for the off-mutex sync. The round
+// acknowledges commits up to seq once the counter reaches stamp; owed is
+// false when there is nothing to harden. On error seq is the newest
+// appended commit: the failure strands all of them.
+func (s *Store) gcSnapshotRound() (tasks []syncTask, seq, stamp uint64, owed bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.hardenOwedLocked() {
+		return nil, 0, 0, false, nil
+	}
+	if s.closed.Load() {
+		// Close hardens pending commits before closing; records still
+		// pending here lost the race with a close whose harden failed.
+		return nil, s.commitSeq, 0, true, ErrClosed
+	}
+	// Pay any deferred checkpoint-superblock fsync as part of this round's
+	// barrier. It runs under the mutex (rare — at most once per checkpoint)
+	// so no new slot write can race it. On failure, as on a failed
+	// write-behind flush below, the harden stays owed and a later round
+	// retries — the buffer is intact.
+	if err := s.syncSuperIfDirtyLocked(); err != nil {
+		return nil, s.commitSeq, 0, true, err
+	}
+	if tasks, err = s.segs.syncSnapshotLocked(); err != nil {
+		return nil, s.commitSeq, 0, true, err
+	}
+	// Seal: records appended from here on are stamped one higher. With
+	// hardenDepth sealed stamps still awaiting the counter (earlier rounds
+	// failed) the round seals nothing new and retries the newest seal.
+	if s.sealedCtr < s.counterVal.Load()+hardenDepth {
+		s.sealedCtr, s.sealedSeq = s.stampCtr, s.commitSeq
+	}
+	return tasks, s.sealedSeq, s.sealedCtr, true, nil
+}
+
+// hardenOwedLocked reports whether a durable commit record is appended that
+// no round, checkpoint or Close has acknowledged yet. Caller holds s.mu.
+func (s *Store) hardenOwedLocked() bool {
+	gc := s.gc
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	return s.durableSeq > gc.hardened
+}
+
+// advanceCounter is stage 2: it advances the one-way counter until it
+// reaches stamp, one increment per stamp still owed — its own round's and
+// any an earlier failed advance left behind. It must run only after the log
+// up to stamp is durable. A failure leaves durable records stamped ahead of
+// the hardware counter, the same window as a crash between the stages,
+// which recovery absorbs by catching the counter up. Caller holds the
+// stage-2 turn (or is Open, single-threaded).
+//
+//tdblint:serial the stage-2 turn exists to serialise counter advances; it is held across the increment by design and never with Store.mu on a commit path, so no committer or reader waits behind the counter's I/O
+func (s *Store) advanceCounter(stamp uint64) error {
+	for s.counterVal.Load() < stamp {
+		if _, err := s.cfg.Counter.Increment(); err != nil {
+			return fmt.Errorf("chunkstore: incrementing one-way counter: %w", err)
+		}
+		s.counterVal.Add(1)
+	}
+	return nil
+}
+
+// hardenLocked is the harden of the two operations that hold s.mu
+// exclusively for their whole duration and seal with a commit record of
+// their own — checkpointLocked and Close: one log sync covers every appended
+// record (segments sync in append order), then the counter advances to the
+// newest stamp through the same stage-2 turn the rounds use. Waiting for
+// the turn under s.mu is safe because its holders never take s.mu, and it
+// drains an in-flight advance before Close lets go of the counter. The
+// harden also pays any superblock fsync deferred by an earlier checkpoint
+// (one barrier event instead of two); syncing it first keeps a failure from
+// acknowledging the commit. Caller holds s.mu.
+func (s *Store) hardenLocked() error {
+	s.gc.advMu.Lock()
+	defer s.gc.advMu.Unlock()
+	if err := s.syncSuperIfDirtyLocked(); err != nil {
+		return err
+	}
+	if err := s.segs.syncDirty(); err != nil {
+		return err
+	}
+	if err := s.advanceCounter(s.stampCtr); err != nil {
+		return err
+	}
+	s.sealedCtr, s.sealedSeq = s.stampCtr, s.commitSeq
+	s.gc.noteHardened(s.commitSeq)
+	return nil
 }

@@ -130,21 +130,20 @@ func (s *Store) recover(sb superblock) error {
 	}
 
 	// Validate the one-way counter against the last durable commit before
-	// replaying (fail fast on replayed stale databases).
+	// replaying (fail fast on replayed stale databases). A log behind the
+	// counter is a rolled-back copy. A log ahead of it is a crash between a
+	// round's sync and its advance — with hardenDepth rounds in flight plus
+	// the open stamp, up to hardenDepth+1 stamps ahead — never a replay:
+	// catch the counter up, one increment per stamp.
 	if s.cfg.UseCounter {
-		switch {
-		case lastDurable.counter == s.counterVal:
-			// Normal.
-		case lastDurable.counter == s.counterVal+1:
-			// Crash between log sync and counter increment: catch up.
-			if _, err := s.cfg.Counter.Increment(); err != nil {
-				return fmt.Errorf("chunkstore: advancing one-way counter: %w", err)
-			}
-			s.counterVal++
-		default:
+		if hw := s.counterVal.Load(); lastDurable.counter < hw || lastDurable.counter > hw+hardenDepth+1 {
 			return fmt.Errorf("%w: database counter %d does not match one-way counter %d (replay attack?)",
-				ErrTampered, lastDurable.counter, s.counterVal)
+				ErrTampered, lastDurable.counter, hw)
 		}
+		if err := s.advanceCounter(lastDurable.counter); err != nil {
+			return err
+		}
+		s.stampCtr, s.sealedCtr = lastDurable.counter, lastDurable.counter
 	}
 
 	// Pass 2: replay records up to and including the last durable commit.
@@ -152,6 +151,8 @@ func (s *Store) recover(sb superblock) error {
 		return err
 	}
 	s.commitSeq = lastDurable.seq
+	s.durableSeq, s.sealedSeq = lastDurable.seq, lastDurable.seq
+	s.gc.noteHardened(lastDurable.seq)
 
 	// The recomputed Merkle root must match the signed root.
 	if !sec.HashEqual(s.lm.rootHash(), lastDurable.rootHash) {

@@ -46,7 +46,7 @@ func (s *Store) TakeSnapshot() (*Snapshot, error) {
 		height:   s.lm.height,
 		rootHash: append([]byte(nil), s.lm.rootHash()...),
 		seq:      s.commitSeq,
-		counter:  s.counterVal,
+		counter:  s.counterVal.Load(),
 		tailSeg:  s.segs.tail.num,
 	}
 	s.snapshots[snap] = struct{}{}

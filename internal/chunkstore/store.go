@@ -75,26 +75,31 @@ type Store struct {
 	// successful commit would let crash recovery replay the orphans.
 	pendingRewind *tailMark
 
-	// groupPending is true while durable commit records are appended whose
-	// harden — log sync plus (possibly) a counter advance — is still owed
-	// (see groupcommit.go). A harden pays one sync and at most one counter
-	// advance for all of them. Mutated only under mu.
-	groupPending bool
-	// stampCtr is the counter value stamped into the newest durable commit
-	// record. Durable appends stamp counterVal+1, so the invariant is
-	// stampCtr ∈ {counterVal, counterVal+1}: a harden advances the hardware
-	// counter only while stampCtr is ahead, which keeps rounds that merely
-	// re-sync records already covered by an earlier advance from pushing
-	// the counter past every stored stamp. Mutated only under mu.
-	stampCtr uint64
-	// gc coordinates harden rounds (leader/follower). Created at Open and
-	// never reassigned.
+	// stampCtr is the counter stamp on the newest durable commit record
+	// appended, and durableSeq that record's sequence number: a harden is
+	// owed while durableSeq is ahead of what the coordinator has
+	// acknowledged (hardenOwedLocked). sealedCtr is the stamp the newest
+	// harden round sealed at and sealedSeq the newest commit record that
+	// seal covers: durable records appended behind the seal are stamped
+	// sealedCtr+1, so every round has a stamp of its own (see
+	// groupcommit.go). A round seals a new stamp only while fewer than
+	// hardenDepth sealed stamps await the hardware counter, so no stamp
+	// ever exceeds counterVal+hardenDepth+1. All four are mutated only
+	// under mu.
+	stampCtr   uint64
+	durableSeq uint64
+	sealedCtr  uint64
+	sealedSeq  uint64
+	// gc coordinates harden rounds (stage 1, stage 2, followers). Created
+	// at Open and never reassigned.
 	gc *groupCommitter
 
 	// commitSeq is the sequence number of the last commit record appended.
 	commitSeq uint64
-	// counterVal caches the one-way counter's current value.
-	counterVal uint64
+	// counterVal caches the one-way counter's current value. It is advanced
+	// only by the holder of the stage-2 turn (advanceCounter), off the store
+	// mutex, and read anywhere.
+	counterVal atomic.Uint64
 	// lastCkpt locates the most recent checkpoint record.
 	lastCkpt Location
 	// residualBytes counts log bytes appended since the last checkpoint; it
@@ -159,7 +164,8 @@ func Open(cfg Config) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chunkstore: reading one-way counter: %w", err)
 		}
-		s.counterVal = v
+		s.counterVal.Store(v)
+		s.stampCtr, s.sealedCtr = v, v
 	}
 	s.rcache = newReadCache(cfg.ReadCacheBytes)
 	s.flights = newReadFlights()
@@ -177,7 +183,6 @@ func Open(cfg Config) (*Store, error) {
 		if err := s.format(); err != nil {
 			return nil, err
 		}
-		s.stampCtr = s.counterVal
 		opened = true
 		return s, nil
 	}
@@ -187,9 +192,6 @@ func Open(cfg Config) (*Store, error) {
 	if err := s.recover(sb); err != nil {
 		return nil, err
 	}
-	// Recovery leaves no harden owed: the newest durable record's stamp
-	// matches the (possibly caught-up) hardware counter.
-	s.stampCtr = s.counterVal
 	// Every generation the previous process lifetime could have consumed lies
 	// at or below the superblock's reservation mark, so ratcheting past it
 	// guarantees no IV seed is ever reused across restarts. The commitSeq
@@ -308,7 +310,7 @@ func (s *Store) Close() error {
 	// Pay any harden still owed before shutting the segments down: the
 	// pending records are already applied and visible, and their waiters
 	// must be released before Close marks the store closed.
-	if s.groupPending {
+	if s.hardenOwedLocked() {
 		if herr := s.hardenLocked(); herr != nil && err == nil {
 			err = herr
 		}
@@ -482,10 +484,10 @@ func (s *Store) readMiss(cid ChunkID) ([]byte, error) {
 // buffer (those may be trimmed after the lock is released; flushed bytes
 // below the buffer are immutable once published).
 type readPlan struct {
-	cid  ChunkID
-	e    entry
-	seg  *segment
-	buf  []byte
+	cid ChunkID
+	e   entry
+	seg *segment
+	buf []byte
 	// fromFile is the prefix of buf the off-lock step must read from the
 	// segment file; buf[fromFile:] was copied from the write-behind buffer
 	// under the lock.
@@ -927,15 +929,16 @@ func (s *Store) AwaitDurable(t CommitTicket) error {
 }
 
 // appendCommitRecordLocked writes the commit record for the current
-// in-memory state. Durable records are stamped with counterVal+1 — the
-// counter value after the harden that will cover them — and join the
-// pending harden; the caller decides who pays it (a round for user commits,
-// hardenLocked for a checkpoint). It returns the record's length.
+// in-memory state. Durable records are stamped sealedCtr+1 — one past the
+// newest sealed round's stamp, the counter value the round that covers them
+// must reach before acknowledging them — and leave a harden owed; the
+// caller decides who pays it (a round for user commits, hardenLocked for a
+// checkpoint). It returns the record's length.
 func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 	seq := s.commitSeq + 1
-	ctr := s.counterVal
+	ctr := s.stampCtr
 	if durable && s.cfg.UseCounter {
-		ctr++
+		ctr = s.sealedCtr + 1
 	}
 	rootHash := s.lm.rootHash()
 	signed := commitSignedPortion(seq, durable, ctr, rootHash)
@@ -945,10 +948,7 @@ func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 	}
 	s.commitSeq = seq
 	if durable {
-		s.groupPending = true
-		if s.cfg.UseCounter {
-			s.stampCtr = ctr
-		}
+		s.stampCtr, s.durableSeq = ctr, seq
 	}
 	return int64(len(rec)), nil
 }

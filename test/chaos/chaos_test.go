@@ -14,6 +14,7 @@ package chaos_test
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -38,9 +39,9 @@ func TestChaosOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos run failed:\n%v", err)
 	}
-	t.Logf("chaos: %d actions, %d commits (%d not durable), %d crashes/%d recoveries, %d restarts, %d storms, %d read-storms, %d backups, %d restores, %d tamper checks",
+	t.Logf("chaos: %d actions, %d commits (%d not durable), %d crashes/%d recoveries, %d restarts, %d storms, %d read-storms, %d commit-storms, %d backups, %d restores, %d tamper checks",
 		res.Actions, res.Commits, res.NotDurable, res.Crashes, res.Recoveries, res.Restarts,
-		res.Storms, res.ReadStorms, res.Backups, res.Restores, res.TamperChecks)
+		res.Storms, res.ReadStorms, res.CommitStorms, res.Backups, res.Restores, res.TamperChecks)
 	t.Logf("chaos: injector saw %d reads, %d writes; injected %d transient errors, flipped %d bits",
 		res.FaultStats.Reads, res.FaultStats.Writes, res.FaultStats.TransientErrors, res.FaultStats.BitsFlipped)
 	// A run long enough to matter must actually have exercised the chaos
@@ -58,6 +59,12 @@ func TestChaosOracle(t *testing.T) {
 	if *chaosActions >= 400 && res.ReadStorms == 0 {
 		t.Fatalf("no read storms in %d actions", res.Actions)
 	}
+	// Commit storms have a ~3% slot; they are the only action that shows the
+	// oracle overlapped harden rounds — the sequenced trace commits one
+	// transaction at a time, so every round it produces is a round of one.
+	if *chaosActions >= 400 && res.CommitStorms == 0 {
+		t.Fatalf("no commit storms in %d actions", res.Actions)
+	}
 	// Failing-sync windows have the same ~4% slot; without them the oracle
 	// never sees ErrNotDurable, one third of the commit contract.
 	if *chaosActions >= 400 && res.NotDurable == 0 {
@@ -70,8 +77,8 @@ func TestChaosOracle(t *testing.T) {
 // repro line on a failure actually reproduce it.
 func TestChaosReplayDeterminism(t *testing.T) {
 	n := *chaosActions
-	if n > 150 {
-		n = 150
+	if n > 400 {
+		n = 400
 	}
 	run := func(seed uint64) []string {
 		t.Helper()
@@ -83,6 +90,10 @@ func TestChaosReplayDeterminism(t *testing.T) {
 	}
 	a := run(*chaosSeed)
 	b := run(*chaosSeed)
+	// The concurrent actions must replay too, not just stay out of the way.
+	if n >= 400 && !strings.Contains(strings.Join(a, "\n"), " commit-storm members=") {
+		t.Fatalf("no commit storm in the %d-action replay trace", n)
+	}
 	if len(a) != len(b) {
 		t.Fatalf("same seed, different trace lengths: %d vs %d", len(a), len(b))
 	}
