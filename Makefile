@@ -76,13 +76,17 @@ bench-smoke: bench-read-scaling bench-scan
 	$(GO) test ./... -run XXX -bench . -benchtime 1x
 
 # bench-read-scaling exercises the off-mutex read path (DESIGN.md §7.7) at
-# 1 and 8 concurrent readers. Like bench-smoke it is not for numbers: it
-# keeps the snapshot/revalidate protocol, the sharded cache, and the
-# singleflight running under both the serial and the contended scheduler
-# shape on every gate.
+# 1 and 8 concurrent readers, and the wait-free snapshot hit path (§7.5) at
+# 1 and 2. Like bench-smoke it is not for numbers: it keeps the
+# snapshot/revalidate protocol, the sharded cache, the singleflight and the
+# decode-table probe running under both the serial and the contended
+# scheduler shape on every gate — though the hit path's ns/op at -cpu 1
+# against 2 and its allocs/op are worth a glance when they print.
 bench-read-scaling:
 	$(GO) test ./internal/chunkstore/ -run XXX \
 		-bench BenchmarkConcurrentRead -benchtime 1x -cpu 1,8
+	$(GO) test . -run XXX \
+		-bench BenchmarkSnapshotLookupHot -benchtime 20000x -cpu 1,2
 
 # bench-scan runs the scan-pipeline experiment (DESIGN.md §7.8) in its
 # seconds-long smoke shape: full-collection sweeps with the prefetch window

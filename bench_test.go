@@ -15,8 +15,10 @@ package tdb_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"tdb"
 	"tdb/internal/platform"
 	"tdb/internal/tpcb"
 )
@@ -124,4 +126,39 @@ func BenchmarkCryptoSuites(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkSnapshotLookupHot measures the cached snapshot read path in the
+// shape of the repository benchmark's read-hot workload: one op is a
+// snapshot transaction of eight exact-match lookups through a unique hash
+// index, every object a decode-table hit. Run at -cpu 1,2 it shows the hit
+// path's reader scaling (it takes no lock and writes no shared memory, so
+// two readers should not slow each other) and its allocations per op.
+func BenchmarkSnapshotLookupHot(b *testing.B) {
+	db, byID := openHotDB(b)
+	var seeds atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := seeds.Add(7919)
+		for pb.Next() {
+			txn := db.BeginReadOnly()
+			h, err := txn.ReadCollection("songs", byID)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			for i := 0; i < 8; i++ {
+				id = (id*31 + 17) % hotSongs
+				if s, err := lookupSong(h, byID, tdb.IntKey(id)); err != nil || s.ID != id {
+					b.Errorf("lookup %d: %v, %v", id, s, err)
+					return
+				}
+			}
+			if err := txn.Commit(false); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -571,6 +571,60 @@ func TestDynamicIndexAddRemove(t *testing.T) {
 	ct4.Commit(true)
 }
 
+// TestIndexDDLKeepsExtractorsAligned removes an index that is not the last
+// and creates another, inside one transaction: the handle keeps its
+// extractors by index slot, so the slots must shift with the descriptions or
+// later inserts would key the wrong index.
+func TestIndexDDLKeepsExtractorsAligned(t *testing.T) {
+	e := newColEnv(t)
+	s := e.open(t)
+	defer s.ObjectStore().Close()
+	views := NewIndexer("views", false, BTree, func(m *Meter) IntKey { return IntKey(m.ViewCount) })
+
+	ct := s.Begin()
+	h, err := ct.CreateCollection("profile", countIndexer(), idIndexer())
+	if err != nil {
+		t.Fatalf("CreateCollection: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := h.Insert(&Meter{ID: int64(i), ViewCount: int64(100 + i)}); err != nil {
+			t.Fatalf("Insert %d: %v", i, err)
+		}
+	}
+	if err := h.RemoveIndex("usage"); err != nil { // slot 0: "id" moves down
+		t.Fatalf("RemoveIndex: %v", err)
+	}
+	if err := h.CreateIndex(views); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	if _, err := h.Insert(&Meter{ID: 20, ViewCount: 120}); err != nil {
+		t.Fatalf("Insert after DDL: %v", err)
+	}
+	if _, err := h.Insert(&Meter{ID: 20, ViewCount: 999}); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("duplicate id after DDL: %v", err)
+	}
+	if err := ct.Commit(true); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+
+	ro := s.BeginReadOnly()
+	defer ro.Abort()
+	rh, err := ro.ReadCollection("profile")
+	if err != nil {
+		t.Fatalf("ReadCollection: %v", err)
+	}
+	it, err := rh.QueryExact(idIndexer(), IntKey(20))
+	if err != nil || it.Len() != 1 {
+		t.Fatalf("QueryExact(id=20): %v, %d results", err, it.Len())
+	}
+	it.Close()
+	it, err = rh.QueryRange(views, IntKey(110), IntKey(120))
+	if err != nil || it.Len() != 11 {
+		t.Fatalf("QueryRange(views 110..120): %v, %d results, want 11", err, it.Len())
+	}
+	it.Close()
+}
+
 func TestCreateUniqueIndexOnDuplicates(t *testing.T) {
 	e := newColEnv(t)
 	s := e.open(t)

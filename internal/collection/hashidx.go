@@ -362,22 +362,46 @@ func (hx *hashIndex) remove(key []byte, oid objectstore.ObjectID) error {
 
 // containsKey reports whether any entry has the key.
 func (hx *hashIndex) containsKey(key []byte) (bool, error) {
-	found := false
-	err := hx.lookup(key, func(objectstore.ObjectID) error {
-		found = true
-		return errStopScan
-	})
+	_, found, err := hx.find(key)
 	return found, err
+}
+
+// chainHead returns the first bucket of the chain key hashes to.
+func (hx *hashIndex) chainHead(key []byte) (objectstore.ObjectID, error) {
+	d, err := hx.openDir(false)
+	if err != nil {
+		return objectstore.NilObject, err
+	}
+	bid, _, _, err := hx.bucketID(d, d.bucketFor(hashEncoded(key)), false)
+	return bid, err
+}
+
+// find returns the first entry with the exact key — on a unique index, the
+// only one.
+func (hx *hashIndex) find(key []byte) (objectstore.ObjectID, bool, error) {
+	bid, err := hx.chainHead(key)
+	if err != nil {
+		return objectstore.NilObject, false, err
+	}
+	for bid != objectstore.NilObject {
+		b, err := openAs[*hashBucket](hx.h.ct.t, bid, false)
+		if err != nil {
+			return objectstore.NilObject, false, err
+		}
+		for i := range b.Entries {
+			if bytes.Equal(b.Entries[i].key, key) {
+				return b.Entries[i].oid, true, nil
+			}
+		}
+		bid = b.Overflow
+	}
+	return objectstore.NilObject, false, nil
 }
 
 // lookup visits every entry with the exact key.
 func (hx *hashIndex) lookup(key []byte, fn func(objectstore.ObjectID) error) error {
 	t := hx.h.ct.t
-	d, err := hx.openDir(false)
-	if err != nil {
-		return err
-	}
-	bid, _, _, err := hx.bucketID(d, d.bucketFor(hashEncoded(key)), false)
+	bid, err := hx.chainHead(key)
 	if err != nil {
 		return err
 	}

@@ -26,8 +26,10 @@ import (
 // application dereferences.
 type Iterator struct {
 	h *Handle
-	// oids is the materialized result set.
+	// oids is the materialized result set; one backs it while it holds at
+	// most one id, so a point lookup's result costs no allocation.
 	oids []objectstore.ObjectID
+	one  [1]objectstore.ObjectID
 	// pos is the current position; -1 before the first Next.
 	pos int
 	// updates records writable-dereferenced objects with their pre-update
@@ -64,15 +66,17 @@ func (h *Handle) newIterator(collect func(fn func(objectstore.ObjectID) error) e
 	}); err != nil {
 		return nil, err
 	}
+	it := h.openIterator()
+	it.oids = oids
+	return it, nil
+}
+
+// openIterator opens an iterator with an empty result set. updates and
+// deletes allocate lazily on first use: read-only scans — the overwhelmingly
+// common case — never touch either map.
+func (h *Handle) openIterator() *Iterator {
 	h.openIters++
-	// updates and deletes allocate lazily on first use: read-only scans — the
-	// overwhelmingly common case — never touch either map.
-	return &Iterator{
-		h:        h,
-		oids:     oids,
-		pos:      -1,
-		prefetch: defaultScanPrefetch,
-	}, nil
+	return &Iterator{h: h, pos: -1, prefetch: defaultScanPrefetch}
 }
 
 // defaultScanPrefetch is the sliding-window depth an iterator prefetches

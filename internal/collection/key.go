@@ -18,7 +18,6 @@ package collection
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 )
 
@@ -30,11 +29,15 @@ type Key interface {
 	Encode() []byte
 }
 
-// hashEncoded hashes an encoded key for the dynamic hash table.
+// hashEncoded hashes an encoded key for the dynamic hash table: 64-bit
+// FNV-1a, spelled out so a lookup allocates no hash.Hash. Bucket placement
+// on disk depends on these exact values.
 func hashEncoded(enc []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(enc)
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for _, c := range enc {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 // IntKey orders int64 values numerically. Encoding flips the sign bit so

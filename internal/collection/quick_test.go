@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,19 @@ import (
 
 func quickCfg(seed int64) *quick.Config {
 	return &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(seed))}
+}
+
+// TestQuickHashEncodedIsFNV1a pins the spelled-out hash to hash/fnv: bucket
+// placement in every stored hash index depends on these exact values.
+func TestQuickHashEncodedIsFNV1a(t *testing.T) {
+	f := func(enc []byte) bool {
+		h := fnv.New64a()
+		h.Write(enc)
+		return hashEncoded(enc) == h.Sum64()
+	}
+	if err := quick.Check(f, quickCfg(7)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestQuickIntKeyOrderPreserving(t *testing.T) {

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"fmt"
+	"slices"
 
 	"tdb/internal/objectstore"
 )
@@ -47,7 +48,7 @@ func (s *Store) ObjectStore() *objectstore.Store { return s.os }
 // Begin starts a collection transaction (the paper's CTransaction, Figure
 // 5).
 func (s *Store) Begin() *CTransaction {
-	return &CTransaction{s: s, t: s.os.Begin(), handles: make(map[string]*Handle)}
+	return &CTransaction{s: s, t: s.os.Begin()}
 }
 
 // BeginReadOnly starts a snapshot collection transaction: queries and
@@ -56,14 +57,28 @@ func (s *Store) Begin() *CTransaction {
 // objectstore.ErrLockTimeout. Mutations fail with
 // objectstore.ErrReadOnlyTxn.
 func (s *Store) BeginReadOnly() *CTransaction {
-	return &CTransaction{s: s, t: s.os.BeginReadOnly(), handles: make(map[string]*Handle)}
+	return &CTransaction{s: s, t: s.os.BeginReadOnly()}
 }
 
 // CTransaction is a transaction over collections (paper Figure 5).
 type CTransaction struct {
-	s       *Store
-	t       *objectstore.Txn
-	handles map[string]*Handle
+	s *Store
+	t *objectstore.Txn
+	// handles holds the collections opened so far: a transaction opens a
+	// handful, so a scan by name beats a map and costs nothing until the
+	// first open.
+	handles []*Handle
+}
+
+// handle returns the transaction's open handle on the named collection, or
+// nil.
+func (ct *CTransaction) handle(name string) *Handle {
+	for _, h := range ct.handles {
+		if h.col.Name == name {
+			return h
+		}
+	}
+	return nil
 }
 
 // openCatalog opens the catalog object. The root pointer comes from the
@@ -102,8 +117,9 @@ type Handle struct {
 	oid      objectstore.ObjectID
 	col      *collectionObject
 	writable bool
-	// indexers supplies extractor functions by index name.
-	indexers map[string]GenericIndexer
+	// indexers holds the extractor bound to each index slot, parallel to
+	// col.Indexes; nil where none is bound.
+	indexers []GenericIndexer
 	// openIters counts open iterators on this collection in this
 	// transaction (insensitivity constraint 2, §5.2.2).
 	openIters int
@@ -144,11 +160,8 @@ func (ct *CTransaction) CreateCollection(name string, indexers ...GenericIndexer
 		return nil, err
 	}
 	cat.put(name, oid)
-	h := &Handle{ct: ct, oid: oid, col: col, writable: true, indexers: map[string]GenericIndexer{}}
-	for _, ix := range indexers {
-		h.indexers[ix.Name()] = ix
-	}
-	ct.handles[name] = h
+	h := &Handle{ct: ct, oid: oid, col: col, writable: true, indexers: slices.Clone(indexers)}
+	ct.handles = append(ct.handles, h)
 	return h, nil
 }
 
@@ -181,10 +194,10 @@ func (ct *CTransaction) WriteCollection(name string, indexers ...GenericIndexer)
 }
 
 func (ct *CTransaction) openCollection(name string, writable bool, indexers []GenericIndexer) (*Handle, error) {
-	if h, ok := ct.handles[name]; ok {
+	if h := ct.handle(name); h != nil {
 		// Re-opening within the transaction: merge indexers, upgrade mode.
 		for _, ix := range indexers {
-			if err := h.bindIndexer(ix); err != nil {
+			if _, err := h.bindIndexer(ix); err != nil {
 				return nil, err
 			}
 		}
@@ -215,9 +228,9 @@ func (ct *CTransaction) openCollection(name string, writable bool, indexers []Ge
 	if err != nil {
 		return nil, err
 	}
-	h := &Handle{ct: ct, oid: oid, col: col, writable: writable, indexers: map[string]GenericIndexer{}}
+	h := &Handle{ct: ct, oid: oid, col: col, writable: writable, indexers: make([]GenericIndexer, len(col.Indexes))}
 	for _, ix := range indexers {
-		if err := h.bindIndexer(ix); err != nil {
+		if _, err := h.bindIndexer(ix); err != nil {
 			return nil, err
 		}
 	}
@@ -226,7 +239,7 @@ func (ct *CTransaction) openCollection(name string, writable bool, indexers []Ge
 			return nil, err
 		}
 	}
-	ct.handles[name] = h
+	ct.handles = append(ct.handles, h)
 	return h, nil
 }
 
@@ -246,8 +259,9 @@ func (ct *CTransaction) RemoveCollection(name string) error {
 	if err != nil {
 		return err
 	}
-	h := &Handle{ct: ct, oid: oid, col: col, writable: true, indexers: map[string]GenericIndexer{}}
-	if h2, open := ct.handles[name]; open && h2.openIters > 0 {
+	h := &Handle{ct: ct, oid: oid, col: col, writable: true, indexers: make([]GenericIndexer, len(col.Indexes))}
+	open := ct.handle(name)
+	if open != nil && open.openIters > 0 {
 		return fmt.Errorf("%w: %q", ErrIteratorOpen, name)
 	}
 	// Remove member objects via a scan of the first index.
@@ -272,7 +286,7 @@ func (ct *CTransaction) RemoveCollection(name string) error {
 		return err
 	}
 	cat.remove(name)
-	delete(ct.handles, name)
+	ct.handles = slices.DeleteFunc(ct.handles, func(h2 *Handle) bool { return h2 == open })
 	return nil
 }
 
@@ -285,26 +299,26 @@ func (ct *CTransaction) ListCollections() ([]string, error) {
 	return append([]string(nil), cat.Names...), nil
 }
 
-// bindIndexer validates an indexer against the persistent description and
-// remembers it.
-func (h *Handle) bindIndexer(ix GenericIndexer) error {
+// bindIndexer validates an indexer against the persistent description,
+// remembers it, and returns its index slot.
+func (h *Handle) bindIndexer(ix GenericIndexer) (int, error) {
 	i, ok := h.col.findIndex(ix.Name())
 	if !ok {
-		return fmt.Errorf("%w: %q on collection %q", ErrNoSuchIndex, ix.Name(), h.col.Name)
+		return -1, fmt.Errorf("%w: %q on collection %q", ErrNoSuchIndex, ix.Name(), h.col.Name)
 	}
-	desc := h.col.Indexes[i]
+	desc := &h.col.Indexes[i]
 	if desc.Unique != ix.Unique() || desc.Kind != ix.Kind() {
-		return fmt.Errorf("collection: indexer %q (unique=%v, %v) does not match stored index (unique=%v, %v)",
+		return -1, fmt.Errorf("collection: indexer %q (unique=%v, %v) does not match stored index (unique=%v, %v)",
 			ix.Name(), ix.Unique(), ix.Kind(), desc.Unique, desc.Kind)
 	}
-	h.indexers[ix.Name()] = ix
-	return nil
+	h.indexers[i] = ix
+	return i, nil
 }
 
 // requireAllIndexers checks that every index has an extractor bound.
 func (h *Handle) requireAllIndexers() error {
-	for _, desc := range h.col.Indexes {
-		if _, ok := h.indexers[desc.Name]; !ok {
+	for i, desc := range h.col.Indexes {
+		if h.indexers[i] == nil {
 			return fmt.Errorf("collection: writable access to %q requires an indexer for index %q",
 				h.col.Name, desc.Name)
 		}
@@ -352,15 +366,6 @@ func (h *Handle) indexOpsAt(i int) indexOps {
 	}
 }
 
-// indexSlot resolves an indexer to its slot, verifying compatibility.
-func (h *Handle) indexSlot(ix GenericIndexer) (int, error) {
-	if err := h.bindIndexer(ix); err != nil {
-		return -1, err
-	}
-	i, _ := h.col.findIndex(ix.Name())
-	return i, nil
-}
-
 // extractKeys applies every index's extractor to obj, in index order.
 func (h *Handle) extractKeys(obj objectstore.Object) ([][]byte, error) {
 	keys := make([][]byte, len(h.col.Indexes))
@@ -379,7 +384,7 @@ func (h *Handle) extractKeys(obj objectstore.Object) ([][]byte, error) {
 func (h *Handle) extractMutableKeys(obj objectstore.Object) ([][]byte, error) {
 	keys := make([][]byte, len(h.col.Indexes))
 	for i, desc := range h.col.Indexes {
-		ix := h.indexers[desc.Name]
+		ix := h.indexers[i]
 		if ix == nil {
 			return nil, fmt.Errorf("collection: no indexer bound for index %q", desc.Name)
 		}
@@ -397,7 +402,7 @@ func (h *Handle) extractMutableKeys(obj objectstore.Object) ([][]byte, error) {
 
 // extractIndexKey applies index i's extractor to obj.
 func (h *Handle) extractIndexKey(i int, obj objectstore.Object) ([]byte, error) {
-	ix := h.indexers[h.col.Indexes[i].Name]
+	ix := h.indexers[i]
 	if ix == nil {
 		return nil, fmt.Errorf("collection: no indexer bound for index %q", h.col.Indexes[i].Name)
 	}
@@ -483,7 +488,7 @@ func (h *Handle) CreateIndex(ix GenericIndexer) error {
 		Kind:   ix.Kind(),
 		Root:   root,
 	})
-	h.indexers[ix.Name()] = ix
+	h.indexers = append(h.indexers, ix)
 	slot := len(h.col.Indexes) - 1
 	// Populate from a scan of the first (pre-existing) index.
 	var members []objectstore.ObjectID
@@ -527,14 +532,14 @@ func (h *Handle) RemoveIndex(name string) error {
 		return err
 	}
 	h.col.Indexes = append(h.col.Indexes[:i], h.col.Indexes[i+1:]...)
-	delete(h.indexers, name)
+	h.indexers = append(h.indexers[:i], h.indexers[i+1:]...)
 	return nil
 }
 
 // Query returns an iterator over the whole collection in the order of the
 // given index (paper Figure 6's scan query).
 func (h *Handle) Query(ix GenericIndexer) (*Iterator, error) {
-	slot, err := h.indexSlot(ix)
+	slot, err := h.bindIndexer(ix)
 	if err != nil {
 		return nil, err
 	}
@@ -545,11 +550,26 @@ func (h *Handle) Query(ix GenericIndexer) (*Iterator, error) {
 
 // QueryExact returns an iterator over objects whose key equals match.
 func (h *Handle) QueryExact(ix GenericIndexer, match Key) (*Iterator, error) {
-	slot, err := h.indexSlot(ix)
+	slot, err := h.bindIndexer(ix)
 	if err != nil {
 		return nil, err
 	}
 	enc := match.Encode()
+	if d := &h.col.Indexes[slot]; d.Kind == HashTable && d.Unique {
+		// At most one match: the point-lookup path builds its result with
+		// no callback, no heap index view and no result slice.
+		hx := hashIndex{h: h, idx: slot}
+		oid, found, err := hx.find(enc)
+		if err != nil {
+			return nil, err
+		}
+		it := h.openIterator()
+		if found {
+			it.one[0] = oid
+			it.oids = it.one[:1]
+		}
+		return it, nil
+	}
 	return h.newIterator(func(fn func(objectstore.ObjectID) error) error {
 		return h.indexOpsAt(slot).lookup(enc, fn)
 	})
@@ -559,7 +579,7 @@ func (h *Handle) QueryExact(ix GenericIndexer, match Key) (*Iterator, error) {
 // order; nil bounds are unbounded (the paper's plusInfinity). Only B-tree
 // indexes support ranges.
 func (h *Handle) QueryRange(ix GenericIndexer, min, max Key) (*Iterator, error) {
-	slot, err := h.indexSlot(ix)
+	slot, err := h.bindIndexer(ix)
 	if err != nil {
 		return nil, err
 	}

@@ -42,9 +42,10 @@ type verChain struct {
 // versionTable is the store-wide multi-version state.
 //
 // Lock order: Store.mu → versionTable.mu → versionTable.pinMu. Readers
-// resolve under mu.RLock and must not reach the chunk store while holding
-// it; writers stage/publish under mu.Lock. pinMu is a leaf protecting only
-// the pin counts so unpinning never contends with resolution.
+// probe the decode table with no lock at all, resolve chains under mu.RLock
+// and must not reach the chunk store while holding it; writers stage/publish
+// under mu.Lock. pinMu is a leaf protecting only the pin counts so unpinning
+// never contends with resolution.
 type versionTable struct {
 	mu sync.RWMutex
 	// stamp is the last published commit stamp; it advances by one for
@@ -59,41 +60,20 @@ type versionTable struct {
 	// capture pin + root under one read lock.
 	rootOID ObjectID
 
-	// decoded caches unpickled committed objects for the no-chain fallback
-	// path, so hot snapshot reads of stable objects (collection directories,
-	// index headers, bucket pages) skip the chunk store and the unpickling
-	// on every transaction. Entries exist only for objects with no version
-	// chain — one committed state, visible to every live pin — and are
-	// deleted the moment a writer stages a change (stage runs before the
-	// chunk-store merge, so a stale decode can never be re-read afterwards).
-	// Objects handed out from here are shared across transactions under the
-	// same contract as the 2PL shared-read cache: objects opened read-only
-	// must not be mutated. decodedBytes tracks the approximate resident
-	// pickled size for the eviction budget. Guarded by mu.
-	decoded      map[ObjectID]decodedObj
-	decodedBytes int64
+	// decoded caches the unpickled committed state of chain-free objects
+	// (see decodedTable). Probes take no lock; its writer side is guarded
+	// by mu held exclusively.
+	decoded decodedTable
 
 	pinMu sync.Mutex
 	// pins counts active read-only transactions per pinned stamp.
 	pins map[uint64]int
 }
 
-// decodedObj is one cached unpickled committed object.
-type decodedObj struct {
-	obj  Object
-	size int64
-}
-
-// decodedBudget bounds the snapshot decode cache's resident pickled bytes.
-// Eviction is arbitrary-order (map iteration): the cache is a recoverable
-// accelerator, not a correctness structure.
-const decodedBudget = 4 << 20
-
 func newVersionTable() *versionTable {
 	return &versionTable{
-		chains:  make(map[ObjectID]*verChain),
-		decoded: make(map[ObjectID]decodedObj),
-		pins:    make(map[uint64]int),
+		chains: make(map[ObjectID]*verChain),
+		pins:   make(map[uint64]int),
 	}
 }
 
@@ -167,11 +147,11 @@ type stagedVersion struct {
 }
 
 // stage installs the batch's versions as pending, creating chains (with
-// the committed pre-image as baseline) for objects that have none. It must
-// run before the chunk store merges the batch: from this point readers
-// resolving any touched object find a chain and stop falling back to the
-// chunk store, so the merge can never leak a too-new state into an older
-// snapshot.
+// the committed pre-image as baseline) for objects that have none, after
+// clearing each object's decode-table slot. It must run before the chunk
+// store merges the batch: from this point readers resolving any touched
+// object find a chain and stop falling back to the decode table or the chunk
+// store, so the merge can never leak a too-new state into an older snapshot.
 func (vt *versionTable) stage(staged []stagedVersion) {
 	if len(staged) == 0 {
 		return
@@ -179,10 +159,7 @@ func (vt *versionTable) stage(staged []stagedVersion) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
 	for _, sv := range staged {
-		if d, cached := vt.decoded[sv.oid]; cached {
-			vt.decodedBytes -= d.size
-			delete(vt.decoded, sv.oid)
-		}
+		vt.decoded.remove(sv.oid)
 		c := vt.chains[sv.oid]
 		if c == nil {
 			c = &verChain{vers: []version{{stamp: 0, data: sv.pre, present: sv.preExisted}}}
@@ -279,28 +256,22 @@ func (vt *versionTable) sweep() {
 	}
 }
 
-// resolve returns the object state visible at pin. When the object has no
-// chain but a cached decode of its committed state exists, that shared
-// object is returned instead (obj non-nil, ok true) — no chain means the
-// one committed state is what every live pin sees. ok is false when the
-// object has neither (or, defensively, no version at or below pin): the
-// caller reads the chunk store and re-checks.
-func (vt *versionTable) resolve(oid ObjectID, pin uint64) (data []byte, obj Object, present, ok bool) {
+// resolve returns the state of oid's version chain visible at pin. ok is
+// false when the object has no chain (or, defensively, no version at or
+// below pin): the caller reads the chunk store and re-checks.
+func (vt *versionTable) resolve(oid ObjectID, pin uint64) (data []byte, present, ok bool) {
 	vt.mu.RLock()
 	defer vt.mu.RUnlock()
 	c := vt.chains[oid]
 	if c == nil {
-		if d, cached := vt.decoded[oid]; cached {
-			return nil, d.obj, true, true
-		}
-		return nil, nil, false, false
+		return nil, false, false
 	}
 	for i := len(c.vers) - 1; i >= 0; i-- {
 		if v := c.vers[i]; v.stamp <= pin {
-			return v.data, nil, v.present, true
+			return v.data, v.present, true
 		}
 	}
-	return nil, nil, false, false
+	return nil, false, false
 }
 
 // decodedPut caches an unpickled committed object for the no-chain path.
@@ -312,21 +283,9 @@ func (vt *versionTable) resolve(oid ObjectID, pin uint64) (data []byte, obj Obje
 func (vt *versionTable) decodedPut(oid ObjectID, obj Object, size int64) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
-	if vt.chains[oid] != nil {
-		return
+	if vt.chains[oid] == nil {
+		vt.decoded.put(oid, obj, size)
 	}
-	if d, dup := vt.decoded[oid]; dup {
-		vt.decodedBytes -= d.size
-	}
-	for vt.decodedBytes+size > decodedBudget && len(vt.decoded) > 0 {
-		for k, d := range vt.decoded {
-			vt.decodedBytes -= d.size
-			delete(vt.decoded, k)
-			break
-		}
-	}
-	vt.decoded[oid] = decodedObj{obj: obj, size: size}
-	vt.decodedBytes += size
 }
 
 // prefetchFilter returns the subset of oids a scan prefetch should pull
@@ -346,7 +305,7 @@ func (vt *versionTable) prefetchFilter(oids []ObjectID) []ObjectID {
 		if _, chained := vt.chains[oid]; chained {
 			continue
 		}
-		if _, cached := vt.decoded[oid]; cached {
+		if vt.decoded.get(oid) != nil {
 			continue
 		}
 		if seen == nil {

@@ -346,54 +346,231 @@ func TestSnapshotDecodeCacheSharing(t *testing.T) {
 	fresh.Abort()
 }
 
+// resident counts the decode table's occupied slots and sums their sizes
+// (test helper; the caller is the only goroutine touching the table).
+func (dt *decodedTable) resident() (n int, bytes int64) {
+	for i := range dt.slots {
+		if e := dt.slots[i].Load(); e != nil {
+			n++
+			bytes += e.size
+		}
+	}
+	return n, bytes
+}
+
 // TestDecodeCacheTableInvariants exercises the versionTable decode cache
 // white-box: decodedPut refuses an object that grew a chain (the stale-decode
-// race re-check), stage evicts an existing entry, and the byte budget evicts
-// rather than grows without bound.
+// race re-check), stage clears an existing entry so a probe misses, and the
+// byte budget evicts rather than grows without bound.
 func TestDecodeCacheTableInvariants(t *testing.T) {
 	vt := newVersionTable()
+	dt := &vt.decoded
 	obj := &Meter{ID: 1}
 
 	// A staged chain blocks decodedPut: the decode may predate the stage.
 	sv := []stagedVersion{{oid: 7, data: []byte{1}, present: true, preExisted: true}}
 	vt.stage(sv)
 	vt.decodedPut(7, obj, 100)
-	if _, cached := vt.decoded[7]; cached {
+	if dt.get(7) != nil {
 		t.Fatalf("decodedPut cached an object with a live chain")
 	}
 	vt.unstage(sv)
 
-	// With no chain the put lands, and a later stage evicts it.
+	// With no chain the put lands, and a later stage clears it.
 	vt.decodedPut(7, obj, 100)
-	if _, cached := vt.decoded[7]; !cached {
+	if dt.get(7) != Object(obj) {
 		t.Fatalf("decodedPut did not cache a chainless object")
 	}
 	vt.stage(sv)
-	if _, cached := vt.decoded[7]; cached {
+	if dt.get(7) != nil {
 		t.Fatalf("stage left a stale decode behind")
 	}
 	vt.unstage(sv)
-	if vt.decodedBytes != 0 {
-		t.Fatalf("decodedBytes = %d after eviction, want 0", vt.decodedBytes)
+	if n, bytes := dt.resident(); n != 0 || bytes != 0 || dt.bytes != 0 {
+		t.Fatalf("after stage: %d entries, %d bytes resident, %d accounted; want all 0", n, bytes, dt.bytes)
 	}
 
 	// The budget holds: inserting past it evicts down, never grows past it.
-	const half = decodedBudget / 2
-	vt.decodedPut(1, obj, half)
-	vt.decodedPut(2, obj, half)
-	vt.decodedPut(3, obj, half)
-	if vt.decodedBytes > decodedBudget {
-		t.Fatalf("decodedBytes = %d exceeds budget %d", vt.decodedBytes, decodedBudget)
+	const piece = decodedMaxEntry
+	for oid := ObjectID(1); oid <= 3*decodedBudget/piece; oid++ {
+		vt.decodedPut(oid, obj, piece)
+		if n, bytes := dt.resident(); bytes != dt.bytes || bytes > decodedBudget {
+			t.Fatalf("after put %d: %d entries hold %d bytes, %d accounted, budget %d", oid, n, bytes, dt.bytes, decodedBudget)
+		}
 	}
-	if len(vt.decoded) != 2 {
-		t.Fatalf("decoded entries = %d after budget eviction, want 2", len(vt.decoded))
+	if n, _ := dt.resident(); n != decodedBudget/piece {
+		t.Fatalf("decoded entries = %d after budget eviction, want %d", n, decodedBudget/piece)
 	}
 	// Re-putting an existing id replaces, not double-counts.
-	for id := range vt.decoded {
-		vt.decodedPut(id, obj, half)
+	before, _ := dt.resident()
+	for i := range dt.slots {
+		if e := dt.slots[i].Load(); e != nil {
+			vt.decodedPut(e.oid, obj, piece)
+		}
 	}
-	if vt.decodedBytes > decodedBudget {
-		t.Fatalf("decodedBytes = %d after duplicate put, want <= %d", vt.decodedBytes, decodedBudget)
+	if n, bytes := dt.resident(); n != before || bytes != dt.bytes || bytes > decodedBudget {
+		t.Fatalf("after duplicate puts: %d entries (want %d), %d bytes resident, %d accounted", n, before, bytes, dt.bytes)
+	}
+}
+
+// TestDecodeCacheAdmission pins the admission rule the map-based cache got
+// wrong: an object larger than the whole budget used to flush every entry
+// and then be cached anyway, leaving the cache over budget. The table
+// refuses anything above decodedMaxEntry and leaves the rest alone.
+func TestDecodeCacheAdmission(t *testing.T) {
+	vt := newVersionTable()
+	dt := &vt.decoded
+	obj := &Meter{ID: 1}
+	for oid := ObjectID(1); oid <= 100; oid++ {
+		vt.decodedPut(oid, obj, 1000)
+	}
+	for _, size := range []int64{decodedMaxEntry + 1, decodedBudget, 2 * decodedBudget} {
+		vt.decodedPut(500, obj, size)
+		if dt.get(500) != nil {
+			t.Fatalf("object of %d bytes admitted; the limit is %d", size, decodedMaxEntry)
+		}
+		if n, bytes := dt.resident(); n != 100 || bytes != 100*1000 || dt.bytes != bytes {
+			t.Fatalf("refusing %d bytes disturbed the cache: %d entries, %d bytes, %d accounted", size, n, bytes, dt.bytes)
+		}
+	}
+	// An oversized re-put of a cached id must not leave the old decode behind.
+	vt.decodedPut(1, obj, decodedMaxEntry+1)
+	if dt.get(1) != nil {
+		t.Fatalf("oversized re-put left the previous entry in place")
+	}
+	vt.decodedPut(2, obj, decodedMaxEntry)
+	if dt.get(2) == nil {
+		t.Fatalf("object of exactly decodedMaxEntry bytes refused")
+	}
+
+	// A full set replaces within itself: more ids than ways in one set leave
+	// exactly decodedWays of them resident, with the accounting exact.
+	vt = newVersionTable()
+	dt = &vt.decoded
+	home := &dt.set(1)[0]
+	var same []ObjectID
+	for oid := ObjectID(1); len(same) < 3*decodedWays; oid++ {
+		if &dt.set(oid)[0] == home {
+			same = append(same, oid)
+			vt.decodedPut(oid, obj, 10)
+		}
+	}
+	hits := 0
+	for _, oid := range same {
+		if dt.get(oid) != nil {
+			hits++
+		}
+	}
+	if n, bytes := dt.resident(); hits != decodedWays || n != decodedWays || bytes != 10*decodedWays || dt.bytes != bytes {
+		t.Fatalf("one set holds %d of %d ids (%d entries, %d bytes, %d accounted); want %d", hits, len(same), n, bytes, dt.bytes, decodedWays)
+	}
+	if dt.get(same[len(same)-1]) == nil {
+		t.Fatalf("the most recent put is not resident")
+	}
+}
+
+// TestDecodeTableLockFreeProbe is the concurrency proof for the lock-free
+// probe (run under -race). One writer commits generation k to a pair of
+// hot objects as (k, -k); it is the only committer, so generation k is
+// exactly stamp base+k. Readers hammer the pair and a stable neighbour
+// through snapshotOpen — decode-table probes racing the writer's stage
+// (clear) and the readers' own decodedPut — and every read must return
+// exactly the generation of the reader's pin: nothing newer, nothing torn,
+// and never the pre-image of a commit that returned before the reader began.
+func TestDecodeTableLockFreeProbe(t *testing.T) {
+	e := newOSEnv(t)
+	s := e.open(t)
+	defer s.Close()
+
+	commits := 400
+	if testing.Short() {
+		commits = 100
+	}
+	const readers = 4
+
+	setup := s.Begin()
+	var pa, pb, stable ObjectID
+	for _, dst := range []*ObjectID{&pa, &pb, &stable} {
+		oid, err := setup.Insert(&Meter{ID: 77})
+		if err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		*dst = oid
+	}
+	if err := setup.Commit(true); err != nil {
+		t.Fatalf("setup commit: %v", err)
+	}
+	base, _ := s.versions.pin()
+	s.versions.unpin(base)
+
+	var committed atomic.Int32 // last generation whose Commit returned
+	var stop atomic.Bool
+	errc := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for !stop.Load() {
+				floor := committed.Load()
+				ro := s.BeginReadOnly()
+				want := int32(ro.pin - base)
+				var got [3]int32
+				for i, oid := range [3]ObjectID{pa, pb, stable} {
+					ref, err := OpenReadonly[*Meter](ro, oid)
+					if err != nil {
+						errc <- fmt.Errorf("reader %d: %w", r, err)
+						ro.Abort()
+						return
+					}
+					got[i] = ref.Deref().ViewCount
+				}
+				ro.Abort()
+				if got[0] != want || got[1] != -want || got[2] != 0 {
+					errc <- fmt.Errorf("reader %d pinned generation %d, read pair (%d, %d), stable %d", r, want, got[0], got[1], got[2])
+					return
+				}
+				if want < floor {
+					errc <- fmt.Errorf("reader %d began after generation %d committed but pinned %d", r, floor, want)
+					return
+				}
+			}
+		}(r)
+	}
+	for k := int32(1); k <= int32(commits); k++ {
+		txn := s.Begin()
+		ra, err := OpenWritable[*Meter](txn, pa)
+		if err == nil {
+			var rb WritableRef[*Meter]
+			if rb, err = OpenWritable[*Meter](txn, pb); err == nil {
+				ra.Deref().ViewCount, rb.Deref().ViewCount = k, -k
+				err = txn.Commit(false)
+			}
+		}
+		if err != nil {
+			txn.Abort()
+			errc <- fmt.Errorf("writer generation %d: %w", k, err)
+			break
+		}
+		committed.Store(k)
+	}
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+
+	// Quiesced: no pins, so no chains; every slot is empty or holds the
+	// committed state.
+	if st := s.Stats(); st.VersionChains != 0 {
+		t.Fatalf("%d version chains survive quiesce", st.VersionChains)
+	}
+	for oid, want := range map[ObjectID]int32{pa: int32(commits), pb: -int32(commits), stable: 0} {
+		if obj := s.versions.decoded.get(oid); obj != nil && obj.(*Meter).ViewCount != want {
+			t.Fatalf("decode table holds ViewCount %d for object %d; committed state is %d", obj.(*Meter).ViewCount, oid, want)
+		}
 	}
 }
 

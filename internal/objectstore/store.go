@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tdb/internal/chunkstore"
@@ -56,10 +55,6 @@ type Store struct {
 	rootChunk chunkstore.ChunkID
 	rootOID   ObjectID
 
-	// txnSeq numbers transactions (diagnostics only). Atomic so
-	// BeginReadOnly never queues behind a writer's store-mutex critical
-	// section just to draw an id.
-	txnSeq atomic.Uint64
 	closed bool
 }
 
@@ -173,7 +168,6 @@ func (s *Store) Root() ObjectID {
 func (s *Store) Begin() *Txn {
 	return &Txn{
 		s:      s,
-		id:     s.txnSeq.Add(1),
 		active: true,
 		locks:  make(map[ObjectID]lockMode),
 		opened: make(map[ObjectID]*txnObject),
@@ -191,12 +185,11 @@ func (s *Store) BeginReadOnly() *Txn {
 	pin, root := s.versions.pin()
 	return &Txn{
 		s:        s,
-		id:       s.txnSeq.Add(1),
 		readOnly: true,
 		roActive: true,
 		pin:      pin,
 		roRoot:   root,
-		snapObjs: make(map[ObjectID]Object),
+		snap:     snapMemos.Get().(*snapMemo),
 	}
 }
 

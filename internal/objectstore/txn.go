@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"tdb/internal/chunkstore"
 )
@@ -16,7 +17,6 @@ import (
 // multiple goroutines.
 type Txn struct {
 	s      *Store
-	id     uint64
 	active bool
 	// locks tracks held lock modes for release and upgrade decisions.
 	locks map[ObjectID]lockMode
@@ -39,9 +39,58 @@ type Txn struct {
 	pin uint64
 	// roRoot is the root pointer as of the pinned stamp.
 	roRoot ObjectID
-	// snapObjs caches objects already resolved by this snapshot, so every
-	// oid unpickles once and repeated opens return the same instance.
-	snapObjs map[ObjectID]Object
+	// snap remembers objects already resolved by this snapshot, so every
+	// oid unpickles once and repeated opens return the same instance. It is
+	// borrowed from snapMemos from BeginReadOnly until the transaction ends.
+	snap *snapMemo
+}
+
+// snapMemo is a snapshot transaction's oid → object memo. A lookup
+// transaction opens a couple of dozen objects, so the first snapMemoInline
+// sit in an array found by a linear scan; only a transaction that opens
+// more (a scan) pays for a map. Memos are recycled, so a transaction
+// neither allocates nor zeroes one.
+type snapMemo struct {
+	n      int
+	inline [snapMemoInline]struct {
+		oid ObjectID
+		obj Object
+	}
+	spill map[ObjectID]Object
+}
+
+const snapMemoInline = 32
+
+var snapMemos = sync.Pool{New: func() any { return new(snapMemo) }}
+
+// release forgets what the memo holds and returns it to the pool.
+func (m *snapMemo) release() {
+	clear(m.inline[:m.n])
+	m.n, m.spill = 0, nil
+	snapMemos.Put(m)
+}
+
+func (m *snapMemo) get(oid ObjectID) (Object, bool) {
+	for i := range m.inline[:m.n] {
+		if m.inline[i].oid == oid {
+			return m.inline[i].obj, true
+		}
+	}
+	obj, ok := m.spill[oid]
+	return obj, ok
+}
+
+// put records an oid that get did not find.
+func (m *snapMemo) put(oid ObjectID, obj Object) {
+	if m.n < snapMemoInline {
+		m.inline[m.n].oid, m.inline[m.n].obj = oid, obj
+		m.n++
+		return
+	}
+	if m.spill == nil {
+		m.spill = make(map[ObjectID]Object)
+	}
+	m.spill[oid] = obj
 }
 
 // txnObject is the per-transaction state of one object.
@@ -150,9 +199,11 @@ func (t *Txn) OpenWritable(oid ObjectID) (Object, error) {
 }
 
 // snapshotOpen resolves oid against this read-only transaction's pinned
-// stamp. It takes no object locks and never returns ErrLockTimeout: the
-// version table answers under a short read lock, and the no-chain
-// fallback reads the committed state from the chunk store directly.
+// stamp. It takes no object locks and never returns ErrLockTimeout. A
+// cached chain-free object — the hot case — is answered by the decode table
+// with no lock and no write to shared memory; otherwise the version table
+// answers under a short read lock, and the no-chain fallback reads the
+// committed state from the chunk store directly.
 func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 	if !t.roActive {
 		return nil, ErrTxnDone
@@ -160,11 +211,15 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 	if oid == NilObject {
 		return nil, fmt.Errorf("%w: nil object id", ErrNotFound)
 	}
-	if obj, ok := t.snapObjs[oid]; ok {
+	if obj, ok := t.snap.get(oid); ok {
 		return obj, nil
 	}
 	vt := t.s.versions
-	data, shared, present, ok := vt.resolve(oid, t.pin)
+	if shared := vt.decoded.get(oid); shared != nil {
+		t.snap.put(oid, shared)
+		return shared, nil
+	}
+	data, present, ok := vt.resolve(oid, t.pin)
 	cacheable := false
 	if !ok {
 		// No chain: the chunk store holds the committed state. The read
@@ -173,7 +228,7 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 		// chain (with our pre-image as baseline) before merging, so the
 		// chain is visible by now if the race happened.
 		raw, err := t.s.chunks.Read(chunkstore.ChunkID(oid))
-		if data, shared, present, ok = vt.resolve(oid, t.pin); !ok {
+		if data, present, ok = vt.resolve(oid, t.pin); !ok {
 			if err != nil {
 				if errors.Is(err, chunkstore.ErrNotAllocated) || errors.Is(err, chunkstore.ErrNotWritten) {
 					return nil, fmt.Errorf("%w: %d", ErrNotFound, oid)
@@ -186,10 +241,6 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 	if !present {
 		return nil, fmt.Errorf("%w: %d", ErrNotFound, oid)
 	}
-	if shared != nil {
-		t.snapObjs[oid] = shared
-		return shared, nil
-	}
 	obj, err := unpickleObject(t.s.cfg.Registry, data)
 	if err != nil {
 		return nil, err
@@ -200,7 +251,7 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 		// re-checks the no-chain condition under the table lock).
 		vt.decodedPut(oid, obj, int64(len(data)))
 	}
-	t.snapObjs[oid] = obj
+	t.snap.put(oid, obj)
 	return obj, nil
 }
 
@@ -609,7 +660,8 @@ func (t *Txn) finishReadOnly() error {
 		return ErrTxnDone
 	}
 	t.roActive = false
-	t.snapObjs = nil
+	t.snap.release()
+	t.snap = nil
 	t.s.versions.unpin(t.pin)
 	return nil
 }

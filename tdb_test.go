@@ -43,7 +43,7 @@ func songByTitle() tdb.GenericIndexer {
 		func(s *Song) tdb.StringKey { return tdb.StringKey(s.Title) })
 }
 
-func openTestDB(t *testing.T) (*tdb.DB, tdb.Options) {
+func openTestDB(t testing.TB) (*tdb.DB, tdb.Options) {
 	t.Helper()
 	reg := tdb.NewRegistry()
 	reg.Register(songClass, func() tdb.Object { return &Song{} })
