@@ -72,11 +72,6 @@ type readRunResult struct {
 	WriterCommitsPerSec float64 `json:"writer_commits_per_sec"`
 	ReadP50Micros       float64 `json:"read_p50_us"`
 	ReadP99Micros       float64 `json:"read_p99_us"`
-	// CacheHitRate is the chunk-level read-cache hit fraction over the run,
-	// so a throughput change is attributable: a regression with an unchanged
-	// hit rate is a locking problem, one with a collapsed hit rate is a
-	// caching problem.
-	CacheHitRate float64 `json:"cache_hit_rate"`
 	// ReadSlowPaths counts chunk reads that fell back to the exclusive-lock
 	// path during the run (expected ~0 once the map is resident).
 	ReadSlowPaths int64 `json:"read_slow_paths"`
@@ -161,7 +156,6 @@ func runObjstoreConfig(v objstoreVariant, workers, commitsPer int) (objstoreResu
 	s, err := objectstore.Open(objectstore.Config{
 		Chunks:      cs,
 		Registry:    reg,
-		CachePool:   pool,
 		LockTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -349,12 +343,6 @@ func runReadWorkload(d *tpcb.TDBDriver, workload string, readers, readsPer int) 
 		}
 		return float64(all[int(p*float64(len(all)-1))]) / float64(time.Microsecond)
 	}
-	hitRate := 0.0
-	hits := cacheAfter.ReadCacheHits - cacheBefore.ReadCacheHits
-	misses := cacheAfter.ReadCacheMisses - cacheBefore.ReadCacheMisses
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
 	return readRunResult{
 		Workload:            workload,
 		Readers:             readers,
@@ -363,7 +351,6 @@ func runReadWorkload(d *tpcb.TDBDriver, workload string, readers, readsPer int) 
 		WriterCommitsPerSec: float64(writerCommits) / elapsed.Seconds(),
 		ReadP50Micros:       pct(0.50),
 		ReadP99Micros:       pct(0.99),
-		CacheHitRate:        hitRate,
 		ReadSlowPaths:       cacheAfter.ReadSlowPaths - cacheBefore.ReadSlowPaths,
 	}, nil
 }
@@ -395,9 +382,9 @@ func runSnapshotReads(report *objstoreReport, readsPer int) error {
 				return fmt.Errorf("snapshot reads %s x%d: %w", workload, readers, err)
 			}
 			report.ReadRuns = append(report.ReadRuns, res)
-			fmt.Printf("  %-12s %2d readers %9.0f reads/s   p50 %7.1fµs   p99 %8.1fµs   writer %7.0f commits/s   cache %4.1f%%   slow %d\n",
+			fmt.Printf("  %-12s %2d readers %9.0f reads/s   p50 %7.1fµs   p99 %8.1fµs   writer %7.0f commits/s   slow %d\n",
 				res.Workload, res.Readers, res.ReadsPerSec, res.ReadP50Micros, res.ReadP99Micros, res.WriterCommitsPerSec,
-				res.CacheHitRate*100, res.ReadSlowPaths)
+				res.ReadSlowPaths)
 		}
 		if err := d.Close(); err != nil {
 			return err

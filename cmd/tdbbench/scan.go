@@ -50,12 +50,6 @@ type scanRunResult struct {
 	// planner stopped merging adjacent records.
 	CoalescedReadsPerScan   float64 `json:"coalesced_reads_per_scan"`
 	PrefetchedChunksPerScan float64 `json:"prefetched_chunks_per_scan"`
-	// PrefetchHits counts prefetched chunks later consumed through the read
-	// cache; PrefetchWasted counts ones evicted with the tag still set
-	// (which includes chunks consumed through the warmed decode cache
-	// instead — the snapshot-scan fast path — so wasted is an upper bound).
-	PrefetchHits   int64 `json:"prefetch_hits"`
-	PrefetchWasted int64 `json:"prefetch_wasted"`
 	// ReadSlowPaths counts chunk reads that fell back to the exclusive-lock
 	// path (non-resident map nodes, invalidated plans) — the reads the batch
 	// planner could not coalesce.
@@ -139,13 +133,6 @@ func (e *scanEnv) open() (*tdb.DB, error) {
 		Registry:              reg,
 		DisableAutoClean:      true,
 		DisableAutoCheckpoint: true,
-		// Sized to the collection: every configuration starts on a cold,
-		// freshly loaded store, so each chunk is read from disk exactly once
-		// per sweep fleet — concurrent scanners share each other's fetches
-		// however far the scheduler lets one drift ahead, and the measured
-		// ratio isolates what the batch planner saves (seeks coalesced away)
-		// instead of scheduler luck.
-		ReadCacheBytes: 32 << 20,
 	})
 }
 
@@ -329,8 +316,6 @@ func runScanConfig(e *scanEnv, db *tdb.DB, shape scanShape, workload string, sca
 		DiskMillisPerScan:       float64(diskTime) / float64(time.Millisecond) / float64(scans),
 		CoalescedReadsPerScan:   float64(delta.CoalescedReads) / float64(scans),
 		PrefetchedChunksPerScan: float64(delta.PrefetchedChunks) / float64(scans),
-		PrefetchHits:            delta.PrefetchHits,
-		PrefetchWasted:          delta.PrefetchWasted,
 		ReadSlowPaths:           delta.ReadSlowPaths,
 		WriterCommitsPerSec:     float64(writerCommits) / modeled.Seconds(),
 	}, nil
@@ -340,8 +325,6 @@ func runScanConfig(e *scanEnv, db *tdb.DB, shape scanShape, workload string, sca
 type scanStatsDelta struct {
 	CoalescedReads   int64
 	PrefetchedChunks int64
-	PrefetchHits     int64
-	PrefetchWasted   int64
 	ReadSlowPaths    int64
 }
 
@@ -349,8 +332,6 @@ func statsDelta(before, after tdb.Stats) scanStatsDelta {
 	return scanStatsDelta{
 		CoalescedReads:   after.CoalescedReads - before.CoalescedReads,
 		PrefetchedChunks: after.PrefetchedChunks - before.PrefetchedChunks,
-		PrefetchHits:     after.PrefetchHits - before.PrefetchHits,
-		PrefetchWasted:   after.PrefetchWasted - before.PrefetchWasted,
 		ReadSlowPaths:    after.ReadSlowPaths - before.ReadSlowPaths,
 	}
 }
@@ -405,10 +386,10 @@ func runScanExperiments(report *objstoreReport, smoke bool) error {
 				return fmt.Errorf("scan %s x%d w%d: %w", pt.workload, pt.scanners, window, err)
 			}
 			report.ScanRuns = append(report.ScanRuns, res)
-			fmt.Printf("  %-14s %d scanners w%-2d %8.2f scans/s %9.0f objs/s   cpu %7.1fms + disk %8.1fms /scan   coalesced %6.1f/scan   prefetched %7.1f/scan   hits %6d   wasted %5d   slow %5d   writer %5.0f commits/s\n",
+			fmt.Printf("  %-14s %d scanners w%-2d %8.2f scans/s %9.0f objs/s   cpu %7.1fms + disk %8.1fms /scan   coalesced %6.1f/scan   prefetched %7.1f/scan   slow %5d   writer %5.0f commits/s\n",
 				res.Workload, res.Scanners, res.Window, res.ScansPerSec, res.ObjectsPerSec,
 				res.CPUMillisPerScan, res.DiskMillisPerScan, res.CoalescedReadsPerScan,
-				res.PrefetchedChunksPerScan, res.PrefetchHits, res.PrefetchWasted,
+				res.PrefetchedChunksPerScan,
 				res.ReadSlowPaths, res.WriterCommitsPerSec)
 		}
 	}

@@ -93,7 +93,6 @@ func runYCSBWorkload(w ycsbWorkload, workers, opsPer int) (ycsbRunResult, error)
 	s, err := objectstore.Open(objectstore.Config{
 		Chunks:      cs,
 		Registry:    reg,
-		CachePool:   pool,
 		LockTimeout: 10 * time.Second,
 	})
 	if err != nil {

@@ -130,3 +130,57 @@ func TestSnapshotHitPathAllocations(t *testing.T) {
 	}
 	t.Logf("allocations: %.0f per hot lookup, %.0f per 8-lookup snapshot transaction", perLookup, perTxn)
 }
+
+// TestTwoPhaseHitPathAllocations gates the cost of a warm 2PL read-only
+// open. The object is answered by the decode table, so an open costs only
+// the transaction's own bookkeeping: the shared lock, its lock-table entry
+// and the per-transaction record. Reopening an object the transaction
+// already holds allocates nothing.
+func TestTwoPhaseHitPathAllocations(t *testing.T) {
+	db, byID := openHotDB(t)
+	oids := make([]tdb.ObjectID, 8)
+	txn := db.Begin()
+	h, err := txn.ReadCollection("songs", byID)
+	if err != nil {
+		t.Fatalf("ReadCollection: %v", err)
+	}
+	for i := range oids {
+		it, err := h.QueryExact(byID, tdb.IntKey(int64(100*i)))
+		if err != nil || !it.Next() {
+			t.Fatalf("QueryExact %d: %v", 100*i, err)
+		}
+		if oids[i], err = it.ID(); err != nil {
+			t.Fatalf("ID: %v", err)
+		}
+		it.Close()
+	}
+	txn.Abort()
+
+	perTxn := testing.AllocsPerRun(200, func() {
+		txn := db.BeginObject()
+		for _, oid := range oids {
+			if _, err := txn.OpenReadonly(oid); err != nil {
+				t.Fatalf("OpenReadonly: %v", err)
+			}
+		}
+		txn.Abort()
+	})
+	txn2 := db.BeginObject()
+	defer txn2.Abort()
+	first, err := txn2.OpenReadonly(oids[0])
+	if err != nil {
+		t.Fatalf("OpenReadonly: %v", err)
+	}
+	reopen := testing.AllocsPerRun(200, func() {
+		if got, err := txn2.OpenReadonly(oids[0]); err != nil || got != first {
+			t.Fatalf("reopen: %p, %v", got, err)
+		}
+	})
+	if perTxn > 40 {
+		t.Errorf("a 2PL transaction of 8 warm read-only opens allocates %.0f objects, want <= 40", perTxn)
+	}
+	if reopen > 0 {
+		t.Errorf("reopening an object the transaction holds allocates %.0f objects, want 0", reopen)
+	}
+	t.Logf("allocations: %.0f per 2PL transaction of 8 warm opens, %.0f per reopen", perTxn, reopen)
+}

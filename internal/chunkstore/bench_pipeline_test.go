@@ -1,7 +1,6 @@
 package chunkstore
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -11,19 +10,18 @@ import (
 
 // Benchmarks for the two-stage commit pipeline and the lock-free read path.
 
-func benchPipelineStore(b *testing.B, suiteName string, workers int, readCache int64) *Store {
+func benchPipelineStore(b *testing.B, suiteName string, workers int) *Store {
 	b.Helper()
 	suite, err := sec.NewSuite(suiteName, []byte("bench-secret-0123456789abcdef012"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	s, err := Open(Config{
-		Store:          platform.NewMemStore(),
-		Counter:        platform.NewMemCounter(),
-		Suite:          suite,
-		UseCounter:     suiteName != "null",
-		CommitWorkers:  workers,
-		ReadCacheBytes: readCache,
+		Store:         platform.NewMemStore(),
+		Counter:       platform.NewMemCounter(),
+		Suite:         suite,
+		UseCounter:    suiteName != "null",
+		CommitWorkers: workers,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -43,7 +41,7 @@ func BenchmarkCommitParallelCrypto(b *testing.B) {
 			workers int
 		}{{"serial-inline", 1}, {"pipelined", 0}} {
 			b.Run(suiteName+"/"+mode.name, func(b *testing.B) {
-				s := benchPipelineStore(b, suiteName, mode.workers, 0)
+				s := benchPipelineStore(b, suiteName, mode.workers)
 				defer s.Close()
 				var ids []ChunkID
 				for i := 0; i < batchOps; i++ {
@@ -64,7 +62,7 @@ func BenchmarkCommitParallelCrypto(b *testing.B) {
 				}
 			})
 			b.Run(suiteName+"/"+mode.name+"-contended", func(b *testing.B) {
-				s := benchPipelineStore(b, suiteName, mode.workers, 0)
+				s := benchPipelineStore(b, suiteName, mode.workers)
 				defer s.Close()
 				data := make([]byte, chunkSize)
 				var next atomic.Uint64
@@ -100,43 +98,37 @@ func BenchmarkCommitParallelCrypto(b *testing.B) {
 }
 
 // BenchmarkConcurrentRead measures parallel readers over a pre-written
-// working set, with the validated-plaintext cache enabled (hits bypass the
-// store mutex) versus disabled (every read decrypts under the mutex).
+// working set: every read validates and decrypts off the store mutex.
 func BenchmarkConcurrentRead(b *testing.B) {
 	const chunks, chunkSize = 512, 1 << 10
 	for _, suiteName := range []string{"3des-sha1", "aes-sha256"} {
-		for _, mode := range []struct {
-			name  string
-			cache int64
-		}{{"cached", chunks * (chunkSize + 2*rcEntryOverhead)}, {"uncached", -1}} {
-			b.Run(fmt.Sprintf("%s/%s", suiteName, mode.name), func(b *testing.B) {
-				s := benchPipelineStore(b, suiteName, 0, mode.cache)
-				defer s.Close()
-				data := make([]byte, chunkSize)
-				var ids []ChunkID
-				for i := 0; i < chunks; i++ {
-					data[0], data[1] = byte(i), byte(i>>8) // defeat hash dedup
-					cid, _ := s.AllocateChunkID()
-					batch := s.NewBatch()
-					batch.Write(cid, append([]byte(nil), data...))
-					if err := s.Commit(batch, false); err != nil {
-						b.Fatal(err)
-					}
-					ids = append(ids, cid)
+		b.Run(suiteName, func(b *testing.B) {
+			s := benchPipelineStore(b, suiteName, 0)
+			defer s.Close()
+			data := make([]byte, chunkSize)
+			var ids []ChunkID
+			for i := 0; i < chunks; i++ {
+				data[0], data[1] = byte(i), byte(i>>8)
+				cid, _ := s.AllocateChunkID()
+				batch := s.NewBatch()
+				batch.Write(cid, append([]byte(nil), data...))
+				if err := s.Commit(batch, false); err != nil {
+					b.Fatal(err)
 				}
-				b.SetBytes(chunkSize)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					i := 0
-					for pb.Next() {
-						if _, err := s.Read(ids[i%chunks]); err != nil {
-							b.Error(err)
-							return
-						}
-						i++
+				ids = append(ids, cid)
+			}
+			b.SetBytes(chunkSize)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := 0
+				for pb.Next() {
+					if _, err := s.Read(ids[i%chunks]); err != nil {
+						b.Error(err)
+						return
 					}
-				})
+					i++
+				}
 			})
-		}
+		})
 	}
 }

@@ -128,15 +128,15 @@ type Stats struct {
 	Checkpoints int64
 	// CacheBytes is the memory accounted to cached map nodes.
 	CacheBytes int64
-	// ReadCacheBytes is the memory resident in the validated-plaintext read
-	// cache; ReadCacheHits and ReadCacheMisses count its lookups, and
-	// ReadCacheShards is the number of independently locked cache shards
-	// (0 when the cache is disabled).
+	// ReadCacheBytes, ReadCacheHits, ReadCacheMisses and ReadCacheShards
+	// described the validated-plaintext read cache, which is gone: decoded
+	// objects are cached in the object store's decode table. They are
+	// always zero and stay only for clients compiled against them.
 	ReadCacheBytes  int64
 	ReadCacheHits   int64
 	ReadCacheMisses int64
 	ReadCacheShards int
-	// ReadSlowPaths counts cache-miss reads that fell back to the
+	// ReadSlowPaths counts reads that fell back to the
 	// exclusive-lock read path instead of completing off-mutex (map node
 	// not resident, or repeated relocation races mid-read).
 	ReadSlowPaths int64
@@ -146,9 +146,9 @@ type Stats struct {
 	CoalescedReads  int64
 	CoalescedChunks int64
 	// PrefetchedChunks counts chunks the batch read path fetched and
-	// validated on behalf of prefetch hints. PrefetchHits counts prefetched
-	// read-cache entries later consumed by a read; PrefetchWasted counts
-	// prefetched entries evicted or invalidated before anything read them.
+	// validated on behalf of prefetch hints. PrefetchHits and PrefetchWasted
+	// counted read-cache consumption of those chunks; like the ReadCache
+	// fields they are always zero.
 	PrefetchedChunks int64
 	PrefetchHits     int64
 	PrefetchWasted   int64

@@ -303,28 +303,18 @@ func (s *Store) commitPreparedLocked(b *Batch, prep []preparedOp, durable bool) 
 	}
 	s.residualBytes += appended + sealed
 
-	// Publish the batch into the read cache (write-through for writes,
-	// invalidation for deallocs) before Commit returns, so any read that
-	// starts after the commit completes observes the new state. Off-mutex
-	// reads that snapshotted the pre-commit map are told their snapshot is
-	// stale: the epoch bump fails their revalidation, and marking in-flight
-	// coalesced reads stale keeps late joiners from adopting a result
-	// computed against the replaced version.
+	// Off-mutex reads that snapshotted the pre-commit map are told their
+	// snapshot is stale before Commit returns: the epoch bump fails their
+	// revalidation, and marking in-flight coalesced reads stale keeps late
+	// joiners from adopting a result computed against the replaced version.
+	// A committed rewrite or deallocation also replaces the chunk's stored
+	// bytes, so any quarantine on the old, damaged version no longer applies.
 	if len(b.ops) > 0 {
 		s.locEpoch.Add(1)
 	}
-	for i, op := range b.ops {
+	for _, op := range b.ops {
 		s.flights.invalidate(op.cid)
-		switch op.kind {
-		case opWrite, opRestore:
-			s.rcache.put(op.cid, prep[i].hash, op.data)
-			// A committed rewrite replaces the chunk's stored bytes, so any
-			// quarantine on the old, damaged version no longer applies.
-			delete(s.quarantine, op.cid)
-		case opDealloc:
-			s.rcache.invalidate(op.cid)
-			delete(s.quarantine, op.cid)
-		}
+		delete(s.quarantine, op.cid)
 	}
 	b.ops = nil
 	return nil

@@ -41,14 +41,11 @@ type Config struct {
 	// step may copy, bounding per-commit overhead (§3.2.1). Default one
 	// segment.
 	CleanStepBytes int64
-	// CachePool is the shared LRU pool for map nodes; one pool may be
-	// shared with the object store's object cache (paper §4.2.2). If nil a
-	// private 4 MiB pool is created.
+	// CachePool is the LRU pool for location map nodes. The store is its
+	// only owner and touches it only under its state mutex held
+	// exclusively, so the pool must not be shared. If nil a private 4 MiB
+	// pool is created.
 	CachePool *lru.Pool
-	// ReadCacheBytes bounds the validated-plaintext read cache, which serves
-	// repeat reads without taking the store mutex. 0 selects the default
-	// (4 MiB); a negative value disables the cache entirely.
-	ReadCacheBytes int64
 	// CommitWorkers is the number of goroutines used to encrypt and hash a
 	// batch's payloads during commit preparation. 0 selects one worker per
 	// CPU; 1 prepares inline on the committing goroutine.
@@ -106,9 +103,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.CachePool == nil {
 		c.CachePool = lru.NewPool(4 << 20)
-	}
-	if c.ReadCacheBytes == 0 {
-		c.ReadCacheBytes = 4 << 20
 	}
 	if c.CommitWorkers < 0 {
 		return fmt.Errorf("%w: commit workers %d negative", ErrUsage, c.CommitWorkers)

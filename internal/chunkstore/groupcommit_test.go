@@ -297,7 +297,6 @@ func TestDurableCommitContract(t *testing.T) {
 		if b.Len() != 0 {
 			t.Fatalf("applied batch still holds %d ops", b.Len())
 		}
-		s.rcache.purge()
 		if got, err := s.Read(cid); err != nil || string(got) != "v1" {
 			t.Fatalf("Read after ErrNotDurable = %q, %v; want the applied value", got, err)
 		}

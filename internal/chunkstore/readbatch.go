@@ -11,36 +11,31 @@ import (
 // known up front — so ReadBatch turns a window of those ids into bounded,
 // concurrent, off-mutex reads:
 //
-//  1. one pass over the sharded read cache picks up already-resident
-//     plaintexts;
-//  2. one short shared-lock section plans every remaining miss with the
-//     same three-act machinery point reads use (planReadLocked), paying the
-//     lock acquisition once per window instead of once per chunk;
-//  3. plans sorted by (segment, offset) are coalesced: runs of records that
+//  1. one short shared-lock section plans every chunk with the same
+//     three-act machinery point reads use (planReadLocked), paying the lock
+//     acquisition once per window instead of once per chunk;
+//  2. plans sorted by (segment, offset) are coalesced: runs of records that
 //     are physically adjacent in one segment file become a single large
 //     ReadAt, split back into records in memory (a fresh sequentially
 //     loaded collection reads at near raw-segment bandwidth);
-//  4. a bounded worker pool fans the validate+decrypt work across CPUs,
+//  3. a bounded worker pool fans the validate+decrypt work across CPUs,
 //     each plan completing through finishRead — the same epoch/entry
-//     revalidation and read-cache publication as a point read, so a cleaner
-//     relocation or commit mid-batch can never publish a stale or torn
-//     plaintext;
-//  5. plans the revalidation rejects, chunks whose map node was not
+//     revalidation as a point read, so a cleaner relocation or commit
+//     mid-batch can never return a stale or torn plaintext;
+//  4. plans the revalidation rejects, chunks whose map node was not
 //     resident, and planning-time damage all fall back to Read, whose
 //     singleflight and quarantine protocol already handle every slow case.
 //
 // Batches register their chunks in the same singleflight table point reads
-// use: a point read that misses the cache while a batch is fetching the
-// chunk follows the batch's flight instead of paying the same segment I/O,
-// and a batch skips any chunk another reader already has in flight (the
-// concurrent reader publishes it to the read cache; a prefetch hint loses
-// nothing by not duplicating the work). Without this, N identical scanners
-// in convoy would each pay the full disk cost of the same window.
+// use: a point read of a chunk a batch is fetching follows the batch's
+// flight instead of paying the same segment I/O, and a batch skips any
+// chunk another reader already has in flight (a prefetch hint loses nothing
+// by not duplicating the work). Without this, N identical scanners in convoy
+// would each pay the full disk cost of the same window.
 //
-// Results land in the read cache tagged as prefetched, exactly where point
-// reads look first, which is how the prefetch pipeline and the ordinary
-// read path meet: the iterator prefetches a window ahead, and the
-// dereference a moment later is a cache hit.
+// The prefetch pipeline and the ordinary read path meet a layer up: the
+// object store decodes a batch's results into its decode table, where the
+// iterator's dereference a moment later finds them.
 
 // BatchRead is one chunk's result in a ReadBatch: the validated plaintext,
 // or a per-chunk error with the same taxonomy as Read.
@@ -65,13 +60,10 @@ type batchTask struct {
 
 // ReadBatch reads every chunk of cids, returning per-chunk results in the
 // same order (duplicates are allowed and share one resolution). It exists
-// for prefetching: validated plaintexts are published into the read cache
-// tagged as prefetched, so the hit/wasted telemetry can attribute them, and
-// per-chunk failures are reported rather than aborting the batch — a scan
-// hint must never fail harder than the dereference it accelerates. A chunk
-// another reader already has in flight comes back with nil Data and nil Err:
-// the concurrent reader is publishing it, and a prefetch must not pay for
-// the same bytes twice.
+// for prefetching: per-chunk failures are reported rather than aborting the
+// batch — a scan hint must never fail harder than the dereference it
+// accelerates. A chunk another reader already has in flight comes back with
+// nil Data and nil Err: a prefetch must not pay for the same bytes twice.
 func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	res := make([]BatchRead, len(cids))
 	for i, cid := range cids {
@@ -80,35 +72,23 @@ func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	if len(cids) == 0 {
 		return res
 	}
-	// Act 1: pick up chunks already resident in the read cache, and collapse
-	// duplicate misses onto one pending slot each (aliases copy its result
-	// at the end).
+	// Collapse duplicates onto one pending slot each (aliases copy its
+	// result at the end).
 	pending := make([]int, 0, len(cids))
-	var first map[ChunkID]int
+	first := make(map[ChunkID]int, len(cids))
 	var aliases [][2]int
 	for i, cid := range cids {
-		if data, ok := s.rcache.get(cid); ok {
-			res[i].Data = data
-			continue
-		}
 		if j, dup := first[cid]; dup {
 			aliases = append(aliases, [2]int{i, j})
 			continue
 		}
-		if first == nil {
-			first = make(map[ChunkID]int, len(cids))
-		}
 		first[cid] = i
 		pending = append(pending, i)
 	}
-	if len(pending) == 0 {
-		return res
-	}
-	// Act 2: plan every miss under one shared-lock section, claiming each
-	// chunk's singleflight slot (misses already in flight elsewhere drop
-	// out here).
+	// Plan every chunk under one shared-lock section, claiming each chunk's
+	// singleflight slot (chunks already in flight elsewhere drop out here).
 	plans, planIdxs, slow := s.planBatch(pending, res)
-	// Act 3: coalesce adjacent plans and fan the fetch+validate+decrypt
+	// Coalesce adjacent plans and fan the fetch+validate+decrypt
 	// work across the worker pool. Every plan completes through finishRead
 	// (which also releases its segment pin) and releases its flight.
 	if len(plans) > 0 {
@@ -138,8 +118,7 @@ func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 // as slow indices for the point-read fallback. Planned chunks claim their
 // singleflight slot (lock order Store.mu → flightShard.mu, the commit
 // path's order); a chunk some other reader is already fetching is skipped —
-// its result slot stays (nil, nil) and the concurrent reader publishes the
-// plaintext.
+// its result slot stays (nil, nil).
 func (s *Store) planBatch(pending []int, res []BatchRead) (plans []*readPlan, planIdxs, slow []int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -165,7 +144,6 @@ func (s *Store) planBatch(pending []int, res []BatchRead) (plans []*readPlan, pl
 				s.segs.unpinReaderLocked(p.seg)
 				continue
 			}
-			p.prefetch = true
 			plans = append(plans, p)
 			planIdxs = append(planIdxs, i)
 		}
@@ -294,7 +272,7 @@ func (s *Store) runBatchTask(t batchTask, res []BatchRead) {
 	}
 }
 
-// completeBatchPlan revalidates and publishes one plan's outcome, releasing
+// completeBatchPlan revalidates one plan's outcome, releasing
 // the flight the plan claimed. A stale plan — the cleaner or a commit moved
 // the record mid-batch — abandons its flight first (following it from the
 // fallback would deadlock) and retries through the full point-read path,

@@ -6,48 +6,10 @@ import (
 	"testing"
 )
 
-func TestReadCacheHitMiss(t *testing.T) {
-	env := newTestEnv(t, "aes-sha256")
-	s := env.open(t)
-	defer s.Close()
-
-	payload := bytes.Repeat([]byte("m"), 256)
-	cid, err := s.AllocateChunkID()
-	if err != nil {
-		t.Fatalf("AllocateChunkID: %v", err)
-	}
-	writeChunk(t, s, cid, payload)
-	// The commit wrote through to the cache, so the first read already hits.
-	for i := 0; i < 3; i++ {
-		got, err := s.Read(cid)
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("Read %d: %q, %v", i, got, err)
-		}
-	}
-	st := s.Stats()
-	if st.ReadCacheHits < 3 {
-		t.Fatalf("hits = %d, want >= 3", st.ReadCacheHits)
-	}
-	if st.ReadCacheBytes <= 0 {
-		t.Fatalf("cache reports %d resident bytes after hits", st.ReadCacheBytes)
-	}
-
-	// A cold read (cache purged) misses, then repopulates.
-	s.rcache.purge()
-	if st := s.Stats(); st.ReadCacheBytes != 0 {
-		t.Fatalf("purge left %d bytes resident", st.ReadCacheBytes)
-	}
-	missesBefore := s.Stats().ReadCacheMisses
-	if _, err := s.Read(cid); err != nil {
-		t.Fatalf("cold Read: %v", err)
-	}
-	if st := s.Stats(); st.ReadCacheMisses != missesBefore+1 {
-		t.Fatalf("cold read did not count a miss: %d -> %d", missesBefore, st.ReadCacheMisses)
-	}
-	if _, err := s.Read(cid); err != nil {
-		t.Fatalf("warm Read: %v", err)
-	}
-}
+// The chunk store keeps no plaintext cache: decoded objects are cached a
+// layer up, in the object store's decode table. These tests pin that a
+// chunk read always reflects the latest commit and that the read-cache
+// statistics stay zero.
 
 func TestReadCacheCoherenceOnOverwrite(t *testing.T) {
 	env := newTestEnv(t, "null")
@@ -60,7 +22,7 @@ func TestReadCacheCoherenceOnOverwrite(t *testing.T) {
 	}
 	writeChunk(t, s, cid, []byte("v2"))
 	if got, _ := s.Read(cid); !bytes.Equal(got, []byte("v2")) {
-		t.Fatalf("Read after overwrite: %q, want v2 (stale cache)", got)
+		t.Fatalf("Read after overwrite: %q, want v2", got)
 	}
 }
 
@@ -79,13 +41,12 @@ func TestReadCacheCoherenceOnDealloc(t *testing.T) {
 		t.Fatalf("Commit(dealloc): %v", err)
 	}
 	if _, err := s.Read(cid); !errors.Is(err, ErrNotAllocated) {
-		t.Fatalf("Read after dealloc: %v, want ErrNotAllocated (stale cache)", err)
+		t.Fatalf("Read after dealloc: %v, want ErrNotAllocated", err)
 	}
 }
 
 func TestReadCacheDisabled(t *testing.T) {
 	env := newTestEnv(t, "null")
-	env.cfg.ReadCacheBytes = -1
 	s := env.open(t)
 	defer s.Close()
 
@@ -97,88 +58,6 @@ func TestReadCacheDisabled(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.ReadCacheBytes != 0 || st.ReadCacheHits != 0 || st.ReadCacheMisses != 0 {
-		t.Fatalf("disabled cache reports activity: %+v", st)
-	}
-}
-
-// TestReadCacheDedupByContent checks that chunks whose stored records carry
-// the same validated hash share one cached plaintext. Entries are keyed by
-// the ciphertext hash, so identical plaintexts only coincide under the null
-// suite (encryption gives equal plaintexts distinct IVs and ciphertexts).
-// Deduplication is per cache shard, so the test picks two ids the shard
-// function maps to the same shard.
-func TestReadCacheDedupByContent(t *testing.T) {
-	env := newTestEnv(t, "null")
-	s := env.open(t)
-	defer s.Close()
-
-	var a, bID ChunkID
-	seen := make(map[*rcShard]ChunkID)
-	for {
-		cid, err := s.AllocateChunkID()
-		if err != nil {
-			t.Fatalf("AllocateChunkID: %v", err)
-		}
-		sh := s.rcache.shard(cid)
-		if prev, ok := seen[sh]; ok {
-			a, bID = prev, cid
-			break
-		}
-		seen[sh] = cid
-	}
-	payload := bytes.Repeat([]byte("d"), 1024)
-	writeChunk(t, s, a, payload)
-	writeChunk(t, s, bID, payload)
-	if _, err := s.Read(a); err != nil {
-		t.Fatalf("Read(a): %v", err)
-	}
-	if _, err := s.Read(bID); err != nil {
-		t.Fatalf("Read(b): %v", err)
-	}
-	st := s.Stats()
-	oneEntry := int64(len(payload)) + rcEntryOverhead
-	if st.ReadCacheBytes != oneEntry {
-		t.Fatalf("resident bytes = %d, want %d (one shared entry)", st.ReadCacheBytes, oneEntry)
-	}
-	// Deallocating one id must not evict the other's mapping.
-	b := s.NewBatch()
-	b.Deallocate(a)
-	if err := s.Commit(b, true); err != nil {
-		t.Fatalf("Commit(dealloc): %v", err)
-	}
-	hitsBefore := s.Stats().ReadCacheHits
-	if got, err := s.Read(bID); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("Read(b) after dealloc(a): %q, %v", got, err)
-	}
-	if st := s.Stats(); st.ReadCacheHits != hitsBefore+1 {
-		t.Fatal("surviving id no longer served from cache")
-	}
-}
-
-// TestReadCacheEviction checks the budget is enforced: filling the cache
-// past its bound evicts old entries (and their id mappings) rather than
-// growing without limit.
-func TestReadCacheEviction(t *testing.T) {
-	env := newTestEnv(t, "null")
-	env.cfg.ReadCacheBytes = 8 << 10
-	s := env.open(t)
-	defer s.Close()
-
-	payload := make([]byte, 2<<10)
-	var ids []ChunkID
-	for i := 0; i < 16; i++ {
-		payload[0] = byte(i) // distinct contents, no dedup
-		ids = append(ids, allocWrite(t, s, payload))
-	}
-	st := s.Stats()
-	if st.ReadCacheBytes > 8<<10 {
-		t.Fatalf("cache over budget: %d > %d", st.ReadCacheBytes, 8<<10)
-	}
-	// Every chunk must still read correctly, cached or not.
-	for i, cid := range ids {
-		got, err := s.Read(cid)
-		if err != nil || got[0] != byte(i) {
-			t.Fatalf("Read(%d): %v %v", cid, got[:1], err)
-		}
+		t.Fatalf("absent read cache reports activity: %+v", st)
 	}
 }

@@ -2,8 +2,8 @@ package chunkstore
 
 import "sync"
 
-// Per-chunk singleflight for cache-miss reads. A Zipfian hot key that is not
-// (yet) in the read cache draws many concurrent readers; without coalescing,
+// Per-chunk singleflight for chunk reads. A Zipfian hot key that is not
+// (yet) decoded a layer up draws many concurrent readers; without coalescing,
 // each of them pays the full segment read, hash validation, and decryption
 // for the same bytes. readFlights lets the first reader (the leader) do that
 // work once while followers wait on its result.
@@ -12,8 +12,7 @@ import "sync"
 // leader revalidated (see finishRead). A commit that rewrites or deallocates
 // the chunk while the flight is in progress marks it stale — from inside
 // commitPreparedLocked, before Commit returns — and stale followers retry
-// against the read cache, where the same commit's write-through already
-// published the new value. The mutex handoff gives the happens-before chain:
+// the read, which observes the new value. The mutex handoff gives the happens-before chain:
 // a staling commit finds the flight registered and writes stale under the
 // shard mutex; the leader's removal of the flight takes the same mutex and
 // precedes close(done), which every follower's read of stale synchronizes
@@ -130,7 +129,7 @@ func (rf *readFlights) complete(cid ChunkID, f *readFlight, data []byte, err err
 }
 
 // abandon releases a claimed flight without a result: followers observe
-// stale and retry against the read cache, exactly as after a superseding
+// stale and retry the read, exactly as after a superseding
 // commit. Batch reads abandon before falling back to the point-read path,
 // which would otherwise deadlock following its own flight.
 func (rf *readFlights) abandon(cid ChunkID, f *readFlight) {

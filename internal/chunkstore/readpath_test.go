@@ -26,7 +26,6 @@ func TestReadMissOffMutexHappyPath(t *testing.T) {
 		ids = append(ids, allocWrite(t, s, p))
 		payloads = append(payloads, p)
 	}
-	s.rcache.purge()
 
 	s.mu.RLock()
 	got, err := s.Read(ids[0])
@@ -44,23 +43,6 @@ func TestReadMissOffMutexHappyPath(t *testing.T) {
 	st := s.Stats()
 	if st.ReadSlowPaths != 0 {
 		t.Fatalf("ReadSlowPaths = %d after warm-map cache misses, want 0", st.ReadSlowPaths)
-	}
-	if st.ReadCacheMisses < n {
-		t.Fatalf("ReadCacheMisses = %d, want >= %d", st.ReadCacheMisses, n)
-	}
-	if st.ReadCacheShards < 1 {
-		t.Fatalf("ReadCacheShards = %d, want >= 1", st.ReadCacheShards)
-	}
-	// The misses republished every chunk; the second pass must hit.
-	hitsBefore := st.ReadCacheHits
-	for i, cid := range ids {
-		got, err := s.Read(cid)
-		if err != nil || !bytes.Equal(got, payloads[i]) {
-			t.Fatalf("warm Read(%d): %v", cid, err)
-		}
-	}
-	if st := s.Stats(); st.ReadCacheHits < hitsBefore+n {
-		t.Fatalf("hits %d -> %d, want +%d", hitsBefore, st.ReadCacheHits, n)
 	}
 }
 
@@ -97,7 +79,6 @@ func TestReadRetryOnCleanerRelocation(t *testing.T) {
 		return e.loc
 	}()
 
-	s.rcache.purge()
 	p, err := s.planRead(victim)
 	if err != nil || p == nil {
 		t.Fatalf("planRead: %v, plan=%v", err, p)
@@ -134,9 +115,6 @@ func TestReadRetryOnCleanerRelocation(t *testing.T) {
 	}
 	if got := p.seg.readers.Load(); got != 0 {
 		t.Fatalf("segment pin count = %d after finish, want 0", got)
-	}
-	if _, ok := s.rcache.get(victim); ok {
-		t.Fatal("stale read was published to the read cache")
 	}
 
 	// The retry (a full Read) lands on the relocated record.
@@ -217,8 +195,8 @@ func TestReadFlightsStaleInvalidation(t *testing.T) {
 }
 
 // TestConcurrentReadsRaceCleaner hammers stable chunks from reader
-// goroutines while the main goroutine rewrites churn chunks, purges the
-// read cache, and runs cleaner and checkpoint passes. Every read must
+// goroutines while the main goroutine rewrites churn chunks and runs
+// cleaner and checkpoint passes. Every read must
 // return the exact stable payload — relocations mid-read must be caught by
 // revalidation, never surfaced as wrong data or spurious errors.
 func TestConcurrentReadsRaceCleaner(t *testing.T) {
@@ -265,9 +243,6 @@ func TestConcurrentReadsRaceCleaner(t *testing.T) {
 		for i, cid := range churn {
 			writeChunk(t, s, cid, bytes.Repeat([]byte{byte(round), byte(i)}, 150))
 		}
-		// Purging forces the readers back onto the miss path, racing the
-		// cleaner's relocations below.
-		s.rcache.purge()
 		if err := s.Clean(); err != nil {
 			t.Fatalf("Clean: %v", err)
 		}

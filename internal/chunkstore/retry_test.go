@@ -23,7 +23,6 @@ func TestRetryPolicyAbsorbsTransientErrors(t *testing.T) {
 	env := newTestEnv(t, "3des-sha1")
 	rec := &sleepRecorder{}
 	env.cfg.Retry = RetryPolicy{MaxAttempts: 4, Sleep: rec.sleep}
-	env.cfg.ReadCacheBytes = -1 // force every read to touch storage
 	s := env.open(t)
 	defer s.Close()
 
@@ -103,7 +102,6 @@ func TestExhaustedRetrySurfacesIOErrorWithContext(t *testing.T) {
 	env := newTestEnv(t, "3des-sha1")
 	rec := &sleepRecorder{}
 	env.cfg.Retry = RetryPolicy{MaxAttempts: 3, Sleep: rec.sleep}
-	env.cfg.ReadCacheBytes = -1
 	s := env.open(t)
 	defer s.Close()
 	cid := allocWrite(t, s, bytes.Repeat([]byte("x"), 100))
@@ -144,7 +142,6 @@ func TestTamperedIsNeverRetried(t *testing.T) {
 	// read counter proves exactly one physical read happened.
 	env := newTestEnv(t, "3des-sha1")
 	env.cfg.Retry = RetryPolicy{MaxAttempts: 6}
-	env.cfg.ReadCacheBytes = -1
 	s := env.open(t)
 	defer s.Close()
 	cid := allocWrite(t, s, bytes.Repeat([]byte("y"), 200))

@@ -87,10 +87,6 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	s.quarantine = make(map[ChunkID]string, len(report.Bad))
 	for _, b := range report.Bad {
 		s.quarantine[b.ID] = b.Reason
-		// Drop any cached plaintext so the degradation is observable: reads
-		// must reflect what the store can actually deliver after a crash
-		// evicts the cache.
-		s.rcache.invalidate(b.ID)
 	}
 	return report, nil
 }

@@ -66,7 +66,6 @@ func TestScrubReportsExactlyTheRottenChunks(t *testing.T) {
 	for _, cid := range rotten {
 		rotChunk(t, env, s, cid)
 	}
-	s.rcache.purge() // cached plaintext must not mask on-disk damage
 
 	report, err := s.Scrub()
 	if err != nil {
@@ -131,7 +130,6 @@ func TestOrganicReadQuarantinesDamagedChunk(t *testing.T) {
 	// A read that trips over bit rot quarantines the chunk itself — no
 	// scrub required — and the second read fails fast from quarantine.
 	env := newTestEnv(t, "3des-sha1")
-	env.cfg.ReadCacheBytes = -1
 	s := env.open(t)
 	defer s.Close()
 	good := allocWrite(t, s, []byte("fine"))

@@ -14,12 +14,11 @@ import (
 // methods are safe for concurrent use. Commits run a two-stage pipeline:
 // payload encryption and hashing execute outside the state mutex, fanned
 // out across CPUs, and only log appends plus the staged in-memory merge
-// serialize under the mutex (see commit_pipeline.go). Reads of cached,
-// already-validated chunks bypass the state mutex entirely through the
-// read cache (see readcache.go); cache misses snapshot the chunk's map
-// entry under a short shared-lock section and run the segment I/O, hash
-// validation, and decryption with no lock held, revalidating the snapshot
-// before publishing (see Read and DESIGN.md §7.7).
+// serialize under the mutex (see commit_pipeline.go). Reads snapshot the
+// chunk's map entry under a short shared-lock section and run the segment
+// I/O, hash validation, and decryption with no lock held, revalidating the
+// snapshot afterwards (see Read and DESIGN.md §7.7). Decoded objects are
+// cached a layer up, in the object store's decode table.
 type Store struct {
 	mu  sync.RWMutex
 	cfg Config
@@ -29,11 +28,7 @@ type Store struct {
 	lm    *locMap
 	alloc *allocator
 
-	// rcache serves validated plaintext reads without the state mutex. It
-	// is created at Open and never reassigned, so it may be dereferenced
-	// without holding mu. Nil when disabled.
-	rcache *readCache
-	// flights coalesces concurrent cache-miss reads of the same chunk so a
+	// flights coalesces concurrent reads of the same chunk so a
 	// hot-key storm pays one segment read + validation + decrypt instead of
 	// one per reader. Created at Open and never reassigned. The commit path
 	// marks in-flight reads of rewritten or deallocated chunks stale (see
@@ -45,7 +40,7 @@ type Store struct {
 	// planRead and revalidate in finishRead; an unchanged epoch proves the
 	// snapshot's (loc, hash) still describes the chunk's current version.
 	locEpoch atomic.Uint64
-	// readSlow counts cache-miss reads that fell back to the exclusive-lock
+	// readSlow counts reads that fell back to the exclusive-lock
 	// read path (map node not resident in memory, or repeated relocation
 	// races). The happy path never touches the exclusive lock; tests assert
 	// this stays zero for warm-map workloads.
@@ -167,7 +162,6 @@ func Open(cfg Config) (*Store, error) {
 		s.counterVal.Store(v)
 		s.stampCtr, s.sealedCtr = v, v
 	}
-	s.rcache = newReadCache(cfg.ReadCacheBytes)
 	s.flights = newReadFlights()
 	// readSuperblock caches the superblock handle on s.superFile; failed
 	// opens must release it (successful opens keep it until Store.Close).
@@ -339,9 +333,6 @@ func (s *Store) Close() error {
 		err = cerr
 	}
 	s.closed.Store(true)
-	// Purge last: once the cache is empty, every Read falls through to the
-	// mutex path and observes the closed flag.
-	s.rcache.purge()
 	return err
 }
 
@@ -408,42 +399,34 @@ func (s *Store) Release(cid ChunkID) error {
 // ErrNotWritten for ids without committed state and ErrTampered if the
 // stored chunk fails validation against the Merkle tree.
 //
-// Reads of chunks whose validated plaintext is resident in the read cache
-// complete without taking the state mutex at all. Cache misses coalesce
-// per chunk (one reader does the work, concurrent readers of the same
-// chunk share its result) and run the segment I/O, hash validation, and
-// decryption with no lock held: only a short shared-lock section snapshots
-// the chunk's map entry beforehand and revalidates it afterwards, so
-// misses proceed concurrently with each other and exclusive sections stay
-// short. Reads fall back to the exclusive-lock path only when the map node
-// holding the entry is not resident in memory.
+// Reads coalesce per chunk (one reader does the work, concurrent readers of
+// the same chunk share its result) and run the segment I/O, hash
+// validation, and decryption with no lock held: only a short shared-lock
+// section snapshots the chunk's map entry beforehand and revalidates it
+// afterwards, so reads proceed concurrently with each other and exclusive
+// sections stay short. Reads fall back to the exclusive-lock path only when
+// the map node holding the entry is not resident in memory.
 func (s *Store) Read(cid ChunkID) ([]byte, error) {
 	for {
-		if data, ok := s.rcache.get(cid); ok {
-			return data, nil
-		}
 		data, err, stale := s.flights.do(cid, func() ([]byte, error) {
 			return s.readMiss(cid)
 		})
-		if stale {
-			// A commit rewrote or deallocated the chunk while the shared
-			// flight was in progress; its write-through already published
-			// the new state, so re-check the cache and retry.
-			continue
+		if !stale {
+			return data, err
 		}
-		return data, err
+		// A commit rewrote or deallocated the chunk while the shared flight
+		// was in progress: read the new state.
 	}
 }
 
-// readMissRetries bounds how often a cache-miss read retries after losing a
+// readMissRetries bounds how often an off-mutex read retries after losing a
 // race with the cleaner or a commit before it gives up and serializes under
 // the exclusive lock. Losing twice in a row already requires back-to-back
 // relocations of the same chunk mid-read.
 const readMissRetries = 4
 
-// readMiss performs one cache-miss read: snapshot under the shared lock,
-// fetch + validate + decrypt with no lock held, revalidate and publish under
-// the shared lock. It retries when a relocation invalidated the snapshot
+// readMiss performs one read: snapshot under the shared lock, fetch +
+// validate + decrypt with no lock held, revalidate under the shared lock. It retries when a relocation invalidated the snapshot
 // mid-read and falls back to the exclusive-lock path when the map entry is
 // not resident or the retry budget is exhausted.
 func (s *Store) readMiss(cid ChunkID) ([]byte, error) {
@@ -478,7 +461,7 @@ func (s *Store) readMiss(cid ChunkID) ([]byte, error) {
 	return s.readLocked(cid)
 }
 
-// readPlan is the shared-lock snapshot one cache-miss read validates
+// readPlan is the shared-lock snapshot one off-mutex read validates
 // against: the chunk's map entry, its pinned segment, the epoch stamp, and
 // a buffer pre-filled with any record bytes still in the write-behind
 // buffer (those may be trimmed after the lock is released; flushed bytes
@@ -493,10 +476,6 @@ type readPlan struct {
 	// under the lock.
 	fromFile int64
 	stamp    uint64
-	// prefetch marks a plan issued on behalf of a prefetch hint: its cache
-	// publication is tagged so the hit/wasted telemetry can tell prefetched
-	// entries from ones point reads fetched for themselves.
-	prefetch bool
 	// flight is the singleflight registration a batch read claimed for this
 	// chunk, so concurrent point readers follow the batch instead of paying
 	// the same I/O. completeBatchPlan releases it; nil for point-read plans
@@ -504,7 +483,7 @@ type readPlan struct {
 	flight *readFlight
 }
 
-// planRead snapshots everything a cache-miss read needs under the shared
+// planRead snapshots everything an off-mutex read needs under the shared
 // lock. It returns (nil, nil) when the chunk's map node is not resident in
 // memory — the caller falls back to the exclusive path — and a non-nil plan
 // alongside an ErrTampered error when the entry itself is damaged, so the
@@ -566,7 +545,7 @@ func (s *Store) planReadLocked(cid ChunkID) (*readPlan, error) {
 	return p, nil
 }
 
-// executeRead runs the expensive half of a cache-miss read — segment I/O,
+// executeRead runs the expensive half of an off-mutex read — segment I/O,
 // record parsing, Merkle hash validation, decryption — with no lock held.
 func (s *Store) executeRead(p *readPlan) ([]byte, error) {
 	if p.fromFile > 0 {
@@ -581,8 +560,8 @@ func (s *Store) executeRead(p *readPlan) ([]byte, error) {
 	return s.validateChunkRecord(p.cid, p.e, typ, body)
 }
 
-// finishRead revalidates a completed off-lock read under the shared lock
-// and publishes its result. done=false means the snapshot went stale (the
+// finishRead revalidates a completed off-lock read under the shared lock.
+// done=false means the snapshot went stale (the
 // cleaner or a commit moved the record mid-read) and the caller must retry;
 // the read's outcome — success or failure — is discarded, because it was
 // computed against bytes that may no longer be the chunk's current version.
@@ -598,9 +577,6 @@ func (s *Store) finishRead(p *readPlan, plain []byte, rerr error) (data []byte, 
 		if cur, resident := s.lm.getCached(p.cid); resident && cur.loc == p.e.loc && sec.HashEqual(cur.hash, p.e.hash) {
 			current = true
 		}
-	}
-	if current && rerr == nil && !closed && !quarantined {
-		s.rcache.putTagged(p.cid, p.e.hash, plain, p.prefetch)
 	}
 	s.mu.RUnlock()
 	switch {
@@ -682,7 +658,6 @@ func (s *Store) readLocked(cid ChunkID) ([]byte, error) {
 		}
 		return nil, err
 	}
-	s.rcache.put(cid, e.hash, plain)
 	return plain, nil
 }
 
@@ -1025,12 +1000,10 @@ func (s *Store) Stats() Stats {
 		Checkpoints:  s.statCheckpoints,
 		CacheBytes:   s.cfg.CachePool.Used(),
 	}
-	st.ReadCacheBytes, st.ReadCacheHits, st.ReadCacheMisses, st.ReadCacheShards = s.rcache.stats()
 	st.ReadSlowPaths = s.readSlow.Load()
 	st.CoalescedReads = s.coalescedReads.Load()
 	st.CoalescedChunks = s.coalescedChunks.Load()
 	st.PrefetchedChunks = s.prefetchedChunks.Load()
-	st.PrefetchHits, st.PrefetchWasted = s.rcache.prefetchStats()
 	if disk > 0 {
 		st.Utilization = float64(live) / float64(disk)
 	}

@@ -8,11 +8,10 @@ import (
 )
 
 // TestConcurrentReadersCommittersSnapshots drives the store from many
-// goroutines at once — committers on disjoint chunk sets, readers hitting
-// the lock-free cache path and the cold path, snapshot scans, and Stats —
-// and then audits the final state. Run under -race this exercises the
-// commit pipeline's stage-1 fan-out, the read cache's RWMutex, and the
-// Store.mu → readCache.mu lock order.
+// goroutines at once — committers on disjoint chunk sets, readers on the
+// off-mutex path, snapshot scans, and Stats — and then audits the final
+// state. Run under -race this exercises the commit pipeline's stage-1
+// fan-out and the shared-lock read path beside it.
 func TestConcurrentReadersCommittersSnapshots(t *testing.T) {
 	for _, suiteName := range []string{"aes-sha256", "null"} {
 		t.Run(suiteName, func(t *testing.T) {

@@ -221,10 +221,6 @@ func TestCrossChunkSwapDetected(t *testing.T) {
 	segB.file.WriteAt(recB, int64(eb.loc.Off))
 	s.mu.Unlock()
 
-	// The read cache still holds the genuine plaintext from the commit;
-	// tamper detection applies to reads that touch storage, so force one.
-	s.rcache.purge()
-
 	if _, err := s.Read(a); !errors.Is(err, ErrTampered) {
 		t.Fatalf("swapped chunk read: %v", err)
 	}

@@ -36,7 +36,6 @@ func benchCollectionStore(b *testing.B) *Store {
 	os, err := objectstore.Open(objectstore.Config{
 		Chunks:         cs,
 		Registry:       reg,
-		CachePool:      pool,
 		LockTimeout:    time.Second,
 		DisableLocking: true,
 	})

@@ -11,7 +11,7 @@ import (
 
 // B-tree index (paper §5.2.4). Nodes are ordinary persistent objects: they
 // are locked with the same two-phase locking as application objects and
-// cached in the shared object cache, which is how the paper gets index
+// cached in the object store's decode table, which is how the paper gets index
 // caching for free (§4.2.2).
 //
 // Entries are sorted by (encoded key, object id); the object id tiebreak

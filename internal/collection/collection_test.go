@@ -89,7 +89,6 @@ func (e *colEnv) open(t *testing.T) *Store {
 	os, err := objectstore.Open(objectstore.Config{
 		Chunks:      cs,
 		Registry:    e.reg,
-		CachePool:   e.pool,
 		LockTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {

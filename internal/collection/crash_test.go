@@ -53,7 +53,6 @@ func (e *colCrashEnv) open(t *testing.T) *Store {
 	os, err := objectstore.Open(objectstore.Config{
 		Chunks:      cs,
 		Registry:    e.reg,
-		CachePool:   pool,
 		LockTimeout: time.Second,
 	})
 	if err != nil {

@@ -20,8 +20,8 @@ func PrefetchActive() int64 { return prefetchActive.Load() }
 // prefetcher drives a sliding prefetch window ahead of an iterator's cursor.
 // The iterator's materialized result set is a perfect prefetch plan — every
 // oid it will dereference is known up front — so the prefetcher walks that
-// plan a bounded distance ahead of the consumer, warming the chunk-level read
-// cache and the MVCC decode cache through Txn.Prefetch (which is the one Txn
+// plan a bounded distance ahead of the consumer, warming the object store's
+// decode table through Txn.Prefetch (which is the one Txn
 // method documented safe for use concurrent with opens on the same Txn).
 //
 // Backpressure and batching: the goroutine sleeps until the uncovered part

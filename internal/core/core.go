@@ -60,8 +60,9 @@ type Options struct {
 	// registry.
 	Registry *objectstore.Registry
 
-	// CacheBytes is the shared cache budget for objects and location map
-	// nodes (default 4 MiB, the paper's benchmark configuration).
+	// CacheBytes is the cache budget for location map nodes (default 4 MiB,
+	// the paper's benchmark configuration). Decoded objects live in the
+	// object store's decode table, which has a constant budget of its own.
 	CacheBytes int64
 	// SegmentSize, Fanout, MaxUtilization, CheckpointBytes, CleanStepBytes
 	// tune the chunk store (zero values select defaults; see
@@ -75,12 +76,6 @@ type Options struct {
 	// explicit Clean/Checkpoint calls (idle-time cleaning).
 	DisableAutoClean      bool
 	DisableAutoCheckpoint bool
-
-	// ReadCacheBytes bounds the chunk store's validated-plaintext read
-	// cache, where prefetched chunks land and concurrent scanners share
-	// each other's fetches (default 4 MiB; see
-	// chunkstore.Config.ReadCacheBytes). Negative disables the cache.
-	ReadCacheBytes int64
 
 	// Retry governs how transient storage I/O errors are retried (zero
 	// fields select the defaults; see chunkstore.RetryPolicy).
@@ -211,7 +206,6 @@ func (db *DB) chunkConfig() chunkstore.Config {
 		CachePool:             db.pool,
 		DisableAutoClean:      db.opts.DisableAutoClean,
 		DisableAutoCheckpoint: db.opts.DisableAutoCheckpoint,
-		ReadCacheBytes:        db.opts.ReadCacheBytes,
 		Retry:                 db.opts.Retry,
 	}
 }
@@ -221,7 +215,6 @@ func (db *DB) layerUp() error {
 	os, err := objectstore.Open(objectstore.Config{
 		Chunks:         db.chunks,
 		Registry:       db.opts.Registry,
-		CachePool:      db.pool,
 		LockTimeout:    db.opts.LockTimeout,
 		DisableLocking: db.opts.DisableLocking,
 		ReadonlyChecks: db.opts.ReadonlyChecks,

@@ -1,11 +1,14 @@
-// Package lru implements a shared least-recently-used cache pool.
+// Package lru implements the least-recently-used pool that bounds the chunk
+// store's cache of location map nodes.
 //
-// TDB maintains one LRU list shared between the caches of different layers —
-// the object store's object cache and the chunk store's cache of location
-// map nodes — so that the total cache budget is dynamically apportioned to
-// whichever cache needs it (paper §4.2.2). This package provides that shared
-// list: owners register entries with a size and an eviction callback; when
-// the pool exceeds its budget, the least recently used unpinned entries are
+// The pool has a single owner: the chunk store registers, touches, removes
+// and evicts map nodes only while holding its state mutex exclusively, so
+// the pool performs no locking of its own. (The paper shares one such list
+// between the object cache and the map-node cache to apportion one budget
+// dynamically, §4.2.2; here decoded objects live in the object store's
+// decode table under a budget of their own, so no layer evicts another's
+// entries.) Owners register entries with a size and an eviction callback;
+// when the pool exceeds its budget, the least recently used entries are
 // evicted through their callbacks.
 package lru
 
@@ -17,17 +20,15 @@ type Entry struct {
 	pool *Pool
 	elem *list.Element
 	size int64
-	pins int
-	// evict is called (with the pool lock held by the caller's goroutine)
-	// when the pool discards the entry. It must drop the owner's reference.
-	// Returning false vetoes the eviction (e.g., a map node with cached
-	// children); the pool then skips this entry.
+	// evict is called by the pool's owner goroutine when the pool discards
+	// the entry. It must drop the owner's reference. Returning false vetoes
+	// the eviction (e.g., a map node with cached children); the pool then
+	// skips this entry.
 	evict func() bool
 }
 
-// Pool is a fixed-budget LRU list. It is not safe for concurrent use; TDB
-// serializes access through its state mutex, so the pool performs no
-// locking of its own.
+// Pool is a fixed-budget LRU list. It is not safe for concurrent use: its
+// owner serializes every call.
 type Pool struct {
 	budget int64
 	used   int64
@@ -60,9 +61,7 @@ func (p *Pool) Add(size int64, evict func() bool) *Entry {
 	e := &Entry{pool: p, size: size, evict: evict}
 	e.elem = p.ll.PushFront(e)
 	p.used += size
-	e.pins++
-	p.Enforce()
-	e.pins--
+	p.enforce(e)
 	return e
 }
 
@@ -71,30 +70,6 @@ func (e *Entry) Touch() {
 	if e.elem != nil {
 		e.pool.ll.MoveToFront(e.elem)
 	}
-}
-
-// Pin prevents eviction until a matching Unpin. Pins nest.
-func (e *Entry) Pin() { e.pins++ }
-
-// Unpin releases one pin.
-func (e *Entry) Unpin() {
-	if e.pins > 0 {
-		e.pins--
-	}
-}
-
-// Pinned reports whether the entry is currently pinned.
-func (e *Entry) Pinned() bool { return e.pins > 0 }
-
-// Resize adjusts the entry's accounted size (an object grew or shrank) and
-// enforces the budget.
-func (e *Entry) Resize(size int64) {
-	if e.elem == nil {
-		return
-	}
-	e.pool.used += size - e.size
-	e.size = size
-	e.pool.Enforce()
 }
 
 // Remove unregisters the entry without invoking its eviction callback (the
@@ -108,22 +83,21 @@ func (e *Entry) Remove() {
 	e.elem = nil
 }
 
-// Resident reports whether the entry is still registered.
-func (e *Entry) Resident() bool { return e.elem != nil }
-
 // enforceScanLimit bounds how many entries one enforcement pass examines.
-// When the pool is dominated by unevictable residents (pinned entries,
-// dirty map nodes), an unbounded walk would revisit every vetoing entry on
-// every Add — O(n²) overall. A bounded scan keeps Add O(1) amortized; the
-// pool temporarily exceeds its budget instead, which is the only sound
-// choice when residents cannot be dropped.
+// When the pool is dominated by unevictable residents (dirty map nodes,
+// nodes with cached children), an unbounded walk would revisit every vetoing
+// entry on every Add — O(n²) overall. A bounded scan keeps Add O(1)
+// amortized; the pool temporarily exceeds its budget instead, which is the
+// only sound choice when residents cannot be dropped.
 const enforceScanLimit = 64
 
-// Enforce evicts least recently used, unpinned, non-vetoing entries until
-// the pool fits its budget, examining at most enforceScanLimit entries.
-// Vetoing entries are rotated to the front so successive passes do not
-// rescan the same unevictable tail.
-func (p *Pool) Enforce() {
+// Enforce evicts least recently used, non-vetoing entries until the pool
+// fits its budget, examining at most enforceScanLimit entries.
+func (p *Pool) Enforce() { p.enforce(nil) }
+
+// enforce is Enforce sparing keep. Vetoing entries (and keep) are rotated
+// to the front so successive passes do not rescan the same unevictable tail.
+func (p *Pool) enforce(keep *Entry) {
 	if p.budget <= 0 {
 		return
 	}
@@ -133,15 +107,15 @@ func (p *Pool) Enforce() {
 			return
 		}
 		e := elem.Value.(*Entry)
-		if !e.Pinned() && e.evict() {
+		if e != keep && e.evict() {
 			p.used -= e.size
 			p.ll.Remove(elem)
 			e.elem = nil
 			continue
 		}
 		// Unevictable right now: move it out of the scan window. This
-		// perturbs strict LRU order for pinned/vetoing entries, which is
-		// fine — they were not eviction candidates anyway.
+		// perturbs strict LRU order for vetoing entries, which is fine —
+		// they were not eviction candidates anyway.
 		p.ll.MoveToFront(elem)
 	}
 }

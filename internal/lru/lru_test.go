@@ -26,30 +26,23 @@ func TestPoolEvictsLRUOrder(t *testing.T) {
 	}
 }
 
-func TestPoolPinPreventsEviction(t *testing.T) {
+func TestPoolAddNeverEvictsItself(t *testing.T) {
 	p := NewPool(50)
 	var evictedA, evictedB bool
-	a := p.Add(30, func() bool { evictedA = true; return true })
-	a.Pin()
-	b := p.Add(30, func() bool { evictedB = true; return true })
-	if evictedA {
-		t.Fatal("pinned entry evicted")
-	}
-	// b survives its own Add (self-eviction is forbidden); the next
-	// enforcement evicts it as the LRU unpinned entry.
-	if !b.Resident() {
-		t.Fatal("entry evicted during its own Add")
+	p.Add(30, func() bool { evictedA = true; return true })
+	b := p.Add(60, func() bool { evictedB = true; return true })
+	// b alone exceeds the budget, yet survives its own Add; a is evicted.
+	if !evictedA || evictedB || !resident(b) {
+		t.Fatalf("after Add: a evicted %v, b evicted %v, b resident %v", evictedA, evictedB, resident(b))
 	}
 	p.Add(10, func() bool { return true })
-	if !evictedB {
-		t.Fatal("unpinned entry should have been evicted by the next Add")
-	}
-	a.Unpin()
-	p.Add(30, func() bool { return true })
-	if !evictedA {
-		t.Fatal("entry should be evictable after unpin")
+	if !evictedB || resident(b) {
+		t.Fatal("over-budget entry should have been evicted by the next Add")
 	}
 }
+
+// resident reports whether the entry is still registered.
+func resident(e *Entry) bool { return e.elem != nil }
 
 func TestPoolVeto(t *testing.T) {
 	p := NewPool(10)
@@ -57,11 +50,11 @@ func TestPoolVeto(t *testing.T) {
 	b := p.Add(8, func() bool { return true })
 	// b survives its own Add; a later enforcement skips the vetoing LRU
 	// entry and evicts b.
-	if !b.Resident() {
+	if !resident(b) {
 		t.Fatal("entry evicted during its own Add")
 	}
 	p.Enforce()
-	if b.Resident() {
+	if resident(b) {
 		t.Fatal("expected b evicted after veto skip")
 	}
 	if p.Len() != 1 {
@@ -69,26 +62,21 @@ func TestPoolVeto(t *testing.T) {
 	}
 }
 
-func TestPoolRemoveAndResize(t *testing.T) {
+func TestPoolRemove(t *testing.T) {
 	p := NewPool(100)
 	calls := 0
 	e := p.Add(60, func() bool { calls++; return true })
-	e.Resize(90)
-	if p.Used() != 90 {
-		t.Fatalf("used %d after resize", p.Used())
-	}
 	e.Remove()
-	if p.Used() != 0 || e.Resident() {
-		t.Fatalf("used %d resident %v after remove", p.Used(), e.Resident())
+	if p.Used() != 0 || resident(e) {
+		t.Fatalf("used %d resident %v after remove", p.Used(), resident(e))
 	}
 	if calls != 0 {
 		t.Fatal("Remove must not invoke eviction callback")
 	}
 	e.Remove() // double remove is a no-op
 	e.Touch()  // touch after remove is a no-op
-	e.Resize(5)
-	if p.Used() != 0 {
-		t.Fatalf("resize after remove changed accounting: %d", p.Used())
+	if p.Used() != 0 || p.Len() != 0 {
+		t.Fatalf("remove left used %d, len %d", p.Used(), p.Len())
 	}
 }
 
@@ -99,24 +87,5 @@ func TestPoolUnlimitedBudget(t *testing.T) {
 	}
 	if p.Len() != 100 {
 		t.Fatalf("len %d", p.Len())
-	}
-}
-
-func TestPoolPinNesting(t *testing.T) {
-	p := NewPool(10)
-	e := p.Add(5, func() bool { return true })
-	e.Pin()
-	e.Pin()
-	e.Unpin()
-	if !e.Pinned() {
-		t.Fatal("entry should remain pinned after one of two unpins")
-	}
-	e.Unpin()
-	if e.Pinned() {
-		t.Fatal("entry should be unpinned")
-	}
-	e.Unpin() // extra unpin is a no-op
-	if e.Pinned() {
-		t.Fatal("unpin underflow")
 	}
 }

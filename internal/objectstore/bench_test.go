@@ -35,7 +35,6 @@ func benchObjectStore(b *testing.B, disableLocking bool) *Store {
 	s, err := Open(Config{
 		Chunks:         cs,
 		Registry:       reg,
-		CachePool:      pool,
 		LockTimeout:    time.Second,
 		DisableLocking: disableLocking,
 	})
@@ -80,7 +79,7 @@ func BenchmarkTxnUpdate(b *testing.B) {
 }
 
 // BenchmarkCachedRead measures reading a cached object (the hot path:
-// decrypted, validated, unpickled once, then served from the object cache).
+// decrypted, validated, unpickled once, then served from the decode table).
 func BenchmarkCachedRead(b *testing.B) {
 	s := benchObjectStore(b, true)
 	defer s.Close()
@@ -175,7 +174,6 @@ func benchCommitParallel(b *testing.B, workers int) {
 	s, err := Open(Config{
 		Chunks:      cs,
 		Registry:    reg,
-		CachePool:   pool,
 		LockTimeout: 5 * time.Second,
 	})
 	if err != nil {

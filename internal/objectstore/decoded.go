@@ -2,24 +2,32 @@ package objectstore
 
 import "sync/atomic"
 
-// The snapshot decode table caches the unpickled committed state of
-// chain-free objects, so hot snapshot reads of stable objects (directories,
-// index pages, records) skip the chunk store and the unpickling. A probe
-// loads the pointers of one set: no lock, no write to shared memory.
+// The decode table is the object store's one cache of decoded objects (paper
+// §4.2.2): it holds the unpickled committed state of chain-free objects, so
+// hot opens of stable objects (directories, index pages, records) skip the
+// chunk store and the unpickling. Snapshot opens, 2PL read-only opens and
+// prefetch all probe it; a probe loads the pointers of one set: no lock, no
+// write to shared memory.
 //
 // Soundness: entries exist only for objects with no version chain. stage
 // clears an object's slot before it installs the chain, and runs before the
-// chunk-store merge and before publish advances the stamp; put runs only from
+// chunk-store merge and before publish advances the stamp. put runs only from
 // decodedPut, which re-checks the no-chain condition under the table's write
-// lock while its caller's pin keeps any racing chain alive. So an entry a
-// probe can load is the state every live and every future pin must see.
+// lock while its caller's pin keeps any racing chain alive, and from publish,
+// which re-seats a committing writer's instance in the same locked section
+// that drops its chain. So an entry a probe can load is the state every live
+// and every future pin must see.
 //
-// Objects handed out are shared across transactions under the contract of the
-// 2PL shared-read cache: objects opened read-only must not be mutated.
+// Objects handed out are shared across transactions: objects opened
+// read-only must not be mutated (Config.ReadonlyChecks catches violations),
+// and writable opens work on a private copy.
 
 const (
-	// decodedBudget bounds the table's resident pickled bytes.
-	decodedBudget = 4 << 20
+	// decodedBudget bounds the table's resident pickled bytes. It is a
+	// constant outside the location map's CacheBytes pool, which has a
+	// single owner (the chunk store) so that no layer evicts another's
+	// entries.
+	decodedBudget = 8 << 20
 	// decodedMaxEntry is the largest object admitted: a bigger one would
 	// push out an eighth of the cache or more for a single entry.
 	decodedMaxEntry = decodedBudget / 8
@@ -109,4 +117,16 @@ func (dt *decodedTable) put(oid ObjectID, obj Object, size int64) {
 	}
 	set[way].Store(&decodedEntry{oid: oid, obj: obj, size: size})
 	dt.bytes += size
+}
+
+// resident counts the occupied slots and sums their sizes. The caller holds
+// versionTable.mu (shared suffices) so the count agrees with bytes.
+func (dt *decodedTable) resident() (n int, bytes int64) {
+	for i := range dt.slots {
+		if e := dt.slots[i].Load(); e != nil {
+			n++
+			bytes += e.size
+		}
+	}
+	return n, bytes
 }

@@ -144,6 +144,9 @@ type stagedVersion struct {
 	// for an insert), used as the baseline when a chain is created.
 	pre        []byte
 	preExisted bool
+	// obj is the committing transaction's instance of data (nil for a
+	// removal); publish re-seats it in the decode table when the chain drops.
+	obj Object
 }
 
 // stage installs the batch's versions as pending, creating chains (with
@@ -171,7 +174,11 @@ func (vt *versionTable) stage(staged []stagedVersion) {
 
 // publish assigns the next commit stamp to the staged versions and updates
 // the root mirror. It must run after the chunk store merged the batch.
-// Newly retired versions on the touched chains are reclaimed in place.
+// Newly retired versions on the touched chains are reclaimed in place; a
+// written object whose chain drops here has no reader left that could see an
+// older state, so its committed instance goes into the decode table and the
+// writer's next open of it costs no chunk read. The committing transaction's
+// references die at commit, so the instance is no longer mutated.
 func (vt *versionTable) publish(staged []stagedVersion, rootSet bool, root ObjectID) {
 	if len(staged) == 0 && !rootSet {
 		return
@@ -195,6 +202,9 @@ func (vt *versionTable) publish(staged []stagedVersion, rootSet bool, root Objec
 		c.vers = append(c.vers, c.pend...)
 		c.pend = nil
 		vt.reclaimLocked(sv.oid, c, min)
+		if sv.obj != nil && vt.chains[sv.oid] == nil {
+			vt.decoded.put(sv.oid, sv.obj, int64(len(sv.data)))
+		}
 	}
 }
 
@@ -286,6 +296,20 @@ func (vt *versionTable) decodedPut(oid ObjectID, obj Object, size int64) {
 	if vt.chains[oid] == nil {
 		vt.decoded.put(oid, obj, size)
 	}
+}
+
+// decodedRemove evicts oid's decode-table entry.
+func (vt *versionTable) decodedRemove(oid ObjectID) {
+	vt.mu.Lock()
+	defer vt.mu.Unlock()
+	vt.decoded.remove(oid)
+}
+
+// decodedResidency reports the decode table's resident objects and bytes.
+func (vt *versionTable) decodedResidency() (n int, bytes int64) {
+	vt.mu.RLock()
+	defer vt.mu.RUnlock()
+	return vt.decoded.resident()
 }
 
 // prefetchFilter returns the subset of oids a scan prefetch should pull

@@ -346,18 +346,6 @@ func TestSnapshotDecodeCacheSharing(t *testing.T) {
 	fresh.Abort()
 }
 
-// resident counts the decode table's occupied slots and sums their sizes
-// (test helper; the caller is the only goroutine touching the table).
-func (dt *decodedTable) resident() (n int, bytes int64) {
-	for i := range dt.slots {
-		if e := dt.slots[i].Load(); e != nil {
-			n++
-			bytes += e.size
-		}
-	}
-	return n, bytes
-}
-
 // TestDecodeCacheTableInvariants exercises the versionTable decode cache
 // white-box: decodedPut refuses an object that grew a chain (the stale-decode
 // race re-check), stage clears an existing entry so a probe misses, and the

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tdb/internal/chunkstore"
-	"tdb/internal/lru"
 )
 
 // Config configures an object store.
@@ -17,11 +16,6 @@ type Config struct {
 	Chunks *chunkstore.Store
 	// Registry resolves class ids during unpickling. Required.
 	Registry *Registry
-	// CachePool is the LRU pool for the object cache; pass the same pool as
-	// the chunk store's to share one budget between the object cache and
-	// the location map cache (paper §4.2.2). If nil a private 4 MiB pool is
-	// created.
-	CachePool *lru.Pool
 	// LockTimeout bounds lock waits; expiry breaks deadlocks (paper §4.1,
 	// "the timeout interval can be tuned by the application"). Default
 	// 250 ms.
@@ -44,10 +38,10 @@ type Store struct {
 
 	chunks *chunkstore.Store
 	locks  *lockTable
-	cache  map[ObjectID]*cacheEntry
 	// versions is the multi-version table backing read-only snapshot
 	// transactions (BeginReadOnly); read-write transactions stage and
-	// publish committed versions through it.
+	// publish committed versions through it. Its decode table is the one
+	// cache of decoded objects every open is served from (paper §4.2.2).
 	versions *versionTable
 
 	// rootChunk holds the persistent root object pointer (paper §4.1: "the
@@ -56,17 +50,6 @@ type Store struct {
 	rootOID   ObjectID
 
 	closed bool
-}
-
-// cacheEntry is one cached, unpickled object (paper §4.2.2). Caching
-// unpickled objects — decrypted, validated, type-checked — avoids double
-// caching in the application.
-type cacheEntry struct {
-	oid   ObjectID
-	obj   Object
-	size  int64
-	ent   *lru.Entry
-	dirty bool
 }
 
 // Open initializes the object store over a chunk store. A fresh chunk store
@@ -79,9 +62,6 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("objectstore: config requires a class registry")
 	}
-	if cfg.CachePool == nil {
-		cfg.CachePool = lru.NewPool(4 << 20)
-	}
 	if cfg.LockTimeout == 0 {
 		cfg.LockTimeout = 250 * time.Millisecond
 	}
@@ -89,7 +69,6 @@ func Open(cfg Config) (*Store, error) {
 		cfg:      cfg,
 		chunks:   cfg.Chunks,
 		locks:    newLockTable(),
-		cache:    make(map[ObjectID]*cacheEntry),
 		versions: newVersionTable(),
 	}
 	if err := s.initRoot(); err != nil {
@@ -193,53 +172,43 @@ func (s *Store) BeginReadOnly() *Txn {
 	}
 }
 
-// lookupLocked returns the cached entry for oid, faulting it in from the
-// chunk store with the store mutex held by design: strict 2PL reads
-// serialize on the store mutex (§4.2.2). Caller holds s.mu.
-func (s *Store) lookupLocked(oid ObjectID) (*cacheEntry, error) {
-	if e, ok := s.cache[oid]; ok {
-		e.ent.Touch()
-		return e, nil
+// committedBytes returns oid's committed pickled state: re-pickled from the
+// decode table's shared instance on a hit, read from the chunk store on a
+// miss. The caller holds a lock on oid that excludes writers.
+func (s *Store) committedBytes(oid ObjectID) ([]byte, error) {
+	if shared := s.versions.decoded.get(oid); shared != nil {
+		return pickleObject(shared), nil
 	}
+	return s.readCommitted(oid)
+}
+
+// readCommitted reads oid's chunk, reporting an absent chunk as ErrNotFound.
+func (s *Store) readCommitted(oid ObjectID) ([]byte, error) {
 	data, err := s.chunks.Read(chunkstore.ChunkID(oid))
-	if err != nil {
-		if errors.Is(err, chunkstore.ErrNotAllocated) || errors.Is(err, chunkstore.ErrNotWritten) {
-			return nil, fmt.Errorf("%w: %d", ErrNotFound, oid)
-		}
-		return nil, err
+	if errors.Is(err, chunkstore.ErrNotAllocated) || errors.Is(err, chunkstore.ErrNotWritten) {
+		return nil, fmt.Errorf("%w: %d", ErrNotFound, oid)
 	}
+	return data, err
+}
+
+// decodeCommitted unpickles data, oid's committed chunk state, and offers the
+// instance to the decode table. It is the miss path of every shared open —
+// snapshot, 2PL read-only and prefetch alike: the caller read data while
+// holding a version-table pin, which is what makes decodedPut's no-chain
+// re-check sound.
+func (s *Store) decodeCommitted(oid ObjectID, data []byte) (Object, error) {
 	obj, err := unpickleObject(s.cfg.Registry, data)
 	if err != nil {
 		return nil, err
 	}
-	e := s.addToCache(oid, obj, int64(len(data)))
-	return e, nil
-}
-
-// addToCache registers an object in the cache.
-func (s *Store) addToCache(oid ObjectID, obj Object, size int64) *cacheEntry {
-	e := &cacheEntry{oid: oid, obj: obj, size: size}
-	e.ent = s.cfg.CachePool.Add(size+64, func() bool {
-		if e.dirty {
-			return false // no-steal: dirty objects stay until commit (§4.2.2)
-		}
-		delete(s.cache, oid)
-		return true
-	})
-	s.cache[oid] = e
-	return e
-}
-
-// dropFromCache removes an entry (aborted insert/write, committed removal).
-func (s *Store) dropFromCache(oid ObjectID) {
-	if e, ok := s.cache[oid]; ok {
-		e.ent.Remove()
-		delete(s.cache, oid)
-	}
+	s.versions.decodedPut(oid, obj, int64(len(data)))
+	return obj, nil
 }
 
 // Stats reports cache occupancy and concurrency-control state.
 type Stats struct {
+	// CachedObjects and CacheBytes are the decode table's resident objects
+	// and their pickled bytes.
 	CachedObjects int
 	CacheBytes    int64
 	// LockEntries is the number of live lock-table entries (snapshot
@@ -250,13 +219,14 @@ type Stats struct {
 	VersionChains int
 }
 
-// Stats returns object cache statistics.
+// Stats returns decode-table occupancy and concurrency-control statistics.
 func (s *Store) Stats() Stats {
+	n, bytes := s.versions.decodedResidency()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		CachedObjects: len(s.cache),
-		CacheBytes:    s.cfg.CachePool.Used(),
+		CachedObjects: n,
+		CacheBytes:    bytes,
 		LockEntries:   s.locks.entryCount(),
 		VersionChains: s.versions.chainCount(),
 	}

@@ -98,7 +98,6 @@ func newOSEnv(t *testing.T) *osEnv {
 	}
 	e.cfg = Config{
 		Registry:    testRegistry(),
-		CachePool:   e.pool,
 		LockTimeout: 50 * time.Millisecond,
 	}
 	return e
@@ -585,23 +584,32 @@ func TestReadonlyMutationCheck(t *testing.T) {
 
 	t1 := s.Begin()
 	ref, _ := OpenReadonly[*Meter](t1, oid)
+	if s.versions.decoded.get(oid) != Object(ref.Deref()) {
+		t.Fatal("2PL read-only open did not return the decode table's shared instance")
+	}
 	ref.Deref().ViewCount = 77 // illegal mutation through a read-only view
 	if err := t1.Commit(true); !errors.Is(err, ErrReadonlyViolation) {
 		t.Fatalf("mutation through readonly ref: %v", err)
 	}
-	// The poisoned cache entry was evicted; committed state is unharmed.
+	// The poisoned shared instance was evicted: neither a 2PL open nor a
+	// fresh snapshot sees the mutation, and committed state is unharmed.
 	t2 := s.Begin()
 	check, err := OpenReadonly[*Meter](t2, oid)
 	if err != nil || check.Deref().ViewCount != 0 {
-		t.Fatalf("state after violation: %v", err)
+		t.Fatalf("state after violation: %v, %v", check.Deref(), err)
 	}
 	t2.Abort()
+	ro := s.BeginReadOnly()
+	snap, err := OpenReadonly[*Meter](ro, oid)
+	if err != nil || snap.Deref().ViewCount != 0 {
+		t.Fatalf("snapshot after violation: %v, %v", snap.Deref(), err)
+	}
+	ro.Abort()
 }
 
 func TestCacheEvictionRefetches(t *testing.T) {
 	e := newOSEnv(t)
-	e.pool = lru.NewPool(2 << 10) // tiny shared budget forces eviction
-	e.cfg.CachePool = e.pool
+	e.pool = lru.NewPool(2 << 10) // tiny map-node budget forces eviction
 	s := e.open(t)
 	defer s.Close()
 	var ids []ObjectID

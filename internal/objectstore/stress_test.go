@@ -57,7 +57,6 @@ func (e *stressEnv) open(t *testing.T) *Store {
 	s, err := Open(Config{
 		Chunks:      cs,
 		Registry:    testRegistry(),
-		CachePool:   e.pool,
 		LockTimeout: 2 * time.Second,
 	})
 	if err != nil {

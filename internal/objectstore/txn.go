@@ -95,12 +95,16 @@ func (m *snapMemo) put(oid ObjectID, obj Object) {
 
 // txnObject is the per-transaction state of one object.
 type txnObject struct {
-	entry *cacheEntry
+	// obj is what the transaction's opens return: the decode table's shared
+	// instance until the first writable open or Remove, after that a private
+	// copy (or the object Insert was given).
+	obj Object
 	// inserted, written, removed reflect the operations performed.
 	inserted bool
 	written  bool
 	removed  bool
-	// prePickle holds the pickled state at first writable open; objects
+	// prePickle holds the committed pickled state at first writable open (the
+	// bytes the private copy was decoded from) or at Remove; objects
 	// whose state is byte-identical at commit are not rewritten, keeping
 	// log traffic proportional to actual modifications (cf. §4.2.1's
 	// "only modified objects are written to the log").
@@ -129,8 +133,8 @@ func (t *Txn) lock(oid ObjectID, mode lockMode) error {
 }
 
 // Insert stores a new object and returns its persistent id (paper Figure
-// 3). The object is cached and pinned until the transaction ends; the id is
-// the id of the chunk that will hold it (§4.2.1).
+// 3). The transaction holds the object until it ends; the id is the id of
+// the chunk that will hold it (§4.2.1).
 func (t *Txn) Insert(obj Object) (ObjectID, error) {
 	if t.readOnly {
 		return NilObject, ErrReadOnlyTxn
@@ -166,16 +170,14 @@ func (t *Txn) insertLocked(obj Object) (ObjectID, error) {
 		}
 		return NilObject, err
 	}
-	e := t.s.addToCache(oid, obj, int64(64)) // size refined at commit
-	e.dirty = true
-	e.ent.Pin()
-	t.opened[oid] = &txnObject{entry: e, inserted: true, written: true}
+	t.opened[oid] = &txnObject{obj: obj, inserted: true, written: true}
 	return oid, nil
 }
 
 // OpenReadonly opens an object for reading. In a read-write transaction
 // this takes a shared lock; in a read-only transaction it resolves the
-// object against the pinned snapshot without locking. The returned object
+// object against the pinned snapshot without locking. Either way the object
+// usually comes from the decode table, shared with every other reader: it
 // must not be modified; enable Config.ReadonlyChecks to verify that during
 // development.
 func (t *Txn) OpenReadonly(oid ObjectID) (Object, error) {
@@ -188,7 +190,12 @@ func (t *Txn) OpenReadonly(oid ObjectID) (Object, error) {
 }
 
 // OpenWritable opens an object for reading and writing under an exclusive
-// lock. Mutations become persistent when the transaction commits.
+// lock. Mutations become persistent when the transaction commits. The
+// object is a private copy decoded from the committed state, so no other
+// transaction sees an uncommitted mutation; from now on every open of the
+// object in this transaction returns that copy. A reference obtained from an
+// earlier OpenReadonly of the same object is not that copy and does not see
+// the transaction's writes.
 func (t *Txn) OpenWritable(oid ObjectID) (Object, error) {
 	if t.readOnly {
 		return nil, ErrReadOnlyTxn
@@ -220,36 +227,32 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 		return shared, nil
 	}
 	data, present, ok := vt.resolve(oid, t.pin)
-	cacheable := false
+	var obj Object
+	var err error
 	if !ok {
 		// No chain: the chunk store holds the committed state. The read
 		// can race a committing writer's merge, so re-check the table
 		// afterwards: a commit that merged ahead of our read staged its
 		// chain (with our pre-image as baseline) before merging, so the
 		// chain is visible by now if the race happened.
-		raw, err := t.s.chunks.Read(chunkstore.ChunkID(oid))
+		raw, rerr := t.s.readCommitted(oid)
 		if data, present, ok = vt.resolve(oid, t.pin); !ok {
-			if err != nil {
-				if errors.Is(err, chunkstore.ErrNotAllocated) || errors.Is(err, chunkstore.ErrNotWritten) {
-					return nil, fmt.Errorf("%w: %d", ErrNotFound, oid)
-				}
-				return nil, err
+			if rerr != nil {
+				return nil, rerr
 			}
-			data, present, cacheable = raw, true, true
+			// Straight from the committed chunk state with no chain in
+			// sight: share the decode with future opens.
+			obj, err = t.s.decodeCommitted(oid, raw)
 		}
 	}
-	if !present {
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, oid)
+	if ok {
+		if !present {
+			return nil, fmt.Errorf("%w: %d", ErrNotFound, oid)
+		}
+		obj, err = unpickleObject(t.s.cfg.Registry, data)
 	}
-	obj, err := unpickleObject(t.s.cfg.Registry, data)
 	if err != nil {
 		return nil, err
-	}
-	if cacheable {
-		// The decode came straight from the committed chunk state with no
-		// chain in sight; share it with future snapshots (decodedPut
-		// re-checks the no-chain condition under the table lock).
-		vt.decodedPut(oid, obj, int64(len(data)))
 	}
 	t.snap.put(oid, obj)
 	return obj, nil
@@ -258,9 +261,9 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 // Prefetch hints that the listed objects are about to be opened, warming
 // the read path for them: their committed chunks are fetched, validated,
 // and decrypted through the chunk store's batch read pipeline (coalesced
-// segment reads, bounded parallel decrypt) into the sharded read cache, and
-// chain-free objects are unpickled into the MVCC decode cache so snapshot
-// opens skip the chunk store entirely. It returns the number of chunks
+// segment reads, bounded parallel decrypt), and chain-free objects are
+// unpickled into the decode table, so snapshot and 2PL read-only opens skip
+// the chunk store entirely. It returns the number of chunks
 // warmed. Errors are deliberately swallowed — a hint must never fail harder
 // than the open it accelerates, and the open will surface them.
 //
@@ -296,16 +299,35 @@ func (t *Txn) Prefetch(oids []ObjectID) int {
 			continue
 		}
 		warmed++
-		if obj, err := unpickleObject(t.s.cfg.Registry, r.Data); err == nil {
-			vt.decodedPut(cands[i], obj, int64(len(r.Data)))
-		}
+		t.s.decodeCommitted(cands[i], r.Data) // a bad chunk fails its open instead
 	}
 	return warmed
 }
 
+// openShared returns oid's committed state for a 2PL read-only open: the
+// decode table's shared instance, faulted in on a miss through the same
+// helper snapshot opens and prefetch use. The caller's shared lock excludes
+// writers, so the chunk store's committed state is current; the pin keeps
+// decodedPut's soundness argument the one decoded.go states.
+func (s *Store) openShared(oid ObjectID) (Object, error) {
+	vt := s.versions
+	if obj := vt.decoded.get(oid); obj != nil {
+		return obj, nil
+	}
+	pin, _ := vt.pin()
+	defer vt.unpin(pin)
+	data, err := s.readCommitted(oid)
+	if err != nil {
+		return nil, err
+	}
+	return s.decodeCommitted(oid, data)
+}
+
 // openLocked opens an object for a read-write transaction with the store
 // mutex held by design: strict 2PL reads serialize on the store mutex, and
-// a cache miss faults the object in from the chunk store under it (§4.2.2).
+// a decode-table miss faults the object in from the chunk store under it
+// (§4.2.2). A writable open replaces the shared instance with a private copy
+// decoded from the committed bytes, which also become the pre-image.
 // The snapshot read path (snapshotOpen) is the one that may not do this —
 // it must never reach the chunk store while holding a version-table lock.
 // Caller holds s.mu.
@@ -323,27 +345,43 @@ func (t *Txn) openLocked(oid ObjectID, mode lockMode) (Object, error) {
 	if ok && to.removed {
 		return nil, fmt.Errorf("%w: %d (removed in this transaction)", ErrNotFound, oid)
 	}
-	if !ok {
-		e, err := t.s.lookupLocked(oid)
-		if err != nil {
+	if mode == lockShared {
+		if !ok {
+			obj, err := t.s.openShared(oid)
+			if err != nil {
+				return nil, err
+			}
+			to = &txnObject{obj: obj}
+			t.opened[oid] = to
+		}
+		if t.s.cfg.ReadonlyChecks && !to.written && to.roSnapshot == nil {
+			to.roSnapshot = pickleObject(to.obj)
+		}
+		return to.obj, nil
+	}
+	if ok && to.written {
+		return to.obj, nil
+	}
+	// First writable open: decode a private copy of the committed state.
+	var pre []byte
+	if ok {
+		pre = pickleObject(to.obj)
+	} else {
+		var err error
+		if pre, err = t.s.committedBytes(oid); err != nil {
 			return nil, err
 		}
-		e.ent.Pin()
-		to = &txnObject{entry: e}
+	}
+	obj, err := unpickleObject(t.s.cfg.Registry, pre)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		to = &txnObject{}
 		t.opened[oid] = to
 	}
-	if mode == lockExclusive {
-		if !to.written {
-			to.written = true
-			to.entry.dirty = true
-			if !to.inserted {
-				to.prePickle = pickleObject(to.entry.obj)
-			}
-		}
-	} else if t.s.cfg.ReadonlyChecks && !to.written && to.roSnapshot == nil {
-		to.roSnapshot = pickleObject(to.entry.obj)
-	}
-	return to.entry.obj, nil
+	to.obj, to.prePickle, to.written = obj, pre, true
+	return obj, nil
 }
 
 // Remove deletes the named object and frees its id for reuse (paper Figure
@@ -354,6 +392,13 @@ func (t *Txn) Remove(oid ObjectID) error {
 	}
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
+	return t.removeLocked(oid)
+}
+
+// removeLocked stages a removal with the store mutex held by design: like
+// openLocked, a decode-table miss reads the committed pre-image from the
+// chunk store under it. Caller holds s.mu.
+func (t *Txn) removeLocked(oid ObjectID) error {
 	if !t.active {
 		return ErrTxnDone
 	}
@@ -364,19 +409,17 @@ func (t *Txn) Remove(oid ObjectID) error {
 	if ok && to.removed {
 		return fmt.Errorf("%w: %d (already removed)", ErrNotFound, oid)
 	}
+	// Capture the committed pre-image: if the commit has to create a
+	// version chain for this removal, the baseline is this state.
 	if !ok {
-		e, err := t.s.lookupLocked(oid)
+		pre, err := t.s.committedBytes(oid)
 		if err != nil {
 			return err
 		}
-		e.ent.Pin()
-		to = &txnObject{entry: e}
+		to = &txnObject{prePickle: pre}
 		t.opened[oid] = to
-	}
-	if !to.written && !to.inserted && to.prePickle == nil {
-		// Capture the committed pre-image: if the commit has to create a
-		// version chain for this removal, the baseline is this state.
-		to.prePickle = pickleObject(to.entry.obj)
+	} else if !to.written {
+		to.prePickle = pickleObject(to.obj)
 	}
 	to.removed = true
 	return nil
@@ -472,12 +515,14 @@ func (t *Txn) Commit(durable bool) error {
 			if to.roSnapshot == nil || to.written || to.removed {
 				continue
 			}
-			if string(pickleObject(to.entry.obj)) != string(to.roSnapshot) {
-				// Evict the poisoned cache entry so the next open refetches
-				// the committed state, then fail the transaction.
+			if string(pickleObject(to.obj)) != string(to.roSnapshot) {
+				// The mutated instance is the decode table's shared one:
+				// evict it while the shared lock still excludes writers, so
+				// the next open refetches the committed state, then fail the
+				// transaction.
 				t.s.mu.Lock()
+				t.s.versions.decodedRemove(oid)
 				t.finishLocked(true)
-				t.s.dropFromCache(oid)
 				t.s.mu.Unlock()
 				return fmt.Errorf("%w: object %d", ErrReadonlyViolation, oid)
 			}
@@ -506,7 +551,7 @@ func (t *Txn) Commit(durable bool) error {
 				oid: oid, present: false, pre: to.prePickle, preExisted: true,
 			})
 		case to.written:
-			data := pickleObject(to.entry.obj)
+			data := pickleObject(to.obj)
 			if to.prePickle != nil && string(data) == string(to.prePickle) {
 				// Opened writable but never actually changed: skip the
 				// write, but the entry is clean again.
@@ -514,10 +559,9 @@ func (t *Txn) Commit(durable bool) error {
 				continue
 			}
 			batch.Write(chunkstore.ChunkID(oid), data)
-			to.entry.size = int64(len(data))
 			t.staged = append(t.staged, stagedVersion{
 				oid: oid, data: data, present: true,
-				pre: to.prePickle, preExisted: !to.inserted,
+				pre: to.prePickle, preExisted: !to.inserted, obj: to.obj,
 			})
 		}
 	}
@@ -565,7 +609,7 @@ func (t *Txn) Commit(durable bool) error {
 }
 
 // commitPublish runs chunk-store commit stage 2 and, when the commit
-// applied, publishes the results — root pointer, object cache, unused-id
+// applied, publishes the results — root pointer, version table, unused-id
 // returns — and ends the transaction. Failures of post-commit work are
 // reported wrapped as chunkstore.ErrMaintenance; the commit stands.
 func (t *Txn) commitPublish(batch *chunkstore.Batch, prep *chunkstore.PreparedBatch, unusedIDs []chunkstore.ChunkID, durable bool) (chunkstore.CommitTicket, error) {
@@ -609,8 +653,8 @@ func (t *Txn) commitRootLocked(batch *chunkstore.Batch, prep *chunkstore.Prepare
 	return ticket, t.publishLocked(unusedIDs, err)
 }
 
-// publishLocked finishes a committed transaction: returns unused chunk ids
-// to the allocator, publishes cache state, and releases locks. Failures of
+// publishLocked finishes a committed transaction: publishes the staged
+// versions, returns unused chunk ids to the allocator, and releases locks. Failures of
 // this post-commit work are reported wrapped as chunkstore.ErrMaintenance;
 // the commit stands. Caller holds s.mu.
 func (t *Txn) publishLocked(unusedIDs []chunkstore.ChunkID, postErr error) error {
@@ -623,21 +667,13 @@ func (t *Txn) publishLocked(unusedIDs []chunkstore.ChunkID, postErr error) error
 			postErr = fmt.Errorf("%w: releasing unused chunk id %d: %w", chunkstore.ErrMaintenance, cid, rerr)
 		}
 	}
-	for oid, to := range t.opened {
-		if to.removed {
-			t.s.dropFromCache(oid)
-		} else if to.written {
-			to.entry.dirty = false
-			to.entry.ent.Resize(to.entry.size + 64)
-		}
-	}
 	t.finishLocked(false)
 	return postErr
 }
 
-// Abort undoes the transaction (paper Figure 3): objects opened for writing
-// are evicted from the cache (their in-memory state was mutated in place),
-// chunk ids of inserted objects are released, and all locks drop (§4.2.3).
+// Abort undoes the transaction (paper Figure 3): the private copies of
+// objects opened for writing are dropped with the transaction, chunk ids of
+// inserted objects are released, and all locks drop (§4.2.3).
 func (t *Txn) Abort() {
 	if t.readOnly {
 		t.finishReadOnly()
@@ -681,21 +717,14 @@ func (t *Txn) openedOIDs() []ObjectID {
 	return oids
 }
 
-// finishLocked releases pins and locks with the store mutex held by design
-// (an aborted insert returns its chunk id to the allocator under it); with
-// evictWritten it also discards mutated cache entries. Caller holds s.mu.
-func (t *Txn) finishLocked(evictWritten bool) {
-	for _, oid := range t.openedOIDs() {
-		to := t.opened[oid]
-		to.entry.ent.Unpin()
-		if evictWritten {
-			if to.inserted {
-				t.s.dropFromCache(oid)
+// finishLocked releases locks with the store mutex held by design (an
+// aborted insert returns its chunk id to the allocator under it); with
+// aborted it also releases the ids of inserted objects. Caller holds s.mu.
+func (t *Txn) finishLocked(aborted bool) {
+	if aborted {
+		for _, oid := range t.openedOIDs() {
+			if t.opened[oid].inserted {
 				t.s.chunks.Release(chunkstore.ChunkID(oid))
-			} else if to.written {
-				// The cached object may have uncommitted mutations; drop it
-				// so the next open refetches committed state.
-				t.s.dropFromCache(oid)
 			}
 		}
 	}

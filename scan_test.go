@@ -46,7 +46,7 @@ func openScanDB(t *testing.T, n int, opts tdb.Options) (*tdb.DB, tdb.Options) {
 }
 
 // reopen closes db and reopens it over the same store, so every cache —
-// object, decode, chunk plaintext — starts cold and scans must pull from the
+// decoded objects and map nodes — starts cold and scans must pull from the
 // chunk store.
 func reopen(t *testing.T, db *tdb.DB, opts tdb.Options) *tdb.DB {
 	t.Helper()
@@ -106,11 +106,12 @@ func scanAllTxn(t *testing.T, db *tdb.DB, snapshot bool, window int, onStep func
 // TestScanPrefetchWindows runs the same full-collection scan at window 0
 // (prefetch disabled — the pre-pipeline behavior), 1, and 32, checking every
 // window returns the identical, complete result set and that nonzero windows
-// actually drive the batch machinery (prefetched chunks and hits observable
-// in Stats).
+// actually drive the batch machinery (prefetched and coalesced chunks
+// observable in Stats, record opens answered by the decode table).
 func TestScanPrefetchWindows(t *testing.T) {
 	const n = 200
-	db, opts := openScanDB(t, n, tdb.Options{SegmentSize: 8 << 10})
+	meter := platform.NewMeterStore(platform.NewMemStore())
+	db, opts := openScanDB(t, n, tdb.Options{SegmentSize: 8 << 10, Store: meter})
 	defer func() { db.Close() }()
 
 	// Cold-cache prefetching scan first: everything must come off the chunk
@@ -127,15 +128,29 @@ func TestScanPrefetchWindows(t *testing.T) {
 		t.Fatalf("CoalescedReads = 0 after a cold prefetching scan of adjacent records")
 	}
 
-	// A cold 2PL scan dereferences through the chunk store (no decode-cache
-	// shortcut), so prefetched plaintexts must surface as tagged read-cache
-	// hits.
-	db = reopen(t, db, opts)
-	if got := scanAllTxn(t, db, false, 32, nil); got != n {
-		t.Fatalf("2PL window 32: scanned %d objects, want %d", got, n)
+	// A cold 2PL scan's record opens are answered by the decode table the
+	// prefetch filled. Verify pages the whole map in and caches no object,
+	// so the only difference between the two scans below is the prefetch:
+	// window 0 pays a segment read per record, a window covering the whole
+	// result set coalesces them and leaves no point read per record.
+	coldReads := func(window int) int64 {
+		db = reopen(t, db, opts)
+		if err := db.Verify(); err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		before := meter.Stats().Snapshot()
+		if got := scanAllTxn(t, db, false, window, nil); got != n {
+			t.Fatalf("2PL window %d: scanned %d objects, want %d", window, got, n)
+		}
+		return meter.Stats().Snapshot().Sub(before).ReadOps
 	}
-	if st := db.Stats(); st.PrefetchHits == 0 {
-		t.Fatalf("PrefetchHits = 0 after a cold 2PL prefetching scan; prefetched chunks never consumed")
+	unprefetched, prefetched := coldReads(0), coldReads(n)
+	// Window 0 reads each record once on top of the catalog and index pages.
+	records := prefetched - (unprefetched - n)
+	t.Logf("cold 2PL scan of %d records: %d segment reads at window 0, %d at window %d (%d for records)",
+		n, unprefetched, prefetched, n, records)
+	if records >= n/4 {
+		t.Fatalf("prefetching 2PL scan paid %d segment reads for %d records; record opens missed the decode table", records, n)
 	}
 
 	// Window 1 and window 0 (prefetch disabled — the pre-pipeline behavior)

@@ -52,11 +52,10 @@ type DB = core.DB
 // Options configures Open and Restore. There is one commit path and it has
 // no knobs: every durable commit hardens in a round shared with the durable
 // commits in flight beside it (a lone commit is a round of one), and log
-// appends always batch through the write-behind tail buffer. The one
-// performance knob surfaced from the chunk store is Options.ReadCacheBytes
-// (the validated-plaintext read cache prefetched chunks land in and
-// concurrent scanners share); Iterator.SetPrefetch overrides the
-// scan-prefetch window per scan.
+// appends always batch through the write-behind tail buffer. Trusted memory
+// holds two caches: location map nodes, sized by Options.CacheBytes, and
+// decoded objects, a constant 8 MiB every open is served from;
+// Iterator.SetPrefetch overrides the scan-prefetch window per scan.
 type Options = core.Options
 
 // Open opens or creates a database, performing recovery and tamper
@@ -111,9 +110,10 @@ type (
 	// RetryPolicy tunes transient-I/O retry (Options.Retry).
 	RetryPolicy = chunkstore.RetryPolicy
 	// Stats is what DB.Stats reports: storage sizes, commit/cleaning
-	// counters, and read-path telemetry (read-cache hits, misses, shard
-	// count, slow-path fallbacks, and the scan-prefetch counters:
-	// coalesced reads, prefetched chunks, prefetch hits and wasted).
+	// counters, and read-path telemetry (slow-path fallbacks and the
+	// scan-prefetch counters: coalesced reads and prefetched chunks). The
+	// ReadCache* and PrefetchHits/PrefetchWasted fields are always zero:
+	// the chunk store keeps no plaintext cache.
 	Stats = chunkstore.Stats
 )
 
