@@ -1,7 +1,7 @@
 // The objstore experiment measures object-store commit performance — the
 // workload the harden-round and off-mutex pipeline PRs optimize. W workers
 // each run durable update transactions against private 4 KiB objects on the
-// AES/SHA-256 suite with a one-way counter, reporting commit throughput,
+// AES-CTR/SHA-256 suite with a one-way counter, reporting commit throughput,
 // latency percentiles, and log syncs per commit. With -json the results are
 // also written to BENCH_objstore.json so successive PRs accumulate a
 // machine-readable perf trajectory.
@@ -118,7 +118,7 @@ func objstoreConfigs() []objstoreVariant {
 // runObjstoreConfig runs one configuration: workers × commitsPer durable
 // update transactions over private objects.
 func runObjstoreConfig(v objstoreVariant, workers, commitsPer int) (objstoreResult, error) {
-	suite, err := sec.NewSuite("aes-sha256", []byte("tdbbench-objstore"))
+	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("tdbbench-objstore"))
 	if err != nil {
 		return objstoreResult{}, err
 	}
@@ -367,7 +367,7 @@ func runSnapshotReads(report *objstoreReport, readsPer int) error {
 	fmt.Println("== Snapshot reads: scaling with reader count under a concurrent writer ==")
 	for _, workload := range []string{readHeavyWorkload, zipfianWorkload} {
 		store := platform.NewMemStore()
-		d, err := tpcb.NewTDBDriverSuite(store, "aes-sha256", 0.60)
+		d, err := tpcb.NewTDBDriverSuite(store, "aes-ctr-sha256", 0.60)
 		if err != nil {
 			return err
 		}
@@ -398,9 +398,9 @@ func runSnapshotReads(report *objstoreReport, readsPer int) error {
 // writes BENCH_objstore.json.
 func runObjstore(workers, txns int, jsonOut bool) error {
 	fmt.Println("== Object-store commit pipeline: durable commit throughput ==")
-	fmt.Printf("   suite aes-sha256, %d workers, %d B payload, %d commits/worker\n",
+	fmt.Printf("   suite aes-ctr-sha256, %d workers, %d B payload, %d commits/worker\n",
 		workers, objstorePayload, txns/workers)
-	report := objstoreReport{Suite: "aes-sha256", PayloadSize: objstorePayload}
+	report := objstoreReport{Suite: "aes-ctr-sha256", PayloadSize: objstorePayload}
 	for _, cfg := range objstoreConfigs() {
 		res, err := runObjstoreConfig(cfg, workers, txns/workers)
 		if err != nil {

@@ -127,7 +127,7 @@ func (e *scanEnv) open() (*tdb.DB, error) {
 	reg.Register(benchTrackClass, func() tdb.Object { return &benchTrack{} })
 	return tdb.Open(tdb.Options{
 		Store:                 e.disk,
-		Suite:                 "aes-sha256",
+		Suite:                 "aes-ctr-sha256",
 		Counter:               e.ctr,
 		Secret:                []byte("tdbbench-scan-device-secret-0123"),
 		Registry:              reg,

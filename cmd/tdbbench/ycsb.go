@@ -72,7 +72,7 @@ func ycsbPicker(w ycsbWorkload, seed int64) func() int {
 // runYCSBWorkload runs one mix: workers × opsPer operations against a
 // shared object pool on a metered in-memory store.
 func runYCSBWorkload(w ycsbWorkload, workers, opsPer int) (ycsbRunResult, error) {
-	suite, err := sec.NewSuite("aes-sha256", []byte("tdbbench-ycsb"))
+	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("tdbbench-ycsb"))
 	if err != nil {
 		return ycsbRunResult{}, err
 	}

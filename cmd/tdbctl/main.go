@@ -27,7 +27,7 @@ func main() {
 		dir        = flag.String("dir", "", "database directory")
 		secretStr  = flag.String("secret", "", "device secret (literal string; development only)")
 		secretFile = flag.String("secret-file", "", "file holding the device secret")
-		suite      = flag.String("suite", "3des-sha1", "crypto suite: 3des-sha1, aes-sha256, null")
+		suite      = flag.String("suite", "", "crypto suite: aes-ctr-sha256 (default), 3des-sha1, null")
 		archiveDir = flag.String("archive", "", "backup archive directory")
 	)
 	flag.Parse()

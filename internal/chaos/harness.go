@@ -104,7 +104,7 @@ func Run(cfg Config) (*Result, error) {
 	h.arch = platform.NewMemArchive()
 	h.opts = tdb.Options{
 		Secret:                []byte(chaosSecret),
-		Suite:                 "aes-sha256",
+		Suite:                 "aes-ctr-sha256",
 		Registry:              reg,
 		Archive:               h.arch,
 		SegmentSize:           32 << 10,

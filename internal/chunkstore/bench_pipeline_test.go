@@ -35,7 +35,7 @@ func benchPipelineStore(b *testing.B, suiteName string, workers int) *Store {
 // (workers=auto), both serially and with concurrent committers.
 func BenchmarkCommitParallelCrypto(b *testing.B) {
 	const batchOps, chunkSize = 8, 4 << 10
-	for _, suiteName := range []string{"3des-sha1", "aes-sha256"} {
+	for _, suiteName := range []string{"3des-sha1", "aes-ctr-sha256"} {
 		for _, mode := range []struct {
 			name    string
 			workers int
@@ -101,7 +101,7 @@ func BenchmarkCommitParallelCrypto(b *testing.B) {
 // working set: every read validates and decrypts off the store mutex.
 func BenchmarkConcurrentRead(b *testing.B) {
 	const chunks, chunkSize = 512, 1 << 10
-	for _, suiteName := range []string{"3des-sha1", "aes-sha256"} {
+	for _, suiteName := range []string{"3des-sha1", "aes-ctr-sha256"} {
 		b.Run(suiteName, func(b *testing.B) {
 			s := benchPipelineStore(b, suiteName, 0)
 			defer s.Close()

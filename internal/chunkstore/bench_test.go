@@ -32,7 +32,7 @@ func benchStore(b *testing.B, suiteName string) (*Store, *platform.MemStore) {
 }
 
 func BenchmarkChunkWriteDurable(b *testing.B) {
-	for _, suiteName := range []string{"null", "3des-sha1", "aes-sha256"} {
+	for _, suiteName := range []string{"null", "3des-sha1", "aes-ctr-sha256"} {
 		b.Run(suiteName, func(b *testing.B) {
 			s, _ := benchStore(b, suiteName)
 			defer s.Close()

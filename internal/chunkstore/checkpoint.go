@@ -55,36 +55,34 @@ func encodeSuperPayload(sb superblock) []byte {
 }
 
 // decodeSuperSlot parses one slot, verifying its MAC. ok is false for slots
-// that are empty, malformed, or fail authentication.
-func decodeSuperSlot(slot []byte, suite sec.Suite) (superblock, bool) {
-	var sb superblock
+// that are empty, malformed, or fail authentication. claim describes what a
+// slot with an intact magic says it was written under — suite name and
+// format version — whether or not it authenticates: it explains a failed
+// open, and is never used to choose a suite.
+func decodeSuperSlot(slot []byte, suite sec.Suite) (sb superblock, claim string, ok bool) {
 	if len(slot) < 4 {
-		return sb, false
+		return sb, "", false
 	}
 	plen := int(binary.BigEndian.Uint16(slot[0:2]))
 	mlen := int(binary.BigEndian.Uint16(slot[2:4]))
 	if plen == 0 || 4+plen+mlen > len(slot) {
-		return sb, false
+		return sb, "", false
 	}
 	payload := slot[4 : 4+plen]
 	mac := slot[4+plen : 4+plen+mlen]
-	if !sec.VerifyMAC(suite, payload, mac) {
-		return sb, false
+	if len(payload) < 19 || binary.BigEndian.Uint64(payload[0:8]) != superMagic {
+		return sb, "", false
 	}
-	if len(payload) < 19 {
-		return sb, false
+	version := binary.BigEndian.Uint16(payload[16:18])
+	nameLen := int(payload[18])
+	if len(payload) < 19+nameLen {
+		return sb, "", false
 	}
-	if binary.BigEndian.Uint64(payload[0:8]) != superMagic {
-		return sb, false
+	claim = fmt.Sprintf("slot names %q, format %d", payload[19:19+nameLen], version)
+	if !sec.VerifyMAC(suite, payload, mac) || version != formatVersion || len(payload) < 19+nameLen+24 {
+		return sb, claim, false
 	}
 	sb.seq = binary.BigEndian.Uint64(payload[8:16])
-	if binary.BigEndian.Uint16(payload[16:18]) != formatVersion {
-		return sb, false
-	}
-	nameLen := int(payload[18])
-	if len(payload) < 19+nameLen+24 {
-		return sb, false
-	}
 	sb.suiteName = string(payload[19 : 19+nameLen])
 	p := 19 + nameLen
 	sb.fanout = int(binary.BigEndian.Uint32(payload[p : p+4]))
@@ -98,7 +96,7 @@ func decodeSuperSlot(slot []byte, suite sec.Suite) (superblock, bool) {
 	if len(payload) >= p+32 {
 		sb.ivGenReserved = binary.BigEndian.Uint64(payload[p+24 : p+32])
 	}
-	return sb, true
+	return sb, claim, true
 }
 
 // superblockFile returns the cached superblock file handle, opening (and,
@@ -146,8 +144,8 @@ func (s *Store) readSuperblock() (superblock, error) {
 	if err != nil {
 		return superblock{}, ioErr("read", superblockName, 0, 0, attempts, err)
 	}
-	sb0, ok0 := decodeSuperSlot(buf[:superSlotSize], s.suite)
-	sb1, ok1 := decodeSuperSlot(buf[superSlotSize:], s.suite)
+	sb0, claim0, ok0 := decodeSuperSlot(buf[:superSlotSize], s.suite)
+	sb1, claim1, ok1 := decodeSuperSlot(buf[superSlotSize:], s.suite)
 	switch {
 	case ok0 && ok1:
 		if sb1.seq > sb0.seq {
@@ -163,7 +161,21 @@ func (s *Store) readSuperblock() (superblock, error) {
 		s.superSeq = sb1.seq
 		return sb1, nil
 	default:
-		return superblock{}, fmt.Errorf("%w: superblock fails validation", ErrTampered)
+		// A store opened under the wrong suite lands here, not at recover's
+		// suite-name check: the slot MACs differ before the names are
+		// compared. Saying what the slots claim tells that case apart from
+		// plain tampering without trusting it.
+		claims := claim0
+		if claim1 != "" && claim1 != claim0 {
+			if claims != "" {
+				claims += "; "
+			}
+			claims += claim1
+		}
+		if claims != "" {
+			claims = " (" + claims + ")"
+		}
+		return superblock{}, fmt.Errorf("%w: superblock fails validation under %q%s", ErrTampered, s.suite.Name(), claims)
 	}
 }
 

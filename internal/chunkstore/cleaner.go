@@ -230,7 +230,7 @@ func (s *Store) evacuate(seg *segment) error {
 			s.residualBytes += int64(newLoc.Len)
 			copied += int64(newLoc.Len)
 		case recMapNode:
-			level, index, ciphertext, err := parseMapNodeRecord(body)
+			level, index, _, err := parseMapNodeRecord(body)
 			if err != nil {
 				return false, fmt.Errorf("%w: %v", ErrTampered, err)
 			}
@@ -241,13 +241,13 @@ func (s *Store) evacuate(seg *segment) error {
 			if !live {
 				return true, nil
 			}
-			// Validate the stored copy, then relocate the node by writing
-			// its CURRENT in-memory serialization (the stored copy may be a
-			// stale version of a node that is dirty in memory; copying the
-			// stale bytes forward would fork memory and disk).
-			if _, err := s.suite.Decrypt(ciphertext); err != nil {
-				return false, fmt.Errorf("%w: decrypting map node during cleaning: %v", ErrTampered, err)
-			}
+			// Relocate the node by writing its CURRENT in-memory
+			// serialization, never the stored copy: that may be a stale
+			// version of a node that is dirty in memory, and copying it
+			// forward would fork memory and disk. The stored bytes are never
+			// used, so they need no check here; a node that is not resident
+			// is loaded by cachedNodeAt and validated against its parent's
+			// hash.
 			node, err := s.cachedNodeAt(level, index)
 			if err != nil {
 				return false, err

@@ -194,7 +194,7 @@ type pipeEnv struct {
 // gated counter; nil means a MemCounter.
 func newPipeEnv(t *testing.T, counter func(*platform.FaultStore) platform.OneWayCounter) *pipeEnv {
 	t.Helper()
-	suite, err := sec.NewSuite("aes-sha256", []byte("harden-pipeline-test-secret-0123"))
+	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("harden-pipeline-test-secret-0123"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}
@@ -495,7 +495,7 @@ func TestFailedAdvanceStrandsBothRounds(t *testing.T) {
 // fails fails Open.
 func TestRecoveryStampWindow(t *testing.T) {
 	crashed := func(t *testing.T) (*testEnv, ChunkID, uint64) {
-		env := newTestEnv(t, "aes-sha256")
+		env := newTestEnv(t, "aes-ctr-sha256")
 		s := env.open(t)
 		var cid ChunkID
 		for i := 0; i < 6; i++ {
@@ -702,7 +702,7 @@ func TestPipelineStressQuiesce(t *testing.T) {
 	if testing.Short() {
 		rounds = 40
 	}
-	env := newTestEnv(t, "aes-sha256")
+	env := newTestEnv(t, "aes-ctr-sha256")
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.CheckpointBytes = 16 << 10
 	s := env.open(t)

@@ -11,7 +11,7 @@ import (
 // read of the whole set merges runs into coalesced segment reads and
 // returns every payload intact.
 func TestReadBatchCoalescesAdjacentRecords(t *testing.T) {
-	for _, suite := range []string{"aes-sha256", "null"} {
+	for _, suite := range []string{"aes-ctr-sha256", "null"} {
 		t.Run(suite, func(t *testing.T) {
 			env := newTestEnv(t, suite)
 			s := env.open(t)
@@ -65,7 +65,7 @@ func TestReadBatchCoalescesAdjacentRecords(t *testing.T) {
 // batch mixing live chunks, never-written ids, and duplicates reports each
 // result independently without failing the batch.
 func TestReadBatchErrorsAndDuplicates(t *testing.T) {
-	env := newTestEnv(t, "aes-sha256")
+	env := newTestEnv(t, "aes-ctr-sha256")
 	s := env.open(t)
 	defer s.Close()
 
@@ -96,7 +96,7 @@ func TestReadBatchErrorsAndDuplicates(t *testing.T) {
 // back to the point-read path — returning the relocated bytes, never the
 // stale ones, and never leaking a segment pin.
 func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
-	env := newTestEnv(t, "aes-sha256")
+	env := newTestEnv(t, "aes-ctr-sha256")
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.DisableAutoClean = true
 	s := env.open(t)
@@ -178,7 +178,7 @@ func TestReadBatchInlineWorker(t *testing.T) {
 // batch proceeds, and the batch's own flights are released so later readers
 // are not blocked.
 func TestReadBatchSkipsChunksAlreadyInFlight(t *testing.T) {
-	env := newTestEnv(t, "aes-sha256")
+	env := newTestEnv(t, "aes-ctr-sha256")
 	s := env.open(t)
 	defer s.Close()
 

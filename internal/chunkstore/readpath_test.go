@@ -14,7 +14,7 @@ import (
 // directly by performing a cold read while the test itself holds the store
 // lock in shared mode — any exclusive acquisition would deadlock.
 func TestReadMissOffMutexHappyPath(t *testing.T) {
-	env := newTestEnv(t, "aes-sha256")
+	env := newTestEnv(t, "aes-ctr-sha256")
 	s := env.open(t)
 	defer s.Close()
 
@@ -51,7 +51,7 @@ func TestReadMissOffMutexHappyPath(t *testing.T) {
 // and the completed off-lock read must fail revalidation (stale epoch and
 // moved entry) rather than publish a result computed from the old record.
 func TestReadRetryOnCleanerRelocation(t *testing.T) {
-	env := newTestEnv(t, "aes-sha256")
+	env := newTestEnv(t, "aes-ctr-sha256")
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.DisableAutoClean = true
 	s := env.open(t)
@@ -200,7 +200,7 @@ func TestReadFlightsStaleInvalidation(t *testing.T) {
 // return the exact stable payload — relocations mid-read must be caught by
 // revalidation, never surfaced as wrong data or spurious errors.
 func TestConcurrentReadsRaceCleaner(t *testing.T) {
-	env := newTestEnv(t, "aes-sha256")
+	env := newTestEnv(t, "aes-ctr-sha256")
 	env.cfg.SegmentSize = 4 << 10
 	s := env.open(t)
 	defer s.Close()

@@ -2,8 +2,10 @@ package chunkstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"tdb/internal/platform"
@@ -69,7 +71,7 @@ func allocWrite(t *testing.T, s *Store, data []byte) ChunkID {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	for _, suite := range []string{"3des-sha1", "aes-sha256", "null"} {
+	for _, suite := range []string{"3des-sha1", "aes-ctr-sha256", "null"} {
 		t.Run(suite, func(t *testing.T) {
 			env := newTestEnv(t, suite)
 			s := env.open(t)
@@ -413,17 +415,64 @@ func TestStatsTracking(t *testing.T) {
 	}
 }
 
+// TestSuiteMismatchRejected opens a store under each suite it was not
+// created with. The superblock MACs differ before the recorded suite names
+// are compared, so the open fails as tampering (ErrTampered, not ErrUsage)
+// and must say which suite the slots claim. A flipped MAC byte under the
+// right suite is plain tampering too.
 func TestSuiteMismatchRejected(t *testing.T) {
-	env := newTestEnv(t, "3des-sha1")
-	s := env.open(t)
-	allocWrite(t, s, []byte("x"))
-	s.Close()
-	// Reopen with a different suite name (same secret).
-	other, _ := sec.NewSuite("aes-sha256", []byte("test-device-secret-0123456789abc"))
-	cfg := env.cfg
-	cfg.Suite = other
-	if _, err := Open(cfg); err == nil {
-		t.Fatal("opening with mismatched suite should fail")
+	suites := []string{"3des-sha1", "aes-ctr-sha256", "null"}
+	for _, created := range suites {
+		for _, opened := range suites {
+			if opened == created {
+				continue
+			}
+			t.Run(created+"/as-"+opened, func(t *testing.T) {
+				env := newTestEnv(t, created)
+				s := env.open(t)
+				allocWrite(t, s, []byte("x"))
+				if err := s.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				other, err := sec.NewSuite(opened, []byte("test-device-secret-0123456789abc"))
+				if err != nil {
+					t.Fatalf("NewSuite: %v", err)
+				}
+				cfg := env.cfg
+				cfg.Suite = other
+				_, err = Open(cfg)
+				if !errors.Is(err, ErrTampered) || errors.Is(err, ErrUsage) {
+					t.Fatalf("opening a %s store as %s: %v, want ErrTampered", created, opened, err)
+				}
+				if want := fmt.Sprintf("slot names %q, format %d", created, formatVersion); !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name the claimed suite (%s)", err, want)
+				}
+			})
+		}
+	}
+	for _, suite := range []string{"3des-sha1", "aes-ctr-sha256"} {
+		t.Run(suite+"/flipped-mac", func(t *testing.T) {
+			env := newTestEnv(t, suite)
+			s := env.open(t)
+			allocWrite(t, s, []byte("x"))
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			sb := env.mem.Snapshot()[superblockName]
+			for off := 0; off+4 <= len(sb); off += superSlotSize {
+				plen := int(binary.BigEndian.Uint16(sb[off : off+2]))
+				if plen == 0 {
+					continue
+				}
+				if err := env.mem.Corrupt(superblockName, int64(off+4+plen)); err != nil {
+					t.Fatalf("Corrupt: %v", err)
+				}
+			}
+			_, err := Open(env.cfg)
+			if !errors.Is(err, ErrTampered) || errors.Is(err, ErrUsage) {
+				t.Fatalf("open with flipped superblock MACs: %v, want ErrTampered", err)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // state. Run under -race this exercises the commit pipeline's stage-1
 // fan-out and the shared-lock read path beside it.
 func TestConcurrentReadersCommittersSnapshots(t *testing.T) {
-	for _, suiteName := range []string{"aes-sha256", "null"} {
+	for _, suiteName := range []string{"aes-ctr-sha256", "null"} {
 		t.Run(suiteName, func(t *testing.T) {
 			env := newTestEnv(t, suiteName)
 			env.cfg.SegmentSize = 32 << 10

@@ -1,0 +1,124 @@
+package chunkstore
+
+import (
+	"bytes"
+	"sync/atomic"
+	"testing"
+
+	"tdb/internal/platform"
+	"tdb/internal/sec"
+)
+
+// mod8Suite wraps a Suite and sums len(plaintext) % 8 over its encryptions.
+type mod8Suite struct {
+	sec.Suite
+	sum atomic.Int64
+}
+
+func (m *mod8Suite) Encrypt(plaintext []byte, iv uint64) ([]byte, error) {
+	m.sum.Add(int64(len(plaintext) % 8))
+	return m.Suite.Encrypt(plaintext, iv)
+}
+
+// TestSuiteByteAccounting runs one fixed sequence — durable and nondurable
+// commits of assorted payload sizes, one checkpoint, one clean, Close — on a
+// MeterStore under 3des-sha1 and under aes-ctr-sha256. Both suites hash and
+// MAC to 20 bytes, so every plaintext (payloads, map nodes, checkpoint) and
+// every unencrypted record is the same size under both; only ciphertexts
+// differ, 8 + n + (8 − n%8) bytes against n + 16. The device must therefore
+// see exactly Σ n%8 more bytes under CTR, in the same number of writes and
+// syncs — summed over every encrypted payload written, which includes the
+// data records the cleaner copies verbatim to the log tail.
+func TestSuiteByteAccounting(t *testing.T) {
+	type run struct {
+		io   platform.IOCounts
+		mod8 int64
+	}
+	measure := func(name string) run {
+		suite, err := sec.NewSuite(name, []byte("suite-byte-accounting-secret-012"))
+		if err != nil {
+			t.Fatalf("NewSuite: %v", err)
+		}
+		counted := &mod8Suite{Suite: suite}
+		meter := platform.NewMeterStore(platform.NewMemStore())
+		s, err := Open(Config{
+			Store:                 meter,
+			Counter:               platform.NewMemCounter(),
+			Suite:                 counted,
+			UseCounter:            true,
+			SegmentSize:           8 << 10,
+			DisableAutoClean:      true,
+			DisableAutoCheckpoint: true,
+		})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		lastLen := make(map[ChunkID]int)
+		ids := make([]ChunkID, 12)
+		for i := range ids {
+			if ids[i], err = s.AllocateChunkID(); err != nil {
+				t.Fatalf("AllocateChunkID: %v", err)
+			}
+		}
+		for round := 0; round < 30; round++ {
+			b := s.NewBatch()
+			for j := 0; j < 1+round%3; j++ {
+				size := 37*round + 11*j + round%8
+				cid := ids[(round+5*j)%len(ids)]
+				b.Write(cid, bytes.Repeat([]byte{byte(round)}, size))
+				lastLen[cid] = size
+			}
+			if err := s.Commit(b, round%2 == 0); err != nil {
+				t.Fatalf("Commit %d: %v", round, err)
+			}
+			if round == 14 {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+			}
+		}
+		locs := func() map[ChunkID]Location {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			out := make(map[ChunkID]Location)
+			for _, cid := range ids {
+				e, err := s.lm.get(cid)
+				if err != nil {
+					t.Fatalf("lm.get(%d): %v", cid, err)
+				}
+				out[cid] = e.loc
+			}
+			return out
+		}
+		before := locs()
+		if err := s.Clean(); err != nil {
+			t.Fatalf("Clean: %v", err)
+		}
+		var copied int64
+		for cid, loc := range locs() {
+			if loc != before[cid] {
+				copied += int64(lastLen[cid] % 8)
+			}
+		}
+		if s.Stats().Cleanings == 0 {
+			t.Fatal("test premise broken: Clean evacuated no segment")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		return run{io: meter.Stats().Snapshot(), mod8: counted.sum.Load() + copied}
+	}
+	des, ctr := measure("3des-sha1"), measure("aes-ctr-sha256")
+	if des.mod8 != ctr.mod8 {
+		t.Fatalf("the suites encrypted different plaintexts: Σ n%%8 = %d vs %d", des.mod8, ctr.mod8)
+	}
+	if got := ctr.io.BytesWritten - des.io.BytesWritten; got != ctr.mod8 {
+		t.Errorf("aes-ctr-sha256 wrote %d bytes more than 3des-sha1 (%d vs %d), want exactly Σ n%%8 = %d",
+			got, ctr.io.BytesWritten, des.io.BytesWritten, ctr.mod8)
+	}
+	if des.io.WriteOps != ctr.io.WriteOps || des.io.SyncOps != ctr.io.SyncOps {
+		t.Errorf("write/sync ops differ: 3des-sha1 %d/%d, aes-ctr-sha256 %d/%d",
+			des.io.WriteOps, des.io.SyncOps, ctr.io.WriteOps, ctr.io.SyncOps)
+	}
+	t.Logf("3des-sha1 %+v, aes-ctr-sha256 %+v, Σ n%%8 = %d", des.io, ctr.io, ctr.mod8)
+}

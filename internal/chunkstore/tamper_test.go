@@ -61,75 +61,86 @@ func expectTamperedOrIntact(t *testing.T, env *testEnv, ids []ChunkID, want func
 	}
 }
 
+// forKeyedSuites runs f as one subtest per keyed suite. No case may rely on
+// Decrypt failing: CTR decrypts any bytes, so detection must come from the
+// Merkle hashes, the MACs and the counter.
+func forKeyedSuites(t *testing.T, f func(t *testing.T, suite string)) {
+	for _, suite := range []string{"3des-sha1", "aes-ctr-sha256"} {
+		t.Run(suite, func(t *testing.T) { f(t, suite) })
+	}
+}
+
 func TestTamperDetectSegmentBitFlips(t *testing.T) {
-	for _, suite := range []string{"3des-sha1", "aes-sha256"} {
-		t.Run(suite, func(t *testing.T) {
-			env := newTestEnv(t, suite)
-			ids := populate(t, env, 30)
-			// Flip one byte at several positions in every segment file and
-			// verify each flip is detected.
-			names, _ := env.mem.List()
-			for _, name := range names {
-				num, ok := parseSegmentName(name)
-				if !ok {
+	forKeyedSuites(t, func(t *testing.T, suite string) {
+		env := newTestEnv(t, suite)
+		ids := populate(t, env, 30)
+		// Flip one byte at several positions in every segment file and
+		// verify each flip is detected.
+		names, _ := env.mem.List()
+		for _, name := range names {
+			num, ok := parseSegmentName(name)
+			if !ok {
+				continue
+			}
+			_ = num
+			snap := env.mem.Snapshot()
+			size := int64(len(snap[name]))
+			for _, off := range []int64{segHeaderSize + 3, size / 3, size / 2, size - 2} {
+				if off < 0 || off >= size {
 					continue
 				}
-				_ = num
-				snap := env.mem.Snapshot()
-				size := int64(len(snap[name]))
-				for _, off := range []int64{segHeaderSize + 3, size / 3, size / 2, size - 2} {
-					if off < 0 || off >= size {
-						continue
-					}
-					env.mem.Restore(snap)
-					if err := env.mem.Corrupt(name, off); err != nil {
-						t.Fatalf("Corrupt(%s,%d): %v", name, off, err)
-					}
-					expectTamperedOrIntact(t, env, ids, func(i int) []byte {
-						return []byte(fmt.Sprintf("valuable-record-%04d", i))
-					})
-				}
 				env.mem.Restore(snap)
+				if err := env.mem.Corrupt(name, off); err != nil {
+					t.Fatalf("Corrupt(%s,%d): %v", name, off, err)
+				}
+				expectTamperedOrIntact(t, env, ids, func(i int) []byte {
+					return []byte(fmt.Sprintf("valuable-record-%04d", i))
+				})
 			}
-		})
-	}
+			env.mem.Restore(snap)
+		}
+	})
 }
 
 func TestTamperDetectSuperblockCorruption(t *testing.T) {
-	env := newTestEnv(t, "3des-sha1")
-	ids := populate(t, env, 5)
-	snap := env.mem.Snapshot()
-	size := int64(len(snap[superblockName]))
-	for off := int64(0); off < size; off += 37 {
-		env.mem.Restore(snap)
-		env.mem.Corrupt(superblockName, off)
-		expectTamperedOrIntact(t, env, ids, func(i int) []byte {
-			return []byte(fmt.Sprintf("valuable-record-%04d", i))
-		})
-	}
+	forKeyedSuites(t, func(t *testing.T, suite string) {
+		env := newTestEnv(t, suite)
+		ids := populate(t, env, 5)
+		snap := env.mem.Snapshot()
+		size := int64(len(snap[superblockName]))
+		for off := int64(0); off < size; off += 37 {
+			env.mem.Restore(snap)
+			env.mem.Corrupt(superblockName, off)
+			expectTamperedOrIntact(t, env, ids, func(i int) []byte {
+				return []byte(fmt.Sprintf("valuable-record-%04d", i))
+			})
+		}
+	})
 }
 
 func TestReplayAttackDetected(t *testing.T) {
-	env := newTestEnv(t, "3des-sha1")
-	s := env.open(t)
-	cid := allocWrite(t, s, []byte("balance=100"))
-	s.Close()
+	forKeyedSuites(t, func(t *testing.T, suite string) {
+		env := newTestEnv(t, suite)
+		s := env.open(t)
+		cid := allocWrite(t, s, []byte("balance=100"))
+		s.Close()
 
-	// The consumer saves a copy of the database...
-	saved := env.mem.Snapshot()
+		// The consumer saves a copy of the database...
+		saved := env.mem.Snapshot()
 
-	// ...spends the balance...
-	s = env.open(t)
-	writeChunk(t, s, cid, []byte("balance=0"))
-	s.Close()
+		// ...spends the balance...
+		s = env.open(t)
+		writeChunk(t, s, cid, []byte("balance=0"))
+		s.Close()
 
-	// ...and replays the saved copy to restore the balance. The one-way
-	// counter, which the attacker cannot rewind, exposes the replay.
-	env.mem.Restore(saved)
-	_, err := Open(env.cfg)
-	if !errors.Is(err, ErrTampered) {
-		t.Fatalf("replayed stale database accepted: %v", err)
-	}
+		// ...and replays the saved copy to restore the balance. The one-way
+		// counter, which the attacker cannot rewind, exposes the replay.
+		env.mem.Restore(saved)
+		_, err := Open(env.cfg)
+		if !errors.Is(err, ErrTampered) {
+			t.Fatalf("replayed stale database accepted: %v", err)
+		}
+	})
 }
 
 func TestReplayAttackUndetectedWithoutCounter(t *testing.T) {
@@ -157,89 +168,95 @@ func TestReplayAttackUndetectedWithoutCounter(t *testing.T) {
 }
 
 func TestLogTruncationDetected(t *testing.T) {
-	env := newTestEnv(t, "3des-sha1")
-	s := env.open(t)
-	cid := allocWrite(t, s, []byte("v1"))
-	s.Close()
-	saved := env.mem.Snapshot()
+	forKeyedSuites(t, func(t *testing.T, suite string) {
+		env := newTestEnv(t, suite)
+		s := env.open(t)
+		cid := allocWrite(t, s, []byte("v1"))
+		s.Close()
+		saved := env.mem.Snapshot()
 
-	s = env.open(t)
-	writeChunk(t, s, cid, []byte("v2"))
-	writeChunk(t, s, cid, []byte("v3"))
-	s.Close()
+		s = env.open(t)
+		writeChunk(t, s, cid, []byte("v2"))
+		writeChunk(t, s, cid, []byte("v3"))
+		s.Close()
 
-	// Splice: restore old segment content but keep the new counter — this
-	// models an attacker truncating the log back to an earlier commit.
-	cur := env.mem.Snapshot()
-	for name, data := range saved {
-		if _, ok := parseSegmentName(name); ok {
-			cur[name] = data
+		// Splice: restore old segment content but keep the new counter — this
+		// models an attacker truncating the log back to an earlier commit.
+		cur := env.mem.Snapshot()
+		for name, data := range saved {
+			if _, ok := parseSegmentName(name); ok {
+				cur[name] = data
+			}
+			if name == superblockName {
+				cur[name] = data
+			}
 		}
-		if name == superblockName {
-			cur[name] = data
+		env.mem.Restore(cur)
+		if _, err := Open(env.cfg); !errors.Is(err, ErrTampered) {
+			t.Fatalf("truncated log accepted: %v", err)
 		}
-	}
-	env.mem.Restore(cur)
-	if _, err := Open(env.cfg); !errors.Is(err, ErrTampered) {
-		t.Fatalf("truncated log accepted: %v", err)
-	}
+	})
 }
 
 func TestCrossChunkSwapDetected(t *testing.T) {
-	// Swapping the stored records of two chunks (both individually valid)
-	// must be caught by the Merkle tree.
-	env := newTestEnv(t, "3des-sha1")
-	s := env.open(t)
-	a, _ := s.AllocateChunkID()
-	bID, _ := s.AllocateChunkID()
-	batch := s.NewBatch()
-	payload := bytes.Repeat([]byte("A"), 64)
-	payload2 := bytes.Repeat([]byte("B"), 64)
-	batch.Write(a, payload)
-	batch.Write(bID, payload2)
-	if err := s.Commit(batch, true); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
+	forKeyedSuites(t, func(t *testing.T, suite string) {
+		// Swapping the stored records of two chunks (both individually valid)
+		// must be caught by the Merkle tree.
+		env := newTestEnv(t, suite)
+		s := env.open(t)
+		a, _ := s.AllocateChunkID()
+		bID, _ := s.AllocateChunkID()
+		batch := s.NewBatch()
+		payload := bytes.Repeat([]byte("A"), 64)
+		payload2 := bytes.Repeat([]byte("B"), 64)
+		batch.Write(a, payload)
+		batch.Write(bID, payload2)
+		if err := s.Commit(batch, true); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
 
-	// Locate the two write records in the log and swap their bodies.
-	s.mu.Lock()
-	ea, _ := s.lm.get(a)
-	eb, _ := s.lm.get(bID)
-	_, bodyA, _ := s.segs.readRecord(ea.loc)
-	_, bodyB, _ := s.segs.readRecord(eb.loc)
-	if len(bodyA) != len(bodyB) {
+		// Locate the two write records in the log and swap their bodies.
+		s.mu.Lock()
+		ea, _ := s.lm.get(a)
+		eb, _ := s.lm.get(bID)
+		_, bodyA, _ := s.segs.readRecord(ea.loc)
+		_, bodyB, _ := s.segs.readRecord(eb.loc)
+		if len(bodyA) != len(bodyB) {
+			s.mu.Unlock()
+			t.Skip("unequal record sizes; swap not byte-compatible")
+		}
+		segA := s.segs.segs[ea.loc.Seg]
+		segB := s.segs.segs[eb.loc.Seg]
+		// Swap ciphertexts but keep each record's chunk id and CRC valid, as a
+		// competent attacker would.
+		recA := encodeRecord(recWrite, writeRecordBody(a, bodyB[8:]))
+		recB := encodeRecord(recWrite, writeRecordBody(bID, bodyA[8:]))
+		segA.file.WriteAt(recA, int64(ea.loc.Off))
+		segB.file.WriteAt(recB, int64(eb.loc.Off))
 		s.mu.Unlock()
-		t.Skip("unequal record sizes; swap not byte-compatible")
-	}
-	segA := s.segs.segs[ea.loc.Seg]
-	segB := s.segs.segs[eb.loc.Seg]
-	// Swap ciphertexts but keep each record's chunk id and CRC valid, as a
-	// competent attacker would.
-	recA := encodeRecord(recWrite, writeRecordBody(a, bodyB[8:]))
-	recB := encodeRecord(recWrite, writeRecordBody(bID, bodyA[8:]))
-	segA.file.WriteAt(recA, int64(ea.loc.Off))
-	segB.file.WriteAt(recB, int64(eb.loc.Off))
-	s.mu.Unlock()
 
-	if _, err := s.Read(a); !errors.Is(err, ErrTampered) {
-		t.Fatalf("swapped chunk read: %v", err)
-	}
+		if _, err := s.Read(a); !errors.Is(err, ErrTampered) {
+			t.Fatalf("swapped chunk read: %v", err)
+		}
+	})
 }
 
 func TestSecrecyNoPlaintextInStore(t *testing.T) {
-	env := newTestEnv(t, "3des-sha1")
-	s := env.open(t)
-	secretPayload := []byte("CONTENT-DECRYPTION-KEY-0xDEADBEEF")
-	allocWrite(t, s, secretPayload)
-	s.Close()
-	for name, data := range env.mem.Snapshot() {
-		if bytes.Contains(data, secretPayload) {
-			t.Fatalf("plaintext leaked into untrusted store file %q", name)
+	forKeyedSuites(t, func(t *testing.T, suite string) {
+		env := newTestEnv(t, suite)
+		s := env.open(t)
+		secretPayload := []byte("CONTENT-DECRYPTION-KEY-0xDEADBEEF")
+		allocWrite(t, s, secretPayload)
+		s.Close()
+		for name, data := range env.mem.Snapshot() {
+			if bytes.Contains(data, secretPayload) {
+				t.Fatalf("plaintext leaked into untrusted store file %q", name)
+			}
+			if bytes.Contains(data, []byte("DECRYPTION")) {
+				t.Fatalf("plaintext fragment leaked into %q", name)
+			}
 		}
-		if bytes.Contains(data, []byte("DECRYPTION")) {
-			t.Fatalf("plaintext fragment leaked into %q", name)
-		}
-	}
+	})
 }
 
 func TestNullSuiteStoresPlaintext(t *testing.T) {
@@ -261,24 +278,26 @@ func TestNullSuiteStoresPlaintext(t *testing.T) {
 }
 
 func TestCounterFileRollbackDetected(t *testing.T) {
-	// Even if the attacker resets the *emulated* counter file together with
-	// the database, a genuinely hardware-backed counter cannot be reset. We
-	// model the hardware with MemCounter (outside the untrusted store), so
-	// only the database files are replayed — the counter keeps its value.
-	env := newTestEnv(t, "3des-sha1")
-	s := env.open(t)
-	cid := allocWrite(t, s, []byte("x"))
-	s.Close()
-	saved := env.mem.Snapshot()
-	s = env.open(t)
-	for i := 0; i < 5; i++ {
-		writeChunk(t, s, cid, []byte(fmt.Sprintf("y%d", i)))
-	}
-	s.Close()
-	env.mem.Restore(saved)
-	if _, err := Open(env.cfg); !errors.Is(err, ErrTampered) {
-		t.Fatalf("rollback accepted: %v", err)
-	}
+	forKeyedSuites(t, func(t *testing.T, suite string) {
+		// Even if the attacker resets the *emulated* counter file together with
+		// the database, a genuinely hardware-backed counter cannot be reset. We
+		// model the hardware with MemCounter (outside the untrusted store), so
+		// only the database files are replayed — the counter keeps its value.
+		env := newTestEnv(t, suite)
+		s := env.open(t)
+		cid := allocWrite(t, s, []byte("x"))
+		s.Close()
+		saved := env.mem.Snapshot()
+		s = env.open(t)
+		for i := 0; i < 5; i++ {
+			writeChunk(t, s, cid, []byte(fmt.Sprintf("y%d", i)))
+		}
+		s.Close()
+		env.mem.Restore(saved)
+		if _, err := Open(env.cfg); !errors.Is(err, ErrTampered) {
+			t.Fatalf("rollback accepted: %v", err)
+		}
+	})
 }
 
 func TestTamperedAllocatorFreeListCaught(t *testing.T) {
@@ -300,28 +319,30 @@ func TestTamperedAllocatorFreeListCaught(t *testing.T) {
 }
 
 func TestFileCounterBackedStore(t *testing.T) {
-	// End-to-end with the paper's emulated file counter living in the same
-	// untrusted store as the database.
-	mem := platform.NewMemStore()
-	ctr, err := platform.NewFileCounter(mem, "counter")
-	if err != nil {
-		t.Fatalf("NewFileCounter: %v", err)
-	}
-	env := newTestEnv(t, "3des-sha1")
-	env.mem = mem
-	env.cfg.Store = mem
-	env.cfg.Counter = ctr
-	s := env.open(t)
-	cid := allocWrite(t, s, []byte("data"))
-	s.Close()
-	ctr2, err := platform.NewFileCounter(mem, "counter")
-	if err != nil {
-		t.Fatalf("reopen counter: %v", err)
-	}
-	env.cfg.Counter = ctr2
-	s2 := env.open(t)
-	defer s2.Close()
-	if got, err := s2.Read(cid); err != nil || string(got) != "data" {
-		t.Fatalf("Read: %q, %v", got, err)
-	}
+	forKeyedSuites(t, func(t *testing.T, suite string) {
+		// End-to-end with the paper's emulated file counter living in the same
+		// untrusted store as the database.
+		mem := platform.NewMemStore()
+		ctr, err := platform.NewFileCounter(mem, "counter")
+		if err != nil {
+			t.Fatalf("NewFileCounter: %v", err)
+		}
+		env := newTestEnv(t, suite)
+		env.mem = mem
+		env.cfg.Store = mem
+		env.cfg.Counter = ctr
+		s := env.open(t)
+		cid := allocWrite(t, s, []byte("data"))
+		s.Close()
+		ctr2, err := platform.NewFileCounter(mem, "counter")
+		if err != nil {
+			t.Fatalf("reopen counter: %v", err)
+		}
+		env.cfg.Counter = ctr2
+		s2 := env.open(t)
+		defer s2.Close()
+		if got, err := s2.Read(cid); err != nil || string(got) != "data" {
+			t.Fatalf("Read: %q, %v", got, err)
+		}
+	})
 }

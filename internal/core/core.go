@@ -42,9 +42,9 @@ type Options struct {
 	// convenience only: a secret the attacker can read protects nothing.
 	SecretFile string
 
-	// Suite names the crypto suite: "3des-sha1" (the paper's TDB-S,
-	// default), "aes-sha256", or "null" (security off — the paper's plain
-	// TDB).
+	// Suite names the crypto suite: "aes-ctr-sha256" (AES-128-CTR with
+	// SHA-256 and HMAC-SHA256 truncated to 160 bits; the default), "3des-sha1"
+	// (the paper's TDB-S), or "null" (security off — the paper's plain TDB).
 	Suite string
 
 	// Counter is the one-way counter for replay detection. Nil uses a
@@ -154,7 +154,7 @@ func (db *DB) setup() error {
 	}
 	suiteName := opts.Suite
 	if suiteName == "" {
-		suiteName = "3des-sha1"
+		suiteName = "aes-ctr-sha256"
 	}
 	if suiteName != "null" && len(secret) == 0 {
 		return errors.New("core: a device secret is required unless Suite is \"null\"")

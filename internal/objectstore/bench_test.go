@@ -154,7 +154,7 @@ func BenchmarkTxnCommitParallel(b *testing.B) {
 }
 
 func benchCommitParallel(b *testing.B, workers int) {
-	suite, err := sec.NewSuite("aes-sha256", []byte("bench-parallel-commit"))
+	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("bench-parallel-commit"))
 	if err != nil {
 		b.Fatal(err)
 	}

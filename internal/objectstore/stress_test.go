@@ -25,7 +25,7 @@ type stressEnv struct {
 
 func newStressEnv(t *testing.T) *stressEnv {
 	t.Helper()
-	suite, err := sec.NewSuite("aes-sha256", []byte("stress-test-device-secret-012345"))
+	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("stress-test-device-secret-012345"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}

@@ -1,7 +1,6 @@
 package sec
 
 import (
-	"crypto/aes"
 	"crypto/cipher"
 	"crypto/des"
 	"crypto/hmac"
@@ -9,44 +8,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"sync"
 )
 
-// cbcSuite implements Suite with a CBC-mode block cipher, a one-way hash,
-// and HMAC. It underlies both the 3DES/SHA-1 suite the paper evaluates and
-// the faster AES/SHA-256 alternative.
+// cbcSuite is the paper's TDB-S suite (§7.3): 3DES-CBC with PKCS#7 padding
+// and a derived IV, SHA-1 hashing, and HMAC-SHA1.
 type cbcSuite struct {
-	name     string
-	block    cipher.Block
-	hashNew  hashFactory
-	hashSize int
-	macKey   []byte
-	ivKey    []byte
-	hashPool sync.Pool
-	macPool  sync.Pool
-}
-
-func newCBCSuite(name string, block cipher.Block, hf hashFactory, secret []byte) (*cbcSuite, error) {
-	macKey, err := deriveKey(secret, "mac", 32)
-	if err != nil {
-		return nil, err
-	}
-	ivKey, err := deriveKey(secret, "iv", 32)
-	if err != nil {
-		return nil, err
-	}
-	s := &cbcSuite{
-		name:     name,
-		block:    block,
-		hashNew:  hf,
-		hashSize: hf().Size(),
-		macKey:   macKey,
-		ivKey:    ivKey,
-	}
-	s.hashPool.New = func() any { return hf() }
-	s.macPool.New = func() any { return hmac.New(hf, s.macKey) }
-	return s, nil
+	*digests
+	block cipher.Block
+	ivKey []byte
 }
 
 // NewDES3SHA1 returns the paper's TDB-S suite: 3DES-CBC encryption with
@@ -61,24 +30,18 @@ func NewDES3SHA1(secret []byte) (Suite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sec: creating 3DES cipher: %w", err)
 	}
-	return newCBCSuite("3des-sha1", block, sha1.New, secret)
-}
-
-// NewAESSHA256 returns the modern suite: AES-128-CBC with SHA-256. The paper
-// anticipates such faster alternatives to 3DES (§7.3).
-func NewAESSHA256(secret []byte) (Suite, error) {
-	key, err := deriveKey(secret, "enc", 16)
+	macKey, err := deriveKey(secret, "mac", 32)
 	if err != nil {
 		return nil, err
 	}
-	block, err := aes.NewCipher(key)
+	ivKey, err := deriveKey(secret, "iv", 32)
 	if err != nil {
-		return nil, fmt.Errorf("sec: creating AES cipher: %w", err)
+		return nil, err
 	}
-	return newCBCSuite("aes-sha256", block, sha256.New, secret)
+	return &cbcSuite{digests: newDigests(sha1.New, macKey, sha1.Size), block: block, ivKey: ivKey}, nil
 }
 
-func (s *cbcSuite) Name() string { return s.name }
+func (s *cbcSuite) Name() string { return "3des-sha1" }
 
 // deriveIV computes a deterministic, unique IV for the given seed by
 // encrypting the seed counter with a dedicated key (an instance of the
@@ -104,7 +67,8 @@ func (s *cbcSuite) Encrypt(plaintext []byte, iv uint64) ([]byte, error) {
 	return out, nil
 }
 
-// Decrypt implements Suite.
+// Decrypt implements Suite. Besides malformed lengths it rejects invalid
+// padding, which catches some tampering but is no integrity check.
 func (s *cbcSuite) Decrypt(ciphertext []byte) ([]byte, error) {
 	bs := s.block.BlockSize()
 	if len(ciphertext) < 2*bs || (len(ciphertext)-bs)%bs != 0 {
@@ -117,32 +81,6 @@ func (s *cbcSuite) Decrypt(ciphertext []byte) ([]byte, error) {
 	dec.CryptBlocks(out, body)
 	return unpadPKCS7(out, bs)
 }
-
-// Hash implements Suite.
-func (s *cbcSuite) Hash(data []byte) []byte {
-	h := s.hashPool.Get().(hash.Hash)
-	h.Reset()
-	h.Write(data)
-	sum := h.Sum(nil)
-	s.hashPool.Put(h)
-	return sum
-}
-
-// HashSize implements Suite.
-func (s *cbcSuite) HashSize() int { return s.hashSize }
-
-// MAC implements Suite.
-func (s *cbcSuite) MAC(data []byte) []byte {
-	m := s.macPool.Get().(hash.Hash)
-	m.Reset()
-	m.Write(data)
-	sum := m.Sum(nil)
-	s.macPool.Put(m)
-	return sum
-}
-
-// MACSize implements Suite.
-func (s *cbcSuite) MACSize() int { return s.hashSize }
 
 // Overhead implements Suite: IV plus worst-case padding.
 func (s *cbcSuite) Overhead(n int) int {

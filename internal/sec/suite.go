@@ -7,8 +7,8 @@
 // The paper's evaluation configures SHA-1 for hashing and 3DES for
 // encryption (§7.3) and notes that "there are other algorithms that are as
 // secure as 3DES and run significantly faster"; this package therefore also
-// provides an AES-128/SHA-256 suite (used by the ablation benchmarks) and a
-// null suite corresponding to the paper's security-off "TDB" configuration.
+// provides AES-128-CTR with truncated SHA-256 (the default) and a null suite
+// corresponding to the paper's security-off "TDB" configuration.
 package sec
 
 import (
@@ -16,13 +16,14 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"sync"
 )
 
 // Common errors.
 var (
-	// ErrBadPadding is returned when decryption produces invalid padding,
-	// typically because the ciphertext was tampered with or decrypted with
-	// the wrong key.
+	// ErrBadPadding is returned when CBC decryption produces invalid
+	// padding, typically because the ciphertext was tampered with or
+	// decrypted with the wrong key.
 	ErrBadPadding = errors.New("sec: invalid padding")
 	// ErrBadCiphertext is returned when a ciphertext is malformed (wrong
 	// length or too short to contain an IV).
@@ -33,9 +34,9 @@ var (
 // by the chunk store and backup store. Implementations must be safe for
 // concurrent use.
 type Suite interface {
-	// Name identifies the suite ("3des-sha1", "aes-sha256", "null"). It is
-	// recorded in the database superblock so a database is always reopened
-	// with the suite it was created with.
+	// Name identifies the suite ("3des-sha1", "aes-ctr-sha256", "null"). It
+	// is recorded in the database superblock so a database is always
+	// reopened with the suite it was created with.
 	Name() string
 
 	// Encrypt encrypts plaintext. The ciphertext embeds any IV needed for
@@ -48,7 +49,10 @@ type Suite interface {
 	// ciphertexts even across concurrent commit preparations.
 	Encrypt(plaintext []byte, iv uint64) ([]byte, error)
 
-	// Decrypt reverses Encrypt.
+	// Decrypt reverses Encrypt. It does not authenticate: a tampered
+	// ciphertext may decrypt to garbage without an error, and a suite
+	// rejects only input it cannot parse. Integrity comes from Hash (the
+	// Merkle tree over ciphertexts) and MAC, checked before Decrypt runs.
 	Decrypt(ciphertext []byte) ([]byte, error)
 
 	// Hash computes the one-way hash used for Merkle tree nodes.
@@ -82,13 +86,13 @@ func HashEqual(a, b []byte) bool {
 
 // NewSuite constructs the named suite keyed from the device secret.
 // Supported names: "3des-sha1" (the paper's TDB-S configuration),
-// "aes-sha256", and "null" (security off).
+// "aes-ctr-sha256" (the default), and "null" (security off).
 func NewSuite(name string, secret []byte) (Suite, error) {
 	switch name {
 	case "3des-sha1":
 		return NewDES3SHA1(secret)
-	case "aes-sha256":
-		return NewAESSHA256(secret)
+	case "aes-ctr-sha256":
+		return NewAESCTRSHA256(secret)
 	case "null":
 		return NewNull(), nil
 	default:
@@ -96,5 +100,41 @@ func NewSuite(name string, secret []byte) (Suite, error) {
 	}
 }
 
-// hashPool avoids allocating a hash.Hash per call on hot paths.
 type hashFactory func() hash.Hash
+
+// digests implements a keyed suite's Hash and MAC (HMAC under macKey),
+// both truncated to size bytes. Pools avoid allocating a hash.Hash per
+// call on hot paths.
+type digests struct {
+	size     int
+	hashPool sync.Pool
+	macPool  sync.Pool
+}
+
+func newDigests(hf hashFactory, macKey []byte, size int) *digests {
+	d := &digests{size: size}
+	d.hashPool.New = func() any { return hf() }
+	d.macPool.New = func() any { return hmac.New(hf, macKey) }
+	return d
+}
+
+func (d *digests) sum(pool *sync.Pool, data []byte) []byte {
+	h := pool.Get().(hash.Hash)
+	h.Reset()
+	h.Write(data)
+	sum := h.Sum(nil)[:d.size]
+	pool.Put(h)
+	return sum
+}
+
+// Hash implements Suite.
+func (d *digests) Hash(data []byte) []byte { return d.sum(&d.hashPool, data) }
+
+// HashSize implements Suite.
+func (d *digests) HashSize() int { return d.size }
+
+// MAC implements Suite.
+func (d *digests) MAC(data []byte) []byte { return d.sum(&d.macPool, data) }
+
+// MACSize implements Suite.
+func (d *digests) MACSize() int { return d.size }

@@ -21,7 +21,7 @@ func benchSuite(b *testing.B, name string) Suite {
 }
 
 func BenchmarkEncrypt(b *testing.B) {
-	for _, name := range []string{"3des-sha1", "aes-sha256", "null"} {
+	for _, name := range []string{"3des-sha1", "aes-ctr-sha256", "null"} {
 		for _, size := range []int{100, 2500} {
 			b.Run(fmt.Sprintf("%s/%dB", name, size), func(b *testing.B) {
 				s := benchSuite(b, name)
@@ -39,7 +39,7 @@ func BenchmarkEncrypt(b *testing.B) {
 }
 
 func BenchmarkDecrypt(b *testing.B) {
-	for _, name := range []string{"3des-sha1", "aes-sha256"} {
+	for _, name := range []string{"3des-sha1", "aes-ctr-sha256"} {
 		b.Run(name, func(b *testing.B) {
 			s := benchSuite(b, name)
 			ct, _ := s.Encrypt(make([]byte, 100), 1)
@@ -55,7 +55,7 @@ func BenchmarkDecrypt(b *testing.B) {
 }
 
 func BenchmarkHash(b *testing.B) {
-	for _, name := range []string{"3des-sha1", "aes-sha256", "null"} {
+	for _, name := range []string{"3des-sha1", "aes-ctr-sha256", "null"} {
 		b.Run(name, func(b *testing.B) {
 			s := benchSuite(b, name)
 			data := make([]byte, 2500)

@@ -17,11 +17,11 @@ func allSuites(t *testing.T) map[string]Suite {
 	if err != nil {
 		t.Fatalf("NewDES3SHA1: %v", err)
 	}
-	aes, err := NewAESSHA256(testSecret)
+	ctr, err := NewAESCTRSHA256(testSecret)
 	if err != nil {
-		t.Fatalf("NewAESSHA256: %v", err)
+		t.Fatalf("NewAESCTRSHA256: %v", err)
 	}
-	return map[string]Suite{"3des-sha1": des3, "aes-sha256": aes, "null": NewNull()}
+	return map[string]Suite{"3des-sha1": des3, "aes-ctr-sha256": ctr, "null": NewNull()}
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
@@ -81,7 +81,9 @@ func TestDistinctIVSeedsGiveDistinctCiphertexts(t *testing.T) {
 			if bytes.Equal(c1, c2) {
 				t.Fatal("equal ciphertexts for distinct IV seeds")
 			}
-			// Same seed must be deterministic (used by tests and repair).
+			// Same seed, same instance: the same ciphertext. Nothing in
+			// the engine re-encrypts under a used seed; this pins that the
+			// ciphertext is a function of the key, seed and plaintext only.
 			c3, _ := s.Encrypt(pt, 1)
 			if !bytes.Equal(c1, c3) {
 				t.Fatal("encryption not deterministic for equal IV seed")
@@ -112,18 +114,74 @@ func TestDecryptRejectsTamperedCiphertext(t *testing.T) {
 	}
 }
 
+// TestDecryptRejectsMalformedLengths: CBC needs a whole number of blocks
+// after the IV; CTR has no length structure beyond its header, so it can
+// reject only input shorter than that and must accept the empty payload.
 func TestDecryptRejectsMalformedLengths(t *testing.T) {
+	malformed := map[string][]int{
+		"3des-sha1":      {0, 1, 7, 8, 9, 23},
+		"aes-ctr-sha256": {0, 1, 8, 15},
+	}
 	for name, s := range allSuites(t) {
 		if name == "null" {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			for _, n := range []int{0, 1, 7, 8, 9, 23} {
-				if _, err := s.Decrypt(make([]byte, n)); err == nil {
-					t.Fatalf("Decrypt accepted %d-byte garbage", n)
+			for _, n := range malformed[name] {
+				if _, err := s.Decrypt(make([]byte, n)); !errors.Is(err, ErrBadCiphertext) {
+					t.Fatalf("Decrypt of %d-byte garbage: %v, want ErrBadCiphertext", n, err)
 				}
 			}
 		})
+	}
+	ctr := allSuites(t)["aes-ctr-sha256"]
+	if got, err := ctr.Decrypt(make([]byte, ctrHeaderSize)); err != nil || len(got) != 0 {
+		t.Fatalf("Decrypt of a bare header: %d bytes, %v", len(got), err)
+	}
+}
+
+// TestCTRSuiteShape pins the byte accounting the default suite promises:
+// every ciphertext is exactly the plaintext plus a 16-byte header, and
+// hashes and MACs are 20 bytes, the sizes of the paper's SHA-1 suite.
+func TestCTRSuiteShape(t *testing.T) {
+	s := allSuites(t)["aes-ctr-sha256"]
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 100, 2500} {
+		ct, err := s.Encrypt(make([]byte, n), uint64(n))
+		if err != nil {
+			t.Fatalf("Encrypt(%d bytes): %v", n, err)
+		}
+		if len(ct) != n+16 || s.Overhead(n) != 16 {
+			t.Fatalf("%d-byte plaintext: ciphertext %d bytes, overhead %d; want %d and 16", n, len(ct), s.Overhead(n), n+16)
+		}
+	}
+	if s.HashSize() != 20 || len(s.Hash([]byte("x"))) != 20 || s.MACSize() != 20 || len(s.MAC([]byte("x"))) != 20 {
+		t.Fatalf("hash %d/%d, MAC %d/%d bytes; want 20", s.HashSize(), len(s.Hash([]byte("x"))), s.MACSize(), len(s.MAC([]byte("x"))))
+	}
+}
+
+// TestCTRInstancesNeverShareAKeystream: two instances under one secret —
+// two stores whose IV generations both start at 0 — encrypt the same seed
+// differently (each draws its own salt), yet each decrypts the other's
+// ciphertexts, since the header carries everything decryption needs.
+func TestCTRInstancesNeverShareAKeystream(t *testing.T) {
+	a, _ := NewAESCTRSHA256(testSecret)
+	b, _ := NewAESCTRSHA256(testSecret)
+	pt := []byte("same secret, same seed, two stores")
+	ca, _ := a.Encrypt(pt, 7)
+	cb, _ := b.Encrypt(pt, 7)
+	if bytes.Equal(ca[ctrHeaderSize:], cb[ctrHeaderSize:]) {
+		t.Fatal("two instances produced the same keystream for one seed")
+	}
+	for _, c := range []struct {
+		s  Suite
+		ct []byte
+	}{{a, cb}, {b, ca}} {
+		if got, err := c.s.Decrypt(c.ct); err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("cross-instance Decrypt: %q, %v", got, err)
+		}
+	}
+	if !HashEqual(a.MAC(pt), b.MAC(pt)) || !HashEqual(a.Hash(pt), b.Hash(pt)) {
+		t.Fatal("hash or MAC depends on the instance, not only on the secret")
 	}
 }
 
@@ -183,7 +241,7 @@ func TestMACKeyDependsOnSecret(t *testing.T) {
 }
 
 func TestNewSuiteByName(t *testing.T) {
-	for _, name := range []string{"3des-sha1", "aes-sha256", "null"} {
+	for _, name := range []string{"3des-sha1", "aes-ctr-sha256", "null"} {
 		s, err := NewSuite(name, testSecret)
 		if err != nil {
 			t.Fatalf("NewSuite(%q): %v", name, err)

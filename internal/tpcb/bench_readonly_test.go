@@ -16,7 +16,7 @@ var benchScale = Scale{Accounts: 1000, Tellers: 50, Branches: 5}
 // newBenchDriver loads a small TDB instance on a memory store.
 func newBenchDriver(b *testing.B) *TDBDriver {
 	b.Helper()
-	d, err := NewTDBDriverSuite(platform.NewMemStore(), "aes-sha256", 0.60)
+	d, err := NewTDBDriverSuite(platform.NewMemStore(), "aes-ctr-sha256", 0.60)
 	if err != nil {
 		b.Fatalf("NewTDBDriverSuite: %v", err)
 	}

@@ -134,7 +134,7 @@ func TestChaosCrashMidRepair(t *testing.T) {
 			Store:                 fs,
 			Counter:               platform.NewMemCounter(),
 			Secret:                []byte("crash-mid-repair-secret-01234567"),
-			Suite:                 "aes-sha256",
+			Suite:                 "aes-ctr-sha256",
 			Registry:              registerObj(),
 			Archive:               arch,
 			DisableAutoClean:      true,
@@ -316,7 +316,7 @@ func TestChaosScrubVsGroupCommit(t *testing.T) {
 		Store:    platform.NewMemStore(),
 		Counter:  platform.NewMemCounter(),
 		Secret:   []byte("scrub-vs-groupcommit-secret-0123"),
-		Suite:    "aes-sha256",
+		Suite:    "aes-ctr-sha256",
 		Registry: registerObj(),
 	}
 	db, err := tdb.Open(opts)
