@@ -10,7 +10,7 @@ LINTFLAGS ?=
 CHAOS_SEED ?= 42
 CHAOS_ACTIONS ?= 1000
 
-.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-scan bench-module chaos
+.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-scan bench-module chaos fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -49,12 +49,22 @@ chaos:
 	$(GO) test -race -count=1 ./test/chaos/ \
 		-args -chaos.seed=$(CHAOS_SEED) -chaos.actions=$(CHAOS_ACTIONS)
 
+# fuzz-smoke runs each native fuzz target for a few seconds past its seeds,
+# which plain `go test` already runs: a check that the targets build and
+# hold their property on fresh inputs, not a search (a longer -fuzztime is
+# one). A failing input is saved under the package's testdata/fuzz/ and
+# replays in every later `go test`.
+fuzz-smoke:
+	$(GO) test ./internal/chunkstore/ -run XXX \
+		-fuzz FuzzParseRecordBytes -fuzztime 3s -parallel 2
+
 # check is the pre-merge gate: the fault-injection suite, the chaos oracle,
-# gofmt, vet, the trust-invariant analyzers, the full suite under the race
-# detector (the chunk store's commit pipeline and read cache are
-# concurrent), a one-shot pass over every benchmark so the perf harness
-# can't silently rot, and the nested benchmark module's own vet and tests.
-check: faults chaos fmt
+# gofmt, a few seconds of fuzzing, vet, the trust-invariant analyzers, the
+# full suite under the race detector (the chunk store's commit pipeline and
+# read path are concurrent), a one-shot pass over every benchmark so the
+# perf harness can't silently rot, and the nested benchmark module's own vet
+# and tests.
+check: faults chaos fmt fuzz-smoke
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
@@ -76,17 +86,20 @@ bench-smoke: bench-read-scaling bench-scan
 	$(GO) test ./... -run XXX -bench . -benchtime 1x
 
 # bench-read-scaling exercises the off-mutex read path (DESIGN.md §7.7) at
-# 1 and 8 concurrent readers, and the wait-free snapshot hit path (§7.5) at
-# 1 and 2. Like bench-smoke it is not for numbers: it keeps the
-# snapshot/revalidate protocol, the sharded cache, the singleflight and the
-# decode-table probe running under both the serial and the contended
-# scheduler shape on every gate — though the hit path's ns/op at -cpu 1
-# against 2 and its allocs/op are worth a glance when they print.
+# 1 and 8 concurrent readers, and the snapshot lookup path (§7.5) at 1 and
+# 2: the wait-free hit and the miss that takes no table lock. Like
+# bench-smoke it is not for numbers: it keeps the snapshot/revalidate
+# protocol, the singleflight, the decode-table probe and its miss path
+# running under both the serial and the contended scheduler shape on every
+# gate — though each lookup path's ns/op at -cpu 1 against 2 and its
+# allocs/op are worth a glance when they print.
 bench-read-scaling:
 	$(GO) test ./internal/chunkstore/ -run XXX \
 		-bench BenchmarkConcurrentRead -benchtime 1x -cpu 1,8
 	$(GO) test . -run XXX \
 		-bench BenchmarkSnapshotLookupHot -benchtime 20000x -cpu 1,2
+	$(GO) test . -run XXX \
+		-bench BenchmarkSnapshotLookupCold -benchtime 2000x -cpu 1,2
 
 # bench-scan runs the scan-pipeline experiment (DESIGN.md §7.8) in its
 # seconds-long smoke shape: full-collection sweeps with the prefetch window

@@ -15,6 +15,8 @@ package tdb_test
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -137,10 +139,78 @@ func BenchmarkCryptoSuites(b *testing.B) {
 func BenchmarkSnapshotLookupHot(b *testing.B) {
 	db, byID := openHotDB(b)
 	var seeds atomic.Int64
+	benchLookupTxns(b, db, byID, func() func() int64 {
+		id := seeds.Add(7919)
+		return func() int64 {
+			id = (id*31 + 17) % hotSongs
+			return id
+		}
+	})
+}
+
+// coldSongs songs with coldTitle-byte titles pickle to just over 16 MiB,
+// twice the decode table's 8 MiB budget, so most of
+// BenchmarkSnapshotLookupCold's record opens miss it.
+const (
+	coldSongs = 16384
+	coldTitle = 1 << 10
+)
+
+// openColdDB loads coldSongs songs under a unique hash index on a MemStore,
+// 1024 to a transaction, and reads nothing back.
+func openColdDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer) {
+	tb.Helper()
+	db, _ := openTestDB(tb)
+	tb.Cleanup(func() { db.Close() })
+	byID := songByID()
+	txn := db.Begin()
+	if _, err := txn.CreateCollection("songs", byID); err != nil {
+		tb.Fatalf("CreateCollection: %v", err)
+	}
+	if err := txn.Commit(false); err != nil {
+		tb.Fatalf("Commit: %v", err)
+	}
+	title := strings.Repeat("t", coldTitle)
+	for start := 0; start < coldSongs; start += 1024 {
+		txn := db.Begin()
+		songs, err := txn.WriteCollection("songs", byID)
+		if err != nil {
+			tb.Fatalf("WriteCollection: %v", err)
+		}
+		for i := start; i < start+1024; i++ {
+			if _, err := songs.Insert(&Song{ID: int64(i), Title: title, Plays: int64(i)}); err != nil {
+				tb.Fatalf("Insert: %v", err)
+			}
+		}
+		if err := txn.Commit(false); err != nil {
+			tb.Fatalf("Commit: %v", err)
+		}
+	}
+	return db, byID
+}
+
+// BenchmarkSnapshotLookupCold measures the snapshot miss path in the shape
+// of the repository benchmark's read-cold workload: the same transactions
+// with keys uniform over coldSongs, so most record opens miss the decode
+// table and read, validate, decrypt and unpickle a chunk. Run at -cpu 1,2 it
+// shows whether two readers' misses overlap or queue on a shared lock.
+func BenchmarkSnapshotLookupCold(b *testing.B) {
+	db, byID := openColdDB(b)
+	var seeds atomic.Int64
+	benchLookupTxns(b, db, byID, func() func() int64 {
+		rng := rand.New(rand.NewSource(seeds.Add(7919)))
+		return func() int64 { return rng.Int63n(coldSongs) }
+	})
+}
+
+// benchLookupTxns runs the lookup benchmarks' op under RunParallel: a
+// snapshot transaction of eight exact-match lookups, each goroutine drawing
+// ids from its own generator made by newKeys.
+func benchLookupTxns(b *testing.B, db *tdb.DB, byID tdb.GenericIndexer, newKeys func() func() int64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		id := seeds.Add(7919)
+		next := newKeys()
 		for pb.Next() {
 			txn := db.BeginReadOnly()
 			h, err := txn.ReadCollection("songs", byID)
@@ -149,7 +219,7 @@ func BenchmarkSnapshotLookupHot(b *testing.B) {
 				return
 			}
 			for i := 0; i < 8; i++ {
-				id = (id*31 + 17) % hotSongs
+				id := next()
 				if s, err := lookupSong(h, byID, tdb.IntKey(id)); err != nil || s.ID != id {
 					b.Errorf("lookup %d: %v, %v", id, s, err)
 					return

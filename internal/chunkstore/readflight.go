@@ -65,8 +65,7 @@ func (rf *readFlights) shard(cid ChunkID) *flightShard {
 
 // do coalesces concurrent calls for the same cid: the first caller runs fn,
 // later callers wait and share its result. stale reports that a commit
-// superseded the flight's value mid-read; the caller must re-check the read
-// cache and retry. Followers receive a private copy of the data, matching
+// superseded the flight's value mid-read; the caller must retry the read. Followers receive a private copy of the data, matching
 // the ownership contract of Read.
 func (rf *readFlights) do(cid ChunkID, fn func() ([]byte, error)) (data []byte, err error, stale bool) {
 	sh := rf.shard(cid)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestReadMissOffMutexHappyPath checks the acceptance contract of the
@@ -43,6 +44,32 @@ func TestReadMissOffMutexHappyPath(t *testing.T) {
 	st := s.Stats()
 	if st.ReadSlowPaths != 0 {
 		t.Fatalf("ReadSlowPaths = %d after warm-map cache misses, want 0", st.ReadSlowPaths)
+	}
+}
+
+// TestStatsUnderSharedLock pins that Stats needs only the shared lock, so a
+// stats poller neither waits for nor holds up the off-mutex readers: it must
+// return while the test holds mu.RLock, as a reader in its plan or finish
+// act does.
+func TestStatsUnderSharedLock(t *testing.T) {
+	env := newTestEnv(t, "aes-ctr-sha256")
+	s := env.open(t)
+	defer s.Close()
+	allocWrite(t, s, []byte("a usage meter record"))
+
+	done := make(chan Stats, 1)
+	s.mu.RLock()
+	go func() { done <- s.Stats() }()
+	select {
+	case st := <-done:
+		s.mu.RUnlock()
+		if st.Chunks != 1 {
+			t.Fatalf("Stats under a shared lock reports %d chunks, want 1", st.Chunks)
+		}
+	case <-time.After(2 * time.Second):
+		s.mu.RUnlock()
+		<-done
+		t.Fatal("Stats blocked while a reader held the shared lock")
 	}
 }
 

@@ -983,10 +983,12 @@ func (s *Store) Clean() error {
 	return s.cleanLocked(1<<62, true)
 }
 
-// Stats returns operational counters.
+// Stats returns operational counters. The shared lock suffices: every field
+// it reads is written under the exclusive lock or is atomic, so a stats
+// poller never stalls the off-mutex readers.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	disk := s.segs.totalSize()
 	live := s.segs.totalLive()
 	st := Stats{

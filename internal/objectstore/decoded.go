@@ -12,11 +12,12 @@ import "sync/atomic"
 // Soundness: entries exist only for objects with no version chain. stage
 // clears an object's slot before it installs the chain, and runs before the
 // chunk-store merge and before publish advances the stamp. put runs only from
-// decodedPut, which re-checks the no-chain condition under the table's write
-// lock while its caller's pin keeps any racing chain alive, and from publish,
-// which re-seats a committing writer's instance in the same locked section
-// that drops its chain. So an entry a probe can load is the state every live
-// and every future pin must see.
+// decodedPut, which re-checks the no-chain condition under
+// versionTable.decodedMu — every chain insert and delete holds it too, so the
+// chain map cannot change under the check — while its caller's pin keeps any
+// racing chain alive, and from publish, which re-seats a committing writer's
+// instance in the same locked section that drops its chain. So an entry a
+// probe can load is the state every live and every future pin must see.
 //
 // Objects handed out are shared across transactions: objects opened
 // read-only must not be mutated (Config.ReadonlyChecks catches violations),
@@ -46,7 +47,7 @@ type decodedEntry struct {
 
 // decodedTable is the set-associative table. get is safe from any goroutine
 // with no lock held; put and remove, and the fields below slots, belong to
-// the writer side, which holds versionTable.mu exclusively.
+// the writer side, which holds versionTable.decodedMu.
 type decodedTable struct {
 	slots [decodedWays << decodedSetBits]atomic.Pointer[decodedEntry]
 	bytes int64 // resident pickled size, never above decodedBudget
@@ -120,7 +121,7 @@ func (dt *decodedTable) put(oid ObjectID, obj Object, size int64) {
 }
 
 // resident counts the occupied slots and sums their sizes. The caller holds
-// versionTable.mu (shared suffices) so the count agrees with bytes.
+// versionTable.decodedMu so the count agrees with bytes.
 func (dt *decodedTable) resident() (n int, bytes int64) {
 	for i := range dt.slots {
 		if e := dt.slots[i].Load(); e != nil {

@@ -1,6 +1,9 @@
 package objectstore
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Multi-version snapshot reads. Read-write transactions keep the paper's
 // strict 2PL (§4.1); read-only transactions instead pin a commit stamp at
@@ -41,11 +44,14 @@ type verChain struct {
 
 // versionTable is the store-wide multi-version state.
 //
-// Lock order: Store.mu → versionTable.mu → versionTable.pinMu. Readers
-// probe the decode table with no lock at all, resolve chains under mu.RLock
-// and must not reach the chunk store while holding it; writers stage/publish
-// under mu.Lock. pinMu is a leaf protecting only the pin counts so unpinning
-// never contends with resolution.
+// Lock order: Store.mu → versionTable.mu → versionTable.decodedMu →
+// versionTable.pinMu. Readers probe the decode table with no lock at all,
+// resolve chains under mu.RLock — or with no lock while nchains is zero — and
+// must not reach the chunk store while holding mu. Every chain-map insert
+// and delete holds mu exclusively and decodedMu, so holding either freezes
+// the map; the decode table's writer side holds decodedMu alone, so a miss
+// caching its decode never takes mu. pinMu is a leaf protecting only the pin
+// counts so unpinning never contends with resolution.
 type versionTable struct {
 	mu sync.RWMutex
 	// stamp is the last published commit stamp; it advances by one for
@@ -56,14 +62,19 @@ type versionTable struct {
 	// chains holds version history per object; an object with no chain is
 	// at its latest committed state in the chunk store.
 	chains map[ObjectID]*verChain
+	// nchains is len(chains), changed only with mu and decodedMu both held.
+	// At zero, resolve and prefetchFilter skip mu: stage raises the count
+	// before the chunk-store merge, so a reader whose chunk read observed a
+	// merge observes the raise too.
+	nchains atomic.Int64
 	// rootOID mirrors the committed root pointer so BeginReadOnly can
 	// capture pin + root under one read lock.
 	rootOID ObjectID
 
-	// decoded caches the unpickled committed state of chain-free objects
-	// (see decodedTable). Probes take no lock; its writer side is guarded
-	// by mu held exclusively.
-	decoded decodedTable
+	// decodedMu guards the writer side of decoded, the unpickled committed
+	// state of chain-free objects (see decodedTable); probes take no lock.
+	decodedMu sync.Mutex
+	decoded   decodedTable
 
 	pinMu sync.Mutex
 	// pins counts active read-only transactions per pinned stamp.
@@ -161,12 +172,15 @@ func (vt *versionTable) stage(staged []stagedVersion) {
 	}
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
+	vt.decodedMu.Lock()
+	defer vt.decodedMu.Unlock()
 	for _, sv := range staged {
 		vt.decoded.remove(sv.oid)
 		c := vt.chains[sv.oid]
 		if c == nil {
 			c = &verChain{vers: []version{{stamp: 0, data: sv.pre, present: sv.preExisted}}}
 			vt.chains[sv.oid] = c
+			vt.nchains.Add(1)
 		}
 		c.pend = append(c.pend, version{data: sv.data, present: sv.present})
 	}
@@ -185,6 +199,8 @@ func (vt *versionTable) publish(staged []stagedVersion, rootSet bool, root Objec
 	}
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
+	vt.decodedMu.Lock()
+	defer vt.decodedMu.Unlock()
 	vt.stamp++
 	st := vt.stamp
 	if rootSet {
@@ -216,6 +232,8 @@ func (vt *versionTable) unstage(staged []stagedVersion) {
 	}
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
+	vt.decodedMu.Lock()
+	defer vt.decodedMu.Unlock()
 	min := vt.minPin()
 	for _, sv := range staged {
 		if c := vt.chains[sv.oid]; c != nil {
@@ -231,7 +249,7 @@ func (vt *versionTable) unstage(staged []stagedVersion) {
 // below minPin remains with nothing staged, the chain equals the chunk
 // store's committed state — merge-before-publish guarantees the store
 // holds at least that version — and the whole chain is dropped, restoring
-// the cheap no-chain fallback path. Caller holds vt.mu.
+// the cheap no-chain fallback path. Caller holds vt.mu and vt.decodedMu.
 func (vt *versionTable) reclaimLocked(oid ObjectID, c *verChain, minPin uint64) {
 	keep := 0
 	for i, v := range c.vers {
@@ -244,22 +262,21 @@ func (vt *versionTable) reclaimLocked(oid ObjectID, c *verChain, minPin uint64) 
 	}
 	if len(c.pend) == 0 && len(c.vers) == 1 && c.vers[0].stamp <= minPin {
 		delete(vt.chains, oid)
+		vt.nchains.Add(-1)
 	}
 }
 
 // sweep reclaims retired versions across all chains (run when the minimum
-// pin advances). The read-locked emptiness probe keeps the common
-// read-mostly case — horizon advances, but no chains exist — off the
-// exclusive lock entirely.
+// pin advances). The chain count keeps the common read-mostly case —
+// horizon advances, but no chains exist — off every table lock.
 func (vt *versionTable) sweep() {
-	vt.mu.RLock()
-	empty := len(vt.chains) == 0
-	vt.mu.RUnlock()
-	if empty {
+	if vt.nchains.Load() == 0 {
 		return
 	}
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
+	vt.decodedMu.Lock()
+	defer vt.decodedMu.Unlock()
 	min := vt.minPin()
 	for oid, c := range vt.chains {
 		vt.reclaimLocked(oid, c, min)
@@ -268,8 +285,12 @@ func (vt *versionTable) sweep() {
 
 // resolve returns the state of oid's version chain visible at pin. ok is
 // false when the object has no chain (or, defensively, no version at or
-// below pin): the caller reads the chunk store and re-checks.
+// below pin): the caller reads the chunk store and re-checks. While no chain
+// exists at all, resolve takes no lock.
 func (vt *versionTable) resolve(oid ObjectID, pin uint64) (data []byte, present, ok bool) {
+	if vt.nchains.Load() == 0 {
+		return nil, false, false
+	}
 	vt.mu.RLock()
 	defer vt.mu.RUnlock()
 	c := vt.chains[oid]
@@ -285,14 +306,14 @@ func (vt *versionTable) resolve(oid ObjectID, pin uint64) (data []byte, present,
 }
 
 // decodedPut caches an unpickled committed object for the no-chain path.
-// The no-chain condition is re-checked under the write lock: the caller
-// decoded bytes it read without the lock, and a writer may have staged a
-// newer state since. The caller's snapshot pin keeps any such chain alive
-// (its baseline pre-image is visible to the pin), so chains[oid] == nil
-// still proves the decode is the one committed state.
+// The no-chain condition is re-checked under decodedMu, which every chain
+// insert holds too: the caller decoded bytes it read without a lock, and a
+// writer may have staged a newer state since. The caller's snapshot pin
+// keeps any such chain alive (its baseline pre-image is visible to the pin),
+// so chains[oid] == nil still proves the decode is the one committed state.
 func (vt *versionTable) decodedPut(oid ObjectID, obj Object, size int64) {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
+	vt.decodedMu.Lock()
+	defer vt.decodedMu.Unlock()
 	if vt.chains[oid] == nil {
 		vt.decoded.put(oid, obj, size)
 	}
@@ -300,34 +321,40 @@ func (vt *versionTable) decodedPut(oid ObjectID, obj Object, size int64) {
 
 // decodedRemove evicts oid's decode-table entry.
 func (vt *versionTable) decodedRemove(oid ObjectID) {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
+	vt.decodedMu.Lock()
+	defer vt.decodedMu.Unlock()
 	vt.decoded.remove(oid)
 }
 
 // decodedResidency reports the decode table's resident objects and bytes.
 func (vt *versionTable) decodedResidency() (n int, bytes int64) {
-	vt.mu.RLock()
-	defer vt.mu.RUnlock()
+	vt.decodedMu.Lock()
+	defer vt.decodedMu.Unlock()
 	return vt.decoded.resident()
 }
 
 // prefetchFilter returns the subset of oids a scan prefetch should pull
-// from the chunk store, under one read-locked pass: objects with a version
-// chain are skipped (they resolve from the table, and their committed chunk
-// state may be newer than what a snapshot reader will see), as are objects
-// whose committed decode is already cached. Duplicates and nil ids drop.
+// from the chunk store, under one read-locked pass (no lock while no chain
+// exists): objects with a version chain are skipped (they resolve from the
+// table, and their committed chunk state may be newer than what a snapshot
+// reader will see), as are objects whose committed decode is already cached.
+// Duplicates and nil ids drop.
 func (vt *versionTable) prefetchFilter(oids []ObjectID) []ObjectID {
-	vt.mu.RLock()
-	defer vt.mu.RUnlock()
+	chained := vt.nchains.Load() != 0
+	if chained {
+		vt.mu.RLock()
+		defer vt.mu.RUnlock()
+	}
 	out := make([]ObjectID, 0, len(oids))
 	var seen map[ObjectID]struct{}
 	for _, oid := range oids {
 		if oid == NilObject {
 			continue
 		}
-		if _, chained := vt.chains[oid]; chained {
-			continue
+		if chained {
+			if _, ok := vt.chains[oid]; ok {
+				continue
+			}
 		}
 		if vt.decoded.get(oid) != nil {
 			continue
@@ -346,7 +373,5 @@ func (vt *versionTable) prefetchFilter(oids []ObjectID) []ObjectID {
 
 // chainCount reports the number of live version chains (tests and stats).
 func (vt *versionTable) chainCount() int {
-	vt.mu.RLock()
-	defer vt.mu.RUnlock()
-	return len(vt.chains)
+	return int(vt.nchains.Load())
 }

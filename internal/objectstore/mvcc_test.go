@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSnapshotIsolation pins the tentpole guarantee deterministically: a
@@ -559,6 +560,69 @@ func TestDecodeTableLockFreeProbe(t *testing.T) {
 		if obj := s.versions.decoded.get(oid); obj != nil && obj.(*Meter).ViewCount != want {
 			t.Fatalf("decode table holds ViewCount %d for object %d; committed state is %d", obj.(*Meter).ViewCount, oid, want)
 		}
+	}
+}
+
+// TestSnapshotMissTakesNoTableLock pins the miss path's lock footprint: while
+// no version chain exists, a snapshot open the decode table cannot answer —
+// resolve, the chunk read, the re-check and decodedPut — takes no
+// versionTable.mu, so concurrent readers' misses never queue on it. The test
+// holds mu exclusively while 64 such opens run; each must complete and leave
+// its object in the decode table.
+func TestSnapshotMissTakesNoTableLock(t *testing.T) {
+	e := newOSEnv(t)
+	s := e.open(t)
+	defer s.Close()
+
+	const n = 64
+	setup := s.Begin()
+	oids := make([]ObjectID, n)
+	for i := range oids {
+		oid, err := setup.Insert(&Meter{ID: int32(i), ViewCount: int32(i)})
+		if err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		oids[i] = oid
+	}
+	if err := setup.Commit(true); err != nil {
+		t.Fatalf("setup commit: %v", err)
+	}
+	vt := s.versions
+	if c := vt.chainCount(); c != 0 {
+		t.Fatalf("%d version chains after a commit no reader saw", c)
+	}
+	for _, oid := range oids {
+		vt.decodedRemove(oid)
+	}
+	ro := s.BeginReadOnly()
+	defer ro.Abort()
+
+	done := make(chan error, 1)
+	vt.mu.Lock()
+	go func() {
+		for i, oid := range oids {
+			ref, err := OpenReadonly[*Meter](ro, oid)
+			if err != nil {
+				done <- fmt.Errorf("open %d: %w", oid, err)
+				return
+			}
+			if m := ref.Deref(); m.ViewCount != int32(i) || vt.decoded.get(oid) != Object(m) {
+				done <- fmt.Errorf("open %d read ViewCount %d (want %d), decode table holds %p, open returned %p", oid, m.ViewCount, i, vt.decoded.get(oid), m)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		vt.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		vt.mu.Unlock()
+		<-done
+		t.Fatal("snapshot misses did not complete while versionTable.mu was held exclusively")
 	}
 }
 

@@ -209,8 +209,9 @@ func (t *Txn) OpenWritable(oid ObjectID) (Object, error) {
 // stamp. It takes no object locks and never returns ErrLockTimeout. A
 // cached chain-free object — the hot case — is answered by the decode table
 // with no lock and no write to shared memory; otherwise the version table
-// answers under a short read lock, and the no-chain fallback reads the
-// committed state from the chunk store directly.
+// answers, under a short read lock or, while no chain exists, with none, and
+// the no-chain fallback reads the committed state from the chunk store
+// directly.
 func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 	if !t.roActive {
 		return nil, ErrTxnDone
