@@ -10,7 +10,7 @@ LINTFLAGS ?=
 CHAOS_SEED ?= 42
 CHAOS_ACTIONS ?= 1000
 
-.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-scan bench-module chaos fuzz-smoke
+.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-scan bench-module chaos fuzz-smoke scan-repeat
 
 build:
 	$(GO) build ./...
@@ -58,13 +58,20 @@ fuzz-smoke:
 	$(GO) test ./internal/chunkstore/ -run XXX \
 		-fuzz FuzzParseRecordBytes -fuzztime 3s -parallel 2
 
+# scan-repeat runs the root scan tests twenty times under the race
+# detector. A cold scan's segment reads, bytes and coalesced reads are
+# pinned exactly (TestScanPrefetchWindows); a scan pipeline that let timing
+# change batch composition would fail some of the repetitions.
+scan-repeat:
+	$(GO) test -race -count=20 -run 'TestScan' .
+
 # check is the pre-merge gate: the fault-injection suite, the chaos oracle,
-# gofmt, a few seconds of fuzzing, vet, the trust-invariant analyzers, the
-# full suite under the race detector (the chunk store's commit pipeline and
-# read path are concurrent), a one-shot pass over every benchmark so the
-# perf harness can't silently rot, and the nested benchmark module's own vet
-# and tests.
-check: faults chaos fmt fuzz-smoke
+# gofmt, a few seconds of fuzzing, the repeated scan tests, vet, the
+# trust-invariant analyzers, the full suite under the race detector (the
+# chunk store's commit pipeline and read path are concurrent), a one-shot
+# pass over every benchmark so the perf harness can't silently rot, and the
+# nested benchmark module's own vet and tests.
+check: faults chaos fmt fuzz-smoke scan-repeat
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...

@@ -327,10 +327,9 @@ func probeExact(hdl *tdb.Collection, id int64) (int, ObjState, error) {
 // objects no matter what relocates mid-scan. The window cycles through 0
 // (prefetch disabled — the pre-pipeline behavior), 1, and the default-sized
 // 32. Determinism: every random choice is drawn on the main thread before
-// the sweep starts, and read-fault injection is switched off for its
-// duration (the prefetcher's goroutine reads concurrently; with the read
-// probability zeroed they consume no injector draws — the actReadStorm
-// recipe).
+// the sweep starts, and the sweep reads on that thread too (the iterator
+// prefetches synchronously), so transient read faults stay on and reach
+// the batch read path in a replayable order.
 func (h *harness) actScan() error {
 	cols := h.existingCols()
 	if len(cols) == 0 {
@@ -374,8 +373,6 @@ func (h *harness) actScan() error {
 	window := []int{0, 1, 32}[h.action%3]
 	cleanEvery := 8 + h.rng.Intn(25)
 	doScrub := h.rng.Chance(0.3)
-	h.fs.SetTransientProb(0, 0.01, 1)
-	defer h.fs.SetTransientProb(0.01, 0.01, 1)
 
 	it, err := hdl.Query(byID())
 	if err != nil {

@@ -2,7 +2,6 @@ package chunkstore
 
 import (
 	"fmt"
-	"runtime"
 
 	"tdb/internal/lru"
 	"tdb/internal/platform"
@@ -50,11 +49,6 @@ type Config struct {
 	// batch's payloads during commit preparation. 0 selects one worker per
 	// CPU; 1 prepares inline on the committing goroutine.
 	CommitWorkers int
-	// PrefetchWorkers bounds the goroutines one ReadBatch call fans its
-	// segment reads, hash validations, and decryptions across. 0 selects
-	// one per CPU capped at 8; 1 executes the batch inline on the calling
-	// goroutine.
-	PrefetchWorkers int
 	// DisableAutoClean turns off post-commit cleaning (the benchmarks'
 	// idle-cleaning experiments drive the cleaner explicitly).
 	DisableAutoClean bool
@@ -106,15 +100,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.CommitWorkers < 0 {
 		return fmt.Errorf("%w: commit workers %d negative", ErrUsage, c.CommitWorkers)
-	}
-	if c.PrefetchWorkers < 0 {
-		return fmt.Errorf("%w: prefetch workers %d negative", ErrUsage, c.PrefetchWorkers)
-	}
-	if c.PrefetchWorkers == 0 {
-		c.PrefetchWorkers = runtime.GOMAXPROCS(0)
-		if c.PrefetchWorkers > 8 {
-			c.PrefetchWorkers = 8
-		}
 	}
 	c.Retry.fillDefaults()
 	return nil

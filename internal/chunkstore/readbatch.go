@@ -1,15 +1,10 @@
 package chunkstore
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Batch reads: the scan path's counterpart to the commit pipeline and the
 // off-mutex point read (DESIGN.md §7.8). An iterator's materialized result
 // set is a perfect prefetch plan — every chunk id it will dereference is
-// known up front — so ReadBatch turns a window of those ids into bounded,
-// concurrent, off-mutex reads:
+// known up front — so ReadBatch turns a window of those ids into a few large
+// off-mutex reads:
 //
 //  1. one short shared-lock section plans every chunk with the same
 //     three-act machinery point reads use (planReadLocked), paying the lock
@@ -18,10 +13,11 @@ import (
 //     are physically adjacent in one segment file become a single large
 //     ReadAt, split back into records in memory (a fresh sequentially
 //     loaded collection reads at near raw-segment bandwidth);
-//  3. a bounded worker pool fans the validate+decrypt work across CPUs,
-//     each plan completing through finishRead — the same epoch/entry
-//     revalidation as a point read, so a cleaner relocation or commit
-//     mid-batch can never return a stale or torn plaintext;
+//  3. the coalesced reads run one after another on the calling goroutine,
+//     each plan validating, decrypting and completing through finishRead —
+//     the same epoch/entry revalidation as a point read, so a cleaner
+//     relocation or commit mid-batch can never return a stale or torn
+//     plaintext;
 //  4. plans the revalidation rejects, chunks whose map node was not
 //     resident, and planning-time damage all fall back to Read, whose
 //     singleflight and quarantine protocol already handle every slow case.
@@ -45,14 +41,14 @@ type BatchRead struct {
 	Err  error
 }
 
-// coalesceMax bounds the byte size of one merged segment read, keeping a
-// single worker's buffer (and the latency before its first record is
-// delivered) bounded no matter how long an adjacent run is.
+// coalesceMax bounds the byte size of one merged segment read, keeping its
+// buffer (and the latency before its first record is delivered) bounded no
+// matter how long an adjacent run is.
 const coalesceMax = 1 << 20
 
-// batchTask is one unit of worker-pool work: either a single plan, or a run
-// of plans whose records are physically adjacent in one segment, to be
-// fetched with a single ReadAt.
+// batchTask is one segment read of a batch: either a single plan, or a run
+// of plans whose records are physically adjacent in one segment, fetched
+// with a single ReadAt.
 type batchTask struct {
 	plans []*readPlan
 	idxs  []int // result indices, parallel to plans
@@ -88,11 +84,11 @@ func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	// Plan every chunk under one shared-lock section, claiming each chunk's
 	// singleflight slot (chunks already in flight elsewhere drop out here).
 	plans, planIdxs, slow := s.planBatch(pending, res)
-	// Coalesce adjacent plans and fan the fetch+validate+decrypt
-	// work across the worker pool. Every plan completes through finishRead
-	// (which also releases its segment pin) and releases its flight.
-	if len(plans) > 0 {
-		s.runBatchTasks(coalescePlans(plans, planIdxs), res)
+	// Coalesce adjacent plans and fetch, validate and decrypt each run in
+	// turn. Every plan completes through finishRead (which also releases
+	// its segment pin) and releases its flight.
+	for _, t := range coalescePlans(plans, planIdxs) {
+		s.runBatchTask(t, res)
 	}
 	// Anything that could not complete off-mutex — non-resident map nodes,
 	// revalidation losses, planning-time damage — takes the point-read path,
@@ -151,7 +147,7 @@ func (s *Store) planBatch(pending []int, res []BatchRead) (plans []*readPlan, pl
 	return plans, planIdxs, slow
 }
 
-// coalescePlans groups plans into worker tasks, merging runs of records
+// coalescePlans groups plans into segment reads, merging runs of records
 // that are physically adjacent in one segment file into a single task
 // fetched with one large ReadAt. Only fully file-backed plans coalesce: a
 // plan whose record still partially lives in the write-behind buffer
@@ -206,36 +202,6 @@ func canCoalesce(t batchTask, p *readPlan) bool {
 	first := t.plans[0]
 	runLen := int64(p.e.loc.Off) + int64(p.e.loc.Len) - int64(first.e.loc.Off)
 	return runLen <= coalesceMax
-}
-
-// runBatchTasks executes the tasks on a bounded worker pool. The calling
-// goroutine is one of the workers, so a single-task batch (or a store
-// configured with PrefetchWorkers=1) runs inline with no goroutine at all.
-func (s *Store) runBatchTasks(tasks []batchTask, res []BatchRead) {
-	workers := s.cfg.PrefetchWorkers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			n := int(next.Add(1)) - 1
-			if n >= len(tasks) {
-				return
-			}
-			s.runBatchTask(tasks[n], res)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers-1; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
 }
 
 // runBatchTask fetches one task. A coalesced run pays a single large

@@ -138,7 +138,9 @@ func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 		t.Fatalf("Clean: %v", err)
 	}
 
-	s.runBatchTasks(coalescePlans(plans, planIdxs), res)
+	for _, task := range coalescePlans(plans, planIdxs) {
+		s.runBatchTask(task, res)
+	}
 	for i, r := range res {
 		want := bytes.Repeat([]byte{'V', byte(i)}, 128)
 		if r.Err != nil || !bytes.Equal(r.Data, want) {
@@ -148,26 +150,6 @@ func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 	for _, p := range plans {
 		if got := p.seg.readers.Load(); got != 0 {
 			t.Fatalf("segment pin count = %d after batch, want 0", got)
-		}
-	}
-}
-
-// TestReadBatchInlineWorker checks PrefetchWorkers=1 executes the whole
-// batch inline on the calling goroutine (no pool) with identical results.
-func TestReadBatchInlineWorker(t *testing.T) {
-	env := newTestEnv(t, "null")
-	env.cfg.PrefetchWorkers = 1
-	s := env.open(t)
-	defer s.Close()
-
-	var cids []ChunkID
-	for i := 0; i < 8; i++ {
-		cids = append(cids, allocWrite(t, s, bytes.Repeat([]byte{byte(i + 1)}, 100)))
-	}
-	for i, r := range s.ReadBatch(cids) {
-		want := bytes.Repeat([]byte{byte(i + 1)}, 100)
-		if r.Err != nil || !bytes.Equal(r.Data, want) {
-			t.Fatalf("inline ReadBatch[%d]: %v", i, r.Err)
 		}
 	}
 }

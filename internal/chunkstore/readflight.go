@@ -22,8 +22,8 @@ import "sync"
 // point.
 //
 // Lock order: Store.mu → flightShard.mu (the commit path stales flights
-// under the store mutex). Leaders never hold a shard mutex while reading —
-// do releases it before invoking fn.
+// under the store mutex). Leaders never hold a shard mutex while reading:
+// tryClaim and complete each hold it only to register or remove the flight.
 
 // flightShardCount spreads flight registration across independent mutexes so
 // misses on distinct chunks do not contend. Power of two for cheap masking.
@@ -63,47 +63,12 @@ func (rf *readFlights) shard(cid ChunkID) *flightShard {
 	return &rf.shards[mix64(uint64(cid))&(flightShardCount-1)]
 }
 
-// do coalesces concurrent calls for the same cid: the first caller runs fn,
-// later callers wait and share its result. stale reports that a commit
-// superseded the flight's value mid-read; the caller must retry the read. Followers receive a private copy of the data, matching
-// the ownership contract of Read.
-func (rf *readFlights) do(cid ChunkID, fn func() ([]byte, error)) (data []byte, err error, stale bool) {
-	sh := rf.shard(cid)
-	sh.mu.Lock()
-	if f := sh.m[cid]; f != nil {
-		f.waiters++
-		sh.mu.Unlock()
-		<-f.done
-		if f.stale {
-			return nil, nil, true
-		}
-		if f.data != nil {
-			data = append([]byte(nil), f.data...)
-		}
-		return data, f.err, false
-	}
-	f := &readFlight{done: make(chan struct{})}
-	sh.m[cid] = f
-	sh.mu.Unlock()
-
-	f.data, f.err = fn()
-
-	sh.mu.Lock()
-	delete(sh.m, cid)
-	sh.mu.Unlock()
-	close(f.done)
-	// The leader's own result is never stale for the leader: readMiss
-	// revalidated it against the location map at its linearization point.
-	return f.data, f.err, false
-}
-
 // tryClaim registers a flight for cid unless one is already in progress,
-// without blocking. Batch reads use it to dedupe against concurrent readers:
-// a successful claim makes this caller the leader (point readers joining via
-// do become its followers), while a failed claim means another reader — a
-// point read or another batch — is already fetching the chunk and will
-// publish it, so a prefetch can simply skip it. A claimed flight must be
-// released with complete or abandon.
+// without blocking. A successful claim makes the caller the leader: it
+// reads the chunk and must release the flight with complete or abandon.
+// A failed claim means another reader — a point read or a batch — is
+// already fetching the chunk: a point read follows that flight, while a
+// prefetch simply skips the chunk.
 func (rf *readFlights) tryClaim(cid ChunkID) *readFlight {
 	sh := rf.shard(cid)
 	sh.mu.Lock()
@@ -114,6 +79,31 @@ func (rf *readFlights) tryClaim(cid ChunkID) *readFlight {
 	f := &readFlight{done: make(chan struct{})}
 	sh.m[cid] = f
 	return f
+}
+
+// follow waits for the flight in progress for cid and returns a private
+// copy of its result, matching the ownership contract of Read. ok is false
+// when there was no flight to follow or a commit staled it mid-read (or
+// its leader abandoned it): the caller retries the read, which observes
+// the new state.
+func (rf *readFlights) follow(cid ChunkID) (data []byte, err error, ok bool) {
+	sh := rf.shard(cid)
+	sh.mu.Lock()
+	f := sh.m[cid]
+	if f == nil {
+		sh.mu.Unlock()
+		return nil, nil, false
+	}
+	f.waiters++
+	sh.mu.Unlock()
+	<-f.done
+	if f.stale {
+		return nil, nil, false
+	}
+	if f.data != nil {
+		data = append([]byte(nil), f.data...)
+	}
+	return data, f.err, true
 }
 
 // complete publishes a claimed flight's result and releases it, waking

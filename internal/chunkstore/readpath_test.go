@@ -153,46 +153,30 @@ func TestReadRetryOnCleanerRelocation(t *testing.T) {
 
 // TestReadFlightsStaleInvalidation exercises the singleflight coherence
 // protocol: a commit-side invalidation while a flight is in progress must
-// make followers discard the shared result and retry.
+// make followers discard the shared result and retry, while the leader
+// keeps the result it revalidated itself.
 func TestReadFlightsStaleInvalidation(t *testing.T) {
 	rf := newReadFlights()
 	const cid = ChunkID(7)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan struct{})
-
-	var leaderData []byte
-	var leaderStale bool
-	go func() {
-		defer close(leaderDone)
-		leaderData, _, leaderStale = rf.do(cid, func() ([]byte, error) {
-			close(started)
-			<-release
-			return []byte("old"), nil
-		})
-	}()
-	<-started
-	sh := rf.shard(cid)
-	sh.mu.Lock()
-	f := sh.m[cid]
-	sh.mu.Unlock()
+	f := rf.tryClaim(cid)
 	if f == nil {
-		t.Fatal("leader's flight not registered")
+		t.Fatal("tryClaim failed with no flight registered")
+	}
+	if rf.tryClaim(cid) != nil {
+		t.Fatal("second tryClaim succeeded while the leader's flight is registered")
 	}
 
 	followerDone := make(chan struct{})
-	var followerStale bool
+	var followerOK bool
 	go func() {
 		defer close(followerDone)
-		// The leader is parked on release, so the flight is still
-		// registered: this call joins it rather than running its own fn.
-		_, _, followerStale = rf.do(cid, func() ([]byte, error) {
-			t.Error("follower ran its own read despite an in-flight leader")
-			return nil, nil
-		})
+		// The leader has not completed, so the flight is still registered:
+		// this call joins it.
+		_, _, followerOK = rf.follow(cid)
 	}()
-	// Wait for the join before invalidating and releasing the leader, so
+	// Wait for the join before invalidating and completing the flight, so
 	// the follower provably observes a mid-flight staling.
+	sh := rf.shard(cid)
 	for {
 		sh.mu.Lock()
 		joined := f.waiters
@@ -203,22 +187,28 @@ func TestReadFlightsStaleInvalidation(t *testing.T) {
 		runtime.Gosched()
 	}
 
+	// The leader completes with the result it read; staling the flight
+	// does not take that result away from it.
 	rf.invalidate(cid)
-	close(release)
-	<-leaderDone
+	rf.complete(cid, f, []byte("old"), nil)
 	<-followerDone
 
-	if leaderStale || string(leaderData) != "old" {
-		t.Fatalf("leader got (%q, stale=%v), want its own result", leaderData, leaderStale)
+	if !f.stale || string(f.data) != "old" {
+		t.Fatalf("leader's flight = (%q, stale=%v), want its own result, staled", f.data, f.stale)
 	}
-	if !followerStale {
+	if followerOK {
 		t.Fatal("follower did not observe the mid-flight invalidation")
 	}
-	// The flight is gone: a fresh call runs its own fn.
-	data, err, stale := rf.do(cid, func() ([]byte, error) { return []byte("new"), nil })
-	if err != nil || stale || string(data) != "new" {
-		t.Fatalf("post-flight do: (%q, %v, stale=%v)", data, err, stale)
+	// The flight is gone: there is nothing to follow, and a fresh claim
+	// makes a new leader.
+	if _, _, ok := rf.follow(cid); ok {
+		t.Fatal("follow succeeded with no flight registered")
 	}
+	f2 := rf.tryClaim(cid)
+	if f2 == nil {
+		t.Fatal("post-flight tryClaim failed")
+	}
+	rf.complete(cid, f2, []byte("new"), nil)
 }
 
 // TestConcurrentReadsRaceCleaner hammers stable chunks from reader

@@ -408,14 +408,19 @@ func (s *Store) Release(cid ChunkID) error {
 // the map node holding the entry is not resident in memory.
 func (s *Store) Read(cid ChunkID) ([]byte, error) {
 	for {
-		data, err, stale := s.flights.do(cid, func() ([]byte, error) {
-			return s.readMiss(cid)
-		})
-		if !stale {
+		if f := s.flights.tryClaim(cid); f != nil {
+			// The leader's own result is never stale for the leader:
+			// readMiss revalidated it against the location map at its
+			// linearization point.
+			data, err := s.readMiss(cid)
+			s.flights.complete(cid, f, data, err)
 			return data, err
 		}
-		// A commit rewrote or deallocated the chunk while the shared flight
-		// was in progress: read the new state.
+		if data, err, ok := s.flights.follow(cid); ok {
+			return data, err
+		}
+		// The flight ended before we joined it, or a commit rewrote or
+		// deallocated the chunk while it was in progress: read again.
 	}
 }
 
@@ -479,7 +484,7 @@ type readPlan struct {
 	// flight is the singleflight registration a batch read claimed for this
 	// chunk, so concurrent point readers follow the batch instead of paying
 	// the same I/O. completeBatchPlan releases it; nil for point-read plans
-	// (Read registers through flights.do itself).
+	// (Read claims and completes its own flight around readMiss).
 	flight *readFlight
 }
 

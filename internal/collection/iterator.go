@@ -42,13 +42,12 @@ type Iterator struct {
 	deletes map[objectstore.ObjectID]*updateRec
 	closed  bool
 
-	// pf is the sliding-window prefetcher, started lazily on the first Next
-	// so a never-advanced iterator costs nothing. prefetch is the requested
-	// window depth: -1 means "resolve from the store default on first Next";
-	// 0 disables.
-	pf        *prefetcher
-	prefetch  int
-	pfStarted bool
+	// prefetch is the window depth hinted ahead of the cursor; 0 disables.
+	// pfNext is the prefetch frontier: the first position not yet hinted.
+	// The result set is the whole prefetch plan, so the cursor reaching the
+	// frontier is the only trigger a scan needs (see Next).
+	prefetch int
+	pfNext   int
 }
 
 // updateRec tracks one dereferenced object.
@@ -89,7 +88,7 @@ const defaultScanPrefetch = 32
 // restores the default (32). Effective only before the first Next; later
 // calls are ignored.
 func (it *Iterator) SetPrefetch(n int) {
-	if it.pfStarted {
+	if it.pos >= 0 {
 		return
 	}
 	if n < 0 {
@@ -101,6 +100,11 @@ func (it *Iterator) SetPrefetch(n int) {
 // Next advances to the next result; it returns false when the result set is
 // exhausted. Iterators are unidirectional (§5.2.2 constraint 3): there is
 // no way back.
+//
+// When the cursor reaches the prefetch frontier, Next hints the next full
+// window — the objects after the cursor — through Txn.Prefetch on the
+// caller's goroutine, so the chunk store can coalesce physically adjacent
+// records into single segment reads before the dereferences that follow.
 func (it *Iterator) Next() bool {
 	if it.closed || it.pos+1 >= len(it.oids) {
 		if !it.closed {
@@ -109,13 +113,9 @@ func (it *Iterator) Next() bool {
 		return false
 	}
 	it.pos++
-	if !it.pfStarted {
-		it.pfStarted = true
-		if it.prefetch > 0 && it.pos+1 < len(it.oids) {
-			it.pf = startPrefetcher(it.h.ct.t, it.oids, it.prefetch, it.pos)
-		}
-	} else if it.pf != nil {
-		it.pf.advance(it.pos)
+	if it.prefetch > 0 && it.pos+1 >= it.pfNext && it.pos+1 < len(it.oids) {
+		it.pfNext = min(it.pos+it.prefetch+1, len(it.oids))
+		it.h.ct.t.Prefetch(it.oids[it.pos+1 : it.pfNext])
 	}
 	return true
 }
@@ -270,12 +270,6 @@ func (it *Iterator) Close() error {
 	}
 	it.closed = true
 	it.h.openIters--
-	// Cancel the prefetcher and wait for it before index maintenance: once
-	// Close returns, nothing may touch the transaction concurrently.
-	if it.pf != nil {
-		it.pf.close()
-		it.pf = nil
-	}
 
 	t := it.h.ct.t
 	// Deletions first.

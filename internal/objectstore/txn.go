@@ -261,18 +261,12 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 
 // Prefetch hints that the listed objects are about to be opened, warming
 // the read path for them: their committed chunks are fetched, validated,
-// and decrypted through the chunk store's batch read pipeline (coalesced
-// segment reads, bounded parallel decrypt), and chain-free objects are
-// unpickled into the decode table, so snapshot and 2PL read-only opens skip
-// the chunk store entirely. It returns the number of chunks
-// warmed. Errors are deliberately swallowed — a hint must never fail harder
-// than the open it accelerates, and the open will surface them.
-//
-// Unlike every other Txn method, Prefetch is safe to call concurrently
-// with opens on the same transaction (iterators drive it from a prefetch
-// goroutine): it touches only store-level state — the version table and
-// the chunk store, which are internally synchronized — and none of the
-// transaction's own maps.
+// and decrypted through the chunk store's batch read (coalesced segment
+// reads), and chain-free objects are unpickled into the decode table, so
+// snapshot and 2PL read-only opens skip the chunk store entirely. It
+// returns the number of chunks warmed. Errors are deliberately swallowed —
+// a hint must never fail harder than the open it accelerates, and the open
+// will surface them.
 func (t *Txn) Prefetch(oids []ObjectID) int {
 	if len(oids) == 0 {
 		return 0

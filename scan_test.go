@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tdb"
-	"tdb/internal/collection"
 	"tdb/internal/platform"
 )
 
@@ -103,100 +102,53 @@ func scanAllTxn(t *testing.T, db *tdb.DB, snapshot bool, window int, onStep func
 	return i
 }
 
-// TestScanPrefetchWindows runs the same full-collection scan at window 0
-// (prefetch disabled — the pre-pipeline behavior), 1, and 32, checking every
-// window returns the identical, complete result set and that nonzero windows
-// actually drive the batch machinery (prefetched and coalesced chunks
-// observable in Stats, record opens answered by the decode table).
+// TestScanPrefetchWindows runs the same cold full-collection scan, snapshot
+// and 2PL, at window 0 (prefetch disabled — the pre-pipeline behavior), 1,
+// 32 and one covering the whole result set. Every window must return the
+// identical, complete result set, and the scan's I/O is pinned exactly: the
+// iterator refills its window on its own goroutine only when the cursor
+// reaches the frontier, so the batches, their coalescing and the segment
+// reads they cost are a deterministic function of the window.
 func TestScanPrefetchWindows(t *testing.T) {
 	const n = 200
 	meter := platform.NewMeterStore(platform.NewMemStore())
 	db, opts := openScanDB(t, n, tdb.Options{SegmentSize: 8 << 10, Store: meter})
 	defer func() { db.Close() }()
 
-	// Cold-cache prefetching scan first: everything must come off the chunk
-	// store through the batch machinery.
-	db = reopen(t, db, opts)
-	if got := scanAll(t, db, 32, nil); got != n {
-		t.Fatalf("window 32: scanned %d objects, want %d", got, n)
+	// Verify pages the whole map in and caches no object, so each scan
+	// below starts with every record cold and differs from the others only
+	// in its window. Window 0 pays a segment read per record on top of the
+	// catalog and index pages; a window covering the whole result set
+	// coalesces the records and leaves no point read per record, which is
+	// the decode table answering the scan's opens.
+	want := []struct {
+		window                        int
+		readOps, bytesRead, coalesced int64
+	}{
+		{0, 236, 20810, 0},
+		{1, 236, 20810, 0},
+		{32, 225, 20810, 11},
+		{n, 63, 20810, 20},
 	}
-	st := db.Stats()
-	if st.PrefetchedChunks == 0 {
-		t.Fatalf("PrefetchedChunks = 0 after a cold prefetching scan; batch path not engaged")
-	}
-	if st.CoalescedReads == 0 {
-		t.Fatalf("CoalescedReads = 0 after a cold prefetching scan of adjacent records")
-	}
-
-	// A cold 2PL scan's record opens are answered by the decode table the
-	// prefetch filled. Verify pages the whole map in and caches no object,
-	// so the only difference between the two scans below is the prefetch:
-	// window 0 pays a segment read per record, a window covering the whole
-	// result set coalesces them and leaves no point read per record.
-	coldReads := func(window int) int64 {
-		db = reopen(t, db, opts)
-		if err := db.Verify(); err != nil {
-			t.Fatalf("Verify: %v", err)
+	for _, snapshot := range []bool{true, false} {
+		for _, w := range want {
+			db = reopen(t, db, opts)
+			if err := db.Verify(); err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			before, coalescedBefore := meter.Stats().Snapshot(), db.Stats().CoalescedReads
+			if got := scanAllTxn(t, db, snapshot, w.window, nil); got != n {
+				t.Fatalf("snapshot=%v window %d: scanned %d objects, want %d", snapshot, w.window, got, n)
+			}
+			io := meter.Stats().Snapshot().Sub(before)
+			coalesced := db.Stats().CoalescedReads - coalescedBefore
+			t.Logf("snapshot=%v window %d: %d segment reads, %d bytes, %d coalesced reads",
+				snapshot, w.window, io.ReadOps, io.BytesRead, coalesced)
+			if io.ReadOps != w.readOps || io.BytesRead != w.bytesRead || coalesced != w.coalesced {
+				t.Errorf("snapshot=%v window %d: %d segment reads, %d bytes, %d coalesced reads; want %d, %d, %d",
+					snapshot, w.window, io.ReadOps, io.BytesRead, coalesced, w.readOps, w.bytesRead, w.coalesced)
+			}
 		}
-		before := meter.Stats().Snapshot()
-		if got := scanAllTxn(t, db, false, window, nil); got != n {
-			t.Fatalf("2PL window %d: scanned %d objects, want %d", window, got, n)
-		}
-		return meter.Stats().Snapshot().Sub(before).ReadOps
-	}
-	unprefetched, prefetched := coldReads(0), coldReads(n)
-	// Window 0 reads each record once on top of the catalog and index pages.
-	records := prefetched - (unprefetched - n)
-	t.Logf("cold 2PL scan of %d records: %d segment reads at window 0, %d at window %d (%d for records)",
-		n, unprefetched, prefetched, n, records)
-	if records >= n/4 {
-		t.Fatalf("prefetching 2PL scan paid %d segment reads for %d records; record opens missed the decode table", records, n)
-	}
-
-	// Window 1 and window 0 (prefetch disabled — the pre-pipeline behavior)
-	// must return the identical, complete result set.
-	for _, w := range []int{1, 0} {
-		db = reopen(t, db, opts)
-		if got := scanAll(t, db, w, nil); got != n {
-			t.Fatalf("window %d: scanned %d objects, want %d", w, got, n)
-		}
-		if got := collection.PrefetchActive(); got != 0 {
-			t.Fatalf("window %d: %d prefetchers alive after Close", w, got)
-		}
-	}
-}
-
-// TestScanCloseCancelsPrefetch abandons a scan right after it starts — the
-// prefetcher has a full window in flight — and checks Close cancels the
-// pipeline synchronously: by the time Close returns, no prefetch goroutine
-// may be alive (it could otherwise race the transaction ending).
-func TestScanCloseCancelsPrefetch(t *testing.T) {
-	db, opts := openScanDB(t, 300, tdb.Options{SegmentSize: 8 << 10})
-	defer func() { db.Close() }()
-	db = reopen(t, db, opts)
-
-	for round := 0; round < 10; round++ {
-		txn := db.BeginReadOnly()
-		h, err := txn.ReadCollection("songs")
-		if err != nil {
-			t.Fatalf("ReadCollection: %v", err)
-		}
-		it, err := h.Query(songByID())
-		if err != nil {
-			t.Fatalf("Query: %v", err)
-		}
-		it.SetPrefetch(64)
-		if !it.Next() {
-			t.Fatal("Next returned false on a populated collection")
-		}
-		if _, err := tdb.ReadAs[*Song](it); err != nil {
-			t.Fatalf("ReadAs: %v", err)
-		}
-		it.Close()
-		if got := collection.PrefetchActive(); got != 0 {
-			t.Fatalf("round %d: %d prefetch goroutines alive after Close, want 0", round, got)
-		}
-		txn.Abort()
 	}
 }
 
@@ -349,9 +301,6 @@ func TestScannersRaceGroupCommitWriter(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := collection.PrefetchActive(); got != 0 {
-		t.Fatalf("%d prefetch goroutines alive after the race, want 0", got)
-	}
 	if err := db.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
