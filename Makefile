@@ -10,7 +10,7 @@ LINTFLAGS ?=
 CHAOS_SEED ?= 42
 CHAOS_ACTIONS ?= 1000
 
-.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-scan bench-module chaos fuzz-smoke scan-repeat
+.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-scan bench-module chaos fuzz-smoke read-repeat
 
 build:
 	$(GO) build ./...
@@ -58,20 +58,28 @@ fuzz-smoke:
 	$(GO) test ./internal/chunkstore/ -run XXX \
 		-fuzz FuzzParseRecordBytes -fuzztime 3s -parallel 2
 
-# scan-repeat runs the root scan tests twenty times under the race
-# detector. A cold scan's segment reads, bytes and coalesced reads are
-# pinned exactly (TestScanPrefetchWindows); a scan pipeline that let timing
-# change batch composition would fail some of the repetitions.
-scan-repeat:
-	$(GO) test -race -count=20 -run 'TestScan' .
+# read-repeat runs the read-path tests twenty times under the race
+# detector: the root scan tests, whose cold-scan segment reads, bytes and
+# coalesced reads are pinned exactly (TestScanPrefetchWindows), so a scan
+# pipeline that let timing change batch composition would fail some of the
+# repetitions; TestConcurrentEvictingTransactions, every reader kind against
+# constant map-node eviction; and the chunk store's read, CLOCK and
+# cache-pressure tests, which race point reads, batches, fault-ins and the
+# cleaner. (TestAuditedWorkloadUnderCachePressure is single-goroutine and
+# takes seconds under -race; it runs once in the -race suite.)
+read-repeat:
+	$(GO) test -race -count=20 -run 'TestScan|TestConcurrentEvictingTransactions' .
+	$(GO) test -race -count=20 \
+		-run 'TestRead|TestNonResidentRead|TestPointRead|TestHeldAttempt|TestConcurrentReads|TestClock|TestMapNodeCacheEviction' \
+		./internal/chunkstore/
 
 # check is the pre-merge gate: the fault-injection suite, the chaos oracle,
-# gofmt, a few seconds of fuzzing, the repeated scan tests, vet, the
+# gofmt, a few seconds of fuzzing, the repeated read-path tests, vet, the
 # trust-invariant analyzers, the full suite under the race detector (the
 # chunk store's commit pipeline and read path are concurrent), a one-shot
 # pass over every benchmark so the perf harness can't silently rot, and the
 # nested benchmark module's own vet and tests.
-check: faults chaos fmt fuzz-smoke scan-repeat
+check: faults chaos fmt fuzz-smoke read-repeat
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...

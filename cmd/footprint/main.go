@@ -27,7 +27,7 @@ var modules = []struct {
 	{"object store", []string{"internal/objectstore"}},
 	{"backup store", []string{"internal/backupstore"}},
 	{"chunk store", []string{"internal/chunkstore"}},
-	{"support utilities", []string{"internal/platform", "internal/sec", "internal/lru", "internal/core"}},
+	{"support utilities", []string{"internal/platform", "internal/sec", "internal/core"}},
 }
 
 func main() {

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 
 	"tdb/internal/chunkstore"
-	"tdb/internal/lru"
 	"tdb/internal/objectstore"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
@@ -72,8 +71,9 @@ type readRunResult struct {
 	WriterCommitsPerSec float64 `json:"writer_commits_per_sec"`
 	ReadP50Micros       float64 `json:"read_p50_us"`
 	ReadP99Micros       float64 `json:"read_p99_us"`
-	// ReadSlowPaths counts chunk reads that fell back to the exclusive-lock
-	// path during the run (expected ~0 once the map is resident).
+	// ReadSlowPaths counts chunk reads that left the happy path during the
+	// run — map-node fault-ins and shared-lock last attempts (expected ~0
+	// once the map is resident).
 	ReadSlowPaths int64 `json:"read_slow_paths"`
 }
 
@@ -134,13 +134,12 @@ func runObjstoreConfig(v objstoreVariant, workers, commitsPer int) (objstoreResu
 		}
 	}
 	meter := platform.NewMeterStore(backing)
-	pool := lru.NewPool(64 << 20)
 	ccfg := chunkstore.Config{
 		Store:      meter,
 		Suite:      suite,
 		Counter:    platform.NewMemCounter(),
 		UseCounter: true,
-		CachePool:  pool,
+		CacheBytes: 64 << 20,
 	}
 	if v.disk {
 		ccfg.SegmentSize = 4 << 20

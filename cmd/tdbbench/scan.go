@@ -50,9 +50,8 @@ type scanRunResult struct {
 	// planner stopped merging adjacent records.
 	CoalescedReadsPerScan   float64 `json:"coalesced_reads_per_scan"`
 	PrefetchedChunksPerScan float64 `json:"prefetched_chunks_per_scan"`
-	// ReadSlowPaths counts chunk reads that fell back to the exclusive-lock
-	// path (non-resident map nodes, invalidated plans) — the reads the batch
-	// planner could not coalesce.
+	// ReadSlowPaths counts chunk reads that left the happy path: map-node
+	// fault-ins and shared-lock last attempts after repeated invalidation.
 	ReadSlowPaths       int64   `json:"read_slow_paths"`
 	WriterCommitsPerSec float64 `json:"writer_commits_per_sec,omitempty"`
 }

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 
 	"tdb/internal/chunkstore"
-	"tdb/internal/lru"
 	"tdb/internal/objectstore"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
@@ -77,13 +76,12 @@ func runYCSBWorkload(w ycsbWorkload, workers, opsPer int) (ycsbRunResult, error)
 		return ycsbRunResult{}, err
 	}
 	meter := platform.NewMeterStore(platform.NewMemStore())
-	pool := lru.NewPool(64 << 20)
 	cs, err := chunkstore.Open(chunkstore.Config{
 		Store:      meter,
 		Suite:      suite,
 		Counter:    platform.NewMemCounter(),
 		UseCounter: true,
-		CachePool:  pool,
+		CacheBytes: 64 << 20,
 	})
 	if err != nil {
 		return ycsbRunResult{}, err

@@ -715,7 +715,7 @@ func (h *harness) actRestart() error {
 	if err != nil {
 		return fmt.Errorf("reopen after clean close: %w", err)
 	}
-	h.db = db
+	h.use(db)
 	h.sh.Collapse(h.sh.Cur())
 	h.res.Restarts++
 	h.tracef("restart clean")
@@ -860,7 +860,7 @@ func (h *harness) actRotStorm() error {
 		h.tracef("rot-storm victims=%v detected at open, restoring", victims)
 		return h.restoreSwitchOver("rot storm broke open")
 	}
-	h.db = db
+	h.use(db)
 
 	report, err := h.db.Scrub()
 	if err != nil {
@@ -916,7 +916,7 @@ func (h *harness) restoreSwitchOver(reason string) error {
 	if err != nil {
 		return fmt.Errorf("invariant: switch-over restore (%s) failed: %w", reason, err)
 	}
-	h.db = db
+	h.use(db)
 	h.res.Restores++
 	h.sh.Collapse(h.lastBackup)
 	h.tracef("restore switch-over gen=%d", h.gen)
@@ -955,7 +955,7 @@ func (h *harness) actOfflineTamper() error {
 		if err != nil {
 			return fmt.Errorf("reopen after skipped tamper: %w", err)
 		}
-		h.db = db
+		h.use(db)
 		return nil
 	}
 	off := h.rng.Int63n(size)
@@ -969,7 +969,7 @@ func (h *harness) actOfflineTamper() error {
 	if err == nil {
 		// Redundancy (superblock slot pair, counter slot pair) absorbed
 		// the flip: nothing may be silently wrong.
-		h.db = db
+		h.use(db)
 		h.sh.Collapse(h.sh.Cur())
 		h.tracef("offline-tamper %s tolerated", target)
 		return h.checkFull()
@@ -985,7 +985,7 @@ func (h *harness) actOfflineTamper() error {
 	if err != nil {
 		return fmt.Errorf("invariant: reopen after reverting %s tamper failed: %w", target, err)
 	}
-	h.db = db
+	h.use(db)
 	h.sh.Collapse(h.sh.Cur())
 	h.tracef("offline-tamper %s detected", target)
 	return h.checkFull()

@@ -45,6 +45,10 @@ type Result struct {
 	Backups      int
 	Restores     int
 	TamperChecks int
+	// ReadSlowPaths totals Stats.ReadSlowPaths over every database
+	// generation the run used: map-node fault-ins (the run's CacheBytes is
+	// small enough to evict map nodes) and shared-lock last attempts.
+	ReadSlowPaths int64
 	// FaultStats aggregates the injector's counters across every store
 	// generation of the run.
 	FaultStats platform.FaultStats
@@ -73,6 +77,10 @@ type harness struct {
 	fs   *platform.FaultStore
 	arch *platform.MemArchive
 	opts tdb.Options
+
+	// counted is the newest database use installed; retire adds its read
+	// counters to the result. It outlives db when a crash drops db.
+	counted *tdb.DB
 
 	gen    int // store generation; bumps on restore switch-over
 	nextID int64
@@ -111,6 +119,8 @@ func Run(cfg Config) (*Result, error) {
 		DisableAutoClean:      true, // cleaning and checkpointing are
 		DisableAutoCheckpoint: true, // explicit actions in the mix
 		Retry:                 tdb.RetryPolicy{Sleep: func(time.Duration) {}},
+		// Small enough that map nodes are evicted and faulted back in.
+		CacheBytes: 8 << 10,
 	}
 	if err := h.freshStore(); err != nil {
 		return h.result(), h.failure(err)
@@ -119,7 +129,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return h.result(), h.failure(fmt.Errorf("open fresh database: %w", err))
 	}
-	h.db = db
+	h.use(db)
 
 	for h.action = 1; h.action <= cfg.Actions; h.action++ {
 		if err := h.step(); err != nil {
@@ -156,7 +166,22 @@ func Run(cfg Config) (*Result, error) {
 	return h.result(), nil
 }
 
+// use installs db as the live database.
+func (h *harness) use(db *tdb.DB) {
+	h.retire()
+	h.db, h.counted = db, db
+}
+
+// retire adds the newest database's read counters to the result.
+func (h *harness) retire() {
+	if h.counted != nil {
+		h.res.ReadSlowPaths += h.counted.Stats().ReadSlowPaths
+		h.counted = nil
+	}
+}
+
 func (h *harness) result() *Result {
+	h.retire()
 	h.res.Trace = h.trace
 	h.res.Actions = h.action
 	if h.fs != nil {
@@ -343,7 +368,7 @@ func (h *harness) powerLossRecover() error {
 		return fmt.Errorf("reopen after power loss (fired=%v flavor=%d, pending=%d commits): %w",
 			fired, h.armedFlavor, h.sh.Pending(), err)
 	}
-	h.db = db
+	h.use(db)
 	h.res.Recoveries++
 
 	st, err := scanState(h.db)

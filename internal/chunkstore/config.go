@@ -3,7 +3,6 @@ package chunkstore
 import (
 	"fmt"
 
-	"tdb/internal/lru"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
 )
@@ -40,11 +39,10 @@ type Config struct {
 	// step may copy, bounding per-commit overhead (§3.2.1). Default one
 	// segment.
 	CleanStepBytes int64
-	// CachePool is the LRU pool for location map nodes. The store is its
-	// only owner and touches it only under its state mutex held
-	// exclusively, so the pool must not be shared. If nil a private 4 MiB
-	// pool is created.
-	CachePool *lru.Pool
+	// CacheBytes bounds the memory accounted to cached location map nodes
+	// (the CLOCK ring in locmap.go). Zero selects 4 MiB; a negative value
+	// lifts the bound.
+	CacheBytes int64
 	// CommitWorkers is the number of goroutines used to encrypt and hash a
 	// batch's payloads during commit preparation. 0 selects one worker per
 	// CPU; 1 prepares inline on the committing goroutine.
@@ -95,8 +93,8 @@ func (c *Config) fillDefaults() error {
 	if c.CleanStepBytes == 0 {
 		c.CleanStepBytes = int64(c.SegmentSize)
 	}
-	if c.CachePool == nil {
-		c.CachePool = lru.NewPool(4 << 20)
+	if c.CacheBytes == 0 {
+		c.CacheBytes = 4 << 20
 	}
 	if c.CommitWorkers < 0 {
 		return fmt.Errorf("%w: commit workers %d negative", ErrUsage, c.CommitWorkers)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"tdb/internal/lru"
 )
 
 // TestAuditedWorkloadUnderCachePressure repeats the audited random workload
@@ -20,7 +18,7 @@ func TestAuditedWorkloadUnderCachePressure(t *testing.T) {
 			env.cfg.SegmentSize = 8 << 10
 			env.cfg.MaxUtilization = 0.6
 			env.cfg.Fanout = 8
-			env.cfg.CachePool = lru.NewPool(4 << 10) // brutal pressure
+			env.cfg.CacheBytes = 4 << 10 // brutal pressure
 			env.cfg.CheckpointBytes = 64 << 10
 			s := env.open(t)
 			defer func() { s.Close() }()

@@ -10,12 +10,23 @@ import (
 // chunk ids whose nodes are themselves chunks written to the log at
 // checkpoints. Every entry carries a one-way hash of what it points to, so
 // the map doubles as the Merkle tree that authenticates the whole database.
+//
+// The resident nodes are the trusted cache of verified state (§4.2.2),
+// bounded by a CLOCK ring: ring holds every resident node, used their
+// accounted bytes, budget the bound (Config.CacheBytes), and hand the next
+// slot the sweep examines. The ring is mutated only under the store mutex
+// held exclusively; readers holding it shared only set reference bits.
 type locMap struct {
 	cs     *Store
 	fanout int
 	root   *mapNode
 	// height is the root's level; the tree covers fanout^(height+1) ids.
 	height int
+
+	ring   []*mapNode
+	hand   int
+	used   int64
+	budget int64
 }
 
 // span returns the number of chunk ids covered by one node at level.
@@ -41,30 +52,76 @@ func (m *locMap) childIndex(cid ChunkID, level int) int {
 
 // newLocMap creates an empty map with a single leaf root.
 func newLocMap(cs *Store, fanout int) *locMap {
-	m := &locMap{cs: cs, fanout: fanout}
+	m := &locMap{cs: cs, fanout: fanout, budget: cs.cfg.CacheBytes}
 	m.root = newMapNode(0, 0, fanout)
 	m.registerNode(m.root)
 	return m
 }
 
-// registerNode accounts a node in the shared cache pool.
+// registerNode makes n resident and sweeps the ring back under budget,
+// sparing n itself: the caller is about to use it, and evicting it midway
+// would hand back a node the map no longer tracks.
 func (m *locMap) registerNode(n *mapNode) {
-	size := n.memSize(m.cs.suite.HashSize())
-	n.cacheEnt = m.cs.cfg.CachePool.Add(size, func() bool { return m.evict(n) })
+	n.slot = len(m.ring)
+	m.ring = append(m.ring, n)
+	m.used += n.memSize(m.cs.suite.HashSize())
+	m.sweep(n)
 }
 
-// unregisterNode removes the node from the pool without eviction.
+// unregisterNode drops n from the ring without evicting it (a clone
+// replaced it). Dropping a node that is not resident is a no-op.
 func (m *locMap) unregisterNode(n *mapNode) {
-	if n.cacheEnt != nil {
-		n.cacheEnt.Remove()
-		n.cacheEnt = nil
+	if n.slot < len(m.ring) && m.ring[n.slot] == n {
+		m.removeSlot(n.slot)
 	}
 }
 
-// evict is the LRU callback: drop a clean, childless, non-root node from
-// the current tree. Returns false to veto. The dirty-node veto is
-// load-bearing for commit atomicity: rollback (restoreEntry) relies on the
-// whole just-mutated path staying cached until the commit settles.
+// removeSlot unaccounts the node at ring slot i, moving the last node into
+// the slot.
+func (m *locMap) removeSlot(i int) {
+	m.used -= m.ring[i].memSize(m.cs.suite.HashSize())
+	last := len(m.ring) - 1
+	m.ring[i] = m.ring[last]
+	m.ring[i].slot = i
+	m.ring[last] = nil
+	m.ring = m.ring[:last]
+}
+
+// sweepLimit bounds how many ring slots one sweep examines. When the ring
+// is dominated by unevictable residents (dirty nodes, nodes with cached
+// children), an unbounded sweep would revisit every vetoing node on every
+// registration — O(n²) overall. A bounded sweep keeps registration O(1)
+// amortized; the cache temporarily exceeds its budget instead, which is the
+// only sound choice when residents cannot be dropped.
+const sweepLimit = 64
+
+// sweep runs the CLOCK hand until the cache fits its budget (if it has
+// one) or sweepLimit slots have been examined. A referenced node loses its
+// bit and survives the pass (its second chance); a node evict vetoes, and
+// keep, are passed over; anything else is evicted, and the slot is examined
+// again since removeSlot moved another node into it.
+func (m *locMap) sweep(keep *mapNode) {
+	for examined := 0; examined < sweepLimit && m.budget >= 0 && m.used > m.budget && len(m.ring) > 0; examined++ {
+		if m.hand >= len(m.ring) {
+			m.hand = 0
+		}
+		n := m.ring[m.hand]
+		switch {
+		case n == keep:
+		case n.ref.Load():
+			n.ref.Store(false)
+		case m.evict(n):
+			m.removeSlot(m.hand)
+			continue
+		}
+		m.hand++
+	}
+}
+
+// evict drops a clean, childless, non-root node from the current tree,
+// returning false to veto. The dirty-node veto is load-bearing for commit
+// atomicity: rollback (restoreEntry) relies on the whole just-mutated path
+// staying cached until the commit settles.
 func (m *locMap) evict(n *mapNode) bool {
 	if n.dirty || n.kidCount > 0 || n == m.root {
 		return false
@@ -79,7 +136,6 @@ func (m *locMap) evict(n *mapNode) bool {
 			parent.kidCount--
 		}
 	}
-	n.cacheEnt = nil
 	return true
 }
 
@@ -245,9 +301,7 @@ func (m *locMap) descend(cid ChunkID, forWrite bool) (pathResult, error) {
 			n.hashStale = true
 			n.dirty = true
 		}
-		if kid.cacheEnt != nil {
-			kid.cacheEnt.Touch()
-		}
+		kid.touch()
 		n = kid
 	}
 	if forWrite {
@@ -258,16 +312,18 @@ func (m *locMap) descend(cid ChunkID, forWrite bool) (pathResult, error) {
 }
 
 // getCached returns the leaf entry for cid walking only nodes already
-// resident in memory: no I/O, no LRU touches, no mutation of any kind. It
-// reports resident=false when the path to the leaf is not fully cached (the
-// caller must fall back to get under the exclusive lock, which pages nodes
-// in). A nil child with an empty parent entry — or a cid beyond the tree's
-// capacity — is a definitive absence, not a cache miss.
+// resident in memory: no I/O, and no mutation but the reference bits of the
+// nodes it walks. It reports resident=false when the path to the leaf is
+// not fully cached (the caller must fall back to get under the exclusive
+// lock, which faults nodes in). A nil child with an empty parent entry — or
+// a cid beyond the tree's capacity — is a definitive absence, not a cache
+// miss.
 //
 // Safe under the store mutex in shared (read-locked) mode: every tree
 // mutation — node creation, paging, eviction, entry updates, hash
-// memoization — runs under the exclusive lock, and entries are replaced
-// wholesale (their hash slices are never mutated in place).
+// memoization — runs under the exclusive lock, entries are replaced
+// wholesale (their hash slices are never mutated in place), and the
+// reference bit is atomic.
 func (m *locMap) getCached(cid ChunkID) (e entry, resident bool) {
 	if uint64(cid) >= m.capacity() {
 		return entry{}, true
@@ -282,6 +338,7 @@ func (m *locMap) getCached(cid ChunkID) (e entry, resident bool) {
 			}
 			return entry{}, false
 		}
+		kid.touch()
 		n = kid
 	}
 	return n.entries[m.childIndex(cid, 0)], true

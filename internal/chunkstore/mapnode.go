@@ -3,8 +3,7 @@ package chunkstore
 import (
 	"encoding/binary"
 	"fmt"
-
-	"tdb/internal/lru"
+	"sync/atomic"
 )
 
 // entry is one slot of a location map node. In a leaf (level 0) it places a
@@ -38,8 +37,13 @@ type mapNode struct {
 	// loc is the location of the last stored copy (zero if never stored).
 	loc Location
 	// shared marks nodes frozen by a snapshot: mutations must clone.
-	shared   bool
-	cacheEnt *lru.Entry
+	shared bool
+	// ref is the node's CLOCK reference bit (see locMap.sweep): set by
+	// every walk that reaches the node, cleared by the sweep's hand. It is
+	// atomic because readers holding the store mutex shared set it too.
+	ref atomic.Bool
+	// slot is the node's index in the locMap's ring while it is resident.
+	slot int
 }
 
 func newMapNode(level int, index uint64, fanout int) *mapNode {
@@ -54,6 +58,14 @@ func newMapNode(level int, index uint64, fanout int) *mapNode {
 		n.kids = make([]*mapNode, fanout)
 	}
 	return n
+}
+
+// touch sets the reference bit. Loading it first keeps a hot node's cache
+// line shared among the readers that find the bit already set.
+func (n *mapNode) touch() {
+	if !n.ref.Load() {
+		n.ref.Store(true)
+	}
 }
 
 // clone returns a mutable copy for copy-on-write snapshots. The clone shares

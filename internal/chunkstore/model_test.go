@@ -332,12 +332,10 @@ func TestLocationMapGrowth(t *testing.T) {
 
 func TestMapNodeCacheEviction(t *testing.T) {
 	env := newTestEnv(t, "null")
-	env.cfg.CachePool = nil // private pool created by fillDefaults
+	// Tiny budget: force constant node eviction and reloading.
+	env.cfg.CacheBytes = tinyCacheBytes
 	s := env.open(t)
 	defer s.Close()
-	// Tiny pool: force constant node eviction and reloading.
-	s.cfg.CachePool = newTinyPool()
-	s.lm.registerNode(s.lm.root)
 	want := map[ChunkID][]byte{}
 	for i := 0; i < 500; i++ {
 		v := []byte(fmt.Sprintf("evict-%d", i))

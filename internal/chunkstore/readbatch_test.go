@@ -92,9 +92,9 @@ func TestReadBatchErrorsAndDuplicates(t *testing.T) {
 
 // TestReadBatchRetryOnCleanerRelocation drives the batch-scope relocation
 // race by hand: a batch plans its snapshots, the cleaner then evacuates the
-// planned segment, and every completed plan must fail revalidation and fall
-// back to the point-read path — returning the relocated bytes, never the
-// stale ones, and never leaking a segment pin.
+// planned segment, and every executed plan must fail revalidation and go
+// round again — returning the relocated bytes, never the stale ones, and
+// never leaking a segment pin.
 func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 	env := newTestEnv(t, "aes-ctr-sha256")
 	env.cfg.SegmentSize = 4 << 10
@@ -125,30 +125,37 @@ func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 		writeChunk(t, s, cid, bytes.Repeat([]byte("x"), 512))
 	}
 
-	res := make([]BatchRead, len(victims))
-	for i, cid := range victims {
-		res[i].CID = cid
+	ps := []readPlan{{cid: victims[0]}, {cid: victims[1]}}
+	s.mu.RLock()
+	n, fault := s.planAllLocked(ps, false)
+	s.mu.RUnlock()
+	if n != 2 || fault {
+		t.Fatalf("plan act: %d pinned, fault %v; want 2, false", n, fault)
 	}
-	plans, planIdxs, slow := s.planBatch([]int{0, 1}, res)
-	if len(plans) != 2 || len(slow) != 0 {
-		t.Fatalf("planBatch: %d plans, %d slow; want 2, 0", len(plans), len(slow))
-	}
+	segs := []*segment{ps[0].seg, ps[1].seg}
 
 	if err := s.Clean(); err != nil {
 		t.Fatalf("Clean: %v", err)
 	}
 
-	for _, task := range coalescePlans(plans, planIdxs) {
-		s.runBatchTask(task, res)
-	}
-	for i, r := range res {
-		want := bytes.Repeat([]byte{'V', byte(i)}, 128)
-		if r.Err != nil || !bytes.Equal(r.Data, want) {
-			t.Fatalf("res[%d] after relocation: %q, %v", i, r.Data, r.Err)
+	s.executeReads(ps, n)
+	s.mu.RLock()
+	s.finishLocked(ps)
+	s.mu.RUnlock()
+	for i := range ps {
+		if ps[i].done {
+			t.Fatalf("plan %d: finish act accepted a stale snapshot: %q, %v", i, ps[i].data, ps[i].err)
 		}
 	}
-	for _, p := range plans {
-		if got := p.seg.readers.Load(); got != 0 {
+	s.readPlans(ps)
+	for i := range ps {
+		want := bytes.Repeat([]byte{'V', byte(i)}, 128)
+		if ps[i].err != nil || !bytes.Equal(ps[i].data, want) {
+			t.Fatalf("plan %d after relocation: %q, %v", i, ps[i].data, ps[i].err)
+		}
+	}
+	for _, seg := range segs {
+		if got := seg.readers.Load(); got != 0 {
 			t.Fatalf("segment pin count = %d after batch, want 0", got)
 		}
 	}
@@ -185,11 +192,11 @@ func TestReadBatchSkipsChunksAlreadyInFlight(t *testing.T) {
 	if f2 := s.flights.tryClaim(free); f2 == nil {
 		t.Fatal("free's flight still registered after the batch completed")
 	} else {
-		s.flights.abandon(free, f2)
+		s.flights.complete(free, f2, nil, nil)
 	}
 
-	// Once the simulated reader abandons, busy is readable point-wise.
-	s.flights.abandon(busy, f)
+	// Once the simulated reader completes, busy is readable point-wise.
+	s.flights.complete(busy, f, nil, nil)
 	if data, err := s.Read(busy); err != nil || !bytes.Equal(data, []byte("busy")) {
 		t.Fatalf("Read(busy) after abandon: %q, %v", data, err)
 	}

@@ -9,7 +9,7 @@ import "sync"
 // work once while followers wait on its result.
 //
 // Coherence: a flight's value is computed against the location-map state the
-// leader revalidated (see finishRead). A commit that rewrites or deallocates
+// leader revalidated (see finishLocked). A commit that rewrites or deallocates
 // the chunk while the flight is in progress marks it stale — from inside
 // commitPreparedLocked, before Commit returns — and stale followers retry
 // the read, which observes the new value. The mutex handoff gives the happens-before chain:
@@ -65,7 +65,7 @@ func (rf *readFlights) shard(cid ChunkID) *flightShard {
 
 // tryClaim registers a flight for cid unless one is already in progress,
 // without blocking. A successful claim makes the caller the leader: it
-// reads the chunk and must release the flight with complete or abandon.
+// reads the chunk and must release the flight with complete.
 // A failed claim means another reader — a point read or a batch — is
 // already fetching the chunk: a point read follows that flight, while a
 // prefetch simply skips the chunk.
@@ -83,9 +83,8 @@ func (rf *readFlights) tryClaim(cid ChunkID) *readFlight {
 
 // follow waits for the flight in progress for cid and returns a private
 // copy of its result, matching the ownership contract of Read. ok is false
-// when there was no flight to follow or a commit staled it mid-read (or
-// its leader abandoned it): the caller retries the read, which observes
-// the new state.
+// when there was no flight to follow or a commit staled it mid-read: the
+// caller retries the read, which observes the new state.
 func (rf *readFlights) follow(cid ChunkID) (data []byte, err error, ok bool) {
 	sh := rf.shard(cid)
 	sh.mu.Lock()
@@ -112,19 +111,6 @@ func (rf *readFlights) complete(cid ChunkID, f *readFlight, data []byte, err err
 	f.data, f.err = data, err
 	sh := rf.shard(cid)
 	sh.mu.Lock()
-	delete(sh.m, cid)
-	sh.mu.Unlock()
-	close(f.done)
-}
-
-// abandon releases a claimed flight without a result: followers observe
-// stale and retry the read, exactly as after a superseding
-// commit. Batch reads abandon before falling back to the point-read path,
-// which would otherwise deadlock following its own flight.
-func (rf *readFlights) abandon(cid ChunkID, f *readFlight) {
-	sh := rf.shard(cid)
-	sh.mu.Lock()
-	f.stale = true
 	delete(sh.m, cid)
 	sh.mu.Unlock()
 	close(f.done)

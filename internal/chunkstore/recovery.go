@@ -199,7 +199,7 @@ func (s *Store) loadRoot(ckpt ckptPayload) error {
 	root.loc = ckpt.rootLoc
 	root.hash = append([]byte(nil), ckpt.rootHash...)
 	root.hashStale = false
-	s.lm = &locMap{cs: s, fanout: s.cfg.Fanout, root: root, height: ckpt.height}
+	s.lm = &locMap{cs: s, fanout: s.cfg.Fanout, root: root, height: ckpt.height, budget: s.cfg.CacheBytes}
 	s.lm.registerNode(root)
 
 	// Count committed chunks for consistency checks; derived lazily would

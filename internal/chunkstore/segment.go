@@ -57,9 +57,8 @@ type segment struct {
 	// handles to; free defers closing such handles via doomed.
 	syncing bool
 	doomed  bool
-	// readers counts off-mutex cache-miss reads currently holding the file
-	// handle (pinned under the shared store lock in planRead, released in
-	// finishRead). free defers closing a pinned segment's handle via doomed;
+	// readers counts reads currently holding the file handle (pinned by a
+	// read's plan act, released by its finish act; see read.go). free defers closing a pinned segment's handle via doomed;
 	// the last unpinner closes it. Atomic because pins and unpins happen
 	// under the shared lock, concurrently with each other.
 	readers atomic.Int32
@@ -330,7 +329,7 @@ func (ss *segmentSet) free(num uint64) error {
 		// Unlink the file and leave the handle to finishSyncLocked or the
 		// last unpinning reader. No new pin can form: free runs under the
 		// exclusive store lock and removes the segment from the set, and
-		// planRead only pins segments it finds in the set.
+		// a read's plan act only pins segments it finds in the set.
 		seg.doomed = true
 	} else if err := seg.file.Close(); err != nil {
 		return err

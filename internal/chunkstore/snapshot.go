@@ -85,35 +85,12 @@ func (sn *Snapshot) ForEach(fn func(cid ChunkID, hash []byte, ciphertext []byte)
 		return ErrSnapshotClosed
 	}
 	return sn.cs.lm.forEachEntry(sn.root, func(cid ChunkID, e entry) error {
-		ct, err := sn.cs.readCipherAtLocked(cid, e)
+		ct, err := sn.cs.readChunkLocked(cid, e, sn.cs.checkChunkRecord)
 		if err != nil {
 			return err
 		}
 		return fn(cid, e.hash, ct)
 	})
-}
-
-// readCipherAtLocked fetches and validates the stored ciphertext of a chunk
-// version without decrypting it.
-func (s *Store) readCipherAtLocked(cid ChunkID, e entry) ([]byte, error) {
-	typ, body, err := s.segs.readRecord(e.loc)
-	if err != nil {
-		return nil, err
-	}
-	if typ != recWrite {
-		return nil, fmt.Errorf("%w: chunk %d record at %v has type %d", ErrTampered, cid, e.loc, typ)
-	}
-	gotCid, ciphertext, err := parseWriteRecord(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	if gotCid != cid {
-		return nil, fmt.Errorf("%w: record at %v names chunk %d, want %d", ErrTampered, e.loc, gotCid, cid)
-	}
-	if !sec.HashEqual(s.suite.Hash(ciphertext), e.hash) {
-		return nil, fmt.Errorf("%w: chunk %d fails hash validation", ErrTampered, cid)
-	}
-	return ciphertext, nil
 }
 
 // DiffChange describes one difference between two snapshots.
@@ -227,7 +204,7 @@ func (d *differ) diffNodes(m *locMap, baseN, curN *mapNode) error {
 					return err
 				}
 			case be.isEmpty() || !sec.HashEqual(be.hash, ce.hash):
-				ct, err := d.cs.readCipherAtLocked(cid, ce)
+				ct, err := d.cs.readChunkLocked(cid, ce, d.cs.checkChunkRecord)
 				if err != nil {
 					return err
 				}
@@ -281,7 +258,7 @@ func (d *differ) loadKid(m *locMap, n *mapNode, i int) (*mapNode, error) {
 // emitAll reports every chunk under n as added/changed.
 func (d *differ) emitAll(m *locMap, n *mapNode) error {
 	return m.forEachEntry(n, func(cid ChunkID, e entry) error {
-		ct, err := d.cs.readCipherAtLocked(cid, e)
+		ct, err := d.cs.readChunkLocked(cid, e, d.cs.checkChunkRecord)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,5 @@
 package chunkstore
 
-import "tdb/internal/lru"
-
-// newTinyPool returns an LRU pool small enough to evict map nodes
-// constantly, exercising reload paths.
-func newTinyPool() *lru.Pool { return lru.NewPool(8 << 10) }
+// tinyCacheBytes is a map-node budget small enough to evict map nodes
+// constantly, exercising the fault-in paths.
+const tinyCacheBytes = 8 << 10

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tdb/internal/chunkstore"
-	"tdb/internal/lru"
 	"tdb/internal/objectstore"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
@@ -21,11 +20,10 @@ func benchCollectionStore(b *testing.B) *Store {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := lru.NewPool(32 << 20)
 	cs, err := chunkstore.Open(chunkstore.Config{
-		Store:     platform.NewMemStore(),
-		Suite:     suite,
-		CachePool: pool,
+		Store:      platform.NewMemStore(),
+		Suite:      suite,
+		CacheBytes: 32 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tdb/internal/chunkstore"
-	"tdb/internal/lru"
 	"tdb/internal/objectstore"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
@@ -49,11 +48,11 @@ func countIndexer() GenericIndexer {
 }
 
 type colEnv struct {
-	mem     *platform.MemStore
-	counter *platform.MemCounter
-	suite   sec.Suite
-	pool    *lru.Pool
-	reg     *objectstore.Registry
+	mem        *platform.MemStore
+	counter    *platform.MemCounter
+	suite      sec.Suite
+	cacheBytes int64
+	reg        *objectstore.Registry
 }
 
 func newColEnv(t *testing.T) *colEnv {
@@ -66,11 +65,11 @@ func newColEnv(t *testing.T) *colEnv {
 	RegisterClasses(reg)
 	reg.Register(meterClass, func() objectstore.Object { return &Meter{} })
 	return &colEnv{
-		mem:     platform.NewMemStore(),
-		counter: platform.NewMemCounter(),
-		suite:   suite,
-		pool:    lru.NewPool(8 << 20),
-		reg:     reg,
+		mem:        platform.NewMemStore(),
+		counter:    platform.NewMemCounter(),
+		suite:      suite,
+		cacheBytes: 8 << 20,
+		reg:        reg,
 	}
 }
 
@@ -81,7 +80,7 @@ func (e *colEnv) open(t *testing.T) *Store {
 		Counter:    e.counter,
 		Suite:      e.suite,
 		UseCounter: true,
-		CachePool:  e.pool,
+		CacheBytes: e.cacheBytes,
 	})
 	if err != nil {
 		t.Fatalf("chunkstore.Open: %v", err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tdb/internal/chunkstore"
-	"tdb/internal/lru"
 	"tdb/internal/objectstore"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
@@ -38,14 +37,13 @@ type colCrashEnv struct {
 
 func (e *colCrashEnv) open(t *testing.T) *Store {
 	t.Helper()
-	pool := lru.NewPool(1 << 20)
 	cs, err := chunkstore.Open(chunkstore.Config{
 		Store:       e.mem,
 		Counter:     e.counter,
 		Suite:       e.suite,
 		UseCounter:  true,
 		SegmentSize: 8 << 10,
-		CachePool:   pool,
+		CacheBytes:  1 << 20,
 	})
 	if err != nil {
 		t.Fatalf("chunkstore.Open: %v", err)

@@ -17,7 +17,6 @@ import (
 	"tdb/internal/backupstore"
 	"tdb/internal/chunkstore"
 	"tdb/internal/collection"
-	"tdb/internal/lru"
 	"tdb/internal/objectstore"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
@@ -61,8 +60,9 @@ type Options struct {
 	Registry *objectstore.Registry
 
 	// CacheBytes is the cache budget for location map nodes (default 4 MiB,
-	// the paper's benchmark configuration). Decoded objects live in the
-	// object store's decode table, which has a constant budget of its own.
+	// the paper's benchmark configuration; see chunkstore.Config). Decoded
+	// objects live in the object store's decode table, which has a constant
+	// budget of its own.
 	CacheBytes int64
 	// SegmentSize, Fanout, MaxUtilization, CheckpointBytes, CleanStepBytes
 	// tune the chunk store (zero values select defaults; see
@@ -97,7 +97,6 @@ type DB struct {
 	store   platform.UntrustedStore
 	suite   sec.Suite
 	counter platform.OneWayCounter
-	pool    *lru.Pool
 
 	chunks  *chunkstore.Store
 	objects *objectstore.Store
@@ -125,7 +124,7 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// setup resolves stores, suite, counter, registry, and cache pool.
+// setup resolves stores, suite, counter, registry, and cache budget.
 func (db *DB) setup() error {
 	opts := &db.opts
 	switch {
@@ -184,11 +183,9 @@ func (db *DB) setup() error {
 	}
 	collection.RegisterClasses(opts.Registry)
 
-	budget := opts.CacheBytes
-	if budget == 0 {
-		budget = 4 << 20
+	if opts.CacheBytes == 0 {
+		opts.CacheBytes = 4 << 20
 	}
-	db.pool = lru.NewPool(budget)
 	return nil
 }
 
@@ -203,7 +200,7 @@ func (db *DB) chunkConfig() chunkstore.Config {
 		MaxUtilization:        db.opts.MaxUtilization,
 		CheckpointBytes:       db.opts.CheckpointBytes,
 		CleanStepBytes:        db.opts.CleanStepBytes,
-		CachePool:             db.pool,
+		CacheBytes:            db.opts.CacheBytes,
 		DisableAutoClean:      db.opts.DisableAutoClean,
 		DisableAutoCheckpoint: db.opts.DisableAutoCheckpoint,
 		Retry:                 db.opts.Retry,
@@ -355,5 +352,5 @@ func Restore(opts Options, archive platform.ArchivalStore) (*DB, error) {
 
 // String describes the configuration.
 func (db *DB) String() string {
-	return fmt.Sprintf("tdb(%s, cache %d)", db.suite.Name(), db.pool.Budget())
+	return fmt.Sprintf("tdb(%s, cache %d)", db.suite.Name(), db.opts.CacheBytes)
 }

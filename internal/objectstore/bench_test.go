@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tdb/internal/chunkstore"
-	"tdb/internal/lru"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
 )
@@ -22,11 +21,10 @@ func benchObjectStore(b *testing.B, disableLocking bool) *Store {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := lru.NewPool(16 << 20)
 	cs, err := chunkstore.Open(chunkstore.Config{
-		Store:     platform.NewMemStore(),
-		Suite:     suite,
-		CachePool: pool,
+		Store:      platform.NewMemStore(),
+		Suite:      suite,
+		CacheBytes: 16 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -103,13 +101,13 @@ func BenchmarkCachedRead(b *testing.B) {
 // benchParallelChunkConfig is the chunk-store configuration shared by the
 // parallel-commit benchmark workers: the real AES/SHA-256 suite plus a
 // one-way counter, so every durable commit pays the full §3.2.2 cost.
-func benchParallelChunkConfig(store platform.UntrustedStore, suite sec.Suite, ctr platform.OneWayCounter, pool *lru.Pool) chunkstore.Config {
+func benchParallelChunkConfig(store platform.UntrustedStore, suite sec.Suite, ctr platform.OneWayCounter, cacheBytes int64) chunkstore.Config {
 	return chunkstore.Config{
 		Store:      store,
 		Suite:      suite,
 		Counter:    ctr,
 		UseCounter: true,
-		CachePool:  pool,
+		CacheBytes: cacheBytes,
 		// Cleaning and checkpointing are driven separately in the paper's
 		// benchmarks (§7.3); with them off, the measurement isolates commit
 		// cost instead of the cleaner's copy steps.
@@ -164,8 +162,7 @@ func benchCommitParallel(b *testing.B, workers int) {
 	}
 	store := platform.NewMeterStore(dir)
 	ctr := platform.NewMemCounter()
-	pool := lru.NewPool(64 << 20)
-	cs, err := chunkstore.Open(benchParallelChunkConfig(store, suite, ctr, pool))
+	cs, err := chunkstore.Open(benchParallelChunkConfig(store, suite, ctr, 64<<20))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestDegradedChunkSurfacesThroughObjectReads(t *testing.T) {
 		Counter:    e.counter,
 		Suite:      e.suite,
 		UseCounter: true,
-		CachePool:  e.pool,
+		CacheBytes: e.cacheBytes,
 	})
 	if err != nil {
 		t.Fatalf("chunkstore.Open: %v", err)

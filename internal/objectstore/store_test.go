@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tdb/internal/chunkstore"
-	"tdb/internal/lru"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
 )
@@ -77,11 +76,11 @@ func testRegistry() *Registry {
 }
 
 type osEnv struct {
-	mem     *platform.MemStore
-	counter *platform.MemCounter
-	suite   sec.Suite
-	pool    *lru.Pool
-	cfg     Config
+	mem        *platform.MemStore
+	counter    *platform.MemCounter
+	suite      sec.Suite
+	cacheBytes int64
+	cfg        Config
 }
 
 func newOSEnv(t *testing.T) *osEnv {
@@ -91,10 +90,10 @@ func newOSEnv(t *testing.T) *osEnv {
 		t.Fatalf("NewSuite: %v", err)
 	}
 	e := &osEnv{
-		mem:     platform.NewMemStore(),
-		counter: platform.NewMemCounter(),
-		suite:   suite,
-		pool:    lru.NewPool(4 << 20),
+		mem:        platform.NewMemStore(),
+		counter:    platform.NewMemCounter(),
+		suite:      suite,
+		cacheBytes: 4 << 20,
 	}
 	e.cfg = Config{
 		Registry:    testRegistry(),
@@ -110,7 +109,7 @@ func (e *osEnv) open(t *testing.T) *Store {
 		Counter:    e.counter,
 		Suite:      e.suite,
 		UseCounter: true,
-		CachePool:  e.pool,
+		CacheBytes: e.cacheBytes,
 	})
 	if err != nil {
 		t.Fatalf("chunkstore.Open: %v", err)
@@ -609,7 +608,7 @@ func TestReadonlyMutationCheck(t *testing.T) {
 
 func TestCacheEvictionRefetches(t *testing.T) {
 	e := newOSEnv(t)
-	e.pool = lru.NewPool(2 << 10) // tiny map-node budget forces eviction
+	e.cacheBytes = 2 << 10 // tiny map-node budget forces eviction
 	s := e.open(t)
 	defer s.Close()
 	var ids []ObjectID

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tdb/internal/chunkstore"
-	"tdb/internal/lru"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
 )
@@ -16,11 +15,11 @@ import (
 // stressEnv is an object store over a fault-injecting memory store, for
 // hammering the off-mutex commit pipeline under the race detector.
 type stressEnv struct {
-	mem    *platform.MemStore
-	faults *platform.FaultStore
-	ctr    *platform.MemCounter
-	suite  sec.Suite
-	pool   *lru.Pool
+	mem        *platform.MemStore
+	faults     *platform.FaultStore
+	ctr        *platform.MemCounter
+	suite      sec.Suite
+	cacheBytes int64
 }
 
 func newStressEnv(t *testing.T) *stressEnv {
@@ -30,10 +29,10 @@ func newStressEnv(t *testing.T) *stressEnv {
 		t.Fatalf("NewSuite: %v", err)
 	}
 	e := &stressEnv{
-		mem:   platform.NewMemStore(),
-		ctr:   platform.NewMemCounter(),
-		suite: suite,
-		pool:  lru.NewPool(4 << 20),
+		mem:        platform.NewMemStore(),
+		ctr:        platform.NewMemCounter(),
+		suite:      suite,
+		cacheBytes: 4 << 20,
 	}
 	e.faults = platform.NewFaultStore(e.mem)
 	return e
@@ -46,7 +45,7 @@ func (e *stressEnv) open(t *testing.T) *Store {
 		Counter:    e.ctr,
 		Suite:      e.suite,
 		UseCounter: true,
-		CachePool:  e.pool,
+		CacheBytes: e.cacheBytes,
 		// Retries absorb the injected transient faults; the no-op sleep
 		// keeps the test fast and deterministic.
 		Retry: chunkstore.RetryPolicy{Sleep: func(time.Duration) {}},

@@ -110,8 +110,9 @@ type (
 	// RetryPolicy tunes transient-I/O retry (Options.Retry).
 	RetryPolicy = chunkstore.RetryPolicy
 	// Stats is what DB.Stats reports: storage sizes, commit/cleaning
-	// counters, and read-path telemetry (slow-path fallbacks and the
-	// scan-prefetch counters: coalesced reads and prefetched chunks). The
+	// counters, and read-path telemetry (ReadSlowPaths — map-node fault-ins
+	// and shared-lock last attempts — and the scan-prefetch counters:
+	// coalesced reads and prefetched chunks). The
 	// ReadCache* and PrefetchHits/PrefetchWasted fields are always zero:
 	// the chunk store keeps no plaintext cache.
 	Stats = chunkstore.Stats

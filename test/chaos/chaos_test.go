@@ -42,8 +42,8 @@ func TestChaosOracle(t *testing.T) {
 	t.Logf("chaos: %d actions, %d commits (%d not durable), %d crashes/%d recoveries, %d restarts, %d storms, %d read-storms, %d commit-storms, %d backups, %d restores, %d tamper checks",
 		res.Actions, res.Commits, res.NotDurable, res.Crashes, res.Recoveries, res.Restarts,
 		res.Storms, res.ReadStorms, res.CommitStorms, res.Backups, res.Restores, res.TamperChecks)
-	t.Logf("chaos: injector saw %d reads, %d writes; injected %d transient errors, flipped %d bits",
-		res.FaultStats.Reads, res.FaultStats.Writes, res.FaultStats.TransientErrors, res.FaultStats.BitsFlipped)
+	t.Logf("chaos: injector saw %d reads, %d writes; injected %d transient errors, flipped %d bits; %d read slow paths",
+		res.FaultStats.Reads, res.FaultStats.Writes, res.FaultStats.TransientErrors, res.FaultStats.BitsFlipped, res.ReadSlowPaths)
 	// A run long enough to matter must actually have exercised the chaos
 	// machinery — a silently idle generator is a regression too.
 	if *chaosActions >= 100 {
@@ -53,6 +53,11 @@ func TestChaosOracle(t *testing.T) {
 		if res.Storms+res.TamperChecks == 0 {
 			t.Fatalf("no bit-rot storms or tamper checks in %d actions", res.Actions)
 		}
+	}
+	// The run's map-node budget evicts nodes, so reads must fault them back
+	// in; none means the fault-in path went unexercised.
+	if *chaosActions >= 400 && res.ReadSlowPaths == 0 {
+		t.Fatalf("no read slow paths in %d actions", res.Actions)
 	}
 	// Read storms have a ~4% slot; on a long run their absence means the
 	// concurrent-reader schedule stopped being exercised.
