@@ -10,7 +10,7 @@ LINTFLAGS ?=
 CHAOS_SEED ?= 42
 CHAOS_ACTIONS ?= 1000
 
-.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-scan bench-module chaos fuzz-smoke read-repeat
+.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-paper bench-module chaos fuzz-smoke read-repeat
 
 build:
 	$(GO) build ./...
@@ -86,18 +86,20 @@ check: faults chaos fmt fuzz-smoke read-repeat
 	$(MAKE) bench-smoke
 	$(MAKE) bench-module
 
-# bench reproduces the commit-pipeline / read-cache numbers recorded in
-# EXPERIMENTS.md. Raw outputs are not committed; to regenerate the rest of
-# the recorded evaluation, see "How to regenerate" at the top of
-# EXPERIMENTS.md (cmd/footprint for Figure 8, cmd/tdbbench for Figures
-# 9-11 and the suite ablation, `go test -bench` for the micro ablations).
+# bench reproduces the commit-pipeline / read-path numbers recorded in
+# EXPERIMENTS.md. Commit preparation fans out to one worker per P, so
+# -cpu 1,2 is the inline-versus-fanned-out ablation. Raw outputs are not
+# committed; to regenerate the rest of the recorded evaluation, see "How to
+# regenerate" at the top of EXPERIMENTS.md (cmd/footprint for Figure 8,
+# cmd/tdbbench for Figures 9-11 and the suite ablation, `go test -bench`
+# for the micro ablations).
 bench:
-	$(GO) test ./internal/chunkstore/ -run XXX -bench 'BenchmarkCommitParallelCrypto|BenchmarkConcurrentRead' -benchtime 1s
+	$(GO) test ./internal/chunkstore/ -run XXX -bench 'BenchmarkCommitParallelCrypto|BenchmarkConcurrentRead' -benchtime 1s -cpu 1,2
 
 # bench-smoke runs every benchmark exactly once — not for numbers, only to
 # keep the benchmarks compiling and passing their own assertions — plus the
-# read-scaling and scan smokes below.
-bench-smoke: bench-read-scaling bench-scan
+# read-scaling and paper-harness smokes below.
+bench-smoke: bench-read-scaling bench-paper
 	$(GO) test ./... -run XXX -bench . -benchtime 1x
 
 # bench-read-scaling exercises the off-mutex read path (DESIGN.md §7.7) at
@@ -116,12 +118,12 @@ bench-read-scaling:
 	$(GO) test . -run XXX \
 		-bench BenchmarkSnapshotLookupCold -benchtime 2000x -cpu 1,2
 
-# bench-scan runs the scan-pipeline experiment (DESIGN.md §7.8) in its
-# seconds-long smoke shape: full-collection sweeps with the prefetch window
-# off and on, against a simulated disk, with and without a live writer. Not
-# for numbers on the gate — the full shape is `tdbbench -exp scan`.
-bench-scan:
-	$(GO) run ./cmd/tdbbench -exp scan -smoke
+# bench-paper runs the paper's evaluation harness (cmd/tdbbench: Figures 9,
+# 10 and 11 and the suite ablation) end to end at 200 transactions per run,
+# a few seconds. Not for numbers on the gate — the recorded shape is the
+# default -txns 20000 (EXPERIMENTS.md).
+bench-paper:
+	$(GO) run ./cmd/tdbbench -exp all -txns 200
 
 # bench-module vets and tests the repository benchmark (BENCHMARK.json),
 # a nested module that root `go test ./...` never compiles.

@@ -73,12 +73,12 @@ func BenchmarkFig10(b *testing.B) {
 	})
 	b.Run("TDB", func(b *testing.B) {
 		runTPCB(b, func(env *tpcb.BenchEnv) (tpcb.Driver, error) {
-			return tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), Secure: false, MaxUtilization: 0.60})
+			return tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), MaxUtilization: 0.60})
 		})
 	})
 	b.Run("TDB-S", func(b *testing.B) {
 		runTPCB(b, func(env *tpcb.BenchEnv) (tpcb.Driver, error) {
-			return tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), Secure: true, MaxUtilization: 0.60})
+			return tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), Suite: "3des-sha1", MaxUtilization: 0.60})
 		})
 	})
 }
@@ -90,7 +90,7 @@ func BenchmarkFig11(b *testing.B) {
 		util := util
 		b.Run(fmt.Sprintf("util%.0f", util*100), func(b *testing.B) {
 			runTPCB(b, func(env *tpcb.BenchEnv) (tpcb.Driver, error) {
-				return tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), Secure: false, MaxUtilization: util})
+				return tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), MaxUtilization: util})
 			})
 		})
 	}
@@ -124,7 +124,7 @@ func BenchmarkCryptoSuites(b *testing.B) {
 		suite := suite
 		b.Run(suite, func(b *testing.B) {
 			runTPCB(b, func(env *tpcb.BenchEnv) (tpcb.Driver, error) {
-				return tpcb.NewTDBDriverSuite(env.Store(), suite, 0.60)
+				return tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), Suite: suite, MaxUtilization: 0.60})
 			})
 		})
 	}

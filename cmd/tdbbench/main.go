@@ -4,12 +4,7 @@
 //	tdbbench -exp fig10         response time: BerkeleyDB vs TDB vs TDB-S
 //	tdbbench -exp fig11         TDB response time & db size vs utilization
 //	tdbbench -exp crypto        ablation: 3DES/SHA-1 vs AES-CTR/SHA-256 suites
-//	tdbbench -exp objstore      object-store durable commit throughput/latency
-//	tdbbench -exp scan          full-collection scans: prefetch off vs on
 //	tdbbench -exp all           everything above
-//
-// With -json, the objstore experiment also writes BENCH_objstore.json so
-// successive PRs can track commit-path performance machine-readably.
 //
 // The storage substrate is a simulated disk with the paper's mechanical
 // parameters (8.9/10.9 ms seek, 7200 rpm, §7.2): reported response times
@@ -28,13 +23,10 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig9, fig10, fig11, crypto, objstore, all")
-		txns    = flag.Int("txns", 20000, "total transactions per run (half measured)")
-		scale   = flag.String("scale", "small", "database scale: small (10k accounts) or paper (100k accounts)")
-		seed    = flag.Int64("seed", 1, "workload seed")
-		workers = flag.Int("workers", 8, "concurrent committers for the objstore experiment")
-		jsonOut = flag.Bool("json", false, "write objstore results to BENCH_objstore.json")
-		smoke   = flag.Bool("smoke", false, "shrink the scan experiment to a seconds-long smoke pass")
+		exp   = flag.String("exp", "all", "experiment: fig9, fig10, fig11, crypto, all")
+		txns  = flag.Int("txns", 20000, "total transactions per run (half measured)")
+		scale = flag.String("scale", "small", "database scale: small (10k accounts) or paper (100k accounts)")
+		seed  = flag.Int64("seed", 1, "workload seed")
 	)
 	flag.Parse()
 
@@ -54,18 +46,10 @@ func main() {
 		err = runFig11(cfg)
 	case "crypto":
 		err = runCrypto(cfg)
-	case "objstore":
-		err = runObjstore(*workers, *txns, *jsonOut)
-	case "scan":
-		err = runScanExperiments(&objstoreReport{}, *smoke)
 	case "all":
-		if err = runFig9(cfg); err == nil {
-			if err = runFig10(cfg); err == nil {
-				if err = runFig11(cfg); err == nil {
-					if err = runCrypto(cfg); err == nil {
-						err = runObjstore(*workers, *txns, *jsonOut)
-					}
-				}
+		for _, run := range []func(tpcb.BenchConfig) error{runFig9, runFig10, runFig11, runCrypto} {
+			if err = run(cfg); err != nil {
+				break
 			}
 		}
 	default:
@@ -90,20 +74,16 @@ func runFig9(cfg tpcb.BenchConfig) error {
 	return nil
 }
 
-// runOne executes one driver/config pair on a fresh simulated disk.
-func runOne(kind string, util float64, cfg tpcb.BenchConfig) (tpcb.Result, error) {
+// runOne executes one system on a fresh simulated disk: BerkeleyDB for
+// suite "bdb", otherwise TDB on the named crypto suite.
+func runOne(suite string, util float64, cfg tpcb.BenchConfig) (tpcb.Result, error) {
 	env := tpcb.NewBenchEnv()
 	var d tpcb.Driver
 	var err error
-	switch kind {
-	case "bdb":
+	if suite == "bdb" {
 		d, err = tpcb.NewBDBDriver(tpcb.BDBOptions{Store: env.Store()})
-	case "tdb":
-		d, err = tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), Secure: false, MaxUtilization: util})
-	case "tdbs":
-		d, err = tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), Secure: true, MaxUtilization: util})
-	default:
-		return tpcb.Result{}, fmt.Errorf("unknown driver %q", kind)
+	} else {
+		d, err = tpcb.NewTDBDriver(tpcb.TDBOptions{Store: env.Store(), Suite: suite, MaxUtilization: util})
 	}
 	if err != nil {
 		return tpcb.Result{}, err
@@ -119,7 +99,7 @@ func runFig10(cfg tpcb.BenchConfig) error {
 	fmt.Printf("   scale: %d accounts, %d txns (%d measured)\n",
 		cfg.Scale.Accounts, cfg.Txns, cfg.Txns/2)
 	var bdbRes tpcb.Result
-	for _, kind := range []string{"bdb", "tdb", "tdbs"} {
+	for _, kind := range []string{"bdb", "null", "3des-sha1"} {
 		res, err := runOne(kind, 0.60, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", kind, err)
@@ -145,7 +125,7 @@ func runFig11(cfg tpcb.BenchConfig) error {
 	}
 	fmt.Printf("  BerkeleyDB reference: %s\n", bdbRes.Row())
 	for _, util := range []float64{0.50, 0.60, 0.70, 0.80, 0.90} {
-		res, err := runOne("tdb", util, cfg)
+		res, err := runOne("null", util, cfg)
 		if err != nil {
 			return fmt.Errorf("util %.2f: %w", util, err)
 		}
@@ -160,18 +140,11 @@ func runFig11(cfg tpcb.BenchConfig) error {
 func runCrypto(cfg tpcb.BenchConfig) error {
 	fmt.Println("== Ablation: crypto suites ==")
 	for _, suite := range []string{"null", "3des-sha1", "aes-ctr-sha256"} {
-		env := tpcb.NewBenchEnv()
-		d, err := tpcb.NewTDBDriverSuite(env.Store(), suite, 0.60)
+		res, err := runOne(suite, 0.60, cfg)
 		if err != nil {
-			return err
-		}
-		res, err := tpcb.Run(env, d, cfg)
-		if err != nil {
-			d.Close()
-			return err
+			return fmt.Errorf("%s: %w", suite, err)
 		}
 		fmt.Printf("  %-10s %s\n", suite, res.Row())
-		d.Close()
 	}
 	fmt.Println()
 	return nil

@@ -32,10 +32,9 @@ func newEnv(t *testing.T) *env {
 		arch:    platform.NewMemArchive(),
 	}
 	cs, err := chunkstore.Open(chunkstore.Config{
-		Store:      e.mem,
-		Counter:    e.counter,
-		Suite:      suite,
-		UseCounter: true,
+		Store:   e.mem,
+		Counter: e.counter,
+		Suite:   suite,
 	})
 	if err != nil {
 		t.Fatalf("chunkstore.Open: %v", err)
@@ -48,10 +47,9 @@ func newEnv(t *testing.T) *env {
 func freshTarget(t *testing.T, suite sec.Suite) *chunkstore.Store {
 	t.Helper()
 	cs, err := chunkstore.Open(chunkstore.Config{
-		Store:      platform.NewMemStore(),
-		Counter:    platform.NewMemCounter(),
-		Suite:      suite,
-		UseCounter: true,
+		Store:   platform.NewMemStore(),
+		Counter: platform.NewMemCounter(),
+		Suite:   suite,
 	})
 	if err != nil {
 		t.Fatalf("open target: %v", err)

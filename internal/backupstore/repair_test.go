@@ -37,10 +37,9 @@ func newFaultEnv(t *testing.T) *faultEnv {
 	}
 	e.fs = platform.NewFaultStore(e.mem)
 	e.cfg = chunkstore.Config{
-		Store:      e.fs,
-		Counter:    e.counter,
-		Suite:      suite,
-		UseCounter: true,
+		Store:   e.fs,
+		Counter: e.counter,
+		Suite:   suite,
 	}
 	e.cs, err = chunkstore.Open(e.cfg)
 	if err != nil {
@@ -263,7 +262,7 @@ func TestRestoreCrashSweep(t *testing.T) {
 		arch:    platform.NewMemArchive(),
 	}
 	srcEnv.fs = platform.NewFaultStore(srcEnv.mem)
-	srcEnv.cfg = chunkstore.Config{Store: srcEnv.fs, Counter: srcEnv.counter, Suite: suite, UseCounter: true}
+	srcEnv.cfg = chunkstore.Config{Store: srcEnv.fs, Counter: srcEnv.counter, Suite: suite}
 	src, err := chunkstore.Open(srcEnv.cfg)
 	if err != nil {
 		t.Fatalf("open source: %v", err)
@@ -326,7 +325,7 @@ func TestRestoreCrashSweep(t *testing.T) {
 		tmem := platform.NewMemStore()
 		tfs := platform.NewFaultStore(tmem)
 		tctr := platform.NewMemCounter()
-		tcfg := chunkstore.Config{Store: tfs, Counter: tctr, Suite: suite, UseCounter: true}
+		tcfg := chunkstore.Config{Store: tfs, Counter: tctr, Suite: suite}
 		target, err := chunkstore.Open(tcfg)
 		if err != nil {
 			t.Fatalf("budget %d: open target: %v", budget, err)
@@ -343,7 +342,7 @@ func TestRestoreCrashSweep(t *testing.T) {
 			// Cleanly invalid is acceptable only if a from-scratch restore
 			// then succeeds on wiped storage.
 			fresh, ferr := chunkstore.Open(chunkstore.Config{
-				Store: platform.NewMemStore(), Counter: platform.NewMemCounter(), Suite: suite, UseCounter: true,
+				Store: platform.NewMemStore(), Counter: platform.NewMemCounter(), Suite: suite,
 			})
 			if ferr != nil {
 				t.Fatalf("budget %d: fresh target after invalid recovery: %v", budget, ferr)

@@ -20,10 +20,9 @@ func benchStore(b *testing.B, suiteName string) (*Store, *platform.MemStore) {
 	}
 	mem := platform.NewMemStore()
 	s, err := Open(Config{
-		Store:      mem,
-		Counter:    platform.NewMemCounter(),
-		Suite:      suite,
-		UseCounter: suiteName != "null",
+		Store:   mem,
+		Counter: platform.NewMemCounter(),
+		Suite:   suite,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -193,7 +192,7 @@ func BenchmarkRecovery(b *testing.B) {
 	suite, _ := sec.NewSuite("3des-sha1", []byte("bench-secret-0123456789abcdef012"))
 	mem := platform.NewMemStore()
 	ctr := platform.NewMemCounter()
-	cfg := Config{Store: mem, Counter: ctr, Suite: suite, UseCounter: true, DisableAutoCheckpoint: true}
+	cfg := Config{Store: mem, Counter: ctr, Suite: suite, DisableAutoCheckpoint: true}
 	s, err := Open(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -126,8 +126,10 @@ type Stats struct {
 	CleanedBytes int64
 	// Checkpoints counts checkpoint operations.
 	Checkpoints int64
-	// CacheBytes is the memory accounted to cached map nodes.
-	CacheBytes int64
+	// CacheBytes is the memory accounted to cached map nodes; CacheBudget
+	// is its bound (Config.CacheBytes with the default filled in).
+	CacheBytes  int64
+	CacheBudget int64
 	// ReadCacheBytes, ReadCacheHits, ReadCacheMisses and ReadCacheShards
 	// described the validated-plaintext read cache, which is gone: decoded
 	// objects are cached in the object store's decode table. They are

@@ -60,10 +60,12 @@ type preparedOp struct {
 	hash []byte
 }
 
-// prepareBatch encrypts and hashes every write payload of ops, using up to
-// `workers` goroutines (0 = one per CPU). It performs no validation against
-// store state — that happens under the mutex in stage 2.
-func prepareBatch(suite sec.Suite, ops []batchOp, gen uint64, workers int) ([]preparedOp, error) {
+// prepareBatch encrypts and hashes every write payload of ops, using one
+// goroutine per P (runtime.GOMAXPROCS), at most one per payload: a
+// single-P process prepares inline on the committing goroutine. It performs
+// no validation against store state — that happens under the mutex in
+// stage 2.
+func prepareBatch(suite sec.Suite, ops []batchOp, gen uint64) ([]preparedOp, error) {
 	var writeIdx []int
 	for i, op := range ops {
 		if op.kind == opWrite || op.kind == opRestore {
@@ -86,12 +88,7 @@ func prepareBatch(suite sec.Suite, ops []batchOp, gen uint64, workers int) ([]pr
 		}
 		return nil
 	}
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(writeIdx) {
-		workers = len(writeIdx)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(writeIdx))
 	if workers <= 1 {
 		for _, i := range writeIdx {
 			if err := encryptOne(i); err != nil {

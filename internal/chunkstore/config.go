@@ -11,15 +11,13 @@ import (
 type Config struct {
 	// Store is the untrusted store holding segments and the superblock.
 	Store platform.UntrustedStore
-	// Counter is the one-way counter used for replay detection. Required
-	// when UseCounter is true.
+	// Counter is the one-way counter used for replay detection: every
+	// durable commit advances it. Required unless Suite is the null suite,
+	// the paper's security-off configuration, which skips the counter
+	// (§7.3) and ignores this field.
 	Counter platform.OneWayCounter
 	// Suite provides encryption, hashing, and MACs. Required.
 	Suite sec.Suite
-	// UseCounter controls whether durable commits increment the one-way
-	// counter. The paper's security-off configuration skips the counter
-	// (§7.3); by convention callers set this to Suite.Name() != "null".
-	UseCounter bool
 
 	// SegmentSize is the soft maximum size of a log segment file. Default
 	// 256 KiB.
@@ -35,18 +33,10 @@ type Config struct {
 	// the location map, so frequent checkpoints inflate write volume; the
 	// paper defers them to idle periods (§3.2.1).
 	CheckpointBytes int64
-	// CleanStepBytes bounds how much live data a single post-commit cleaner
-	// step may copy, bounding per-commit overhead (§3.2.1). Default one
-	// segment.
-	CleanStepBytes int64
 	// CacheBytes bounds the memory accounted to cached location map nodes
 	// (the CLOCK ring in locmap.go). Zero selects 4 MiB; a negative value
 	// lifts the bound.
 	CacheBytes int64
-	// CommitWorkers is the number of goroutines used to encrypt and hash a
-	// batch's payloads during commit preparation. 0 selects one worker per
-	// CPU; 1 prepares inline on the committing goroutine.
-	CommitWorkers int
 	// DisableAutoClean turns off post-commit cleaning (the benchmarks'
 	// idle-cleaning experiments drive the cleaner explicitly).
 	DisableAutoClean bool
@@ -66,8 +56,10 @@ func (c *Config) fillDefaults() error {
 	if c.Suite == nil {
 		return fmt.Errorf("%w: config requires a Suite", ErrUsage)
 	}
-	if c.UseCounter && c.Counter == nil {
-		return fmt.Errorf("%w: UseCounter requires a Counter", ErrUsage)
+	if c.Suite.Name() == "null" {
+		c.Counter = nil
+	} else if c.Counter == nil {
+		return fmt.Errorf("%w: suite %s requires a Counter", ErrUsage, c.Suite.Name())
 	}
 	if c.SegmentSize == 0 {
 		c.SegmentSize = 256 << 10
@@ -90,14 +82,8 @@ func (c *Config) fillDefaults() error {
 	if c.CheckpointBytes == 0 {
 		c.CheckpointBytes = 4 << 20
 	}
-	if c.CleanStepBytes == 0 {
-		c.CleanStepBytes = int64(c.SegmentSize)
-	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 4 << 20
-	}
-	if c.CommitWorkers < 0 {
-		return fmt.Errorf("%w: commit workers %d negative", ErrUsage, c.CommitWorkers)
 	}
 	c.Retry.fillDefaults()
 	return nil

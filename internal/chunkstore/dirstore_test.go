@@ -31,7 +31,6 @@ func TestChunkStoreOnRealFilesystem(t *testing.T) {
 		Store:       store,
 		Counter:     ctr,
 		Suite:       suite,
-		UseCounter:  true,
 		SegmentSize: 8 << 10,
 	}
 	s, err := Open(cfg)

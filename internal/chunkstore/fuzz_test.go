@@ -21,7 +21,7 @@ func logRecords(tb testing.TB) map[byte][]byte {
 		tb.Fatalf("NewSuite: %v", err)
 	}
 	mem := platform.NewMemStore()
-	s, err := Open(Config{Store: mem, Counter: platform.NewMemCounter(), Suite: suite, UseCounter: true})
+	s, err := Open(Config{Store: mem, Counter: platform.NewMemCounter(), Suite: suite})
 	if err != nil {
 		tb.Fatalf("Open: %v", err)
 	}

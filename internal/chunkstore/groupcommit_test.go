@@ -37,10 +37,9 @@ func newGroupEnv(t *testing.T) *groupEnv {
 	}
 	env.meter = platform.NewMeterStore(env.mem)
 	env.cfg = Config{
-		Store:      env.meter,
-		Counter:    env.counter,
-		Suite:      suite,
-		UseCounter: true,
+		Store:   env.meter,
+		Counter: env.counter,
+		Suite:   suite,
 		// One big segment and no background maintenance, so the only syncs
 		// during the measured window are commit-durability syncs.
 		SegmentSize:           1 << 20,

@@ -207,10 +207,9 @@ func newPipeEnv(t *testing.T, counter func(*platform.FaultStore) platform.OneWay
 	}
 	env.counter = &seamCounter{OneWayCounter: dev, tl: env.tl}
 	env.cfg = Config{
-		Store:      seamStore{env.fs, env.tl},
-		Counter:    env.counter,
-		Suite:      suite,
-		UseCounter: true,
+		Store:   seamStore{env.fs, env.tl},
+		Counter: env.counter,
+		Suite:   suite,
 		// One big segment and no background maintenance: the only fsyncs and
 		// increments are the rounds'. One attempt: a failing device fails at
 		// once, with no backoff.

@@ -296,7 +296,10 @@ func TestConcurrentReadsRaceCleaner(t *testing.T) {
 					}
 				}(r)
 			}
-			for round := 0; round < 40; round++ {
+			// Forty rounds of churn; under cache pressure, more (up to 400)
+			// until a reader has faulted a map node in, since the scheduler
+			// may keep every reader off the CPU while a node is out.
+			for round := 0; round < 40 || (tc.cacheBytes != 0 && round < 400 && s.Stats().ReadSlowPaths == 0); round++ {
 				for i, cid := range churn {
 					writeChunk(t, s, cid, bytes.Repeat([]byte{byte(round), byte(i)}, 150))
 				}

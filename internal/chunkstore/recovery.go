@@ -135,7 +135,7 @@ func (s *Store) recover(sb superblock) error {
 	// round's sync and its advance — with hardenDepth rounds in flight plus
 	// the open stamp, up to hardenDepth+1 stamps ahead — never a replay:
 	// catch the counter up, one increment per stamp.
-	if s.cfg.UseCounter {
+	if s.cfg.Counter != nil {
 		if hw := s.counterVal.Load(); lastDurable.counter < hw || lastDurable.counter > hw+hardenDepth+1 {
 			return fmt.Errorf("%w: database counter %d does not match one-way counter %d (replay attack?)",
 				ErrTampered, lastDurable.counter, hw)

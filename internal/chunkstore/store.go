@@ -154,7 +154,7 @@ func Open(cfg Config) (*Store, error) {
 		quarantine: make(map[ChunkID]string),
 		gc:         newGroupCommitter(),
 	}
-	if cfg.UseCounter {
+	if cfg.Counter != nil {
 		v, err := cfg.Counter.Read()
 		if err != nil {
 			return nil, fmt.Errorf("chunkstore: reading one-way counter: %w", err)
@@ -521,7 +521,7 @@ type PreparedBatch struct {
 }
 
 // PrepareBatch runs commit stage 1 — encrypting and hashing the batch's
-// write payloads, fanned out across CommitWorkers goroutines — without
+// write payloads, fanned out across GOMAXPROCS goroutines — without
 // taking the store mutex. The only store state it touches is the IV
 // generation counter (lock-free on the fast path), so callers holding
 // their own locks around CommitPrepared can run preparation outside them.
@@ -540,7 +540,7 @@ func (s *Store) PrepareBatch(b *Batch) (*PreparedBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	prep, err := prepareBatch(s.suite, b.ops, gen, s.cfg.CommitWorkers)
+	prep, err := prepareBatch(s.suite, b.ops, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +613,7 @@ func (s *Store) AwaitDurable(t CommitTicket) error {
 func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 	seq := s.commitSeq + 1
 	ctr := s.stampCtr
-	if durable && s.cfg.UseCounter {
+	if durable && s.cfg.Counter != nil {
 		ctr = s.sealedCtr + 1
 	}
 	rootHash := s.lm.rootHash()
@@ -654,7 +654,9 @@ func (s *Store) maybeMaintain() error {
 		}
 	}
 	if !s.cfg.DisableAutoClean {
-		if err := s.cleanLocked(s.cfg.CleanStepBytes, false); err != nil {
+		// A post-commit step copies at most one segment of live data,
+		// bounding per-commit overhead (§3.2.1).
+		if err := s.cleanLocked(int64(s.cfg.SegmentSize), false); err != nil {
 			return err
 		}
 	}
@@ -702,6 +704,7 @@ func (s *Store) Stats() Stats {
 		CleanedBytes: s.statCleanedBytes,
 		Checkpoints:  s.statCheckpoints,
 		CacheBytes:   s.lm.used,
+		CacheBudget:  s.cfg.CacheBytes,
 	}
 	st.ReadSlowPaths = s.readSlow.Load()
 	st.CoalescedReads = s.coalescedReads.Load()

@@ -35,7 +35,6 @@ func newTestEnv(t *testing.T, suiteName string) *testEnv {
 		Store:       fs,
 		Counter:     ctr,
 		Suite:       suite,
-		UseCounter:  suiteName != "null",
 		SegmentSize: 8 << 10, // small segments exercise sealing and cleaning
 	}
 	return env

@@ -45,7 +45,6 @@ func TestSuiteByteAccounting(t *testing.T) {
 			Store:                 meter,
 			Counter:               platform.NewMemCounter(),
 			Suite:                 counted,
-			UseCounter:            true,
 			SegmentSize:           8 << 10,
 			DisableAutoClean:      true,
 			DisableAutoCheckpoint: true,

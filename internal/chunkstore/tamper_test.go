@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tdb/internal/platform"
+	"tdb/internal/sec"
 )
 
 // These tests model the paper's threat model (§3): the attacker fully
@@ -164,6 +165,45 @@ func TestReplayAttackUndetectedWithoutCounter(t *testing.T) {
 	got, _ := s.Read(cid)
 	if string(got) != "balance=100" {
 		t.Fatalf("expected stale state without counter protection, got %q", got)
+	}
+}
+
+// TestSecureSuiteAlwaysUsesCounter pins that replay detection cannot be
+// configured away: a keyed suite without a counter is a usage error, and a
+// store given only a store, a suite and a counter advances the counter and
+// rejects a replayed pre-commit image.
+func TestSecureSuiteAlwaysUsesCounter(t *testing.T) {
+	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("test-device-secret-0123456789abc"))
+	if err != nil {
+		t.Fatalf("NewSuite: %v", err)
+	}
+	if s, err := Open(Config{Store: platform.NewMemStore(), Suite: suite}); !errors.Is(err, ErrUsage) {
+		if err == nil {
+			s.Close()
+		}
+		t.Errorf("Open of a secure suite without a counter: %v, want ErrUsage", err)
+	}
+
+	mem := platform.NewMemStore()
+	cfg := Config{Store: mem, Suite: suite, Counter: platform.NewMemCounter()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	cid := allocWrite(t, s, []byte("balance=100"))
+	s.Close()
+	saved := mem.Snapshot()
+	if s, err = Open(cfg); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	writeChunk(t, s, cid, []byte("balance=0"))
+	s.Close()
+	mem.Restore(saved)
+	if s, err := Open(cfg); !errors.Is(err, ErrTampered) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("replayed pre-commit image accepted: %v", err)
 	}
 }
 

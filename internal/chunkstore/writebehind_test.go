@@ -32,7 +32,6 @@ func newWBEnv(t *testing.T) *wbEnv {
 		Store:       env.meter,
 		Counter:     platform.NewMemCounter(),
 		Suite:       suite,
-		UseCounter:  true,
 		SegmentSize: 1 << 20,
 		// No background maintenance: every metered op below is attributable
 		// to the commits under test.

@@ -79,7 +79,6 @@ func (e *colEnv) open(t *testing.T) *Store {
 		Store:      e.mem,
 		Counter:    e.counter,
 		Suite:      e.suite,
-		UseCounter: true,
 		CacheBytes: e.cacheBytes,
 	})
 	if err != nil {

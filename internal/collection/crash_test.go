@@ -41,7 +41,6 @@ func (e *colCrashEnv) open(t *testing.T) *Store {
 		Store:       e.mem,
 		Counter:     e.counter,
 		Suite:       e.suite,
-		UseCounter:  true,
 		SegmentSize: 8 << 10,
 		CacheBytes:  1 << 20,
 	})

@@ -22,7 +22,9 @@ import (
 	"tdb/internal/sec"
 )
 
-// Options configures a database.
+// Options configures a database. Zero values select defaults. Every field
+// has a caller; the public tdb.Options doc lists who sets each tuning knob
+// and why.
 type Options struct {
 	// Dir is the directory holding the database (untrusted store). Leave
 	// empty and set Store to supply a custom store (tests use in-memory
@@ -32,14 +34,10 @@ type Options struct {
 	Store platform.UntrustedStore
 
 	// Secret is the device secret all keys derive from. On a real device it
-	// lives in ROM or tamper-responsive SRAM; here the caller provides it
-	// (or sets SecretFile to manage it as a file, like the paper's
-	// emulation).
+	// lives in ROM or tamper-responsive SRAM, outside the attacker's store
+	// (§2); in development, tdbctl -secret-file reads it from a file kept
+	// apart from the database directory.
 	Secret []byte
-	// SecretFile, when set (and Secret empty), stores/loads the device
-	// secret under this name in the untrusted store. Development
-	// convenience only: a secret the attacker can read protects nothing.
-	SecretFile string
 
 	// Suite names the crypto suite: "aes-ctr-sha256" (AES-128-CTR with
 	// SHA-256 and HMAC-SHA256 truncated to 160 bits; the default), "3des-sha1"
@@ -64,14 +62,11 @@ type Options struct {
 	// objects live in the object store's decode table, which has a constant
 	// budget of its own.
 	CacheBytes int64
-	// SegmentSize, Fanout, MaxUtilization, CheckpointBytes, CleanStepBytes
-	// tune the chunk store (zero values select defaults; see
-	// chunkstore.Config).
+	// SegmentSize, MaxUtilization and CheckpointBytes tune the chunk store
+	// (see chunkstore.Config).
 	SegmentSize     int
-	Fanout          int
 	MaxUtilization  float64
 	CheckpointBytes int64
-	CleanStepBytes  int64
 	// DisableAutoClean and DisableAutoCheckpoint defer maintenance to
 	// explicit Clean/Checkpoint calls (idle-time cleaning).
 	DisableAutoClean      bool
@@ -124,7 +119,7 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// setup resolves stores, suite, counter, registry, and cache budget.
+// setup resolves stores, suite, counter, and registry.
 func (db *DB) setup() error {
 	opts := &db.opts
 	switch {
@@ -141,16 +136,6 @@ func (db *DB) setup() error {
 	}
 
 	secret := opts.Secret
-	if len(secret) == 0 && opts.SecretFile != "" {
-		fs, err := platform.NewFileSecret(db.store, opts.SecretFile, 32)
-		if err != nil {
-			return err
-		}
-		secret, err = fs.Secret()
-		if err != nil {
-			return err
-		}
-	}
 	suiteName := opts.Suite
 	if suiteName == "" {
 		suiteName = "aes-ctr-sha256"
@@ -182,10 +167,6 @@ func (db *DB) setup() error {
 		opts.Registry = objectstore.NewRegistry()
 	}
 	collection.RegisterClasses(opts.Registry)
-
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 4 << 20
-	}
 	return nil
 }
 
@@ -194,12 +175,9 @@ func (db *DB) chunkConfig() chunkstore.Config {
 		Store:                 db.store,
 		Counter:               db.counter,
 		Suite:                 db.suite,
-		UseCounter:            db.suite.Name() != "null",
 		SegmentSize:           db.opts.SegmentSize,
-		Fanout:                db.opts.Fanout,
 		MaxUtilization:        db.opts.MaxUtilization,
 		CheckpointBytes:       db.opts.CheckpointBytes,
-		CleanStepBytes:        db.opts.CleanStepBytes,
 		CacheBytes:            db.opts.CacheBytes,
 		DisableAutoClean:      db.opts.DisableAutoClean,
 		DisableAutoCheckpoint: db.opts.DisableAutoCheckpoint,
@@ -350,7 +328,8 @@ func Restore(opts Options, archive platform.ArchivalStore) (*DB, error) {
 	return db, nil
 }
 
-// String describes the configuration.
+// String describes the configuration: the suite and the map-node cache
+// budget the chunk store runs with.
 func (db *DB) String() string {
-	return fmt.Sprintf("tdb(%s, cache %d)", db.suite.Name(), db.opts.CacheBytes)
+	return fmt.Sprintf("tdb(%s, cache %d)", db.suite.Name(), db.chunks.Stats().CacheBudget)
 }

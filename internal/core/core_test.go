@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"tdb/internal/chunkstore"
@@ -122,9 +123,9 @@ func TestOpenCreateReopen(t *testing.T) {
 func TestOpenOnDirectory(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
-		Dir:        dir,
-		SecretFile: "secret", // file-managed secret + file counter
-		Registry:   testReg(),
+		Dir:      dir,
+		Secret:   realFSSecret, // the counter defaults to a file in dir
+		Registry: testReg(),
 	}
 	db, err := Open(opts)
 	if err != nil {
@@ -288,8 +289,9 @@ func TestMaintenanceEntryPoints(t *testing.T) {
 	if st.Chunks == 0 || st.DiskBytes == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if db.String() == "" {
-		t.Fatal("empty String()")
+	// String reports the map-node budget the chunk store filled in.
+	if got, want := db.String(), fmt.Sprintf("tdb(aes-ctr-sha256, cache %d)", 4<<20); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 	if db.Objects() == nil || db.Chunks() == nil || db.Collections() == nil {
 		t.Fatal("layer accessors returned nil")

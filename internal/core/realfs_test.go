@@ -9,14 +9,20 @@ import (
 )
 
 // End-to-end tests on a real directory store: the development configuration
-// a downstream user actually runs (DirStore + FileSecret + FileCounter).
+// tdbctl runs. The database and its file-emulated one-way counter live in
+// the directory (DirStore + FileCounter); the device secret does not — it is
+// handed to Open as bytes, the way tdbctl -secret-file reads it from a file
+// kept outside the store.
+
+// realFSSecret is the device secret of the real-directory tests.
+var realFSSecret = []byte("realfs-device-secret-0123456789a")
 
 func TestRealFSLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
-		Dir:        filepath.Join(dir, "db"),
-		SecretFile: "secret",
-		Registry:   testReg(),
+		Dir:      filepath.Join(dir, "db"),
+		Secret:   realFSSecret,
+		Registry: testReg(),
 	}
 	db, err := Open(opts)
 	if err != nil {
@@ -56,9 +62,9 @@ func TestRealFSLifecycle(t *testing.T) {
 func TestRealFSTamperDetection(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
-		Dir:        filepath.Join(dir, "db"),
-		SecretFile: "secret",
-		Registry:   testReg(),
+		Dir:      filepath.Join(dir, "db"),
+		Secret:   realFSSecret,
+		Registry: testReg(),
 	}
 	db, err := Open(opts)
 	if err != nil {

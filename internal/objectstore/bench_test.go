@@ -106,7 +106,6 @@ func benchParallelChunkConfig(store platform.UntrustedStore, suite sec.Suite, ct
 		Store:      store,
 		Suite:      suite,
 		Counter:    ctr,
-		UseCounter: true,
 		CacheBytes: cacheBytes,
 		// Cleaning and checkpointing are driven separately in the paper's
 		// benchmarks (§7.3); with them off, the measurement isolates commit

@@ -52,7 +52,6 @@ func TestDegradedChunkSurfacesThroughObjectReads(t *testing.T) {
 		Store:      e.mem,
 		Counter:    e.counter,
 		Suite:      e.suite,
-		UseCounter: true,
 		CacheBytes: e.cacheBytes,
 	})
 	if err != nil {

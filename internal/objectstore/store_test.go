@@ -108,7 +108,6 @@ func (e *osEnv) open(t *testing.T) *Store {
 		Store:      e.mem,
 		Counter:    e.counter,
 		Suite:      e.suite,
-		UseCounter: true,
 		CacheBytes: e.cacheBytes,
 	})
 	if err != nil {

@@ -44,7 +44,6 @@ func (e *stressEnv) open(t *testing.T) *Store {
 		Store:      e.faults,
 		Counter:    e.ctr,
 		Suite:      e.suite,
-		UseCounter: true,
 		CacheBytes: e.cacheBytes,
 		// Retries absorb the injected transient faults; the no-op sleep
 		// keeps the test fast and deterministic.

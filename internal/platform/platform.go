@@ -6,9 +6,11 @@
 //   - an archival store: a stream-based sequential store for backups, also
 //     attacker-controlled,
 //   - a one-way counter: a small persistent counter that can only be
-//     incremented, used to detect replay attacks,
-//   - a secret store: a small store readable only by authorized programs,
-//     holding the device secret from which all keys are derived.
+//     incremented, used to detect replay attacks.
+//
+// The fourth module, the secret store holding the device secret from which
+// all keys are derived, is not modelled here: the secret lives in ROM,
+// outside the attacker's store, and is handed to the database as bytes.
 //
 // The package supplies real (directory/file backed) implementations, purely
 // in-memory implementations for testing, a fault-injecting wrapper used by
@@ -90,14 +92,6 @@ type OneWayCounter interface {
 	Read() (uint64, error)
 	// Increment advances the counter by one and returns the new value.
 	Increment() (uint64, error)
-}
-
-// SecretStore holds the device secret that only authorized programs can
-// read (paper §2). All programs linked with the database system are
-// authorized; the attacker can read everything except this.
-type SecretStore interface {
-	// Secret returns the device master secret.
-	Secret() ([]byte, error)
 }
 
 // ArchivalStream is a single backup being written or read.

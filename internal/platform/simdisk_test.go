@@ -181,41 +181,6 @@ func TestMeterStoreCounts(t *testing.T) {
 	}
 }
 
-func TestSecretStores(t *testing.T) {
-	ms := NewMemSecret([]byte("device-secret"))
-	got, err := ms.Secret()
-	if err != nil || string(got) != "device-secret" {
-		t.Fatalf("MemSecret: %q, %v", got, err)
-	}
-
-	store := NewMemStore()
-	fsec, err := NewFileSecret(store, "secret", 20)
-	if err != nil {
-		t.Fatalf("NewFileSecret: %v", err)
-	}
-	s1, err := fsec.Secret()
-	if err != nil || len(s1) != 20 {
-		t.Fatalf("FileSecret: len=%d err=%v", len(s1), err)
-	}
-	// Reopening must yield the same secret.
-	fsec2, err := NewFileSecret(store, "secret", 20)
-	if err != nil {
-		t.Fatalf("reopen FileSecret: %v", err)
-	}
-	s2, _ := fsec2.Secret()
-	if string(s1) != string(s2) {
-		t.Fatal("secret changed across reopen")
-	}
-
-	r, err := NewRandomSecret(16)
-	if err != nil {
-		t.Fatalf("NewRandomSecret: %v", err)
-	}
-	if b, _ := r.Secret(); len(b) != 16 {
-		t.Fatalf("random secret length %d", len(b))
-	}
-}
-
 func TestArchiveRoundTrip(t *testing.T) {
 	for name, a := range map[string]ArchivalStore{
 		"mem": NewMemArchive(),

@@ -16,9 +16,9 @@ var benchScale = Scale{Accounts: 1000, Tellers: 50, Branches: 5}
 // newBenchDriver loads a small TDB instance on a memory store.
 func newBenchDriver(b *testing.B) *TDBDriver {
 	b.Helper()
-	d, err := NewTDBDriverSuite(platform.NewMemStore(), "aes-ctr-sha256", 0.60)
+	d, err := NewTDBDriver(TDBOptions{Store: platform.NewMemStore(), Suite: "aes-ctr-sha256"})
 	if err != nil {
-		b.Fatalf("NewTDBDriverSuite: %v", err)
+		b.Fatalf("NewTDBDriver: %v", err)
 	}
 	if err := d.Load(benchScale); err != nil {
 		d.Close()

@@ -20,20 +20,13 @@ type BDBDriver struct {
 // BDBOptions configures NewBDBDriver.
 type BDBOptions struct {
 	Store platform.UntrustedStore
-	// CacheBytes is the buffer pool size (default 4 MiB, §7.2).
-	CacheBytes int64
-	// CheckpointEveryBytes enables periodic checkpoints; the paper's runs
-	// never checkpoint (zero).
-	CheckpointEveryBytes int64
 }
 
-// NewBDBDriver opens a fresh baseline environment.
+// NewBDBDriver opens a fresh baseline environment with bdb's defaults: a
+// 4 MiB buffer pool (§7.2) and no periodic checkpoints, as in the paper's
+// runs.
 func NewBDBDriver(opts BDBOptions) (*BDBDriver, error) {
-	env, err := bdb.Open(bdb.Config{
-		Store:                opts.Store,
-		CacheBytes:           opts.CacheBytes,
-		CheckpointEveryBytes: opts.CheckpointEveryBytes,
-	})
+	env, err := bdb.Open(bdb.Config{Store: opts.Store})
 	if err != nil {
 		return nil, err
 	}

@@ -27,16 +27,15 @@ type TDBOptions struct {
 	// Store is the untrusted store to run on (benchmarks pass a metered
 	// simulated disk).
 	Store platform.UntrustedStore
-	// Secure selects TDB-S (3DES/SHA-1, per-commit counter) vs plain TDB
-	// (null suite) — the paper's §7.3 split.
-	Secure bool
+	// Suite names the crypto suite. Empty or "null" is the paper's plain
+	// TDB (security off), "3des-sha1" its TDB-S (§7.3); any other suite
+	// runs as TDB-<suite>.
+	Suite string
 	// MaxUtilization is the chunk store's cleaning bound (Figure 11's
 	// x-axis). Zero selects the default 0.60.
 	MaxUtilization float64
-	// CacheBytes is the shared cache budget (default 4 MiB as in §7.2).
-	CacheBytes int64
-	// Counter overrides the one-way counter (nil: file-emulated, as in the
-	// paper).
+	// Counter overrides the one-way counter of a secure suite (nil:
+	// file-emulated, as in the paper).
 	Counter platform.OneWayCounter
 }
 
@@ -47,14 +46,17 @@ func NewTDBDriver(opts TDBOptions) (*TDBDriver, error) {
 	}
 	reg := objectstore.NewRegistry()
 	RegisterClasses(reg)
-	suite := "null"
-	name := "TDB"
-	if opts.Secure {
-		suite = "3des-sha1"
+	suite, name := opts.Suite, "TDB"
+	switch suite {
+	case "", "null":
+		suite = "null"
+	case "3des-sha1":
 		name = "TDB-S"
+	default:
+		name = "TDB-" + suite
 	}
 	counter := opts.Counter
-	if counter == nil && opts.Secure {
+	if counter == nil && suite != "null" {
 		// The paper's evaluation emulates the one-way counter as a file on
 		// the same partition, written through the OS cache (§7.2).
 		var err error
@@ -69,7 +71,6 @@ func NewTDBDriver(opts TDBOptions) (*TDBDriver, error) {
 		Suite:          suite,
 		Counter:        counter,
 		Registry:       reg,
-		CacheBytes:     opts.CacheBytes,
 		MaxUtilization: opts.MaxUtilization,
 		// Checkpoints rewrite the dirty location map; defer them the way
 		// the paper defers reorganization to idle periods (§1, §3.2.1).
@@ -106,39 +107,6 @@ func (d *TDBDriver) bindIndexers() {
 		IndexName: "log", IsUnique: false, Organization: collection.List, KeyImmutable: true,
 		Extract: func(h *History) collection.IntKey { return collection.IntKey(h.Seq) },
 	}
-}
-
-// NewTDBDriverSuite opens a TDB driver with an explicit crypto suite name
-// (the suite ablation benchmark).
-func NewTDBDriverSuite(store platform.UntrustedStore, suite string, util float64) (*TDBDriver, error) {
-	if suite == "null" {
-		return NewTDBDriver(TDBOptions{Store: store, Secure: false, MaxUtilization: util})
-	}
-	if err := Verify(); err != nil {
-		return nil, err
-	}
-	reg := objectstore.NewRegistry()
-	RegisterClasses(reg)
-	counter, err := platform.NewFileCounterNoSync(store, "counter")
-	if err != nil {
-		return nil, err
-	}
-	db, err := core.Open(core.Options{
-		Store:           store,
-		Secret:          []byte("tpcb-benchmark-device-secret-012"),
-		Suite:           suite,
-		Counter:         counter,
-		Registry:        reg,
-		MaxUtilization:  util,
-		CheckpointBytes: 16 << 20,
-		DisableLocking:  true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := &TDBDriver{name: "TDB-" + suite, db: db}
-	d.bindIndexers()
-	return d, nil
 }
 
 // Name implements Driver.

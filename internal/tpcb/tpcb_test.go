@@ -36,20 +36,16 @@ func TestGeneratorDeterministicAndInRange(t *testing.T) {
 var tinyScale = Scale{Accounts: 200, Tellers: 20, Branches: 5}
 
 func TestTDBDriverCorrectness(t *testing.T) {
-	for _, secure := range []bool{false, true} {
-		name := "TDB"
-		if secure {
-			name = "TDB-S"
+	for _, suite := range []string{"null", "3des-sha1"} {
+		d, err := NewTDBDriver(TDBOptions{
+			Store:   platform.NewMemStore(),
+			Suite:   suite,
+			Counter: platform.NewMemCounter(),
+		})
+		if err != nil {
+			t.Fatalf("NewTDBDriver: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			d, err := NewTDBDriver(TDBOptions{
-				Store:   platform.NewMemStore(),
-				Secure:  secure,
-				Counter: platform.NewMemCounter(),
-			})
-			if err != nil {
-				t.Fatalf("NewTDBDriver: %v", err)
-			}
+		t.Run(d.Name(), func(t *testing.T) {
 			if err := d.Load(tinyScale); err != nil {
 				t.Fatalf("Load: %v", err)
 			}
@@ -208,7 +204,7 @@ func TestHarnessProducesResults(t *testing.T) {
 
 func TestTDBCrashDuringBenchmarkRecovers(t *testing.T) {
 	mem := platform.NewMemStore()
-	d, err := NewTDBDriver(TDBOptions{Store: mem, Secure: true, Counter: platform.NewMemCounter()})
+	d, err := NewTDBDriver(TDBOptions{Store: mem, Suite: "3des-sha1", Counter: platform.NewMemCounter()})
 	if err != nil {
 		t.Fatalf("NewTDBDriver: %v", err)
 	}
@@ -224,7 +220,7 @@ func TestTDBCrashDuringBenchmarkRecovers(t *testing.T) {
 	// Power loss mid-benchmark; reopening must recover and keep serving.
 	mem.Crash()
 	// Note: the same MemCounter persists ("hardware").
-	d2, err := NewTDBDriver(TDBOptions{Store: mem, Secure: true, Counter: counterOf(d)})
+	d2, err := NewTDBDriver(TDBOptions{Store: mem, Suite: "3des-sha1", Counter: counterOf(d)})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}

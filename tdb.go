@@ -56,6 +56,30 @@ type DB = core.DB
 // holds two caches: location map nodes, sized by Options.CacheBytes, and
 // decoded objects, a constant 8 MiB every open is served from;
 // Iterator.SetPrefetch overrides the scan-prefetch window per scan.
+//
+// Dir or Store, Secret, Suite, Counter, Archive and Registry say what the
+// database is. The device secret is handed over as bytes: on a device it
+// comes from ROM, outside the attacker's store (paper §2), and in
+// development tdbctl -secret-file reads it from a file kept outside the
+// database directory. Every tuning field has a caller:
+//
+//   - LockTimeout: "the timeout interval can be tuned by the application"
+//     (§4.1).
+//   - DisableLocking: single-threaded applications may switch locking off
+//     (§4.2.3); the TPC-B driver does.
+//   - CheckpointBytes: the TPC-B driver defers checkpoints to 16 MiB of
+//     residual log (the default is 4 MiB).
+//   - MaxUtilization: the cleaner's utilization bound, which the Figure 11
+//     sweep varies.
+//   - SegmentSize, CacheBytes, Retry, DisableAutoClean and
+//     DisableAutoCheckpoint: the chaos harness shrinks segments and the
+//     map-node cache, drives cleaning and checkpoints as explicit actions,
+//     and retries without sleeping.
+//   - ReadonlyChecks: the Go stand-in for the paper's C++ const Refs; it
+//     checks that objects opened read-only were not mutated.
+//
+// The one-way counter is used exactly when the suite is not "null": a
+// secure database always detects replay.
 type Options = core.Options
 
 // Open opens or creates a database, performing recovery and tamper
