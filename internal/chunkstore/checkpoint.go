@@ -18,7 +18,7 @@ const (
 	superblockName = "superblock"
 	superMagic     = uint64(0x5444425355500001) // "TDBSUP\x00\x01"
 	superSlotSize  = 512
-	formatVersion  = 1
+	formatVersion  = 2
 )
 
 var errNoSuperblock = errors.New("chunkstore: no superblock")
@@ -270,6 +270,11 @@ type ckptPayload struct {
 	alloc    *allocator
 	// segLive maps segment number to live bytes at checkpoint time.
 	segLive map[uint64]int64
+	// round is the open harden round at checkpoint time: durable commit
+	// records appended before the checkpoint record that no seal covers yet.
+	// Recovery continues it from here, so the round's seal verifies even
+	// though part of the round precedes the residual log.
+	round roundChain
 }
 
 func encodeCkptPayload(p ckptPayload) []byte {
@@ -298,7 +303,10 @@ func encodeCkptPayload(p ckptPayload) []byte {
 		out = binary.BigEndian.AppendUint64(out, n)
 		out = binary.BigEndian.AppendUint64(out, uint64(p.segLive[n]))
 	}
-	return out
+	out = binary.BigEndian.AppendUint64(out, p.round.stamp)
+	out = binary.BigEndian.AppendUint32(out, p.round.count)
+	out = append(out, byte(len(p.round.chain)))
+	return append(out, p.round.chain...)
 }
 
 func decodeCkptPayload(data []byte) (ckptPayload, error) {
@@ -342,6 +350,15 @@ func decodeCkptPayload(data []byte) (ckptPayload, error) {
 		p.segLive[num] = live
 		pos += 16
 	}
+	if len(data) < pos+13 || len(data) < pos+13+int(data[pos+12]) {
+		return p, fmt.Errorf("%w: truncated checkpoint round", ErrTampered)
+	}
+	p.round.stamp = binary.BigEndian.Uint64(data[pos : pos+8])
+	p.round.count = binary.BigEndian.Uint32(data[pos+8 : pos+12])
+	if n := int(data[pos+12]); n > 0 {
+		p.round.chain = append([]byte(nil), data[pos+13:pos+13+n]...)
+	}
+	pos += 13 + len(p.round.chain)
 	if pos != len(data) {
 		return p, fmt.Errorf("%w: %d trailing bytes in checkpoint payload", ErrTampered, len(data)-pos)
 	}
@@ -425,6 +442,7 @@ func (s *Store) checkpointLocked() error {
 		rootHash: rootHash,
 		alloc:    s.alloc,
 		segLive:  segLive,
+		round:    s.round,
 	})
 	// The checkpoint payload gets its own generation so it can never collide
 	// with a node slot.

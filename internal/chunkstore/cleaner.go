@@ -274,7 +274,7 @@ func (s *Store) evacuate(seg *segment) error {
 			}
 			s.residualBytes += int64(newLoc.Len)
 			copied += int64(newLoc.Len)
-		case recDealloc, recCheckpoint, recCommit:
+		case recDealloc, recCheckpoint, recCommit, recSeal:
 			// Never live.
 		}
 		return true, nil

@@ -11,10 +11,13 @@ import (
 type Config struct {
 	// Store is the untrusted store holding segments and the superblock.
 	Store platform.UntrustedStore
-	// Counter is the one-way counter used for replay detection: every
-	// durable commit advances it. Required unless Suite is the null suite,
-	// the paper's security-off configuration, which skips the counter
-	// (§7.3) and ignores this field.
+	// Counter is the one-way counter used for replay detection. It advances
+	// once per harden round, not per durable commit as in the paper (§3):
+	// the durable commits a round hardens share its stamp, and the round's
+	// seal record, which counts them, lets recovery tell a log cut inside
+	// the newest round from a smaller round. Required unless Suite is the
+	// null suite, the paper's security-off configuration, which skips the
+	// counter (§7.3) and ignores this field.
 	Counter platform.OneWayCounter
 	// Suite provides encryption, hashing, and MACs. Required.
 	Suite sec.Suite

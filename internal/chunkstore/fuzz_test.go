@@ -13,7 +13,7 @@ import (
 
 // logRecords returns the first record image of each type in the log of a
 // freshly written store: one committed chunk write, then a checkpoint, so
-// the log holds write, commit, map-node and checkpoint records.
+// the log holds write, commit, round-seal, map-node and checkpoint records.
 func logRecords(tb testing.TB) map[byte][]byte {
 	tb.Helper()
 	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("test-device-secret-0123456789abc"))
@@ -66,10 +66,11 @@ func logRecords(tb testing.TB) map[byte][]byte {
 // contract: whatever bytes a segment holds, parsing a record image and then
 // splitting its body as a chunk write yields a body of exactly the length
 // the header claims, or an error wrapping ErrTampered, and never panics. The
-// seeds are a write, a map-node and a commit record from a real log.
+// seeds are a write, a map-node, a commit and a round-seal record from a
+// real log.
 func FuzzParseRecordBytes(f *testing.F) {
 	recs := logRecords(f)
-	for _, typ := range []byte{recWrite, recMapNode, recCommit} {
+	for _, typ := range []byte{recWrite, recMapNode, recCommit, recSeal} {
 		if recs[typ] == nil {
 			f.Fatalf("the seed log holds no record of type %d", typ)
 		}

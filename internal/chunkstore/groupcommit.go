@@ -52,10 +52,15 @@ import (
 // and recovery catches the counter up one increment at a time. The lead is
 // bounded: a snapshot seals a new stamp only while fewer than hardenDepth
 // sealed stamps await the counter, so with one more for the open stamp no
-// record is ever stamped beyond counterVal+hardenDepth+1. (Replay detection
-// distinguishes rounds, not the commits inside one: a round's records share
-// its stamp, so the counter cannot tell a log cut inside the newest round
-// from that round having been smaller.)
+// record is ever stamped beyond counterVal+hardenDepth+1.
+//
+// Sealing a stamp appends a seal record before the round's sync: the stamp,
+// the number of durable commit records the round holds, and the suite MAC
+// over their chained MACs (41 bytes under either keyed suite). The counter
+// reaches a stamp only after its seal is durable, so recovery reads "counter
+// at N, round N unsealed or short" — a log cut between two commits of the
+// newest acknowledged round — as ErrTampered, while a round ahead of the
+// counter and unsealed is the crash window, sealed by recovery as found.
 //
 // A round that fails — in either stage — leaves its records applied and
 // pending and hands every commit it covered ErrNotDurable; the next round,
@@ -318,14 +323,19 @@ func (s *Store) gcSnapshotRound() (tasks []syncTask, seq, stamp uint64, owed boo
 	if err := s.syncSuperIfDirtyLocked(); err != nil {
 		return nil, s.commitSeq, 0, true, err
 	}
+	// Seal: the round's seal record goes in ahead of the snapshot, so the
+	// round's sync covers it, and records appended from here on are stamped
+	// one higher. With hardenDepth sealed stamps still awaiting the counter
+	// (earlier rounds failed) the round seals nothing new and retries the
+	// newest seal.
+	if s.sealedCtr < s.counterVal.Load()+hardenDepth {
+		if err := s.appendSealLocked(); err != nil {
+			return nil, s.commitSeq, 0, true, err
+		}
+		s.sealedCtr, s.sealedSeq = s.stampCtr, s.commitSeq
+	}
 	if tasks, err = s.segs.syncSnapshotLocked(); err != nil {
 		return nil, s.commitSeq, 0, true, err
-	}
-	// Seal: records appended from here on are stamped one higher. With
-	// hardenDepth sealed stamps still awaiting the counter (earlier rounds
-	// failed) the round seals nothing new and retries the newest seal.
-	if s.sealedCtr < s.counterVal.Load()+hardenDepth {
-		s.sealedCtr, s.sealedSeq = s.stampCtr, s.commitSeq
 	}
 	return tasks, s.sealedSeq, s.sealedCtr, true, nil
 }
@@ -367,20 +377,33 @@ func (s *Store) advanceCounter(stamp uint64) error {
 // drains an in-flight advance before Close lets go of the counter. The
 // harden also pays any superblock fsync deferred by an earlier checkpoint
 // (one barrier event instead of two); syncing it first keeps a failure from
-// acknowledging the commit. Caller holds s.mu.
+// acknowledging the commit. It seals the open round under the rounds' rule:
+// with hardenDepth sealed stamps still awaiting the counter it first pays
+// those, then seals and syncs once more. Caller holds s.mu.
 func (s *Store) hardenLocked() error {
 	s.gc.advMu.Lock()
 	defer s.gc.advMu.Unlock()
-	if err := s.syncSuperIfDirtyLocked(); err != nil {
-		return err
+	for {
+		if s.sealedCtr < s.counterVal.Load()+hardenDepth {
+			if err := s.appendSealLocked(); err != nil {
+				return err
+			}
+			s.sealedCtr = s.stampCtr
+		}
+		if err := s.syncSuperIfDirtyLocked(); err != nil {
+			return err
+		}
+		if err := s.segs.syncDirty(); err != nil {
+			return err
+		}
+		if err := s.advanceCounter(s.sealedCtr); err != nil {
+			return err
+		}
+		if s.sealedCtr == s.stampCtr {
+			break
+		}
 	}
-	if err := s.segs.syncDirty(); err != nil {
-		return err
-	}
-	if err := s.advanceCounter(s.stampCtr); err != nil {
-		return err
-	}
-	s.sealedCtr, s.sealedSeq = s.stampCtr, s.commitSeq
+	s.sealedSeq = s.commitSeq
 	s.gc.noteHardened(s.commitSeq)
 	return nil
 }

@@ -195,10 +195,11 @@ func TestRoundOfOneCostsTheInlineHarden(t *testing.T) {
 // the since-deleted AES-CBC/SHA-256 suite and carried over to aes-ctr-sha256
 // exactly: per commit its 125-byte payload encrypts to 141 bytes instead of
 // 144, and the commit record's root hash and MAC shrink from 32 to 20 bytes
-// each, 16 × (255 − 3 − 24) = 3648.
+// each, 16 × (255 − 3 − 24) = 3648. Each round now also appends its 41-byte
+// seal record ahead of its sync, inside the same flush: 3648 + 16 × 41 = 4304.
 const (
 	parentWriteOps     = 16
-	parentBytesWritten = 3648
+	parentBytesWritten = 4304
 	parentSyncOps      = 16
 	parentAdvances     = 16
 )

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"tdb/internal/sec"
 )
 
 // Log record types. Every record is laid out as
@@ -19,6 +21,7 @@ const (
 	recMapNode    = byte(3) // body: level(1) | index(8) | ciphertext
 	recCheckpoint = byte(4) // body: macLen(2) | mac | ciphertext(payload)
 	recCommit     = byte(5) // body: seq(8) | flags(1) | counter(8) | hashLen(2) | rootHash | macLen(2) | mac
+	recSeal       = byte(6) // body: stamp(8) | count(4) | mac
 )
 
 // commit record flags.
@@ -187,4 +190,52 @@ func parseCommitRecord(body []byte) (commitRecord, []byte, error) {
 	}
 	cr.mac = body[macOff+2 : macOff+2+macLen]
 	return cr, body[:macOff], nil
+}
+
+// roundChain accumulates one harden round for its seal record: the stamp its
+// durable commit records share, how many of them there are, and a hash chain
+// over their MACs. The live store keeps the open round (Store.round), a
+// checkpoint carries it, and recovery rebuilds it from the residual log.
+type roundChain struct {
+	stamp uint64
+	count uint32
+	chain []byte
+}
+
+// add folds in a durable commit record stamped stamp with MAC mac. A new
+// stamp starts a new round.
+func (r *roundChain) add(suite sec.Suite, stamp uint64, mac []byte) {
+	if stamp != r.stamp {
+		*r = roundChain{stamp: stamp}
+	}
+	r.count++
+	r.chain = suite.Hash(append(append([]byte(nil), r.chain...), mac...))
+}
+
+// signed serializes what the round's seal MAC covers.
+func (r *roundChain) signed() []byte {
+	out := make([]byte, 0, 12+len(r.chain))
+	out = binary.BigEndian.AppendUint64(out, r.stamp)
+	out = binary.BigEndian.AppendUint32(out, r.count)
+	return append(out, r.chain...)
+}
+
+// sealRecordBody builds the round's seal record body. Its 12 bytes plus the
+// MAC and the record header make a seal 41 bytes under both keyed suites.
+func (r *roundChain) sealRecordBody(suite sec.Suite) []byte {
+	body := make([]byte, 12, 12+suite.MACSize())
+	binary.BigEndian.PutUint64(body[0:8], r.stamp)
+	binary.BigEndian.PutUint32(body[8:12], r.count)
+	return append(body, suite.MAC(r.signed())...)
+}
+
+// sealedBy reports whether a seal record body seals exactly this round: the
+// same stamp, every one of its commit records, and a MAC over their chain.
+func (r *roundChain) sealedBy(suite sec.Suite, body []byte) bool {
+	if len(body) < 12 || r.count == 0 {
+		return false
+	}
+	stamp := binary.BigEndian.Uint64(body[0:8])
+	count := binary.BigEndian.Uint32(body[8:12])
+	return stamp == r.stamp && count == r.count && sec.VerifyMAC(suite, r.signed(), body[12:])
 }

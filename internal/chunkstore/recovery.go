@@ -84,18 +84,39 @@ func (s *Store) recover(sb superblock) error {
 		return err
 	}
 
-	// Pass 1: scan the residual log for the last durable commit.
+	// Pass 1: scan the residual log for the last durable commit, and for
+	// the seal of its round. The open round continues from the checkpoint.
 	start := position{seg: sb.ckptLoc.Seg, off: int64(sb.ckptLoc.Off) + int64(sb.ckptLoc.Len)}
 	var (
 		lastDurable    commitRecord
 		lastDurableEnd position
 		haveDurable    bool
-		expectSeq      = ckpt.seqNext
-		scanned        int64
+		lastCommit     commitRecord
+		round          = ckpt.round
+		seal           struct {
+			stamp  uint64
+			end    position
+			anchor commitRecord
+			found  bool
+		}
+		expectSeq = ckpt.seqNext
+		scanned   int64
 	)
 	_, err = s.scanLog(start, func(loc Location, typ byte, body []byte) (bool, error) {
 		scanned += int64(loc.Len)
-		if typ != recCommit {
+		switch {
+		case typ == recSeal && s.cfg.Counter != nil:
+			// A seal that does not cover exactly the round's commit records
+			// is not the round's: the valid log ends here, as at an
+			// unauthenticated commit record.
+			if !round.sealedBy(s.suite, body) {
+				return false, nil
+			}
+			seal.stamp, seal.anchor, seal.found = round.stamp, lastCommit, true
+			seal.end = position{seg: loc.Seg, off: int64(loc.Off) + int64(loc.Len)}
+			round.count, round.chain = 0, nil
+			return true, nil
+		case typ != recCommit:
 			return true, nil
 		}
 		cr, signed, err := parseCommitRecord(body)
@@ -112,11 +133,15 @@ func (s *Store) recover(sb superblock) error {
 			return false, nil
 		}
 		expectSeq++
+		cr.rootHash = append([]byte(nil), cr.rootHash...)
+		lastCommit = cr
 		if cr.durable {
 			lastDurable = cr
-			lastDurable.rootHash = append([]byte(nil), cr.rootHash...)
 			lastDurableEnd = position{seg: loc.Seg, off: int64(loc.Off) + int64(loc.Len)}
 			haveDurable = true
+			if s.cfg.Counter != nil {
+				round.add(s.suite, cr.counter, cr.mac)
+			}
 		}
 		return true, nil
 	})
@@ -128,44 +153,75 @@ func (s *Store) recover(sb superblock) error {
 		// finding any durable commit means the log tail was destroyed.
 		return fmt.Errorf("%w: no durable commit follows the checkpoint", ErrTampered)
 	}
+	// The recovered state ends at the last durable commit, or at its round's
+	// seal when one follows it: the round's sync made every record before
+	// the seal durable, nondurable commits appended inside the round too.
+	end, anchor := lastDurableEnd, lastDurable
+	sealed := seal.found && seal.stamp == lastDurable.counter
+	if sealed {
+		end, anchor = seal.end, seal.anchor
+	}
 
 	// Validate the one-way counter against the last durable commit before
 	// replaying (fail fast on replayed stale databases). A log behind the
-	// counter is a rolled-back copy. A log ahead of it is a crash between a
-	// round's sync and its advance — with hardenDepth rounds in flight plus
-	// the open stamp, up to hardenDepth+1 stamps ahead — never a replay:
-	// catch the counter up, one increment per stamp.
+	// counter is a rolled-back copy, and so is a log whose newest round the
+	// counter has reached but whose seal is missing or short: the log was
+	// cut inside an acknowledged round. A log ahead of the counter is a
+	// crash between a round's sync and its advance — with hardenDepth rounds
+	// in flight plus the open stamp, up to hardenDepth+1 stamps ahead —
+	// never a replay.
 	if s.cfg.Counter != nil {
-		if hw := s.counterVal.Load(); lastDurable.counter < hw || lastDurable.counter > hw+hardenDepth+1 {
+		hw := s.counterVal.Load()
+		if lastDurable.counter < hw || lastDurable.counter > hw+hardenDepth+1 {
 			return fmt.Errorf("%w: database counter %d does not match one-way counter %d (replay attack?)",
 				ErrTampered, lastDurable.counter, hw)
+		}
+		if lastDurable.counter == hw && !sealed {
+			return fmt.Errorf("%w: round %d reached the one-way counter but its seal is missing or short (log cut inside the round?)",
+				ErrTampered, hw)
+		}
+	}
+
+	// Pass 2: replay records up to the recovered end.
+	if err := s.replay(start, end); err != nil {
+		return err
+	}
+	s.commitSeq = anchor.seq
+	s.durableSeq, s.sealedSeq = lastDurable.seq, anchor.seq
+	s.gc.noteHardened(anchor.seq)
+
+	// The recomputed Merkle root must match the signed root.
+	if !sec.HashEqual(s.lm.rootHash(), anchor.rootHash) {
+		return fmt.Errorf("%w: recovered database root hash does not match signed commit", ErrTampered)
+	}
+
+	// Discard the unreachable tail beyond the recovered end so new appends
+	// continue from a clean position.
+	if err := s.truncateTail(end); err != nil {
+		return err
+	}
+	s.lastCkpt = sb.ckptLoc
+	s.residualBytes = scanned
+
+	// Catch the counter up, one increment per stamp. An unsealed newest
+	// round never reached the counter, so the records present are the whole
+	// round: seal it durably first, or the caught-up counter would read it
+	// as cut.
+	if s.cfg.Counter != nil {
+		if !sealed {
+			s.round = round
+			if err := s.appendSealLocked(); err != nil {
+				return err
+			}
+			if err := s.segs.syncDirty(); err != nil {
+				return err
+			}
 		}
 		if err := s.advanceCounter(lastDurable.counter); err != nil {
 			return err
 		}
 		s.stampCtr, s.sealedCtr = lastDurable.counter, lastDurable.counter
 	}
-
-	// Pass 2: replay records up to and including the last durable commit.
-	if err := s.replay(start, lastDurableEnd); err != nil {
-		return err
-	}
-	s.commitSeq = lastDurable.seq
-	s.durableSeq, s.sealedSeq = lastDurable.seq, lastDurable.seq
-	s.gc.noteHardened(lastDurable.seq)
-
-	// The recomputed Merkle root must match the signed root.
-	if !sec.HashEqual(s.lm.rootHash(), lastDurable.rootHash) {
-		return fmt.Errorf("%w: recovered database root hash does not match signed commit", ErrTampered)
-	}
-
-	// Discard the unreachable tail beyond the last durable commit so new
-	// appends continue from a clean position.
-	if err := s.truncateTail(lastDurableEnd); err != nil {
-		return err
-	}
-	s.lastCkpt = sb.ckptLoc
-	s.residualBytes = scanned
 	return nil
 }
 
@@ -249,7 +305,7 @@ func (s *Store) scanLog(start position, fn func(loc Location, typ byte, body []b
 			return pos, err
 		}
 		typ, bodyLen, err := decodeRecordHeader(hdr[:])
-		if err != nil || typ < recWrite || typ > recCommit {
+		if err != nil || typ < recWrite || typ > recSeal {
 			return pos, nil
 		}
 		recLen := int64(recordHeaderSize) + int64(bodyLen)
@@ -325,9 +381,9 @@ func (s *Store) replay(start, stop position) error {
 			if err := s.noteNodeWritten(level, index, loc, s.suite.Hash(plain)); err != nil {
 				return false, err
 			}
-		case recCheckpoint, recCommit:
+		case recCheckpoint, recCommit, recSeal:
 			// Checkpoint payloads matter only through the superblock; commit
-			// records delimit state but carry no data.
+			// and seal records delimit state but carry no data.
 		}
 		return true, nil
 	})

@@ -85,6 +85,11 @@ type Store struct {
 	durableSeq uint64
 	sealedCtr  uint64
 	sealedSeq  uint64
+	// round is the open round: the durable commit records stamped
+	// sealedCtr+1 that no seal record covers yet (empty without a counter).
+	// Sealing a stamp appends its seal record first (appendSealLocked).
+	// Mutated only under mu.
+	round roundChain
 	// gc coordinates harden rounds (stage 1, stage 2, followers). Created
 	// at Open and never reassigned.
 	gc *groupCommitter
@@ -618,15 +623,44 @@ func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 	}
 	rootHash := s.lm.rootHash()
 	signed := commitSignedPortion(seq, durable, ctr, rootHash)
-	rec := encodeRecord(recCommit, commitRecordBody(signed, s.suite.MAC(signed)))
+	mac := s.suite.MAC(signed)
+	rec := encodeRecord(recCommit, commitRecordBody(signed, mac))
 	if _, err := s.segs.append(rec, s.cfg.SegmentSize); err != nil {
 		return 0, err
 	}
 	s.commitSeq = seq
 	if durable {
 		s.stampCtr, s.durableSeq = ctr, seq
+		if s.cfg.Counter != nil {
+			s.round.add(s.suite, ctr, mac)
+		}
 	}
 	return int64(len(rec)), nil
+}
+
+// appendSealLocked appends the open round's seal record — its stamp, its
+// durable commit-record count and the MAC over their chained MACs — and
+// empties the open round. The caller seals the stamp (sealedCtr) with it,
+// and syncs before the counter may reach the stamp: recovery reads a
+// counter at a stamp whose round is unsealed or short as a log cut inside
+// an acknowledged round (recovery.go). A seal is never appended behind a
+// failed commit's orphaned records, which a later rewind would take with it.
+func (s *Store) appendSealLocked() error {
+	if s.round.count == 0 {
+		return nil
+	}
+	if err := s.completePendingRewindLocked(); err != nil {
+		return err
+	}
+	mark := s.segs.mark()
+	rec := encodeRecord(recSeal, s.round.sealRecordBody(s.suite))
+	if _, err := s.segs.append(rec, s.cfg.SegmentSize); err != nil {
+		s.pendingRewind = &mark
+		return err
+	}
+	s.residualBytes += int64(len(rec))
+	s.round.count, s.round.chain = 0, nil
+	return nil
 }
 
 // adjustLive updates a segment's live-byte count.

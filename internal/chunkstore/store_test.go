@@ -475,6 +475,36 @@ func TestSuiteMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestFormatOneStoreRefused: a store written before round seals existed
+// (format 1) has no seal records, so its newest round would read as cut.
+// Its superblock slots must be refused as such, naming the format, not
+// parsed as a format-2 store. The slots here are re-signed with the right
+// suite, so the version is the only thing wrong with them.
+func TestFormatOneStoreRefused(t *testing.T) {
+	env := newTestEnv(t, "aes-ctr-sha256")
+	s := env.open(t)
+	allocWrite(t, s, []byte("x"))
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	img := env.mem.Snapshot()
+	sb := img[superblockName]
+	for off := 0; off+4 <= len(sb); off += superSlotSize {
+		plen := int(binary.BigEndian.Uint16(sb[off : off+2]))
+		if plen == 0 {
+			continue
+		}
+		payload := sb[off+4 : off+4+plen]
+		binary.BigEndian.PutUint16(payload[16:18], 1)
+		copy(sb[off+4+plen:], env.suite.MAC(payload))
+	}
+	env.mem.Restore(img)
+	_, err := Open(env.cfg)
+	if !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("Open of a format-1 store: %v, want ErrTampered naming format 1", err)
+	}
+}
+
 func TestWrongSecretRejected(t *testing.T) {
 	env := newTestEnv(t, "3des-sha1")
 	s := env.open(t)

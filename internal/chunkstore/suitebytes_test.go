@@ -28,7 +28,11 @@ func (m *mod8Suite) Encrypt(plaintext []byte, iv uint64) ([]byte, error) {
 // differ, 8 + n + (8 − n%8) bytes against n + 16. The device must therefore
 // see exactly Σ n%8 more bytes under CTR, in the same number of writes and
 // syncs — summed over every encrypted payload written, which includes the
-// data records the cleaner copies verbatim to the log tail.
+// data records the cleaner copies verbatim to the log tail. The op counts
+// match only while both suites roll every segment inside the same commit,
+// so the segment size is one at which the Σ n%8 drift never straddles a
+// roll; at 8 KiB, with round seals in the log, aes-ctr-sha256 rolls one
+// commit earlier than 3des-sha1.
 func TestSuiteByteAccounting(t *testing.T) {
 	type run struct {
 		io   platform.IOCounts
@@ -45,7 +49,7 @@ func TestSuiteByteAccounting(t *testing.T) {
 			Store:                 meter,
 			Counter:               platform.NewMemCounter(),
 			Suite:                 counted,
-			SegmentSize:           8 << 10,
+			SegmentSize:           10 << 10,
 			DisableAutoClean:      true,
 			DisableAutoCheckpoint: true,
 		})

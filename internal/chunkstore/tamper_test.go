@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"tdb/internal/platform"
@@ -235,6 +237,113 @@ func TestLogTruncationDetected(t *testing.T) {
 		if _, err := Open(env.cfg); !errors.Is(err, ErrTampered) {
 			t.Fatalf("truncated log accepted: %v", err)
 		}
+	})
+}
+
+// cutAfterCommit returns a copy of a store image whose log ends right after
+// the commit record numbered seq: the record's segment is truncated there
+// and every later segment is gone.
+func cutAfterCommit(t *testing.T, img map[string][]byte, seq uint64) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte, len(img))
+	var cutSeg uint64
+	for _, name := range slices.Sorted(maps.Keys(img)) {
+		data := img[name]
+		num, ok := parseSegmentName(name)
+		if !ok {
+			out[name] = data
+			continue
+		}
+		if cutSeg != 0 && num > cutSeg {
+			continue
+		}
+		out[name] = data
+		for off := segHeaderSize; off+recordHeaderSize <= len(data); {
+			typ, n, err := decodeRecordHeader(data[off:])
+			end := off + recordHeaderSize + int(n)
+			if err != nil || end > len(data) {
+				break
+			}
+			if typ == recCommit {
+				if cr, _, err := parseCommitRecord(data[off+recordHeaderSize : end]); err == nil && cr.seq == seq {
+					out[name] = data[:end]
+					cutSeg = num
+					break
+				}
+			}
+			off = end
+		}
+	}
+	if cutSeg == 0 {
+		t.Fatalf("commit record %d not found in the image", seq)
+	}
+	return out
+}
+
+// TestTruncatedNewestRoundIsTampered: durable commits A and B harden in one
+// round, one sync and one counter advance, and both are acknowledged. An
+// image of that disk cut between A's commit record and B's records must
+// not read as a round that only ever held A: the counter has reached the
+// round's stamp, and the round's seal, which counts both commits, is gone.
+// With the counter one behind, the same image is the crash window — the
+// round was never acknowledged — and opens with A alone, the round sealed as
+// found so a second crash reopens it too.
+func TestTruncatedNewestRoundIsTampered(t *testing.T) {
+	forKeyedSuites(t, func(t *testing.T, suite string) {
+		env := newTestEnv(t, suite)
+		env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
+		s := env.open(t)
+		hw0, _ := env.counter.Read()
+		var tickets []CommitTicket
+		ids := map[string]ChunkID{}
+		for _, name := range []string{"A", "B"} {
+			ids[name] = allocID(t, s)
+			b := s.NewBatch()
+			b.Write(ids[name], []byte(name+"-acknowledged"))
+			p, err := s.PrepareBatch(b)
+			if err != nil {
+				t.Fatalf("PrepareBatch %s: %v", name, err)
+			}
+			ticket, err := s.CommitPrepared(b, p, true)
+			if err != nil {
+				t.Fatalf("CommitPrepared %s: %v", name, err)
+			}
+			tickets = append(tickets, ticket)
+		}
+		for _, ticket := range tickets {
+			if err := s.AwaitDurable(ticket); err != nil {
+				t.Fatalf("AwaitDurable: %v", err)
+			}
+		}
+		hw, _ := env.counter.Read()
+		if hw != hw0+1 {
+			t.Fatalf("A and B advanced the counter %d times, want one round", hw-hw0)
+		}
+		cut := cutAfterCommit(t, env.mem.Snapshot(), tickets[0].seq)
+
+		env.mem.Restore(cut)
+		if s2, err := Open(env.cfg); !errors.Is(err, ErrTampered) {
+			if err == nil {
+				_, err = s2.Read(ids["B"])
+				s2.Close()
+			}
+			t.Fatalf("log cut inside the acknowledged round accepted (Read(B): %v), want ErrTampered", err)
+		}
+
+		env.mem.Restore(cut)
+		env.counter.Set(hw - 1)
+		s2 := env.open(t)
+		wantRead(t, s2, ids["A"], "A-acknowledged")
+		if _, err := s2.Read(ids["B"]); err == nil {
+			t.Fatal("B survived a cut before its records")
+		}
+		if got, _ := env.counter.Read(); got != hw {
+			t.Fatalf("counter %d after recovery, want %d", got, hw)
+		}
+		env.mem.Crash()
+		s3 := env.open(t)
+		defer s3.Close()
+		wantRead(t, s3, ids["A"], "A-acknowledged")
 	})
 }
 
