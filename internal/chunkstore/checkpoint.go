@@ -423,6 +423,7 @@ func (s *Store) checkpointLocked() error {
 			s.adjustLive(n.loc, -int64(n.loc.Len))
 		}
 		s.residualBytes += int64(loc.Len)
+		s.nodesAfterCkpt = true
 		n.loc = loc
 		n.dirty = false
 		n.hash = s.suite.Hash(plain)
@@ -482,7 +483,7 @@ func (s *Store) checkpointLocked() error {
 	if err := s.writeSuperblock(ckptLoc, s.ivGenLimit.Load(), false); err != nil {
 		return err
 	}
-	s.lastCkpt = ckptLoc
+	s.lastCkpt, s.nodesAfterCkpt = ckptLoc, false
 	s.residualBytes = 0
 	s.statCheckpoints++
 	return nil

@@ -8,9 +8,10 @@ import (
 )
 
 // churn overwrites random chunks for many rounds, generating garbage for
-// the cleaner.
-func churn(t *testing.T, s *Store, ids []ChunkID, rounds int, rng *rand.Rand) {
+// the cleaner. It returns the store's disk size after each round's commit.
+func churn(t *testing.T, s *Store, ids []ChunkID, rounds int, rng *rand.Rand) []int64 {
 	t.Helper()
+	disk := make([]int64, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		b := s.NewBatch()
 		for k := 0; k < 4; k++ {
@@ -20,7 +21,9 @@ func churn(t *testing.T, s *Store, ids []ChunkID, rounds int, rng *rand.Rand) {
 		if err := s.Commit(b, true); err != nil {
 			t.Fatalf("churn round %d: %v", r, err)
 		}
+		disk = append(disk, s.Stats().DiskBytes)
 	}
+	return disk
 }
 
 func TestCleanerBoundsDatabaseSize(t *testing.T) {
@@ -93,8 +96,12 @@ func TestCleanerPreservesDataAcrossReopen(t *testing.T) {
 
 func TestHigherUtilizationYieldsSmallerDatabase(t *testing.T) {
 	// Reproduces the mechanism behind Figure 11 (right): the database size
-	// decreases as max utilization increases.
-	sizes := map[float64]int64{}
+	// decreases as max utilization increases. The size is a sawtooth between
+	// cleaning cycles, so one reading lands wherever the teeth stop; the
+	// property is asserted on the mean and the maximum over every commit of
+	// the churn, as the repository benchmark samples space_amp.
+	type size struct{ mean, max int64 }
+	sizes := map[float64]size{}
 	for _, util := range []float64{0.5, 0.9} {
 		env := newTestEnv(t, "null")
 		env.cfg.SegmentSize = 4 << 10
@@ -105,12 +112,23 @@ func TestHigherUtilizationYieldsSmallerDatabase(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			ids = append(ids, allocWrite(t, s, bytes.Repeat([]byte{byte(i)}, 100)))
 		}
-		churn(t, s, ids, 300, rng)
-		sizes[util] = s.Stats().DiskBytes
+		var sz size
+		disk := churn(t, s, ids, 300, rng)
+		for _, d := range disk {
+			sz.mean += d
+			sz.max = max(sz.max, d)
+		}
+		sz.mean /= int64(len(disk))
+		sizes[util] = sz
 		s.Close()
 	}
-	if sizes[0.9] >= sizes[0.5] {
-		t.Fatalf("size at util 0.9 (%d) should be below size at util 0.5 (%d)", sizes[0.9], sizes[0.5])
+	t.Logf("disk bytes over the churn: util 0.5 mean %d max %d; util 0.9 mean %d max %d",
+		sizes[0.5].mean, sizes[0.5].max, sizes[0.9].mean, sizes[0.9].max)
+	if sizes[0.9].mean >= sizes[0.5].mean {
+		t.Errorf("mean size at util 0.9 (%d) should be below mean size at util 0.5 (%d)", sizes[0.9].mean, sizes[0.5].mean)
+	}
+	if sizes[0.9].max >= sizes[0.5].max {
+		t.Errorf("max size at util 0.9 (%d) should be below max size at util 0.5 (%d)", sizes[0.9].max, sizes[0.5].max)
 	}
 }
 

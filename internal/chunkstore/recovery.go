@@ -60,12 +60,16 @@ func (s *Store) recover(sb superblock) error {
 	}
 	s.alloc = ckpt.alloc
 
-	// Apply the checkpoint's segment liveness table; prune orphans.
+	// Apply the checkpoint's segment liveness table; prune orphans. A listed
+	// segment may be gone only if the residual log relocated every live byte
+	// of it — a cleaner victim freed after its publishing commit — which
+	// replay settles below.
+	s.missingLive = make(map[uint64]int64)
 	for num, live := range ckpt.segLive {
 		if seg, ok := s.segs.segs[num]; ok {
 			seg.live = live
 		} else if live > 0 {
-			return fmt.Errorf("%w: segment %d with %d live bytes is missing", ErrTampered, num, live)
+			s.missingLive[num] = live
 		}
 	}
 	for _, num := range s.segs.numbers() {
@@ -186,6 +190,12 @@ func (s *Store) recover(sb superblock) error {
 	if err := s.replay(start, end); err != nil {
 		return err
 	}
+	for num, live := range s.missingLive {
+		if live > 0 {
+			return fmt.Errorf("%w: segment %d with %d live bytes is missing", ErrTampered, num, live)
+		}
+	}
+	s.missingLive = nil
 	s.commitSeq = anchor.seq
 	s.durableSeq, s.sealedSeq = lastDurable.seq, anchor.seq
 	s.gc.noteHardened(anchor.seq)
@@ -203,25 +213,33 @@ func (s *Store) recover(sb superblock) error {
 	s.lastCkpt = sb.ckptLoc
 	s.residualBytes = scanned
 
-	// Catch the counter up, one increment per stamp. An unsealed newest
-	// round never reached the counter, so the records present are the whole
-	// round: seal it durably first, or the caught-up counter would read it
-	// as cut.
-	if s.cfg.Counter != nil {
+	// Catch the counter up, one increment per stamp. The rounds it passes
+	// crashed before their advance, perhaps before their sync too: their
+	// records may have reached the files and not the disk, so the residual
+	// log is synced first, or a second crash could take them back behind
+	// the caught-up counter. An unsealed newest round never reached the
+	// counter, so the records present are the whole round: it is sealed
+	// first, or the caught-up counter would read it as cut.
+	if s.cfg.Counter != nil && lastDurable.counter > s.counterVal.Load() {
 		if !sealed {
 			s.round = round
 			if err := s.appendSealLocked(); err != nil {
 				return err
 			}
-			if err := s.segs.syncDirty(); err != nil {
-				return err
+		}
+		for _, num := range s.segs.numbers() {
+			if num >= sb.ckptLoc.Seg {
+				s.segs.segs[num].synced = false
 			}
+		}
+		if err := s.segs.syncDirty(); err != nil {
+			return err
 		}
 		if err := s.advanceCounter(lastDurable.counter); err != nil {
 			return err
 		}
-		s.stampCtr, s.sealedCtr = lastDurable.counter, lastDurable.counter
 	}
+	s.stampCtr, s.sealedCtr = lastDurable.counter, lastDurable.counter
 	return nil
 }
 
@@ -396,6 +414,7 @@ func (s *Store) replay(start, stop position) error {
 // keeping the recomputed Merkle root byte-identical.
 func (s *Store) noteNodeWritten(level int, index uint64, loc Location, h []byte) error {
 	m := s.lm
+	s.nodesAfterCkpt = true
 	for m.height < level {
 		m.grow(ChunkID(m.capacity()))
 	}

@@ -102,6 +102,14 @@ type Store struct {
 	counterVal atomic.Uint64
 	// lastCkpt locates the most recent checkpoint record.
 	lastCkpt Location
+	// nodesAfterCkpt is true while map-node records appended or replayed
+	// since lastCkpt — a checkpoint that failed before publishing, a
+	// crashed one replayed at recovery, a cleaner relocation — place some
+	// in-memory nodes away from where lastCkpt's tree has them. Recovery
+	// loads that tree first, so a victim may then hold a node record it
+	// still needs though the current tree does not, and the cleaner
+	// publishes with a checkpoint (cleanLocked).
+	nodesAfterCkpt bool
 	// residualBytes counts log bytes appended since the last checkpoint; it
 	// triggers automatic checkpoints and bounds recovery replay.
 	residualBytes int64
@@ -136,6 +144,10 @@ type Store struct {
 	// stage-1 crypto pipeline, without taking the state mutex. It is written
 	// only under mu.
 	closed atomic.Bool
+
+	// missingLive holds, during recovery only, the live bytes the checkpoint
+	// records for segments that are gone; replay must relocate all of them.
+	missingLive map[uint64]int64
 
 	statCleanings    int64
 	statCleanedBytes int64
@@ -625,7 +637,11 @@ func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 	signed := commitSignedPortion(seq, durable, ctr, rootHash)
 	mac := s.suite.MAC(signed)
 	rec := encodeRecord(recCommit, commitRecordBody(signed, mac))
+	mark := s.segs.mark()
 	if _, err := s.segs.append(rec, s.cfg.SegmentSize); err != nil {
+		// A failed append may leave the record logically appended; it must
+		// not stay behind under the sequence number the next record reuses.
+		s.pendingRewind = &mark
 		return 0, err
 	}
 	s.commitSeq = seq
@@ -663,13 +679,16 @@ func (s *Store) appendSealLocked() error {
 	return nil
 }
 
-// adjustLive updates a segment's live-byte count.
+// adjustLive updates a segment's live-byte count, or during recovery that
+// of a checkpointed segment that is gone (missingLive).
 func (s *Store) adjustLive(loc Location, delta int64) {
 	if seg, ok := s.segs.segs[loc.Seg]; ok {
 		seg.live += delta
 		if seg.live < 0 {
 			seg.live = 0
 		}
+	} else if live, ok := s.missingLive[loc.Seg]; ok {
+		s.missingLive[loc.Seg] = live + delta
 	}
 }
 
