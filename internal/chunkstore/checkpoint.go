@@ -484,6 +484,7 @@ func (s *Store) checkpointLocked() error {
 		return err
 	}
 	s.lastCkpt, s.nodesAfterCkpt = ckptLoc, false
+	clear(s.nodeVictims)
 	s.residualBytes = 0
 	s.statCheckpoints++
 	return nil

@@ -19,14 +19,16 @@ import (
 // and a checkpointed segment that is gone must have had all of its live
 // bytes relocated by the replayed log (recovery.go). Map nodes are the
 // exception: recovery loads checkpointed nodes from their checkpoint-time
-// locations before replay reaches a relocation, so a cycle that relocated a
-// live map-node record publishes with a checkpoint instead. So does any
-// cycle while map-node records written since the last checkpoint set the
-// in-memory tree's node locations apart from that checkpoint's: a record
-// the checkpoint's tree needs may then look dead (nodesAfterCkpt). Either
-// way the harden also pays any deferred superblock sync, so no victim is
-// freed under a durable anchor that still references it. This subsumes the
-// paper's
+// locations before replay reaches a relocation. A victim whose live
+// map-node records the cycle relocated is therefore emptied but kept
+// (nodeVictims) until a checkpoint has published the nodes' new locations;
+// a later cycle frees it. A cycle run while map-node records written since
+// the last checkpoint — by a checkpoint that never published, replayed at
+// recovery — set the in-memory tree's node locations apart from that
+// checkpoint's may find a record the checkpoint's tree needs looking dead,
+// so it publishes with a checkpoint (nodesAfterCkpt). Either way the harden
+// also pays any deferred superblock sync, so no victim is freed under a
+// durable anchor that still references it. This subsumes the paper's
 // nondurable-commit pin (§3.2.2): versions obsoleted by a nondurable commit
 // are never reclaimed before the next durable commit, because cleaning
 // itself publishes with a durable commit.
@@ -62,12 +64,12 @@ func (s *Store) cleanTriggerBytes() int64 {
 
 // cleanLocked runs one cleaning cycle: it evacuates victim segments until
 // the store fits its size target (or the copy budget runs out), then
-// durably publishes all relocations with one durable commit record — a
-// checkpoint when a live map node moved — and frees the victims. A
-// checkpoint rewrites the dirty location map, so publishing through the log
-// keeps cleaning from dominating the write volume. In aggressive (idle)
-// mode the cycle compacts every segment holding garbage, regardless of the
-// size target.
+// durably publishes all relocations with one durable commit record and
+// frees the victims — those whose live map nodes it moved once a checkpoint
+// has published. A checkpoint rewrites the dirty location map, so
+// publishing through the log keeps cleaning from dominating the write
+// volume. In aggressive (idle) mode the cycle compacts every segment
+// holding garbage, regardless of the size target.
 func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 	if !aggressive && s.segs.totalSize() <= s.cleanTriggerBytes() {
 		return nil
@@ -84,11 +86,11 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 	if err := s.segs.flushLocked(); err != nil {
 		return err
 	}
-	var victims []uint64
+	var victims, held []uint64
 	chosen := map[uint64]bool{}
 	var freedPlanned int64
-	checkpointed, movedNodes := false, false
-	for copyBudget > 0 && len(victims) < 64 {
+	checkpointed := false
+	for copyBudget > 0 && len(victims)+len(held) < 64 {
 		if !aggressive && s.segs.totalSize()-freedPlanned <= s.targetDiskBytes() {
 			break
 		}
@@ -98,7 +100,7 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 				break
 			}
 			// Eligible garbage exists but lies at or after the last
-			// checkpoint; one checkpoint unblocks it.
+			// checkpoint, or awaits one; one checkpoint unblocks it.
 			if err := s.checkpointLocked(); err != nil {
 				return err
 			}
@@ -111,14 +113,17 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 		if err != nil {
 			return err
 		}
-		movedNodes = movedNodes || nodes
 		copyBudget -= liveBefore
 		chosen[num] = true
-		victims = append(victims, num)
-		freedPlanned += seg.size
+		if nodes {
+			held = append(held, num)
+		} else {
+			victims = append(victims, num)
+			freedPlanned += seg.size
+		}
 		s.statCleanings++
 	}
-	if len(victims) == 0 {
+	if len(victims)+len(held) == 0 {
 		return nil
 	}
 	// Evacuation relocated live records, so off-mutex reads planned against
@@ -130,13 +135,14 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 	// its residual log into the freed files — so the superblock sync a
 	// checkpoint defers is paid before any segment is unlinked: by the
 	// publishing commit's harden, or here after a checkpoint.
-	if movedNodes || s.nodesAfterCkpt {
+	if s.nodesAfterCkpt {
 		if err := s.checkpointLocked(); err != nil {
 			return err
 		}
 		if err := s.syncSuperIfDirtyLocked(); err != nil {
 			return err
 		}
+		victims, held = append(victims, held...), nil
 	} else {
 		n, err := s.appendCommitRecordLocked(true)
 		if err != nil {
@@ -146,6 +152,9 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 		if err := s.hardenLocked(); err != nil {
 			return err
 		}
+	}
+	for _, num := range held {
+		s.nodeVictims[num] = true
 	}
 	for _, num := range victims {
 		seg := s.segs.segs[num]
@@ -183,7 +192,8 @@ func (s *Store) minPinnedSegment() uint64 {
 // pickVictim selects the lowest-utilization eligible segment not yet
 // chosen. blocked reports that garbage exists but only at or after the last
 // checkpoint (recovery could still replay from it, so it cannot be freed
-// until a checkpoint advances past it).
+// until a checkpoint advances past it) or in emptied victims whose map
+// nodes the last checkpoint still reads there.
 func (s *Store) pickVictim(aggressive bool, chosen map[uint64]bool) (uint64, bool, bool) {
 	pin := s.minPinnedSegment()
 	best := uint64(0)
@@ -191,6 +201,10 @@ func (s *Store) pickVictim(aggressive bool, chosen map[uint64]bool) (uint64, boo
 	blocked := false
 	for num, seg := range s.segs.segs {
 		if chosen[num] || !seg.sealed || (pin != ^uint64(0) && num <= pin) {
+			continue
+		}
+		if s.nodeVictims[num] {
+			blocked = true // emptied, and freed once a checkpoint publishes
 			continue
 		}
 		if seg.live >= seg.size-segHeaderSize {
@@ -218,7 +232,8 @@ func (s *Store) pickVictim(aggressive bool, chosen map[uint64]bool) (uint64, boo
 }
 
 // evacuate copies every live record of seg to the log tail, updating the
-// location map, and reports whether a live map-node record was among them.
+// location map, and reports whether a live map-node record was among them
+// (or, for a damaged segment, whether one may be).
 // Records are validated before copying so that tampering in cold segments
 // is caught rather than propagated.
 func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
@@ -331,8 +346,8 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 // linear byte-walk is broken by structurally invalid bytes. Every chunk
 // entry the location map still places in the segment is copied out after
 // validation against its Merkle hash, and every live map node stored there
-// is marked dirty so the cleaning cycle's checkpoint rewrites it at the tail
-// (with its usual liveness accounting). Chunks whose records fail
+// is marked dirty so the next checkpoint rewrites it at the tail (with its
+// usual liveness accounting). Chunks whose records fail
 // validation abort the clean with ErrTampered — they need Scrub and Repair
 // first.
 func (s *Store) evacuateDamaged(seg *segment) error {

@@ -399,6 +399,7 @@ func (s *Store) replay(start, stop position) error {
 			if err := s.noteNodeWritten(level, index, loc, s.suite.Hash(plain)); err != nil {
 				return false, err
 			}
+			s.nodesAfterCkpt = true
 		case recCheckpoint, recCommit, recSeal:
 			// Checkpoint payloads matter only through the superblock; commit
 			// and seal records delimit state but carry no data.
@@ -414,7 +415,6 @@ func (s *Store) replay(start, stop position) error {
 // keeping the recomputed Merkle root byte-identical.
 func (s *Store) noteNodeWritten(level int, index uint64, loc Location, h []byte) error {
 	m := s.lm
-	s.nodesAfterCkpt = true
 	for m.height < level {
 		m.grow(ChunkID(m.capacity()))
 	}

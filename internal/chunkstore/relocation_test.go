@@ -158,16 +158,16 @@ func mapNodeCycle(t *testing.T) (*testEnv, *opLog, *Store, map[ChunkID]string) {
 	return env, log, s, want
 }
 
-// sweepCleanCycle runs setup's Clean once and returns its device operations.
-// Then, under both power-loss flavors — unsynced writes lost or kept — it
-// crashes a fresh setup's Clean at every one of those boundaries: recovery
-// must succeed, keep every value, verify, and reopen.
-func sweepCleanCycle(t *testing.T, setup cleanSetup) []string {
+// sweepCleanCycle runs action on setup's store once and returns its device
+// operations. Then, under both power-loss flavors — unsynced writes lost or
+// kept — it crashes action on a fresh setup at every one of those
+// boundaries: recovery must succeed, keep every value, verify, and reopen.
+func sweepCleanCycle(t *testing.T, setup cleanSetup, action func(*Store) error) []string {
 	t.Helper()
 	_, log, s, _ := setup(t)
 	log.take()
-	if err := s.Clean(); err != nil {
-		t.Fatalf("Clean: %v", err)
+	if err := action(s); err != nil {
+		t.Fatalf("dry run: %v", err)
 	}
 	ops := log.take()
 	s.Close()
@@ -175,7 +175,7 @@ func sweepCleanCycle(t *testing.T, setup cleanSetup) []string {
 		for budget := 0; budget <= len(ops); budget++ {
 			env, _, s, want := setup(t)
 			env.fs.SetWriteBudget(int64(budget))
-			cleanErr := s.Clean()
+			actionErr := action(s)
 			if lose {
 				env.mem.Crash()
 			}
@@ -183,12 +183,12 @@ func sweepCleanCycle(t *testing.T, setup cleanSetup) []string {
 			for reopen := 0; reopen < 2; reopen++ {
 				s2, err := Open(env.cfg)
 				if err != nil {
-					t.Fatalf("lose=%v budget %d (%v), open %d: %v", lose, budget, cleanErr, reopen, err)
+					t.Fatalf("lose=%v budget %d (%v), open %d: %v", lose, budget, actionErr, reopen, err)
 				}
 				for _, cid := range slices.Sorted(maps.Keys(want)) {
 					if got, err := s2.Read(cid); err != nil || string(got) != want[cid] {
 						t.Fatalf("lose=%v budget %d (%v), open %d: Read(%d) = %.12q, %v; want %.12q",
-							lose, budget, cleanErr, reopen, cid, got, err, want[cid])
+							lose, budget, actionErr, reopen, cid, got, err, want[cid])
 					}
 				}
 				if err := s2.Verify(); err != nil {
@@ -212,7 +212,7 @@ func firstIndex(ops []string, prefix string) int {
 // the publishing commit record and its round seal, the harden's sync, and
 // each victim's free. The cycle writes no checkpoint and no superblock.
 func TestCrashSweepRelocationCommit(t *testing.T) {
-	ops := sweepCleanCycle(t, relocationCycle)
+	ops := sweepCleanCycle(t, relocationCycle, (*Store).Clean)
 	t.Logf("cycle: %v", ops)
 	removes := 0
 	for _, op := range ops {
@@ -228,33 +228,52 @@ func TestCrashSweepRelocationCommit(t *testing.T) {
 	}
 }
 
-// TestCrashMapNodeCycleCheckpointsBeforeFree: a cycle that relocates a live
-// map-node record publishes with a checkpoint, and its superblock slot is
-// written and synced before the first victim is freed — recovery loads
-// checkpointed nodes from their checkpoint-time locations, so no durable
-// anchor may still point into a freed victim. It survives a crash at every
-// write boundary.
-func TestCrashMapNodeCycleCheckpointsBeforeFree(t *testing.T) {
-	_, _, s, _ := mapNodeCycle(t)
+// TestCrashMapNodeVictimWaitsForCheckpoint: a victim whose live map-node
+// records a cycle relocates is emptied but not freed — recovery loads
+// checkpointed nodes from their checkpoint-time locations — and the cycle
+// still publishes through the log. A checkpoint publishes the nodes' new
+// locations, and the next cycle frees the victim only after that
+// checkpoint's superblock slot is written and synced. Clean, Checkpoint,
+// Clean survives a crash at every write boundary.
+func TestCrashMapNodeVictimWaitsForCheckpoint(t *testing.T) {
+	_, log, s, _ := mapNodeCycle(t)
+	log.take()
 	before := s.Stats().Checkpoints
 	if err := s.Clean(); err != nil {
 		t.Fatalf("Clean: %v", err)
 	}
-	if got := s.Stats().Checkpoints; got <= before {
-		t.Fatalf("a cycle that moved live map nodes made %d checkpoints, want one", got-before)
+	if got := s.Stats().Checkpoints; got != before {
+		t.Fatalf("a cycle that moved live map nodes made %d checkpoints, want none", got-before)
+	}
+	held := slices.Sorted(maps.Keys(s.nodeVictims))
+	if len(held) == 0 {
+		t.Fatal("test premise: the cycle moved no live map node")
+	}
+	first := log.take()
+	for _, num := range held {
+		if slices.Contains(first, "remove "+segmentName(num)) {
+			t.Fatalf("victim %d freed with its map nodes' checkpoint unpublished: %v", num, first)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := s.Clean(); err != nil {
+		t.Fatalf("Clean: %v", err)
+	}
+	ops := log.take()
+	w := firstIndex(ops, "write superblock")
+	for _, num := range held {
+		free := slices.Index(ops, "remove "+segmentName(num))
+		if free < 0 || w < 0 || firstIndex(ops[w:], "sync superblock") < 0 || w+firstIndex(ops[w:], "sync superblock") > free {
+			t.Fatalf("victim %d not freed after the checkpoint's superblock was written and synced: %v", num, ops)
+		}
 	}
 	s.Close()
 
-	ops := sweepCleanCycle(t, mapNodeCycle)
-	t.Logf("cycle: %v", ops)
-	free := firstIndex(ops, "remove seg-")
-	if free < 0 {
-		t.Fatalf("test premise: the cycle freed no victim: %v", ops)
-	}
-	w := firstIndex(ops, "write superblock")
-	if w < 0 || firstIndex(ops[w:], "sync superblock") < 0 || w+firstIndex(ops[w:], "sync superblock") > free {
-		t.Fatalf("victim freed before the checkpoint's superblock was written and synced: %v", ops)
-	}
+	sweepCleanCycle(t, mapNodeCycle, func(s *Store) error {
+		return errors.Join(s.Clean(), s.Checkpoint(), s.Clean())
+	})
 }
 
 // TestTamperDeletedSegmentNotRelocated: a checkpointed segment may be gone

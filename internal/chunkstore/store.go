@@ -102,14 +102,17 @@ type Store struct {
 	counterVal atomic.Uint64
 	// lastCkpt locates the most recent checkpoint record.
 	lastCkpt Location
-	// nodesAfterCkpt is true while map-node records appended or replayed
-	// since lastCkpt — a checkpoint that failed before publishing, a
-	// crashed one replayed at recovery, a cleaner relocation — place some
-	// in-memory nodes away from where lastCkpt's tree has them. Recovery
-	// loads that tree first, so a victim may then hold a node record it
-	// still needs though the current tree does not, and the cleaner
-	// publishes with a checkpoint (cleanLocked).
+	// nodesAfterCkpt is true while map-node records that a checkpoint wrote
+	// without publishing — a failed one, or a crashed one replayed at
+	// recovery — place some in-memory nodes away from where lastCkpt's tree
+	// has them. Recovery loads that tree first, so a victim may then hold a
+	// node record it still needs though the current tree does not, and the
+	// cleaner publishes with a checkpoint (cleanLocked).
 	nodesAfterCkpt bool
+	// nodeVictims are cleaner victims emptied of live map-node records that
+	// lastCkpt's tree still reads there: they are freed by a cleaning cycle
+	// after the next checkpoint, which forgets them.
+	nodeVictims map[uint64]bool
 	// residualBytes counts log bytes appended since the last checkpoint; it
 	// triggers automatic checkpoints and bounds recovery replay.
 	residualBytes int64
@@ -164,12 +167,13 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		cfg:        cfg,
-		suite:      cfg.Suite,
-		segs:       newSegmentSet(cfg.Store, cfg.Retry),
-		snapshots:  make(map[*Snapshot]struct{}),
-		quarantine: make(map[ChunkID]string),
-		gc:         newGroupCommitter(),
+		cfg:         cfg,
+		suite:       cfg.Suite,
+		segs:        newSegmentSet(cfg.Store, cfg.Retry),
+		snapshots:   make(map[*Snapshot]struct{}),
+		quarantine:  make(map[ChunkID]string),
+		nodeVictims: make(map[uint64]bool),
+		gc:          newGroupCommitter(),
 	}
 	if cfg.Counter != nil {
 		v, err := cfg.Counter.Read()
