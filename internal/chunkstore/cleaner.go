@@ -52,7 +52,7 @@ func (s *Store) targetDiskBytes() int64 {
 // every commit nudging past the target evacuates one victim at a time, at
 // its densest point and with a publishing commit and harden of its own, so
 // cycles must be infrequent and do a batch of work. Without the gap
-// update-c2 writes 23 % more bytes per operation.
+// update-c2 writes 18 % more bytes per operation.
 func (s *Store) cleanTriggerBytes() int64 {
 	target := s.targetDiskBytes()
 	slack := target / 4
@@ -233,9 +233,9 @@ func (s *Store) pickVictim(aggressive bool, chosen map[uint64]bool) (uint64, boo
 
 // evacuate copies every live record of seg to the log tail, updating the
 // location map, and reports whether a live map-node record was among them
-// (or, for a damaged segment, whether one may be).
-// Records are validated before copying so that tampering in cold segments
-// is caught rather than propagated.
+// (for a damaged segment, whether one may be). Records are validated before
+// copying so that tampering in cold segments is caught rather than
+// propagated.
 func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 	start := position{seg: seg.num, off: segHeaderSize}
 	copied := int64(0)
@@ -336,7 +336,7 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 		// means the walk cannot even find the next boundary. Fall back to
 		// evacuating by the location map, which is the authority on what is
 		// live regardless of the bytes in between. Its map nodes move at the
-		// cycle's checkpoint.
+		// next checkpoint.
 		return true, s.evacuateDamaged(seg)
 	}
 	return nodes, nil
@@ -347,9 +347,8 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 // entry the location map still places in the segment is copied out after
 // validation against its Merkle hash, and every live map node stored there
 // is marked dirty so the next checkpoint rewrites it at the tail (with its
-// usual liveness accounting). Chunks whose records fail
-// validation abort the clean with ErrTampered — they need Scrub and Repair
-// first.
+// usual liveness accounting). Chunks whose records fail validation abort
+// the clean with ErrTampered — they need Scrub and Repair first.
 func (s *Store) evacuateDamaged(seg *segment) error {
 	type liveChunk struct {
 		cid ChunkID

@@ -277,39 +277,51 @@ func TestCrashMapNodeVictimWaitsForCheckpoint(t *testing.T) {
 }
 
 // TestTamperDeletedSegmentNotRelocated: a checkpointed segment may be gone
-// only if the residual log relocated all of its live bytes. A cleaning
-// cycle's victims are gone harmlessly once its publishing commit is in the
-// log; deleted from the image taken before the cycle, they are ErrTampered.
+// only if the residual log relocated all of its live bytes. Deleting a
+// segment before the checkpoint that still holds live chunk records is
+// ErrTampered at Open; once a cleaning cycle has relocated them and freed
+// the same segments, the store opens with every value.
 func TestTamperDeletedSegmentNotRelocated(t *testing.T) {
 	env, _, s, want := relocationCycle(t)
-	before := env.mem.Snapshot()
-	if err := s.Clean(); err != nil {
-		t.Fatalf("Clean: %v", err)
-	}
-	after := env.mem.Snapshot()
-	var victims []string
-	for name := range before {
-		if _, ok := after[name]; !ok {
-			victims = append(victims, name)
+	// A durable commit's harden syncs the checkpoint's deferred superblock
+	// slot, so the image recovers from that checkpoint.
+	want[allocWrite(t, s, []byte("synced"))] = "synced"
+	img := env.mem.Snapshot()
+	var live []string
+	s.mu.RLock()
+	for num, seg := range s.segs.segs {
+		if num < s.lastCkpt.Seg && seg.live > 0 {
+			live = append(live, segmentName(num))
 		}
 	}
-	if len(victims) == 0 {
-		t.Fatal("test premise: Clean freed no segment")
+	s.mu.RUnlock()
+	if len(live) == 0 {
+		t.Fatal("test premise: no segment before the checkpoint holds live records")
+	}
+	for _, name := range live {
+		cut := maps.Clone(img)
+		delete(cut, name)
+		env.mem.Restore(cut)
+		if _, err := Open(env.cfg); !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), "live bytes is missing") {
+			t.Fatalf("Open with %s deleted: %v, want ErrTampered naming the missing live bytes", name, err)
+		}
 	}
 
-	env.mem.Restore(after)
+	env.mem.Restore(img)
 	s2 := env.open(t)
+	if err := s2.Clean(); err != nil {
+		t.Fatalf("Clean: %v", err)
+	}
+	env.mem.Crash()
+	for _, name := range live {
+		if _, ok := env.mem.Snapshot()[name]; ok {
+			t.Fatalf("test premise: the cleaning cycle left %s", name)
+		}
+	}
+	s3 := env.open(t)
+	defer s3.Close()
 	for cid, v := range want {
-		wantRead(t, s2, cid, v)
-	}
-	s2.Close()
-
-	for _, name := range victims {
-		delete(before, name)
-	}
-	env.mem.Restore(before)
-	if _, err := Open(env.cfg); !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("Open with unrelocated live segments %v deleted: %v, want ErrTampered naming the missing segment", victims, err)
+		wantRead(t, s3, cid, v)
 	}
 }
 
