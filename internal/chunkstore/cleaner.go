@@ -296,6 +296,11 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 			if err != nil {
 				return false, err
 			}
+			// The serialization must carry its children's current hashes:
+			// relocations earlier in this cycle changed leaves below without
+			// refreshing the entries above them, and the copy is marked
+			// clean with its hash below.
+			s.lm.nodeHash(node)
 			cur := node.serialize()
 			// Reserve a fresh IV generation for the re-encryption; the old
 			// location-derived seed could collide with another encryption's

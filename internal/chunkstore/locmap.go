@@ -241,6 +241,10 @@ func (m *locMap) loadChild(parent *mapNode, i int) (*mapNode, error) {
 	n.loc = e.loc
 	n.hash = append([]byte(nil), e.hash...)
 	n.hashStale = false
+	// A node paged in under a node a snapshot shares is the snapshot's as
+	// much as the current tree's: a write must copy it, not change it in
+	// place under the snapshot.
+	n.shared = parent.shared
 	parent.kids[i] = n
 	parent.kidCount++
 	m.registerNode(n)

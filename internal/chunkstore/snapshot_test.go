@@ -44,6 +44,83 @@ func TestSnapshotIsolatedFromLaterWrites(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsolatedFromNodesPagedInAfterIt: a map node paged in under a
+// node the snapshot shares is reachable from the snapshot too, so a later
+// write must copy it, not change it in place. The written chunk's path
+// below the root is evicted before the snapshot; a read pages it back in
+// under the shared root; the write after it must leave the snapshot's chunk
+// alone, and the diff a later incremental backup streams must carry the
+// change.
+func TestSnapshotIsolatedFromNodesPagedInAfterIt(t *testing.T) {
+	env := newTestEnv(t, "aes-ctr-sha256")
+	env.cfg.Fanout = 4
+	env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
+	s := env.open(t)
+	defer s.Close()
+	var ids []ChunkID
+	for i := 0; i < 32; i++ {
+		ids = append(ids, allocWrite(t, s, []byte(fmt.Sprintf("v1-%02d", i))))
+	}
+	if err := s.Checkpoint(); err != nil { // every node clean, so evictable
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	cid := ids[5]
+	s.mu.Lock()
+	var evict func(n *mapNode)
+	evict = func(n *mapNode) {
+		for _, kid := range n.kids {
+			if kid != nil {
+				evict(kid)
+			}
+		}
+		if !s.lm.evict(n) {
+			t.Fatalf("node (%d,%d) not evictable", n.level, n.index)
+		}
+		s.lm.unregisterNode(n)
+	}
+	top := s.lm.root.kids[s.lm.childIndex(cid, s.lm.root.level)]
+	evict(top)
+	s.mu.Unlock()
+
+	base, err := s.TakeSnapshot()
+	if err != nil {
+		t.Fatalf("TakeSnapshot: %v", err)
+	}
+	defer base.Close()
+	if _, err := s.Read(cid); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	writeChunk(t, s, cid, []byte("v2"))
+
+	var inBase []byte
+	if err := base.ForEach(func(c ChunkID, _, ciphertext []byte) error {
+		if c == cid {
+			inBase = append([]byte(nil), ciphertext...)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("ForEach: %v", err)
+	}
+	if plain, err := env.suite.Decrypt(inBase); err != nil || string(plain) != "v1-05" {
+		t.Fatalf("snapshot sees chunk %d as %q, %v; want the value it froze, \"v1-05\"", cid, plain, err)
+	}
+	cur, err := s.TakeSnapshot()
+	if err != nil {
+		t.Fatalf("TakeSnapshot: %v", err)
+	}
+	defer cur.Close()
+	var changed []ChunkID
+	if err := cur.Diff(base, func(ch DiffChange) error {
+		changed = append(changed, ch.CID)
+		return nil
+	}); err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	if len(changed) != 1 || changed[0] != cid {
+		t.Fatalf("Diff reported %v, want exactly chunk %d", changed, cid)
+	}
+}
+
 func TestSnapshotForEachCoversAllChunks(t *testing.T) {
 	env := newTestEnv(t, "null")
 	s := env.open(t)
