@@ -414,7 +414,7 @@ func (s *Store) checkpointLocked() error {
 			return fmt.Errorf("chunkstore: encrypting map node: %w", err)
 		}
 		rec := encodeRecord(recMapNode, mapNodeRecordBody(n.level, n.index, ciphertext))
-		loc, err := s.segs.append(rec, s.cfg.SegmentSize)
+		loc, err := s.appendLocked(rec)
 		if err != nil {
 			return err
 		}
@@ -428,6 +428,12 @@ func (s *Store) checkpointLocked() error {
 		n.dirty = false
 		n.hash = s.suite.Hash(plain)
 		n.hashStale = false
+		// Point the parent at the new copy now, as replaying the record
+		// does (noteNodeWritten): should the checkpoint fail before the
+		// parent's turn, the in-memory root still matches the log's.
+		if p := s.lm.findParent(n); p != nil {
+			p.entries[s.lm.childIndex(ChunkID(n.index*s.lm.span(n.level)), p.level)] = entry{loc: loc, hash: n.hash}
+		}
 	}
 	// With children refreshed bottom-up, the root hash is now current.
 	rootHash := s.lm.rootHash()
@@ -456,7 +462,7 @@ func (s *Store) checkpointLocked() error {
 		return fmt.Errorf("chunkstore: encrypting checkpoint: %w", err)
 	}
 	rec := encodeRecord(recCheckpoint, checkpointRecordBody(s.suite.MAC(ciphertext), ciphertext))
-	ckptLoc, err := s.segs.append(rec, s.cfg.SegmentSize)
+	ckptLoc, err := s.appendLocked(rec)
 	if err != nil {
 		return err
 	}

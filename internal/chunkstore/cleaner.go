@@ -262,7 +262,7 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 			// Copy the record verbatim: the ciphertext (and thus the hash)
 			// is unchanged, only the location moves.
 			rec := encodeRecord(recWrite, body)
-			newLoc, err := s.segs.append(rec, s.cfg.SegmentSize)
+			newLoc, err := s.appendLocked(rec)
 			if err != nil {
 				return false, err
 			}
@@ -314,7 +314,7 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 				return false, fmt.Errorf("chunkstore: re-encrypting map node during cleaning: %w", err)
 			}
 			rec := encodeRecord(recMapNode, mapNodeRecordBody(level, index, curCipher))
-			newLoc, err := s.segs.append(rec, s.cfg.SegmentSize)
+			newLoc, err := s.appendLocked(rec)
 			if err != nil {
 				return false, err
 			}
@@ -382,7 +382,7 @@ func (s *Store) evacuateDamaged(seg *segment) error {
 			return fmt.Errorf("%w: chunk %d fails validation during cleaning", ErrTampered, c.cid)
 		}
 		rec := encodeRecord(recWrite, body)
-		newLoc, err := s.segs.append(rec, s.cfg.SegmentSize)
+		newLoc, err := s.appendLocked(rec)
 		if err != nil {
 			return err
 		}

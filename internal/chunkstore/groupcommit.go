@@ -323,21 +323,33 @@ func (s *Store) gcSnapshotRound() (tasks []syncTask, seq, stamp uint64, owed boo
 	if err := s.syncSuperIfDirtyLocked(); err != nil {
 		return nil, s.commitSeq, 0, true, err
 	}
-	// Seal: the round's seal record goes in ahead of the snapshot, so the
-	// round's sync covers it, and records appended from here on are stamped
-	// one higher. With hardenDepth sealed stamps still awaiting the counter
+	// Seal ahead of the snapshot, so the round's sync covers the seal
+	// record. With hardenDepth sealed stamps still awaiting the counter
 	// (earlier rounds failed) the round seals nothing new and retries the
 	// newest seal.
-	if s.sealedCtr < s.counterVal.Load()+hardenDepth {
-		if err := s.appendSealLocked(); err != nil {
-			return nil, s.commitSeq, 0, true, err
-		}
-		s.sealedCtr, s.sealedSeq = s.stampCtr, s.commitSeq
+	if err := s.sealOpenRoundLocked(); err != nil {
+		return nil, s.commitSeq, 0, true, err
 	}
 	if tasks, err = s.segs.syncSnapshotLocked(); err != nil {
 		return nil, s.commitSeq, 0, true, err
 	}
 	return tasks, s.sealedSeq, s.sealedCtr, true, nil
+}
+
+// sealOpenRoundLocked seals the open round's stamp, unless hardenDepth
+// sealed stamps already await the counter: it appends the round's seal
+// record, and records appended from here on are stamped one higher. The
+// seal must be synced before the counter may reach the stamp. Both harden
+// paths, the rounds' and hardenLocked, seal through it. Caller holds s.mu.
+func (s *Store) sealOpenRoundLocked() error {
+	if s.sealedCtr >= s.counterVal.Load()+hardenDepth {
+		return nil
+	}
+	if err := s.appendSealLocked(); err != nil {
+		return err
+	}
+	s.sealedCtr, s.sealedSeq = s.stampCtr, s.commitSeq
+	return nil
 }
 
 // hardenOwedLocked reports whether a durable commit record is appended that
@@ -377,18 +389,16 @@ func (s *Store) advanceCounter(stamp uint64) error {
 // drains an in-flight advance before Close lets go of the counter. The
 // harden also pays any superblock fsync deferred by an earlier checkpoint
 // (one barrier event instead of two); syncing it first keeps a failure from
-// acknowledging the commit. It seals the open round under the rounds' rule:
-// with hardenDepth sealed stamps still awaiting the counter it first pays
-// those, then seals and syncs once more. Caller holds s.mu.
+// acknowledging the commit. It seals the open round under the rounds' rule
+// (sealOpenRoundLocked): with hardenDepth sealed stamps still awaiting the
+// counter it first pays those, then seals and syncs once more. Caller holds
+// s.mu.
 func (s *Store) hardenLocked() error {
 	s.gc.advMu.Lock()
 	defer s.gc.advMu.Unlock()
 	for {
-		if s.sealedCtr < s.counterVal.Load()+hardenDepth {
-			if err := s.appendSealLocked(); err != nil {
-				return err
-			}
-			s.sealedCtr = s.stampCtr
+		if err := s.sealOpenRoundLocked(); err != nil {
+			return err
 		}
 		if err := s.syncSuperIfDirtyLocked(); err != nil {
 			return err

@@ -210,6 +210,7 @@ func (s *Store) recover(sb superblock) error {
 	if err := s.truncateTail(end); err != nil {
 		return err
 	}
+	s.signedMark = s.segs.mark()
 	s.lastCkpt = sb.ckptLoc
 	s.residualBytes = scanned
 
@@ -219,7 +220,9 @@ func (s *Store) recover(sb superblock) error {
 	// log is synced first, or a second crash could take them back behind
 	// the caught-up counter. An unsealed newest round never reached the
 	// counter, so the records present are the whole round: it is sealed
-	// first, or the caught-up counter would read it as cut.
+	// first, or the caught-up counter would read it as cut. This seal is
+	// not bounded like a round's (sealOpenRoundLocked): every stamp the
+	// log holds is paid before the store takes a commit.
 	if s.cfg.Counter != nil && lastDurable.counter > s.counterVal.Load() {
 		if !sealed {
 			s.round = round

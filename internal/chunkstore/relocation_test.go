@@ -376,3 +376,186 @@ func TestCrashUnpublishedCheckpointNodesMakeCleanerCheckpoint(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 }
+
+// commitOwed durably commits v to a new chunk and returns with the commit's
+// harden still owed, the state post-commit maintenance runs in.
+func commitOwed(t *testing.T, s *Store, want map[ChunkID]string, v string) CommitTicket {
+	t.Helper()
+	cid, err := s.AllocateChunkID()
+	if err != nil {
+		t.Fatalf("AllocateChunkID: %v", err)
+	}
+	b := s.NewBatch()
+	b.Write(cid, []byte(v))
+	s.AnnounceDurable(true)
+	p, err := s.PrepareBatch(b)
+	if err != nil {
+		t.Fatalf("PrepareBatch: %v", err)
+	}
+	ticket, err := s.CommitPrepared(b, p, true)
+	if err != nil {
+		t.Fatalf("CommitPrepared: %v", err)
+	}
+	want[cid] = v
+	return ticket
+}
+
+// reopenTwice crashes the store's device, then twice opens it, checks every
+// value and verifies it, crashing again after each open.
+func reopenTwice(t *testing.T, env *testEnv, want map[ChunkID]string, what string) {
+	t.Helper()
+	env.mem.Crash()
+	for reopen := 0; reopen < 2; reopen++ {
+		s, err := Open(env.cfg)
+		if err != nil {
+			t.Fatalf("%s, open %d: %v", what, reopen, err)
+		}
+		for _, cid := range slices.Sorted(maps.Keys(want)) {
+			if got, err := s.Read(cid); err != nil || string(got) != want[cid] {
+				t.Fatalf("%s, open %d: Read(%d) = %.12q, %v; want %.12q", what, reopen, cid, got, err, want[cid])
+			}
+		}
+		if err := s.Verify(); err != nil {
+			t.Fatalf("%s, open %d: Verify: %v", what, reopen, err)
+		}
+		env.mem.Crash()
+	}
+}
+
+// TestCrashAfterFailedMaintenanceInOpenRound: post-commit maintenance runs
+// between a durable commit's append and its round's seal. A cleaning cycle
+// that fails after relocating a victim, or a checkpoint that fails after
+// writing map nodes, leaves records behind that no commit record signs, and
+// the round's seal, which recovery replays up to, must not cover them
+// unsigned: recovery would rebuild a root the round's commits never signed.
+// The commit hardens after the failure, the device crashes, and recovery
+// must open, keep every value and verify.
+func TestCrashAfterFailedMaintenanceInOpenRound(t *testing.T) {
+	clean := func(s *Store) error { return s.cleanLocked(1<<62, true) }
+	t.Run("second victim tampered", func(t *testing.T) {
+		env, _, s, want := relocationCycle(t)
+		s.mu.Lock()
+		first, ok1, _ := s.pickVictim(true, map[uint64]bool{})
+		second, ok2, _ := s.pickVictim(true, map[uint64]bool{first: true})
+		s.mu.Unlock()
+		if !ok1 || !ok2 || s.segs.segs[first].live == 0 {
+			t.Fatalf("test premise: want two victims, the first with live records")
+		}
+		var bad Location
+		if err := s.lm.forEachEntry(s.lm.root, func(_ ChunkID, e entry) error {
+			if e.loc.Seg == second {
+				bad = e.loc
+			}
+			return nil
+		}); err != nil || bad.IsZero() {
+			t.Fatalf("test premise: no live chunk in the second victim (%v)", err)
+		}
+		flip := func() {
+			if err := env.mem.Corrupt(segmentName(second), int64(bad.Off+bad.Len-1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ticket := commitOwed(t, s, want, "owed")
+		flip()
+		s.mu.Lock()
+		err := clean(s)
+		moved := s.segs.segs[first].live == 0
+		s.mu.Unlock()
+		flip()
+		if !errors.Is(err, ErrTampered) || !moved {
+			t.Fatalf("test premise: clean = %v with the first victim emptied %v; want ErrTampered after it", err, moved)
+		}
+		if err := s.AwaitDurable(ticket); err != nil {
+			t.Fatalf("AwaitDurable: %v", err)
+		}
+		reopenTwice(t, env, want, "after the failed cycle")
+	})
+	// wideTree leaves every node of a fanout-4 tree over 200 chunks dirty,
+	// so a checkpoint's node records span more than one segment.
+	wideTree := func(t *testing.T) (*testEnv, *opLog, *Store, map[ChunkID]string) {
+		env, log, s := openLogged(t, 4)
+		want := map[ChunkID]string{}
+		var cids []ChunkID
+		for i := 0; i < 200; i++ {
+			v := fmt.Sprintf("first-%03d", i)
+			cids = append(cids, allocWrite(t, s, []byte(v)))
+			want[cids[i]] = v
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		for i, cid := range cids {
+			want[cid] = fmt.Sprintf("second-%03d", i)
+			writeChunk(t, s, cid, []byte(want[cid]))
+		}
+		return env, log, s, want
+	}
+	// wideSegments: segments three times the write-behind buffer, so a
+	// cycle's copies overflow the buffer and flush in mid-cycle, where a
+	// failed flush leaves the copy being appended in the log.
+	wideSegments := func(t *testing.T) (*testEnv, *opLog, *Store, map[ChunkID]string) {
+		env := newTestEnv(t, "aes-ctr-sha256")
+		log := &opLog{UntrustedStore: env.fs}
+		env.cfg.Store, env.cfg.SegmentSize = log, 3*writeBehindCap
+		env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
+		s := env.open(t)
+		want := map[ChunkID]string{}
+		hot := allocWrite(t, s, []byte("hot"))
+		for i := 0; i < 200; i++ {
+			v := fmt.Sprintf("stable-%03d-%s", i, strings.Repeat("s", 4<<10))
+			want[allocWrite(t, s, []byte(v))] = v
+			want[hot] = fmt.Sprintf("hot-%03d-%s", i, strings.Repeat("h", 4<<10))
+			writeChunk(t, s, hot, []byte(want[hot]))
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		return env, log, s, want
+	}
+	for _, tc := range []struct {
+		name   string
+		setup  cleanSetup
+		action func(*Store) error
+	}{
+		{"clean", relocationCycle, clean},
+		{"clean map nodes", mapNodeCycle, clean},
+		{"clean wide segments", wideSegments, clean},
+		{"checkpoint", wideTree, (*Store).checkpointLocked},
+	} {
+		t.Run(tc.name+" budget sweep", func(t *testing.T) {
+			_, log, s, want := tc.setup(t)
+			ticket := commitOwed(t, s, want, "owed")
+			log.take()
+			s.mu.Lock()
+			err := tc.action(s)
+			s.mu.Unlock()
+			ops := log.take()
+			if err != nil {
+				t.Fatalf("dry run: %v", err)
+			}
+			if err := s.AwaitDurable(ticket); err != nil {
+				t.Fatalf("dry run: AwaitDurable: %v", err)
+			}
+			s.Close()
+			t.Logf("ops: %v", ops)
+			for budget := 0; budget < 2*len(ops); budget++ {
+				// Odd runs commit once more after the harden, so that a
+				// later commit record signs the failure's records too.
+				env, _, s, want := tc.setup(t)
+				ticket := commitOwed(t, s, want, "owed")
+				env.fs.SetWriteBudget(int64(budget / 2))
+				s.mu.Lock()
+				actionErr := tc.action(s)
+				s.mu.Unlock()
+				env.fs.SetWriteBudget(-1)
+				if err := s.AwaitDurable(ticket); err != nil {
+					t.Fatalf("budget %d (%v): AwaitDurable: %v", budget/2, actionErr, err)
+				}
+				if budget%2 == 1 {
+					want[allocWrite(t, s, []byte("later"))] = "later"
+				}
+				reopenTwice(t, env, want, fmt.Sprintf("budget %d, later commit %v (%v)", budget/2, budget%2 == 1, actionErr))
+			}
+		})
+	}
+}

@@ -69,6 +69,11 @@ type Store struct {
 	// away before writing (completePendingRewindLocked); otherwise a later
 	// successful commit would let crash recovery replay the orphans.
 	pendingRewind *tailMark
+	// signedMark is the log tail just past the newest commit or seal
+	// record. Records beyond it are unsigned: a cleaning cycle or
+	// checkpoint that failed left them, and appendSealLocked signs them
+	// before a seal may cover them.
+	signedMark tailMark
 
 	// stampCtr is the counter stamp on the newest durable commit record
 	// appended, and durableSeq that record's sequence number: a harden is
@@ -87,7 +92,7 @@ type Store struct {
 	sealedSeq  uint64
 	// round is the open round: the durable commit records stamped
 	// sealedCtr+1 that no seal record covers yet (empty without a counter).
-	// Sealing a stamp appends its seal record first (appendSealLocked).
+	// Sealing a stamp appends its seal record first (sealOpenRoundLocked).
 	// Mutated only under mu.
 	round roundChain
 	// gc coordinates harden rounds (stage 1, stage 2, followers). Created
@@ -641,13 +646,10 @@ func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 	signed := commitSignedPortion(seq, durable, ctr, rootHash)
 	mac := s.suite.MAC(signed)
 	rec := encodeRecord(recCommit, commitRecordBody(signed, mac))
-	mark := s.segs.mark()
-	if _, err := s.segs.append(rec, s.cfg.SegmentSize); err != nil {
-		// A failed append may leave the record logically appended; it must
-		// not stay behind under the sequence number the next record reuses.
-		s.pendingRewind = &mark
+	if _, err := s.appendLocked(rec); err != nil {
 		return 0, err
 	}
+	s.signedMark = s.segs.mark()
 	s.commitSeq = seq
 	if durable {
 		s.stampCtr, s.durableSeq = ctr, seq
@@ -664,7 +666,11 @@ func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 // and syncs before the counter may reach the stamp: recovery reads a
 // counter at a stamp whose round is unsealed or short as a log cut inside
 // an acknowledged round (recovery.go). A seal is never appended behind a
-// failed commit's orphaned records, which a later rewind would take with it.
+// failed commit's orphaned records, which a later rewind would take with it,
+// nor behind unsigned records: recovery replays up to the seal and checks
+// the root of the last commit record before it, so records that a failed
+// cleaning cycle or checkpoint left after the round's last commit first get
+// a nondurable commit record over the state they produced.
 func (s *Store) appendSealLocked() error {
 	if s.round.count == 0 {
 		return nil
@@ -672,15 +678,34 @@ func (s *Store) appendSealLocked() error {
 	if err := s.completePendingRewindLocked(); err != nil {
 		return err
 	}
-	mark := s.segs.mark()
+	if s.segs.mark() != s.signedMark {
+		n, err := s.appendCommitRecordLocked(false)
+		if err != nil {
+			return err
+		}
+		s.residualBytes += n
+	}
 	rec := encodeRecord(recSeal, s.round.sealRecordBody(s.suite))
-	if _, err := s.segs.append(rec, s.cfg.SegmentSize); err != nil {
-		s.pendingRewind = &mark
+	if _, err := s.appendLocked(rec); err != nil {
 		return err
 	}
+	s.signedMark = s.segs.mark()
 	s.residualBytes += int64(len(rec))
 	s.round.count, s.round.chain = 0, nil
 	return nil
+}
+
+// appendLocked appends one record at the log tail. A failed append may
+// leave the record logically appended though its caller never applied it,
+// so the position before it becomes the pending rewind: neither a later
+// record's sequence number nor recovery's replay may take it for applied.
+func (s *Store) appendLocked(rec []byte) (Location, error) {
+	mark := s.segs.mark()
+	loc, err := s.segs.append(rec, s.cfg.SegmentSize)
+	if err != nil {
+		s.pendingRewind = &mark
+	}
+	return loc, err
 }
 
 // adjustLive updates a segment's live-byte count, or during recovery that
