@@ -240,9 +240,13 @@ func TestMaintenanceErrorDistinguished(t *testing.T) {
 	var sawMaintenance, sawNotDurable, sawRollback bool
 	for budget := int64(1); budget < 10000 && !(sawMaintenance && sawNotDurable && sawRollback); budget++ {
 		if len(maySurvive) > 0 {
-			// Sweep every budget from a hardened store: a failed harden
-			// leaves its round's stamps owed, and paying them first moves
-			// the next commit's write boundaries off the ones swept.
+			// Sweep every budget from a hardened store. A failed harden can
+			// leave hardenDepth sealed stamps owed, and the next harden pays
+			// them with one sync more before it seals, which moves the
+			// commit's write boundaries: unsettled, the sweep steps from a
+			// failed harden straight to commits that complete, past the
+			// budget that fails only the checkpoint's superblock write.
+			// TestCrashOwedRoundsHardenInOneCommit covers the owing state.
 			settle := []byte(fmt.Sprintf("settle-%04d", budget))
 			writeChunk(t, s, cid, settle)
 			visible, durable, maySurvive = settle, settle, nil
@@ -302,4 +306,125 @@ func TestMaintenanceErrorDistinguished(t *testing.T) {
 	if err := s2.Verify(); err != nil {
 		t.Fatalf("Verify after recovery: %v", err)
 	}
+}
+
+// oweRounds sweeps write budgets over durable commits whose post-commit
+// checkpoint writes too, without hardening in between, until failed hardens
+// leave hardenDepth sealed stamps awaiting the counter. It returns the
+// chunk, its last acknowledged durable value and the values applied since
+// (ErrNotDurable), which a crash may or may not keep.
+func oweRounds(t *testing.T) (env *testEnv, s *Store, cid ChunkID, durable []byte, maySurvive [][]byte) {
+	t.Helper()
+	env = newTestEnv(t, "3des-sha1")
+	env.cfg.DisableAutoClean = true
+	env.cfg.CheckpointBytes = 1
+	s = env.open(t)
+	cid = allocWrite(t, s, []byte("v0"))
+	durable = []byte("v0")
+	for budget := int64(1); budget < 100; budget++ {
+		next := bytes.Repeat([]byte(fmt.Sprintf("value-%04d;", budget)), env.cfg.SegmentSize/11+1)
+		b := s.NewBatch()
+		b.Write(cid, next)
+		env.fs.SetWriteBudget(budget)
+		err := s.Commit(b, true)
+		env.fs.SetWriteBudget(-1)
+		switch {
+		case err == nil, errors.Is(err, ErrMaintenance):
+			durable, maySurvive = next, nil
+		case errors.Is(err, ErrNotDurable):
+			maySurvive = append(maySurvive, next)
+		}
+		if s.sealedCtr == s.counterVal.Load()+hardenDepth && len(maySurvive) > 1 {
+			return env, s, cid, durable, maySurvive
+		}
+	}
+	t.Fatal("test premise: the sweep never left hardenDepth sealed stamps owed")
+	return
+}
+
+// TestCrashOwedRoundsHardenInOneCommit: failed hardens that leave
+// hardenDepth sealed stamps awaiting the counter, with several commits
+// applied but unacknowledged, are a state recovery and the next commit both
+// handle. A crash in it recovers the last durable value or one of the
+// unacknowledged ones. One commit with an unlimited budget hardens every
+// stamp owed: beyond a commit from a hardened store it syncs the segments
+// the failed rounds left unsynced and writes and syncs one more seal, so
+// failed hardens do not make later commits need ever more writes.
+func TestCrashOwedRoundsHardenInOneCommit(t *testing.T) {
+	for _, lose := range []bool{true, false} {
+		t.Run(fmt.Sprintf("crash while owing, unsynced writes lost %v", lose), func(t *testing.T) {
+			crashWhileOwing(t, lose)
+		})
+	}
+	t.Run("one commit hardens", func(t *testing.T) {
+		env, s, cid, _, _ := oweRounds(t)
+		const unlimited = 1 << 30
+		commit := func(v []byte) int64 {
+			b := s.NewBatch()
+			b.Write(cid, v)
+			env.fs.SetWriteBudget(unlimited)
+			defer env.fs.SetWriteBudget(-1)
+			if err := s.Commit(b, true); err != nil {
+				t.Fatalf("Commit: %v", err)
+			}
+			if ctr := s.counterVal.Load(); s.sealedCtr != ctr || s.stampCtr != ctr {
+				t.Fatalf("after the commit: counter %d, sealed %d, stamp %d; want nothing owed", ctr, s.sealedCtr, s.stampCtr)
+			}
+			return unlimited - env.fs.WriteOps()
+		}
+		unsynced := 0
+		s.mu.RLock()
+		for _, seg := range s.segs.segs {
+			if !seg.synced {
+				unsynced++
+			}
+		}
+		s.mu.RUnlock()
+		owing := commit(bytes.Repeat([]byte("owing;"), env.cfg.SegmentSize/6+1))
+		last := bytes.Repeat([]byte("hardened;"), env.cfg.SegmentSize/9+1)
+		hardened := commit(last)
+		t.Logf("device operations: %d from the owing store (%d segments unsynced), %d from a hardened one",
+			owing, unsynced, hardened)
+		// The owing store's extra work: syncing the segments the failed
+		// rounds left unsynced, then a seal record's write and its sync
+		// once the owed stamps are paid.
+		if owing > hardened+int64(unsynced)+2 {
+			t.Fatalf("a commit from the owing store took %d device operations, want at most %d (%d from a hardened store, %d unsynced segments, one seal)",
+				owing, hardened+int64(unsynced)+2, hardened, unsynced)
+		}
+		env.mem.Crash()
+		s2 := env.open(t)
+		defer s2.Close()
+		wantRead(t, s2, cid, string(last))
+		if err := s2.Verify(); err != nil {
+			t.Fatalf("Verify after recovery: %v", err)
+		}
+	})
+}
+
+// crashWhileOwing crashes the store oweRounds leaves, losing or keeping
+// the writes it never synced, and checks what recovery keeps.
+func crashWhileOwing(t *testing.T, lose bool) {
+	env, _, cid, durable, maySurvive := oweRounds(t)
+	if lose {
+		env.mem.Crash()
+	}
+	s2 := env.open(t)
+	defer s2.Close()
+	got, err := s2.Read(cid)
+	if err != nil {
+		t.Fatalf("recovered Read: %v", err)
+	}
+	ok := bytes.Equal(got, durable)
+	for _, v := range maySurvive {
+		ok = ok || bytes.Equal(got, v)
+	}
+	if !ok {
+		t.Fatalf("recovered Read = %.12q, want durable %.12q or one of %d unacknowledged later values",
+			got, durable, len(maySurvive))
+	}
+	if err := s2.Verify(); err != nil {
+		t.Fatalf("Verify after recovery: %v", err)
+	}
+	t.Logf("recovered %.10q; durable %.10q, %d unacknowledged", got, durable, len(maySurvive))
 }

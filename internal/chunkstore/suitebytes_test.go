@@ -2,6 +2,7 @@ package chunkstore
 
 import (
 	"bytes"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -26,17 +27,24 @@ func (m *mod8Suite) Encrypt(plaintext []byte, iv uint64) ([]byte, error) {
 // MAC to 20 bytes, so every plaintext (payloads, map nodes, checkpoint) and
 // every unencrypted record is the same size under both; only ciphertexts
 // differ, 8 + n + (8 − n%8) bytes against n + 16. The device must therefore
-// see exactly Σ n%8 more bytes under CTR, in the same number of writes and
-// syncs — summed over every encrypted payload written, which includes the
-// data records the cleaner copies verbatim to the log tail. The op counts
-// match only while both suites roll every segment inside the same commit,
-// so the segment size is one at which the Σ n%8 drift never straddles a
-// roll; at 8 KiB, with round seals in the log, aes-ctr-sha256 rolls one
-// commit earlier than 3des-sha1.
+// see exactly Σ n%8 more bytes under CTR — summed over every encrypted
+// payload written, which includes the data records the cleaner copies
+// verbatim to the log tail — in the same segments, and each step the same
+// number of writes and syncs. The Σ n%8 drift may move a segment roll to a
+// neighbouring step, and a roll changes how its step and the next sync
+// split into device operations, so steps from a roll in either run up to a
+// step where both runs synced are not compared.
 func TestSuiteByteAccounting(t *testing.T) {
+	// step is one operation's device I/O and whether it rolled a segment.
+	type step struct {
+		io     platform.IOCounts
+		rolled bool
+	}
 	type run struct {
-		io   platform.IOCounts
-		mod8 int64
+		io    platform.IOCounts
+		mod8  int64
+		steps []step
+		segs  uint64
 	}
 	measure := func(name string) run {
 		suite, err := sec.NewSuite(name, []byte("suite-byte-accounting-secret-012"))
@@ -49,12 +57,25 @@ func TestSuiteByteAccounting(t *testing.T) {
 			Store:                 meter,
 			Counter:               platform.NewMemCounter(),
 			Suite:                 counted,
-			SegmentSize:           10 << 10,
+			SegmentSize:           8 << 10,
 			DisableAutoClean:      true,
 			DisableAutoCheckpoint: true,
 		})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
+		}
+		var steps []step
+		segsCreated := func() uint64 {
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			return s.segs.next
+		}
+		do := func(what string, op func() error) {
+			io, segs := meter.Stats().Snapshot(), segsCreated()
+			if err := op(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			steps = append(steps, step{io: meter.Stats().Snapshot().Sub(io), rolled: segsCreated() != segs})
 		}
 		lastLen := make(map[ChunkID]int)
 		ids := make([]ChunkID, 12)
@@ -71,13 +92,9 @@ func TestSuiteByteAccounting(t *testing.T) {
 				b.Write(cid, bytes.Repeat([]byte{byte(round)}, size))
 				lastLen[cid] = size
 			}
-			if err := s.Commit(b, round%2 == 0); err != nil {
-				t.Fatalf("Commit %d: %v", round, err)
-			}
+			do(fmt.Sprintf("Commit %d", round), func() error { return s.Commit(b, round%2 == 0) })
 			if round == 14 {
-				if err := s.Checkpoint(); err != nil {
-					t.Fatalf("Checkpoint: %v", err)
-				}
+				do("Checkpoint", s.Checkpoint)
 			}
 		}
 		locs := func() map[ChunkID]Location {
@@ -94,9 +111,7 @@ func TestSuiteByteAccounting(t *testing.T) {
 			return out
 		}
 		before := locs()
-		if err := s.Clean(); err != nil {
-			t.Fatalf("Clean: %v", err)
-		}
+		do("Clean", s.Clean)
 		var copied int64
 		for cid, loc := range locs() {
 			if loc != before[cid] {
@@ -106,10 +121,9 @@ func TestSuiteByteAccounting(t *testing.T) {
 		if s.Stats().Cleanings == 0 {
 			t.Fatal("test premise broken: Clean evacuated no segment")
 		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		return run{io: meter.Stats().Snapshot(), mod8: counted.sum.Load() + copied}
+		segs := segsCreated()
+		do("Close", s.Close)
+		return run{io: meter.Stats().Snapshot(), mod8: counted.sum.Load() + copied, steps: steps, segs: segs}
 	}
 	des, ctr := measure("3des-sha1"), measure("aes-ctr-sha256")
 	if des.mod8 != ctr.mod8 {
@@ -119,9 +133,27 @@ func TestSuiteByteAccounting(t *testing.T) {
 		t.Errorf("aes-ctr-sha256 wrote %d bytes more than 3des-sha1 (%d vs %d), want exactly Σ n%%8 = %d",
 			got, ctr.io.BytesWritten, des.io.BytesWritten, ctr.mod8)
 	}
-	if des.io.WriteOps != ctr.io.WriteOps || des.io.SyncOps != ctr.io.SyncOps {
-		t.Errorf("write/sync ops differ: 3des-sha1 %d/%d, aes-ctr-sha256 %d/%d",
-			des.io.WriteOps, des.io.SyncOps, ctr.io.WriteOps, ctr.io.SyncOps)
+	if des.segs != ctr.segs {
+		t.Errorf("the suites used %d and %d segments", des.segs, ctr.segs)
 	}
-	t.Logf("3des-sha1 %+v, aes-ctr-sha256 %+v, Σ n%%8 = %d", des.io, ctr.io, ctr.mod8)
+	compared, unsettled := 0, false
+	for i, d := range des.steps {
+		c := ctr.steps[i]
+		unsettled = unsettled || d.rolled || c.rolled
+		if !unsettled {
+			compared++
+			if d.io.WriteOps != c.io.WriteOps || d.io.SyncOps != c.io.SyncOps {
+				t.Errorf("step %d: write/sync ops differ: 3des-sha1 %d/%d, aes-ctr-sha256 %d/%d",
+					i, d.io.WriteOps, d.io.SyncOps, c.io.WriteOps, c.io.SyncOps)
+			}
+		}
+		if d.io.SyncOps > 0 && c.io.SyncOps > 0 {
+			unsettled = false
+		}
+	}
+	if compared < len(des.steps)/2 {
+		t.Errorf("test premise: only %d of %d steps compared", compared, len(des.steps))
+	}
+	t.Logf("3des-sha1 %+v, aes-ctr-sha256 %+v, Σ n%%8 = %d, %d of %d steps compared",
+		des.io, ctr.io, ctr.mod8, compared, len(des.steps))
 }
