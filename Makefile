@@ -49,14 +49,20 @@ chaos:
 	$(GO) test -race -count=1 ./test/chaos/ \
 		-args -chaos.seed=$(CHAOS_SEED) -chaos.actions=$(CHAOS_ACTIONS)
 
-# fuzz-smoke runs each native fuzz target for a few seconds past its seeds,
-# which plain `go test` already runs: a check that the targets build and
-# hold their property on fresh inputs, not a search (a longer -fuzztime is
-# one). A failing input is saved under the package's testdata/fuzz/ and
-# replays in every later `go test`.
+# fuzz-smoke runs every native fuzz target that `go test -list` finds in
+# the module for 3 s past its seeds and checked-in corpus, which plain
+# `go test` already runs: a check that the targets build and hold their
+# property on fresh inputs, not a search (a longer -fuzztime is one). A new
+# target joins the gate by existing. A failing input is saved under the
+# package's testdata/fuzz/ and replays in every later `go test`.
 fuzz-smoke:
-	$(GO) test ./internal/chunkstore/ -run XXX \
-		-fuzz FuzzParseRecordBytes -fuzztime 3s -parallel 2
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list"; exit 1; }; \
+	targets="$$(echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2 " " t[i]; n = 0 }')"; \
+	if [ -z "$$targets" ]; then echo "fuzz-smoke: no fuzz targets found"; exit 1; fi; \
+	echo "$$targets" | while read pkg target; do \
+		echo "fuzz-smoke: $$pkg $$target"; \
+		$(GO) test "$$pkg" -run XXX -fuzz "^$$target\$$" -fuzztime 3s -parallel 2 || exit 1; \
+	done
 
 # read-repeat runs the read-path tests twenty times under the race
 # detector: the root scan tests, whose cold-scan segment reads, bytes and
@@ -106,10 +112,10 @@ bench-smoke: bench-read-scaling bench-paper
 # 1 and 8 concurrent readers, and the snapshot lookup path (§7.5) at 1 and
 # 2: the wait-free hit and the miss that takes no table lock. Like
 # bench-smoke it is not for numbers: it keeps the snapshot/revalidate
-# protocol, the singleflight, the decode-table probe and its miss path
-# running under both the serial and the contended scheduler shape on every
-# gate — though each lookup path's ns/op at -cpu 1 against 2 and its
-# allocs/op are worth a glance when they print.
+# protocol, the decode-table probe and its miss path running under both the
+# serial and the contended scheduler shape on every gate — though each
+# lookup path's ns/op at -cpu 1 against 2 and its allocs/op are worth a
+# glance when they print.
 bench-read-scaling:
 	$(GO) test ./internal/chunkstore/ -run XXX \
 		-bench BenchmarkConcurrentRead -benchtime 1x -cpu 1,8

@@ -232,10 +232,9 @@ func (s *Store) pickVictim(aggressive bool, chosen map[uint64]bool) (uint64, boo
 }
 
 // evacuate copies every live record of seg to the log tail, updating the
-// location map, and reports whether a live map-node record was among them
-// (for a damaged segment, whether one may be). Records are validated before
-// copying so that tampering in cold segments is caught rather than
-// propagated.
+// location map, and reports whether a live map-node record was among them.
+// Records are validated before copying so that tampering in cold segments
+// is caught rather than propagated.
 func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 	start := position{seg: seg.num, off: segHeaderSize}
 	copied := int64(0)
@@ -342,7 +341,8 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 		// evacuating by the location map, which is the authority on what is
 		// live regardless of the bytes in between. Its map nodes move at the
 		// next checkpoint.
-		return true, s.evacuateDamaged(seg)
+		marked, err := s.evacuateDamaged(seg)
+		return nodes || marked, err
 	}
 	return nodes, nil
 }
@@ -352,9 +352,10 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 // entry the location map still places in the segment is copied out after
 // validation against its Merkle hash, and every live map node stored there
 // is marked dirty so the next checkpoint rewrites it at the tail (with its
-// usual liveness accounting). Chunks whose records fail validation abort
-// the clean with ErrTampered — they need Scrub and Repair first.
-func (s *Store) evacuateDamaged(seg *segment) error {
+// usual liveness accounting); it reports whether there was any. Chunks
+// whose records fail validation abort the clean with ErrTampered — they
+// need Scrub and Repair first.
+func (s *Store) evacuateDamaged(seg *segment) (nodes bool, err error) {
 	type liveChunk struct {
 		cid ChunkID
 		e   entry
@@ -367,27 +368,27 @@ func (s *Store) evacuateDamaged(seg *segment) error {
 		}
 		return nil
 	}); err != nil {
-		return err
+		return false, err
 	}
 	for _, c := range chunks {
 		typ, body, err := s.segs.readRecord(c.e.loc)
 		if err != nil {
-			return err
+			return false, err
 		}
 		cid, ciphertext, perr := parseWriteRecord(body)
 		if typ != recWrite || perr != nil || cid != c.cid {
-			return fmt.Errorf("%w: chunk %d record unreadable during cleaning", ErrTampered, c.cid)
+			return false, fmt.Errorf("%w: chunk %d record unreadable during cleaning", ErrTampered, c.cid)
 		}
 		if !sec.HashEqual(s.suite.Hash(ciphertext), c.e.hash) {
-			return fmt.Errorf("%w: chunk %d fails validation during cleaning", ErrTampered, c.cid)
+			return false, fmt.Errorf("%w: chunk %d fails validation during cleaning", ErrTampered, c.cid)
 		}
 		rec := encodeRecord(recWrite, body)
 		newLoc, err := s.appendLocked(rec)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if _, err := s.lm.set(c.cid, entry{loc: newLoc, hash: c.e.hash}); err != nil {
-			return err
+			return false, err
 		}
 		s.adjustLive(newLoc, int64(newLoc.Len))
 		s.adjustLive(c.e.loc, -int64(c.e.loc.Len))
@@ -398,14 +399,16 @@ func (s *Store) evacuateDamaged(seg *segment) error {
 }
 
 // dirtyNodesIn marks every live location-map node stored in segment num
-// dirty, loading children only along branches whose stored copies lie in
-// that segment. dirtyNodes() propagates the mark to ancestors, so the next
+// dirty and reports whether there was any. A node's stored location says
+// nothing about its descendants', so every non-resident inner node is
+// loaded; a non-resident leaf is loaded only if its own stored copy lies in
+// the segment. dirtyNodes() propagates the mark to ancestors, so the next
 // checkpoint relocates the marked nodes and updates their parents.
-func (s *Store) dirtyNodesIn(num uint64) error {
+func (s *Store) dirtyNodesIn(num uint64) (marked bool, err error) {
 	var walk func(n *mapNode) error
 	walk = func(n *mapNode) error {
 		if !n.loc.IsZero() && n.loc.Seg == num {
-			n.dirty = true
+			n.dirty, marked = true, true
 		}
 		if n.level == 0 {
 			return nil
@@ -413,7 +416,7 @@ func (s *Store) dirtyNodesIn(num uint64) error {
 		for i := range n.entries {
 			kid := n.kids[i]
 			if kid == nil {
-				if n.entries[i].isEmpty() || n.entries[i].loc.Seg != num {
+				if e := n.entries[i]; e.isEmpty() || (n.level == 1 && e.loc.Seg != num) {
 					continue
 				}
 				var err error
@@ -428,7 +431,8 @@ func (s *Store) dirtyNodesIn(num uint64) error {
 		}
 		return nil
 	}
-	return walk(s.lm.root)
+	err = walk(s.lm.root)
+	return marked, err
 }
 
 // cachedNodeAt returns the in-memory node at (level,index), loading it from

@@ -2,8 +2,10 @@ package chunkstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -210,5 +212,113 @@ func TestDeallocatedSpaceIsReclaimed(t *testing.T) {
 		if _, err := s.Read(cid); err != nil {
 			t.Fatalf("survivor chunk %d: %v", cid, err)
 		}
+	}
+}
+
+// TestDamagedSegmentMovesLeafUnderEvictedParent pins the map-node half of
+// cleaning a segment whose byte walk is broken: a live leaf stored there
+// under an inner node that is stored elsewhere and evicted must still be
+// found and moved, so the segment is freed once a checkpoint has published
+// the leaf's new location.
+func TestDamagedSegmentMovesLeafUnderEvictedParent(t *testing.T) {
+	env := newTestEnv(t, "aes-ctr-sha256")
+	env.cfg.Fanout = 4
+	env.cfg.SegmentSize = 4 << 10
+	env.cfg.CacheBytes = 2 << 10
+	env.cfg.DisableAutoClean = true
+	s := env.open(t)
+	defer s.Close()
+
+	var ids []ChunkID
+	for i := 0; i < 64; i++ {
+		ids = append(ids, allocWrite(t, s, bytes.Repeat([]byte{byte(i)}, 100)))
+	}
+	// Empty the second leaf, so that no chunk relocation can dirty it:
+	// only the damaged-segment walk can find it.
+	kept := ids[4]
+	b := s.NewBatch()
+	for _, cid := range ids {
+		if cid/4 == kept/4 {
+			b.Deallocate(cid)
+		}
+	}
+	if err := s.Commit(b, true); err != nil {
+		t.Fatalf("Commit(deallocate): %v", err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	// Rewrite every chunk outside that leaf and checkpoint again: every map
+	// node but the leaf moves to later segments.
+	var live []ChunkID
+	for _, cid := range ids {
+		if cid/4 != kept/4 {
+			writeChunk(t, s, cid, bytes.Repeat([]byte("w"), 100))
+			live = append(live, cid)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+
+	s.mu.Lock()
+	p, err := s.lm.descend(kept, false)
+	if err != nil || p.leaf == nil {
+		s.mu.Unlock()
+		t.Fatalf("descend(%d): %v", kept, err)
+	}
+	leaf := p.leaf
+	parent := s.lm.findParent(leaf)
+	if parent == nil {
+		s.mu.Unlock()
+		t.Fatalf("leaf of chunk %d has no parent", kept)
+	}
+	// Evict the leaf, then its parent, from the now-clean map: sweep with
+	// a zero budget until the parent is out.
+	budget := s.lm.budget
+	s.lm.budget = 0
+	for i := 0; s.lm.resident(parent); i++ {
+		if i == 8 {
+			s.mu.Unlock()
+			t.Fatal("the leaf's parent never evicted; test setup rotted")
+		}
+		s.lm.sweep(nil)
+	}
+	s.lm.budget = budget
+	num := leaf.loc.Seg
+	seg := s.segs.segs[num]
+	var first Location
+	_, err = s.scanLog(position{seg: num, off: segHeaderSize}, func(loc Location, _ byte, _ []byte) (bool, error) {
+		first = loc
+		return false, nil
+	})
+	premise := parent.loc.Seg != num && seg.live == int64(leaf.loc.Len) && first.Off < leaf.loc.Off
+	s.mu.Unlock()
+	if err != nil || !premise {
+		t.Fatalf("test premise: leaf %v, parent in segment %d, segment %d live %d, first record %v (%v)",
+			leaf.loc, parent.loc.Seg, num, seg.live, first, err)
+	}
+	// Break the segment's byte walk at its first record, a dead one.
+	if err := env.fs.FlipBit(segmentName(num), int64(first.Off)+int64(first.Len)/2, 3); err != nil {
+		t.Fatalf("FlipBit: %v", err)
+	}
+
+	if err := errors.Join(s.Clean(), s.Checkpoint(), s.Clean()); err != nil {
+		t.Fatalf("Clean, Checkpoint, Clean: %v", err)
+	}
+	s.mu.RLock()
+	_, held := s.segs.segs[num]
+	s.mu.RUnlock()
+	if held {
+		t.Fatalf("damaged segment %d not freed: its leaf was never moved", num)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	s.Close()
+	s2 := env.open(t)
+	defer s2.Close()
+	for _, cid := range live {
+		wantRead(t, s2, cid, strings.Repeat("w", 100))
 	}
 }

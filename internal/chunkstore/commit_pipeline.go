@@ -302,15 +302,13 @@ func (s *Store) commitPreparedLocked(b *Batch, prep []preparedOp, durable bool) 
 
 	// Off-mutex reads that snapshotted the pre-commit map are told their
 	// snapshot is stale before Commit returns: the epoch bump fails their
-	// revalidation, and marking in-flight coalesced reads stale keeps late
-	// joiners from adopting a result computed against the replaced version.
-	// A committed rewrite or deallocation also replaces the chunk's stored
-	// bytes, so any quarantine on the old, damaged version no longer applies.
+	// revalidation. A committed rewrite or deallocation also replaces the
+	// chunk's stored bytes, so any quarantine on the old, damaged version no
+	// longer applies.
 	if len(b.ops) > 0 {
 		s.locEpoch.Add(1)
 	}
 	for _, op := range b.ops {
-		s.flights.invalidate(op.cid)
 		delete(s.quarantine, op.cid)
 	}
 	b.ops = nil

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"maps"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -11,10 +12,11 @@ import (
 	"tdb/internal/sec"
 )
 
-// logRecords returns the first record image of each type in the log of a
-// freshly written store: one committed chunk write, then a checkpoint, so
-// the log holds write, commit, round-seal, map-node and checkpoint records.
-func logRecords(tb testing.TB) map[byte][]byte {
+// seedImage returns the files of a freshly written and closed store, and
+// its suite: one committed chunk write, then a checkpoint, so the log holds
+// write, commit, round-seal, map-node and checkpoint records and the
+// superblock points at the checkpoint.
+func seedImage(tb testing.TB) (map[string][]byte, sec.Suite) {
 	tb.Helper()
 	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("test-device-secret-0123456789abc"))
 	if err != nil {
@@ -40,8 +42,15 @@ func logRecords(tb testing.TB) map[byte][]byte {
 	if err := s.Close(); err != nil {
 		tb.Fatalf("Close: %v", err)
 	}
-	snap := mem.Snapshot()
-	recs := make(map[byte][]byte)
+	return mem.Snapshot(), suite
+}
+
+// logRecords returns the record images of seedImage's log by type, in log
+// order, and the store's suite.
+func logRecords(tb testing.TB) (map[byte][][]byte, sec.Suite) {
+	tb.Helper()
+	snap, suite := seedImage(tb)
+	recs := make(map[byte][][]byte)
 	for _, name := range slices.Sorted(maps.Keys(snap)) {
 		if _, ok := parseSegmentName(name); !ok {
 			continue
@@ -53,31 +62,57 @@ func logRecords(tb testing.TB) map[byte][]byte {
 			if err != nil || end > len(img) || !checkRecordCRC(img[off:end]) {
 				break
 			}
-			if recs[typ] == nil {
-				recs[typ] = img[off:end]
-			}
+			recs[typ] = append(recs[typ], img[off:end])
 			off = end
 		}
 	}
-	return recs
+	return recs, suite
+}
+
+// allocSlack and allocPerByte bound what one decode of untrusted bytes may
+// allocate: a length or count field must never make a decoder allocate
+// more than a small multiple of the bytes that back it.
+const (
+	allocSlack   = 64 << 10
+	allocPerByte = 64
+)
+
+// boundedAlloc runs decode and fails t if it allocated more than the bound
+// for an n-byte input. The bound is loose enough that the runtime's own
+// allocations meanwhile cannot trip it, and tight enough that a decoder
+// sizing a buffer from a hostile count does.
+func boundedAlloc(t *testing.T, n int, decode func()) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(allocSlack+allocPerByte*n); got > limit {
+		t.Fatalf("decoding %d bytes allocated %d bytes, want <= %d", n, got, limit)
+	}
 }
 
 // FuzzParseRecordBytes holds the log's record framing to the hostile-disk
 // contract: whatever bytes a segment holds, parsing a record image and then
 // splitting its body as a chunk write yields a body of exactly the length
-// the header claims, or an error wrapping ErrTampered, and never panics. The
-// seeds are a write, a map-node, a commit and a round-seal record from a
-// real log.
+// the header claims, or an error wrapping ErrTampered, with bounded
+// allocation and never a panic. The seeds are a write, a map-node, a commit
+// and a round-seal record from a real log.
 func FuzzParseRecordBytes(f *testing.F) {
-	recs := logRecords(f)
+	recs, _ := logRecords(f)
 	for _, typ := range []byte{recWrite, recMapNode, recCommit, recSeal} {
 		if recs[typ] == nil {
 			f.Fatalf("the seed log holds no record of type %d", typ)
 		}
-		f.Add(recs[typ])
+		f.Add(recs[typ][0])
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		typ, body, err := parseRecordBytes(Location{Len: uint32(len(buf))}, buf)
+		var typ byte
+		var body []byte
+		var err error
+		boundedAlloc(t, len(buf), func() {
+			typ, body, err = parseRecordBytes(Location{Len: uint32(len(buf))}, buf)
+		})
 		if err != nil {
 			if !errors.Is(err, ErrTampered) {
 				t.Fatalf("parseRecordBytes: %v does not wrap ErrTampered", err)
@@ -97,5 +132,52 @@ func FuzzParseRecordBytes(f *testing.F) {
 		if cid != ChunkID(binary.BigEndian.Uint64(body)) || len(ciphertext) != len(body)-8 {
 			t.Fatalf("a %d-byte write body split into chunk %d and %d bytes", len(body), cid, len(ciphertext))
 		}
+	})
+}
+
+// FuzzDecodeCkptPayload holds the checkpoint payload decoder to the same
+// contract: whatever plaintext a checkpoint record decrypts to, decoding it
+// succeeds or fails with an error wrapping ErrTampered, with bounded
+// allocation and never a panic. The seeds are the payloads of a real log's
+// checkpoint records.
+func FuzzDecodeCkptPayload(f *testing.F) {
+	recs, suite := logRecords(f)
+	if recs[recCheckpoint] == nil {
+		f.Fatal("the seed log holds no checkpoint record")
+	}
+	for _, rec := range recs[recCheckpoint] {
+		_, ciphertext, err := parseCheckpointRecord(rec[recordHeaderSize:])
+		if err != nil {
+			f.Fatalf("parseCheckpointRecord: %v", err)
+		}
+		plain, err := suite.Decrypt(ciphertext)
+		if err != nil {
+			f.Fatalf("Decrypt: %v", err)
+		}
+		f.Add(plain)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var err error
+		boundedAlloc(t, len(data), func() { _, err = decodeCkptPayload(data) })
+		if err != nil && !errors.Is(err, ErrTampered) {
+			t.Fatalf("decodeCkptPayload: %v does not wrap ErrTampered", err)
+		}
+	})
+}
+
+// FuzzDecodeSuperSlot holds the superblock slot decoder to the contract:
+// whatever bytes a slot holds, decoding it returns a superblock or ok ==
+// false, with bounded allocation and never a panic. The seeds are both
+// slots of a real superblock file.
+func FuzzDecodeSuperSlot(f *testing.F) {
+	snap, suite := seedImage(f)
+	sb := snap[superblockName]
+	if len(sb) != 2*superSlotSize {
+		f.Fatalf("the seed superblock is %d bytes, want %d", len(sb), 2*superSlotSize)
+	}
+	f.Add(sb[:superSlotSize])
+	f.Add(sb[superSlotSize:])
+	f.Fuzz(func(t *testing.T, slot []byte) {
+		boundedAlloc(t, len(slot), func() { decodeSuperSlot(slot, suite) })
 	})
 }

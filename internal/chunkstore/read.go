@@ -14,10 +14,10 @@ import (
 // and an attempt is three acts:
 //
 //  1. plan: one shared-lock section snapshots each chunk's map entry, pins
-//     its segment, stamps the publication epoch and claims the chunk's
-//     singleflight (planAllLocked). A chunk whose map node is not resident
-//     is faulted in under the exclusive lock — map-node I/O only — and
-//     planned in that same section, which is pure work;
+//     its segment and stamps the publication epoch (planAllLocked). A chunk
+//     whose map node is not resident is faulted in under the exclusive
+//     lock — map-node I/O only — and planned in that same section, which
+//     is pure work;
 //  2. execute: with no lock held, the records are fetched — a run of
 //     records adjacent in one segment file with a single ReadAt — then
 //     validated against the Merkle tree and decrypted (executeReads);
@@ -30,32 +30,18 @@ import (
 // publisher can move the record, so it cannot go stale. No read reads a
 // user-data record with the store mutex held exclusively.
 //
-// Point reads and batches differ only at the edges. A chunk another reader
-// already has in flight is followed by a point Read and skipped by a batch:
-// a prefetch hint loses nothing by not duplicating the work, and N scanners
-// in convoy do not each pay the disk cost of the same window. Only a batch
-// dedupes its ids and counts PrefetchedChunks.
+// Point reads and batches differ only at the edges: only a batch dedupes
+// its ids and counts PrefetchedChunks. Concurrent readers of one chunk each
+// do their own read; hot chunks are served a layer up, from the object
+// store's decode table.
 
 // Read returns the last committed state of cid (paper Figure 2). It signals
 // ErrNotWritten for ids without committed state and ErrTampered if the
-// stored chunk fails validation against the Merkle tree. Concurrent reads
-// of one chunk coalesce: one reader does the work, the others share its
-// result.
+// stored chunk fails validation against the Merkle tree.
 func (s *Store) Read(cid ChunkID) ([]byte, error) {
-	for {
-		p := []readPlan{{cid: cid}}
-		s.readPlans(p)
-		if !p[0].busy {
-			// The leader's own result is never stale for the leader: its
-			// finish act revalidated it at the read's linearization point.
-			return p[0].data, p[0].err
-		}
-		if data, err, ok := s.flights.follow(cid); ok {
-			return data, err
-		}
-		// The flight ended before we joined it, or a commit rewrote or
-		// deallocated the chunk while it was in progress: read again.
-	}
+	p := []readPlan{{cid: cid}}
+	s.readPlans(p)
+	return p[0].data, p[0].err
 }
 
 // BatchRead is one chunk's result in a ReadBatch: the validated plaintext,
@@ -70,8 +56,9 @@ type BatchRead struct {
 // same order (duplicates are allowed and share one resolution). It exists
 // for prefetching: per-chunk failures are reported rather than aborting the
 // batch — a scan hint must never fail harder than the dereference it
-// accelerates. A chunk another reader already has in flight comes back with
-// nil Data and nil Err: a prefetch must not pay for the same bytes twice.
+// accelerates. Every distinct chunk is read, even one another reader is
+// fetching at the same time: each result carries the chunk's data or an
+// error.
 func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	res := make([]BatchRead, len(cids))
 	if len(cids) == 0 {
@@ -88,7 +75,7 @@ func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	s.readPlans(ps)
 	prefetched := int64(0)
 	for i := range ps {
-		if ps[i].err == nil && ps[i].data != nil {
+		if ps[i].err == nil {
 			prefetched++
 		}
 	}
@@ -110,17 +97,14 @@ const readMissRetries = 4
 // buffer bounded no matter how long an adjacent run is.
 const coalesceMax = 1 << 20
 
-// readPlan is one chunk's read. Across attempts it keeps the chunk's
-// claimed flight and, once done, the outcome. An attempt's plan act adds
-// the snapshot the attempt validates against: the chunk's map entry, its
-// pinned segment, the epoch stamp, and a buffer pre-filled with any record
-// bytes still in the write-behind buffer (those may be trimmed once the
-// lock drops; flushed bytes below the buffer are immutable once published).
+// readPlan is one chunk's read, kept across attempts until it is done. An
+// attempt's plan act fills in the snapshot the attempt validates against:
+// the chunk's map entry, its pinned segment, the epoch stamp, and a buffer
+// pre-filled with any record bytes still in the write-behind buffer (those
+// may be trimmed once the lock drops; flushed bytes below the buffer are
+// immutable once published).
 type readPlan struct {
 	cid ChunkID
-	// flight is the chunk's singleflight, claimed by the first attempt that
-	// plans the chunk and completed when the read is done.
-	flight *readFlight
 
 	e   entry
 	seg *segment // pinned from the plan act to the finish act, else nil
@@ -130,28 +114,19 @@ type readPlan struct {
 	fromFile int64
 	stamp    uint64
 
-	// data and err are the attempt's outcome, final once done is set. busy
-	// marks a chunk another reader already had in flight: the plan is done
-	// without an outcome.
+	// data and err are the attempt's outcome, final once done is set.
 	data []byte
 	err  error
 	done bool
-	busy bool
 }
 
 func (p *readPlan) finish(data []byte, err error) { p.data, p.err, p.done = data, err, true }
 
-// readPlans runs attempts until every plan is done, then publishes each
-// claimed flight's outcome to its followers.
+// readPlans runs attempts until every plan is done.
 func (s *Store) readPlans(ps []readPlan) {
 	for attempt := 0; ; attempt++ {
 		if s.readAttempt(ps, attempt >= readMissRetries) {
-			break
-		}
-	}
-	for i := range ps {
-		if p := &ps[i]; p.flight != nil {
-			s.flights.complete(p.cid, p.flight, p.data, p.err)
+			return
 		}
 	}
 }
@@ -235,10 +210,9 @@ func (s *Store) planAllLocked(ps []readPlan, exclusive bool) (n int, fault bool)
 
 // planLocked runs the plan act for p against its map entry e, under s.mu
 // (shared suffices): pure work, no I/O. A definite outcome — never written,
-// not allocated, quarantined, or the chunk in flight for another reader —
-// finishes p. Otherwise p claims the chunk's flight unless it holds it
-// already, and is pinned. It returns an ErrTampered error, leaving p as it
-// was, when the entry points outside the log.
+// not allocated, or quarantined — finishes p. Otherwise p is pinned. It
+// returns an ErrTampered error, leaving p as it was, when the entry points
+// outside the log.
 func (s *Store) planLocked(p *readPlan, e entry) error {
 	if e.isEmpty() {
 		if s.alloc.isAllocated(p.cid) {
@@ -258,14 +232,6 @@ func (s *Store) planLocked(p *readPlan, e entry) error {
 	}
 	if int64(e.loc.Off)+int64(e.loc.Len) > seg.size || e.loc.Len < recordHeaderSize {
 		return fmt.Errorf("%w: record %v out of segment bounds", ErrTampered, e.loc)
-	}
-	if p.flight == nil {
-		// Lock order Store.mu → flightShard.mu, the commit path's order.
-		if p.flight = s.flights.tryClaim(p.cid); p.flight == nil {
-			p.busy = true
-			p.finish(nil, nil)
-			return nil
-		}
 	}
 	p.e, p.stamp = e, s.locEpoch.Load()
 	p.buf = make([]byte, e.loc.Len)

@@ -3,6 +3,7 @@ package chunkstore
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 )
 
@@ -161,43 +162,51 @@ func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 	}
 }
 
-// TestReadBatchSkipsChunksAlreadyInFlight pins the dedupe contract: a chunk
-// some other reader is already fetching is skipped by the batch (nil data,
-// nil error — the concurrent reader will publish it), while the rest of the
-// batch proceeds, and the batch's own flights are released so later readers
-// are not blocked.
-func TestReadBatchSkipsChunksAlreadyInFlight(t *testing.T) {
+// TestReadBatchReadsChunkAnotherReaderHasInFlight pins that a batch reads
+// every chunk it is given: a chunk a point Read is still fetching comes back
+// with its payload, not skipped, so every result carries data or an error.
+func TestReadBatchReadsChunkAnotherReaderHasInFlight(t *testing.T) {
 	env := newTestEnv(t, "aes-ctr-sha256")
+	hs := &readHookStore{UntrustedStore: env.cfg.Store}
+	env.cfg.Store = hs
 	s := env.open(t)
 	defer s.Close()
-
-	busy := allocWrite(t, s, []byte("busy"))
-	free := allocWrite(t, s, []byte("free"))
-
-	// Simulate a concurrent reader mid-fetch of busy.
-	f := s.flights.tryClaim(busy)
-	if f == nil {
-		t.Fatal("tryClaim(busy) failed with no reader active")
+	want := []byte("a usage meter record")
+	cid := allocWrite(t, s, want)
+	// Flush the record out of the write-behind buffer so reads fetch it
+	// from the segment file.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 
-	res := s.ReadBatch([]ChunkID{busy, free})
-	if res[0].Data != nil || res[0].Err != nil {
-		t.Fatalf("in-flight chunk not skipped: %q, %v", res[0].Data, res[0].Err)
+	// Park the first segment read — the point Read's — until the batch is
+	// done; later reads pass through.
+	var first atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	hook := func(string, int64) {
+		if first.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
 	}
-	if res[1].Err != nil || !bytes.Equal(res[1].Data, []byte("free")) {
-		t.Fatalf("free chunk: %q, %v", res[1].Data, res[1].Err)
+	hs.onRead.Store(&hook)
+	defer hs.onRead.Store(nil)
+	type result struct {
+		data []byte
+		err  error
 	}
-
-	// The batch released its claim on free: a fresh claim must succeed.
-	if f2 := s.flights.tryClaim(free); f2 == nil {
-		t.Fatal("free's flight still registered after the batch completed")
-	} else {
-		s.flights.complete(free, f2, nil, nil)
+	point := make(chan result, 1)
+	go func() {
+		data, err := s.Read(cid)
+		point <- result{data, err}
+	}()
+	<-parked
+	res := s.ReadBatch([]ChunkID{cid})
+	close(release)
+	if r := <-point; r.err != nil || !bytes.Equal(r.data, want) {
+		t.Fatalf("parked point Read: %q, %v", r.data, r.err)
 	}
-
-	// Once the simulated reader completes, busy is readable point-wise.
-	s.flights.complete(busy, f, nil, nil)
-	if data, err := s.Read(busy); err != nil || !bytes.Equal(data, []byte("busy")) {
-		t.Fatalf("Read(busy) after abandon: %q, %v", data, err)
+	if res[0].Err != nil || !bytes.Equal(res[0].Data, want) {
+		t.Fatalf("ReadBatch beside an in-flight Read: %q, %v", res[0].Data, res[0].Err)
 	}
 }

@@ -3,7 +3,6 @@ package chunkstore
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,8 +159,7 @@ func TestReadRetryOnCleanerRelocation(t *testing.T) {
 		t.Fatalf("segment pin count = %d after finish, want 0", got)
 	}
 
-	// The plan goes round again and lands on the relocated record, then
-	// releases the flight its first attempt claimed.
+	// The plan goes round again and lands on the relocated record.
 	s.readPlans(ps)
 	want := bytes.Repeat([]byte("V"), 256)
 	if p.err != nil || !bytes.Equal(p.data, want) {
@@ -171,66 +169,6 @@ func TestReadRetryOnCleanerRelocation(t *testing.T) {
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("Read after relocation: %q, %v", got, err)
 	}
-}
-
-// TestReadFlightsStaleInvalidation exercises the singleflight coherence
-// protocol: a commit-side invalidation while a flight is in progress must
-// make followers discard the shared result and retry, while the leader
-// keeps the result it revalidated itself.
-func TestReadFlightsStaleInvalidation(t *testing.T) {
-	rf := newReadFlights()
-	const cid = ChunkID(7)
-	f := rf.tryClaim(cid)
-	if f == nil {
-		t.Fatal("tryClaim failed with no flight registered")
-	}
-	if rf.tryClaim(cid) != nil {
-		t.Fatal("second tryClaim succeeded while the leader's flight is registered")
-	}
-
-	followerDone := make(chan struct{})
-	var followerOK bool
-	go func() {
-		defer close(followerDone)
-		// The leader has not completed, so the flight is still registered:
-		// this call joins it.
-		_, _, followerOK = rf.follow(cid)
-	}()
-	// Wait for the join before invalidating and completing the flight, so
-	// the follower provably observes a mid-flight staling.
-	sh := rf.shard(cid)
-	for {
-		sh.mu.Lock()
-		joined := f.waiters
-		sh.mu.Unlock()
-		if joined == 1 {
-			break
-		}
-		runtime.Gosched()
-	}
-
-	// The leader completes with the result it read; staling the flight
-	// does not take that result away from it.
-	rf.invalidate(cid)
-	rf.complete(cid, f, []byte("old"), nil)
-	<-followerDone
-
-	if !f.stale || string(f.data) != "old" {
-		t.Fatalf("leader's flight = (%q, stale=%v), want its own result, staled", f.data, f.stale)
-	}
-	if followerOK {
-		t.Fatal("follower did not observe the mid-flight invalidation")
-	}
-	// The flight is gone: there is nothing to follow, and a fresh claim
-	// makes a new leader.
-	if _, _, ok := rf.follow(cid); ok {
-		t.Fatal("follow succeeded with no flight registered")
-	}
-	f2 := rf.tryClaim(cid)
-	if f2 == nil {
-		t.Fatal("post-flight tryClaim failed")
-	}
-	rf.complete(cid, f2, []byte("new"), nil)
 }
 
 // TestConcurrentReadsRaceCleaner hammers stable chunks from reader
@@ -275,9 +213,8 @@ func TestConcurrentReadsRaceCleaner(t *testing.T) {
 						}
 						idx := (i + seed) % stableN
 						if seed%2 == 1 {
-							// A batch skips chunks another reader has in flight.
 							for j, r := range s.ReadBatch([]ChunkID{stable[idx], stable[(idx+1)%stableN]}) {
-								if r.Err != nil || (r.Data != nil && !bytes.Equal(r.Data, stablePayload((idx+j)%stableN))) {
+								if r.Err != nil || !bytes.Equal(r.Data, stablePayload((idx+j)%stableN)) {
 									t.Errorf("ReadBatch(stable %d): %d bytes, %v", (idx+j)%stableN, len(r.Data), r.Err)
 									return
 								}
@@ -438,9 +375,8 @@ func TestNonResidentReadDoesNoUserIOUnderLock(t *testing.T) {
 }
 
 // TestPointReadAllocs pins the allocations of a point read whose map path
-// is resident at 8, the count before point reads became batches of one:
-// the flight and its channel, the plan and its record buffer, and four in
-// the suite's hash and AES-CTR decrypt. A batch of one allocates none of
+// is resident at 6: the plan and its record buffer, and four in the suite's
+// hash and AES-CTR decrypt. A batch of one allocates none of
 // ReadBatch's dedupe map, run slice or results, and does not count as a
 // prefetch. The store is a plain MemStore: the fault-injecting test store
 // formats its bookkeeping through fmt, whose pooled buffers make counts
@@ -461,8 +397,8 @@ func TestPointReadAllocs(t *testing.T) {
 			t.Fatalf("Read: %q, %v", got, err)
 		}
 	})
-	if allocs > 8 {
-		t.Errorf("a warm-map point read allocates %.0f objects, want <= 8", allocs)
+	if allocs > 6 {
+		t.Errorf("a warm-map point read allocates %.0f objects, want <= 6", allocs)
 	}
 	st := s.Stats()
 	if st.PrefetchedChunks != 0 || st.ReadSlowPaths != 0 {
@@ -503,9 +439,6 @@ func TestHeldAttemptReadsUnderSharedLock(t *testing.T) {
 	done := s.readAttempt(ps, true)
 	hs.onRead.Store(nil)
 	p := &ps[0]
-	if p.flight != nil {
-		s.flights.complete(cid, p.flight, p.data, p.err)
-	}
 	if !done || p.err != nil || !bytes.Equal(p.data, want) {
 		t.Fatalf("held attempt: done %v, %q, %v", done, p.data, p.err)
 	}

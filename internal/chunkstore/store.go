@@ -28,12 +28,6 @@ type Store struct {
 	lm    *locMap
 	alloc *allocator
 
-	// flights coalesces concurrent reads of the same chunk so a
-	// hot-key storm pays one segment read + validation + decrypt instead of
-	// one per reader. Created at Open and never reassigned. The commit path
-	// marks in-flight reads of rewritten or deallocated chunks stale (see
-	// readflight.go).
-	flights *readFlights
 	// locEpoch counts exclusive-lock publications that can move or replace
 	// a committed chunk record: sealed commits and cleaner relocations, both
 	// bumped while holding mu exclusively. A read's plan act stamps it and
@@ -188,7 +182,6 @@ func Open(cfg Config) (*Store, error) {
 		s.counterVal.Store(v)
 		s.stampCtr, s.sealedCtr = v, v
 	}
-	s.flights = newReadFlights()
 	// readSuperblock caches the superblock handle on s.superFile; failed
 	// opens must release it (successful opens keep it until Store.Close).
 	opened := false

@@ -290,7 +290,7 @@ func (t *Txn) Prefetch(oids []ObjectID) int {
 	}
 	warmed := 0
 	for i, r := range t.s.chunks.ReadBatch(cids) {
-		if r.Err != nil || r.Data == nil {
+		if r.Err != nil {
 			continue
 		}
 		warmed++
