@@ -712,7 +712,10 @@ func (fa *flowAnalysis) call(call *ast.CallExpr) []taintSet {
 	if callee == nil {
 		return nil
 	}
-	if src := fa.l.flowSourceCall(fa.pkg, call, callee); src != "" {
+	if src, inPlace := fa.l.flowSourceCall(fa.pkg, call, callee); src != "" {
+		if inPlace && len(call.Args) > 0 {
+			fa.assignTo(call.Args[0], sourceTaint(src))
+		}
 		out := make([]taintSet, resultCount(callee))
 		for i := range out {
 			out[i] = sourceTaint(src)

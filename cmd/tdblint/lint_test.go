@@ -49,6 +49,7 @@ func TestFixtureFindings(t *testing.T) {
 		`internal/chunkstore/ignore.go:21: [bare-ignore] //tdblint:ignore names unknown analyzer "spellcheck"`,
 		`internal/chunkstore/ignore.go:22: [err-taxonomy] fmt.Errorf without %w mints an unclassifiable error; wrap a package sentinel or the underlying cause`,
 		`internal/chunkstore/ignore.go:28: [bare-ignore] //tdblint:ignore for clock-injection suppressed nothing; remove the stale directive`,
+		`internal/chunkstore/inplace.go:13: [plaintext-flow] plaintext decrypted at internal/chunkstore/inplace.go:10 reaches writeRaw → (fixmod/internal/platform.File).WriteAt without passing through sec.Suite.Encrypt; encrypt before handing bytes to the untrusted store`,
 		`internal/chunkstore/lockedio.go:21: [locked-io] (fixmod/internal/platform.File).WriteAt called while s.mu is held; move I/O and crypto off the critical section or declare a serialization point (*Locked / //tdblint:serial)`,
 		`internal/chunkstore/lockedio.go:21: [raw-io-funnel] direct (fixmod/internal/platform.File).WriteAt bypasses the retry/write-behind funnel; route raw file I/O through RetryPolicy.run (the segmentSet/superblock helpers)`,
 		`internal/chunkstore/lockedio.go:29: [locked-io] call reaches platform/sec work while s.mu is held (digest → (fixmod/internal/sec.Suite).Hash); move it off the critical section or declare a serialization point (*Locked / //tdblint:serial)`,
@@ -105,7 +106,7 @@ func TestFixturePerAnalyzer(t *testing.T) {
 		"clock-injection": 2,
 		"unlock-path":     2,
 		"raw-io-funnel":   6, // rawio.go ×3, lockedio.go ×3 (raw WriteAt under a mutex is doubly wrong)
-		"plaintext-flow":  4, // flow.go ×3 (decrypt, plaintext param, field stash), keys.go ×1
+		"plaintext-flow":  5, // flow.go ×3 (decrypt, plaintext param, field stash), inplace.go ×1 (a body decrypted in place), keys.go ×1
 		"lock-order":      4, // both edges of the wall/door cycle in lockorder.go, both edges of the rstore/rshard cycle in readpath.go
 	}
 	for name, want := range counts {

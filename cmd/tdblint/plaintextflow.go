@@ -15,9 +15,10 @@ import (
 // reports any taint path from a plaintext source to an untrusted write that
 // does not pass through the sec crypto suite.
 //
-//	sources     sec Suite.Decrypt results; key material from deriveKey in
-//	            internal/sec; parameters named plaintext/plain (the module
-//	            convention for caller-supplied object payloads)
+//	sources     sec Suite.Decrypt results, and its ciphertext argument from
+//	            the call on (Decrypt works in place); key material from
+//	            deriveKey in internal/sec; parameters named plaintext/plain
+//	            (the module convention for caller-supplied object payloads)
 //	sanitizers  sec Encrypt / Hash / MAC / Name — after these the bytes are
 //	            ciphertext, a digest, an authenticator, or a label
 //	sinks       Write/WriteAt on a type declared in internal/platform, or on
@@ -61,21 +62,22 @@ func secDeclared(pkg *Package, call *ast.CallExpr, callee *types.Func) bool {
 }
 
 // flowSourceCall returns a source description if the call introduces
-// plaintext or key material.
-func (l *linter) flowSourceCall(pkg *Package, call *ast.CallExpr, callee *types.Func) string {
+// plaintext or key material. inPlace reports that the call also overwrites
+// its first argument with that plaintext: Decrypt decrypts in place.
+func (l *linter) flowSourceCall(pkg *Package, call *ast.CallExpr, callee *types.Func) (desc string, inPlace bool) {
 	switch callee.Name() {
 	case "Decrypt":
 		if secDeclared(pkg, call, callee) {
 			p := l.mod.relPos(call.Pos())
-			return fmt.Sprintf("plaintext decrypted at %s:%d", p.Filename, p.Line)
+			return fmt.Sprintf("plaintext decrypted at %s:%d", p.Filename, p.Line), true
 		}
 	case "deriveKey":
 		if p := callee.Pkg(); p != nil && pathIn(p.Path(), "internal/sec") {
 			pos := l.mod.relPos(call.Pos())
-			return fmt.Sprintf("key material derived at %s:%d", pos.Filename, pos.Line)
+			return fmt.Sprintf("key material derived at %s:%d", pos.Filename, pos.Line), false
 		}
 	}
-	return ""
+	return "", false
 }
 
 // flowSanitizers are the sec suite calls whose results are safe to persist.

@@ -140,7 +140,9 @@ func (m *Manager) Full() (Info, error) {
 // the most recent backup taken through this manager. Without a prior
 // backup it falls back to a full backup. If nothing was committed since the
 // last backup, no stream is written and the returned Info has an empty Name
-// and zero Chunks.
+// and zero Chunks. (The empty durable commit with which a backup hardens a
+// nondurable state counts as a commit: the next incremental then writes a
+// stream of zero chunks.)
 func (m *Manager) Incremental() (Info, error) {
 	if !m.haveBase {
 		return m.Full()
@@ -182,8 +184,16 @@ func (m *Manager) Close() {
 }
 
 // writeBackup streams a backup of snap (full when base is nil, else the
-// diff base→snap) to the archive.
+// diff base→snap) to the archive. It hardens snap's commit before writing
+// anything: a backup covers only state no crash can drop. A backup of a
+// nondurable commit that a crash then lost would carry a commit sequence
+// the reopened store reuses for different state, and Chain, which ranks
+// full backups by sequence, would prefer the stale stream to every later
+// one.
 func (m *Manager) writeBackup(snap, base *chunkstore.Snapshot) (Info, error) {
+	if err := snap.Harden(); err != nil {
+		return Info{}, err
+	}
 	full := base == nil
 	seq := snap.Seq()
 	baseSeq := uint64(0)
@@ -541,19 +551,16 @@ func Restore(target *chunkstore.Store, arch platform.ArchivalStore, suite sec.Su
 func applyEntries(target *chunkstore.Store, suite sec.Suite, entries []entry) error {
 	const batchSize = 512
 	for start := 0; start < len(entries); start += batchSize {
-		end := start + batchSize
-		if end > len(entries) {
-			end = len(entries)
+		batch := entries[start:min(start+batchSize, len(entries))]
+		plains, err := decryptPuts(suite, batch)
+		if err != nil {
+			return err
 		}
 		b := target.NewBatch()
-		for _, e := range entries[start:end] {
+		for i, e := range batch {
 			switch e.kind {
 			case entryPut:
-				plain, err := suite.Decrypt(e.ciphertext)
-				if err != nil {
-					return fmt.Errorf("%w: chunk %d fails decryption", ErrInvalidBackup, e.cid)
-				}
-				b.RestoreWrite(e.cid, plain)
+				b.RestoreWrite(e.cid, plains[i])
 			case entryDelete:
 				// The chunk may not exist in the target (it was created and
 				// deleted between two incrementals); deallocate only ids the
@@ -565,7 +572,7 @@ func applyEntries(target *chunkstore.Store, suite sec.Suite, entries []entry) er
 			// Deallocate of unknown ids is a legitimate no-op during
 			// restore; retry entry by entry, skipping those.
 			if errors.Is(err, chunkstore.ErrNotAllocated) {
-				if err := applyTolerant(target, suite, entries[start:end]); err != nil {
+				if err := applyTolerant(target, batch, plains); err != nil {
 					return err
 				}
 				continue
@@ -577,18 +584,34 @@ func applyEntries(target *chunkstore.Store, suite sec.Suite, entries []entry) er
 	return target.Commit(target.NewBatch(), true)
 }
 
+// decryptPuts decrypts the put entries of one batch, each exactly once:
+// Decrypt works in place, so an entry's ciphertext buffer holds its
+// plaintext afterwards, and decrypting it again would scramble it. The
+// result is indexed like entries; deletes get nil.
+func decryptPuts(suite sec.Suite, entries []entry) ([][]byte, error) {
+	plains := make([][]byte, len(entries))
+	for i, e := range entries {
+		if e.kind != entryPut {
+			continue
+		}
+		plain, err := suite.Decrypt(e.ciphertext)
+		if err != nil {
+			return nil, fmt.Errorf("%w: chunk %d fails decryption", ErrInvalidBackup, e.cid)
+		}
+		plains[i] = plain
+	}
+	return plains, nil
+}
+
 // applyTolerant applies entries one at a time, tolerating deletes of ids
-// the target never saw.
-func applyTolerant(target *chunkstore.Store, suite sec.Suite, entries []entry) error {
-	for _, e := range entries {
+// the target never saw. plains holds the puts' plaintexts, decrypted once
+// by decryptPuts.
+func applyTolerant(target *chunkstore.Store, entries []entry, plains [][]byte) error {
+	for i, e := range entries {
 		b := target.NewBatch()
 		switch e.kind {
 		case entryPut:
-			plain, err := suite.Decrypt(e.ciphertext)
-			if err != nil {
-				return fmt.Errorf("%w: chunk %d fails decryption", ErrInvalidBackup, e.cid)
-			}
-			b.RestoreWrite(e.cid, plain)
+			b.RestoreWrite(e.cid, plains[i])
 		case entryDelete:
 			b.Deallocate(e.cid)
 		}

@@ -21,7 +21,13 @@ type env struct {
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
-	suite, err := sec.NewSuite("3des-sha1", []byte("backup-test-device-secret-012345"))
+	return newEnvSuite(t, "3des-sha1")
+}
+
+// newEnvSuite is newEnv under the named suite.
+func newEnvSuite(t *testing.T, name string) *env {
+	t.Helper()
+	suite, err := sec.NewSuite(name, []byte("backup-test-device-secret-012345"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}

@@ -19,8 +19,9 @@ import (
 //     lock — map-node I/O only — and planned in that same section, which
 //     is pure work;
 //  2. execute: with no lock held, the records are fetched — a run of
-//     records adjacent in one segment file with a single ReadAt — then
-//     validated against the Merkle tree and decrypted (executeReads);
+//     records adjacent in one segment file with a single ReadAt into one
+//     buffer — then validated against the Merkle tree and decrypted in
+//     place, each record in the bytes its read filled (executeReads);
 //  3. finish: one shared-lock section revalidates every plan against the
 //     epoch or, if it moved, the chunk's current entry (finishLocked).
 //
@@ -29,6 +30,13 @@ import (
 // attempt runs all three acts inside one shared-lock section, where no
 // publisher can move the record, so it cannot go stale. No read reads a
 // user-data record with the store mutex held exclusively.
+//
+// A record is read into exactly one buffer, and that buffer becomes its
+// plaintext: the CRC, type, chunk id and Merkle checks run over it, then
+// the suite decrypts it in place. A run's records are subslices of the
+// run's buffer; only a record still partly or wholly in the write-behind
+// buffer gets a private buffer, filled from that buffer in the plan act, so
+// the write-behind bytes themselves are never decrypted.
 //
 // Point reads and batches differ only at the edges: only a batch dedupes
 // its ids and counts PrefetchedChunks. Concurrent readers of one chunk each
@@ -58,7 +66,11 @@ type BatchRead struct {
 // batch — a scan hint must never fail harder than the dereference it
 // accelerates. Every distinct chunk is read, even one another reader is
 // fetching at the same time: each result carries the chunk's data or an
-// error.
+// error. The results of one coalesced run are disjoint subslices of one
+// backing array, each capped at its own record, so writing into one never
+// touches another; but holding any of them keeps the whole run's buffer
+// (up to coalesceMax bytes) alive, so a caller that keeps a result past
+// decoding it copies it.
 func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	res := make([]BatchRead, len(cids))
 	if len(cids) == 0 {
@@ -99,18 +111,22 @@ const coalesceMax = 1 << 20
 
 // readPlan is one chunk's read, kept across attempts until it is done. An
 // attempt's plan act fills in the snapshot the attempt validates against:
-// the chunk's map entry, its pinned segment, the epoch stamp, and a buffer
-// pre-filled with any record bytes still in the write-behind buffer (those
-// may be trimmed once the lock drops; flushed bytes below the buffer are
-// immutable once published).
+// the chunk's map entry, its pinned segment and the epoch stamp. Only when
+// part of the record is still in the write-behind buffer does it also
+// allocate the record's buffer, pre-filled with those bytes (they may be
+// trimmed once the lock drops; flushed bytes below the buffer are immutable
+// once published).
 type readPlan struct {
 	cid ChunkID
 
 	e   entry
 	seg *segment // pinned from the plan act to the finish act, else nil
+	// buf is the record image, e.loc.Len bytes: nil until the execute act
+	// reads a wholly file-backed record, private when the plan act copied
+	// part of it from the write-behind buffer.
 	buf []byte
-	// fromFile is the prefix of buf the execute act reads from the segment
-	// file; buf[fromFile:] was copied from the write-behind buffer.
+	// fromFile is the prefix of the record the execute act reads from the
+	// segment file; buf[fromFile:] was copied from the write-behind buffer.
 	fromFile int64
 	stamp    uint64
 
@@ -234,14 +250,16 @@ func (s *Store) planLocked(p *readPlan, e entry) error {
 		return fmt.Errorf("%w: record %v out of segment bounds", ErrTampered, e.loc)
 	}
 	p.e, p.stamp = e, s.locEpoch.Load()
-	p.buf = make([]byte, e.loc.Len)
-	p.fromFile = int64(len(p.buf))
+	p.buf, p.fromFile = nil, int64(e.loc.Len)
 	off := int64(e.loc.Off)
-	if ss := s.segs; seg == ss.wbSeg && len(ss.wb) > 0 && off+int64(len(p.buf)) > ss.wbOff {
+	if ss := s.segs; seg == ss.wbSeg && len(ss.wb) > 0 && off+p.fromFile > ss.wbOff {
 		// Part of the record still lives in the write-behind buffer, which
-		// may flush or rewind once the lock drops: copy that suffix now.
-		// The flushed prefix below wbOff is stable — published record bytes
-		// are never rewritten, and rewind only discards unpublished tails.
+		// may flush or rewind once the lock drops: copy that suffix into a
+		// private buffer now, which the execute act then decrypts in place
+		// — never ss.wb itself. The flushed prefix below wbOff is stable —
+		// published record bytes are never rewritten, and rewind only
+		// discards unpublished tails.
+		p.buf = make([]byte, e.loc.Len)
 		p.fromFile = 0
 		if off < ss.wbOff {
 			p.fromFile = ss.wbOff - off
@@ -260,8 +278,8 @@ func (s *Store) planLocked(p *readPlan, e entry) error {
 // executeReads runs the execute act for the n pinned plans. Pinned plans
 // are sorted by (segment, offset) — distinct chunks never share a location,
 // so the order is total — and each run of records that are physically
-// adjacent in one segment file is fetched with a single ReadAt and split
-// back into the plans' buffers.
+// adjacent in one segment file is fetched with a single ReadAt into one
+// buffer, which the run's plans then share.
 func (s *Store) executeReads(ps []readPlan, n int) {
 	if n == 1 {
 		for i := range ps {
@@ -298,11 +316,12 @@ func (s *Store) executeHeld(ps []readPlan, n int) { s.executeReads(ps, n) }
 
 // canCoalesce reports whether p extends the run: same segment, record
 // starting exactly where the run ends, both sides fully file-backed (a plan
-// whose record partly lives in the write-behind buffer reads only its own
-// prefix), and the merged read still within coalesceMax.
+// whose record partly lives in the write-behind buffer has its own buffer
+// and reads only its own prefix), and the merged read still within
+// coalesceMax.
 func canCoalesce(run []*readPlan, p *readPlan) bool {
 	last := run[len(run)-1]
-	if p.seg != last.seg || p.fromFile != int64(len(p.buf)) || last.fromFile != int64(len(last.buf)) {
+	if p.seg != last.seg || p.buf != nil || last.buf != nil {
 		return false
 	}
 	if int64(last.e.loc.Off)+int64(last.e.loc.Len) != int64(p.e.loc.Off) {
@@ -313,14 +332,15 @@ func canCoalesce(run []*readPlan, p *readPlan) bool {
 }
 
 // executeRun fetches one run. A run of several records pays a single
-// segment read, split back into the plans' buffers; each plan then
-// validates individually, so one damaged record degrades only its own
+// segment read into one buffer, and each plan takes its record as a
+// subslice of it, capped at the record's end; each plan then validates and
+// decrypts individually, so one damaged record degrades only its own
 // chunk.
 func (s *Store) executeRun(run []*readPlan) {
 	if len(run) > 1 {
 		total := 0
 		for _, p := range run {
-			total += len(p.buf)
+			total += int(p.e.loc.Len)
 		}
 		big := make([]byte, total)
 		if err := s.segs.fileReadAt(run[0].seg, big, int64(run[0].e.loc.Off)); err != nil {
@@ -331,9 +351,10 @@ func (s *Store) executeRun(run []*readPlan) {
 		}
 		off := 0
 		for _, p := range run {
-			copy(p.buf, big[off:off+len(p.buf)])
+			end := off + int(p.e.loc.Len)
+			p.buf = big[off:end:end]
 			p.fromFile = 0 // the bytes are in hand; executeRead skips the file
-			off += len(p.buf)
+			off = end
 		}
 		s.coalescedReads.Add(1)
 		s.coalescedChunks.Add(int64(len(run)))
@@ -344,9 +365,12 @@ func (s *Store) executeRun(run []*readPlan) {
 }
 
 // executeRead fetches whatever of p's record is not in hand, then parses,
-// validates and decrypts it.
+// validates and decrypts it in its own buffer.
 func (s *Store) executeRead(p *readPlan) {
 	p.data, p.err = nil, nil
+	if p.buf == nil {
+		p.buf = make([]byte, p.e.loc.Len)
+	}
 	if p.fromFile > 0 {
 		if p.err = s.segs.fileReadAt(p.seg, p.buf[:p.fromFile], int64(p.e.loc.Off)); p.err != nil {
 			return
@@ -468,8 +492,9 @@ func (s *Store) checkChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([
 	return ciphertext, nil
 }
 
-// decryptChunkRecord is checkChunkRecord followed by decryption: the
-// chunk's validated plaintext.
+// decryptChunkRecord is checkChunkRecord followed by decryption in place:
+// the chunk's validated plaintext, a subslice of body, which the caller
+// must own.
 func (s *Store) decryptChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([]byte, error) {
 	ciphertext, err := s.checkChunkRecord(cid, e, typ, body)
 	if err != nil {

@@ -375,8 +375,9 @@ func TestNonResidentReadDoesNoUserIOUnderLock(t *testing.T) {
 }
 
 // TestPointReadAllocs pins the allocations of a point read whose map path
-// is resident at 6: the plan and its record buffer, and four in the suite's
-// hash and AES-CTR decrypt. A batch of one allocates none of
+// is resident at 5: the plan and its record buffer, and three in the
+// suite's hash and AES-CTR keystream setup; decryption runs in the record
+// buffer and allocates no plaintext. A batch of one allocates none of
 // ReadBatch's dedupe map, run slice or results, and does not count as a
 // prefetch. The store is a plain MemStore: the fault-injecting test store
 // formats its bookkeeping through fmt, whose pooled buffers make counts
@@ -397,8 +398,8 @@ func TestPointReadAllocs(t *testing.T) {
 			t.Fatalf("Read: %q, %v", got, err)
 		}
 	})
-	if allocs > 6 {
-		t.Errorf("a warm-map point read allocates %.0f objects, want <= 6", allocs)
+	if allocs > 5 {
+		t.Errorf("a warm-map point read allocates %.0f objects, want <= 5", allocs)
 	}
 	st := s.Stats()
 	if st.PrefetchedChunks != 0 || st.ReadSlowPaths != 0 {

@@ -1,6 +1,7 @@
 package chunkstore
 
 import (
+	"errors"
 	"fmt"
 
 	"tdb/internal/sec"
@@ -63,6 +64,26 @@ func (sn *Snapshot) RootHash() []byte { return append([]byte(nil), sn.rootHash..
 
 // Counter returns the one-way counter value at snapshot time.
 func (sn *Snapshot) Counter() uint64 { return sn.counter }
+
+// Harden makes the commit the snapshot captures durable, so that no crash
+// can take the store back behind it. A snapshot of acknowledged durable
+// state needs nothing. Otherwise Harden commits an empty durable batch:
+// its harden covers every record before its own, the snapshot's commit
+// included. An error matching ErrNotDurable means the snapshot's state may
+// still be lost to a crash.
+func (sn *Snapshot) Harden() error {
+	s := sn.cs
+	s.gc.mu.Lock()
+	hardened := s.gc.hardened >= sn.seq
+	s.gc.mu.Unlock()
+	if hardened {
+		return nil
+	}
+	if err := s.Commit(s.NewBatch(), true); err != nil && !errors.Is(err, ErrMaintenance) {
+		return err
+	}
+	return nil
+}
 
 // Close releases the snapshot, unpinning segments for the cleaner.
 func (sn *Snapshot) Close() {

@@ -67,19 +67,17 @@ func (s *cbcSuite) Encrypt(plaintext []byte, iv uint64) ([]byte, error) {
 	return out, nil
 }
 
-// Decrypt implements Suite. Besides malformed lengths it rejects invalid
+// Decrypt implements Suite, decrypting the blocks after the IV in place
+// and returning them unpadded. Besides malformed lengths it rejects invalid
 // padding, which catches some tampering but is no integrity check.
 func (s *cbcSuite) Decrypt(ciphertext []byte) ([]byte, error) {
 	bs := s.block.BlockSize()
 	if len(ciphertext) < 2*bs || (len(ciphertext)-bs)%bs != 0 {
 		return nil, fmt.Errorf("%w: length %d", ErrBadCiphertext, len(ciphertext))
 	}
-	ivb := ciphertext[:bs]
 	body := ciphertext[bs:]
-	out := make([]byte, len(body))
-	dec := cipher.NewCBCDecrypter(s.block, ivb)
-	dec.CryptBlocks(out, body)
-	return unpadPKCS7(out, bs)
+	cipher.NewCBCDecrypter(s.block, ciphertext[:bs]).CryptBlocks(body, body)
+	return unpadPKCS7(body, bs)
 }
 
 // Overhead implements Suite: IV plus worst-case padding.

@@ -77,14 +77,15 @@ func (s *ctrSuite) Encrypt(plaintext []byte, iv uint64) ([]byte, error) {
 	return out, nil
 }
 
-// Decrypt implements Suite. CTR has no redundancy to check, so only input
-// shorter than the header is rejected.
+// Decrypt implements Suite, XORing the keystream over the payload in
+// place. CTR has no redundancy to check, so only input shorter than the
+// header is rejected.
 func (s *ctrSuite) Decrypt(ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < ctrHeaderSize {
 		return nil, fmt.Errorf("%w: length %d", ErrBadCiphertext, len(ciphertext))
 	}
-	out := make([]byte, len(ciphertext)-ctrHeaderSize)
-	s.xorKeyStream(out, ciphertext[ctrHeaderSize:], ciphertext[:ctrHeaderSize])
+	out := ciphertext[ctrHeaderSize:]
+	s.xorKeyStream(out, out, ciphertext[:ctrHeaderSize])
 	return out, nil
 }
 

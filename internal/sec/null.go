@@ -22,9 +22,10 @@ func (nullSuite) Encrypt(plaintext []byte, _ uint64) ([]byte, error) {
 	return append([]byte(nil), plaintext...), nil
 }
 
-// Decrypt implements Suite as the identity transform.
+// Decrypt implements Suite as the identity transform: the plaintext is
+// the ciphertext buffer itself.
 func (nullSuite) Decrypt(ciphertext []byte) ([]byte, error) {
-	return append([]byte(nil), ciphertext...), nil
+	return ciphertext, nil
 }
 
 // Hash implements Suite with a 64-bit FNV-1a checksum (6-byte truncation

@@ -49,10 +49,15 @@ type Suite interface {
 	// ciphertexts even across concurrent commit preparations.
 	Encrypt(plaintext []byte, iv uint64) ([]byte, error)
 
-	// Decrypt reverses Encrypt. It does not authenticate: a tampered
-	// ciphertext may decrypt to garbage without an error, and a suite
-	// rejects only input it cannot parse. Integrity comes from Hash (the
-	// Merkle tree over ciphertexts) and MAC, checked before Decrypt runs.
+	// Decrypt reverses Encrypt, in place: it overwrites ciphertext and
+	// returns the plaintext as a subslice of it, allocating nothing. The
+	// caller must own the buffer and must not read it as ciphertext again
+	// (a second Decrypt of the same bytes decrypts the plaintext). On error
+	// the buffer's contents are unspecified. It does not authenticate: a
+	// tampered ciphertext may decrypt to garbage without an error, and a
+	// suite rejects only input it cannot parse. Integrity comes from Hash
+	// (the Merkle tree over ciphertexts) and MAC, checked before Decrypt
+	// runs.
 	Decrypt(ciphertext []byte) ([]byte, error)
 
 	// Hash computes the one-way hash used for Merkle tree nodes.
