@@ -10,7 +10,7 @@ LINTFLAGS ?=
 CHAOS_SEED ?= 42
 CHAOS_ACTIONS ?= 1000
 
-.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-paper bench-module chaos fuzz-smoke read-repeat
+.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-paper bench-module chaos fuzz-smoke read-repeat commit-repeat
 
 build:
 	$(GO) build ./...
@@ -79,13 +79,24 @@ read-repeat:
 		-run 'TestRead|TestNonResidentRead|TestPointRead|TestHeldAttempt|TestConcurrentReads|TestClock|TestMapNodeCacheEviction' \
 		./internal/chunkstore/
 
+# commit-repeat runs the harden coordinator's tests twenty times under the
+# race detector. Which commit leads a round, and which round a commit joins,
+# is decided purely by timing — rounds batch behind the in-flight sync with
+# no window — so the tests pin round composition through the gated sync and
+# counter seams, and a script that let timing leak into the count of syncs,
+# advances or rounds would fail some of the repetitions.
+commit-repeat:
+	$(GO) test -race -count=20 \
+		-run 'TestGroupCommit|TestRoundOfOne|TestDurableCommitContract|TestNextRound|TestFollower|TestFailedAdvance|TestCrashSweepOverlappedRounds|TestPipelineStress' \
+		./internal/chunkstore/
+
 # check is the pre-merge gate: the fault-injection suite, the chaos oracle,
-# gofmt, a few seconds of fuzzing, the repeated read-path tests, vet, the
-# trust-invariant analyzers, the full suite under the race detector (the
-# chunk store's commit pipeline and read path are concurrent), a one-shot
-# pass over every benchmark so the perf harness can't silently rot, and the
-# nested benchmark module's own vet and tests.
-check: faults chaos fmt fuzz-smoke read-repeat
+# gofmt, a few seconds of fuzzing, the repeated read-path and commit-round
+# tests, vet, the trust-invariant analyzers, the full suite under the race
+# detector (the chunk store's commit pipeline and read path are concurrent),
+# a one-shot pass over every benchmark so the perf harness can't silently
+# rot, and the nested benchmark module's own vet and tests.
+check: faults chaos fmt fuzz-smoke read-repeat commit-repeat
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...

@@ -375,12 +375,8 @@ func (s *Store) evacuateDamaged(seg *segment) (nodes bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		cid, ciphertext, perr := parseWriteRecord(body)
-		if typ != recWrite || perr != nil || cid != c.cid {
-			return false, fmt.Errorf("%w: chunk %d record unreadable during cleaning", ErrTampered, c.cid)
-		}
-		if !sec.HashEqual(s.suite.Hash(ciphertext), c.e.hash) {
-			return false, fmt.Errorf("%w: chunk %d fails validation during cleaning", ErrTampered, c.cid)
+		if _, err := s.checkChunkRecord(c.cid, c.e, typ, body); err != nil {
+			return false, fmt.Errorf("chunkstore: cleaning segment %d: %w", seg.num, err)
 		}
 		rec := encodeRecord(recWrite, body)
 		newLoc, err := s.appendLocked(rec)

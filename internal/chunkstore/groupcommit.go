@@ -3,7 +3,6 @@ package chunkstore
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // The durable-commit coordinator: every durable commit is a round, and
@@ -12,11 +11,12 @@ import (
 // A durable Commit's stage 2 appends its commit record and leaves the
 // expensive harden — the log sync, then the one-way counter advance
 // (§3.2.2) — to a shared coordinator. The first commit waiting on an
-// unsynced record leads a round: it lingers only while announced companions
-// are still inbound, then hardens once for everyone whose record its
-// snapshot covered. A lone committer leads a round of one: nothing is
-// inbound, so it snapshots, syncs and advances at once, at the cost of the
-// sync and the advance it owed anyway.
+// unsynced record leads a round: it snapshots at once and hardens once for
+// everyone whose record the snapshot covered. There is no batching window.
+// Rounds batch naturally behind the in-flight sync: commits that append
+// while a round's sync is in flight join the next round, and a lone
+// committer leads a round of one at the cost of the sync and the advance it
+// owed anyway.
 //
 // Stage 1 is the log sync, one round at a time and OFF the store mutex: the
 // leader snapshots the dirty segments under s.mu (gcSnapshotRound), syncs
@@ -67,20 +67,9 @@ import (
 // checkpoint or Close syncs again and advances through every stamp still
 // owed (see Store.Commit for the contract).
 
-const (
-	// groupCommitWindow bounds a round leader's batching window. The window
-	// stays open only while announced durable commits are still inbound
-	// (pickled or encrypting but not yet appended) — it closes the moment
-	// nothing more is imminently arriving, so a lone committer never waits.
-	groupCommitWindow = 2 * time.Millisecond
-	// groupCommitMaxOps closes the batching window early once this many
-	// commits are waiting on the round, bounding per-commit latency under
-	// sustained load.
-	groupCommitMaxOps = 64
-	// hardenDepth is the pipeline's depth: how many sealed rounds may await
-	// the counter at once — one in each stage.
-	hardenDepth = 2
-)
+// hardenDepth is the pipeline's depth: how many sealed rounds may await the
+// counter at once — one in each stage.
+const hardenDepth = 2
 
 // groupCommitter coordinates harden rounds. Its mutex is leaf-level: it is
 // taken with the store mutex or the stage-2 turn held and on its own, but
@@ -96,7 +85,7 @@ type groupCommitter struct {
 	// 1. A commit in (hardened, synced] awaits only the counter: it neither
 	// leads a round nor is acknowledged yet.
 	synced uint64
-	// syncing is true while a leader holds stage 1 (linger, snapshot, sync).
+	// syncing is true while a leader holds stage 1 (snapshot, sync).
 	syncing bool
 	// failedSeq and failedErr record the newest failed round: every commit
 	// up to failedSeq that is not hardened gets failedErr. A failure is not
@@ -106,89 +95,12 @@ type groupCommitter struct {
 	// advMu is the stage-2 turn: it serialises counter advances against
 	// each other. Its holders never take the store mutex.
 	advMu sync.Mutex
-	// waiters counts commits currently waiting to be hardened (the leader
-	// included); leaders use it to end their batching window early.
-	waiters int
-	// inbound counts durable commits announced (AnnounceDurable) but not yet
-	// appended: commits whose records are imminent but would be missed by a
-	// round snapshotting now. A lingering leader waits only while inbound is
-	// nonzero — waiting for a fixed quorum instead would stall the round for
-	// a committer that went off to do post-commit maintenance.
-	inbound int
-	// lingerGen numbers linger windows so a stale watchdog timer cannot
-	// expire a later window.
-	lingerGen uint64
-	// lingerExpired is set by the current linger window's watchdog.
-	lingerExpired bool
 }
 
 func newGroupCommitter() *groupCommitter {
 	gc := &groupCommitter{}
 	gc.cond = sync.NewCond(&gc.mu)
 	return gc
-}
-
-// addWaiter adjusts the waiter count. Arrivals wake a lingering leader so it
-// can cut its batching window short the moment groupCommitMaxOps commits are
-// queued.
-func (gc *groupCommitter) addWaiter(d int) {
-	gc.mu.Lock()
-	gc.waiters += d
-	if d > 0 {
-		gc.cond.Broadcast()
-	}
-	gc.mu.Unlock()
-}
-
-// addInbound adjusts the announced-but-not-yet-appended count, clamped at
-// zero so an unannounced direct-stage committer cannot drive it negative.
-// Draining to zero wakes a lingering leader: nothing more is arriving.
-func (gc *groupCommitter) addInbound(d int) {
-	gc.mu.Lock()
-	gc.inbound += d
-	if gc.inbound < 0 {
-		gc.inbound = 0
-	}
-	if gc.inbound == 0 {
-		gc.cond.Broadcast()
-	}
-	gc.mu.Unlock()
-}
-
-// linger is the leader's batching window: it blocks while more durable
-// commits are imminently arriving (inbound > 0), until groupCommitMaxOps
-// commits are already waiting, or until the window times out. sync.Cond has
-// no timed wait, so the timeout is a watchdog goroutine that runs sleep —
-// Retry.Sleep, the injectable clock seam: tests substitute a blocking or
-// no-op sleep for determinism — once and then wakes the leader; lingerGen
-// keeps a watchdog from a previous window from expiring this one.
-func (gc *groupCommitter) linger(sleep func(time.Duration)) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	if gc.waiters >= groupCommitMaxOps || gc.inbound == 0 {
-		return
-	}
-	gen := gc.lingerGen
-	go func() {
-		sleep(groupCommitWindow)
-		gc.expireLinger(gen)
-	}()
-	for gc.waiters < groupCommitMaxOps && gc.inbound > 0 && !gc.lingerExpired {
-		gc.cond.Wait()
-	}
-	gc.lingerExpired = false
-	gc.lingerGen++
-}
-
-// expireLinger is the watchdog's half of a linger window: it times out
-// window gen, unless that window already closed.
-func (gc *groupCommitter) expireLinger(gen uint64) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	if gc.lingerGen == gen {
-		gc.lingerExpired = true
-		gc.cond.Broadcast()
-	}
 }
 
 // claim blocks until seq is acknowledged durable (false, nil), a round that
@@ -212,7 +124,8 @@ func (gc *groupCommitter) claim(seq uint64) (lead bool, err error) {
 }
 
 // endSync releases stage 1. synced is the newest commit the round's sync
-// covered (zero if it covered nothing): its waiters now await the counter.
+// covered (zero if it covered nothing): the commits it covered now await
+// the counter.
 func (gc *groupCommitter) endSync(synced uint64) {
 	gc.mu.Lock()
 	gc.syncing = false
@@ -252,8 +165,6 @@ func (gc *groupCommitter) noteHardened(seq uint64) {
 // — to its leader and to every commit it covered.
 func (s *Store) awaitHarden(seq uint64) error {
 	gc := s.gc
-	gc.addWaiter(1)
-	defer gc.addWaiter(-1)
 	for {
 		lead, err := gc.claim(seq)
 		if !lead {
@@ -265,15 +176,14 @@ func (s *Store) awaitHarden(seq uint64) error {
 	}
 }
 
-// gcHarden leads one round through both stages. Stage 1: linger while
-// announced companions are inbound, snapshot, sync off the store mutex.
+// gcHarden leads one round through both stages. Stage 1: snapshot, then
+// sync off the store mutex.
 // Stage 2: advance the counter to the round's stamp off the store mutex,
 // then acknowledge. The stage-2 turn is taken BEFORE stage 1 is released,
 // so the next round starts syncing the moment this one starts advancing and
 // at most hardenDepth rounds are ever in flight.
 func (s *Store) gcHarden() error {
 	gc := s.gc
-	gc.linger(s.cfg.Retry.Sleep)
 	tasks, seq, stamp, owed, err := s.gcSnapshotRound()
 	if !owed {
 		gc.endSync(0)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -58,82 +57,41 @@ func (env *groupEnv) open(t *testing.T) *Store {
 	return s
 }
 
-// runConcurrentDurableCommits fires k goroutines, each durably committing
-// one write to its own chunk, and returns (syncs, counterAdvances) spent on
-// the k commits.
-func runConcurrentDurableCommits(t *testing.T, env *groupEnv, s *Store, k int) (int64, uint64) {
-	t.Helper()
+// TestGroupCommitCoalescesSyncs is the core economy claim of the harden
+// coordinator: rounds batch behind the in-flight sync. With a lone commit's
+// round parked in its log sync while K-1 more durable commits append, the K
+// commits cost exactly two log syncs and two one-way counter advances —
+// the lone commit's round and one round covering every commit queued behind
+// it — however many commits queued.
+func TestGroupCommitCoalescesSyncs(t *testing.T) {
+	const k = 8
+	env := newPipeEnv(t, nil)
+	s := env.open(t)
+	defer s.Close()
 	cids := make([]ChunkID, k)
 	for i := range cids {
-		cid, err := s.AllocateChunkID()
-		if err != nil {
-			t.Fatalf("AllocateChunkID: %v", err)
-		}
-		cids[i] = cid
+		cids[i] = allocID(t, s)
 	}
-	syncsBefore := env.meter.Stats().Snapshot().SyncOps
-	ctrBefore, err := env.counter.Read()
-	if err != nil {
-		t.Fatalf("counter Read: %v", err)
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b := s.NewBatch()
-			b.Write(cids[i], []byte(fmt.Sprintf("group-commit payload %d", i)))
-			errs[i] = s.Commit(b, true)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("Commit %d: %v", i, err)
+	hw0 := env.hw(t)
+	env.tl.hold("sync")
+	done := env.queueBehindSync(t, s, cids)
+	env.tl.open()
+	for i, d := range done {
+		if err := <-d; err != nil {
+			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
 	for i, cid := range cids {
-		got, err := s.Read(cid)
-		if err != nil {
-			t.Fatalf("Read(%d): %v", cid, err)
-		}
-		want := fmt.Sprintf("group-commit payload %d", i)
-		if string(got) != want {
-			t.Fatalf("Read(%d) = %q, want %q", cid, got, want)
+		wantRead(t, s, cid, fmt.Sprintf("v%d", i))
+	}
+	syncs := 0
+	for _, ev := range env.tl.device() {
+		if ev == "sync>" {
+			syncs++
 		}
 	}
-	syncs := env.meter.Stats().Snapshot().SyncOps - syncsBefore
-	ctrAfter, err := env.counter.Read()
-	if err != nil {
-		t.Fatalf("counter Read: %v", err)
-	}
-	return syncs, ctrAfter - ctrBefore
-}
-
-// TestGroupCommitCoalescesSyncs is the core economy claim of the harden
-// coordinator: K concurrent announced durable commits cost exactly one log
-// sync and one one-way counter advance.
-//
-// The round is made deterministic rather than racy using only the clock
-// seam (holdRoundFor): the injected Retry.Sleep blocks the batching window's
-// watchdog until the test is over, and the window closes the moment all K
-// committers are waiting on the round — so exactly one harden covers
-// everyone.
-func TestGroupCommitCoalescesSyncs(t *testing.T) {
-	const k = 8
-	env := newGroupEnv(t)
-	hold := make(chan struct{})
-	defer close(hold)
-	env.cfg.Retry.Sleep = func(time.Duration) { <-hold }
-	s := env.open(t)
-	defer s.Close()
-
-	holdRoundFor(s, k)
-	syncs, advances := runConcurrentDurableCommits(t, env, s, k)
-	if syncs != 1 || advances != 1 {
-		t.Errorf("%d announced durable commits cost %d sync(s) and %d counter advance(s), want exactly 1 and 1", k, syncs, advances)
+	if advances := env.hw(t) - hw0; syncs != 2 || advances != 2 {
+		t.Errorf("%d durable commits, %d of them queued behind an in-flight sync, cost %d sync(s) and %d counter advance(s), want exactly 2 and 2", k, k-1, syncs, advances)
 	}
 
 	// The store must still recover and validate: the coalesced counter
@@ -253,23 +211,6 @@ func TestGroupCommitHardensEarlierNondurable(t *testing.T) {
 	}
 }
 
-// holdRoundFor keeps the next round's batching window open — one artificial
-// inbound announcement, with the window's watchdog parked on the injected
-// Retry.Sleep — until k commits are waiting on it, so the round covers
-// exactly those k. Call before starting the committers.
-func holdRoundFor(s *Store, k int) {
-	s.gc.addInbound(1)
-	go func() {
-		gc := s.gc
-		gc.mu.Lock()
-		for gc.waiters < k {
-			gc.cond.Wait()
-		}
-		gc.mu.Unlock()
-		gc.addInbound(-1)
-	}()
-}
-
 // TestDurableCommitContract pins the one failure contract of Store.Commit
 // on a device whose syncs fail: the commit is applied and visible but
 // reported ErrNotDurable (wrapping the I/O cause), a crash before the next
@@ -277,13 +218,12 @@ func holdRoundFor(s *Store, k int) {
 // commit hardens it, and a stage-2 failure still leaves no trace and the
 // same Batch retries.
 func TestDurableCommitContract(t *testing.T) {
-	noSleep := func(time.Duration) {}
-	setup := func(t *testing.T, sleep func(time.Duration)) (*testEnv, *Store, ChunkID) {
+	setup := func(t *testing.T) (*testEnv, *Store, ChunkID) {
 		env := newTestEnv(t, "aes-ctr-sha256")
 		env.cfg.DisableAutoClean = true
 		env.cfg.DisableAutoCheckpoint = true
 		// One attempt: a failing sync fails at once, with no backoff sleep.
-		env.cfg.Retry = RetryPolicy{MaxAttempts: 1, Sleep: sleep}
+		env.cfg.Retry = RetryPolicy{MaxAttempts: 1, Sleep: func(time.Duration) {}}
 		s := env.open(t)
 		env.fs.SetLoseUnsynced(true)
 		return env, s, allocWrite(t, s, []byte("v0"))
@@ -321,20 +261,20 @@ func TestDurableCommitContract(t *testing.T) {
 	}
 
 	t.Run("lost by a crash before the next harden", func(t *testing.T) {
-		env, s, cid := setup(t, noSleep)
+		env, s, cid := setup(t)
 		commitUnderFailingSync(t, env, s, cid)
 		reopenAndRead(t, env, cid, "v0")
 	})
 
 	t.Run("hardened by the next durable commit", func(t *testing.T) {
-		env, s, cid := setup(t, noSleep)
+		env, s, cid := setup(t)
 		commitUnderFailingSync(t, env, s, cid)
 		allocWrite(t, s, []byte("other"))
 		reopenAndRead(t, env, cid, "v1")
 	})
 
 	t.Run("stage-2 failure leaves no trace and the batch retries", func(t *testing.T) {
-		env, s, cid := setup(t, noSleep)
+		env, s, cid := setup(t)
 		before := snapshotState(s)
 		b := s.NewBatch()
 		// Larger than a segment: stage 2 must create one, and that fails.
@@ -360,50 +300,42 @@ func TestDurableCommitContract(t *testing.T) {
 	})
 
 	t.Run("leader and followers get the same error", func(t *testing.T) {
-		const k = 3
-		hold := make(chan struct{})
-		defer close(hold)
-		env, s, _ := setup(t, func(time.Duration) { <-hold })
+		// A lone commit's round fails, and so does the round of the
+		// commits queued behind its sync: each follower gets its round's
+		// one error, the same as the follower that led it.
+		const k = 4
+		env := newPipeEnv(t, nil)
+		s := env.open(t)
 		cids := make([]ChunkID, k)
 		for i := range cids {
-			var err error
-			if cids[i], err = s.AllocateChunkID(); err != nil {
-				t.Fatalf("AllocateChunkID: %v", err)
-			}
+			cids[i] = allocID(t, s)
 		}
 		env.fs.SetSyncFailures(true)
-		holdRoundFor(s, k)
+		env.tl.hold("sync")
+		done := env.queueBehindSync(t, s, cids)
+		env.tl.open()
 		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				b := s.NewBatch()
-				b.Write(cids[i], []byte("payload"))
-				errs[i] = s.Commit(b, true)
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if !errors.Is(err, ErrNotDurable) || !errors.Is(err, ErrIO) {
-				t.Errorf("committer %d: %v, want ErrNotDurable wrapping ErrIO", i, err)
+		for i, d := range done {
+			errs[i] = <-d
+			if !errors.Is(errs[i], ErrNotDurable) || !errors.Is(errs[i], ErrIO) {
+				t.Errorf("committer %d: %v, want ErrNotDurable wrapping ErrIO", i, errs[i])
 			}
-			if err != nil && errs[0] != nil && err.Error() != errs[0].Error() {
-				t.Errorf("committer %d: %q differs from committer 0's %q", i, err, errs[0])
+		}
+		for i := 2; i < k; i++ {
+			if errs[i] != nil && errs[1] != nil && errs[i].Error() != errs[1].Error() {
+				t.Errorf("follower %d: %q differs from follower 1's %q", i, errs[i], errs[1])
 			}
 		}
 	})
 
 	t.Run("a round that lost to a failed Close", func(t *testing.T) {
-		env, s, cid := setup(t, noSleep)
+		env, s, cid := setup(t)
 		b := s.NewBatch()
 		b.Write(cid, []byte("v1"))
 		p, err := s.PrepareBatch(b)
 		if err != nil {
 			t.Fatalf("PrepareBatch: %v", err)
 		}
-		s.AnnounceDurable(true)
 		ticket, err := s.CommitPrepared(b, p, true)
 		if err != nil {
 			t.Fatalf("CommitPrepared: %v", err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,9 +15,11 @@ import (
 	"tdb/internal/sec"
 )
 
-// The harden pipeline's tests run on three seams only — a gated segment
-// File.Sync, a gated OneWayCounter and Retry.Sleep — and assert on the order
-// and count of device events, never on wall-clock time.
+// The harden pipeline's tests run on two seams only — a gated segment
+// File.Sync and a gated OneWayCounter — and assert on the order and count of
+// device events, never on wall-clock time. Round composition is pinned the
+// same way: a round's sync is parked until the commits meant for the next
+// round have appended (waitAppended).
 
 // timeline logs every gated device event ("sync>" when a segment fsync is
 // issued, "sync<" when it returns; "incr>", "incr<" for counter increments;
@@ -262,15 +265,32 @@ func (env *pipeEnv) commit(s *Store, name string, cid ChunkID, val string) <-cha
 	return done
 }
 
-// waitWaiters blocks until n commits are waiting on the coordinator: their
-// records are appended and they are inside AwaitDurable.
-func waitWaiters(s *Store, n int) {
-	gc := s.gc
-	gc.mu.Lock()
-	for gc.waiters < n {
-		gc.cond.Wait()
+// waitAppended blocks until commit record seq is in the log, as
+// Stats().CommitSeq reports: the next round to snapshot covers it.
+func waitAppended(s *Store, seq uint64) {
+	for s.Stats().CommitSeq < seq {
+		runtime.Gosched()
 	}
-	gc.mu.Unlock()
+}
+
+// queueBehindSync parks a lone commit's round in its log sync and, while it
+// is parked, has every other commit append its record. Once the sync is let
+// go, the first round holds the lone commit only and the next round covers
+// all the others, whoever leads it. cids[0] is the lone commit's chunk;
+// commit i writes "v<i>" and is named "C<i>" on the timeline. The caller
+// holds "sync"; the results arrive in cids order.
+func (env *pipeEnv) queueBehindSync(t *testing.T, s *Store, cids []ChunkID) []<-chan error {
+	t.Helper()
+	seq := s.Stats().CommitSeq
+	done := make([]<-chan error, len(cids))
+	for i, cid := range cids {
+		done[i] = env.commit(s, fmt.Sprintf("C%d", i), cid, fmt.Sprintf("v%d", i))
+		if i == 0 {
+			env.tl.await("sync>", 1, 0)
+		}
+	}
+	waitAppended(s, seq+uint64(len(cids)))
+	return done
 }
 
 func notYet(t *testing.T, what string, done <-chan error) {
@@ -296,11 +316,12 @@ func wantRead(t *testing.T, s *Store, cid ChunkID, want string) {
 func overlapTwoRounds(t *testing.T, env *pipeEnv, s *Store) (a, x ChunkID, doneA, doneX <-chan error) {
 	t.Helper()
 	a, x = allocID(t, s), allocID(t, s)
+	seq := s.Stats().CommitSeq
 	env.tl.hold("sync", "incr")
 	doneA = env.commit(s, "A", a, "a1")
 	env.tl.await("sync>", 1, 0) // A's round is in its log sync
 	doneX = env.commit(s, "X", x, "x1")
-	waitWaiters(s, 2) // X's record is appended, behind A's snapshot
+	waitAppended(s, seq+2) // X's record is appended, behind A's snapshot
 	env.tl.release("sync")
 	env.tl.await("incr>", 1, 0) // A holds the stage-2 turn
 	env.tl.await("sync>", 2, 0) // and X's sync is issued meanwhile
@@ -317,11 +338,12 @@ func TestAckedRoundRollbackIsTampered(t *testing.T) {
 	env := newPipeEnv(t, nil)
 	s := env.open(t)
 	a, x := allocID(t, s), allocID(t, s)
+	seq := s.Stats().CommitSeq
 	env.tl.hold("sync")
 	doneA := env.commit(s, "A", a, "a1")
 	env.tl.await("sync>", 1, 0) // A's round is blocked in its log sync
 	doneX := env.commit(s, "X", x, "x1")
-	waitWaiters(s, 2) // X's record is appended while A's round syncs
+	waitAppended(s, seq+2) // X's record is appended while A's round syncs
 	env.tl.release("sync")
 	if err := <-doneA; err != nil {
 		t.Fatalf("commit A: %v", err)
@@ -398,34 +420,47 @@ func TestNextRoundSyncsWhileCounterAdvances(t *testing.T) {
 
 // TestFollowerAwaitsTheCounterNotALeader: a commit covered by a round whose
 // sync is done and whose advance is in flight is neither acknowledged early
-// nor does it lead an (empty) round of its own.
+// nor does it lead an (empty) round of its own. The round is a real one of
+// three commits, queued behind a lone commit's sync.
 func TestFollowerAwaitsTheCounterNotALeader(t *testing.T) {
 	env := newPipeEnv(t, nil)
-	hold := make(chan struct{})
-	defer close(hold)
-	env.cfg.Retry.Sleep = func(time.Duration) { <-hold }
 	s := env.open(t)
-	a, f := allocID(t, s), allocID(t, s)
-	env.tl.hold("incr")
-	holdRoundFor(s, 2)
-	doneA, doneF := env.commit(s, "A", a, "a1"), env.commit(s, "F", f, "f1")
-	env.tl.await("incr>", 1, 0) // one round covers both; its advance is parked
+	cids := []ChunkID{allocID(t, s), allocID(t, s), allocID(t, s), allocID(t, s)}
+	env.tl.hold("sync", "incr")
+	done := env.queueBehindSync(t, s, cids)
+	env.tl.release("sync")      // the lone commit's round syncs ...
+	env.tl.await("incr>", 1, 0) // ... and parks in its advance
+	env.tl.await("sync>", 2, 0) // the followers' round syncs meanwhile
+	env.tl.release("sync")
+	env.tl.await("sync<", 2, 0)
+	env.tl.release("incr")
+	if err := <-done[0]; err != nil {
+		t.Fatalf("lone commit: %v", err)
+	}
+	env.tl.await("incr>", 2, 1) // the followers' round's advance is parked
 
-	notYet(t, "commit A", doneA)
-	notYet(t, "commit F", doneF)
+	for i, d := range done[1:] {
+		notYet(t, fmt.Sprintf("follower %d", i+1), d)
+	}
 	s.gc.mu.Lock()
 	syncing, synced, hardened := s.gc.syncing, s.gc.synced, s.gc.hardened
 	s.gc.mu.Unlock()
 	if syncing || synced != s.Stats().CommitSeq || hardened >= synced {
-		t.Fatalf("with the round's advance parked: syncing=%v synced=%d hardened=%d, want stage 1 free and both commits awaiting the counter", syncing, synced, hardened)
+		t.Fatalf("with the round's advance parked: syncing=%v synced=%d hardened=%d, want stage 1 free and every follower awaiting the counter", syncing, synced, hardened)
 	}
 
 	env.tl.release("incr")
-	if errA, errF := <-doneA, <-doneF; errA != nil || errF != nil {
-		t.Fatalf("commits: %v, %v", errA, errF)
+	for i, d := range done[1:] {
+		if err := <-d; err != nil {
+			t.Fatalf("follower %d: %v", i+1, err)
+		}
 	}
-	if got, want := env.tl.device(), []string{"sync>", "sync<", "incr>", "incr<"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("device events for a round of two: %v, want %v", got, want)
+	count := map[string]int{}
+	for _, ev := range env.tl.device() {
+		count[ev]++
+	}
+	if want := (map[string]int{"sync>": 2, "sync<": 2, "incr>": 2, "incr<": 2}); !reflect.DeepEqual(count, want) {
+		t.Fatalf("device events for a round of one and a round of three: %v, want %v", count, want)
 	}
 
 	// The same rule on the coordinator alone: a commit whose round has
@@ -556,8 +591,9 @@ func TestOpenStampReachesDiskThreeAhead(t *testing.T) {
 	hw0 := env.hw(t)
 	_, _, doneA, doneX := overlapTwoRounds(t, env, s)
 	y := allocID(t, s)
+	seq := s.Stats().CommitSeq
 	doneY := env.commit(s, "Y", y, "y1")
-	waitWaiters(s, 3)
+	waitAppended(s, seq+1)
 	if s.stampCtr != hw0+hardenDepth+1 {
 		t.Fatalf("newest stamp %d with two rounds in flight over counter %d, want %d", s.stampCtr, hw0, hw0+hardenDepth+1)
 	}
@@ -611,6 +647,7 @@ func TestCrashSweepOverlappedRounds(t *testing.T) {
 		s := env.open(t)
 		base := allocWrite(t, s, []byte("base"))
 		a, x := allocID(t, s), allocID(t, s)
+		seq := s.Stats().CommitSeq
 		tl := env.tl
 		tl.hold("sync", "incr")
 		env.fs.SetWriteBudget(budget)
@@ -623,7 +660,7 @@ func TestCrashSweepOverlappedRounds(t *testing.T) {
 		alive := tl.await("sync>", 1, 0)
 		if alive {
 			doneX = env.commit(s, "X", x, "x1")
-			waitWaiters(s, 2)
+			waitAppended(s, seq+2)
 			tl.release("sync")
 			alive = tl.await("incr>", 1, 0) && tl.await("sync>", 2, 0)
 		}

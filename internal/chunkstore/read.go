@@ -509,8 +509,8 @@ func (s *Store) decryptChunkRecord(cid ChunkID, e entry, typ byte, body []byte) 
 
 // readChunkLocked fetches the stored record of chunk version e and runs
 // check over it: checkChunkRecord or decryptChunkRecord. Only the full
-// audits — Verify, Snapshot.ForEach and Diff — read user-data records
-// this way, under the store mutex held exclusively.
+// audits — Verify, Scrub, Snapshot.ForEach and Diff — read user-data
+// records this way, under the store mutex held exclusively.
 func (s *Store) readChunkLocked(cid ChunkID, e entry, check func(ChunkID, entry, byte, []byte) ([]byte, error)) ([]byte, error) {
 	typ, body, err := s.segs.readRecord(e.loc)
 	if err != nil {

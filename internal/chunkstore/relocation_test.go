@@ -387,7 +387,6 @@ func commitOwed(t *testing.T, s *Store, want map[ChunkID]string, v string) Commi
 	}
 	b := s.NewBatch()
 	b.Write(cid, []byte(v))
-	s.AnnounceDurable(true)
 	p, err := s.PrepareBatch(b)
 	if err != nil {
 		t.Fatalf("PrepareBatch: %v", err)

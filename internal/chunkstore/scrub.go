@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"tdb/internal/sec"
 )
 
 // Scrubbing (paper §2's hostile-store model, taken to its operational
@@ -146,28 +144,15 @@ func (s *Store) scrubWalkLocked(n *mapNode, report *ScrubReport) error {
 }
 
 // verifyChunkAtLocked checks the stored record at e against the Merkle tree
-// without decrypting. A non-empty reason means the chunk is damaged; a
-// non-nil error is environmental and aborts the scrub.
+// without decrypting (checkChunkRecord). A non-empty reason — the check's
+// error text — means the chunk is damaged; a non-nil error is environmental
+// and aborts the scrub.
 func (s *Store) verifyChunkAtLocked(cid ChunkID, e entry) (string, error) {
-	typ, body, err := s.segs.readRecord(e.loc)
-	if err != nil {
+	if _, err := s.readChunkLocked(cid, e, s.checkChunkRecord); err != nil {
 		if errors.Is(err, ErrIO) {
 			return "", err
 		}
-		return fmt.Sprintf("record unreadable: %v", err), nil
-	}
-	if typ != recWrite {
-		return fmt.Sprintf("record at %v has type %d, want write record", e.loc, typ), nil
-	}
-	gotCid, ciphertext, err := parseWriteRecord(body)
-	if err != nil {
-		return fmt.Sprintf("record malformed: %v", err), nil
-	}
-	if gotCid != cid {
-		return fmt.Sprintf("record at %v names chunk %d", e.loc, gotCid), nil
-	}
-	if !sec.HashEqual(s.suite.Hash(ciphertext), e.hash) {
-		return "ciphertext fails hash validation against the location map", nil
+		return err.Error(), nil
 	}
 	return "", nil
 }

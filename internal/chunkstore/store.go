@@ -321,8 +321,8 @@ func (s *Store) Close() error {
 	// anyway (it follows the last durable commit record).
 	err := s.completePendingRewindLocked()
 	// Pay any harden still owed before shutting the segments down: the
-	// pending records are already applied and visible, and their waiters
-	// must be released before Close marks the store closed.
+	// pending records are already applied and visible, and the commits
+	// awaiting them must be released before Close marks the store closed.
 	if s.hardenOwedLocked() {
 		if herr := s.hardenLocked(); herr != nil && err == nil {
 			err = herr
@@ -464,8 +464,8 @@ func (b *Batch) Len() int { return len(b.ops) }
 // nondurable commit is guaranteed *not* to survive a crash unless a
 // subsequent durable commit completes (paper §3.2.2). A durable commit
 // appends its record and hardens it — one log sync plus one counter advance
-// — in a round shared with every durable commit in flight beside it; a lone
-// commit is a round of one (see groupcommit.go).
+// — in a round shared with every durable commit appended before the round's
+// snapshot; a lone commit is a round of one (see groupcommit.go).
 //
 // The failure contract, stated once for every layer above:
 //
@@ -488,19 +488,12 @@ func (b *Batch) Len() int { return len(b.ops) }
 // their own lock around the store (like the object store) use the stages
 // directly so only stage 2 runs inside their critical section.
 func (s *Store) Commit(b *Batch, durable bool) error {
-	announced := s.AnnounceDurable(durable)
 	p, err := s.PrepareBatch(b)
 	if err != nil {
-		if announced {
-			s.RetractDurable()
-		}
 		return err
 	}
 	ticket, err := s.CommitPrepared(b, p, durable)
 	if err != nil && !errors.Is(err, ErrMaintenance) {
-		if announced {
-			s.RetractDurable()
-		}
 		return err
 	}
 	if werr := s.AwaitDurable(ticket); werr != nil {
@@ -509,26 +502,15 @@ func (s *Store) Commit(b *Batch, durable bool) error {
 	return err
 }
 
-// AnnounceDurable tells the harden coordinator that a durable commit is
-// being prepared, so a round leader's batching window waits for its record
-// instead of syncing just before it arrives. It reports whether the
-// announcement was made (durable commits only). Callers announce before
-// stage 1 and must balance the announcement exactly once: the commit
-// record's append settles it implicitly; on any path where CommitPrepared
-// does not seal (preparation failure, commit error other than
-// ErrMaintenance), call RetractDurable.
-func (s *Store) AnnounceDurable(durable bool) bool {
-	if !durable {
-		return false
-	}
-	s.gc.addInbound(1)
-	return true
-}
+// AnnounceDurable is a no-op that reports false. Rounds batch behind the
+// in-flight sync with no window (groupcommit.go), so a commit being
+// prepared has nothing to announce. It remains only for the repository
+// benchmark's probe, which still calls it; nothing in this module does.
+func (s *Store) AnnounceDurable(durable bool) bool { return false }
 
-// RetractDurable balances an AnnounceDurable whose commit never appended.
-func (s *Store) RetractDurable() {
-	s.gc.addInbound(-1)
-}
+// RetractDurable is a no-op: no announcement is ever made (see
+// AnnounceDurable). It remains for the same caller.
+func (s *Store) RetractDurable() {}
 
 // PreparedBatch holds commit stage-1 output: every write payload of one
 // batch encrypted and hashed, ready to append. It is bound to the batch
@@ -598,9 +580,6 @@ func (s *Store) CommitPrepared(b *Batch, p *PreparedBatch, durable bool) (Commit
 	}
 	var ticket CommitTicket
 	if durable {
-		// The record is in the log: any round syncing from here on covers
-		// it, so the commit no longer counts as inbound.
-		s.gc.addInbound(-1)
 		ticket = CommitTicket{s: s, seq: s.commitSeq}
 	}
 	if err := s.maybeMaintain(); err != nil {

@@ -482,6 +482,9 @@ func (t *Txn) Active() bool {
 // serializes only on the chunk store's own mutex, and the store mutex here
 // is taken just for the cache publish, letting concurrent committers use
 // every core (root-pointer commits serialize fully; see commitPublish).
+// The chunk store learns of a commit only when stage 2 appends its record,
+// so a slow or panicking Pickle holds up no other transaction's durable
+// commit.
 // (With DisableLocking the application asserts there are no concurrent
 // transactions; it gets no isolation here either.)
 //
@@ -523,10 +526,6 @@ func (t *Txn) Commit(durable bool) error {
 			}
 		}
 	}
-	// Announce the durable commit before the expensive unlocked work, so a
-	// harden round leader's batching window waits for this record instead of
-	// syncing just before it lands.
-	announced := t.s.chunks.AnnounceDurable(durable)
 	// Build the batch and run stage-1 crypto, still unlocked. Each batch
 	// entry also becomes a staged version-table entry so snapshot readers
 	// pinned before this commit keep resolving the pre-image.
@@ -573,9 +572,6 @@ func (t *Txn) Commit(durable bool) error {
 	if err != nil {
 		// Nothing applied; the transaction stays active.
 		t.staged = nil
-		if announced {
-			t.s.chunks.RetractDurable()
-		}
 		return err
 	}
 	// Stage the version-table entries BEFORE the chunk-store merge: once
@@ -592,9 +588,6 @@ func (t *Txn) Commit(durable bool) error {
 		// became visible as committed state; discard them.
 		t.s.versions.unstage(t.staged)
 		t.staged = nil
-		if announced {
-			t.s.chunks.RetractDurable()
-		}
 		return err
 	}
 	if werr := t.s.chunks.AwaitDurable(ticket); werr != nil {
@@ -616,8 +609,8 @@ func (t *Txn) commitPublish(batch *chunkstore.Batch, prep *chunkstore.PreparedBa
 	// concurrent transaction can observe the gap between the chunk commit
 	// and the cache publish, and disjoint committers serialize only on the
 	// chunk store's own short stage 2. This is also what lets harden rounds
-	// form — while one round's log sync is in flight, other
-	// committers can append their records and join the next round.
+	// form: while one round's log sync is in flight, other committers
+	// append their records and join the next round.
 	ticket, err := t.s.chunks.CommitPrepared(batch, prep, durable)
 	if err != nil && !errors.Is(err, chunkstore.ErrMaintenance) {
 		return ticket, err
