@@ -9,6 +9,11 @@ LINTFLAGS ?=
 # make chaos CHAOS_ACTIONS=20000 CHAOS_SEED=$$RANDOM
 CHAOS_SEED ?= 42
 CHAOS_ACTIONS ?= 1000
+# FUZZTIME is how long fuzz-smoke runs each native fuzz target. The gate's
+# 3 s checks that the targets build and hold their property on fresh
+# inputs; the scheduled long run (.github/workflows/long.yml) searches
+# with make fuzz-smoke FUZZTIME=60s.
+FUZZTIME ?= 3s
 
 .PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-paper bench-module chaos fuzz-smoke read-repeat commit-repeat
 
@@ -50,10 +55,10 @@ chaos:
 		-args -chaos.seed=$(CHAOS_SEED) -chaos.actions=$(CHAOS_ACTIONS)
 
 # fuzz-smoke runs every native fuzz target that `go test -list` finds in
-# the module for 3 s past its seeds and checked-in corpus, which plain
-# `go test` already runs: a check that the targets build and hold their
-# property on fresh inputs, not a search (a longer -fuzztime is one). A new
-# target joins the gate by existing. A failing input is saved under the
+# the module for FUZZTIME past its seeds and checked-in corpus, which plain
+# `go test` already runs: at the default 3 s a check that the targets build
+# and hold their property on fresh inputs, not a search (a longer FUZZTIME
+# is one). A new target joins the gate by existing. A failing input is saved under the
 # package's testdata/fuzz/ and replays in every later `go test`.
 fuzz-smoke:
 	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list"; exit 1; }; \
@@ -61,7 +66,7 @@ fuzz-smoke:
 	if [ -z "$$targets" ]; then echo "fuzz-smoke: no fuzz targets found"; exit 1; fi; \
 	echo "$$targets" | while read pkg target; do \
 		echo "fuzz-smoke: $$pkg $$target"; \
-		$(GO) test "$$pkg" -run XXX -fuzz "^$$target\$$" -fuzztime 3s -parallel 2 || exit 1; \
+		$(GO) test "$$pkg" -run XXX -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -parallel 2 || exit 1; \
 	done
 
 # read-repeat runs the read-path tests twenty times under the race

@@ -381,8 +381,8 @@ func (s *Store) checkpointLocked() error {
 	}
 	dirty := s.lm.dirtyNodes() // post-order: children before parents
 	// Reserve a fresh IV generation for the node writes; checkpoints share
-	// the ivGen namespace with commit preparations and cleaner relocations,
-	// so seeds never collide (see commit_pipeline.go).
+	// the ivGen namespace with commit preparations, so seeds never collide
+	// (see commit_pipeline.go).
 	gen, err := s.nextIVGenLocked()
 	if err != nil {
 		return err

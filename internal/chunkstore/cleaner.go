@@ -1,10 +1,6 @@
 package chunkstore
 
-import (
-	"fmt"
-
-	"tdb/internal/sec"
-)
+import "fmt"
 
 // The log cleaner (paper §3.2.1). Obsolete chunk versions accumulate in old
 // segments as chunks are rewritten; the cleaner copies the still-live
@@ -13,16 +9,18 @@ import (
 // steeply with utilization — the effect Figure 11 measures.
 //
 // Safety: a segment is freed only after (a) every live record in it has
-// been copied to the tail and (b) a durable commit has published the
-// copies. The cycle's publishing commit is an ordinary durable commit
-// record: recovery replays the relocated records like any committed write,
-// and a checkpointed segment that is gone must have had all of its live
-// bytes relocated by the replayed log (recovery.go). Map nodes are the
-// exception: recovery loads checkpointed nodes from their checkpoint-time
-// locations before replay reaches a relocation. A victim whose live
-// map-node records the cycle relocated is therefore emptied but kept
-// (nodeVictims) until a checkpoint has published the nodes' new locations;
-// a later cycle frees it. A cycle run while map-node records written since
+// been copied to the tail — chunks by the cleaner, map nodes by a
+// checkpoint — and (b) a durable commit has published the copies. The
+// cycle's publishing commit is an ordinary durable commit record: recovery
+// replays the relocated records like any committed write, and a
+// checkpointed segment that is gone must have had all of its live bytes
+// relocated by the replayed log (recovery.go). Map nodes are the
+// exception, and the cleaner does not copy them: the checkpoint is the only
+// writer of map-node records, and recovery loads checkpointed nodes from
+// their checkpoint-time locations. A cycle marks each live map node it finds
+// in a victim dirty and holds the victim (nodeVictims) until a checkpoint
+// has rewritten the nodes at the tail and published their new locations; a
+// later cycle frees it. A cycle run while map-node records written since
 // the last checkpoint — by a checkpoint that never published, replayed at
 // recovery — set the in-memory tree's node locations apart from that
 // checkpoint's may find a record the checkpoint's tree needs looking dead,
@@ -65,8 +63,8 @@ func (s *Store) cleanTriggerBytes() int64 {
 // cleanLocked runs one cleaning cycle: it evacuates victim segments until
 // the store fits its size target (or the copy budget runs out), then
 // durably publishes all relocations with one durable commit record and
-// frees the victims — those whose live map nodes it moved once a checkpoint
-// has published. A checkpoint rewrites the dirty location map, so
+// frees the victims — those holding live map nodes once a checkpoint has
+// rewritten them. A checkpoint rewrites the dirty location map, so
 // publishing through the log keeps cleaning from dominating the write
 // volume. In aggressive (idle) mode the cycle compacts every segment
 // holding garbage, regardless of the size target.
@@ -175,16 +173,9 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 // still pin (everything at or below their creation tail), or MaxUint64 when
 // no snapshot is open.
 func (s *Store) minPinnedSegment() uint64 {
-	pin := uint64(1<<63 - 1)
-	first := true
+	pin := ^uint64(0)
 	for snap := range s.snapshots {
-		if first || snap.tailSeg < pin {
-			pin = snap.tailSeg
-			first = false
-		}
-	}
-	if first {
-		return ^uint64(0)
+		pin = min(pin, snap.tailSeg)
 	}
 	return pin
 }
@@ -231,107 +222,56 @@ func (s *Store) pickVictim(aggressive bool, chosen map[uint64]bool) (uint64, boo
 	return best, true, false
 }
 
-// evacuate copies every live record of seg to the log tail, updating the
-// location map, and reports whether a live map-node record was among them.
-// Records are validated before copying so that tampering in cold segments
-// is caught rather than propagated.
+// evacuate copies every live chunk record of seg to the log tail, updating
+// the location map, and marks every live map node stored in seg dirty; it
+// reports whether there was any such node. The next checkpoint rewrites the
+// marked nodes at the tail, as it rewrites every dirty node: the cleaner
+// writes no map-node record of its own.
+//
+// Marking in place is safe under open snapshots. pickVictim never takes a
+// segment at or below an open snapshot's tail, so the node's copy in seg
+// was written after every open snapshot was taken. No open snapshot holds
+// the node, then: a checkpoint writes copies of the nodes snapshots share
+// (dirtyNodes), so every node a snapshot holds stays stored at or below
+// its tail.
 func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 	start := position{seg: seg.num, off: segHeaderSize}
-	copied := int64(0)
 	end, err := s.scanLog(start, func(loc Location, typ byte, body []byte) (bool, error) {
 		if loc.Seg != seg.num {
 			return false, nil
 		}
 		switch typ {
 		case recWrite:
-			cid, ciphertext, err := parseWriteRecord(body)
+			cid, _, err := parseWriteRecord(body)
 			if err != nil {
-				return false, fmt.Errorf("%w: %v", ErrTampered, err)
+				return false, err
 			}
 			cur, err := s.lm.get(cid)
 			if err != nil {
 				return false, err
 			}
-			if cur.loc != loc {
-				return true, nil // obsolete version
+			if cur.loc == loc {
+				return true, s.relocateChunk(cid, cur, typ, body)
 			}
-			if !sec.HashEqual(s.suite.Hash(ciphertext), cur.hash) {
-				return false, fmt.Errorf("%w: chunk %d fails validation during cleaning", ErrTampered, cid)
-			}
-			// Copy the record verbatim: the ciphertext (and thus the hash)
-			// is unchanged, only the location moves.
-			rec := encodeRecord(recWrite, body)
-			newLoc, err := s.appendLocked(rec)
-			if err != nil {
-				return false, err
-			}
-			if _, err := s.lm.set(cid, entry{loc: newLoc, hash: cur.hash}); err != nil {
-				return false, err
-			}
-			s.adjustLive(newLoc, int64(newLoc.Len))
-			s.adjustLive(loc, -int64(loc.Len))
-			s.residualBytes += int64(newLoc.Len)
-			copied += int64(newLoc.Len)
 		case recMapNode:
 			level, index, _, err := parseMapNodeRecord(body)
 			if err != nil {
-				return false, fmt.Errorf("%w: %v", ErrTampered, err)
+				return false, err
 			}
-			live, err := s.nodeLiveAt(level, index, loc)
+			n, err := s.liveNodeAt(level, index, loc)
 			if err != nil {
 				return false, err
 			}
-			if !live {
-				return true, nil
+			if n != nil {
+				n.dirty, nodes = true, true
 			}
-			// Relocate the node by writing its CURRENT in-memory
-			// serialization, never the stored copy: that may be a stale
-			// version of a node that is dirty in memory, and copying it
-			// forward would fork memory and disk. The stored bytes are never
-			// used, so they need no check here; a node that is not resident
-			// is loaded by cachedNodeAt and validated against its parent's
-			// hash.
-			node, err := s.cachedNodeAt(level, index)
-			if err != nil {
-				return false, err
-			}
-			// The serialization must carry its children's current hashes:
-			// relocations earlier in this cycle changed leaves below without
-			// refreshing the entries above them, and the copy is marked
-			// clean with its hash below.
-			s.lm.nodeHash(node)
-			cur := node.serialize()
-			// Reserve a fresh IV generation for the re-encryption; the old
-			// location-derived seed could collide with another encryption's
-			// seed in the shared IV namespace.
-			gen, err := s.nextIVGenLocked()
-			if err != nil {
-				return false, err
-			}
-			curCipher, err := s.suite.Encrypt(cur, gen<<ivGenBits)
-			if err != nil {
-				return false, fmt.Errorf("chunkstore: re-encrypting map node during cleaning: %w", err)
-			}
-			rec := encodeRecord(recMapNode, mapNodeRecordBody(level, index, curCipher))
-			newLoc, err := s.appendLocked(rec)
-			if err != nil {
-				return false, err
-			}
-			if err := s.noteNodeWritten(level, index, newLoc, s.suite.Hash(cur)); err != nil {
-				return false, err
-			}
-			s.residualBytes += int64(newLoc.Len)
-			copied += int64(newLoc.Len)
-			nodes = true
-		case recDealloc, recCheckpoint, recCommit, recSeal:
-			// Never live.
 		}
+		// Dealloc, checkpoint, commit and seal records are never live.
 		return true, nil
 	})
 	if err != nil {
 		return false, err
 	}
-	s.statCleanedBytes += copied
 	if end.seg == seg.num && end.off < seg.size {
 		// The byte-walk stopped at structurally invalid bytes mid-segment.
 		// That is not the end of the segment's data: a record corrupted at
@@ -339,8 +279,7 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 		// records beyond it may still be live, and a corrupted length field
 		// means the walk cannot even find the next boundary. Fall back to
 		// evacuating by the location map, which is the authority on what is
-		// live regardless of the bytes in between. Its map nodes move at the
-		// next checkpoint.
+		// live regardless of the bytes in between.
 		marked, err := s.evacuateDamaged(seg)
 		return nodes || marked, err
 	}
@@ -349,12 +288,10 @@ func (s *Store) evacuate(seg *segment) (nodes bool, err error) {
 
 // evacuateDamaged relocates the remaining live records of a segment whose
 // linear byte-walk is broken by structurally invalid bytes. Every chunk
-// entry the location map still places in the segment is copied out after
-// validation against its Merkle hash, and every live map node stored there
-// is marked dirty so the next checkpoint rewrites it at the tail (with its
-// usual liveness accounting); it reports whether there was any. Chunks
-// whose records fail validation abort the clean with ErrTampered — they
-// need Scrub and Repair first.
+// entry the location map still places in the segment is relocated, and
+// every live map node stored there is marked dirty (dirtyNodesIn); it
+// reports whether there was any. Chunks whose records fail validation abort
+// the clean with ErrTampered — they need Scrub and Repair first.
 func (s *Store) evacuateDamaged(seg *segment) (nodes bool, err error) {
 	type liveChunk struct {
 		cid ChunkID
@@ -375,23 +312,34 @@ func (s *Store) evacuateDamaged(seg *segment) (nodes bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		if _, err := s.checkChunkRecord(c.cid, c.e, typ, body); err != nil {
-			return false, fmt.Errorf("chunkstore: cleaning segment %d: %w", seg.num, err)
-		}
-		rec := encodeRecord(recWrite, body)
-		newLoc, err := s.appendLocked(rec)
-		if err != nil {
+		if err := s.relocateChunk(c.cid, c.e, typ, body); err != nil {
 			return false, err
 		}
-		if _, err := s.lm.set(c.cid, entry{loc: newLoc, hash: c.e.hash}); err != nil {
-			return false, err
-		}
-		s.adjustLive(newLoc, int64(newLoc.Len))
-		s.adjustLive(c.e.loc, -int64(c.e.loc.Len))
-		s.residualBytes += int64(newLoc.Len)
-		s.statCleanedBytes += int64(newLoc.Len)
 	}
 	return s.dirtyNodesIn(seg.num)
+}
+
+// relocateChunk copies the stored record (typ, body) of chunk cid's live
+// version e verbatim to the log tail and points the map at the copy: the
+// ciphertext, and so the hash, is unchanged, only the location moves. The
+// record is validated first (checkChunkRecord), so tampering in a cold
+// segment is caught rather than propagated.
+func (s *Store) relocateChunk(cid ChunkID, e entry, typ byte, body []byte) error {
+	if _, err := s.checkChunkRecord(cid, e, typ, body); err != nil {
+		return fmt.Errorf("chunkstore: cleaning segment %d: %w", e.loc.Seg, err)
+	}
+	loc, err := s.appendLocked(encodeRecord(recWrite, body))
+	if err != nil {
+		return err
+	}
+	if _, err := s.lm.set(cid, entry{loc: loc, hash: e.hash}); err != nil {
+		return err
+	}
+	s.adjustLive(loc, int64(loc.Len))
+	s.adjustLive(e.loc, -int64(e.loc.Len))
+	s.residualBytes += int64(loc.Len)
+	s.statCleanedBytes += int64(loc.Len)
+	return nil
 }
 
 // dirtyNodesIn marks every live location-map node stored in segment num
@@ -416,8 +364,7 @@ func (s *Store) dirtyNodesIn(num uint64) (marked bool, err error) {
 					continue
 				}
 				var err error
-				kid, err = s.lm.loadChild(n, i)
-				if err != nil {
+				if kid, err = s.lm.loadChild(n, i); err != nil {
 					return err
 				}
 			}
@@ -431,66 +378,29 @@ func (s *Store) dirtyNodesIn(num uint64) (marked bool, err error) {
 	return marked, err
 }
 
-// cachedNodeAt returns the in-memory node at (level,index), loading it from
-// its current stored copy if necessary. The caller must have established
-// that the node is live in the current tree.
-func (s *Store) cachedNodeAt(level int, index uint64) (*mapNode, error) {
+// liveNodeAt returns the in-memory map node (level,index), loading it as
+// needed, if the current tree's stored copy of it is the one at loc, and
+// nil otherwise.
+func (s *Store) liveNodeAt(level int, index uint64, loc Location) (*mapNode, error) {
 	m := s.lm
-	if level == m.height && index == 0 {
-		return m.root, nil
-	}
-	cid := ChunkID(index * m.span(level))
-	n := m.root
-	for n.level > level {
-		i := m.childIndex(cid, n.level)
-		kid := n.kids[i]
-		if kid == nil {
-			var err error
-			kid, err = m.loadChild(n, i)
-			if err != nil {
-				return nil, err
-			}
+	if level >= m.height {
+		if level == m.height && index == 0 && m.root.loc == loc {
+			return m.root, nil
 		}
-		n = kid
+		return nil, nil
 	}
-	if n.level != level || n.index != index {
+	p, err := m.descend(ChunkID(index*m.span(level)), level+1, false)
+	if err != nil || p.node == nil || p.node.entries[p.slot].loc != loc {
+		return nil, err
+	}
+	n := p.node.kids[p.slot]
+	if n == nil {
+		if n, err = m.loadChild(p.node, p.slot); err != nil {
+			return nil, err
+		}
+	}
+	if n.index != index {
 		return nil, fmt.Errorf("%w: node lookup for (%d,%d) reached (%d,%d)", ErrTampered, level, index, n.level, n.index)
 	}
 	return n, nil
-}
-
-// nodeLiveAt reports whether the stored copy of map node (level,index) at
-// loc is the current one.
-func (s *Store) nodeLiveAt(level int, index uint64, loc Location) (bool, error) {
-	m := s.lm
-	if level > m.height {
-		return false, nil
-	}
-	if level == m.height && index == 0 {
-		return m.root.loc == loc, nil
-	}
-	if level == m.height {
-		return false, nil
-	}
-	cid := ChunkID(index * m.span(level))
-	if uint64(cid) >= m.capacity() {
-		return false, nil
-	}
-	n := m.root
-	for n.level > level+1 {
-		i := m.childIndex(cid, n.level)
-		kid := n.kids[i]
-		if kid == nil {
-			if n.entries[i].isEmpty() {
-				return false, nil
-			}
-			var err error
-			kid, err = m.loadChild(n, i)
-			if err != nil {
-				return false, err
-			}
-		}
-		n = kid
-	}
-	return n.entries[m.childIndex(cid, level+1)].loc == loc, nil
 }

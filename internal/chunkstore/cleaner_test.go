@@ -262,12 +262,12 @@ func TestDamagedSegmentMovesLeafUnderEvictedParent(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	p, err := s.lm.descend(kept, false)
-	if err != nil || p.leaf == nil {
+	p, err := s.lm.descend(kept, 0, false)
+	if err != nil || p.node == nil {
 		s.mu.Unlock()
 		t.Fatalf("descend(%d): %v", kept, err)
 	}
-	leaf := p.leaf
+	leaf := p.node
 	parent := s.lm.findParent(leaf)
 	if parent == nil {
 		s.mu.Unlock()

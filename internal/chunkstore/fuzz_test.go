@@ -1,6 +1,7 @@
 package chunkstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"maps"
@@ -13,9 +14,10 @@ import (
 )
 
 // seedImage returns the files of a freshly written and closed store, and
-// its suite: one committed chunk write, then a checkpoint, so the log holds
-// write, commit, round-seal, map-node and checkpoint records and the
-// superblock points at the checkpoint.
+// its suite: two committed chunk writes, the deallocation of one of them,
+// then a checkpoint, so the log holds write, dealloc, commit, round-seal,
+// map-node and checkpoint records and the superblock points at the
+// checkpoint.
 func seedImage(tb testing.TB) (map[string][]byte, sec.Suite) {
 	tb.Helper()
 	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("test-device-secret-0123456789abc"))
@@ -27,12 +29,19 @@ func seedImage(tb testing.TB) (map[string][]byte, sec.Suite) {
 	if err != nil {
 		tb.Fatalf("Open: %v", err)
 	}
-	cid, err := s.AllocateChunkID()
-	if err != nil {
-		tb.Fatalf("AllocateChunkID: %v", err)
-	}
+	var cids [2]ChunkID
 	b := s.NewBatch()
-	b.Write(cid, []byte("a usage meter record"))
+	for i, v := range []string{"a usage meter record", "a revoked license"} {
+		if cids[i], err = s.AllocateChunkID(); err != nil {
+			tb.Fatalf("AllocateChunkID: %v", err)
+		}
+		b.Write(cids[i], []byte(v))
+	}
+	if err := s.Commit(b, true); err != nil {
+		tb.Fatalf("Commit: %v", err)
+	}
+	b = s.NewBatch()
+	b.Deallocate(cids[1])
 	if err := s.Commit(b, true); err != nil {
 		tb.Fatalf("Commit: %v", err)
 	}
@@ -92,15 +101,17 @@ func boundedAlloc(t *testing.T, n int, decode func()) {
 	}
 }
 
-// FuzzParseRecordBytes holds the log's record framing to the hostile-disk
-// contract: whatever bytes a segment holds, parsing a record image and then
-// splitting its body as a chunk write yields a body of exactly the length
-// the header claims, or an error wrapping ErrTampered, with bounded
-// allocation and never a panic. The seeds are a write, a map-node, a commit
-// and a round-seal record from a real log.
+// FuzzParseRecordBytes holds the log's record framing, and the body
+// parsers that recovery and the cleaner run on unverified log bytes, to the
+// hostile-disk contract: whatever bytes a segment holds, parsing a record
+// image yields a body of exactly the length the header claims, and
+// splitting that body with its type's parser yields fields that lie where
+// the format puts them, or either step fails with an error wrapping
+// ErrTampered, with bounded allocation and never a panic. The seeds are one
+// record of each type from a real log.
 func FuzzParseRecordBytes(f *testing.F) {
 	recs, _ := logRecords(f)
-	for _, typ := range []byte{recWrite, recMapNode, recCommit, recSeal} {
+	for _, typ := range []byte{recWrite, recDealloc, recMapNode, recCheckpoint, recCommit, recSeal} {
 		if recs[typ] == nil {
 			f.Fatalf("the seed log holds no record of type %d", typ)
 		}
@@ -122,15 +133,89 @@ func FuzzParseRecordBytes(f *testing.F) {
 		if n := binary.BigEndian.Uint32(buf[1:5]); typ != buf[0] || len(body) != int(n) {
 			t.Fatalf("parsed type %d with a %d-byte body; the header says type %d, %d bytes", typ, len(body), buf[0], n)
 		}
+		var bad bool
+		boundedAlloc(t, len(body), func() { bad, err = misparsedBody(typ, body) })
+		if err != nil && !errors.Is(err, ErrTampered) {
+			t.Fatalf("parsing a type-%d body: %v does not wrap ErrTampered", typ, err)
+		}
+		if bad {
+			t.Fatalf("a %d-byte type-%d body split into fields the format does not put there", len(body), typ)
+		}
+	})
+}
+
+// misparsedBody splits body with the parser for record type typ and
+// reports whether the fields it returned differ from the bytes the record
+// format puts there.
+func misparsedBody(typ byte, body []byte) (bool, error) {
+	be := binary.BigEndian
+	switch typ {
+	case recWrite:
 		cid, ciphertext, err := parseWriteRecord(body)
+		return err == nil && (cid != ChunkID(be.Uint64(body)) || !bytes.Equal(ciphertext, body[8:])), err
+	case recDealloc:
+		cid, err := parseDeallocRecord(body)
+		return err == nil && (len(body) != 8 || cid != ChunkID(be.Uint64(body))), err
+	case recMapNode:
+		level, index, ciphertext, err := parseMapNodeRecord(body)
+		return err == nil && (level != int(body[0]) || index != be.Uint64(body[1:9]) || !bytes.Equal(ciphertext, body[9:])), err
+	case recCheckpoint:
+		mac, ciphertext, err := parseCheckpointRecord(body)
+		return err == nil && (len(mac) != int(be.Uint16(body)) || 2+len(mac)+len(ciphertext) != len(body) ||
+			!bytes.Equal(ciphertext, body[2+len(mac):])), err
+	case recCommit:
+		cr, signed, err := parseCommitRecord(body)
+		if err != nil {
+			return false, err
+		}
+		hashEnd := 19 + int(be.Uint16(body[17:19]))
+		return cr.seq != be.Uint64(body) || cr.counter != be.Uint64(body[9:17]) ||
+			!bytes.Equal(signed, body[:hashEnd]) || !bytes.Equal(cr.rootHash, body[19:hashEnd]) ||
+			!bytes.Equal(cr.mac, body[hashEnd+2:hashEnd+2+int(be.Uint16(body[hashEnd:]))]), nil
+	}
+	return false, nil
+}
+
+// FuzzDeserializeMapNode holds the map-node decoder, which runs on the
+// plaintext of every map-node record a checkpoint load, a fault-in or
+// replay decrypts, to the same contract: the node or an error wrapping
+// ErrTampered, with bounded allocation and never a panic. A decoded node
+// serializes to bytes that decode to the same serialization. The seeds are
+// the decrypted map-node records of a real log.
+func FuzzDeserializeMapNode(f *testing.F) {
+	recs, suite := logRecords(f)
+	if recs[recMapNode] == nil {
+		f.Fatal("the seed log holds no map-node record")
+	}
+	for _, rec := range recs[recMapNode] {
+		_, _, ciphertext, err := parseMapNodeRecord(rec[recordHeaderSize:])
+		if err != nil {
+			f.Fatalf("parseMapNodeRecord: %v", err)
+		}
+		plain, err := suite.Decrypt(append([]byte(nil), ciphertext...))
+		if err != nil {
+			f.Fatalf("Decrypt: %v", err)
+		}
+		f.Add(plain)
+	}
+	const fanout = 64 // Config.Fanout's default, which seedImage's store runs at
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var n *mapNode
+		var err error
+		boundedAlloc(t, len(data), func() { n, err = deserializeMapNode(data, fanout) })
 		if err != nil {
 			if !errors.Is(err, ErrTampered) {
-				t.Fatalf("parseWriteRecord: %v does not wrap ErrTampered", err)
+				t.Fatalf("deserializeMapNode: %v does not wrap ErrTampered", err)
 			}
 			return
 		}
-		if cid != ChunkID(binary.BigEndian.Uint64(body)) || len(ciphertext) != len(body)-8 {
-			t.Fatalf("a %d-byte write body split into chunk %d and %d bytes", len(body), cid, len(ciphertext))
+		if n.level != int(data[0]) || len(n.entries) != fanout {
+			t.Fatalf("decoded level %d with %d slots from level %d at fanout %d", n.level, len(n.entries), data[0], fanout)
+		}
+		enc := n.serialize()
+		again, err := deserializeMapNode(enc, fanout)
+		if err != nil || !bytes.Equal(again.serialize(), enc) {
+			t.Fatalf("a decoded node's serialization does not round-trip: %v", err)
 		}
 	})
 }

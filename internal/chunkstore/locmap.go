@@ -251,16 +251,18 @@ func (m *locMap) loadChild(parent *mapNode, i int) (*mapNode, error) {
 	return n, nil
 }
 
-// pathResult is the outcome of descending to the leaf covering a cid.
+// pathResult is the outcome of descending toward a cid: the node at the
+// level descended to that covers it, and the slot in that node that does.
 type pathResult struct {
-	leaf *mapNode
+	node *mapNode
 	slot int
 }
 
-// descend walks root→leaf for cid. With forWrite set it creates missing
-// nodes and clones shared ones (copy-on-write for snapshots), marking the
-// path dirty; without it, a missing child yields a nil leaf.
-func (m *locMap) descend(cid ChunkID, forWrite bool) (pathResult, error) {
+// descend walks from the root to the node at level that covers cid (level 0
+// is the leaf). With forWrite set it creates missing nodes and clones shared
+// ones (copy-on-write for snapshots), marking the path dirty; without it, a
+// missing node yields a nil one.
+func (m *locMap) descend(cid ChunkID, level int, forWrite bool) (pathResult, error) {
 	if uint64(cid) >= m.capacity() {
 		if !forWrite {
 			return pathResult{}, nil
@@ -268,13 +270,10 @@ func (m *locMap) descend(cid ChunkID, forWrite bool) (pathResult, error) {
 		m.grow(cid)
 	}
 	if forWrite && m.root.shared {
-		old := m.root
-		m.root = old.clone()
-		m.unregisterNode(old)
-		m.registerNode(m.root)
+		m.unshare(&m.root)
 	}
 	n := m.root
-	for n.level > 0 {
+	for n.level > level {
 		i := m.childIndex(cid, n.level)
 		kid := n.kids[i]
 		if kid == nil {
@@ -296,11 +295,7 @@ func (m *locMap) descend(cid ChunkID, forWrite bool) (pathResult, error) {
 		}
 		if forWrite {
 			if kid.shared {
-				old := kid
-				kid = old.clone()
-				n.kids[i] = kid
-				m.unregisterNode(old)
-				m.registerNode(kid)
+				kid = m.unshare(&n.kids[i])
 			}
 			n.hashStale = true
 			n.dirty = true
@@ -312,7 +307,7 @@ func (m *locMap) descend(cid ChunkID, forWrite bool) (pathResult, error) {
 		n.hashStale = true
 		n.dirty = true
 	}
-	return pathResult{leaf: n, slot: m.childIndex(cid, 0)}, nil
+	return pathResult{node: n, slot: m.childIndex(cid, level)}, nil
 }
 
 // getCached returns the leaf entry for cid walking only nodes already
@@ -350,24 +345,24 @@ func (m *locMap) getCached(cid ChunkID) (e entry, resident bool) {
 
 // get returns the leaf entry for cid (a zero entry if absent).
 func (m *locMap) get(cid ChunkID) (entry, error) {
-	p, err := m.descend(cid, false)
+	p, err := m.descend(cid, 0, false)
 	if err != nil {
 		return entry{}, err
 	}
-	if p.leaf == nil {
+	if p.node == nil {
 		return entry{}, nil
 	}
-	return p.leaf.entries[p.slot], nil
+	return p.node.entries[p.slot], nil
 }
 
 // set updates the leaf entry for cid and returns the previous entry.
 func (m *locMap) set(cid ChunkID, e entry) (entry, error) {
-	p, err := m.descend(cid, true)
+	p, err := m.descend(cid, 0, true)
 	if err != nil {
 		return entry{}, err
 	}
-	old := p.leaf.entries[p.slot]
-	p.leaf.entries[p.slot] = e
+	old := p.node.entries[p.slot]
+	p.node.entries[p.slot] = e
 	return old, nil
 }
 
@@ -404,6 +399,19 @@ func (m *locMap) markShared() *mapNode {
 	return m.root
 }
 
+// unshare replaces the node a snapshot shares at *slot, the root pointer or
+// a parent's child pointer, with a private copy, and returns the copy. The
+// copy is in the tree before it joins the cache, so the sweep that
+// registering it may run evicts its children from the copy, not from the
+// snapshot's node.
+func (m *locMap) unshare(slot **mapNode) *mapNode {
+	n := *slot
+	*slot = n.clone()
+	m.unregisterNode(n)
+	m.registerNode(*slot)
+	return *slot
+}
+
 // dirtyNodes returns all nodes the next checkpoint must write, in
 // post-order (children before parents). A node needs writing when its own
 // content changed or when any cached descendant does: writing the
@@ -411,29 +419,51 @@ func (m *locMap) markShared() *mapNode {
 // serialization too. The walk propagates dirtiness upward so ancestors are
 // never skipped (skipping one would leave its stored copy pointing at a
 // stale child location).
+//
+// A node a snapshot shares is replaced by a private copy, as a write
+// replaces it, so the checkpoint moves only the copy. Every node a snapshot
+// holds therefore stays where it was stored when the snapshot was taken, at
+// or below the snapshot's tail segment, which the cleaner never takes while
+// the snapshot is open.
 func (m *locMap) dirtyNodes() []*mapNode {
-	var out []*mapNode
-	var walk func(n *mapNode) bool
-	walk = func(n *mapNode) bool {
+	var mark func(n *mapNode) bool
+	mark = func(n *mapNode) bool {
 		for _, kid := range n.kids {
-			if kid != nil && walk(kid) {
+			if kid != nil && mark(kid) {
 				n.dirty = true
 				n.hashStale = true
 			}
 		}
-		if n.dirty {
-			out = append(out, n)
-		}
 		return n.dirty
 	}
-	walk(m.root)
+	if !mark(m.root) {
+		return nil
+	}
+	var out []*mapNode
+	var collect func(n *mapNode)
+	collect = func(n *mapNode) {
+		for i, kid := range n.kids {
+			if kid != nil && kid.dirty {
+				if kid.shared {
+					kid = m.unshare(&n.kids[i])
+				}
+				collect(kid)
+			}
+		}
+		out = append(out, n)
+	}
+	if m.root.shared {
+		m.unshare(&m.root)
+	}
+	collect(m.root)
 	return out
 }
 
 // forEachEntry invokes fn for every non-empty leaf entry reachable from
 // root, loading nodes (and verifying hashes) as needed. It is used by
-// Verify, the cleaner's liveness audit, and snapshot iteration. The root
-// parameter may be the current root or a snapshot's frozen root.
+// Verify, recovery's chunk count, the cleaner's evacuation of a damaged
+// segment, and snapshot iteration. The root parameter may be the current
+// root or a snapshot's frozen root.
 func (m *locMap) forEachEntry(root *mapNode, fn func(cid ChunkID, e entry) error) error {
 	var walk func(n *mapNode) error
 	walk = func(n *mapNode) error {

@@ -173,11 +173,11 @@ func TestClockPromotesSharedReaders(t *testing.T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.lm
-	p, err := m.descend(ChunkID(5), false)
-	if err != nil || p.leaf == nil {
+	p, err := m.descend(ChunkID(5), 0, false)
+	if err != nil || p.node == nil {
 		t.Fatalf("descend: %v", err)
 	}
-	hot := p.leaf
+	hot := p.node
 	var leaves []*mapNode
 	for _, n := range m.ring {
 		n.ref.Store(false)

@@ -329,12 +329,12 @@ func TestNonResidentReadDoesNoUserIOUnderLock(t *testing.T) {
 	}
 	victim := ids[0]
 	s.mu.Lock()
-	p, err := s.lm.descend(victim, false)
+	p, err := s.lm.descend(victim, 0, false)
 	s.mu.Unlock()
-	if err != nil || p.leaf == nil {
+	if err != nil || p.node == nil {
 		t.Fatalf("descend(%d): %v", victim, err)
 	}
-	leaf, e := p.leaf, p.leaf.entries[p.slot]
+	leaf, e := p.node, p.node.entries[p.slot]
 	// Sweep the now-clean map back under budget until the victim's leaf is
 	// evicted (the first pass may only clear its reference bit).
 	s.mu.Lock()

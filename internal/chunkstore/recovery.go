@@ -412,62 +412,29 @@ func (s *Store) replay(start, stop position) error {
 	return err
 }
 
-// noteNodeWritten records, during replay or cleaning, that a map node's
-// stored copy now lives at loc with content hash h: the parent entry (or
-// the root pointer) is updated the same way the original checkpoint did it,
-// keeping the recomputed Merkle root byte-identical.
+// noteNodeWritten records, while replay applies a map-node record, that the
+// node's stored copy now lives at loc with content hash h: the parent entry
+// (or the root pointer) is updated the same way the original checkpoint did
+// it, keeping the recomputed Merkle root byte-identical.
 func (s *Store) noteNodeWritten(level int, index uint64, loc Location, h []byte) error {
 	m := s.lm
 	for m.height < level {
 		m.grow(ChunkID(m.capacity()))
 	}
-	if level == m.height && index == 0 {
-		old := m.root.loc
-		m.root.loc = loc
-		if sec.HashEqual(s.suite.Hash(m.root.serialize()), h) {
-			m.root.dirty = false
-			m.root.hash = h
-			m.root.hashStale = false
+	kid, old := m.root, m.root.loc
+	if level != m.height || index != 0 {
+		// Descend to the parent, creating or loading nodes as needed. The
+		// parent chain exists: data writes earlier in the residual created
+		// it.
+		p, err := m.descend(ChunkID(index*m.span(level)), level+1, true)
+		if err != nil {
+			return err
 		}
-		s.adjustLive(loc, int64(loc.Len))
-		if !old.IsZero() {
-			s.adjustLive(old, -int64(old.Len))
-		}
-		return nil
+		e := &p.node.entries[p.slot]
+		old, *e = e.loc, entry{loc: loc, hash: h}
+		kid = p.node.kids[p.slot]
 	}
-	// Descend to the parent, creating or loading children as needed. The
-	// parent chain exists: data writes earlier in the residual created it.
-	cid := ChunkID(index * m.span(level))
-	if uint64(cid) >= m.capacity() {
-		m.grow(cid)
-	}
-	n := m.root
-	for n.level > level+1 {
-		i := m.childIndex(cid, n.level)
-		kid := n.kids[i]
-		if kid == nil {
-			if n.entries[i].isEmpty() {
-				kid = newMapNode(n.level-1, n.index*uint64(m.fanout)+uint64(i), m.fanout)
-				n.kids[i] = kid
-				n.kidCount++
-				m.registerNode(kid)
-			} else {
-				var err error
-				kid, err = m.loadChild(n, i)
-				if err != nil {
-					return err
-				}
-			}
-		}
-		n.hashStale = true
-		n = kid
-	}
-	slot := m.childIndex(cid, level+1)
-	old := n.entries[slot].loc
-	n.entries[slot] = entry{loc: loc, hash: h}
-	n.dirty = true
-	n.hashStale = true
-	if kid := kidAt(n, slot); kid != nil {
+	if kid != nil {
 		kid.loc = loc
 		// Clear the dirty flag only when the stored copy really matches the
 		// in-memory content; otherwise the node must still be rewritten at
@@ -484,13 +451,6 @@ func (s *Store) noteNodeWritten(level int, index uint64, loc Location, h []byte)
 		s.adjustLive(old, -int64(old.Len))
 	}
 	return nil
-}
-
-func kidAt(n *mapNode, slot int) *mapNode {
-	if n.kids == nil {
-		return nil
-	}
-	return n.kids[slot]
 }
 
 // truncateTail removes log content beyond the last durable commit: later

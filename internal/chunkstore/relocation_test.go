@@ -276,6 +276,101 @@ func TestCrashMapNodeVictimWaitsForCheckpoint(t *testing.T) {
 	})
 }
 
+// TestCleanWritesNoMapNodeRecord: the checkpoint is the only writer of
+// map-node records. A cycle that holds a victim for its live map nodes
+// appends no map-node record and reserves no IV generation; it leaves the
+// victim's live nodes dirty, still stored there and still counted live,
+// until the checkpoint rewrites them at the tail.
+func TestCleanWritesNoMapNodeRecord(t *testing.T) {
+	_, _, s, want := mapNodeCycle(t)
+	s.mu.Lock()
+	start := position{seg: s.segs.tail.num, off: s.segs.tail.size}
+	s.mu.Unlock()
+	gen := s.ivGen.Load()
+	if err := s.Clean(); err != nil {
+		t.Fatalf("Clean: %v", err)
+	}
+	if got := s.ivGen.Load(); got != gen {
+		t.Errorf("the cycle reserved %d IV generations, want none", got-gen)
+	}
+	s.mu.Lock()
+	types := map[byte]int{}
+	if _, err := s.scanLog(start, func(_ Location, typ byte, _ []byte) (bool, error) {
+		types[typ]++
+		return true, nil
+	}); err != nil {
+		t.Fatalf("scanLog: %v", err)
+	}
+	if types[recWrite] == 0 || types[recCommit] == 0 {
+		t.Errorf("test premise: the cycle appended %v, want chunk copies and a commit", types)
+	}
+	if n := types[recMapNode]; n != 0 {
+		t.Errorf("the cycle appended %d map-node records", n)
+	}
+	held := slices.Sorted(maps.Keys(s.nodeVictims))
+	if len(held) == 0 {
+		s.mu.Unlock()
+		t.Fatal("test premise: the cycle held no victim for its map nodes")
+	}
+	// nodesIn returns the resident nodes stored in segment num. A marked
+	// node is dirty, and the CLOCK ring never evicts a dirty node.
+	nodesIn := func(num uint64) []*mapNode {
+		var out []*mapNode
+		for _, n := range s.lm.ring {
+			if n.loc.Seg == num && !n.loc.IsZero() {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	for _, num := range held {
+		nodes := nodesIn(num)
+		if len(nodes) == 0 {
+			t.Errorf("held victim %d stores no resident map node: the cycle moved them", num)
+		}
+		var live int64
+		for _, n := range nodes {
+			if !n.dirty {
+				t.Errorf("node (%d,%d) stored in held victim %d is not dirty", n.level, n.index, num)
+			}
+			live += int64(n.loc.Len)
+		}
+		if got := s.segs.segs[num].live; got != live {
+			t.Errorf("held victim %d has %d live bytes, want its nodes' %d", num, got, live)
+		}
+	}
+	s.mu.Unlock()
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	s.mu.Lock()
+	for _, num := range held {
+		if nodes, live := nodesIn(num), s.segs.segs[num].live; len(nodes) != 0 || live != 0 {
+			t.Errorf("after the checkpoint, victim %d stores %d nodes and %d live bytes, want none", num, len(nodes), live)
+		}
+	}
+	s.mu.Unlock()
+	if err := s.Clean(); err != nil {
+		t.Fatalf("Clean: %v", err)
+	}
+	s.mu.Lock()
+	for _, num := range held {
+		if s.segs.segs[num] != nil {
+			t.Errorf("victim %d not freed by the cycle after the checkpoint", num)
+		}
+	}
+	s.mu.Unlock()
+	for cid, v := range want {
+		if got, err := s.Read(cid); err != nil || string(got) != v {
+			t.Fatalf("Read(%d) = %.12q, %v; want %.12q", cid, got, err, v)
+		}
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+}
+
 // TestTamperDeletedSegmentNotRelocated: a checkpointed segment may be gone
 // only if the residual log relocated all of its live bytes. Deleting a
 // segment before the checkpoint that still holds live chunk records is

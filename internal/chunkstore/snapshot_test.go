@@ -315,6 +315,95 @@ func TestSnapshotSurvivesCleaningChurn(t *testing.T) {
 	}
 }
 
+// TestSnapshotNodesNeverMovePastItsTail: a snapshot taken while map nodes
+// are dirty shares them with the current tree. The checkpoint that writes
+// them must write copies, never the shared nodes themselves: a shared node
+// moved to a segment past the snapshot's tail, once evicted, is reloaded
+// by the snapshot from there, and the cleaner frees such segments under an
+// open snapshot.
+func TestSnapshotNodesNeverMovePastItsTail(t *testing.T) {
+	env := newTestEnv(t, "aes-ctr-sha256")
+	env.cfg.Fanout = 4
+	env.cfg.SegmentSize = 4 << 10
+	env.cfg.CacheBytes = 1 // evict every clean node as soon as possible
+	env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
+	s := env.open(t)
+	defer s.Close()
+	var ids []ChunkID
+	for i := 0; i < 64; i++ {
+		ids = append(ids, allocWrite(t, s, []byte(fmt.Sprintf("v0-%02d", i))))
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	b := s.NewBatch()
+	for i, cid := range ids {
+		b.Write(cid, []byte(fmt.Sprintf("v1-%02d", i)))
+	}
+	if err := s.Commit(b, true); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	snap, err := s.TakeSnapshot()
+	if err != nil {
+		t.Fatalf("TakeSnapshot: %v", err)
+	}
+	defer snap.Close()
+	if err := s.Checkpoint(); err != nil { // every leaf and inner node is dirty
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	s.mu.Lock()
+	spill := s.lm.root.loc.Seg
+	if spill <= snap.tailSeg {
+		s.mu.Unlock()
+		t.Fatalf("test premise: the checkpoint stayed in the snapshot's tail segment %d", snap.tailSeg)
+	}
+	var walk func(n *mapNode)
+	walk = func(n *mapNode) {
+		if n.loc.Seg > snap.tailSeg {
+			t.Errorf("snapshot node (%d,%d) moved to segment %d, past the snapshot's tail %d", n.level, n.index, n.loc.Seg, snap.tailSeg)
+		}
+		for _, kid := range n.kids {
+			if kid != nil {
+				walk(kid)
+			}
+		}
+	}
+	walk(snap.root)
+	s.mu.Unlock()
+	for round := 0; round < 6; round++ {
+		b := s.NewBatch()
+		for i := 0; i < len(ids); i += 8 {
+			b.Write(ids[i], []byte(fmt.Sprintf("v2-%d-%02d", round, i)))
+		}
+		if err := s.Commit(b, true); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		if err := errors.Join(s.Checkpoint(), s.Clean(), s.Checkpoint(), s.Clean()); err != nil {
+			t.Fatalf("Checkpoint, Clean: %v", err)
+		}
+	}
+	s.mu.Lock()
+	_, kept := s.segs.segs[spill]
+	s.mu.Unlock()
+	if kept {
+		t.Fatalf("test premise: cleaning kept segment %d, where the checkpoint after the snapshot wrote", spill)
+	}
+	seen := 0
+	if err := snap.ForEach(func(cid ChunkID, _, ciphertext []byte) error {
+		plain, err := env.suite.Decrypt(append([]byte(nil), ciphertext...))
+		if err != nil || !bytes.HasPrefix(plain, []byte("v1-")) {
+			t.Fatalf("snapshot chunk %d = %q, %v; want its v1 value", cid, plain, err)
+		}
+		seen++
+		return nil
+	}); err != nil {
+		t.Fatalf("snapshot ForEach after cleaning: %v", err)
+	}
+	if seen != len(ids) {
+		t.Fatalf("snapshot sees %d chunks, want %d", seen, len(ids))
+	}
+}
+
 func TestSnapshotCloseUnpinsCleaner(t *testing.T) {
 	env := newTestEnv(t, "null")
 	env.cfg.SegmentSize = 4 << 10

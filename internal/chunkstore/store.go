@@ -48,10 +48,11 @@ type Store struct {
 	coalescedChunks  atomic.Int64
 	prefetchedChunks atomic.Int64
 	// ivGen hands out IV-sequence generations (one per commit preparation,
-	// checkpoint, or cleaner relocation). It never repeats across the life
-	// of the database: the superblock persists a reservation high-water mark
-	// (ivGenLimit) and Open ratchets ivGen past it, so a seed used before a
-	// crash or restart can never be handed out again under the same key.
+	// and a few per checkpoint; the cleaner copies ciphertext verbatim and
+	// takes none). It never repeats across the life of the database: the
+	// superblock persists a reservation high-water mark (ivGenLimit) and
+	// Open ratchets ivGen past it, so a seed used before a crash or restart
+	// can never be handed out again under the same key.
 	ivGen atomic.Uint64
 	// ivGenLimit is the highest IV generation durably reserved in the
 	// superblock. Generations at or below it may be consumed freely; going

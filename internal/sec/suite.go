@@ -44,7 +44,7 @@ type Suite interface {
 	// must be unique per encryption under one key; the chunk store
 	// partitions the seed space as generation<<20 | slot, where generations
 	// are drawn from a process-wide counter (one per commit preparation,
-	// checkpoint, or cleaner relocation) and the 20-bit slot numbers the
+	// and a few per checkpoint) and the 20-bit slot numbers the
 	// operations within it, so equal plaintexts never produce equal
 	// ciphertexts even across concurrent commit preparations.
 	Encrypt(plaintext []byte, iv uint64) ([]byte, error)
