@@ -15,7 +15,7 @@ CHAOS_ACTIONS ?= 1000
 # with make fuzz-smoke FUZZTIME=60s.
 FUZZTIME ?= 3s
 
-.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-paper bench-module chaos fuzz-smoke read-repeat commit-repeat
+.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-paper bench-module chaos fuzz-smoke read-repeat commit-repeat size
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,18 @@ check: faults chaos fmt fuzz-smoke read-repeat commit-repeat
 	$(GO) test -race ./...
 	$(MAKE) bench-smoke
 	$(MAKE) bench-module
+
+# size prints the non-test Go lines (wc -l) of every package of the root
+# module, largest first, and their total. The nested benchmark module, the
+# examples and the tdblint fixtures are not counted.
+size:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		! -path './examples/*' ! -path './cmd/tdblint/testdata/*' \
+		! -path './.bench_build/*' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); \
+		if (d == "") d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "0 %7d %s\n", n[d], d; printf "1 %7d total\n", t }' | \
+	sort -k1,1n -k2,2nr -k3 | cut -c3-
 
 # bench reproduces the commit-pipeline / read-path numbers recorded in
 # EXPERIMENTS.md. Commit preparation fans out to one worker per P, so

@@ -75,9 +75,9 @@ type Manager struct {
 	arch  platform.ArchivalStore
 	suite sec.Suite
 
-	// lastSnap is the snapshot of the most recent backup, retained for fast
-	// incremental diffs; lastIndex maps chunk id to content hash as of that
-	// backup (used to detect changes when no snapshot is retained).
+	// lastSnap is the snapshot of the most recent backup, retained as the
+	// base the next incremental diffs against; lastSeq is its commit
+	// sequence, and haveBase reports that such a backup exists.
 	lastSnap *chunkstore.Snapshot
 	lastSeq  uint64
 	haveBase bool
@@ -562,20 +562,15 @@ func applyEntries(target *chunkstore.Store, suite sec.Suite, entries []entry) er
 			case entryPut:
 				b.RestoreWrite(e.cid, plains[i])
 			case entryDelete:
-				// The chunk may not exist in the target (it was created and
-				// deleted between two incrementals); deallocate only ids the
-				// store knows.
 				b.Deallocate(e.cid)
 			}
 		}
 		if err := target.Commit(b, false); err != nil {
-			// Deallocate of unknown ids is a legitimate no-op during
-			// restore; retry entry by entry, skipping those.
+			// Diff streams a delete only for a chunk its base held, which the
+			// chain's earlier streams put: a delete the target never saw
+			// comes from no honest backup.
 			if errors.Is(err, chunkstore.ErrNotAllocated) {
-				if err := applyTolerant(target, batch, plains); err != nil {
-					return err
-				}
-				continue
+				return fmt.Errorf("%w: %v", ErrInvalidBackup, err)
 			}
 			return err
 		}
@@ -601,26 +596,4 @@ func decryptPuts(suite sec.Suite, entries []entry) ([][]byte, error) {
 		plains[i] = plain
 	}
 	return plains, nil
-}
-
-// applyTolerant applies entries one at a time, tolerating deletes of ids
-// the target never saw. plains holds the puts' plaintexts, decrypted once
-// by decryptPuts.
-func applyTolerant(target *chunkstore.Store, entries []entry, plains [][]byte) error {
-	for i, e := range entries {
-		b := target.NewBatch()
-		switch e.kind {
-		case entryPut:
-			b.RestoreWrite(e.cid, plains[i])
-		case entryDelete:
-			b.Deallocate(e.cid)
-		}
-		if err := target.Commit(b, false); err != nil {
-			if e.kind == entryDelete && errors.Is(err, chunkstore.ErrNotAllocated) {
-				continue
-			}
-			return err
-		}
-	}
-	return nil
 }

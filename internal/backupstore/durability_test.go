@@ -2,6 +2,7 @@ package backupstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -64,13 +65,12 @@ func TestChainNeverRestoresStateACrashDropped(t *testing.T) {
 	}
 }
 
-// TestRestoreThroughTolerantPath restores an incremental whose batch holds
-// puts and a delete of an id the target never saw, so applyEntries' batch
-// commit fails with ErrNotAllocated and applyTolerant re-applies the batch
-// entry by entry. Decrypt works in place, so this guards that each entry
-// is decrypted exactly once: a second in-place decryption would restore
-// scrambled bytes (CTR) or fail the padding check (CBC).
-func TestRestoreThroughTolerantPath(t *testing.T) {
+// TestRestoreRejectsDeleteOfUnknownChunk restores an incremental whose
+// batch holds the real diff's puts and a delete of an id the target never
+// saw. Diff streams deletes only for chunks its base held, so no honest
+// chain carries such a delete: Restore fails with ErrInvalidBackup rather
+// than skipping it.
+func TestRestoreRejectsDeleteOfUnknownChunk(t *testing.T) {
 	for _, name := range []string{"3des-sha1", "aes-ctr-sha256"} {
 		t.Run(name, func(t *testing.T) {
 			e := newEnvSuite(t, name)
@@ -134,16 +134,8 @@ func TestRestoreThroughTolerantPath(t *testing.T) {
 
 			target := freshTarget(t, e.suite)
 			defer target.Close()
-			if err := Restore(target, e.arch, e.suite, []string{full.Name, incr}); err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			for cid, v := range want {
-				if got, err := target.Read(cid); err != nil || !bytes.Equal(got, v) {
-					t.Fatalf("restored Read(%d): %q, %v; want %q", cid, got, err, v)
-				}
-			}
-			if err := target.Verify(); err != nil {
-				t.Fatalf("Verify restored: %v", err)
+			if err := Restore(target, e.arch, e.suite, []string{full.Name, incr}); !errors.Is(err, ErrInvalidBackup) {
+				t.Fatalf("Restore with a delete of an unknown chunk: %v, want ErrInvalidBackup", err)
 			}
 		})
 	}

@@ -13,9 +13,9 @@ import (
 
 // stormMember is one committer of a commit storm: a sequence of durable
 // commits, each rewriting the one chunk no other member touches. The storm
-// drives the chunk store directly — the harden coordinator is what it is
-// after, and concurrent object-layer transactions would trip the known
-// shared-cache-pool race (ROADMAP item 0) under the race detector.
+// drives the chunk store directly: the harden coordinator is what it is
+// after, and members on disjoint chunks put every durable commit in the
+// coordinator's rounds with no object-layer lock between them.
 type stormMember struct {
 	cid  chunkstore.ChunkID
 	vals [][]byte // version t's payload, each distinct

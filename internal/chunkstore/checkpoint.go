@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
+	"strings"
 
 	"tdb/internal/platform"
 	"tdb/internal/sec"
@@ -18,7 +21,7 @@ const (
 	superblockName = "superblock"
 	superMagic     = uint64(0x5444425355500001) // "TDBSUP\x00\x01"
 	superSlotSize  = 512
-	formatVersion  = 2
+	formatVersion  = 3
 )
 
 var errNoSuperblock = errors.New("chunkstore: no superblock")
@@ -32,8 +35,7 @@ type superblock struct {
 	ckptLoc     Location
 	// ivGenReserved is the IV-generation reservation high-water mark: every
 	// generation any process lifetime may have used for an encryption is at
-	// or below it, so Open ratchets the in-memory counter past it (zero in
-	// superblocks written before the field existed).
+	// or below it, so Open ratchets the in-memory counter past it.
 	ivGenReserved uint64
 }
 
@@ -79,7 +81,7 @@ func decodeSuperSlot(slot []byte, suite sec.Suite) (sb superblock, claim string,
 		return sb, "", false
 	}
 	claim = fmt.Sprintf("slot names %q, format %d", payload[19:19+nameLen], version)
-	if !sec.VerifyMAC(suite, payload, mac) || version != formatVersion || len(payload) < 19+nameLen+24 {
+	if !sec.VerifyMAC(suite, payload, mac) || version != formatVersion || len(payload) < 19+nameLen+32 {
 		return sb, claim, false
 	}
 	sb.seq = binary.BigEndian.Uint64(payload[8:16])
@@ -90,12 +92,7 @@ func decodeSuperSlot(slot []byte, suite sec.Suite) (sb superblock, claim string,
 	sb.ckptLoc.Seg = binary.BigEndian.Uint64(payload[p+8 : p+16])
 	sb.ckptLoc.Off = binary.BigEndian.Uint32(payload[p+16 : p+20])
 	sb.ckptLoc.Len = binary.BigEndian.Uint32(payload[p+20 : p+24])
-	// The IV reservation mark is absent from superblocks written before the
-	// field existed; treat those as zero (Open then falls back to the
-	// commit-sequence ratchet).
-	if len(payload) >= p+32 {
-		sb.ivGenReserved = binary.BigEndian.Uint64(payload[p+24 : p+32])
-	}
+	sb.ivGenReserved = binary.BigEndian.Uint64(payload[p+24 : p+32])
 	return sb, claim, true
 }
 
@@ -128,15 +125,19 @@ func (s *Store) superblockFile(create bool) (platform.File, error) {
 }
 
 // readSuperblock loads and authenticates the superblock, returning
-// errNoSuperblock for a fresh store.
+// errNoSuperblock for a fresh store. An empty superblock file counts as
+// none: a format that crashed before its first slot reached the disk leaves
+// one, and no checkpoint was ever anchored in it.
 func (s *Store) readSuperblock() (superblock, error) {
 	f, err := s.superblockFile(false)
 	if err != nil {
 		return superblock{}, err
 	}
 	buf := make([]byte, 2*superSlotSize)
+	n := 0
 	attempts, err := s.cfg.Retry.run(func() error {
-		if _, rerr := f.ReadAt(buf, 0); rerr != nil && rerr != io.EOF {
+		var rerr error
+		if n, rerr = f.ReadAt(buf, 0); rerr != nil && rerr != io.EOF {
 			return rerr
 		}
 		return nil
@@ -144,39 +145,30 @@ func (s *Store) readSuperblock() (superblock, error) {
 	if err != nil {
 		return superblock{}, ioErr("read", superblockName, 0, 0, attempts, err)
 	}
+	if n == 0 {
+		return superblock{}, errNoSuperblock
+	}
 	sb0, claim0, ok0 := decodeSuperSlot(buf[:superSlotSize], s.suite)
 	sb1, claim1, ok1 := decodeSuperSlot(buf[superSlotSize:], s.suite)
-	switch {
-	case ok0 && ok1:
-		if sb1.seq > sb0.seq {
-			s.superSeq = sb1.seq
-			return sb1, nil
-		}
-		s.superSeq = sb0.seq
-		return sb0, nil
-	case ok0:
-		s.superSeq = sb0.seq
-		return sb0, nil
-	case ok1:
-		s.superSeq = sb1.seq
-		return sb1, nil
-	default:
-		// A store opened under the wrong suite lands here, not at recover's
-		// suite-name check: the slot MACs differ before the names are
-		// compared. Saying what the slots claim tells that case apart from
-		// plain tampering without trusting it.
-		claims := claim0
-		if claim1 != "" && claim1 != claim0 {
-			if claims != "" {
-				claims += "; "
-			}
-			claims += claim1
-		}
-		if claims != "" {
-			claims = " (" + claims + ")"
-		}
-		return superblock{}, fmt.Errorf("%w: superblock fails validation under %q%s", ErrTampered, s.suite.Name(), claims)
+	if ok1 && (!ok0 || sb1.seq > sb0.seq) {
+		sb0, ok0 = sb1, true
 	}
+	if ok0 {
+		s.superSeq = sb0.seq
+		return sb0, nil
+	}
+	// A store opened under the wrong suite lands here, not at recover's
+	// suite-name check: the slot MACs differ before the names are compared.
+	// Saying what the slots claim tells that case apart from plain
+	// tampering without trusting it.
+	claims := claim0
+	if claim1 != claim0 {
+		claims = strings.Trim(claim0+"; "+claim1, "; ")
+	}
+	if claims != "" {
+		claims = " (" + claims + ")"
+	}
+	return superblock{}, fmt.Errorf("%w: superblock fails validation under %q%s", ErrTampered, s.suite.Name(), claims)
 }
 
 // writeSuperblock publishes a checkpoint pointer and IV-generation
@@ -275,10 +267,13 @@ type ckptPayload struct {
 	// Recovery continues it from here, so the round's seal verifies even
 	// though part of the round precedes the residual log.
 	round roundChain
+	// nodeSegs lists, ascending, the node segments below the one the payload
+	// was encoded for; recovery marks these, that one and the root's.
+	nodeSegs []uint64
 }
 
 func encodeCkptPayload(p ckptPayload) []byte {
-	out := make([]byte, 0, 64+16*len(p.segLive))
+	out := make([]byte, 0, 64+16*len(p.segLive)+8*len(p.nodeSegs))
 	out = binary.BigEndian.AppendUint64(out, p.seqNext)
 	out = append(out, byte(p.height))
 	out = binary.BigEndian.AppendUint64(out, p.rootLoc.Seg)
@@ -290,26 +285,24 @@ func encodeCkptPayload(p ckptPayload) []byte {
 	out = binary.BigEndian.AppendUint32(out, uint32(len(p.segLive)))
 	// Deterministic order is unnecessary for correctness but keeps the
 	// encoding reproducible for tests.
-	nums := make([]uint64, 0, len(p.segLive))
-	for n := range p.segLive {
-		nums = append(nums, n)
-	}
-	for i := 1; i < len(nums); i++ {
-		for j := i; j > 0 && nums[j-1] > nums[j]; j-- {
-			nums[j-1], nums[j] = nums[j], nums[j-1]
-		}
-	}
-	for _, n := range nums {
+	for _, n := range slices.Sorted(maps.Keys(p.segLive)) {
 		out = binary.BigEndian.AppendUint64(out, n)
 		out = binary.BigEndian.AppendUint64(out, uint64(p.segLive[n]))
 	}
 	out = binary.BigEndian.AppendUint64(out, p.round.stamp)
 	out = binary.BigEndian.AppendUint32(out, p.round.count)
 	out = append(out, byte(len(p.round.chain)))
-	return append(out, p.round.chain...)
+	out = append(out, p.round.chain...)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(p.nodeSegs)))
+	for _, n := range p.nodeSegs {
+		out = binary.BigEndian.AppendUint64(out, n)
+	}
+	return out
 }
 
-func decodeCkptPayload(data []byte) (ckptPayload, error) {
+// decodeCkptPayload decodes the payload of the checkpoint record stored in
+// segment ckptSeg.
+func decodeCkptPayload(data []byte, ckptSeg uint64) (ckptPayload, error) {
 	var p ckptPayload
 	if len(data) < 26 {
 		return p, fmt.Errorf("%w: short checkpoint payload", ErrTampered)
@@ -359,16 +352,34 @@ func decodeCkptPayload(data []byte) (ckptPayload, error) {
 		p.round.chain = append([]byte(nil), data[pos+13:pos+13+n]...)
 	}
 	pos += 13 + len(p.round.chain)
+	if len(data) < pos+4 || len(data) < pos+4+8*int(binary.BigEndian.Uint32(data[pos:pos+4])) {
+		return p, fmt.Errorf("%w: truncated checkpoint node-segment list", ErrTampered)
+	}
+	p.nodeSegs = make([]uint64, binary.BigEndian.Uint32(data[pos:pos+4]))
+	pos += 4
+	for i := range p.nodeSegs {
+		p.nodeSegs[i] = binary.BigEndian.Uint64(data[pos : pos+8])
+		pos += 8
+		// Strictly ascending and below the checkpoint's own segment, which
+		// recovery marks on its own.
+		if p.nodeSegs[i] >= ckptSeg || (i > 0 && p.nodeSegs[i] <= p.nodeSegs[i-1]) {
+			return p, fmt.Errorf("%w: checkpoint in segment %d lists node segment %d out of order", ErrTampered, ckptSeg, p.nodeSegs[i])
+		}
+	}
 	if pos != len(data) {
 		return p, fmt.Errorf("%w: %d trailing bytes in checkpoint payload", ErrTampered, len(data)-pos)
 	}
 	return p, nil
 }
 
-// checkpointLocked writes all dirty location map nodes to the log, appends
-// a checkpoint record and a durable commit, and publishes the checkpoint in
-// the superblock. This bounds the residual log that recovery must replay
-// (paper §3.2.1).
+// checkpointLocked writes the dirty location map nodes to a fresh node
+// segment, appends a checkpoint record and a durable commit, and publishes
+// the checkpoint in the superblock, bounding the residual log recovery
+// replays (paper §3.2.1). Checkpoints own the node segments as the cleaner
+// owns chunk segments: with the dirty nodes a checkpoint rewrites the live
+// nodes of every node segment at most MaxUtilization live (the cleaner's
+// profitability bound), and the older node segments it leaves empty are
+// freed once it is published. With nothing dirty it writes no node.
 func (s *Store) checkpointLocked() error {
 	// A failed commit may have left orphaned records at the tail; they must
 	// be physically discarded before this checkpoint appends anything, or the
@@ -380,6 +391,12 @@ func (s *Store) checkpointLocked() error {
 		return err
 	}
 	dirty := s.lm.dirtyNodes() // post-order: children before parents
+	if len(dirty) > 0 {
+		if err := s.markSparseNodes(); err != nil {
+			return err
+		}
+		dirty = s.lm.dirtyNodes()
+	}
 	// Reserve a fresh IV generation for the node writes; checkpoints share
 	// the ivGen namespace with commit preparations, so seeds never collide
 	// (see commit_pipeline.go).
@@ -388,6 +405,12 @@ func (s *Store) checkpointLocked() error {
 		return err
 	}
 	ivSeq := gen << ivGenBits
+	// Node records never share a segment with chunk records, and this
+	// checkpoint's never share one with an older checkpoint's.
+	if _, err := s.segs.create(true); err != nil {
+		return err
+	}
+	first := s.segs.tail.num
 	for i, n := range dirty {
 		// Refresh inner entries so the serialization carries children's
 		// latest stored locations and content hashes.
@@ -423,7 +446,6 @@ func (s *Store) checkpointLocked() error {
 			s.adjustLive(n.loc, -int64(n.loc.Len))
 		}
 		s.residualBytes += int64(loc.Len)
-		s.nodesAfterCkpt = true
 		n.loc = loc
 		n.dirty = false
 		n.hash = s.suite.Hash(plain)
@@ -439,9 +461,14 @@ func (s *Store) checkpointLocked() error {
 	rootHash := s.lm.rootHash()
 
 	segLive := make(map[uint64]int64, len(s.segs.segs))
+	var nodeSegs []uint64
 	for num, seg := range s.segs.segs {
 		segLive[num] = seg.live
+		if seg.nodes && num < s.segs.tail.num {
+			nodeSegs = append(nodeSegs, num)
+		}
 	}
+	slices.Sort(nodeSegs)
 	payload := encodeCkptPayload(ckptPayload{
 		seqNext:  s.commitSeq + 1,
 		height:   s.lm.height,
@@ -450,6 +477,7 @@ func (s *Store) checkpointLocked() error {
 		alloc:    s.alloc,
 		segLive:  segLive,
 		round:    s.round,
+		nodeSegs: nodeSegs,
 	})
 	// The checkpoint payload gets its own generation so it can never collide
 	// with a node slot.
@@ -478,6 +506,14 @@ func (s *Store) checkpointLocked() error {
 	if err := s.hardenLocked(); err != nil {
 		return err
 	}
+	// The previous anchor is synced before the new one is written anyway
+	// (writeSuperblock); then the node segments it emptied can go.
+	if err := s.syncSuperIfDirtyLocked(); err != nil {
+		return err
+	}
+	if err := s.freeNodeSegmentsLocked(); err != nil {
+		return err
+	}
 	// Write the new anchor into the alternate slot but defer its fsync to
 	// the next harden barrier: the checkpoint record above is already
 	// durable, so a crash before the deferred sync merely recovers from the
@@ -489,9 +525,80 @@ func (s *Store) checkpointLocked() error {
 	if err := s.writeSuperblock(ckptLoc, s.ivGenLimit.Load(), false); err != nil {
 		return err
 	}
-	s.lastCkpt, s.nodesAfterCkpt = ckptLoc, false
-	clear(s.nodeVictims)
+	s.lastCkpt = ckptLoc
 	s.residualBytes = 0
 	s.statCheckpoints++
+	unpinned := s.firstUnpinned()
+	for num, seg := range s.segs.segs {
+		if seg.nodes && seg.live == 0 && num < first && num >= unpinned {
+			s.nodeFrees = append(s.nodeFrees, num)
+		}
+	}
+	slices.Sort(s.nodeFrees)
+	return nil
+}
+
+// markSparseNodes marks dirty every live map node stored in an unpinned
+// node segment at most MaxUtilization live. A node's stored location says
+// nothing about its descendants', so every non-resident inner node is
+// loaded, and a non-resident leaf if its own copy lies in such a segment.
+func (s *Store) markSparseNodes() error {
+	unpinned := s.firstUnpinned()
+	sparse := map[uint64]bool{}
+	for num, seg := range s.segs.segs {
+		if seg.nodes && num >= unpinned && float64(seg.live) <= s.cfg.MaxUtilization*float64(seg.size) {
+			sparse[num] = true
+		}
+	}
+	if len(sparse) == 0 {
+		return nil
+	}
+	var walk func(n *mapNode) error
+	walk = func(n *mapNode) error {
+		if !n.loc.IsZero() && sparse[n.loc.Seg] {
+			n.dirty = true
+		}
+		if n.level == 0 {
+			return nil
+		}
+		for i := range n.entries {
+			kid := n.kids[i]
+			if kid == nil {
+				if e := n.entries[i]; e.isEmpty() || (n.level == 1 && !sparse[e.loc.Seg]) {
+					continue
+				}
+				var err error
+				if kid, err = s.lm.loadChild(n, i); err != nil {
+					return err
+				}
+			}
+			if err := walk(kid); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(s.lm.root)
+}
+
+// freeNodeSegmentsLocked frees the node segments the last checkpoint left
+// empty (nodeFrees) once its superblock slot is synced: until then a crash
+// recovers the checkpoint before it, whose tree reads nodes there.
+func (s *Store) freeNodeSegmentsLocked() error {
+	if s.superDirty {
+		return nil
+	}
+	for ; len(s.nodeFrees) > 0; s.nodeFrees = s.nodeFrees[1:] {
+		seg := s.segs.segs[s.nodeFrees[0]]
+		if seg == nil {
+			continue // a failed free dropped it from the set already
+		}
+		if seg.live != 0 {
+			return fmt.Errorf("%w: emptied node segment %d has %d live bytes", ErrTampered, seg.num, seg.live)
+		}
+		if err := s.segs.free(seg.num); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -54,14 +54,21 @@ func seedImage(tb testing.TB) (map[string][]byte, sec.Suite) {
 	return mem.Snapshot(), suite
 }
 
-// logRecords returns the record images of seedImage's log by type, in log
-// order, and the store's suite.
-func logRecords(tb testing.TB) (map[byte][][]byte, sec.Suite) {
+// logRecord is one record image of a log and the segment holding it.
+type logRecord struct {
+	seg uint64
+	img []byte
+}
+
+// logRecords returns the records of seedImage's log by type, in log order,
+// and the store's suite.
+func logRecords(tb testing.TB) (map[byte][]logRecord, sec.Suite) {
 	tb.Helper()
 	snap, suite := seedImage(tb)
-	recs := make(map[byte][][]byte)
+	recs := make(map[byte][]logRecord)
 	for _, name := range slices.Sorted(maps.Keys(snap)) {
-		if _, ok := parseSegmentName(name); !ok {
+		seg, ok := parseSegmentName(name)
+		if !ok {
 			continue
 		}
 		img := snap[name]
@@ -71,7 +78,7 @@ func logRecords(tb testing.TB) (map[byte][][]byte, sec.Suite) {
 			if err != nil || end > len(img) || !checkRecordCRC(img[off:end]) {
 				break
 			}
-			recs[typ] = append(recs[typ], img[off:end])
+			recs[typ] = append(recs[typ], logRecord{seg, img[off:end]})
 			off = end
 		}
 	}
@@ -115,7 +122,7 @@ func FuzzParseRecordBytes(f *testing.F) {
 		if recs[typ] == nil {
 			f.Fatalf("the seed log holds no record of type %d", typ)
 		}
-		f.Add(recs[typ][0])
+		f.Add(recs[typ][0].img)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var typ byte
@@ -188,7 +195,7 @@ func FuzzDeserializeMapNode(f *testing.F) {
 		f.Fatal("the seed log holds no map-node record")
 	}
 	for _, rec := range recs[recMapNode] {
-		_, _, ciphertext, err := parseMapNodeRecord(rec[recordHeaderSize:])
+		_, _, ciphertext, err := parseMapNodeRecord(rec.img[recordHeaderSize:])
 		if err != nil {
 			f.Fatalf("parseMapNodeRecord: %v", err)
 		}
@@ -221,17 +228,19 @@ func FuzzDeserializeMapNode(f *testing.F) {
 }
 
 // FuzzDecodeCkptPayload holds the checkpoint payload decoder to the same
-// contract: whatever plaintext a checkpoint record decrypts to, decoding it
-// succeeds or fails with an error wrapping ErrTampered, with bounded
-// allocation and never a panic. The seeds are the payloads of a real log's
-// checkpoint records.
+// contract: whatever plaintext a checkpoint record in whatever segment
+// decrypts to, decoding it succeeds or fails with an error wrapping
+// ErrTampered, with bounded allocation and never a panic. A payload that
+// decodes lists its node segments strictly ascending and below the
+// checkpoint's segment. The seeds are
+// the payloads of a real log's checkpoint records, with their segments.
 func FuzzDecodeCkptPayload(f *testing.F) {
 	recs, suite := logRecords(f)
 	if recs[recCheckpoint] == nil {
 		f.Fatal("the seed log holds no checkpoint record")
 	}
 	for _, rec := range recs[recCheckpoint] {
-		_, ciphertext, err := parseCheckpointRecord(rec[recordHeaderSize:])
+		_, ciphertext, err := parseCheckpointRecord(rec.img[recordHeaderSize:])
 		if err != nil {
 			f.Fatalf("parseCheckpointRecord: %v", err)
 		}
@@ -239,13 +248,25 @@ func FuzzDecodeCkptPayload(f *testing.F) {
 		if err != nil {
 			f.Fatalf("Decrypt: %v", err)
 		}
-		f.Add(plain)
+		if _, err := decodeCkptPayload(plain, rec.seg); err != nil {
+			f.Fatalf("decodeCkptPayload of a real checkpoint: %v", err)
+		}
+		f.Add(plain, rec.seg)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, seg uint64) {
+		var p ckptPayload
 		var err error
-		boundedAlloc(t, len(data), func() { _, err = decodeCkptPayload(data) })
-		if err != nil && !errors.Is(err, ErrTampered) {
-			t.Fatalf("decodeCkptPayload: %v does not wrap ErrTampered", err)
+		boundedAlloc(t, len(data), func() { p, err = decodeCkptPayload(data, seg) })
+		if err != nil {
+			if !errors.Is(err, ErrTampered) {
+				t.Fatalf("decodeCkptPayload: %v does not wrap ErrTampered", err)
+			}
+			return
+		}
+		for i, num := range p.nodeSegs {
+			if num >= seg || (i > 0 && num <= p.nodeSegs[i-1]) {
+				t.Fatalf("decoded node segments %v for a checkpoint in segment %d", p.nodeSegs, seg)
+			}
 		}
 	})
 }

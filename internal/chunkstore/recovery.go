@@ -54,11 +54,19 @@ func (s *Store) recover(sb superblock) error {
 	if err != nil {
 		return fmt.Errorf("%w: decrypting checkpoint: %v", ErrTampered, err)
 	}
-	ckpt, err := decodeCkptPayload(plain)
+	ckpt, err := decodeCkptPayload(plain, sb.ckptLoc.Seg)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrTampered, err)
 	}
 	s.alloc = ckpt.alloc
+	// The checkpoint's own segment and its root's are node segments the list
+	// leaves out; a listed one may be gone, freed once the checkpoint was
+	// published. Replay marks the segments of later checkpoints' nodes.
+	for _, num := range append(ckpt.nodeSegs, ckpt.rootLoc.Seg, sb.ckptLoc.Seg) {
+		if seg, ok := s.segs.segs[num]; ok {
+			seg.nodes = true
+		}
+	}
 
 	// Apply the checkpoint's segment liveness table; prune orphans. A listed
 	// segment may be gone only if the residual log relocated every live byte
@@ -310,9 +318,11 @@ func (s *Store) scanLog(start position, fn func(loc Location, typ byte, body []b
 			return pos, nil
 		}
 		if pos.off >= seg.size {
-			// End of segment: continue with the next one if present and
-			// contiguous (segment numbers are dense within the residual).
-			if _, ok := s.segs.segs[pos.seg+1]; !ok {
+			// End of segment: continue with the next one if present (numbers
+			// are dense within the residual) and created when this one ended
+			// here. A crash may keep the next one's unsynced writes and lose
+			// this one's, and the log must not skip the lost bytes.
+			if next, ok := s.segs.segs[pos.seg+1]; !ok || next.prev != pos.off {
 				return pos, nil
 			}
 			pos = position{seg: pos.seg + 1, off: segHeaderSize}
@@ -402,7 +412,7 @@ func (s *Store) replay(start, stop position) error {
 			if err := s.noteNodeWritten(level, index, loc, s.suite.Hash(plain)); err != nil {
 				return false, err
 			}
-			s.nodesAfterCkpt = true
+			s.segs.segs[loc.Seg].nodes = true
 		case recCheckpoint, recCommit, recSeal:
 			// Checkpoint payloads matter only through the superblock; commit
 			// and seal records delimit state but carry no data.
@@ -472,6 +482,9 @@ func (s *Store) truncateTail(end position) error {
 	if !ok {
 		return fmt.Errorf("%w: tail segment %d missing", ErrTampered, end.seg)
 	}
+	// The cut is unsynced: the harden of the next appends, which may go to
+	// a segment of their own, must sync it too.
+	seg.synced = seg.size == end.off
 	if seg.size > end.off {
 		if err := s.segs.truncate(seg, end.off); err != nil {
 			return err
@@ -479,7 +492,6 @@ func (s *Store) truncateTail(end position) error {
 		seg.size = end.off
 	}
 	seg.sealed = false
-	seg.synced = true
 	s.segs.tail = seg
 	s.segs.next = end.seg + 1
 	return nil

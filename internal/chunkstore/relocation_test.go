@@ -214,13 +214,13 @@ func firstIndex(ops []string, prefix string) int {
 func TestCrashSweepRelocationCommit(t *testing.T) {
 	ops := sweepCleanCycle(t, relocationCycle, (*Store).Clean)
 	t.Logf("cycle: %v", ops)
-	removes := 0
-	for _, op := range ops {
+	harden, removes := firstIndex(ops, "sync seg-"), 0
+	for _, op := range ops[harden+1:] {
 		if strings.HasPrefix(op, "remove seg-") {
 			removes++
 		}
 	}
-	if removes < 2 || firstIndex(ops, "sync seg-") < 0 || firstIndex(ops, "sync seg-") > firstIndex(ops, "remove") {
+	if harden < 0 || removes < 2 {
 		t.Fatalf("test premise: want a harden, then two or more victim frees; got %v", ops)
 	}
 	if i := firstIndex(ops, "write superblock"); i >= 0 {
@@ -228,65 +228,56 @@ func TestCrashSweepRelocationCommit(t *testing.T) {
 	}
 }
 
-// TestCrashMapNodeVictimWaitsForCheckpoint: a victim whose live map-node
-// records a cycle relocates is emptied but not freed — recovery loads
-// checkpointed nodes from their checkpoint-time locations — and the cycle
-// still publishes through the log. A checkpoint publishes the nodes' new
-// locations, and the next cycle frees the victim only after that
-// checkpoint's superblock slot is written and synced. Clean, Checkpoint,
-// Clean survives a crash at every write boundary.
-func TestCrashMapNodeVictimWaitsForCheckpoint(t *testing.T) {
-	_, log, s, _ := mapNodeCycle(t)
-	log.take()
-	before := s.Stats().Checkpoints
-	if err := s.Clean(); err != nil {
-		t.Fatalf("Clean: %v", err)
-	}
-	if got := s.Stats().Checkpoints; got != before {
-		t.Fatalf("a cycle that moved live map nodes made %d checkpoints, want none", got-before)
-	}
-	held := slices.Sorted(maps.Keys(s.nodeVictims))
-	if len(held) == 0 {
-		t.Fatal("test premise: the cycle moved no live map node")
-	}
-	first := log.take()
-	for _, num := range held {
-		if slices.Contains(first, "remove "+segmentName(num)) {
-			t.Fatalf("victim %d freed with its map nodes' checkpoint unpublished: %v", num, first)
+// checkSegmentKinds scans every segment of s and fails t if a map-node
+// record lies outside a node segment or a chunk record inside one. It
+// returns the node segments.
+func checkSegmentKinds(t *testing.T, s *Store) []uint64 {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var nodeSegs []uint64
+	for _, num := range s.segs.numbers() {
+		types := map[byte]int{}
+		if _, err := s.scanLog(position{seg: num, off: segHeaderSize}, func(loc Location, typ byte, _ []byte) (bool, error) {
+			if loc.Seg != num {
+				return false, nil
+			}
+			types[typ]++
+			return true, nil
+		}); err != nil {
+			t.Fatalf("scanning segment %d: %v", num, err)
+		}
+		seg := s.segs.segs[num]
+		if !seg.nodes && types[recMapNode] > 0 {
+			t.Errorf("chunk segment %d holds %d map-node records", num, types[recMapNode])
+		}
+		if seg.nodes {
+			if types[recWrite] > 0 {
+				t.Errorf("node segment %d holds %d chunk records", num, types[recWrite])
+			}
+			nodeSegs = append(nodeSegs, num)
 		}
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	if err := s.Clean(); err != nil {
-		t.Fatalf("Clean: %v", err)
-	}
-	ops := log.take()
-	w := firstIndex(ops, "write superblock")
-	for _, num := range held {
-		free := slices.Index(ops, "remove "+segmentName(num))
-		if free < 0 || w < 0 || firstIndex(ops[w:], "sync superblock") < 0 || w+firstIndex(ops[w:], "sync superblock") > free {
-			t.Fatalf("victim %d not freed after the checkpoint's superblock was written and synced: %v", num, ops)
-		}
-	}
-	s.Close()
-
-	sweepCleanCycle(t, mapNodeCycle, func(s *Store) error {
-		return errors.Join(s.Clean(), s.Checkpoint(), s.Clean())
-	})
+	return nodeSegs
 }
 
 // TestCleanWritesNoMapNodeRecord: the checkpoint is the only writer of
-// map-node records. A cycle that holds a victim for its live map nodes
-// appends no map-node record and reserves no IV generation; it leaves the
-// victim's live nodes dirty, still stored there and still counted live,
-// until the checkpoint rewrites them at the tail.
+// map-node records, and the cleaner never sees one. A cycle appends no
+// map-node record, reserves no IV generation, takes only chunk segments as
+// victims and leaves every node segment as it found it.
 func TestCleanWritesNoMapNodeRecord(t *testing.T) {
-	_, _, s, want := mapNodeCycle(t)
+	_, log, s, want := mapNodeCycle(t)
 	s.mu.Lock()
 	start := position{seg: s.segs.tail.num, off: s.segs.tail.size}
+	nodeLive := map[uint64]int64{}
+	for num, seg := range s.segs.segs {
+		if seg.nodes {
+			nodeLive[num] = seg.live
+		}
+	}
 	s.mu.Unlock()
 	gen := s.ivGen.Load()
+	log.take()
 	if err := s.Clean(); err != nil {
 		t.Fatalf("Clean: %v", err)
 	}
@@ -307,68 +298,250 @@ func TestCleanWritesNoMapNodeRecord(t *testing.T) {
 	if n := types[recMapNode]; n != 0 {
 		t.Errorf("the cycle appended %d map-node records", n)
 	}
-	held := slices.Sorted(maps.Keys(s.nodeVictims))
-	if len(held) == 0 {
-		s.mu.Unlock()
-		t.Fatal("test premise: the cycle held no victim for its map nodes")
+	if len(nodeLive) == 0 {
+		t.Error("test premise: the store has no node segment")
 	}
-	// nodesIn returns the resident nodes stored in segment num. A marked
-	// node is dirty, and the CLOCK ring never evicts a dirty node.
-	nodesIn := func(num uint64) []*mapNode {
-		var out []*mapNode
-		for _, n := range s.lm.ring {
-			if n.loc.Seg == num && !n.loc.IsZero() {
-				out = append(out, n)
+	for num, live := range nodeLive {
+		if seg := s.segs.segs[num]; seg == nil || seg.live != live {
+			t.Errorf("the cycle changed node segment %d (live %d before, segment %v after)", num, live, seg)
+		}
+	}
+	s.mu.Unlock()
+	freed := 0
+	for _, op := range log.take() {
+		if num, ok := parseSegmentName(strings.TrimPrefix(op, "remove ")); ok && strings.HasPrefix(op, "remove ") {
+			if _, isNode := nodeLive[num]; isNode {
+				t.Errorf("the cycle freed node segment %d", num)
 			}
-		}
-		return out
-	}
-	for _, num := range held {
-		nodes := nodesIn(num)
-		if len(nodes) == 0 {
-			t.Errorf("held victim %d stores no resident map node: the cycle moved them", num)
-		}
-		var live int64
-		for _, n := range nodes {
-			if !n.dirty {
-				t.Errorf("node (%d,%d) stored in held victim %d is not dirty", n.level, n.index, num)
-			}
-			live += int64(n.loc.Len)
-		}
-		if got := s.segs.segs[num].live; got != live {
-			t.Errorf("held victim %d has %d live bytes, want its nodes' %d", num, got, live)
+			freed++
 		}
 	}
-	s.mu.Unlock()
-
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	if freed == 0 {
+		t.Error("test premise: the cycle freed no victim")
 	}
-	s.mu.Lock()
-	for _, num := range held {
-		if nodes, live := nodesIn(num), s.segs.segs[num].live; len(nodes) != 0 || live != 0 {
-			t.Errorf("after the checkpoint, victim %d stores %d nodes and %d live bytes, want none", num, len(nodes), live)
-		}
-	}
-	s.mu.Unlock()
-	if err := s.Clean(); err != nil {
-		t.Fatalf("Clean: %v", err)
-	}
-	s.mu.Lock()
-	for _, num := range held {
-		if s.segs.segs[num] != nil {
-			t.Errorf("victim %d not freed by the cycle after the checkpoint", num)
-		}
-	}
-	s.mu.Unlock()
+	checkSegmentKinds(t, s)
 	for cid, v := range want {
-		if got, err := s.Read(cid); err != nil || string(got) != v {
-			t.Fatalf("Read(%d) = %.12q, %v; want %.12q", cid, got, err, v)
-		}
+		wantRead(t, s, cid, v)
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
+}
+
+// TestMapNodesLiveOnlyInNodeSegments runs commits, cleaning cycles and
+// checkpoints, among them a back-to-back pair, a failed checkpoint and one
+// under an open snapshot, and scans every segment after each step. Map-node
+// records lie only in node segments. After a checkpoint that writes nodes,
+// every older node segment no snapshot pins is more than MaxUtilization
+// live or empty, and the empty ones are freed as soon as its superblock
+// slot is synced: by the next checkpoint, or by an idle Clean. The ones a
+// snapshot pinned go once it is closed. The second checkpoint of a
+// back-to-back pair writes no node.
+func TestMapNodesLiveOnlyInNodeSegments(t *testing.T) {
+	env, _, s := openLogged(t, 4)
+	want := map[ChunkID]string{}
+	var cids []ChunkID
+	for i := 0; i < 48; i++ {
+		v := fmt.Sprintf("first-%02d", i)
+		cids = append(cids, allocWrite(t, s, []byte(v)))
+		want[cids[i]] = v
+	}
+	rewrite := func(tag string, every int) {
+		for i := 0; i < len(cids); i += every {
+			want[cids[i]] = fmt.Sprintf("%s-%02d-%s", tag, i, strings.Repeat("x", 200))
+			writeChunk(t, s, cids[i], []byte(want[cids[i]]))
+		}
+	}
+	// gone fails t if a segment listed for freeing is still there.
+	gone := func(what string, listed []uint64) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, num := range listed {
+			if s.segs.segs[num] != nil {
+				t.Errorf("%s: emptied node segment %d survived", what, num)
+			}
+		}
+	}
+	// checkpoint checkpoints and returns how many map-node records it wrote
+	// and the empty node segments before it that a snapshot kept.
+	var listed []uint64
+	checkpoint := func(what string) (nodes int, pinned []uint64) {
+		t.Helper()
+		s.mu.Lock()
+		start := position{seg: s.segs.tail.num, off: s.segs.tail.size}
+		s.mu.Unlock()
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("%s: Checkpoint: %v", what, err)
+		}
+		gone(what, listed)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		listed = slices.Clone(s.nodeFrees)
+		first := uint64(0)
+		if _, err := s.scanLog(start, func(loc Location, typ byte, _ []byte) (bool, error) {
+			if first == 0 && (typ == recMapNode || typ == recCheckpoint) {
+				first = loc.Seg
+			}
+			if typ == recMapNode {
+				nodes++
+			}
+			return true, nil
+		}); err != nil {
+			t.Fatalf("%s: scanLog: %v", what, err)
+		}
+		for _, num := range s.segs.numbers() {
+			seg := s.segs.segs[num]
+			switch {
+			case !seg.nodes || num >= first:
+			case num < s.firstUnpinned():
+				if seg.live == 0 {
+					pinned = append(pinned, num)
+				}
+			case seg.live == 0:
+				if !slices.Contains(listed, num) {
+					t.Errorf("%s: empty node segment %d is not listed for freeing", what, num)
+				}
+			case nodes > 0 && float64(seg.live) <= s.cfg.MaxUtilization*float64(seg.size):
+				t.Errorf("%s: node segment %d is %d/%d live after a checkpoint that wrote nodes", what, num, seg.live, seg.size)
+			}
+		}
+		return nodes, pinned
+	}
+	clean := func(what string) {
+		t.Helper()
+		if err := s.Clean(); err != nil {
+			t.Fatalf("%s: Clean: %v", what, err)
+		}
+		gone(what, listed)
+		checkSegmentKinds(t, s)
+	}
+
+	if n, _ := checkpoint("first"); n == 0 {
+		t.Fatal("test premise: the first checkpoint wrote no node")
+	}
+	rewrite("second", 2)
+	clean("after the first checkpoint")
+	checkpoint("second")
+	checkSegmentKinds(t, s)
+
+	// An open snapshot pins the node segments at or below its tail: the
+	// checkpoint that empties them keeps them.
+	snap, err := s.TakeSnapshot()
+	if err != nil {
+		t.Fatalf("TakeSnapshot: %v", err)
+	}
+	rewrite("third", 1)
+	_, pinned := checkpoint("under the snapshot")
+	if len(pinned) == 0 {
+		t.Fatal("test premise: the checkpoint under the snapshot emptied no node segment")
+	}
+	clean("under the snapshot")
+
+	// Back to back: the second checkpoint finds nothing dirty.
+	rewrite("fourth", 7)
+	if n, _ := checkpoint("back to back, first"); n == 0 {
+		t.Fatal("test premise: the first of the pair wrote no node")
+	}
+	if n, _ := checkpoint("back to back, second"); n != 0 {
+		t.Errorf("the second checkpoint of a back-to-back pair wrote %d map-node records, want none", n)
+	}
+	checkSegmentKinds(t, s)
+
+	// A checkpoint whose harden fails leaves its node records in the log.
+	rewrite("fifth", 3)
+	env.fs.SetSyncFailures(true)
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("test premise: a checkpoint whose syncs fail succeeded")
+	}
+	env.fs.SetSyncFailures(false)
+	checkSegmentKinds(t, s)
+	rewrite("sixth", 4)
+	checkpoint("after the failed checkpoint")
+	clean("after the failed checkpoint")
+
+	// Closing the snapshot unpins its segments: the next checkpoint lists
+	// them, and an idle Clean frees them.
+	snap.Close()
+	rewrite("seventh", 6)
+	checkpoint("after the snapshot closed")
+	clean("after the snapshot closed")
+	gone("after the snapshot closed", pinned)
+	checkSegmentKinds(t, s)
+	for cid, v := range want {
+		wantRead(t, s, cid, v)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s = env.open(t)
+	defer s.Close()
+	checkSegmentKinds(t, s)
+	for cid, v := range want {
+		wantRead(t, s, cid, v)
+	}
+}
+
+// sparseNodeCycle: at fanout 4 the stable chunks' leaves are written once,
+// by the first checkpoint, and the hot chunk keeps only its own path dirty,
+// so the second checkpoint leaves the first's node segment sparse, and the
+// third moves the stable leaves out of it and empties it.
+func sparseNodeCycle(t *testing.T) (*testEnv, *opLog, *Store, map[ChunkID]string) {
+	env, log, s, want := mapNodeCycle(t)
+	for cid, v := range want {
+		if strings.HasPrefix(v, "hot-") {
+			churnHot(t, s, cid, 4, "hot-again", want)
+			break
+		}
+	}
+	return env, log, s, want
+}
+
+// TestCrashSweepCheckpointFreesNodeSegments: a checkpoint moves the live
+// nodes out of sparse node segments, and the emptied segments are freed only
+// after its superblock slot is written and synced, since until then
+// recovery loads the previous checkpoint's tree, which reads nodes there:
+// here by the idle Clean that follows. Checkpoint then Clean survives a
+// crash at every write boundary, under both power-loss flavors.
+func TestCrashSweepCheckpointFreesNodeSegments(t *testing.T) {
+	_, log, s, _ := sparseNodeCycle(t)
+	s.mu.Lock()
+	var sparse []uint64
+	for num, seg := range s.segs.segs {
+		if seg.nodes && float64(seg.live) <= s.cfg.MaxUtilization*float64(seg.size) {
+			sparse = append(sparse, num)
+		}
+	}
+	s.mu.Unlock()
+	if len(sparse) == 0 {
+		t.Fatal("test premise: no node segment is sparse")
+	}
+	log.take()
+	if err := errors.Join(s.Checkpoint(), s.Clean()); err != nil {
+		t.Fatalf("Checkpoint, Clean: %v", err)
+	}
+	ops := log.take()
+	w := firstIndex(ops, "write superblock")
+	synced := -1
+	if w >= 0 {
+		if i := firstIndex(ops[w:], "sync superblock"); i >= 0 {
+			synced = w + i
+		}
+	}
+	for _, num := range sparse {
+		free := slices.Index(ops, "remove "+segmentName(num))
+		if free < 0 || synced < 0 || synced > free {
+			t.Fatalf("node segment %d not freed after the checkpoint's superblock was written and synced: %v", num, ops)
+		}
+	}
+	s.Close()
+
+	sweepCleanCycle(t, sparseNodeCycle, func(s *Store) error {
+		return errors.Join(s.Checkpoint(), s.Clean())
+	})
 }
 
 // TestTamperDeletedSegmentNotRelocated: a checkpointed segment may be gone
@@ -420,56 +593,81 @@ func TestTamperDeletedSegmentNotRelocated(t *testing.T) {
 	}
 }
 
-// TestCrashUnpublishedCheckpointNodesMakeCleanerCheckpoint: a checkpoint
-// whose node records reached the log but whose superblock slot did not
-// leaves recovery with the older checkpoint's tree and the newer node
-// locations replayed on top. The leaf the older checkpoint still reads from
-// a victim then looks dead to the current tree, so the cleaning cycle must
-// publish with a checkpoint: freeing the victim behind a relocation commit
-// would leave the next recovery reading a leaf from a missing segment.
-func TestCrashUnpublishedCheckpointNodesMakeCleanerCheckpoint(t *testing.T) {
-	env, _, s := openLogged(t, 4)
-	want := map[ChunkID]string{}
-	var stable []ChunkID
-	for i := 0; i < 3; i++ {
-		v := fmt.Sprintf("stable-%d", i)
-		cid := allocWrite(t, s, []byte(v))
-		want[cid] = v
-		stable = append(stable, cid)
+// TestCrashUnpublishedCheckpointNodesStayInNodeSegments: a checkpoint whose
+// node records reached the log but whose superblock slot did not leaves
+// recovery with the older checkpoint's tree and the newer node locations
+// replayed on top. Replay marks the segments holding those records as node
+// segments, so no cleaning cycle takes one for a victim, and the next
+// checkpoint that writes nodes carries them on; cleaning, checkpointing and
+// crashing again keep every value.
+func TestCrashUnpublishedCheckpointNodesStayInNodeSegments(t *testing.T) {
+	setup := func(t *testing.T) (*testEnv, *opLog, *Store, map[ChunkID]string) {
+		env, log, s := openLogged(t, 4)
+		want := map[ChunkID]string{}
+		var stable []ChunkID
+		for i := 0; i < 3; i++ {
+			v := fmt.Sprintf("stable-%d", i)
+			cid := allocWrite(t, s, []byte(v))
+			want[cid] = v
+			stable = append(stable, cid)
+		}
+		hot := allocWrite(t, s, []byte("hot"))
+		if err := s.Checkpoint(); err != nil { // the stable leaf's only record
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		churnHot(t, s, hot, 60, "hot", want)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		churnHot(t, s, hot, 1, "after", want)
+		want[stable[0]] = "stable-0-rewritten"
+		writeChunk(t, s, stable[0], []byte(want[stable[0]]))
+		return env, log, s, want
 	}
-	hot := allocWrite(t, s, []byte("hot"))
-	if err := s.Checkpoint(); err != nil { // the stable leaf's only record
+	// The dry run finds the checkpoint's superblock write; the real run's
+	// device dies there, after the checkpoint's records are synced.
+	_, log, s, _ := setup(t)
+	log.take()
+	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	churnHot(t, s, hot, 60, "hot", want)
-	if err := s.Checkpoint(); err != nil { // published: the next harden syncs its slot
-		t.Fatalf("Checkpoint: %v", err)
+	w := firstIndex(log.take(), "write superblock")
+	s.Close()
+	if w < 0 {
+		t.Fatal("test premise: the checkpoint wrote no superblock slot")
 	}
-	churnHot(t, s, hot, 1, "after", want)
-	want[stable[0]] = "stable-0-rewritten"
-	writeChunk(t, s, stable[0], []byte(want[stable[0]]))
-	if err := s.Checkpoint(); err != nil { // its slot never reaches the disk
-		t.Fatalf("Checkpoint: %v", err)
+	env, _, s, want := setup(t)
+	s.mu.Lock()
+	published := s.lastCkpt
+	s.mu.Unlock()
+	env.fs.SetWriteBudget(int64(w))
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("test premise: the checkpoint survived the device's death")
 	}
 	env.mem.Crash()
+	env.fs.SetWriteBudget(-1)
 
 	s = env.open(t)
-	before := s.Stats().Checkpoints
-	if err := s.Clean(); err != nil {
-		t.Fatalf("Clean: %v", err)
+	s.mu.Lock()
+	replayed := 0
+	if s.lastCkpt != published {
+		t.Errorf("test premise: recovery anchored at %v, want the published checkpoint %v", s.lastCkpt, published)
 	}
-	if s.Stats().Checkpoints == before {
-		t.Fatal("a cycle run over replayed checkpoint nodes published without a checkpoint")
+	for _, n := range s.lm.ring {
+		if !n.loc.IsZero() && n.loc.Seg > published.Seg {
+			replayed++
+		}
 	}
-	env.mem.Crash()
-	s2 := env.open(t)
-	defer s2.Close()
-	for cid, v := range want {
-		wantRead(t, s2, cid, v)
+	s.mu.Unlock()
+	if replayed == 0 {
+		t.Fatal("test premise: recovery replayed no map-node record of the unpublished checkpoint")
 	}
-	if err := s2.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	checkSegmentKinds(t, s)
+	if err := errors.Join(s.Clean(), s.Checkpoint(), s.Clean()); err != nil {
+		t.Fatalf("Clean, Checkpoint, Clean: %v", err)
 	}
+	checkSegmentKinds(t, s)
+	reopenTwice(t, env, want, "after cleaning over replayed checkpoint nodes")
 }
 
 // commitOwed durably commits v to a new chunk and returns with the commit's

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -14,11 +15,12 @@ import (
 )
 
 // Segment files are named "seg-N" (decimal, monotonically increasing). Each
-// begins with a 16-byte header: magic and the segment number. Records follow
-// back to back.
+// begins with a 24-byte header: magic, the segment number, and the size of
+// the previous segment when this one was created. Records follow back to
+// back.
 const (
 	segMagic      = uint64(0x5444425345470001) // "TDBSEG\x00\x01"
-	segHeaderSize = 16
+	segHeaderSize = 24
 )
 
 func segmentName(n uint64) string { return "seg-" + strconv.FormatUint(n, 10) }
@@ -45,6 +47,12 @@ type segment struct {
 	size int64
 	// live is the number of bytes of current chunk/map-node versions.
 	live int64
+	// prev is the previous segment's size when this one was created: the
+	// log reads on into this segment only from there (scanLog).
+	prev int64
+	// nodes marks a node segment, which holds map-node records and never a
+	// chunk record; checkpoints write and free it (checkpointLocked).
+	nodes bool
 	// sealed segments accept no more appends.
 	sealed bool
 	// synced tracks whether all appended bytes are durable.
@@ -212,10 +220,11 @@ func (ss *segmentSet) truncate(seg *segment, size int64) error {
 	return nil
 }
 
-// create opens a new tail segment. Sealing is a flush point: the old tail's
-// buffered suffix must be on disk before the segment stops accepting
-// appends, so sealed segments never hold buffered bytes.
-func (ss *segmentSet) create() (*segment, error) {
+// create opens a new tail segment, a node segment if nodes is set. Sealing
+// is a flush point: the old tail's buffered suffix must be on disk before
+// the segment stops accepting appends, so sealed segments never hold
+// buffered bytes.
+func (ss *segmentSet) create(nodes bool) (*segment, error) {
 	if err := ss.flushLocked(); err != nil {
 		return nil, err
 	}
@@ -240,7 +249,11 @@ func (ss *segmentSet) create() (*segment, error) {
 	var hdr [segHeaderSize]byte
 	binary.BigEndian.PutUint64(hdr[0:8], segMagic)
 	binary.BigEndian.PutUint64(hdr[8:16], num)
-	seg := &segment{num: num, file: f, size: segHeaderSize}
+	seg := &segment{num: num, file: f, size: segHeaderSize, nodes: nodes}
+	if ss.tail != nil {
+		seg.prev = ss.tail.size
+	}
+	binary.BigEndian.PutUint64(hdr[16:24], uint64(seg.prev))
 	if err := ss.writeAt(seg, hdr[:], 0); err != nil {
 		f.Close()
 		return nil, err
@@ -286,22 +299,16 @@ func (ss *segmentSet) open(num uint64) (*segment, error) {
 		if err := ss.readAt(seg, hdr[:], 0); err != nil {
 			return nil, err
 		}
-		if binary.BigEndian.Uint64(hdr[0:8]) != segMagic || binary.BigEndian.Uint64(hdr[8:16]) != num {
-			return nil, fmt.Errorf("%w: segment %d header invalid", ErrTampered, num)
+		// A header not this segment's (a crash kept a later write and lost
+		// the header's, or an attacker wrote it) leaves prev 0, so the log
+		// never reads on into the segment; nothing else trusts the header.
+		if binary.BigEndian.Uint64(hdr[0:8]) == segMagic && binary.BigEndian.Uint64(hdr[8:16]) == num {
+			seg.prev = int64(binary.BigEndian.Uint64(hdr[16:24]))
 		}
 	}
 	ss.segs[num] = seg
 	if num >= ss.next {
 		ss.next = num + 1
-	}
-	return seg, nil
-}
-
-// get returns an already-loaded segment.
-func (ss *segmentSet) get(num uint64) (*segment, error) {
-	seg, ok := ss.segs[num]
-	if !ok {
-		return nil, fmt.Errorf("%w: reference to missing segment %d", ErrTampered, num)
 	}
 	return seg, nil
 }
@@ -345,14 +352,7 @@ func (ss *segmentSet) free(num uint64) error {
 }
 
 // numbers returns all loaded segment numbers in ascending order.
-func (ss *segmentSet) numbers() []uint64 {
-	out := make([]uint64, 0, len(ss.segs))
-	for n := range ss.segs {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (ss *segmentSet) numbers() []uint64 { return slices.Sorted(maps.Keys(ss.segs)) }
 
 // totalSize returns the sum of all segment sizes.
 func (ss *segmentSet) totalSize() int64 {
@@ -457,17 +457,21 @@ func (ss *segmentSet) rewind(m tailMark) error {
 }
 
 // append writes a raw encoded record to the tail (sealing and creating
-// segments as needed when the tail is full) and returns its location.
+// segments as needed when the tail is full) and returns its location. A
+// chunk record never joins a node segment, nor a map-node record a chunk
+// segment: either opens a segment of its own kind. Records that are never
+// live (dealloc, checkpoint, commit, seal) join whatever tail is open.
 func (ss *segmentSet) append(rec []byte, segmentSize int) (Location, error) {
-	if ss.tail == nil {
-		if _, err := ss.create(); err != nil {
+	typ := rec[0]
+	if ss.tail == nil || (typ == recWrite || typ == recMapNode) && ss.tail.nodes != (typ == recMapNode) {
+		if _, err := ss.create(typ == recMapNode); err != nil {
 			return Location{}, err
 		}
 	}
 	// Seal the tail if the record does not fit; oversized records get a
 	// fresh segment to themselves.
 	if ss.tail.size > segHeaderSize && ss.tail.size+int64(len(rec)) > int64(segmentSize) {
-		if _, err := ss.create(); err != nil {
+		if _, err := ss.create(ss.tail.nodes); err != nil {
 			return Location{}, err
 		}
 	}
@@ -528,9 +532,9 @@ func (ss *segmentSet) append(rec []byte, segmentSize int) (Location, error) {
 // body. CRC failure is reported as tampering: outside of crash recovery's
 // tail scan, every stored record is expected to be intact.
 func (ss *segmentSet) readRecord(loc Location) (byte, []byte, error) {
-	seg, err := ss.get(loc.Seg)
-	if err != nil {
-		return 0, nil, err
+	seg, ok := ss.segs[loc.Seg]
+	if !ok {
+		return 0, nil, fmt.Errorf("%w: reference to missing segment %d", ErrTampered, loc.Seg)
 	}
 	if int64(loc.Off)+int64(loc.Len) > seg.size || loc.Len < recordHeaderSize {
 		return 0, nil, fmt.Errorf("%w: record %v out of segment bounds", ErrTampered, loc)

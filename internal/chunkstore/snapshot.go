@@ -19,7 +19,6 @@ import (
 type Snapshot struct {
 	cs       *Store
 	root     *mapNode
-	height   int
 	rootHash []byte
 	seq      uint64
 	counter  uint64
@@ -44,7 +43,6 @@ func (s *Store) TakeSnapshot() (*Snapshot, error) {
 	snap := &Snapshot{
 		cs:       s,
 		root:     root,
-		height:   s.lm.height,
 		rootHash: append([]byte(nil), s.lm.rootHash()...),
 		seq:      s.commitSeq,
 		counter:  s.counterVal.Load(),

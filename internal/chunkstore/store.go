@@ -102,17 +102,9 @@ type Store struct {
 	counterVal atomic.Uint64
 	// lastCkpt locates the most recent checkpoint record.
 	lastCkpt Location
-	// nodesAfterCkpt is true while map-node records that a checkpoint wrote
-	// without publishing — a failed one, or a crashed one replayed at
-	// recovery — place some in-memory nodes away from where lastCkpt's tree
-	// has them. Recovery loads that tree first, so a victim may then hold a
-	// node record it still needs though the current tree does not, and the
-	// cleaner publishes with a checkpoint (cleanLocked).
-	nodesAfterCkpt bool
-	// nodeVictims are cleaner victims emptied of live map-node records that
-	// lastCkpt's tree still reads there: they are freed by a cleaning cycle
-	// after the next checkpoint, which forgets them.
-	nodeVictims map[uint64]bool
+	// nodeFrees are the node segments the last checkpoint left empty
+	// (freeNodeSegmentsLocked).
+	nodeFrees []uint64
 	// residualBytes counts log bytes appended since the last checkpoint; it
 	// triggers automatic checkpoints and bounds recovery replay.
 	residualBytes int64
@@ -167,13 +159,12 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		cfg:         cfg,
-		suite:       cfg.Suite,
-		segs:        newSegmentSet(cfg.Store, cfg.Retry),
-		snapshots:   make(map[*Snapshot]struct{}),
-		quarantine:  make(map[ChunkID]string),
-		nodeVictims: make(map[uint64]bool),
-		gc:          newGroupCommitter(),
+		cfg:        cfg,
+		suite:      cfg.Suite,
+		segs:       newSegmentSet(cfg.Store, cfg.Retry),
+		snapshots:  make(map[*Snapshot]struct{}),
+		quarantine: make(map[ChunkID]string),
+		gc:         newGroupCommitter(),
 	}
 	if cfg.Counter != nil {
 		v, err := cfg.Counter.Read()
@@ -208,11 +199,8 @@ func Open(cfg Config) (*Store, error) {
 	}
 	// Every generation the previous process lifetime could have consumed lies
 	// at or below the superblock's reservation mark, so ratcheting past it
-	// guarantees no IV seed is ever reused across restarts. The commitSeq
-	// ratchet is kept as a second floor for pre-reservation superblocks
-	// (ivGenReserved == 0), restoring at least the old behavior for them.
+	// guarantees no IV seed is ever reused across restarts.
 	s.ratchetIVGen(sb.ivGenReserved)
-	s.ratchetIVGen(s.commitSeq)
 	// Nothing above the burned range is reserved yet; the first encryption
 	// after open extends the reservation before using its generation.
 	s.ivGenLimit.Store(s.ivGen.Load())
@@ -294,9 +282,6 @@ func (s *Store) format() error {
 	// formats afresh (truncating the segment) and no encryption under the
 	// burned generations survives.
 	s.ivGenLimit.Store(ivGenReserveBlock)
-	if _, err := s.segs.create(); err != nil {
-		return err
-	}
 	if err := s.checkpointLocked(); err != nil {
 		return fmt.Errorf("chunkstore: formatting: %w", err)
 	}
@@ -731,12 +716,16 @@ func (s *Store) Checkpoint() error {
 
 // Clean runs cleaner passes until either utilization is within the
 // configured bound or no progress can be made. It is the "idle time"
-// cleaning entry point (§3.2.1).
+// cleaning entry point (§3.2.1). It pays the superblock sync the last
+// checkpoint deferred, freeing the node segments that checkpoint emptied.
 func (s *Store) Clean() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return ErrClosed
+	}
+	if err := s.syncSuperIfDirtyLocked(); err != nil {
+		return err
 	}
 	return s.cleanLocked(1<<62, true)
 }

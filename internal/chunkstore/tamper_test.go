@@ -222,9 +222,15 @@ func TestLogTruncationDetected(t *testing.T) {
 		writeChunk(t, s, cid, []byte("v3"))
 		s.Close()
 
-		// Splice: restore old segment content but keep the new counter — this
-		// models an attacker truncating the log back to an earlier commit.
+		// Splice: restore old segment content, drop the segments written
+		// since, but keep the new counter — this models an attacker
+		// truncating the log back to an earlier commit.
 		cur := env.mem.Snapshot()
+		for name := range cur {
+			if _, ok := parseSegmentName(name); ok {
+				delete(cur, name)
+			}
+		}
 		for name, data := range saved {
 			if _, ok := parseSegmentName(name); ok {
 				cur[name] = data

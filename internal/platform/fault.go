@@ -20,9 +20,7 @@ import (
 //   - transient errors: selected read/write operations fail with
 //     ErrTransient a configured number of times, then succeed when the same
 //     operation is retried — a bus timeout or recoverable media error.
-//   - write rot: selected writes silently flip one bit of the stored bytes,
-//     modeling firmware bit-rot on the write path. FlipBit corrupts bytes
-//     already at rest.
+//   - bit rot at rest: FlipBit corrupts bytes already stored.
 //   - lost unsynced writes: with SetLoseUnsynced, the store behaves like a
 //     write-back cache: CrashLoseUnsynced reverts every file to its content
 //     as of its last Sync, discarding writes the device never acknowledged.
@@ -33,10 +31,10 @@ import (
 // The zero budget (-1) means "never crash".
 //
 // Beyond the deterministic every-Nth modes, the store supports
-// probabilistic modes (SetTransientProb, SetRotProb) driven by an injected
+// probabilistic transient errors (SetTransientProb) driven by an injected
 // random source (SetRand): a chaos harness seeds the source once and the
-// whole fault schedule — which operations fail, which bits rot and where —
-// replays identically from that seed. Probabilistic modes never use
+// whole fault schedule — which operations fail, and where — replays
+// identically from that seed. Probabilistic modes never use
 // package-level or global randomness.
 type FaultStore struct {
 	mu sync.Mutex
@@ -63,11 +61,6 @@ type FaultStore struct {
 	readSeq   int64
 	writeSeq  int64
 
-	// rotEvery, when >0, flips one bit in the payload of every rotEvery-th
-	// WriteAt before it reaches the inner store.
-	rotEvery int64
-	rotSeq   int64
-
 	// rand is the injected random source backing the probabilistic modes.
 	// It is only ever called with mu held, so sources need not be
 	// goroutine-safe; a seeded Splitmix64 gives reproducible schedules.
@@ -78,12 +71,9 @@ type FaultStore struct {
 	readProb     float64
 	writeProb    float64
 	probFailures int
-	// rotProb makes each WriteAt rot with the given probability; the rotten
-	// byte and bit are selected by the injected source.
-	rotProb float64
 	// faultFilter, when set, restricts the probabilistic modes to files it
 	// approves. A harness uses it to model per-device failure processes:
-	// the disk (segments, superblock) rots and times out, while the file
+	// the disk (segments, superblock) times out, while the file
 	// emulating the one-way counter stands in for separate hardware whose
 	// increments are not idempotent and must not draw spurious failures.
 	// Crash budgets and the deterministic every-Nth modes ignore the filter.
@@ -110,7 +100,7 @@ type FaultStats struct {
 	Writes int64
 	// TransientErrors counts injected ErrTransient failures.
 	TransientErrors int64
-	// BitsFlipped counts bits corrupted by write rot and FlipBit.
+	// BitsFlipped counts bits corrupted by FlipBit.
 	BitsFlipped int64
 }
 
@@ -168,16 +158,6 @@ func (s *FaultStore) SetTransientWrites(every int64, failures int) {
 	}
 }
 
-// SetWriteRot makes every every-th WriteAt silently flip one bit of its
-// payload before storing it — the write "succeeds" but the stored bytes are
-// rotten. every <= 0 disables rot.
-func (s *FaultStore) SetWriteRot(every int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rotEvery = every
-	s.rotSeq = 0
-}
-
 // FaultRand is a deterministic random source injected into a FaultStore's
 // probabilistic modes. It is always invoked with the store mutex held, so
 // implementations need not be goroutine-safe.
@@ -197,7 +177,7 @@ func Splitmix64(seed uint64) FaultRand {
 }
 
 // SetRand injects the random source backing the probabilistic modes
-// (SetTransientProb, SetRotProb). nil reverts to the built-in fixed-seed
+// (SetTransientProb). nil reverts to the built-in fixed-seed
 // source, so schedules are reproducible even when no harness seeds one.
 func (s *FaultStore) SetRand(r FaultRand) {
 	s.mu.Lock()
@@ -224,15 +204,6 @@ func (s *FaultStore) SetTransientProb(readP, writeP float64, failures int) {
 	s.readProb = readP
 	s.writeProb = writeP
 	s.probFailures = failures
-}
-
-// SetRotProb makes each WriteAt silently flip one bit of its payload with
-// probability p; the afflicted byte and bit are chosen by the SetRand
-// source, so rot sites replay exactly from the seed. p <= 0 disables it.
-func (s *FaultStore) SetRotProb(p float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rotProb = p
 }
 
 // randLocked returns the injected source, installing the fixed-seed default
@@ -280,8 +251,8 @@ func (s *FaultStore) SetSyncFailures(on bool) {
 // CrashLoseUnsynced simulates a power loss under the write-back cache
 // model: every file with unacknowledged writes reverts to its last-synced
 // content. The store is usable again afterwards (modeling a reboot): the
-// crashed flag and write budget are cleared, transient and rot injection
-// remain configured.
+// crashed flag and write budget are cleared, and transient injection
+// remains configured.
 func (s *FaultStore) CrashLoseUnsynced() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -474,34 +445,6 @@ func (s *FaultStore) noteSynced(name string) {
 	delete(s.unsynced, name)
 }
 
-// maybeRot flips one bit of p (in a copy) when this write is selected for
-// rot, by the every-Nth schedule or the probabilistic one. Caller holds
-// s.mu.
-func (s *FaultStore) maybeRot(name string, p []byte) []byte {
-	if len(p) == 0 {
-		return p
-	}
-	if s.rotEvery > 0 {
-		s.rotSeq++
-		if s.rotSeq%s.rotEvery == 0 {
-			rotten := append([]byte(nil), p...)
-			// Flip a middle bit so both short and long payloads are affected
-			// away from framing bytes often checked first.
-			rotten[len(rotten)/2] ^= 0x10
-			s.stats.BitsFlipped++
-			return rotten
-		}
-	}
-	if s.rotProb > 0 && s.filteredLocked(name) && s.randFloatLocked() < s.rotProb {
-		rotten := append([]byte(nil), p...)
-		r := s.randLocked()
-		rotten[int(r()%uint64(len(rotten)))] ^= 1 << (r() % 8)
-		s.stats.BitsFlipped++
-		return rotten
-	}
-	return p
-}
-
 // Create implements UntrustedStore. File creation is a mutating operation:
 // it consumes write budget, so crash sweeps cover the creation boundary.
 func (s *FaultStore) Create(name string) (File, error) {
@@ -592,7 +535,6 @@ func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
 		f.store.mu.Unlock()
 		return 0, err
 	}
-	p = f.store.maybeRot(f.name, p)
 	f.store.mu.Unlock()
 	if tear && len(p) > 1 {
 		half := len(p) / 2

@@ -128,7 +128,7 @@ func TestScanPrefetchWindows(t *testing.T) {
 		{0, 236, 20810, 0},
 		{1, 236, 20810, 0},
 		{32, 225, 20810, 11},
-		{n, 62, 20810, 20},
+		{n, 64, 20810, 22},
 	}
 	for _, snapshot := range []bool{true, false} {
 		for _, w := range want {
