@@ -132,9 +132,12 @@ bench:
 
 # bench-smoke runs every benchmark exactly once — not for numbers, only to
 # keep the benchmarks compiling and passing their own assertions — plus the
-# read-scaling and paper-harness smokes below.
+# read-scaling and paper-harness smokes below. The crypto benchmarks run
+# twice as well, so one that reuses state across iterations (a buffer
+# decrypted in place twice) fails here.
 bench-smoke: bench-read-scaling bench-paper
 	$(GO) test ./... -run XXX -bench . -benchtime 1x
+	$(GO) test ./internal/sec -run XXX -bench . -benchtime 2x
 
 # bench-read-scaling exercises the off-mutex read path (DESIGN.md §7.7) at
 # 1 and 8 concurrent readers, and the snapshot lookup path (§7.5) at 1 and

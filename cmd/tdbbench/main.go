@@ -139,7 +139,7 @@ func runFig11(cfg tpcb.BenchConfig) error {
 // algorithms than 3DES exist, §7.3).
 func runCrypto(cfg tpcb.BenchConfig) error {
 	fmt.Println("== Ablation: crypto suites ==")
-	for _, suite := range []string{"null", "3des-sha1", "aes-ctr-sha256"} {
+	for _, suite := range []string{"null", "3des-sha1", "aes-ctr-gmac"} {
 		res, err := runOne(suite, 0.60, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", suite, err)

@@ -81,7 +81,7 @@ func (l *linter) flowSourceCall(pkg *Package, call *ast.CallExpr, callee *types.
 }
 
 // flowSanitizers are the sec suite calls whose results are safe to persist.
-var flowSanitizers = map[string]bool{"Encrypt": true, "Hash": true, "MAC": true, "Name": true}
+var flowSanitizers = map[string]bool{"Encrypt": true, "Digest": true, "Hash": true, "MAC": true, "Name": true}
 
 func (l *linter) flowSanitizerCall(pkg *Package, call *ast.CallExpr, callee *types.Func) bool {
 	return flowSanitizers[callee.Name()] && secDeclared(pkg, call, callee)

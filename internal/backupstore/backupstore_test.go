@@ -24,12 +24,31 @@ func newEnv(t *testing.T) *env {
 	return newEnvSuite(t, "3des-sha1")
 }
 
+// sha256LeafSuite is the default suite with SHA-256 Merkle leaves: its
+// Digest is its Hash, and it reports the name aes-ctr-sha256, so it writes
+// what that suite wrote before chunk digests became GMAC tags. Only the
+// tests keep it.
+type sha256LeafSuite struct{ sec.Suite }
+
+func (sha256LeafSuite) Name() string { return "aes-ctr-sha256" }
+
+func (s sha256LeafSuite) Digest(dst, ciphertext []byte) []byte {
+	return append(dst, s.Hash(ciphertext)...)
+}
+
 // newEnvSuite is newEnv under the named suite.
 func newEnvSuite(t *testing.T, name string) *env {
 	t.Helper()
-	suite, err := sec.NewSuite(name, []byte("backup-test-device-secret-012345"))
+	suiteName := name
+	if name == "aes-ctr-sha256" {
+		suiteName = "aes-ctr-gmac"
+	}
+	suite, err := sec.NewSuite(suiteName, []byte("backup-test-device-secret-012345"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
+	}
+	if name == "aes-ctr-sha256" {
+		suite = sha256LeafSuite{suite}
 	}
 	e := &env{
 		mem:     platform.NewMemStore(),

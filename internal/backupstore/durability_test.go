@@ -71,7 +71,7 @@ func TestChainNeverRestoresStateACrashDropped(t *testing.T) {
 // chain carries such a delete: Restore fails with ErrInvalidBackup rather
 // than skipping it.
 func TestRestoreRejectsDeleteOfUnknownChunk(t *testing.T) {
-	for _, name := range []string{"3des-sha1", "aes-ctr-sha256"} {
+	for _, name := range []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256"} {
 		t.Run(name, func(t *testing.T) {
 			e := newEnvSuite(t, name)
 			want := map[chunkstore.ChunkID][]byte{}

@@ -14,10 +14,10 @@ import (
 
 // backupStreams returns the bytes of a real full backup stream and of an
 // incremental stream that extends it with a rewrite, a new chunk and a
-// deallocation, both under aes-ctr-sha256, and their suite.
+// deallocation, both under aes-ctr-gmac, and their suite.
 func backupStreams(tb testing.TB) (full, incr []byte, suite sec.Suite) {
 	tb.Helper()
-	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("backup-test-device-secret-012345"))
+	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("backup-test-device-secret-012345"))
 	if err != nil {
 		tb.Fatalf("NewSuite: %v", err)
 	}

@@ -26,8 +26,10 @@ type RepairResult struct {
 // chain in arch, then re-scrubs to prove the store is whole.
 //
 // Soundness rests on the Merkle tree: each BadChunk carries the ciphertext
-// hash the location map attests to (WantHash), and Repair only accepts a
-// backup copy whose ciphertext hashes to exactly that value. A matching copy
+// digest the location map attests to (WantHash), and Repair only accepts a
+// backup copy whose ciphertext digests to exactly that value (a keyed GMAC
+// under the default suite, which no one without the device secret can
+// match for other bytes but with negligible odds). A matching copy
 // is therefore byte-identical to what the damaged record held before the
 // damage — restoring it can neither roll the chunk back to a stale version
 // nor smuggle in attacker-chosen content, even if the attacker forged the
@@ -113,7 +115,7 @@ func matchStream(arch platform.ArchivalStore, suite sec.Suite, name string, need
 		if !wanted {
 			continue
 		}
-		if !sec.HashEqual(suite.Hash(e.ciphertext), bad.WantHash) {
+		if !sec.HashEqual(suite.Digest(nil, e.ciphertext), bad.WantHash) {
 			// A copy of the right chunk but the wrong version; keep looking
 			// in older streams.
 			continue

@@ -34,7 +34,7 @@ func benchPipelineStore(b *testing.B, suiteName string) *Store {
 // pre-pipeline commit path), at -cpu 2 across two workers.
 func BenchmarkCommitParallelCrypto(b *testing.B) {
 	const batchOps, chunkSize = 8, 4 << 10
-	for _, suiteName := range []string{"3des-sha1", "aes-ctr-sha256"} {
+	for _, suiteName := range []string{"3des-sha1", "aes-ctr-gmac"} {
 		b.Run(suiteName+"/serial", func(b *testing.B) {
 			s := benchPipelineStore(b, suiteName)
 			defer s.Close()
@@ -95,7 +95,7 @@ func BenchmarkCommitParallelCrypto(b *testing.B) {
 // working set: every read validates and decrypts off the store mutex.
 func BenchmarkConcurrentRead(b *testing.B) {
 	const chunks, chunkSize = 512, 1 << 10
-	for _, suiteName := range []string{"3des-sha1", "aes-ctr-sha256"} {
+	for _, suiteName := range []string{"3des-sha1", "aes-ctr-gmac"} {
 		b.Run(suiteName, func(b *testing.B) {
 			s := benchPipelineStore(b, suiteName)
 			defer s.Close()

@@ -31,7 +31,7 @@ func benchStore(b *testing.B, suiteName string) (*Store, *platform.MemStore) {
 }
 
 func BenchmarkChunkWriteDurable(b *testing.B) {
-	for _, suiteName := range []string{"null", "3des-sha1", "aes-ctr-sha256"} {
+	for _, suiteName := range []string{"null", "3des-sha1", "aes-ctr-gmac"} {
 		b.Run(suiteName, func(b *testing.B) {
 			s, _ := benchStore(b, suiteName)
 			defer s.Close()

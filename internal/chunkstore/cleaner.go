@@ -272,11 +272,11 @@ func (s *Store) evacuateDamaged(seg *segment) error {
 
 // relocateChunk copies the stored record (typ, body) of chunk cid's live
 // version e verbatim to the log tail and points the map at the copy: the
-// ciphertext, and so the hash, is unchanged, only the location moves. The
+// ciphertext, and so the digest, is unchanged, only the location moves. The
 // record is validated first (checkChunkRecord), so tampering in a cold
 // segment is caught rather than propagated.
 func (s *Store) relocateChunk(cid ChunkID, e entry, typ byte, body []byte) error {
-	if _, err := s.checkChunkRecord(cid, e, typ, body); err != nil {
+	if _, err := s.checkChunkRecord(cid, e, typ, body, nil); err != nil {
 		return fmt.Errorf("chunkstore: cleaning segment %d: %w", e.loc.Seg, err)
 	}
 	loc, err := s.appendLocked(encodeRecord(recWrite, body))

@@ -11,7 +11,7 @@ import (
 // The two-stage commit pipeline.
 //
 // Stage 1 (prepareBatch) runs OUTSIDE the store mutex: it encrypts every
-// write payload and hashes the resulting ciphertext, fanned out across
+// write payload and digests the resulting ciphertext, fanned out across
 // worker goroutines. Crypto dominates commit CPU cost under the paper's
 // suites (§7.3), so moving it off the serialized critical path lets
 // concurrent committers use every core while only the short stage 2
@@ -53,14 +53,14 @@ import (
 const ivGenBits = 20
 
 // preparedOp carries the stage-1 output for one write/restore operation:
-// the fully encoded log record and the ciphertext hash for the location
+// the fully encoded log record and the ciphertext digest for the location
 // map. Slots for non-write operations stay zero.
 type preparedOp struct {
 	rec  []byte
 	hash []byte
 }
 
-// prepareBatch encrypts and hashes every write payload of ops, using one
+// prepareBatch encrypts and digests every write payload of ops, using one
 // goroutine per P (runtime.GOMAXPROCS), at most one per payload: a
 // single-P process prepares inline on the committing goroutine. It performs
 // no validation against store state — that happens under the mutex in
@@ -84,7 +84,7 @@ func prepareBatch(suite sec.Suite, ops []batchOp, gen uint64) ([]preparedOp, err
 		}
 		prep[i] = preparedOp{
 			rec:  encodeRecord(recWrite, writeRecordBody(op.cid, ciphertext)),
-			hash: suite.Hash(ciphertext),
+			hash: suite.Digest(nil, ciphertext),
 		}
 		return nil
 	}

@@ -98,7 +98,7 @@ func (m *crashModel) check(t *testing.T, budget int64, s *Store, ids map[int]Chu
 // possible number of write operations, and after each crash verifies that
 // recovery restores a legitimate durable state.
 func TestCrashAtEveryWriteBoundary(t *testing.T) {
-	for _, suiteName := range []string{"3des-sha1", "aes-ctr-sha256", "null"} {
+	for _, suiteName := range []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256", "null"} {
 		for _, torn := range []bool{false, true} {
 			name := suiteName
 			if torn {

@@ -20,7 +20,7 @@ import (
 // checkpoint.
 func seedImage(tb testing.TB) (map[string][]byte, sec.Suite) {
 	tb.Helper()
-	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("test-device-secret-0123456789abc"))
+	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("test-device-secret-0123456789abc"))
 	if err != nil {
 		tb.Fatalf("NewSuite: %v", err)
 	}
@@ -54,10 +54,12 @@ func seedImage(tb testing.TB) (map[string][]byte, sec.Suite) {
 	return mem.Snapshot(), suite
 }
 
-// logRecord is one record image of a log and the segment holding it.
+// logRecord is one record image of a log, the segment holding it and its
+// ordinal in the log.
 type logRecord struct {
 	seg uint64
 	img []byte
+	n   int
 }
 
 // logRecords returns the records of seedImage's log by type, in log order,
@@ -66,6 +68,7 @@ func logRecords(tb testing.TB) (map[byte][]logRecord, sec.Suite) {
 	tb.Helper()
 	snap, suite := seedImage(tb)
 	recs := make(map[byte][]logRecord)
+	ord := 0
 	for _, name := range slices.Sorted(maps.Keys(snap)) {
 		seg, ok := parseSegmentName(name)
 		if !ok {
@@ -78,8 +81,8 @@ func logRecords(tb testing.TB) (map[byte][]logRecord, sec.Suite) {
 			if err != nil || end > len(img) || !checkRecordCRC(img[off:end]) {
 				break
 			}
-			recs[typ] = append(recs[typ], logRecord{seg, img[off:end]})
-			off = end
+			recs[typ] = append(recs[typ], logRecord{seg, img[off:end], ord})
+			off, ord = end, ord+1
 		}
 	}
 	return recs, suite
@@ -108,16 +111,55 @@ func boundedAlloc(t *testing.T, n int, decode func()) {
 	}
 }
 
+// fixedSeal is a round of a real log and the body of the seal record that
+// seals it.
+type fixedSeal struct {
+	round roundChain
+	body  []byte
+	suite sec.Suite
+}
+
+// firstSeal rebuilds the round that the first seal record of recs seals
+// from the durable commit records before it, as recovery does, and checks
+// that the seal is that round's.
+func firstSeal(tb testing.TB, recs map[byte][]logRecord, suite sec.Suite) fixedSeal {
+	tb.Helper()
+	if recs[recSeal] == nil {
+		tb.Fatal("the seed log holds no seal record")
+	}
+	seal := recs[recSeal][0]
+	fs := fixedSeal{body: seal.img[recordHeaderSize:], suite: suite}
+	for _, rec := range recs[recCommit] {
+		if rec.n > seal.n {
+			break
+		}
+		cr, _, err := parseCommitRecord(rec.img[recordHeaderSize:])
+		if err != nil {
+			tb.Fatalf("parseCommitRecord: %v", err)
+		}
+		if cr.durable {
+			fs.round.add(suite, cr.counter, cr.mac)
+		}
+	}
+	if !fs.round.sealedBy(suite, fs.body) {
+		tb.Fatal("the seed log's first seal does not seal the round before it")
+	}
+	return fs
+}
+
 // FuzzParseRecordBytes holds the log's record framing, and the body
 // parsers that recovery and the cleaner run on unverified log bytes, to the
 // hostile-disk contract: whatever bytes a segment holds, parsing a record
 // image yields a body of exactly the length the header claims, and
 // splitting that body with its type's parser yields fields that lie where
 // the format puts them, or either step fails with an error wrapping
-// ErrTampered, with bounded allocation and never a panic. The seeds are one
-// record of each type from a real log.
+// ErrTampered, with bounded allocation and never a panic. A seal body is
+// split by checking it against a fixed round of the seed log, which only
+// that round's real seal passes. The seeds are one record of each type
+// from a real log.
 func FuzzParseRecordBytes(f *testing.F) {
-	recs, _ := logRecords(f)
+	recs, suite := logRecords(f)
+	seal := firstSeal(f, recs, suite)
 	for _, typ := range []byte{recWrite, recDealloc, recMapNode, recCheckpoint, recCommit, recSeal} {
 		if recs[typ] == nil {
 			f.Fatalf("the seed log holds no record of type %d", typ)
@@ -141,7 +183,7 @@ func FuzzParseRecordBytes(f *testing.F) {
 			t.Fatalf("parsed type %d with a %d-byte body; the header says type %d, %d bytes", typ, len(body), buf[0], n)
 		}
 		var bad bool
-		boundedAlloc(t, len(body), func() { bad, err = misparsedBody(typ, body) })
+		boundedAlloc(t, len(body), func() { bad, err = misparsedBody(typ, body, seal) })
 		if err != nil && !errors.Is(err, ErrTampered) {
 			t.Fatalf("parsing a type-%d body: %v does not wrap ErrTampered", typ, err)
 		}
@@ -153,8 +195,9 @@ func FuzzParseRecordBytes(f *testing.F) {
 
 // misparsedBody splits body with the parser for record type typ and
 // reports whether the fields it returned differ from the bytes the record
-// format puts there.
-func misparsedBody(typ byte, body []byte) (bool, error) {
+// format puts there, or, for a seal, whether seal's round accepts a body
+// other than its own seal's.
+func misparsedBody(typ byte, body []byte, seal fixedSeal) (bool, error) {
 	be := binary.BigEndian
 	switch typ {
 	case recWrite:
@@ -179,6 +222,8 @@ func misparsedBody(typ byte, body []byte) (bool, error) {
 		return cr.seq != be.Uint64(body) || cr.counter != be.Uint64(body[9:17]) ||
 			!bytes.Equal(signed, body[:hashEnd]) || !bytes.Equal(cr.rootHash, body[19:hashEnd]) ||
 			!bytes.Equal(cr.mac, body[hashEnd+2:hashEnd+2+int(be.Uint16(body[hashEnd:]))]), nil
+	case recSeal:
+		return seal.round.sealedBy(seal.suite, body) && !bytes.Equal(body, seal.body), nil
 	}
 	return false, nil
 }

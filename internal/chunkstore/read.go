@@ -130,11 +130,19 @@ type readPlan struct {
 	fromFile int64
 	stamp    uint64
 
+	// sum is the room the execute act digests the record's ciphertext
+	// into, so checking it allocates nothing.
+	sum [maxDigestSize]byte
+
 	// data and err are the attempt's outcome, final once done is set.
 	data []byte
 	err  error
 	done bool
 }
+
+// maxDigestSize is room for any suite's chunk digest (sec.Suite.Digest); a
+// longer one would only allocate.
+const maxDigestSize = 32
 
 func (p *readPlan) finish(data []byte, err error) { p.data, p.err, p.done = data, err, true }
 
@@ -381,7 +389,7 @@ func (s *Store) executeRead(p *readPlan) {
 		p.err = err
 		return
 	}
-	p.data, p.err = s.decryptChunkRecord(p.cid, p.e, typ, body)
+	p.data, p.err = s.decryptChunkRecord(p.cid, p.e, typ, body, p.sum[:0])
 }
 
 // finishLocked runs the finish act under s.mu held shared: it unpins every
@@ -473,9 +481,10 @@ func (s *Store) failTamperedRead(cid ChunkID, e entry, rerr error) (err error, d
 }
 
 // checkChunkRecord validates a fetched record against the chunk's map entry
-// — record type, chunk id, and the Merkle hash of the ciphertext — and
-// returns the ciphertext. Pure computation over the supplied bytes.
-func (s *Store) checkChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([]byte, error) {
+// — record type, chunk id, and the ciphertext's digest, the Merkle leaf —
+// and returns the ciphertext. The digest is appended to sum, room the
+// caller owns (nil allocates). Pure computation over the supplied bytes.
+func (s *Store) checkChunkRecord(cid ChunkID, e entry, typ byte, body, sum []byte) ([]byte, error) {
 	if typ != recWrite {
 		return nil, fmt.Errorf("%w: chunk %d record at %v has type %d", ErrTampered, cid, e.loc, typ)
 	}
@@ -486,8 +495,8 @@ func (s *Store) checkChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([
 	if gotCid != cid {
 		return nil, fmt.Errorf("%w: record at %v names chunk %d, want %d", ErrTampered, e.loc, gotCid, cid)
 	}
-	if !sec.HashEqual(s.suite.Hash(ciphertext), e.hash) {
-		return nil, fmt.Errorf("%w: chunk %d fails hash validation", ErrTampered, cid)
+	if !sec.HashEqual(s.suite.Digest(sum, ciphertext), e.hash) {
+		return nil, fmt.Errorf("%w: chunk %d fails digest validation", ErrTampered, cid)
 	}
 	return ciphertext, nil
 }
@@ -495,8 +504,8 @@ func (s *Store) checkChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([
 // decryptChunkRecord is checkChunkRecord followed by decryption in place:
 // the chunk's validated plaintext, a subslice of body, which the caller
 // must own.
-func (s *Store) decryptChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([]byte, error) {
-	ciphertext, err := s.checkChunkRecord(cid, e, typ, body)
+func (s *Store) decryptChunkRecord(cid ChunkID, e entry, typ byte, body, sum []byte) ([]byte, error) {
+	ciphertext, err := s.checkChunkRecord(cid, e, typ, body, sum)
 	if err != nil {
 		return nil, err
 	}
@@ -511,10 +520,10 @@ func (s *Store) decryptChunkRecord(cid ChunkID, e entry, typ byte, body []byte) 
 // check over it: checkChunkRecord or decryptChunkRecord. Only the full
 // audits — Verify, Scrub, Snapshot.ForEach and Diff — read user-data
 // records this way, under the store mutex held exclusively.
-func (s *Store) readChunkLocked(cid ChunkID, e entry, check func(ChunkID, entry, byte, []byte) ([]byte, error)) ([]byte, error) {
+func (s *Store) readChunkLocked(cid ChunkID, e entry, check func(ChunkID, entry, byte, []byte, []byte) ([]byte, error)) ([]byte, error) {
 	typ, body, err := s.segs.readRecord(e.loc)
 	if err != nil {
 		return nil, err
 	}
-	return check(cid, e, typ, body)
+	return check(cid, e, typ, body, nil)
 }

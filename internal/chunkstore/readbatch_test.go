@@ -12,7 +12,7 @@ import (
 // read of the whole set merges runs into coalesced segment reads and
 // returns every payload intact.
 func TestReadBatchCoalescesAdjacentRecords(t *testing.T) {
-	for _, suite := range []string{"aes-ctr-sha256", "null"} {
+	for _, suite := range []string{"aes-ctr-gmac", "aes-ctr-sha256", "null"} {
 		t.Run(suite, func(t *testing.T) {
 			env := newTestEnv(t, suite)
 			s := env.open(t)
@@ -66,7 +66,7 @@ func TestReadBatchCoalescesAdjacentRecords(t *testing.T) {
 // batch mixing live chunks, never-written ids, and duplicates reports each
 // result independently without failing the batch.
 func TestReadBatchErrorsAndDuplicates(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
+	env := newTestEnv(t, "aes-ctr-gmac")
 	s := env.open(t)
 	defer s.Close()
 
@@ -97,7 +97,7 @@ func TestReadBatchErrorsAndDuplicates(t *testing.T) {
 // round again — returning the relocated bytes, never the stale ones, and
 // never leaking a segment pin.
 func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
+	env := newTestEnv(t, "aes-ctr-gmac")
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.DisableAutoClean = true
 	s := env.open(t)
@@ -166,7 +166,7 @@ func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 // every chunk it is given: a chunk a point Read is still fetching comes back
 // with its payload, not skipped, so every result carries data or an error.
 func TestReadBatchReadsChunkAnotherReaderHasInFlight(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
+	env := newTestEnv(t, "aes-ctr-gmac")
 	hs := &readHookStore{UntrustedStore: env.cfg.Store}
 	env.cfg.Store = hs
 	s := env.open(t)

@@ -17,7 +17,7 @@ import (
 // claim is asserted directly by reading while the test itself holds the
 // store lock in shared mode — any exclusive acquisition would deadlock.
 func TestReadMissOffMutexHappyPath(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
+	env := newTestEnv(t, "aes-ctr-gmac")
 	s := env.open(t)
 	defer s.Close()
 
@@ -60,7 +60,7 @@ func TestReadMissOffMutexHappyPath(t *testing.T) {
 // return while the test holds mu.RLock, as a reader in its plan or finish
 // act does.
 func TestStatsUnderSharedLock(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
+	env := newTestEnv(t, "aes-ctr-gmac")
 	s := env.open(t)
 	defer s.Close()
 	allocWrite(t, s, []byte("a usage meter record"))
@@ -86,7 +86,7 @@ func TestStatsUnderSharedLock(t *testing.T) {
 // and the completed off-lock read must fail revalidation (stale epoch and
 // moved entry) rather than publish a result computed from the old record.
 func TestReadRetryOnCleanerRelocation(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
+	env := newTestEnv(t, "aes-ctr-gmac")
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.DisableAutoClean = true
 	s := env.open(t)
@@ -184,7 +184,7 @@ func TestConcurrentReadsRaceCleaner(t *testing.T) {
 		cacheBytes int64
 	}{{"resident", 0}, {"cache-pressure", 2 << 10}} {
 		t.Run(tc.name, func(t *testing.T) {
-			env := newTestEnv(t, "aes-ctr-sha256")
+			env := newTestEnv(t, "aes-ctr-gmac")
 			env.cfg.SegmentSize = 4 << 10
 			env.cfg.Fanout = 4
 			env.cfg.CacheBytes = tc.cacheBytes
@@ -311,7 +311,7 @@ func (f readHookFile) ReadAt(p []byte, off int64) (int, error) {
 // record's offset finds the store mutex free (TryLock succeeds) on the one
 // goroutine that is reading.
 func TestNonResidentReadDoesNoUserIOUnderLock(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
+	env := newTestEnv(t, "aes-ctr-gmac")
 	hs := &readHookStore{UntrustedStore: env.cfg.Store}
 	env.cfg.Store = hs
 	env.cfg.Fanout = 4
@@ -375,15 +375,15 @@ func TestNonResidentReadDoesNoUserIOUnderLock(t *testing.T) {
 }
 
 // TestPointReadAllocs pins the allocations of a point read whose map path
-// is resident at 5: the plan and its record buffer, and three in the
-// suite's hash and AES-CTR keystream setup; decryption runs in the record
-// buffer and allocates no plaintext. A batch of one allocates none of
+// is resident at 4: the plan and its record buffer, and two in the AES-CTR
+// keystream setup; the chunk digest lands in the plan's own room, and
+// decryption runs in the record buffer and allocates no plaintext. A batch of one allocates none of
 // ReadBatch's dedupe map, run slice or results, and does not count as a
 // prefetch. The store is a plain MemStore: the fault-injecting test store
 // formats its bookkeeping through fmt, whose pooled buffers make counts
 // vary under the race detector.
 func TestPointReadAllocs(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
+	env := newTestEnv(t, "aes-ctr-gmac")
 	env.cfg.Store = env.mem
 	s := env.open(t)
 	defer s.Close()
@@ -398,8 +398,8 @@ func TestPointReadAllocs(t *testing.T) {
 			t.Fatalf("Read: %q, %v", got, err)
 		}
 	})
-	if allocs > 5 {
-		t.Errorf("a warm-map point read allocates %.0f objects, want <= 5", allocs)
+	if allocs > 4 {
+		t.Errorf("a warm-map point read allocates %.0f objects, want <= 4", allocs)
 	}
 	st := s.Stats()
 	if st.PrefetchedChunks != 0 || st.ReadSlowPaths != 0 {
@@ -412,7 +412,7 @@ func TestPointReadAllocs(t *testing.T) {
 // mutex shared — never exclusively — finishes without retaking the lock,
 // and counts as a slow path.
 func TestHeldAttemptReadsUnderSharedLock(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
+	env := newTestEnv(t, "aes-ctr-gmac")
 	hs := &readHookStore{UntrustedStore: env.cfg.Store}
 	env.cfg.Store = hs
 	s := env.open(t)

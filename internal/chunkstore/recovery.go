@@ -376,7 +376,7 @@ func (s *Store) replay(start, stop position) error {
 				return false, fmt.Errorf("%w: %v", ErrTampered, err)
 			}
 			s.alloc.noteWritten(cid)
-			old, err := s.lm.set(cid, entry{loc: loc, hash: s.suite.Hash(ciphertext)})
+			old, err := s.lm.set(cid, entry{loc: loc, hash: s.suite.Digest(nil, ciphertext)})
 			if err != nil {
 				return false, err
 			}

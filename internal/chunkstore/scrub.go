@@ -11,7 +11,7 @@ import (
 // untrusted store at rest. Detection alone (ErrTampered) turns one rotten
 // chunk into a bricked database; the scrubber instead walks the location
 // map's Merkle tree, verifies every live chunk against its recorded
-// ciphertext hash, and quarantines exactly the damaged ones. Quarantined
+// ciphertext digest, and quarantines exactly the damaged ones. Quarantined
 // chunks fail reads with ErrDegraded while the rest of the database stays
 // fully usable, and backupstore.Repair can heal them from a backup chain.
 
@@ -21,7 +21,7 @@ type BadChunk struct {
 	ID ChunkID
 	// Loc is where the damaged stored version lives in the log.
 	Loc Location
-	// WantHash is the ciphertext hash the Merkle tree records for the
+	// WantHash is the ciphertext digest the Merkle tree records for the
 	// chunk. Repair uses it to find (and prove) the matching backup copy.
 	WantHash []byte
 	// Reason describes what failed validation.

@@ -94,9 +94,9 @@ func (sn *Snapshot) Close() {
 }
 
 // ForEach streams every live chunk of the snapshot in ascending chunk-id
-// order: the callback receives the chunk id, the content hash from the
+// order: the callback receives the chunk id, the ciphertext digest from the
 // location map, and the stored (encrypted) record payload, validated
-// against the hash before delivery.
+// against the digest before delivery.
 func (sn *Snapshot) ForEach(fn func(cid ChunkID, hash []byte, ciphertext []byte) error) error {
 	sn.cs.mu.Lock()
 	defer sn.cs.mu.Unlock()

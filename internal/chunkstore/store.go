@@ -12,11 +12,11 @@ import (
 
 // Store is a log-structured, encrypted, tamper-evident chunk store. All
 // methods are safe for concurrent use. Commits run a two-stage pipeline:
-// payload encryption and hashing execute outside the state mutex, fanned
+// payload encryption and digesting execute outside the state mutex, fanned
 // out across CPUs, and only log appends plus the staged in-memory merge
 // serialize under the mutex (see commit_pipeline.go). Reads snapshot the
 // chunk's map entry under a short shared-lock section and run the segment
-// I/O, hash validation, and decryption with no lock held, revalidating the
+// I/O, digest validation, and decryption with no lock held, revalidating the
 // snapshot afterwards (see read.go and DESIGN.md §7.7). Decoded objects are
 // cached a layer up, in the object store's decode table.
 type Store struct {
@@ -499,7 +499,7 @@ func (s *Store) AnnounceDurable(durable bool) bool { return false }
 func (s *Store) RetractDurable() {}
 
 // PreparedBatch holds commit stage-1 output: every write payload of one
-// batch encrypted and hashed, ready to append. It is bound to the batch
+// batch encrypted and digested, ready to append. It is bound to the batch
 // contents at preparation time and to the store that prepared it.
 type PreparedBatch struct {
 	s    *Store
@@ -507,7 +507,7 @@ type PreparedBatch struct {
 	n    int
 }
 
-// PrepareBatch runs commit stage 1 — encrypting and hashing the batch's
+// PrepareBatch runs commit stage 1 — encrypting and digesting the batch's
 // write payloads, fanned out across GOMAXPROCS goroutines — without
 // taking the store mutex. The only store state it touches is the IV
 // generation counter (lock-free on the fast path), so callers holding

@@ -23,10 +23,7 @@ type testEnv struct {
 
 func newTestEnv(t *testing.T, suiteName string) *testEnv {
 	t.Helper()
-	suite, err := sec.NewSuite(suiteName, []byte("test-device-secret-0123456789abc"))
-	if err != nil {
-		t.Fatalf("NewSuite: %v", err)
-	}
+	suite := newTestSuite(t, suiteName)
 	mem := platform.NewMemStore()
 	fs := platform.NewFaultStore(mem)
 	ctr := platform.NewMemCounter()
@@ -38,6 +35,20 @@ func newTestEnv(t *testing.T, suiteName string) *testEnv {
 		SegmentSize: 8 << 10, // small segments exercise sealing and cleaning
 	}
 	return env
+}
+
+// newTestSuite returns the named suite under the test device secret.
+// "aes-ctr-sha256" names sha256LeafSuite, which only the tests keep.
+func newTestSuite(t *testing.T, name string) sec.Suite {
+	t.Helper()
+	if name == "aes-ctr-sha256" {
+		return sha256LeafSuite{newTestSuite(t, "aes-ctr-gmac")}
+	}
+	suite, err := sec.NewSuite(name, []byte("test-device-secret-0123456789abc"))
+	if err != nil {
+		t.Fatalf("NewSuite: %v", err)
+	}
+	return suite
 }
 
 func (env *testEnv) open(t *testing.T) *Store {
@@ -70,7 +81,7 @@ func allocWrite(t *testing.T, s *Store, data []byte) ChunkID {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	for _, suite := range []string{"3des-sha1", "aes-ctr-sha256", "null"} {
+	for _, suite := range []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256", "null"} {
 		t.Run(suite, func(t *testing.T) {
 			env := newTestEnv(t, suite)
 			s := env.open(t)
@@ -417,10 +428,12 @@ func TestStatsTracking(t *testing.T) {
 // TestSuiteMismatchRejected opens a store under each suite it was not
 // created with. The superblock MACs differ before the recorded suite names
 // are compared, so the open fails as tampering (ErrTampered, not ErrUsage)
-// and must say which suite the slots claim. A flipped MAC byte under the
-// right suite is plain tampering too.
+// and must say which suite the slots claim. The two AES suites share a MAC
+// key, so between them the slots verify and the recorded name is a usage
+// error instead. A flipped MAC byte under the right suite is plain
+// tampering too.
 func TestSuiteMismatchRejected(t *testing.T) {
-	suites := []string{"3des-sha1", "aes-ctr-sha256", "null"}
+	suites := []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256", "null"}
 	for _, created := range suites {
 		for _, opened := range suites {
 			if opened == created {
@@ -433,13 +446,15 @@ func TestSuiteMismatchRejected(t *testing.T) {
 				if err := s.Close(); err != nil {
 					t.Fatalf("Close: %v", err)
 				}
-				other, err := sec.NewSuite(opened, []byte("test-device-secret-0123456789abc"))
-				if err != nil {
-					t.Fatalf("NewSuite: %v", err)
-				}
 				cfg := env.cfg
-				cfg.Suite = other
-				_, err = Open(cfg)
+				cfg.Suite = newTestSuite(t, opened)
+				_, err := Open(cfg)
+				if strings.HasPrefix(created, "aes-ctr-") && strings.HasPrefix(opened, "aes-ctr-") {
+					if errors.Is(err, ErrTampered) || !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), fmt.Sprintf("%q", created)) {
+						t.Fatalf("opening a %s store as %s: %v, want a usage error naming %s", created, opened, err, created)
+					}
+					return
+				}
 				if !errors.Is(err, ErrTampered) || errors.Is(err, ErrUsage) {
 					t.Fatalf("opening a %s store as %s: %v, want ErrTampered", created, opened, err)
 				}
@@ -449,7 +464,7 @@ func TestSuiteMismatchRejected(t *testing.T) {
 			})
 		}
 	}
-	for _, suite := range []string{"3des-sha1", "aes-ctr-sha256"} {
+	for _, suite := range []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256"} {
 		t.Run(suite+"/flipped-mac", func(t *testing.T) {
 			env := newTestEnv(t, suite)
 			s := env.open(t)
@@ -484,7 +499,7 @@ func TestSuiteMismatchRejected(t *testing.T) {
 // right suite, so the version is the only thing wrong with them.
 func TestFormatOneStoreRefused(t *testing.T) {
 	for _, version := range []uint16{1, 2} {
-		env := newTestEnv(t, "aes-ctr-sha256")
+		env := newTestEnv(t, "aes-ctr-gmac")
 		s := env.open(t)
 		allocWrite(t, s, []byte("x"))
 		if err := s.Close(); err != nil {

@@ -23,8 +23,8 @@ func (m *mod8Suite) Encrypt(plaintext []byte, iv uint64) ([]byte, error) {
 
 // TestSuiteByteAccounting runs one fixed sequence — durable and nondurable
 // commits of assorted payload sizes, one checkpoint, one clean, Close — on a
-// MeterStore under 3des-sha1 and under aes-ctr-sha256. Both suites hash and
-// MAC to 20 bytes, so every plaintext (payloads, map nodes, checkpoint) and
+// MeterStore under 3des-sha1 and under aes-ctr-gmac. Both suites digest,
+// hash and MAC to 20 bytes, so every plaintext (payloads, map nodes, checkpoint) and
 // every unencrypted record is the same size under both; only ciphertexts
 // differ, 8 + n + (8 − n%8) bytes against n + 16. The device must therefore
 // see exactly Σ n%8 more bytes under CTR — summed over every encrypted
@@ -125,12 +125,12 @@ func TestSuiteByteAccounting(t *testing.T) {
 		do("Close", s.Close)
 		return run{io: meter.Stats().Snapshot(), mod8: counted.sum.Load() + copied, steps: steps, segs: segs}
 	}
-	des, ctr := measure("3des-sha1"), measure("aes-ctr-sha256")
+	des, ctr := measure("3des-sha1"), measure("aes-ctr-gmac")
 	if des.mod8 != ctr.mod8 {
 		t.Fatalf("the suites encrypted different plaintexts: Σ n%%8 = %d vs %d", des.mod8, ctr.mod8)
 	}
 	if got := ctr.io.BytesWritten - des.io.BytesWritten; got != ctr.mod8 {
-		t.Errorf("aes-ctr-sha256 wrote %d bytes more than 3des-sha1 (%d vs %d), want exactly Σ n%%8 = %d",
+		t.Errorf("aes-ctr-gmac wrote %d bytes more than 3des-sha1 (%d vs %d), want exactly Σ n%%8 = %d",
 			got, ctr.io.BytesWritten, des.io.BytesWritten, ctr.mod8)
 	}
 	if des.segs != ctr.segs {
@@ -143,7 +143,7 @@ func TestSuiteByteAccounting(t *testing.T) {
 		if !unsettled {
 			compared++
 			if d.io.WriteOps != c.io.WriteOps || d.io.SyncOps != c.io.SyncOps {
-				t.Errorf("step %d: write/sync ops differ: 3des-sha1 %d/%d, aes-ctr-sha256 %d/%d",
+				t.Errorf("step %d: write/sync ops differ: 3des-sha1 %d/%d, aes-ctr-gmac %d/%d",
 					i, d.io.WriteOps, d.io.SyncOps, c.io.WriteOps, c.io.SyncOps)
 			}
 		}
@@ -154,6 +154,6 @@ func TestSuiteByteAccounting(t *testing.T) {
 	if compared < len(des.steps)/2 {
 		t.Errorf("test premise: only %d of %d steps compared", compared, len(des.steps))
 	}
-	t.Logf("3des-sha1 %+v, aes-ctr-sha256 %+v, Σ n%%8 = %d, %d of %d steps compared",
+	t.Logf("3des-sha1 %+v, aes-ctr-gmac %+v, Σ n%%8 = %d, %d of %d steps compared",
 		des.io, ctr.io, ctr.mod8, compared, len(des.steps))
 }

@@ -68,7 +68,7 @@ func expectTamperedOrIntact(t *testing.T, env *testEnv, ids []ChunkID, want func
 // Decrypt failing: CTR decrypts any bytes, so detection must come from the
 // Merkle hashes, the MACs and the counter.
 func forKeyedSuites(t *testing.T, f func(t *testing.T, suite string)) {
-	for _, suite := range []string{"3des-sha1", "aes-ctr-sha256"} {
+	for _, suite := range []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256"} {
 		t.Run(suite, func(t *testing.T) { f(t, suite) })
 	}
 }
@@ -175,7 +175,7 @@ func TestReplayAttackUndetectedWithoutCounter(t *testing.T) {
 // store given only a store, a suite and a counter advances the counter and
 // rejects a replayed pre-commit image.
 func TestSecureSuiteAlwaysUsesCounter(t *testing.T) {
-	suite, err := sec.NewSuite("aes-ctr-sha256", []byte("test-device-secret-0123456789abc"))
+	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("test-device-secret-0123456789abc"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}

@@ -39,9 +39,11 @@ type Options struct {
 	// apart from the database directory.
 	Secret []byte
 
-	// Suite names the crypto suite: "aes-ctr-sha256" (AES-128-CTR with
-	// SHA-256 and HMAC-SHA256 truncated to 160 bits; the default), "3des-sha1"
-	// (the paper's TDB-S), or "null" (security off — the paper's plain TDB).
+	// Suite names the crypto suite: "aes-ctr-gmac" (the default: AES-128-CTR,
+	// chunks digested by GMAC, SHA-256 and HMAC-SHA256 truncated to 160 bits
+	// elsewhere), "3des-sha1" (the paper's TDB-S), or "null" (security off —
+	// the paper's plain TDB). A database reopens only under the suite it was
+	// created with.
 	Suite string
 
 	// Counter is the one-way counter for replay detection. Nil uses a
@@ -138,7 +140,7 @@ func (db *DB) setup() error {
 	secret := opts.Secret
 	suiteName := opts.Suite
 	if suiteName == "" {
-		suiteName = "aes-ctr-sha256"
+		suiteName = "aes-ctr-gmac"
 	}
 	if suiteName != "null" && len(secret) == 0 {
 		return errors.New("core: a device secret is required unless Suite is \"null\"")

@@ -80,6 +80,9 @@ func (s *cbcSuite) Decrypt(ciphertext []byte) ([]byte, error) {
 	return unpadPKCS7(body, bs)
 }
 
+// Digest implements Suite with Hash.
+func (s *cbcSuite) Digest(dst, ciphertext []byte) []byte { return append(dst, s.Hash(ciphertext)...) }
+
 // Overhead implements Suite: IV plus worst-case padding.
 func (s *cbcSuite) Overhead(n int) int {
 	bs := s.block.BlockSize()

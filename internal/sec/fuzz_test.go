@@ -6,8 +6,27 @@ import (
 	"testing"
 )
 
-// fuzzSuites are the suites FuzzSuiteDecrypt selects among, by index.
-var fuzzSuites = []string{"3des-sha1", "aes-ctr-sha256", "null"}
+// fuzzSuites are the suites the fuzz targets select among, by index.
+var fuzzSuites = []string{"3des-sha1", "aes-ctr-gmac", "null"}
+
+// newFuzzSuites builds fuzzSuites under testSecret.
+func newFuzzSuites(f *testing.F) []Suite {
+	suites := make([]Suite, len(fuzzSuites))
+	for i, name := range fuzzSuites {
+		s, err := NewSuite(name, testSecret)
+		if err != nil {
+			f.Fatalf("NewSuite(%s): %v", name, err)
+		}
+		suites[i] = s
+	}
+	return suites
+}
+
+// fuzzPlaintext is the seed plaintext of n bytes.
+func fuzzPlaintext(n int) []byte { return bytes.Repeat([]byte{byte(n), 0x5a}, n)[:n] }
+
+// seedLens are the plaintext lengths of the seed ciphertexts.
+var seedLens = []int{0, 1, 8, 17, 1024}
 
 // guardLen is the width of the guard bands around a fuzzed ciphertext.
 const guardLen = 16
@@ -19,17 +38,10 @@ const guardLen = 16
 // ErrBadPadding. The seeds are real Encrypt outputs, each of which must
 // first decrypt back to its plaintext.
 func FuzzSuiteDecrypt(f *testing.F) {
-	suites := make([]Suite, len(fuzzSuites))
-	for i, name := range fuzzSuites {
-		s, err := NewSuite(name, testSecret)
-		if err != nil {
-			f.Fatalf("NewSuite(%s): %v", name, err)
-		}
-		suites[i] = s
-	}
+	suites := newFuzzSuites(f)
 	for i, s := range suites {
-		for _, n := range []int{0, 1, 8, 17, 1024} {
-			pt := bytes.Repeat([]byte{byte(n), 0x5a}, n)[:n]
+		for _, n := range seedLens {
+			pt := fuzzPlaintext(n)
 			ct, err := s.Encrypt(pt, uint64(n))
 			if err != nil {
 				f.Fatalf("%s: Encrypt(%d bytes): %v", s.Name(), n, err)
@@ -63,6 +75,68 @@ func FuzzSuiteDecrypt(f *testing.F) {
 		}
 		if !subslice(got, in) {
 			t.Fatalf("%s: Decrypt of %d bytes returned %d bytes outside its input", s.Name(), len(data), len(got))
+		}
+	})
+}
+
+// digestAllocs bounds what one Digest with no room in dst may allocate:
+// the digest itself, and for the hashing suites a pooled hash state.
+const digestAllocs = 3
+
+// FuzzChunkDigest holds every suite's chunk digest to its contract on
+// arbitrary bytes, the ones a read digests before any check has passed:
+// it never panics, appends HashSize bytes to dst, allocates at most
+// digestAllocs objects (none into spare capacity under aes-ctr-gmac), and
+// leaves its input intact. Flipping the byte at pos changes the digest of
+// an input at least a header long; for the seeds, real Encrypt outputs,
+// every single-byte flip of header and payload is checked first.
+func FuzzChunkDigest(f *testing.F) {
+	suites := newFuzzSuites(f)
+	for i, s := range suites {
+		for _, n := range seedLens {
+			ct, err := s.Encrypt(fuzzPlaintext(n), uint64(n))
+			if err != nil {
+				f.Fatalf("%s: Encrypt(%d bytes): %v", s.Name(), n, err)
+			}
+			d := s.Digest(nil, ct)
+			for j := range ct {
+				ct[j] ^= 0x80
+				if HashEqual(s.Digest(nil, ct), d) {
+					f.Fatalf("%s: flipping byte %d of a %d-byte ciphertext leaves its digest unchanged", s.Name(), j, len(ct))
+				}
+				ct[j] ^= 0x80
+			}
+			f.Add(uint8(i), uint16(len(ct)/2), ct)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, pos uint16, data []byte) {
+		s := suites[int(which)%len(suites)]
+		in := append([]byte(nil), data...)
+		var d []byte
+		if allocs := testing.AllocsPerRun(1, func() { d = s.Digest(nil, in) }); allocs > digestAllocs {
+			t.Fatalf("%s: Digest of %d bytes allocates %.0f objects, want <= %d", s.Name(), len(data), allocs, digestAllocs)
+		}
+		if len(d) != s.HashSize() || !bytes.Equal(in, data) {
+			t.Fatalf("%s: Digest of %d bytes returned %d bytes (want %d) or changed its input", s.Name(), len(data), len(d), s.HashSize())
+		}
+		if got := s.Digest([]byte("dst"), in); string(got[:3]) != "dst" || !HashEqual(got[3:], d) {
+			t.Fatalf("%s: Digest of %d bytes does not append to dst", s.Name(), len(data))
+		}
+		if s.Name() == "aes-ctr-gmac" {
+			sum := make([]byte, 0, s.HashSize())
+			if allocs := testing.AllocsPerRun(1, func() { s.Digest(sum, in) }); allocs != 0 {
+				t.Fatalf("Digest of %d bytes into spare capacity allocates %.0f objects", len(data), allocs)
+			}
+			if len(in) < ctrHeaderSize {
+				return
+			}
+		}
+		if len(in) == 0 {
+			return
+		}
+		in[int(pos)%len(in)] ^= 0x01
+		if HashEqual(s.Digest(nil, in), d) {
+			t.Fatalf("%s: flipping byte %d of %d leaves the digest unchanged", s.Name(), int(pos)%len(in), len(in))
 		}
 	})
 }

@@ -39,6 +39,9 @@ func (nullSuite) Hash(data []byte) []byte {
 	return out
 }
 
+// Digest implements Suite with Hash.
+func (s nullSuite) Digest(dst, ciphertext []byte) []byte { return append(dst, s.Hash(ciphertext)...) }
+
 // HashSize implements Suite.
 func (nullSuite) HashSize() int { return 8 }
 

@@ -7,8 +7,9 @@
 // The paper's evaluation configures SHA-1 for hashing and 3DES for
 // encryption (§7.3) and notes that "there are other algorithms that are as
 // secure as 3DES and run significantly faster"; this package therefore also
-// provides AES-128-CTR with truncated SHA-256 (the default) and a null suite
-// corresponding to the paper's security-off "TDB" configuration.
+// provides aes-ctr-gmac (the default: AES-128-CTR, GMAC chunk digests and
+// truncated SHA-256 elsewhere) and a null suite corresponding to the
+// paper's security-off "TDB" configuration.
 package sec
 
 import (
@@ -34,7 +35,7 @@ var (
 // by the chunk store and backup store. Implementations must be safe for
 // concurrent use.
 type Suite interface {
-	// Name identifies the suite ("3des-sha1", "aes-ctr-sha256", "null"). It
+	// Name identifies the suite ("3des-sha1", "aes-ctr-gmac", "null"). It
 	// is recorded in the database superblock so a database is always
 	// reopened with the suite it was created with.
 	Name() string
@@ -55,15 +56,24 @@ type Suite interface {
 	// (a second Decrypt of the same bytes decrypts the plaintext). On error
 	// the buffer's contents are unspecified. It does not authenticate: a
 	// tampered ciphertext may decrypt to garbage without an error, and a
-	// suite rejects only input it cannot parse. Integrity comes from Hash
-	// (the Merkle tree over ciphertexts) and MAC, checked before Decrypt
-	// runs.
+	// suite rejects only input it cannot parse. Integrity comes from Digest
+	// (the Merkle leaves over ciphertexts), Hash and MAC, checked before
+	// Decrypt runs.
 	Decrypt(ciphertext []byte) ([]byte, error)
 
-	// Hash computes the one-way hash used for Merkle tree nodes.
+	// Digest appends the Merkle leaf digest of a chunk ciphertext, an
+	// Encrypt output, to dst and returns the extended slice. The digest is
+	// HashSize bytes for any input, and dst must not overlap ciphertext.
+	// Under aes-ctr-gmac it is a GMAC tag keyed from the device secret and
+	// appending it to spare capacity in dst allocates nothing; the other
+	// suites digest with Hash.
+	Digest(dst, ciphertext []byte) []byte
+
+	// Hash computes the one-way hash used for Merkle tree inner nodes, map
+	// nodes and the round chain.
 	Hash(data []byte) []byte
 
-	// HashSize returns the byte length of Hash results.
+	// HashSize returns the byte length of Hash and Digest results.
 	HashSize() int
 
 	// MAC computes a message authentication code keyed with the device
@@ -91,13 +101,13 @@ func HashEqual(a, b []byte) bool {
 
 // NewSuite constructs the named suite keyed from the device secret.
 // Supported names: "3des-sha1" (the paper's TDB-S configuration),
-// "aes-ctr-sha256" (the default), and "null" (security off).
+// "aes-ctr-gmac" (the default), and "null" (security off).
 func NewSuite(name string, secret []byte) (Suite, error) {
 	switch name {
 	case "3des-sha1":
 		return NewDES3SHA1(secret)
-	case "aes-ctr-sha256":
-		return NewAESCTRSHA256(secret)
+	case "aes-ctr-gmac":
+		return NewAESCTRGMAC(secret)
 	case "null":
 		return NewNull(), nil
 	default:

@@ -17,11 +17,11 @@ func allSuites(t *testing.T) map[string]Suite {
 	if err != nil {
 		t.Fatalf("NewDES3SHA1: %v", err)
 	}
-	ctr, err := NewAESCTRSHA256(testSecret)
+	ctr, err := NewAESCTRGMAC(testSecret)
 	if err != nil {
-		t.Fatalf("NewAESCTRSHA256: %v", err)
+		t.Fatalf("NewAESCTRGMAC: %v", err)
 	}
-	return map[string]Suite{"3des-sha1": des3, "aes-ctr-sha256": ctr, "null": NewNull()}
+	return map[string]Suite{"3des-sha1": des3, "aes-ctr-gmac": ctr, "null": NewNull()}
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
@@ -119,8 +119,8 @@ func TestDecryptRejectsTamperedCiphertext(t *testing.T) {
 // reject only input shorter than that and must accept the empty payload.
 func TestDecryptRejectsMalformedLengths(t *testing.T) {
 	malformed := map[string][]int{
-		"3des-sha1":      {0, 1, 7, 8, 9, 23},
-		"aes-ctr-sha256": {0, 1, 8, 15},
+		"3des-sha1":    {0, 1, 7, 8, 9, 23},
+		"aes-ctr-gmac": {0, 1, 8, 15},
 	}
 	for name, s := range allSuites(t) {
 		if name == "null" {
@@ -134,7 +134,7 @@ func TestDecryptRejectsMalformedLengths(t *testing.T) {
 			}
 		})
 	}
-	ctr := allSuites(t)["aes-ctr-sha256"]
+	ctr := allSuites(t)["aes-ctr-gmac"]
 	if got, err := ctr.Decrypt(make([]byte, ctrHeaderSize)); err != nil || len(got) != 0 {
 		t.Fatalf("Decrypt of a bare header: %d bytes, %v", len(got), err)
 	}
@@ -142,9 +142,10 @@ func TestDecryptRejectsMalformedLengths(t *testing.T) {
 
 // TestCTRSuiteShape pins the byte accounting the default suite promises:
 // every ciphertext is exactly the plaintext plus a 16-byte header, and
-// hashes and MACs are 20 bytes, the sizes of the paper's SHA-1 suite.
+// hashes, chunk digests and MACs are 20 bytes, the sizes of the paper's
+// SHA-1 suite.
 func TestCTRSuiteShape(t *testing.T) {
-	s := allSuites(t)["aes-ctr-sha256"]
+	s := allSuites(t)["aes-ctr-gmac"]
 	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 100, 2500} {
 		ct, err := s.Encrypt(make([]byte, n), uint64(n))
 		if err != nil {
@@ -154,7 +155,7 @@ func TestCTRSuiteShape(t *testing.T) {
 			t.Fatalf("%d-byte plaintext: ciphertext %d bytes, overhead %d; want %d and 16", n, len(ct), s.Overhead(n), n+16)
 		}
 	}
-	if s.HashSize() != 20 || len(s.Hash([]byte("x"))) != 20 || s.MACSize() != 20 || len(s.MAC([]byte("x"))) != 20 {
+	if s.HashSize() != 20 || len(s.Hash([]byte("x"))) != 20 || s.MACSize() != 20 || len(s.MAC([]byte("x"))) != 20 || len(s.Digest(nil, []byte("x"))) != 20 {
 		t.Fatalf("hash %d/%d, MAC %d/%d bytes; want 20", s.HashSize(), len(s.Hash([]byte("x"))), s.MACSize(), len(s.MAC([]byte("x"))))
 	}
 }
@@ -164,8 +165,8 @@ func TestCTRSuiteShape(t *testing.T) {
 // differently (each draws its own salt), yet each decrypts the other's
 // ciphertexts, since the header carries everything decryption needs.
 func TestCTRInstancesNeverShareAKeystream(t *testing.T) {
-	a, _ := NewAESCTRSHA256(testSecret)
-	b, _ := NewAESCTRSHA256(testSecret)
+	a, _ := NewAESCTRGMAC(testSecret)
+	b, _ := NewAESCTRGMAC(testSecret)
 	pt := []byte("same secret, same seed, two stores")
 	ca, _ := a.Encrypt(pt, 7)
 	cb, _ := b.Encrypt(pt, 7)
@@ -180,8 +181,34 @@ func TestCTRInstancesNeverShareAKeystream(t *testing.T) {
 			t.Fatalf("cross-instance Decrypt: %q, %v", got, err)
 		}
 	}
-	if !HashEqual(a.MAC(pt), b.MAC(pt)) || !HashEqual(a.Hash(pt), b.Hash(pt)) {
-		t.Fatal("hash or MAC depends on the instance, not only on the secret")
+	if !HashEqual(a.MAC(pt), b.MAC(pt)) || !HashEqual(a.Hash(pt), b.Hash(pt)) || !HashEqual(a.Digest(nil, ca), b.Digest(nil, ca)) {
+		t.Fatal("hash, MAC or digest depends on the instance, not only on the secret")
+	}
+}
+
+// TestGMACDigest pins what the default suite's digest is: a GMAC tag
+// zero-padded to 20 bytes, keyed apart from Hash and by the device secret,
+// and constant for input shorter than the header, with a non-zero pad that
+// equals no real digest. FuzzChunkDigest holds every suite's digest to the
+// rest of its contract.
+func TestGMACDigest(t *testing.T) {
+	s := allSuites(t)["aes-ctr-gmac"]
+	ct, _ := s.Encrypt(make([]byte, 1024), 9)
+	d := s.Digest(nil, ct)
+	if !bytes.Equal(d[gmacTagSize:], make([]byte, ctrDigestSize-gmacTagSize)) {
+		t.Fatalf("digest pad %x, want zeros", d[gmacTagSize:])
+	}
+	if HashEqual(d, s.Hash(ct)) {
+		t.Fatal("the chunk digest equals Hash")
+	}
+	other, _ := NewAESCTRGMAC([]byte("another-device-secret-0123456789"))
+	if HashEqual(d, other.Digest(nil, ct)) {
+		t.Fatal("the chunk digest does not depend on the device secret")
+	}
+	for n := 0; n < ctrHeaderSize; n++ {
+		if got := s.Digest(nil, ct[:n]); !HashEqual(got, shortDigest[:]) {
+			t.Fatalf("%d-byte input: digest %x, want %x", n, got, shortDigest)
+		}
 	}
 }
 
@@ -241,7 +268,7 @@ func TestMACKeyDependsOnSecret(t *testing.T) {
 }
 
 func TestNewSuiteByName(t *testing.T) {
-	for _, name := range []string{"3des-sha1", "aes-ctr-sha256", "null"} {
+	for _, name := range []string{"3des-sha1", "aes-ctr-gmac", "null"} {
 		s, err := NewSuite(name, testSecret)
 		if err != nil {
 			t.Fatalf("NewSuite(%q): %v", name, err)

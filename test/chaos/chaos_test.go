@@ -139,7 +139,7 @@ func TestChaosCrashMidRepair(t *testing.T) {
 			Store:                 fs,
 			Counter:               platform.NewMemCounter(),
 			Secret:                []byte("crash-mid-repair-secret-01234567"),
-			Suite:                 "aes-ctr-sha256",
+			Suite:                 "aes-ctr-gmac",
 			Registry:              registerObj(),
 			Archive:               arch,
 			DisableAutoClean:      true,
@@ -321,7 +321,7 @@ func TestChaosScrubVsGroupCommit(t *testing.T) {
 		Store:    platform.NewMemStore(),
 		Counter:  platform.NewMemCounter(),
 		Secret:   []byte("scrub-vs-groupcommit-secret-0123"),
-		Suite:    "aes-ctr-sha256",
+		Suite:    "aes-ctr-gmac",
 		Registry: registerObj(),
 	}
 	db, err := tdb.Open(opts)
