@@ -145,8 +145,8 @@ bench-smoke: bench-read-scaling bench-paper
 # bench-smoke it is not for numbers: it keeps the snapshot/revalidate
 # protocol, the decode-table probe and its miss path running under both the
 # serial and the contended scheduler shape on every gate — though each
-# lookup path's ns/op at -cpu 1 against 2 and its allocs/op are worth a
-# glance when they print.
+# lookup path's ns/op at -cpu 1 against 2, its allocs/op and its segment
+# reads/op (0 on the hit path) are worth a glance when they print.
 bench-read-scaling:
 	$(GO) test ./internal/chunkstore/ -run XXX \
 		-bench BenchmarkConcurrentRead -benchtime 1x -cpu 1,8

@@ -137,9 +137,9 @@ func BenchmarkCryptoSuites(b *testing.B) {
 // path's reader scaling (it takes no lock and writes no shared memory, so
 // two readers should not slow each other) and its allocations per op.
 func BenchmarkSnapshotLookupHot(b *testing.B) {
-	db, byID := openHotDB(b)
+	db, byID, meter := openHotDB(b)
 	var seeds atomic.Int64
-	benchLookupTxns(b, db, byID, func() func() int64 {
+	benchLookupTxns(b, db, byID, meter, func() func() int64 {
 		id := seeds.Add(7919)
 		return func() int64 {
 			id = (id*31 + 17) % hotSongs
@@ -156,11 +156,11 @@ const (
 	coldTitle = 1 << 10
 )
 
-// openColdDB loads coldSongs songs under a unique hash index on a MemStore,
-// 1024 to a transaction, and reads nothing back.
-func openColdDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer) {
+// openColdDB loads coldSongs songs under a unique hash index on a metered
+// MemStore, 1024 to a transaction, and reads nothing back.
+func openColdDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer, *platform.MeterStore) {
 	tb.Helper()
-	db, _ := openTestDB(tb)
+	db, opts := openTestDB(tb)
 	tb.Cleanup(func() { db.Close() })
 	byID := songByID()
 	txn := db.Begin()
@@ -186,7 +186,7 @@ func openColdDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer) {
 			tb.Fatalf("Commit: %v", err)
 		}
 	}
-	return db, byID
+	return db, byID, opts.Store.(*platform.MeterStore)
 }
 
 // BenchmarkSnapshotLookupCold measures the snapshot miss path in the shape
@@ -195,9 +195,9 @@ func openColdDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer) {
 // table and read, validate, decrypt and unpickle a chunk. Run at -cpu 1,2 it
 // shows whether two readers' misses overlap or queue on a shared lock.
 func BenchmarkSnapshotLookupCold(b *testing.B) {
-	db, byID := openColdDB(b)
+	db, byID, meter := openColdDB(b)
 	var seeds atomic.Int64
-	benchLookupTxns(b, db, byID, func() func() int64 {
+	benchLookupTxns(b, db, byID, meter, func() func() int64 {
 		rng := rand.New(rand.NewSource(seeds.Add(7919)))
 		return func() int64 { return rng.Int63n(coldSongs) }
 	})
@@ -205,9 +205,11 @@ func BenchmarkSnapshotLookupCold(b *testing.B) {
 
 // benchLookupTxns runs the lookup benchmarks' op under RunParallel: a
 // snapshot transaction of eight exact-match lookups, each goroutine drawing
-// ids from its own generator made by newKeys.
-func benchLookupTxns(b *testing.B, db *tdb.DB, byID tdb.GenericIndexer, newKeys func() func() int64) {
+// ids from its own generator made by newKeys. It reports the segment reads
+// per op that meter counts: the miss path's I/O.
+func benchLookupTxns(b *testing.B, db *tdb.DB, byID tdb.GenericIndexer, meter *platform.MeterStore, newKeys func() func() int64) {
 	b.ReportAllocs()
+	before := meter.Stats().Snapshot()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		next := newKeys()
@@ -231,4 +233,5 @@ func benchLookupTxns(b *testing.B, db *tdb.DB, byID tdb.GenericIndexer, newKeys 
 			}
 		}
 	})
+	b.ReportMetric(float64(meter.Stats().Snapshot().Sub(before).ReadOps)/float64(b.N), "reads/op")
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tdb"
+	"tdb/internal/platform"
 )
 
 // hotSongs is the size of the warm collection the hit-path gate and
@@ -11,12 +12,12 @@ import (
 // pass every open is a decode-table hit.
 const hotSongs = 1024
 
-// openHotDB loads hotSongs songs under a unique hash index on a MemStore and
-// reads each once through a snapshot transaction, so the catalog, the index
-// pages and every record are cached when it returns.
-func openHotDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer) {
+// openHotDB loads hotSongs songs under a unique hash index on a metered
+// MemStore and reads each once through a snapshot transaction, so the
+// catalog, the index pages and every record are cached when it returns.
+func openHotDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer, *platform.MeterStore) {
 	tb.Helper()
-	db, _ := openTestDB(tb)
+	db, opts := openTestDB(tb)
 	tb.Cleanup(func() { db.Close() })
 	byID := songByID()
 	txn := db.Begin()
@@ -43,7 +44,7 @@ func openHotDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer) {
 			tb.Fatalf("warm lookup %d: %v", i, err)
 		}
 	}
-	return db, byID
+	return db, byID, opts.Store.(*platform.MeterStore)
 }
 
 // lookupSong is one exact-match read through the unique hash index:
@@ -72,7 +73,7 @@ func lookupSong(h *tdb.Collection, byID tdb.GenericIndexer, key tdb.Key) (*Song,
 // the result a grown slice. Repeated opens inside one transaction must keep
 // returning the same instance.
 func TestSnapshotHitPathAllocations(t *testing.T) {
-	db, byID := openHotDB(t)
+	db, byID, _ := openHotDB(t)
 	keys := make([]tdb.Key, hotSongs) // boxed once: the caller's cost, not the lookup's
 	for i := range keys {
 		keys[i] = tdb.IntKey(i)
@@ -137,7 +138,7 @@ func TestSnapshotHitPathAllocations(t *testing.T) {
 // and the per-transaction record. Reopening an object the transaction
 // already holds allocates nothing.
 func TestTwoPhaseHitPathAllocations(t *testing.T) {
-	db, byID := openHotDB(t)
+	db, byID, _ := openHotDB(t)
 	oids := make([]tdb.ObjectID, 8)
 	txn := db.Begin()
 	h, err := txn.ReadCollection("songs", byID)

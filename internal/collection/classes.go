@@ -160,7 +160,7 @@ func (c *collectionObject) findIndex(name string) (int, bool) {
 	return -1, false
 }
 
-// pickleKeyOIDs and unpickleKeyOIDs serialize (encoded key, oid) entry
+// pickleEntries and unpickleEntries serialize (encoded key, oid) entry
 // slices shared by the index node classes.
 type keyOID struct {
 	key []byte
@@ -175,12 +175,15 @@ func pickleEntries(p *objectstore.Pickler, entries []keyOID) {
 	}
 }
 
+// unpickleEntries pre-sizes its slice only to what the remaining bytes can
+// hold: an entry takes at least 12 (a key length and an oid), and the count
+// is untrusted.
 func unpickleEntries(u *objectstore.Unpickler) []keyOID {
 	n := int(u.Uint32())
 	if u.Err() != nil {
 		return nil
 	}
-	out := make([]keyOID, 0, n)
+	out := make([]keyOID, 0, min(n, u.Remaining()/12))
 	for i := 0; i < n; i++ {
 		e := keyOID{key: u.BytesVal(), oid: u.ObjectID()}
 		if u.Err() != nil {

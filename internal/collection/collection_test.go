@@ -55,7 +55,7 @@ type colEnv struct {
 	reg        *objectstore.Registry
 }
 
-func newColEnv(t *testing.T) *colEnv {
+func newColEnv(t testing.TB) *colEnv {
 	t.Helper()
 	suite, err := sec.NewSuite("3des-sha1", []byte("collection-test-secret-012345678"))
 	if err != nil {
@@ -73,7 +73,7 @@ func newColEnv(t *testing.T) *colEnv {
 	}
 }
 
-func (e *colEnv) open(t *testing.T) *Store {
+func (e *colEnv) open(t testing.TB) *Store {
 	t.Helper()
 	cs, err := chunkstore.Open(chunkstore.Config{
 		Store:      e.mem,

@@ -19,6 +19,20 @@ import "sync/atomic"
 // instance in the same locked section that drops its chain. So an entry a
 // probe can load is the state every live and every future pin must see.
 //
+// Replacement is size-aware (GreedyDual-Size, Cao & Irani 1997): every miss
+// costs about one chunk read whatever the object's size, so per byte of
+// budget a small object — a hash bucket, a B-tree node — saves more reads
+// than a record. put gives each entry a lap credit, the table's mean
+// resident size over the entry's size, capped at decodedMaxCredit; the sweep
+// hand spends one credit each time it passes an entry and evicts only at
+// zero, and a full set evicts its least-credited way. Credits live on the
+// writer side, so a hit still writes nothing: a hit (reference) bit, as
+// CLOCK keeps, would make every probe a store to shared memory. Admission
+// is not filtered either: protecting re-missed objects behind a ghost list
+// did not move the cold-read benchmark. The hand's worst case is a table
+// whose every entry holds the full credit: one put then walks at most
+// decodedMaxCredit+1 laps of the slots before an entry reaches zero.
+//
 // Objects handed out are shared across transactions: objects opened
 // read-only must not be mutated (Config.ReadonlyChecks catches violations),
 // and writable opens work on a private copy.
@@ -36,6 +50,8 @@ const (
 	// pointers, one cache line.
 	decodedSetBits = 12
 	decodedWays    = 8
+	// decodedMaxCredit caps the laps of the sweep hand an entry survives.
+	decodedMaxCredit = 7
 )
 
 // decodedEntry is one cached object; immutable once published in a slot.
@@ -49,22 +65,25 @@ type decodedEntry struct {
 // with no lock held; put and remove, and the fields below slots, belong to
 // the writer side, which holds versionTable.decodedMu.
 type decodedTable struct {
-	slots [decodedWays << decodedSetBits]atomic.Pointer[decodedEntry]
-	bytes int64 // resident pickled size, never above decodedBudget
-	hand  int   // budget-eviction sweep position over slots
-	tick  int   // rotates the victim way of a full set
+	slots  [decodedWays << decodedSetBits]atomic.Pointer[decodedEntry]
+	credit [decodedWays << decodedSetBits]uint8 // laps left to each slot's entry
+	bytes  int64                                // resident pickled size, never above decodedBudget
+	count  int                                  // occupied slots
+	hand   int                                  // budget-eviction sweep position over slots
+	tick   int                                  // rotates the first way a full set considers
 }
 
-// set returns the slots oid maps to. Object ids are chunk ids handed out
-// mostly in sequence; the multiplicative hash spreads runs over the sets.
-func (dt *decodedTable) set(oid ObjectID) []atomic.Pointer[decodedEntry] {
-	s := int(uint64(oid) * 0x9E3779B97F4A7C15 >> (64 - decodedSetBits))
-	return dt.slots[s*decodedWays : (s+1)*decodedWays]
+// set returns the index of the first of the slots oid maps to. Object ids
+// are chunk ids handed out mostly in sequence; the multiplicative hash
+// spreads runs over the sets.
+func (dt *decodedTable) set(oid ObjectID) int {
+	return int(uint64(oid)*0x9E3779B97F4A7C15>>(64-decodedSetBits)) * decodedWays
 }
 
 // get returns the cached object for oid, or nil.
 func (dt *decodedTable) get(oid ObjectID) Object {
-	set := dt.set(oid)
+	s := dt.set(oid)
+	set := dt.slots[s : s+decodedWays]
 	for i := range set {
 		if e := set[i].Load(); e != nil && e.oid == oid {
 			return e.obj
@@ -76,48 +95,64 @@ func (dt *decodedTable) get(oid ObjectID) Object {
 // remove clears oid's slot, if it has one.
 func (dt *decodedTable) remove(oid ObjectID) {
 	set := dt.set(oid)
-	for i := range set {
-		if e := set[i].Load(); e != nil && e.oid == oid {
-			dt.evict(&set[i])
+	for i := set; i < set+decodedWays; i++ {
+		if e := dt.slots[i].Load(); e != nil && e.oid == oid {
+			dt.evict(i)
 			return
 		}
 	}
 }
 
-// evict empties a slot.
-func (dt *decodedTable) evict(slot *atomic.Pointer[decodedEntry]) {
-	if e := slot.Swap(nil); e != nil {
+// evict empties slot i.
+func (dt *decodedTable) evict(i int) {
+	if e := dt.slots[i].Swap(nil); e != nil {
 		dt.bytes -= e.size
+		dt.count--
 	}
+	dt.credit[i] = 0
 }
 
-// put caches obj for oid, replacing any entry oid already has. Replacement
-// has no recency (a hit records nothing): when the byte budget is short a
-// sweep hand empties slots in table order — ids being hashed, an arbitrary
-// order — until the entry fits, and within a full set the victim way rotates.
+// put caches obj for oid, replacing any entry oid already has. When the byte
+// budget is short the sweep hand walks the slots in table order — ids being
+// hashed, an arbitrary order — spending one credit of each entry it passes
+// and evicting the entries it finds at zero, until the new entry fits. A
+// full set evicts its least-credited way, the first found from a rotating
+// start.
 func (dt *decodedTable) put(oid ObjectID, obj Object, size int64) {
 	dt.remove(oid)
 	if size > decodedMaxEntry {
 		return
 	}
 	for dt.bytes+size > decodedBudget {
-		dt.evict(&dt.slots[dt.hand])
+		if dt.credit[dt.hand] > 0 {
+			dt.credit[dt.hand]--
+		} else {
+			dt.evict(dt.hand)
+		}
 		dt.hand = (dt.hand + 1) % len(dt.slots)
 	}
 	set := dt.set(oid)
-	way := dt.tick % decodedWays
-	for i := range set {
-		if set[i].Load() == nil {
+	way := -1
+	for i := set; i < set+decodedWays; i++ {
+		if dt.slots[i].Load() == nil {
 			way = i
 			break
 		}
 	}
-	if set[way].Load() != nil {
+	if way < 0 {
 		dt.tick++
-		dt.evict(&set[way])
+		for j := range decodedWays {
+			i := set + (dt.tick+j)%decodedWays
+			if way < 0 || dt.credit[i] < dt.credit[way] {
+				way = i
+			}
+		}
+		dt.evict(way)
 	}
-	set[way].Store(&decodedEntry{oid: oid, obj: obj, size: size})
+	dt.slots[way].Store(&decodedEntry{oid: oid, obj: obj, size: size})
 	dt.bytes += size
+	dt.count++
+	dt.credit[way] = uint8(min(decodedMaxCredit, dt.bytes/int64(dt.count)/max(size, 1)))
 }
 
 // resident counts the occupied slots and sums their sizes. The caller holds

@@ -3,6 +3,7 @@ package objectstore
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -436,10 +437,10 @@ func TestDecodeCacheAdmission(t *testing.T) {
 	// exactly decodedWays of them resident, with the accounting exact.
 	vt = newVersionTable()
 	dt = &vt.decoded
-	home := &dt.set(1)[0]
+	home := dt.set(1)
 	var same []ObjectID
 	for oid := ObjectID(1); len(same) < 3*decodedWays; oid++ {
-		if &dt.set(oid)[0] == home {
+		if dt.set(oid) == home {
 			same = append(same, oid)
 			vt.decodedPut(oid, obj, 10)
 		}
@@ -455,6 +456,204 @@ func TestDecodeCacheAdmission(t *testing.T) {
 	}
 	if dt.get(same[len(same)-1]) == nil {
 		t.Fatalf("the most recent put is not resident")
+	}
+}
+
+// slotOf returns the slot holding oid's entry, or -1.
+func slotOf(dt *decodedTable, oid ObjectID) int {
+	set := dt.set(oid)
+	for i := set; i < set+decodedWays; i++ {
+		if e := dt.slots[i].Load(); e != nil && e.oid == oid {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestDecodeTableSmallEntriesOutliveChurn: small entries admitted into a
+// table of 1 KiB records hold the full credit, and survive that many passes
+// of the sweep hand while a stream of 1 KiB records turns the table over —
+// and no more, so a credit delays eviction but never pins an entry.
+func TestDecodeTableSmallEntriesOutliveChurn(t *testing.T) {
+	dt := new(decodedTable)
+	obj := &Meter{ID: 1}
+	const big, small = 1 << 10, 64
+	next := ObjectID(1)
+	for dt.bytes+big <= decodedBudget {
+		dt.put(next, obj, big)
+		next++
+	}
+	smalls := make(map[ObjectID]int) // small entry → its slot
+	for len(smalls) < 64 {
+		dt.put(next, obj, small)
+		smalls[next] = slotOf(dt, next)
+		if c := dt.credit[smalls[next]]; c != decodedMaxCredit {
+			t.Fatalf("a %d-byte entry among %d-byte ones got credit %d, want %d", small, big, c, decodedMaxCredit)
+		}
+		next++
+	}
+	// Each 1 KiB put evicts the first credit-less record ahead of the hand,
+	// well within a lap, so the slots a put's walk passed are [prev, hand).
+	passes := make(map[ObjectID]int)
+	for puts := 0; len(smalls) > 0; puts++ {
+		if puts > 16*decodedBudget/big {
+			t.Fatalf("%d small entries still resident after %d puts", len(smalls), puts)
+		}
+		prev := dt.hand
+		dt.put(next, obj, big)
+		next++
+		for oid, slot := range smalls {
+			if prev <= dt.hand && prev <= slot && slot < dt.hand ||
+				prev > dt.hand && (slot >= prev || slot < dt.hand) {
+				passes[oid]++
+			}
+			resident := slotOf(dt, oid) == slot
+			switch {
+			case !resident && passes[oid] <= decodedMaxCredit:
+				t.Fatalf("small entry %d evicted after %d passes of the hand; its credit was %d", oid, passes[oid], decodedMaxCredit)
+			case resident && passes[oid] > decodedMaxCredit:
+				t.Fatalf("small entry %d survived %d passes of the hand on a credit of %d", oid, passes[oid], decodedMaxCredit)
+			case !resident:
+				delete(smalls, oid)
+			}
+		}
+	}
+}
+
+// TestDecodeTableEqualSizesEvictAsBefore: with every entry the same size the
+// credits are all equal, so they change when the hand evicts but not how
+// many entries it evicts: once the table is full, every put of a new id
+// evicts exactly one entry, as the size-blind sweep did. The ids are chosen
+// so that no set ever overflows, leaving the budget as the only reason to
+// evict.
+func TestDecodeTableEqualSizesEvictAsBefore(t *testing.T) {
+	obj := &Meter{ID: 1}
+	for _, size := range []int64{1000, 4096, 64 << 10} {
+		dt := new(decodedTable)
+		fits := int(decodedBudget / size)
+		perSet := make(map[int]int)
+		evicted := 0
+		puts := 0
+		for oid := ObjectID(1); puts < 3*fits; oid++ {
+			if perSet[dt.set(oid)] == decodedWays {
+				continue
+			}
+			perSet[dt.set(oid)]++
+			before := dt.count
+			dt.put(oid, obj, size)
+			evicted += before + 1 - dt.count
+			puts++
+			if want := max(0, puts-fits); evicted != want {
+				t.Fatalf("size %d: %d puts evicted %d entries, want %d", size, puts, evicted, want)
+			}
+		}
+		if n, bytes := dt.resident(); n != fits || bytes != int64(fits)*size {
+			t.Fatalf("size %d: %d entries, %d bytes resident; want %d entries", size, n, bytes, fits)
+		}
+	}
+}
+
+// TestDecodeTableAccountingUnderMixedSizes: through a seeded stream of puts
+// of mixed sizes (some over decodedMaxEntry) and removes, the accounted
+// bytes and count match the slots after every step, stay within the budget,
+// and no credit exceeds the cap.
+func TestDecodeTableAccountingUnderMixedSizes(t *testing.T) {
+	dt := new(decodedTable)
+	obj := &Meter{ID: 1}
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 2000; step++ {
+		oid := ObjectID(1 + rng.Intn(4000))
+		switch r := rng.Intn(20); {
+		case r == 0:
+			dt.remove(oid)
+		case r == 1:
+			dt.put(oid, obj, decodedMaxEntry+int64(rng.Intn(1000)))
+		case r < 8:
+			dt.put(oid, obj, 64+int64(rng.Intn(200)))
+		case r < 14:
+			dt.put(oid, obj, 900+int64(rng.Intn(200)))
+		default:
+			dt.put(oid, obj, 8<<10+int64(rng.Intn(56<<10)))
+		}
+		n, bytes := dt.resident()
+		if n != dt.count || bytes != dt.bytes || bytes > decodedBudget {
+			t.Fatalf("step %d: %d entries hold %d bytes; accounted %d entries, %d bytes; budget %d", step, n, bytes, dt.count, dt.bytes, decodedBudget)
+		}
+	}
+	for i, c := range dt.credit {
+		if c > decodedMaxCredit || c != 0 && dt.slots[i].Load() == nil {
+			t.Fatalf("slot %d holds credit %d (cap %d, occupied %v)", i, c, decodedMaxCredit, dt.slots[i].Load() != nil)
+		}
+	}
+}
+
+// TestDecodeTableFullCreditWalkIsBounded: the hand's worst case is a full
+// table whose every entry holds the maximum credit. A put then walks
+// decodedMaxCredit laps spending every credit, and evicts the first entry of
+// the next lap: one entry goes, and the walk ends within
+// (decodedMaxCredit+1) × len(slots) steps.
+func TestDecodeTableFullCreditWalkIsBounded(t *testing.T) {
+	dt := new(decodedTable)
+	obj := &Meter{ID: 1}
+	const size = 1000
+	oid := ObjectID(1)
+	for ; dt.bytes+size <= decodedBudget; oid++ {
+		dt.put(oid, obj, size)
+	}
+	first := -1
+	for i := range dt.slots {
+		if dt.slots[i].Load() != nil {
+			dt.credit[i] = decodedMaxCredit
+			if first < 0 {
+				first = i
+			}
+		}
+	}
+	dt.hand = 0
+	victim := dt.slots[first].Load().oid
+	count := dt.count
+	dt.put(oid, obj, size)
+	if dt.get(oid) == nil || dt.get(victim) != nil || dt.count != count {
+		t.Fatalf("new entry resident %v, first entry evicted %v, %d entries (want %d)", dt.get(oid) != nil, dt.get(victim) == nil, dt.count, count)
+	}
+	if dt.hand != first+1 {
+		t.Fatalf("the walk ended at slot %d of its last lap, want %d", dt.hand, first+1)
+	}
+	for i := range dt.slots {
+		if e := dt.slots[i].Load(); e != nil && e.oid != oid && dt.credit[i] != 0 {
+			t.Fatalf("slot %d kept credit %d after %d laps", i, dt.credit[i], decodedMaxCredit)
+		}
+	}
+}
+
+// TestDecodeTableFullSetEvictsLeastCredited: a put into a full set evicts
+// the way holding the least credit, wherever it sits in the set.
+func TestDecodeTableFullSetEvictsLeastCredited(t *testing.T) {
+	obj := &Meter{ID: 1}
+	var same []ObjectID
+	probe := new(decodedTable)
+	home := probe.set(1)
+	for oid := ObjectID(1); len(same) < decodedWays+1; oid++ {
+		if probe.set(oid) == home {
+			same = append(same, oid)
+		}
+	}
+	for least := 0; least < decodedWays; least++ {
+		dt := new(decodedTable)
+		for _, oid := range same[:decodedWays] {
+			dt.put(oid, obj, 100)
+		}
+		for w := 0; w < decodedWays; w++ {
+			dt.credit[home+w] = 2
+		}
+		dt.credit[home+least] = 1
+		victim := dt.slots[home+least].Load().oid
+		dt.put(same[decodedWays], obj, 100)
+		for _, oid := range same {
+			if resident := dt.get(oid) != nil; resident == (oid == victim) {
+				t.Fatalf("least-credited way %d: entry %d resident %v, victim %d", least, oid, resident, victim)
+			}
+		}
 	}
 }
 

@@ -188,13 +188,14 @@ func (u *Unpickler) String() string {
 // ObjectID decodes a persistent object reference.
 func (u *Unpickler) ObjectID() ObjectID { return ObjectID(u.Uint64()) }
 
-// ObjectIDs decodes a slice of object references.
+// ObjectIDs decodes a slice of object references. The count is untrusted:
+// the slice is pre-sized only to what the remaining bytes can hold.
 func (u *Unpickler) ObjectIDs() []ObjectID {
 	n := int(u.Uint32())
 	if u.err != nil || n < 0 {
 		return nil
 	}
-	out := make([]ObjectID, 0, min(n, 1<<16))
+	out := make([]ObjectID, 0, min(n, u.Remaining()/8))
 	for i := 0; i < n; i++ {
 		out = append(out, u.ObjectID())
 		if u.err != nil {
@@ -238,11 +239,4 @@ func GobUnpickle(u *Unpickler, v any) error {
 		return fmt.Errorf("objectstore: gob unpickling: %w", err)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -43,12 +43,14 @@ func songByTitle() tdb.GenericIndexer {
 		func(s *Song) tdb.StringKey { return tdb.StringKey(s.Title) })
 }
 
+// openTestDB opens a database on a MemStore wrapped in a MeterStore, so a
+// test can count the store's I/O through opts.Store.
 func openTestDB(t testing.TB) (*tdb.DB, tdb.Options) {
 	t.Helper()
 	reg := tdb.NewRegistry()
 	reg.Register(songClass, func() tdb.Object { return &Song{} })
 	opts := tdb.Options{
-		Store:    platform.NewMemStore(),
+		Store:    platform.NewMeterStore(platform.NewMemStore()),
 		Counter:  platform.NewMemCounter(),
 		Secret:   []byte("public-api-test-secret-012345678"),
 		Registry: reg,
