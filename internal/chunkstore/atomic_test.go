@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -347,9 +348,9 @@ func oweRounds(t *testing.T) (env *testEnv, s *Store, cid ChunkID, durable []byt
 // applied but unacknowledged, are a state recovery and the next commit both
 // handle. A crash in it recovers the last durable value or one of the
 // unacknowledged ones. One commit with an unlimited budget hardens every
-// stamp owed: beyond a commit from a hardened store it syncs the segments
-// the failed rounds left unsynced and writes and syncs one more seal, so
-// failed hardens do not make later commits need ever more writes.
+// stamp owed, and its device operations are exactly a hardened store's plus
+// the owing state's leftovers, each counted before the commit: failed
+// hardens do not make later commits need ever more writes.
 func TestCrashOwedRoundsHardenInOneCommit(t *testing.T) {
 	for _, lose := range []bool{true, false} {
 		t.Run(fmt.Sprintf("crash while owing, unsynced writes lost %v", lose), func(t *testing.T) {
@@ -359,7 +360,12 @@ func TestCrashOwedRoundsHardenInOneCommit(t *testing.T) {
 	t.Run("one commit hardens", func(t *testing.T) {
 		env, s, cid, _, _ := oweRounds(t)
 		const unlimited = 1 << 30
-		commit := func(v []byte) int64 {
+		// commit returns the commit's device operations and how many
+		// segments it freed.
+		commit := func(v []byte) (ops int64, freed int) {
+			s.mu.RLock()
+			before := s.segs.numbers()
+			s.mu.RUnlock()
 			b := s.NewBatch()
 			b.Write(cid, v)
 			env.fs.SetWriteBudget(unlimited)
@@ -370,27 +376,51 @@ func TestCrashOwedRoundsHardenInOneCommit(t *testing.T) {
 			if ctr := s.counterVal.Load(); s.sealedCtr != ctr || s.stampCtr != ctr {
 				t.Fatalf("after the commit: counter %d, sealed %d, stamp %d; want nothing owed", ctr, s.sealedCtr, s.stampCtr)
 			}
-			return unlimited - env.fs.WriteOps()
+			s.mu.RLock()
+			for _, num := range before {
+				if s.segs.segs[num] == nil {
+					freed++
+				}
+			}
+			s.mu.RUnlock()
+			return unlimited - env.fs.WriteOps(), freed
 		}
-		unsynced := 0
+		// The owing state's leftovers: segments the failed rounds left
+		// unsynced (a sync each), a record a failed flush left in the
+		// write-behind buffer (one write), and the file of a segment create
+		// that failed after the file appeared, which the next create meets
+		// (its failed create and the remove that replaces it).
+		unsynced, buffered, stale := 0, 0, 0
 		s.mu.RLock()
 		for _, seg := range s.segs.segs {
 			if !seg.synced {
 				unsynced++
 			}
 		}
+		if len(s.segs.wb) > 0 {
+			buffered = 1
+		}
+		names, err := env.mem.List()
+		if err != nil {
+			t.Fatalf("List: %v", err)
+		}
+		if slices.Contains(names, segmentName(s.segs.next)) {
+			stale = 2
+		}
 		s.mu.RUnlock()
-		owing := commit(bytes.Repeat([]byte("owing;"), env.cfg.SegmentSize/6+1))
+		owing, owingFreed := commit(bytes.Repeat([]byte("owing;"), env.cfg.SegmentSize/6+1))
 		last := bytes.Repeat([]byte("hardened;"), env.cfg.SegmentSize/9+1)
-		hardened := commit(last)
-		t.Logf("device operations: %d from the owing store (%d segments unsynced), %d from a hardened one",
-			owing, unsynced, hardened)
-		// The owing store's extra work: syncing the segments the failed
-		// rounds left unsynced, then a seal record's write and its sync
+		hardened, hardenedFreed := commit(last)
+		t.Logf("device operations: %d from the owing store (%d segments unsynced, %d buffered write, %d for a stale file), %d from a hardened one",
+			owing, unsynced, buffered, stale, hardened)
+		if owingFreed != hardenedFreed {
+			t.Fatalf("test premise: the owing commit freed %d segments, the hardened one %d", owingFreed, hardenedFreed)
+		}
+		// Beyond the leftovers, the owing store writes and syncs one seal
 		// once the owed stamps are paid.
-		if owing > hardened+int64(unsynced)+2 {
-			t.Fatalf("a commit from the owing store took %d device operations, want at most %d (%d from a hardened store, %d unsynced segments, one seal)",
-				owing, hardened+int64(unsynced)+2, hardened, unsynced)
+		if want := hardened + int64(unsynced+buffered+stale) + 2; owing != want {
+			t.Fatalf("a commit from the owing store took %d device operations, want %d (%d from a hardened store, %d unsynced segments, %d buffered write, %d for a stale file, one seal)",
+				owing, want, hardened, unsynced, buffered, stale)
 		}
 		env.mem.Crash()
 		s2 := env.open(t)

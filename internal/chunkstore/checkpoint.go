@@ -172,26 +172,15 @@ func (s *Store) readSuperblock() (superblock, error) {
 }
 
 // writeSuperblock publishes a checkpoint pointer and IV-generation
-// reservation into the alternate slot. It is called with the new checkpoint
-// location at checkpoints, and with the unchanged s.lastCkpt when only the
-// IV reservation needs extending.
-//
-// With syncNow false the slot is written but its fsync is deferred
-// (superDirty): the next log-tail harden barrier pays it, so a checkpoint
-// costs one durability barrier instead of two. That is safe because the
-// slot only points at a checkpoint record that is already durable — a crash
-// before the deferred sync recovers from the previous anchor and replays
-// the residual log across the new checkpoint's records. Before writing a
-// new slot, any dirty slot is synced first: with two ping-pong slots, a
-// second unsynced write would land on the last durable slot and an honest
-// crash could leave no valid superblock at all.
-func (s *Store) writeSuperblock(ckptLoc Location, ivGenReserved uint64, syncNow bool) error {
-	if err := s.syncSuperIfDirtyLocked(); err != nil {
-		return err
-	}
-	s.superSeq++
+// reservation into the alternate slot and syncs it. It is called with the
+// new checkpoint location at checkpoints, and with the unchanged s.lastCkpt
+// when only the IV reservation needs extending. superSeq advances only once
+// the slot is durable, so a failed attempt is retried into the same slot and
+// the ping-pong pair never overwrites the last durable anchor.
+func (s *Store) writeSuperblock(ckptLoc Location, ivGenReserved uint64) error {
+	seq := s.superSeq + 1
 	sb := superblock{
-		seq:           s.superSeq,
+		seq:           seq,
 		suiteName:     s.suite.Name(),
 		fanout:        s.cfg.Fanout,
 		segmentSize:   s.cfg.SegmentSize,
@@ -210,7 +199,7 @@ func (s *Store) writeSuperblock(ckptLoc Location, ivGenReserved uint64, syncNow 
 	if err != nil {
 		return err
 	}
-	off := int64(s.superSeq%2) * superSlotSize
+	off := int64(seq%2) * superSlotSize
 	attempts, err := s.cfg.Retry.run(func() error {
 		_, werr := f.WriteAt(slot, off)
 		return werr
@@ -218,36 +207,11 @@ func (s *Store) writeSuperblock(ckptLoc Location, ivGenReserved uint64, syncNow 
 	if err != nil {
 		return ioErr("write", superblockName, 0, off, attempts, err)
 	}
-	if !syncNow {
-		s.superDirty = true
-		return nil
-	}
 	attempts, err = s.cfg.Retry.run(f.Sync)
 	if err != nil {
 		return ioErr("sync", superblockName, 0, -1, attempts, err)
 	}
-	return nil
-}
-
-// syncSuperIfDirtyLocked pays the fsync deferred by a checkpoint's
-// superblock write. It is folded into every log-tail harden barrier
-// (hardenLocked, harden rounds), and run eagerly where a stale
-// durable anchor would be unsafe or lost: before a new slot write
-// (ping-pong safety), before the cleaner frees victim segments the old
-// anchor still references, and at format/Close. Caller holds s.mu.
-func (s *Store) syncSuperIfDirtyLocked() error {
-	if !s.superDirty {
-		return nil
-	}
-	f, err := s.superblockFile(false)
-	if err != nil {
-		return err
-	}
-	attempts, err := s.cfg.Retry.run(f.Sync)
-	if err != nil {
-		return ioErr("sync", superblockName, 0, -1, attempts, err)
-	}
-	s.superDirty = false
+	s.superSeq = seq
 	return nil
 }
 
@@ -506,35 +470,25 @@ func (s *Store) checkpointLocked() error {
 	if err := s.hardenLocked(); err != nil {
 		return err
 	}
-	// The previous anchor is synced before the new one is written anyway
-	// (writeSuperblock); then the node segments it emptied can go.
-	if err := s.syncSuperIfDirtyLocked(); err != nil {
-		return err
-	}
-	if err := s.freeNodeSegmentsLocked(); err != nil {
-		return err
-	}
-	// Write the new anchor into the alternate slot but defer its fsync to
-	// the next harden barrier: the checkpoint record above is already
-	// durable, so a crash before the deferred sync merely recovers from the
-	// previous anchor and replays across this checkpoint's records. This
-	// makes a checkpoint cost one durability barrier (the inline harden)
-	// instead of two. The IV reservation written is the current durable
-	// limit, UNCHANGED: advancing the limit on an unsynced write would let a
-	// crash hand the same IV generations out again under the same key.
-	if err := s.writeSuperblock(ckptLoc, s.ivGenLimit.Load(), false); err != nil {
+	// Publish the new anchor, written and synced into the alternate slot.
+	// The IV reservation it carries is the current durable limit,
+	// unchanged.
+	if err := s.writeSuperblock(ckptLoc, s.ivGenLimit.Load()); err != nil {
 		return err
 	}
 	s.lastCkpt = ckptLoc
 	s.residualBytes = 0
 	s.statCheckpoints++
+	// The durable anchor now reads no node in the older node segments this
+	// checkpoint emptied, so the ones no snapshot pins go now.
 	unpinned := s.firstUnpinned()
-	for num, seg := range s.segs.segs {
-		if seg.nodes && seg.live == 0 && num < first && num >= unpinned {
-			s.nodeFrees = append(s.nodeFrees, num)
+	for _, num := range s.segs.numbers() {
+		if seg := s.segs.segs[num]; seg.nodes && seg.live == 0 && num < first && num >= unpinned {
+			if err := s.segs.free(num); err != nil {
+				return err
+			}
 		}
 	}
-	slices.Sort(s.nodeFrees)
 	return nil
 }
 
@@ -579,26 +533,4 @@ func (s *Store) markSparseNodes() error {
 		return nil
 	}
 	return walk(s.lm.root)
-}
-
-// freeNodeSegmentsLocked frees the node segments the last checkpoint left
-// empty (nodeFrees) once its superblock slot is synced: until then a crash
-// recovers the checkpoint before it, whose tree reads nodes there.
-func (s *Store) freeNodeSegmentsLocked() error {
-	if s.superDirty {
-		return nil
-	}
-	for ; len(s.nodeFrees) > 0; s.nodeFrees = s.nodeFrees[1:] {
-		seg := s.segs.segs[s.nodeFrees[0]]
-		if seg == nil {
-			continue // a failed free dropped it from the set already
-		}
-		if seg.live != 0 {
-			return fmt.Errorf("%w: emptied node segment %d has %d live bytes", ErrTampered, seg.num, seg.live)
-		}
-		if err := s.segs.free(seg.num); err != nil {
-			return err
-		}
-	}
-	return nil
 }

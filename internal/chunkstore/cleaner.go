@@ -19,9 +19,9 @@ import (
 // Recovery replays the relocated records like any committed write, so a
 // checkpointed segment may be gone only if the replayed log relocated all
 // of its live bytes (recovery.go). Victims lie before the last checkpoint,
-// where recovery never replays from, and the publishing commit's harden
-// pays any deferred superblock sync, so no victim is freed under a durable
-// anchor that references it. This subsumes the paper's nondurable-commit
+// where recovery never replays from, and a checkpoint's superblock slot is
+// synced before it returns, so no victim is freed under a durable anchor
+// that references it. This subsumes the paper's nondurable-commit
 // pin (§3.2.2): cleaning publishes with a durable commit of its own.
 
 // targetDiskBytes returns the permitted total log size for the current
@@ -61,12 +61,7 @@ func (s *Store) cleanTriggerBytes() int64 {
 // volume. In aggressive (idle) mode the cycle compacts every segment
 // holding garbage, regardless of the size target.
 func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
-	// Free the node segments the last checkpoint emptied, if a harden has
-	// synced its superblock slot; until then plannedSize discounts them.
-	if err := s.freeNodeSegmentsLocked(); err != nil {
-		return err
-	}
-	if !aggressive && s.plannedSize(0) <= s.cleanTriggerBytes() {
+	if !aggressive && s.segs.totalSize() <= s.cleanTriggerBytes() {
 		return nil
 	}
 	// Like every append-capable operation, cleaning must first discard the
@@ -86,7 +81,7 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 	var freedPlanned int64
 	checkpointed := false
 	for copyBudget > 0 && len(victims) < 64 {
-		if !aggressive && s.plannedSize(freedPlanned) <= s.targetDiskBytes() {
+		if !aggressive && s.segs.totalSize()-freedPlanned <= s.targetDiskBytes() {
 			break
 		}
 		num, ok, blocked := s.pickVictim(aggressive, chosen)
@@ -120,10 +115,9 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 	// the pre-clean map must fail revalidation and retry (their pinned old
 	// segment stays readable until they unpin; see segment.readers).
 	s.locEpoch.Add(1)
-	// Durably publish the relocations, then free the victims. The victims
-	// cannot be freed under a stale durable anchor — recovery would chase
-	// its residual log into the freed files — so the publishing commit's
-	// harden also pays the superblock sync a checkpoint defers.
+	// Durably publish the relocations, then free the victims: freed before
+	// the relocations are durable, a crash would recover a map that still
+	// points into them.
 	n, err := s.appendCommitRecordLocked(true)
 	if err != nil {
 		return err
@@ -140,19 +134,7 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 			return err
 		}
 	}
-	return s.freeNodeSegmentsLocked()
-}
-
-// plannedSize returns the log size less freed bytes and the node segments
-// awaiting freeNodeSegmentsLocked.
-func (s *Store) plannedSize(freed int64) int64 {
-	size := s.segs.totalSize() - freed
-	for _, num := range s.nodeFrees {
-		if seg := s.segs.segs[num]; seg != nil {
-			size -= seg.size
-		}
-	}
-	return size
+	return nil
 }
 
 // firstUnpinned returns the lowest segment number no open snapshot pins: a

@@ -46,14 +46,22 @@ func (op devOp) String() string {
 var errInjectedSync = errors.New("injected sync failure")
 
 // recorder is an UntrustedStore and OneWayCounter over a MemStore and a
-// MemCounter that logs every completed mutation. With failSyncs set, file
-// syncs fail and change nothing.
+// MemCounter that logs every completed mutation. Syncs of the files
+// failSync approves fail and change nothing.
 type recorder struct {
-	mem       *platform.MemStore
-	ctr       *platform.MemCounter
-	mu        sync.Mutex
-	ops       []devOp
-	failSyncs bool
+	mem      *platform.MemStore
+	ctr      *platform.MemCounter
+	mu       sync.Mutex
+	ops      []devOp
+	failSync func(name string) bool
+}
+
+// setFailSync makes the syncs of the files fail approves fail; nil lets
+// every sync through.
+func (r *recorder) setFailSync(fail func(name string) bool) {
+	r.mu.Lock()
+	r.failSync = fail
+	r.mu.Unlock()
 }
 
 func (r *recorder) add(op devOp) {
@@ -130,7 +138,7 @@ func (f recordedFile) Truncate(size int64) error {
 
 func (f recordedFile) Sync() error {
 	f.r.mu.Lock()
-	fail := f.r.failSyncs
+	fail := f.r.failSync != nil && f.r.failSync(f.name)
 	f.r.mu.Unlock()
 	if fail {
 		return errInjectedSync
@@ -181,8 +189,10 @@ func crashConfig(store platform.UntrustedStore, ctr platform.OneWayCounter, suit
 // cleaning cycle, a checkpoint, a second checkpoint back to back, a commit
 // that deallocates a stable chunk, more commits, two checkpoints that write only the hot chunk's path — the first
 // leaves the segment holding the stable leaves sparse, the second moves
-// them and empties it — a checkpoint whose syncs fail, a checkpoint and a
-// final cleaning cycle.
+// them and empties it — a checkpoint whose syncs fail, a checkpoint, a
+// cleaning cycle, two more commits, a checkpoint whose log harden succeeds
+// and whose superblock sync alone fails, a checkpoint that retries its slot
+// and a final cleaning cycle.
 func recordCrashHistory(t *testing.T, suite sec.Suite) *crashHistory {
 	t.Helper()
 	rec := &recorder{mem: platform.NewMemStore(), ctr: platform.NewMemCounter()}
@@ -261,15 +271,20 @@ func recordCrashHistory(t *testing.T, suite sec.Suite) *crashHistory {
 	churn("hot-path-again", 2)
 	checkpoint()
 	churn("cold", 2)
-	rec.mu.Lock()
-	rec.failSyncs = true
-	rec.mu.Unlock()
+	rec.setFailSync(func(string) bool { return true })
 	if err := s.Checkpoint(); err == nil {
 		t.Fatal("a checkpoint whose syncs fail succeeded")
 	}
-	rec.mu.Lock()
-	rec.failSyncs = false
-	rec.mu.Unlock()
+	rec.setFailSync(nil)
+	checkpoint()
+	clean()
+	churn("late", 2)
+	rec.setFailSync(func(name string) bool { return name == superblockName })
+	var ioe *IOError
+	if err := s.Checkpoint(); !errors.As(err, &ioe) || ioe.Op != "sync" || ioe.File != superblockName {
+		t.Fatalf("a checkpoint whose superblock sync fails: %v, want the superblock sync's IOError", err)
+	}
+	rec.setFailSync(nil)
 	checkpoint()
 	clean()
 	h.ops = rec.ops

@@ -225,14 +225,6 @@ func (s *Store) gcSnapshotRound() (tasks []syncTask, seq, stamp uint64, owed boo
 		// pending here lost the race with a close whose harden failed.
 		return nil, s.commitSeq, 0, true, ErrClosed
 	}
-	// Pay any deferred checkpoint-superblock fsync as part of this round's
-	// barrier. It runs under the mutex (rare — at most once per checkpoint)
-	// so no new slot write can race it. On failure, as on a failed
-	// write-behind flush below, the harden stays owed and a later round
-	// retries — the buffer is intact.
-	if err := s.syncSuperIfDirtyLocked(); err != nil {
-		return nil, s.commitSeq, 0, true, err
-	}
 	// Seal ahead of the snapshot, so the round's sync covers the seal
 	// record. With hardenDepth sealed stamps still awaiting the counter
 	// (earlier rounds failed) the round seals nothing new and retries the
@@ -290,16 +282,14 @@ func (s *Store) advanceCounter(stamp uint64) error {
 	return nil
 }
 
-// hardenLocked is the harden of the two operations that hold s.mu
-// exclusively for their whole duration and seal with a commit record of
-// their own — checkpointLocked and Close: one log sync covers every appended
-// record (segments sync in append order), then the counter advances to the
-// newest stamp through the same stage-2 turn the rounds use. Waiting for
-// the turn under s.mu is safe because its holders never take s.mu, and it
-// drains an in-flight advance before Close lets go of the counter. The
-// harden also pays any superblock fsync deferred by an earlier checkpoint
-// (one barrier event instead of two); syncing it first keeps a failure from
-// acknowledging the commit. It seals the open round under the rounds' rule
+// hardenLocked is the harden of the operations that hold s.mu exclusively
+// for their whole duration and seal with a commit record of their own —
+// checkpointLocked, cleanLocked and Close: one log sync covers every
+// appended record (segments sync in append order), then the counter
+// advances to the newest stamp through the same stage-2 turn the rounds
+// use. Waiting for the turn under s.mu is safe because its holders never
+// take s.mu, and it drains an in-flight advance before Close lets go of the
+// counter. It seals the open round under the rounds' rule
 // (sealOpenRoundLocked): with hardenDepth sealed stamps still awaiting the
 // counter it first pays those, then seals and syncs once more. Caller holds
 // s.mu.
@@ -308,9 +298,6 @@ func (s *Store) hardenLocked() error {
 	defer s.gc.advMu.Unlock()
 	for {
 		if err := s.sealOpenRoundLocked(); err != nil {
-			return err
-		}
-		if err := s.syncSuperIfDirtyLocked(); err != nil {
 			return err
 		}
 		if err := s.segs.syncDirty(); err != nil {

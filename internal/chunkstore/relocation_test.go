@@ -333,10 +333,9 @@ func TestCleanWritesNoMapNodeRecord(t *testing.T) {
 // under an open snapshot, and scans every segment after each step. Map-node
 // records lie only in node segments. After a checkpoint that writes nodes,
 // every older node segment no snapshot pins is more than MaxUtilization
-// live or empty, and the empty ones are freed as soon as its superblock
-// slot is synced: by the next checkpoint, or by an idle Clean. The ones a
-// snapshot pinned go once it is closed. The second checkpoint of a
-// back-to-back pair writes no node.
+// live, and the empty ones are gone when it returns. The ones a snapshot
+// pinned go with the first checkpoint after it is closed. The second
+// checkpoint of a back-to-back pair writes no node.
 func TestMapNodesLiveOnlyInNodeSegments(t *testing.T) {
 	env, _, s := openLogged(t, 4)
 	want := map[ChunkID]string{}
@@ -352,7 +351,7 @@ func TestMapNodesLiveOnlyInNodeSegments(t *testing.T) {
 			writeChunk(t, s, cids[i], []byte(want[cids[i]]))
 		}
 	}
-	// gone fails t if a segment listed for freeing is still there.
+	// gone fails t if a listed segment is still there.
 	gone := func(what string, listed []uint64) {
 		t.Helper()
 		s.mu.Lock()
@@ -365,7 +364,6 @@ func TestMapNodesLiveOnlyInNodeSegments(t *testing.T) {
 	}
 	// checkpoint checkpoints and returns how many map-node records it wrote
 	// and the empty node segments before it that a snapshot kept.
-	var listed []uint64
 	checkpoint := func(what string) (nodes int, pinned []uint64) {
 		t.Helper()
 		s.mu.Lock()
@@ -374,10 +372,8 @@ func TestMapNodesLiveOnlyInNodeSegments(t *testing.T) {
 		if err := s.Checkpoint(); err != nil {
 			t.Fatalf("%s: Checkpoint: %v", what, err)
 		}
-		gone(what, listed)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		listed = slices.Clone(s.nodeFrees)
 		first := uint64(0)
 		if _, err := s.scanLog(start, func(loc Location, typ byte, _ []byte) (bool, error) {
 			if first == 0 && (typ == recMapNode || typ == recCheckpoint) {
@@ -399,9 +395,7 @@ func TestMapNodesLiveOnlyInNodeSegments(t *testing.T) {
 					pinned = append(pinned, num)
 				}
 			case seg.live == 0:
-				if !slices.Contains(listed, num) {
-					t.Errorf("%s: empty node segment %d is not listed for freeing", what, num)
-				}
+				t.Errorf("%s: empty node segment %d survived the checkpoint", what, num)
 			case nodes > 0 && float64(seg.live) <= s.cfg.MaxUtilization*float64(seg.size):
 				t.Errorf("%s: node segment %d is %d/%d live after a checkpoint that wrote nodes", what, num, seg.live, seg.size)
 			}
@@ -413,7 +407,6 @@ func TestMapNodesLiveOnlyInNodeSegments(t *testing.T) {
 		if err := s.Clean(); err != nil {
 			t.Fatalf("%s: Clean: %v", what, err)
 		}
-		gone(what, listed)
 		checkSegmentKinds(t, s)
 	}
 
@@ -460,13 +453,13 @@ func TestMapNodesLiveOnlyInNodeSegments(t *testing.T) {
 	checkpoint("after the failed checkpoint")
 	clean("after the failed checkpoint")
 
-	// Closing the snapshot unpins its segments: the next checkpoint lists
-	// them, and an idle Clean frees them.
+	// Closing the snapshot unpins its segments: the next checkpoint frees
+	// them.
 	snap.Close()
 	rewrite("seventh", 6)
 	checkpoint("after the snapshot closed")
-	clean("after the snapshot closed")
 	gone("after the snapshot closed", pinned)
+	clean("after the snapshot closed")
 	checkSegmentKinds(t, s)
 	for cid, v := range want {
 		wantRead(t, s, cid, v)
@@ -501,11 +494,11 @@ func sparseNodeCycle(t *testing.T) (*testEnv, *opLog, *Store, map[ChunkID]string
 }
 
 // TestCrashSweepCheckpointFreesNodeSegments: a checkpoint moves the live
-// nodes out of sparse node segments, and the emptied segments are freed only
+// nodes out of sparse node segments, and frees the emptied segments only
 // after its superblock slot is written and synced, since until then
-// recovery loads the previous checkpoint's tree, which reads nodes there:
-// here by the idle Clean that follows. Checkpoint then Clean survives a
-// crash at every write boundary, under both power-loss flavors.
+// recovery loads the previous checkpoint's tree, which reads nodes there;
+// it frees them before it returns. Checkpoint then Clean survives a crash
+// at every write boundary, under both power-loss flavors.
 func TestCrashSweepCheckpointFreesNodeSegments(t *testing.T) {
 	_, log, s, _ := sparseNodeCycle(t)
 	s.mu.Lock()
@@ -520,8 +513,8 @@ func TestCrashSweepCheckpointFreesNodeSegments(t *testing.T) {
 		t.Fatal("test premise: no node segment is sparse")
 	}
 	log.take()
-	if err := errors.Join(s.Checkpoint(), s.Clean()); err != nil {
-		t.Fatalf("Checkpoint, Clean: %v", err)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	ops := log.take()
 	w := firstIndex(ops, "write superblock")
@@ -534,7 +527,7 @@ func TestCrashSweepCheckpointFreesNodeSegments(t *testing.T) {
 	for _, num := range sparse {
 		free := slices.Index(ops, "remove "+segmentName(num))
 		if free < 0 || synced < 0 || synced > free {
-			t.Fatalf("node segment %d not freed after the checkpoint's superblock was written and synced: %v", num, ops)
+			t.Fatalf("node segment %d not freed by the checkpoint after its superblock was written and synced: %v", num, ops)
 		}
 	}
 	s.Close()
@@ -551,8 +544,8 @@ func TestCrashSweepCheckpointFreesNodeSegments(t *testing.T) {
 // the same segments, the store opens with every value.
 func TestTamperDeletedSegmentNotRelocated(t *testing.T) {
 	env, _, s, want := relocationCycle(t)
-	// A durable commit's harden syncs the checkpoint's deferred superblock
-	// slot, so the image recovers from that checkpoint.
+	// The checkpoint synced its superblock slot, so the image recovers from
+	// it and replays this durable commit behind it.
 	want[allocWrite(t, s, []byte("synced"))] = "synced"
 	img := env.mem.Snapshot()
 	var live []string

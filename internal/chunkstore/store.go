@@ -102,21 +102,12 @@ type Store struct {
 	counterVal atomic.Uint64
 	// lastCkpt locates the most recent checkpoint record.
 	lastCkpt Location
-	// nodeFrees are the node segments the last checkpoint left empty
-	// (freeNodeSegmentsLocked).
-	nodeFrees []uint64
 	// residualBytes counts log bytes appended since the last checkpoint; it
 	// triggers automatic checkpoints and bounds recovery replay.
 	residualBytes int64
-	// superSeq numbers superblock writes for the ping-pong slots.
+	// superSeq numbers the durable superblock writes for the ping-pong
+	// slots (writeSuperblock).
 	superSeq uint64
-	// superDirty is true while the newest superblock slot has been written
-	// but not yet fsynced (a checkpoint defers the slot's sync into the next
-	// log-tail harden barrier; see writeSuperblock). At most one unsynced
-	// slot is ever outstanding: a dirty slot is synced before any new slot
-	// write, or the ping-pong alternation would overwrite the last durable
-	// slot. Mutated only under mu.
-	superDirty bool
 	// superFile is the cached superblock file handle, opened lazily by
 	// readSuperblock/writeSuperblock and closed in Close. Accessed only under
 	// mu (or single-threaded during Open).
@@ -264,7 +255,7 @@ func (s *Store) extendIVReservationLocked(gen uint64) error {
 		return nil
 	}
 	newLimit := gen + ivGenReserveBlock
-	if err := s.writeSuperblock(s.lastCkpt, newLimit, true); err != nil {
+	if err := s.writeSuperblock(s.lastCkpt, newLimit); err != nil {
 		return fmt.Errorf("chunkstore: extending IV generation reservation: %w", err)
 	}
 	s.ivGenLimit.Store(newLimit)
@@ -283,12 +274,6 @@ func (s *Store) format() error {
 	// burned generations survives.
 	s.ivGenLimit.Store(ivGenReserveBlock)
 	if err := s.checkpointLocked(); err != nil {
-		return fmt.Errorf("chunkstore: formatting: %w", err)
-	}
-	// Format must end with a durable anchor: unlike a steady-state
-	// checkpoint there is no previous slot to fall back to, so the deferred
-	// sync is paid here rather than at the first harden barrier.
-	if err := s.syncSuperIfDirtyLocked(); err != nil {
 		return fmt.Errorf("chunkstore: formatting: %w", err)
 	}
 	return nil
@@ -324,12 +309,6 @@ func (s *Store) Close() error {
 	// nondurable commits at shutdown).
 	if ferr := s.segs.flushLocked(); ferr != nil && err == nil {
 		err = ferr
-	}
-	// Pay the superblock fsync the shutdown checkpoint deferred, so reopen
-	// recovers from the final anchor instead of replaying the residual log
-	// behind the previous one.
-	if serr := s.syncSuperIfDirtyLocked(); serr != nil && err == nil {
-		err = serr
 	}
 	if cerr := s.segs.closeAll(); cerr != nil && err == nil {
 		err = cerr
@@ -716,16 +695,12 @@ func (s *Store) Checkpoint() error {
 
 // Clean runs cleaner passes until either utilization is within the
 // configured bound or no progress can be made. It is the "idle time"
-// cleaning entry point (§3.2.1). It pays the superblock sync the last
-// checkpoint deferred, freeing the node segments that checkpoint emptied.
+// cleaning entry point (§3.2.1).
 func (s *Store) Clean() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return ErrClosed
-	}
-	if err := s.syncSuperIfDirtyLocked(); err != nil {
-		return err
 	}
 	return s.cleanLocked(1<<62, true)
 }

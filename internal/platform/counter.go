@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -152,10 +153,14 @@ func (c *FileCounter) Read() (uint64, error) {
 
 // Increment implements OneWayCounter. The new value is written to the slot
 // holding the older value, then synced, so that one valid slot always holds
-// a value ≥ the last acknowledged count.
+// a value ≥ the last acknowledged count. A counter at the largest value
+// fails rather than wrap to zero.
 func (c *FileCounter) Increment() (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.v == math.MaxUint64 {
+		return 0, errors.New("platform: one-way counter is at its largest value")
+	}
 	next := c.v + 1
 	slot := int(next % 2)
 	if err := c.writeSlot(slot, next); err != nil {
