@@ -121,14 +121,16 @@ size:
 	sort -k1,1n -k2,2nr -k3 | cut -c3-
 
 # bench reproduces the commit-pipeline / read-path numbers recorded in
-# EXPERIMENTS.md. Commit preparation fans out to one worker per P, so
-# -cpu 1,2 is the inline-versus-fanned-out ablation. Raw outputs are not
-# committed; to regenerate the rest of the recorded evaluation, see "How to
-# regenerate" at the top of EXPERIMENTS.md (cmd/footprint for Figure 8,
-# cmd/tdbbench for Figures 9-11 and the suite ablation, `go test -bench`
-# for the micro ablations).
+# EXPERIMENTS.md: commits and reads at one and two Ps (-cpu 1,2), and
+# commit stage 1 alone at the workloads' batch shapes
+# (BenchmarkPrepareBatch). Stage 1 runs on the committing goroutine at
+# every -cpu setting; -cpu 2 lets concurrent committers overlap. Raw
+# outputs are not committed; to regenerate the rest of the recorded
+# evaluation, see "How to regenerate" at the top of EXPERIMENTS.md
+# (cmd/footprint for Figure 8, cmd/tdbbench for Figures 9-11 and the suite
+# ablation, `go test -bench` for the micro ablations).
 bench:
-	$(GO) test ./internal/chunkstore/ -run XXX -bench 'BenchmarkCommitParallelCrypto|BenchmarkConcurrentRead' -benchtime 1s -cpu 1,2
+	$(GO) test ./internal/chunkstore/ -run XXX -bench 'BenchmarkCommitParallelCrypto|BenchmarkConcurrentRead|BenchmarkPrepareBatch' -benchtime 1s -cpu 1,2
 
 # bench-smoke runs every benchmark exactly once — not for numbers, only to
 # keep the benchmarks compiling and passing their own assertions — plus the

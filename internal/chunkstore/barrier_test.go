@@ -124,20 +124,23 @@ func TestCrashBetweenCheckpointHardenAndSlot(t *testing.T) {
 	}
 }
 
-// TestLargeAppendBypassesWriteBehindBuffer pins the bulk-record fast path:
-// a record that would immediately force a buffer flush is written through
-// directly — exactly one WriteAt for exactly the record's bytes, no
-// staging memcpy through the buffer, no sync — while small records keep
-// buffering at zero device cost.
-func TestLargeAppendBypassesWriteBehindBuffer(t *testing.T) {
+// TestWriteBehindOverflowFlushesRecordInOneWrite pins the one append path:
+// every record, whatever its size, goes through the write-behind buffer. A
+// record that leaves the buffer under its cap costs no device operation; one
+// that reaches the cap flushes the buffered prefix and itself in exactly one
+// WriteAt, with no sync and no truncate, and buffering resumes afterwards.
+// A record of four times the cap passes through the same way, and the
+// flush lets its oversized backing array go.
+func TestWriteBehindOverflowFlushesRecordInOneWrite(t *testing.T) {
 	mem := platform.NewMemStore()
 	meter := platform.NewMeterStore(mem)
 	ss := newSegmentSet(meter, RetryPolicy{})
+	const segmentSize = 8 << 20 // every record below shares one segment
 
 	// Settle the tail: one buffered record, flushed to the device so the
-	// buffer is empty and every op below is the bulk append's own.
+	// buffer is empty and every op below is an append's own.
 	small := segRecord('s', 100)
-	locSmall, err := ss.append(small, 1<<20)
+	locSmall, err := ss.append(small, segmentSize)
 	if err != nil {
 		t.Fatalf("append(small): %v", err)
 	}
@@ -145,73 +148,73 @@ func TestLargeAppendBypassesWriteBehindBuffer(t *testing.T) {
 		t.Fatalf("flushLocked: %v", err)
 	}
 
-	// Below the write-through threshold (len*2 < cap): still buffered.
+	// appendCost appends rec and returns its location and device cost.
+	appendCost := func(name string, rec []byte) (Location, platform.IOCounts) {
+		t.Helper()
+		before := meter.Stats().Snapshot()
+		loc, err := ss.append(rec, segmentSize)
+		if err != nil {
+			t.Fatalf("append(%s): %v", name, err)
+		}
+		return loc, meter.Stats().Snapshot().Sub(before)
+	}
+	// wantOneWrite requires delta to be exactly one WriteAt of n bytes.
+	wantOneWrite := func(name string, delta platform.IOCounts, n int) {
+		t.Helper()
+		if delta.WriteOps != 1 || delta.BytesWritten != int64(n) || delta.SyncOps != 0 || delta.TruncateOps != 0 {
+			t.Fatalf("%s cost %+v, want exactly one WriteAt of %d bytes (prefix plus record) and nothing else", name, delta, n)
+		}
+	}
+
+	// Under the cap: buffered, no device operation.
 	mid := segRecord('m', 80<<10)
-	before := meter.Stats().Snapshot()
-	locMid, err := ss.append(mid, 1<<20)
-	if err != nil {
-		t.Fatalf("append(mid): %v", err)
-	}
-	if delta := meter.Stats().Snapshot().Sub(before); delta.WriteOps != 0 {
-		t.Fatalf("sub-threshold record touched the device: %+v", delta)
+	locMid, delta := appendCost("mid", mid)
+	if delta != (platform.IOCounts{}) {
+		t.Fatalf("a record under the cap touched the device: %+v", delta)
 	}
 
-	// At the threshold (len*2 >= cap): the buffered prefix flushes (one
-	// write) and the record itself writes through (one write) — the record
-	// bytes must hit the device exactly once, never staged into the buffer.
-	big := segRecord('L', 160<<10)
-	before = meter.Stats().Snapshot()
-	locBig, err := ss.append(big, 1<<20)
-	if err != nil {
-		t.Fatalf("append(big): %v", err)
-	}
-	delta := meter.Stats().Snapshot().Sub(before)
-	if delta.WriteOps != 2 {
-		t.Fatalf("bulk append cost %d WriteOps, want 2 (prefix flush + direct write): %+v", delta.WriteOps, delta)
-	}
-	if want := int64(len(mid) + len(big)); delta.BytesWritten != want {
-		t.Fatalf("bulk append wrote %d bytes, want %d (no rewrite churn): %+v", delta.BytesWritten, want, delta)
-	}
-	if delta.SyncOps != 0 || delta.TruncateOps != 0 {
-		t.Fatalf("bulk append cost unexpected sync/truncate ops: %+v", delta)
-	}
+	// Reaching the cap: prefix and record in one WriteAt.
+	big := segRecord('L', 200<<10)
+	locBig, delta := appendCost("big", big)
+	wantOneWrite("the overflowing append", delta, len(mid)+len(big))
 
-	// With an empty buffer the direct write is the ONLY write.
-	big2 := segRecord('M', 132<<10)
-	before = meter.Stats().Snapshot()
-	locBig2, err := ss.append(big2, 1<<20)
-	if err != nil {
-		t.Fatalf("append(big2): %v", err)
-	}
-	delta = meter.Stats().Snapshot().Sub(before)
-	if delta.WriteOps != 1 || delta.BytesWritten != int64(len(big2)) {
-		t.Fatalf("bulk append with clean buffer cost %+v, want exactly one WriteAt of %d bytes", delta, len(big2))
-	}
-
-	// Buffering resumes seamlessly after the write-through.
+	// Buffering resumes.
 	tail := segRecord('t', 200)
-	before = meter.Stats().Snapshot()
-	locTail, err := ss.append(tail, 1<<20)
-	if err != nil {
-		t.Fatalf("append(tail): %v", err)
-	}
-	if delta := meter.Stats().Snapshot().Sub(before); delta.WriteOps != 0 {
-		t.Fatalf("post-bypass small record touched the device: %+v", delta)
+	locTail, delta := appendCost("tail", tail)
+	if delta != (platform.IOCounts{}) {
+		t.Fatalf("a small record after the overflow flush touched the device: %+v", delta)
 	}
 
-	// Everything reads back through the buffer-aware path.
-	readSegRecord(t, ss, locSmall, small)
-	readSegRecord(t, ss, locMid, mid)
-	readSegRecord(t, ss, locBig, big)
-	readSegRecord(t, ss, locBig2, big2)
-	readSegRecord(t, ss, locTail, tail)
+	// A record of four times the cap goes the same way, and its flush
+	// does not keep the grown array.
+	huge := segRecord('H', 4*writeBehindCap)
+	locHuge, delta := appendCost("huge", huge)
+	wantOneWrite("the oversized append", delta, len(tail)+len(huge))
+	if c := cap(ss.wb); c > writeBehindCap {
+		t.Fatalf("write-behind buffer kept a %d-byte array after flushing an oversized record, want at most %d", c, writeBehindCap)
+	}
+	after := segRecord('a', 300)
+	locAfter, delta := appendCost("after", after)
+	if delta != (platform.IOCounts{}) {
+		t.Fatalf("a small record after the oversized flush touched the device: %+v", delta)
+	}
 
-	// And survives a flush+sync cycle intact.
+	// Everything reads back through the buffer-aware path, and again after
+	// a flush and sync.
+	check := func() {
+		t.Helper()
+		readSegRecord(t, ss, locSmall, small)
+		readSegRecord(t, ss, locMid, mid)
+		readSegRecord(t, ss, locBig, big)
+		readSegRecord(t, ss, locTail, tail)
+		readSegRecord(t, ss, locHuge, huge)
+		readSegRecord(t, ss, locAfter, after)
+	}
+	check()
 	if err := ss.syncDirty(); err != nil {
 		t.Fatalf("syncDirty: %v", err)
 	}
-	readSegRecord(t, ss, locBig, big)
-	readSegRecord(t, ss, locTail, tail)
+	check()
 }
 
 // TestCheckpointSuperblockFaultRetriesSameSlot fails a checkpoint's

@@ -1,6 +1,7 @@
 package chunkstore
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -28,10 +29,9 @@ func benchPipelineStore(b *testing.B, suiteName string) *Store {
 }
 
 // BenchmarkCommitParallelCrypto measures durable commits of 8×4 KiB batches,
-// both serially and with concurrent committers. Commit preparation fans the
-// batch's crypto out to one goroutine per P, so `-cpu 1,2` is the ablation:
-// at -cpu 1 it runs inline on the committing goroutine (approximating the
-// pre-pipeline commit path), at -cpu 2 across two workers.
+// both serially and with concurrent committers. Each commit prepares its
+// batch (stage 1) on its own goroutine, so `-cpu 2` speeds up only the
+// contended case, where one committer's crypto overlaps another's.
 func BenchmarkCommitParallelCrypto(b *testing.B) {
 	const batchOps, chunkSize = 8, 4 << 10
 	for _, suiteName := range []string{"3des-sha1", "aes-ctr-gmac"} {
@@ -88,6 +88,33 @@ func BenchmarkCommitParallelCrypto(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkPrepareBatch times commit stage 1 alone (PrepareBatch: encrypt
+// and digest every write payload) at the batch shapes the workloads
+// produce: one to 1024 payloads of 110 B (a TPC-B transaction writes about
+// nine, a bulk load about two thousand) and eight 4 KiB chunks.
+func BenchmarkPrepareBatch(b *testing.B) {
+	shapes := []struct{ n, size int }{{1, 110}, {9, 110}, {64, 110}, {1024, 110}, {8, 4 << 10}}
+	for _, suiteName := range []string{"aes-ctr-gmac", "3des-sha1"} {
+		for _, sh := range shapes {
+			b.Run(fmt.Sprintf("%s/%dx%dB", suiteName, sh.n, sh.size), func(b *testing.B) {
+				s := benchPipelineStore(b, suiteName)
+				defer s.Close()
+				batch := s.NewBatch()
+				for i := 0; i < sh.n; i++ {
+					batch.Write(ChunkID(i+1), make([]byte, sh.size))
+				}
+				b.SetBytes(int64(sh.n * sh.size))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.PrepareBatch(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

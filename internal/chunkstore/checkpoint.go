@@ -1,6 +1,7 @@
 package chunkstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -125,9 +126,10 @@ func (s *Store) superblockFile(create bool) (platform.File, error) {
 }
 
 // readSuperblock loads and authenticates the superblock, returning
-// errNoSuperblock for a fresh store. An empty superblock file counts as
-// none: a format that crashed before its first slot reached the disk leaves
-// one, and no checkpoint was ever anchored in it.
+// errNoSuperblock for a fresh store. An empty or all-zero superblock file
+// counts as none: a format that crashed before its first slot reached the
+// disk leaves one (empty, or with the slot's sector read back as zeros),
+// and no checkpoint was ever anchored in it.
 func (s *Store) readSuperblock() (superblock, error) {
 	f, err := s.superblockFile(false)
 	if err != nil {
@@ -145,7 +147,7 @@ func (s *Store) readSuperblock() (superblock, error) {
 	if err != nil {
 		return superblock{}, ioErr("read", superblockName, 0, 0, attempts, err)
 	}
-	if n == 0 {
+	if len(bytes.TrimLeft(buf[:n], "\x00")) == 0 {
 		return superblock{}, errNoSuperblock
 	}
 	sb0, claim0, ok0 := decodeSuperSlot(buf[:superSlotSize], s.suite)

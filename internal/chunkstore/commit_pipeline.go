@@ -2,20 +2,20 @@ package chunkstore
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"tdb/internal/sec"
 )
 
 // The two-stage commit pipeline.
 //
-// Stage 1 (prepareBatch) runs OUTSIDE the store mutex: it encrypts every
-// write payload and digests the resulting ciphertext, fanned out across
-// worker goroutines. Crypto dominates commit CPU cost under the paper's
-// suites (§7.3), so moving it off the serialized critical path lets
-// concurrent committers use every core while only the short stage 2
-// serializes.
+// Stage 1 (prepareBatch) runs OUTSIDE the store mutex, on the committing
+// goroutine: it encrypts every write payload and digests the resulting
+// ciphertext. Crypto dominates commit CPU cost under the paper's suites
+// (§7.3), so keeping it off the serialized critical path lets concurrent
+// committers prepare in parallel with each other while only the short
+// stage 2 serializes. Stage 1 starts no goroutines of its own: on the
+// ledger's batches (about nine 110 B payloads) a fan-out cost more to
+// start and join than the crypto it spread (EXPERIMENTS.md).
 //
 // Stage 2 (commitPreparedLocked) runs under the store mutex and is built to be
 // atomic in memory:
@@ -60,62 +60,22 @@ type preparedOp struct {
 	hash []byte
 }
 
-// prepareBatch encrypts and digests every write payload of ops, using one
-// goroutine per P (runtime.GOMAXPROCS), at most one per payload: a
-// single-P process prepares inline on the committing goroutine. It performs
-// no validation against store state — that happens under the mutex in
-// stage 2.
+// prepareBatch encrypts and digests every write payload of ops on the
+// calling goroutine. It performs no validation against store state — that
+// happens under the mutex in stage 2.
 func prepareBatch(suite sec.Suite, ops []batchOp, gen uint64) ([]preparedOp, error) {
-	var writeIdx []int
-	for i, op := range ops {
-		if op.kind == opWrite || op.kind == opRestore {
-			writeIdx = append(writeIdx, i)
-		}
-	}
-	if len(writeIdx) == 0 {
-		return nil, nil
-	}
 	prep := make([]preparedOp, len(ops))
-	encryptOne := func(i int) error {
-		op := ops[i]
+	for i, op := range ops {
+		if op.kind != opWrite && op.kind != opRestore {
+			continue
+		}
 		ciphertext, err := suite.Encrypt(op.data, gen<<ivGenBits|uint64(i))
 		if err != nil {
-			return fmt.Errorf("chunkstore: encrypting chunk %d: %w", op.cid, err)
+			return nil, fmt.Errorf("chunkstore: encrypting chunk %d: %w", op.cid, err)
 		}
 		prep[i] = preparedOp{
 			rec:  encodeRecord(recWrite, writeRecordBody(op.cid, ciphertext)),
 			hash: suite.Digest(nil, ciphertext),
-		}
-		return nil
-	}
-	workers := min(runtime.GOMAXPROCS(0), len(writeIdx))
-	if workers <= 1 {
-		for _, i := range writeIdx {
-			if err := encryptOne(i); err != nil {
-				return nil, err
-			}
-		}
-		return prep, nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Stride partitioning spreads large and small payloads evenly.
-			for j := w; j < len(writeIdx); j += workers {
-				if err := encryptOne(writeIdx[j]); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return prep, nil

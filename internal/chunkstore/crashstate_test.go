@@ -21,7 +21,8 @@ import (
 // platform contract allows: file creation and removal are durable at once,
 // and a file's content is what its last Sync covered plus any subset of the
 // writes and truncates made to it since, the last write of all possibly
-// torn at a 512-byte sector boundary. The one-way counter is separate
+// torn: at a 512-byte sector boundary, or, when it lies within one sector
+// (a superblock slot), inside that sector. The one-way counter is separate
 // hardware: an increment is durable when it returns.
 
 // devOp is one recorded device operation.
@@ -330,7 +331,10 @@ func applyOps(base []byte, ops []devOp) []byte {
 // at most maxSubset in all, and otherwise all, none, and each one left out
 // or kept alone. When operation p-1 is a write, it is also torn at every
 // 512-byte boundary inside it (at most maxTears, spread evenly) with every
-// other unsynced operation applied.
+// other unsynced operation applied. A write within one sector has no such
+// boundary; it tears inside the sector instead — its first half new and the
+// rest old, or its bytes all zero — with every other unsynced operation
+// applied or none.
 func crashImages(ops []devOp, p, maxSubset, maxTears int) []crashImage {
 	durable := map[string][]byte{}
 	pending := map[string][]pendingOp{}
@@ -395,19 +399,33 @@ func crashImages(ops []devOp, p, maxSubset, maxTears int) []crashImage {
 				image(func(po pendingOp) (devOp, bool) { return po.op, po.idx == x.idx }, fmt.Sprintf("only unsynced op %d", x.idx)))
 		}
 	}
+	// tearLast applies operation p-1 as data, and every other unsynced
+	// operation or, without others, none.
+	tearLast := func(data []byte, others bool, desc string) crashImage {
+		return image(func(po pendingOp) (devOp, bool) {
+			if po.idx == p-1 {
+				po.op.data = data
+				return po.op, true
+			}
+			return po.op, others
+		}, desc)
+	}
 	if last := ops[p-1]; last.kind == "write" {
 		var cuts []int64
 		for b := (last.off/512 + 1) * 512; b < last.off+int64(len(last.data)); b += 512 {
 			cuts = append(cuts, b)
 		}
+		if len(cuts) == 0 && len(last.data) > 0 {
+			// Within one sector: torn inside it.
+			for _, others := range []bool{true, false} {
+				out = append(out,
+					tearLast(last.data[:len(last.data)/2], others, fmt.Sprintf("op %d torn in half, other unsynced ops %v", p-1, others)),
+					tearLast(make([]byte, len(last.data)), others, fmt.Sprintf("op %d zeroed, other unsynced ops %v", p-1, others)))
+			}
+		}
 		for k := 0; k < maxTears && k < len(cuts); k++ {
 			cut := cuts[k*len(cuts)/min(maxTears, len(cuts))]
-			out = append(out, image(func(po pendingOp) (devOp, bool) {
-				if po.idx == p-1 {
-					po.op.data = po.op.data[:cut-po.op.off]
-				}
-				return po.op, true
-			}, fmt.Sprintf("op %d torn at %d", p-1, cut)))
+			out = append(out, tearLast(last.data[:cut-last.off], true, fmt.Sprintf("op %d torn at %d", p-1, cut)))
 		}
 	}
 	return out

@@ -582,8 +582,8 @@ func TestRecoveryStampWindow(t *testing.T) {
 // TestOpenStampReachesDiskThreeAhead is why the recovery window is
 // hardenDepth+1 and not hardenDepth: with round N parked in its increment
 // and round N+1 in its sync, a third durable record carries the open stamp —
-// three past the hardware counter — and a write-through behind it pushes it
-// to the file. A crash that keeps unsynced writes must recover it, not call
+// three past the hardware counter — and a record that fills the write-behind
+// buffer behind it pushes it to the file with the overflow flush. A crash that keeps unsynced writes must recover it, not call
 // it tampering.
 func TestOpenStampReachesDiskThreeAhead(t *testing.T) {
 	env := newPipeEnv(t, nil)
@@ -597,8 +597,8 @@ func TestOpenStampReachesDiskThreeAhead(t *testing.T) {
 	if s.stampCtr != hw0+hardenDepth+1 {
 		t.Fatalf("newest stamp %d with two rounds in flight over counter %d, want %d", s.stampCtr, hw0, hw0+hardenDepth+1)
 	}
-	// A nondurable bulk write goes through to the file, flushing Y's
-	// buffered commit record ahead of itself.
+	// A nondurable record of the buffer's full cap overflows it: one flush
+	// carries Y's buffered commit record and the record to the file.
 	bulk := s.NewBatch()
 	bulk.Write(allocID(t, s), make([]byte, writeBehindCap))
 	if err := s.Commit(bulk, false); err != nil {

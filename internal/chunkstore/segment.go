@@ -81,7 +81,6 @@ type segment struct {
 // one WriteAt syscall per record; the buffer is flushed as a single WriteAt
 // at well-defined flush points (harden round snapshot, checkpoint and Close
 // harden, cap overflow, segment seal, cleaning, scrub, snapshot, close).
-// Records of half the cap or more write through directly (see append).
 // Durability is unaffected: every fsync flushes first, and the unflushed
 // bytes of a crash are exactly the nondurable suffix recovery already
 // discards. Reads transparently serve the buffered
@@ -141,7 +140,15 @@ func (ss *segmentSet) flushLocked() error {
 		return err
 	}
 	ss.wbOff += int64(len(ss.wb))
-	ss.wb = ss.wb[:0]
+	if cap(ss.wb) > 2*writeBehindCap {
+		// An oversized record grew the buffer: let its array go rather than
+		// keep its size resident. Ordinary overflow — a prefix under the
+		// cap plus a record under it — stays below twice the cap, so the
+		// steady-state array (just over the cap) is kept.
+		ss.wb = nil
+	} else {
+		ss.wb = ss.wb[:0]
+	}
 	if ss.wbOff >= ss.wbDirty {
 		// Every byte a failed attempt may have scribbled is now overwritten
 		// with live log content.
@@ -477,37 +484,6 @@ func (ss *segmentSet) append(rec []byte, segmentSize int) (Location, error) {
 	}
 	tail := ss.tail
 	loc := Location{Seg: tail.num, Off: uint32(tail.size), Len: uint32(len(rec))}
-	if len(rec)*2 >= writeBehindCap {
-		// Bulk records write through directly, skipping the buffer memcpy:
-		// a record at or above half the cap would immediately force a flush
-		// anyway, so buffering it buys nothing and costs a copy. Flush any
-		// buffered prefix first so file order matches log order.
-		if err := ss.flushLocked(); err != nil {
-			return Location{}, err
-		}
-		if ss.wbSeg != tail {
-			ss.wbSeg = tail
-			ss.wbOff = tail.size
-			ss.wbDirty = 0
-		}
-		if err := ss.writeAt(tail, rec, tail.size); err != nil {
-			// Mirror the failed-flush protocol: the write may have partially
-			// applied, so a later rewind below this high-water mark must
-			// truncate physically rather than trim in memory.
-			if end := tail.size + int64(len(rec)); end > ss.wbDirty {
-				ss.wbDirty = end
-			}
-			return Location{}, err
-		}
-		tail.size += int64(len(rec))
-		ss.wbOff = tail.size
-		if ss.wbOff >= ss.wbDirty {
-			ss.wbDirty = 0
-		}
-		tail.synced = false
-		tail.gen++
-		return loc, nil
-	}
 	if ss.wbSeg != tail {
 		// Adopt the current tail. The buffer is empty here: create()
 		// flushes before sealing, and free/rewind drop or flush it.
@@ -519,8 +495,10 @@ func (ss *segmentSet) append(rec []byte, segmentSize int) (Location, error) {
 	tail.synced = false
 	tail.gen++
 	if len(ss.wb) >= writeBehindCap {
-		// Cap overflow. On failure the record stays buffered and logically
-		// appended; the caller's rewind trims it from memory.
+		// Cap overflow: the buffered prefix and this record reach the file
+		// in one WriteAt, whatever the record's size. On failure the record
+		// stays buffered and logically appended; the caller's rewind trims
+		// it from memory.
 		if err := ss.flushLocked(); err != nil {
 			return Location{}, err
 		}

@@ -12,13 +12,14 @@ import (
 
 // Store is a log-structured, encrypted, tamper-evident chunk store. All
 // methods are safe for concurrent use. Commits run a two-stage pipeline:
-// payload encryption and digesting execute outside the state mutex, fanned
-// out across CPUs, and only log appends plus the staged in-memory merge
-// serialize under the mutex (see commit_pipeline.go). Reads snapshot the
-// chunk's map entry under a short shared-lock section and run the segment
-// I/O, digest validation, and decryption with no lock held, revalidating the
-// snapshot afterwards (see read.go and DESIGN.md §7.7). Decoded objects are
-// cached a layer up, in the object store's decode table.
+// payload encryption and digesting execute outside the state mutex, on the
+// committing goroutine, and only log appends plus the staged in-memory
+// merge serialize under the mutex (see commit_pipeline.go). Reads snapshot
+// the chunk's map entry under a short shared-lock section and run the
+// segment I/O, digest validation, and decryption with no lock held,
+// revalidating the snapshot afterwards (see read.go and DESIGN.md §7.7).
+// Decoded objects are cached a layer up, in the object store's decode
+// table.
 type Store struct {
 	mu  sync.RWMutex
 	cfg Config
@@ -124,8 +125,6 @@ type Store struct {
 	// quarantine. The set is in-memory only: it is a cache of verifiable
 	// damage, rediscovered by the next scrub after a restart.
 	quarantine map[ChunkID]string
-	// maintenance guards against recursive post-commit maintenance.
-	maintenance bool
 	// closed is atomic so Commit can reject work before running the (costly)
 	// stage-1 crypto pipeline, without taking the state mutex. It is written
 	// only under mu.
@@ -487,10 +486,11 @@ type PreparedBatch struct {
 }
 
 // PrepareBatch runs commit stage 1 — encrypting and digesting the batch's
-// write payloads, fanned out across GOMAXPROCS goroutines — without
-// taking the store mutex. The only store state it touches is the IV
-// generation counter (lock-free on the fast path), so callers holding
-// their own locks around CommitPrepared can run preparation outside them.
+// write payloads on the calling goroutine — without taking the store
+// mutex. The only store state it touches is the IV generation counter
+// (lock-free on the fast path), so callers holding their own locks around
+// CommitPrepared can run preparation outside them, and concurrent
+// committers prepare in parallel.
 // The batch must not be modified between PrepareBatch and CommitPrepared.
 func (s *Store) PrepareBatch(b *Batch) (*PreparedBatch, error) {
 	if len(b.ops) > MaxBatchOps {
@@ -659,14 +659,10 @@ func (s *Store) adjustLive(loc Location, delta int64) {
 }
 
 // maybeMaintain runs post-commit maintenance: checkpoint when the residual
-// log is long, clean when utilization exceeds the bound. Maintenance
-// commits do not recursively trigger maintenance.
+// log is long, clean when utilization exceeds the bound. Its only caller is
+// CommitPrepared, and neither checkpointLocked nor cleanLocked commits
+// through it, so maintenance never recurses.
 func (s *Store) maybeMaintain() error {
-	if s.maintenance {
-		return nil
-	}
-	s.maintenance = true
-	defer func() { s.maintenance = false }()
 	if !s.cfg.DisableAutoCheckpoint && s.residualBytes >= s.cfg.CheckpointBytes {
 		if err := s.checkpointLocked(); err != nil {
 			return err

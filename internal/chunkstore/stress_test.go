@@ -10,8 +10,8 @@ import (
 // TestConcurrentReadersCommittersSnapshots drives the store from many
 // goroutines at once — committers on disjoint chunk sets, readers on the
 // off-mutex path, snapshot scans, and Stats — and then audits the final
-// state. Run under -race this exercises the commit pipeline's stage-1
-// fan-out and the shared-lock read path beside it.
+// state. Run under -race this exercises concurrent committers preparing
+// off the store mutex and the shared-lock read path beside them.
 func TestConcurrentReadersCommittersSnapshots(t *testing.T) {
 	for _, suiteName := range []string{"aes-ctr-gmac", "aes-ctr-sha256", "null"} {
 		t.Run(suiteName, func(t *testing.T) {

@@ -59,11 +59,11 @@ func TestTxnCommitContract(t *testing.T) {
 		t.Fatalf("ViewCount after ErrNotDurable = %d, want the applied 7", got)
 	}
 
-	// Stage-2 failure: the object's record is large enough to write through
-	// the tail buffer, and that write fails. Nothing applied; the same
-	// transaction retries.
+	// Stage-2 failure: the object's record (40,000 ids, 320 KB) is larger
+	// than the write-behind buffer's cap, so its append flushes the buffer,
+	// and that write fails. Nothing applied; the same transaction retries.
 	big := s.Begin()
-	ids := make([]ObjectID, 20000)
+	ids := make([]ObjectID, 40000)
 	bigOID, err := big.Insert(&Profile{Meters: ids})
 	if err != nil {
 		t.Fatalf("Insert: %v", err)

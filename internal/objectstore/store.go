@@ -44,10 +44,10 @@ type Store struct {
 	// cache of decoded objects every open is served from (paper §4.2.2).
 	versions *versionTable
 
-	// rootChunk holds the persistent root object pointer (paper §4.1: "the
-	// application can register a 'root' object id with the object store").
-	rootChunk chunkstore.ChunkID
-	rootOID   ObjectID
+	// rootOID is the committed root object pointer (paper §4.1: "the
+	// application can register a 'root' object id with the object store"),
+	// persisted in chunk rootChunkID.
+	rootOID ObjectID
 
 	closed bool
 }
@@ -90,7 +90,6 @@ func (s *Store) initRoot() error {
 		if uerr := u.Err(); uerr != nil {
 			return fmt.Errorf("objectstore: corrupt root pointer: %w", uerr)
 		}
-		s.rootChunk = rootChunkID
 		return nil
 	}
 	if errors.Is(err, chunkstore.ErrNotAllocated) {
@@ -109,7 +108,6 @@ func (s *Store) initRoot() error {
 		if cerr := s.chunks.Commit(b, true); cerr != nil {
 			return cerr
 		}
-		s.rootChunk = cid
 		s.rootOID = NilObject
 		return nil
 	}

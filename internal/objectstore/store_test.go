@@ -228,6 +228,78 @@ func TestRootPersistsAcrossReopen(t *testing.T) {
 	t2.Abort()
 }
 
+// TestSetRootSerializesRootWriters checks that SetRoot takes the exclusive
+// lock on the root pointer: while T1 holds it, T2's SetRoot times out with
+// ErrLockTimeout and leaves T2 active, and a retry blocks until T1 commits.
+// The committed root is then T2's, for the store, a new snapshot and a
+// reopened store alike.
+func TestSetRootSerializesRootWriters(t *testing.T) {
+	e := newOSEnv(t)
+	e.cfg.LockTimeout = 250 * time.Millisecond
+	s := e.open(t)
+	setup := s.Begin()
+	a, _ := setup.Insert(&Meter{ID: 1})
+	b, _ := setup.Insert(&Meter{ID: 2})
+	if err := setup.Commit(true); err != nil {
+		t.Fatalf("setup Commit: %v", err)
+	}
+
+	t1, t2 := s.Begin(), s.Begin()
+	if err := t1.SetRoot(a); err != nil {
+		t.Fatalf("T1 SetRoot: %v", err)
+	}
+	if err := t2.SetRoot(b); !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("T2 SetRoot while T1 holds the root: %v, want ErrLockTimeout", err)
+	}
+	if !t2.Active() {
+		t.Fatal("T2 finished by a lock timeout")
+	}
+
+	// T2 retries and waits; T1's commit lets it through.
+	done := make(chan error, 1)
+	go func() { done <- t2.SetRoot(b) }()
+	for waiting := false; !waiting; {
+		s.mu.Lock()
+		l := s.locks.locks[ObjectID(rootChunkID)]
+		waiting = l != nil && len(l.waiters) > 0
+		s.mu.Unlock()
+		if !waiting {
+			select {
+			case err := <-done:
+				t.Fatalf("T2 SetRoot returned %v while T1 holds the root", err)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	if err := t1.Commit(true); err != nil {
+		t.Fatalf("T1 Commit: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("T2 SetRoot after T1 committed: %v", err)
+	}
+	if root := s.Root(); root != a {
+		t.Fatalf("root after T1's commit: %d, want T1's %d", root, a)
+	}
+	if err := t2.Commit(true); err != nil {
+		t.Fatalf("T2 Commit: %v", err)
+	}
+
+	if root := s.Root(); root != b {
+		t.Fatalf("Store.Root after both commits: %d, want T2's %d", root, b)
+	}
+	ro := s.BeginReadOnly()
+	if root, err := ro.Root(); err != nil || root != b {
+		t.Fatalf("snapshot Root after both commits: %d, %v, want T2's %d", root, err, b)
+	}
+	ro.Abort()
+	s.Close()
+	s2 := e.open(t)
+	defer s2.Close()
+	if root := s2.Root(); root != b {
+		t.Fatalf("Root after reopen: %d, want T2's %d", root, b)
+	}
+}
+
 func TestAbortRollsBack(t *testing.T) {
 	e := newOSEnv(t)
 	s := e.open(t)

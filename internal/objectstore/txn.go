@@ -421,7 +421,11 @@ func (t *Txn) removeLocked(oid ObjectID) error {
 }
 
 // SetRoot stages the registration of oid as the database root object; the
-// update commits with the transaction.
+// update commits with the transaction. It takes the exclusive lock on the
+// root pointer's chunk id, so two transactions setting the root serialize
+// like two writers of one object: the second waits until the first ends,
+// and returns ErrLockTimeout — leaving its transaction active — if that
+// takes longer than Config.LockTimeout.
 func (t *Txn) SetRoot(oid ObjectID) error {
 	if t.readOnly {
 		return ErrReadOnlyTxn
@@ -430,6 +434,9 @@ func (t *Txn) SetRoot(oid ObjectID) error {
 	defer t.s.mu.Unlock()
 	if !t.active {
 		return ErrTxnDone
+	}
+	if err := t.lock(ObjectID(rootChunkID), lockExclusive); err != nil {
+		return err
 	}
 	t.rootSet = true
 	t.rootOID = oid
@@ -481,7 +488,8 @@ func (t *Txn) Active() bool {
 // mutate the objects being pickled. The chunk store's short stage-2 merge
 // serializes only on the chunk store's own mutex, and the store mutex here
 // is taken just for the cache publish, letting concurrent committers use
-// every core (root-pointer commits serialize fully; see commitPublish).
+// every core. A root-pointer commit takes the same path: SetRoot's
+// exclusive lock orders it against every other root writer.
 // The chunk store learns of a commit only when stage 2 appends its record,
 // so a slow or panicking Pickle holds up no other transaction's durable
 // commit.
@@ -560,13 +568,9 @@ func (t *Txn) Commit(durable bool) error {
 		}
 	}
 	if t.rootSet {
-		// Always write the root chunk, even when the pointer appears
-		// unchanged: the store's current root is only snapshotted at
-		// publish, so skipping "equal" values here could race a concurrent
-		// root update between this check and the commit.
 		p := NewPickler()
 		p.ObjectID(t.rootOID)
-		batch.Write(t.s.rootChunk, p.Bytes())
+		batch.Write(rootChunkID, p.Bytes())
 	}
 	prep, err := t.s.chunks.PrepareBatch(batch)
 	if err != nil {
@@ -601,16 +605,14 @@ func (t *Txn) Commit(durable bool) error {
 // returns — and ends the transaction. Failures of post-commit work are
 // reported wrapped as chunkstore.ErrMaintenance; the commit stands.
 func (t *Txn) commitPublish(batch *chunkstore.Batch, prep *chunkstore.PreparedBatch, unusedIDs []chunkstore.ChunkID, durable bool) (chunkstore.CommitTicket, error) {
-	if t.rootSet {
-		return t.commitRoot(batch, prep, unusedIDs, durable)
-	}
-	// Ordinary commits run chunk-store stage 2 outside the store mutex:
-	// strict 2PL keeps the write set exclusively locked until finish, so no
-	// concurrent transaction can observe the gap between the chunk commit
-	// and the cache publish, and disjoint committers serialize only on the
-	// chunk store's own short stage 2. This is also what lets harden rounds
-	// form: while one round's log sync is in flight, other committers
-	// append their records and join the next round.
+	// Stage 2 runs outside the store mutex: strict 2PL keeps the write set
+	// — the root pointer included, locked by SetRoot — exclusively locked
+	// until finish, so no concurrent transaction can observe the gap
+	// between the chunk commit and the publish, and disjoint committers
+	// serialize only on the chunk store's own short stage 2. This is also
+	// what lets harden rounds form: while one round's log sync is in
+	// flight, other committers append their records and join the next
+	// round.
 	ticket, err := t.s.chunks.CommitPrepared(batch, prep, durable)
 	if err != nil && !errors.Is(err, chunkstore.ErrMaintenance) {
 		return ticket, err
@@ -620,32 +622,15 @@ func (t *Txn) commitPublish(batch *chunkstore.Batch, prep *chunkstore.PreparedBa
 	return ticket, t.publishLocked(unusedIDs, err)
 }
 
-// commitRoot serializes a root-pointer commit fully: the in-memory root
-// pointer must be updated in the same order as the chunk-store commits
-// persisting it, and only the store mutex provides that ordering.
-func (t *Txn) commitRoot(batch *chunkstore.Batch, prep *chunkstore.PreparedBatch, unusedIDs []chunkstore.ChunkID, durable bool) (chunkstore.CommitTicket, error) {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	return t.commitRootLocked(batch, prep, unusedIDs, durable)
-}
-
-// commitRootLocked runs chunk-store stage 2 with the store mutex held by
-// design: holding it across the merge is what keeps the root-pointer update
-// ordered with the commit persisting it. Caller holds s.mu.
-func (t *Txn) commitRootLocked(batch *chunkstore.Batch, prep *chunkstore.PreparedBatch, unusedIDs []chunkstore.ChunkID, durable bool) (chunkstore.CommitTicket, error) {
-	ticket, err := t.s.chunks.CommitPrepared(batch, prep, durable)
-	if err != nil && !errors.Is(err, chunkstore.ErrMaintenance) {
-		return ticket, err
-	}
-	t.s.rootOID = t.rootOID
-	return ticket, t.publishLocked(unusedIDs, err)
-}
-
-// publishLocked finishes a committed transaction: publishes the staged
-// versions, returns unused chunk ids to the allocator, and releases locks. Failures of
-// this post-commit work are reported wrapped as chunkstore.ErrMaintenance;
-// the commit stands. Caller holds s.mu.
+// publishLocked finishes a committed transaction: publishes the root
+// pointer and the staged versions, returns unused chunk ids to the
+// allocator, and releases locks. Failures of this post-commit work are
+// reported wrapped as chunkstore.ErrMaintenance; the commit stands. Caller
+// holds s.mu.
 func (t *Txn) publishLocked(unusedIDs []chunkstore.ChunkID, postErr error) error {
+	if t.rootSet {
+		t.s.rootOID = t.rootOID
+	}
 	// The chunk-store merge applied: assign the commit stamp to the staged
 	// versions so snapshot readers pinning from now on see this commit.
 	t.s.versions.publish(t.staged, t.rootSet, t.rootOID)
