@@ -76,12 +76,17 @@ fuzz-smoke:
 # repetitions; TestConcurrentEvictingTransactions, every reader kind against
 # constant map-node eviction; and the chunk store's read, CLOCK and
 # cache-pressure tests, which race point reads, batches, fault-ins and the
-# cleaner. (TestAuditedWorkloadUnderCachePressure is single-goroutine and
-# takes seconds under -race; it runs once in the -race suite.)
+# cleaner; and the audit tests (TestAudits*): Verify, Scrub, ForEach and
+# Diff each let a durable commit run inside a chunk-record read
+# (TestAuditsScrubCommitInsideRecordRead), scrubs race a committer and the
+# cleaner, a scrub meets a chunk rewritten or re-quarantined mid-walk, and a
+# Diff streamed during commits matches the quiet one.
+# (TestAuditedWorkloadUnderCachePressure is single-goroutine and takes
+# seconds under -race; it runs once in the -race suite.)
 read-repeat:
 	$(GO) test -race -count=20 -run 'TestScan|TestConcurrentEvictingTransactions' .
 	$(GO) test -race -count=20 \
-		-run 'TestRead|TestNonResidentRead|TestPointRead|TestHeldAttempt|TestConcurrentReads|TestClock|TestMapNodeCacheEviction' \
+		-run 'TestRead|TestNonResidentRead|TestPointRead|TestHeldAttempt|TestConcurrentReads|TestClock|TestMapNodeCacheEviction|TestAudits' \
 		./internal/chunkstore/
 
 # commit-repeat runs the harden coordinator's tests twenty times under the

@@ -469,7 +469,20 @@ func (s *Store) checkpointLocked() error {
 	if _, err := s.appendCommitRecordLocked(true); err != nil {
 		return err
 	}
-	if err := s.hardenLocked(); err != nil {
+	// A format (no slot written yet) seals and syncs its log but advances
+	// the counter only once its slot is durable: Open formats only while
+	// the counter reads zero, so the counter must not leave zero before a
+	// slot anchors the store. A crash between the slot and the advance
+	// leaves the log one stamp ahead, which recovery catches up.
+	format := s.superSeq == 0
+	if format {
+		if err := s.sealOpenRoundLocked(); err != nil {
+			return err
+		}
+		if err := s.segs.syncDirty(); err != nil {
+			return err
+		}
+	} else if err := s.hardenLocked(); err != nil {
 		return err
 	}
 	// Publish the new anchor, written and synced into the alternate slot.
@@ -477,6 +490,11 @@ func (s *Store) checkpointLocked() error {
 	// unchanged.
 	if err := s.writeSuperblock(ckptLoc, s.ivGenLimit.Load()); err != nil {
 		return err
+	}
+	if format {
+		if err := s.hardenLocked(); err != nil {
+			return err
+		}
 	}
 	s.lastCkpt = ckptLoc
 	s.residualBytes = 0

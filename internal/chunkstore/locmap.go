@@ -1,6 +1,7 @@
 package chunkstore
 
 import (
+	"errors"
 	"fmt"
 
 	"tdb/internal/sec"
@@ -460,42 +461,100 @@ func (m *locMap) dirtyNodes() []*mapNode {
 }
 
 // forEachEntry invokes fn for every non-empty leaf entry reachable from
-// root, loading nodes (and verifying hashes) as needed. It is used by
-// Verify, recovery's chunk count, the cleaner's evacuation of a damaged
-// segment, and snapshot iteration. The root parameter may be the current
-// root or a snapshot's frozen root.
+// root, ascending, loading nodes (and verifying hashes) as needed, under
+// s.mu held exclusively or during Open: recovery's chunk count and the
+// cleaner's evacuation of a damaged segment.
 func (m *locMap) forEachEntry(root *mapNode, fn func(cid ChunkID, e entry) error) error {
-	var walk func(n *mapNode) error
-	walk = func(n *mapNode) error {
-		if n.level == 0 {
-			base := n.index * uint64(m.fanout)
-			for i, e := range n.entries {
-				if e.isEmpty() {
-					continue
-				}
-				if err := fn(ChunkID(base+uint64(i)), e); err != nil {
-					return err
-				}
-			}
-			return nil
+	c := mapCursor{roots: [2]*mapNode{root}}
+	for {
+		leaves, _, err := c.leafLocked(m, true)
+		if err != nil || c.done {
+			return err
 		}
-		for i := range n.entries {
-			if n.entries[i].isEmpty() && n.kids[i] == nil {
+		for k, e := range leaves[0].entries {
+			if e.isEmpty() {
 				continue
 			}
-			kid := n.kids[i]
-			if kid == nil {
-				var err error
-				kid, err = m.loadChild(n, i)
-				if err != nil {
-					return err
-				}
-			}
-			if err := walk(kid); err != nil {
+			if err := fn(ChunkID(c.cursor-uint64(m.fanout)+uint64(k)), e); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	return walk(root)
+}
+
+// mapCursor walks map trees in chunk-id order from a cursor, a leaf per
+// step: a step descends from the roots to the first leaf at or after the
+// cursor that has work (wanted) and moves the cursor past it, so no node is
+// held between steps, when eviction may unlink one. Two roots, the first
+// at least as tall, walk the chunks whose entries differ between them.
+type mapCursor struct {
+	roots [2]*mapNode
+	// damage, when set, collects the subtrees that fail to load, which the
+	// walk then moves past; otherwise such a failure ends it.
+	damage *[]string
+	cursor uint64
+	done   bool
+}
+
+// leafLocked runs one step and returns each root's leaf (nil where a root
+// has none). Holding s.mu shared, it reports fault at a map node that is
+// not resident; holding it exclusively, it loads the node.
+func (c *mapCursor) leafLocked(m *locMap, exclusive bool) (nodes [2]*mapNode, fault bool, err error) {
+	fanout := uint64(m.fanout)
+restart:
+	for c.cursor < m.span(c.roots[0].level) {
+		nodes = c.roots
+		for level := nodes[0].level; level > 0; level-- {
+			slotSpan := m.span(level - 1)
+			start := c.cursor - c.cursor%(slotSpan*fanout)
+			j := int((c.cursor - start) / slotSpan)
+			k := j
+			for k < m.fanout && !wanted(nodes, k) {
+				k++
+			}
+			if k > j {
+				c.cursor = start + uint64(k)*slotSpan
+			}
+			if k == m.fanout {
+				continue restart
+			}
+			for i, n := range nodes {
+				if n == nil || n.kids[k] != nil || n.entries[k].isEmpty() {
+					if n != nil {
+						nodes[i] = n.kids[k]
+					}
+					continue
+				}
+				if !exclusive {
+					return nodes, true, nil
+				}
+				if nodes[i], err = m.loadChild(n, k); err != nil {
+					if c.damage == nil || errors.Is(err, ErrIO) {
+						return nodes, false, err
+					}
+					*c.damage = append(*c.damage, fmt.Sprintf("map node (%d,%d) slot %d at %v: %v", n.level, n.index, k, n.entries[k].loc, err))
+					c.cursor = start + uint64(k+1)*slotSpan
+					continue restart
+				}
+			}
+		}
+		c.cursor += fanout
+		return nodes, false, nil
+	}
+	c.done = true
+	return nodes, false, nil
+}
+
+// wanted reports whether slot k of the nodes holds work for a walk: a
+// subtree or chunk on either side that does not hash the same on both.
+func wanted(nodes [2]*mapNode, k int) bool {
+	var e [2]entry
+	present := false
+	for i, n := range nodes {
+		if n != nil {
+			e[i] = n.entries[k]
+			present = present || !e[i].isEmpty() || n.level > 0 && n.kids[k] != nil
+		}
+	}
+	return present && (e[0].isEmpty() || e[1].isEmpty() || !sec.HashEqual(e[0].hash, e[1].hash))
 }

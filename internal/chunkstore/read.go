@@ -28,8 +28,10 @@ import (
 // A plan the finish act finds stale — the cleaner or a commit moved its
 // record mid-read — goes round again. After readMissRetries attempts, an
 // attempt runs all three acts inside one shared-lock section, where no
-// publisher can move the record, so it cannot go stale. No read reads a
-// user-data record with the store mutex held exclusively.
+// publisher can move the record, so it cannot go stale. The audits plan
+// from a snapshot instead and run only the execute act (auditWalk). No
+// read, audits included, reads a user-data record with the store mutex
+// held exclusively.
 //
 // A record is read into exactly one buffer, and that buffer becomes its
 // plaintext: the CRC, type, chunk id and Merkle checks run over it, then
@@ -133,6 +135,11 @@ type readPlan struct {
 	// sum is the room the execute act digests the record's ciphertext
 	// into, so checking it allocates nothing.
 	sum [maxDigestSize]byte
+	// ciphertext stops the execute act at the validated ciphertext
+	// (checkChunkRecord), which it leaves in ct instead of data: audits
+	// that copy or only check records.
+	ciphertext bool
+	ct         []byte
 
 	// data and err are the attempt's outcome, final once done is set.
 	data []byte
@@ -250,6 +257,14 @@ func (s *Store) planLocked(p *readPlan, e entry) error {
 		p.finish(nil, degradedReadErr(p.cid, fmt.Errorf("quarantined: %s (%w)", reason, ErrTampered)))
 		return nil
 	}
+	return s.pinLocked(p, e)
+}
+
+// pinLocked plans p's read of stored version e, under s.mu (shared
+// suffices): the bounds check, the write-behind copy and the segment pin.
+// It returns an ErrTampered error, leaving p as it was, when e points
+// outside the log.
+func (s *Store) pinLocked(p *readPlan, e entry) error {
 	seg, ok := s.segs.segs[e.loc.Seg]
 	if !ok {
 		return fmt.Errorf("%w: reference to missing segment %d", ErrTampered, e.loc.Seg)
@@ -385,11 +400,14 @@ func (s *Store) executeRead(p *readPlan) {
 		}
 	}
 	typ, body, err := parseRecordBytes(p.e.loc, p.buf)
-	if err != nil {
+	switch {
+	case err != nil:
 		p.err = err
-		return
+	case p.ciphertext:
+		p.ct, p.err = s.checkChunkRecord(p.cid, p.e, typ, body, p.sum[:0])
+	default:
+		p.data, p.err = s.decryptChunkRecord(p.cid, p.e, typ, body, p.sum[:0])
 	}
-	p.data, p.err = s.decryptChunkRecord(p.cid, p.e, typ, body, p.sum[:0])
 }
 
 // finishLocked runs the finish act under s.mu held shared: it unpins every
@@ -469,15 +487,22 @@ func (s *Store) failTamperedRead(cid ChunkID, e entry, rerr error) (err error, d
 	if s.closed.Load() {
 		return ErrClosed, true
 	}
-	cur, err := s.lm.get(cid)
-	if err != nil {
+	switch current, err := s.namesLocked(cid, e); {
+	case err != nil:
 		return err, true
-	}
-	if cur.isEmpty() || cur.loc != e.loc || !sec.HashEqual(cur.hash, e.hash) {
+	case !current:
 		return nil, false
 	}
 	s.quarantine[cid] = rerr.Error()
 	return degradedReadErr(cid, rerr), true
+}
+
+// namesLocked reports whether the current map still names version e of cid:
+// the same location and digest. Caller holds s.mu exclusively (the lookup
+// may fault the map path in).
+func (s *Store) namesLocked(cid ChunkID, e entry) (bool, error) {
+	cur, err := s.lm.get(cid)
+	return err == nil && !cur.isEmpty() && cur.loc == e.loc && sec.HashEqual(cur.hash, e.hash), err
 }
 
 // checkChunkRecord validates a fetched record against the chunk's map entry
@@ -514,16 +539,4 @@ func (s *Store) decryptChunkRecord(cid ChunkID, e entry, typ byte, body, sum []b
 		return nil, fmt.Errorf("%w: decrypting chunk %d: %v", ErrTampered, cid, err)
 	}
 	return plain, nil
-}
-
-// readChunkLocked fetches the stored record of chunk version e and runs
-// check over it: checkChunkRecord or decryptChunkRecord. Only the full
-// audits — Verify, Scrub, Snapshot.ForEach and Diff — read user-data
-// records this way, under the store mutex held exclusively.
-func (s *Store) readChunkLocked(cid ChunkID, e entry, check func(ChunkID, entry, byte, []byte, []byte) ([]byte, error)) ([]byte, error) {
-	typ, body, err := s.segs.readRecord(e.loc)
-	if err != nil {
-		return nil, err
-	}
-	return check(cid, e, typ, body, nil)
 }

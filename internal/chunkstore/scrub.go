@@ -3,7 +3,8 @@ package chunkstore
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Scrubbing (paper §2's hostile-store model, taken to its operational
@@ -59,114 +60,60 @@ func (r *ScrubReport) BadIDs() []ChunkID {
 // unusable), until a rewrite — typically backupstore.Repair — heals them.
 // Chunks the scrub verified as intact leave quarantine.
 //
+// Scrub walks a snapshot of its own (auditWalk), so the store stays in
+// service while it runs. A chunk enters or leaves quarantine (and a bad one
+// the report) only while the current map still names the version the scrub
+// read: a version rewritten or moved meanwhile earns nothing from it.
+//
 // Scrub distinguishes damage from environmental failure: integrity
 // violations go in the report, while an I/O error (ErrIO, e.g. a transient
 // fault outlasting the retry policy) aborts the scrub with that error, since
 // a report produced over a misbehaving device would be unreliable.
 func (s *Store) Scrub() (*ScrubReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	// Scrub is a flush point: it audits what the untrusted store actually
-	// holds, so the write-behind buffer must reach the file first — otherwise
-	// the read-through buffer would vouch for bytes the device never saw.
-	if err := s.segs.flushLocked(); err != nil {
+	sn, err := s.TakeSnapshot()
+	if err != nil {
 		return nil, err
 	}
+	defer sn.Close()
 	report := &ScrubReport{}
-	if err := s.scrubWalkLocked(s.lm.root, report); err != nil {
+	w := auditWalk{mapCursor: mapCursor{damage: &report.MapDamage}, sn: sn, ciphertext: true}
+	err = w.run(func(ps []readPlan) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.closed.Load() {
+			return ErrClosed
+		}
+		for _, p := range ps {
+			if _, quarantined := s.quarantine[p.cid]; p.err == nil && !quarantined {
+				report.ChunksChecked++
+				continue
+			}
+			switch current, err := s.namesLocked(p.cid, p.e); {
+			case errors.Is(err, ErrIO):
+				return err
+			case p.err == nil:
+				report.ChunksChecked++
+				if current {
+					delete(s.quarantine, p.cid)
+				}
+			case current:
+				s.quarantine[p.cid] = p.err.Error()
+				report.Bad = append(report.Bad, BadChunk{p.cid, p.e.loc, append([]byte(nil), p.e.hash...), p.err.Error()})
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	sort.Slice(report.Bad, func(i, j int) bool { return report.Bad[i].ID < report.Bad[j].ID })
-	// Rebuild the quarantine from this pass: every chunk the walk reached
-	// was either verified (leaves quarantine) or reported bad (enters it).
-	s.quarantine = make(map[ChunkID]string, len(report.Bad))
-	for _, b := range report.Bad {
-		s.quarantine[b.ID] = b.Reason
 	}
 	return report, nil
 }
 
-// scrubWalkLocked is forEachEntry's damage-tolerant sibling: an unloadable child
-// subtree is recorded in the report (and skipped) instead of aborting the
-// walk, and each leaf entry's chunk is verified in place. Only environmental
-// I/O errors abort.
-func (s *Store) scrubWalkLocked(n *mapNode, report *ScrubReport) error {
-	m := s.lm
-	if n.level == 0 {
-		base := n.index * uint64(m.fanout)
-		for i, e := range n.entries {
-			if e.isEmpty() {
-				continue
-			}
-			cid := ChunkID(base + uint64(i))
-			reason, err := s.verifyChunkAtLocked(cid, e)
-			if err != nil {
-				return err
-			}
-			if reason != "" {
-				report.Bad = append(report.Bad, BadChunk{
-					ID:       cid,
-					Loc:      e.loc,
-					WantHash: append([]byte(nil), e.hash...),
-					Reason:   reason,
-				})
-			} else {
-				report.ChunksChecked++
-			}
-		}
-		return nil
-	}
-	for i := range n.entries {
-		if n.entries[i].isEmpty() && n.kids[i] == nil {
-			continue
-		}
-		kid := n.kids[i]
-		if kid == nil {
-			var err error
-			kid, err = m.loadChild(n, i)
-			if err != nil {
-				if errors.Is(err, ErrIO) {
-					return err
-				}
-				report.MapDamage = append(report.MapDamage,
-					fmt.Sprintf("map node (%d,%d) slot %d at %v: %v", n.level, n.index, i, n.entries[i].loc, err))
-				continue
-			}
-		}
-		if err := s.scrubWalkLocked(kid, report); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// verifyChunkAtLocked checks the stored record at e against the Merkle tree
-// without decrypting (checkChunkRecord). A non-empty reason — the check's
-// error text — means the chunk is damaged; a non-nil error is environmental
-// and aborts the scrub.
-func (s *Store) verifyChunkAtLocked(cid ChunkID, e entry) (string, error) {
-	if _, err := s.readChunkLocked(cid, e, s.checkChunkRecord); err != nil {
-		if errors.Is(err, ErrIO) {
-			return "", err
-		}
-		return err.Error(), nil
-	}
-	return "", nil
-}
-
 // Quarantined returns the currently quarantined chunk ids, ascending.
 func (s *Store) Quarantined() []ChunkID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ChunkID, 0, len(s.quarantine))
-	for cid := range s.quarantine {
-		out = append(out, cid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Sorted(maps.Keys(s.quarantine))
 }
 
 // degradedReadErr wraps a per-chunk integrity failure so it matches both

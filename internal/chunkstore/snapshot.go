@@ -3,8 +3,6 @@ package chunkstore
 import (
 	"errors"
 	"fmt"
-
-	"tdb/internal/sec"
 )
 
 // Snapshot is a frozen, consistent view of the committed database, created
@@ -15,13 +13,17 @@ import (
 // snapshots, computed cheaply by pruning subtrees with equal hashes.
 //
 // While a snapshot is open, the cleaner will not free segments the snapshot
-// can reference.
+// can reference, so its records stay where its map says they are. The
+// audits — ForEach, Diff, and the store's Verify and Scrub, each over a
+// snapshot of its own — walk it that way (auditWalk), reading its records
+// through the read path's execute act with no lock held.
 type Snapshot struct {
 	cs       *Store
 	root     *mapNode
 	rootHash []byte
 	seq      uint64
 	counter  uint64
+	chunks   int64
 	tailSeg  uint64
 	closed   bool
 }
@@ -33,9 +35,10 @@ func (s *Store) TakeSnapshot() (*Snapshot, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	// Snapshots are a flush point: backup streaming reads the snapshot over
-	// many mutex acquisitions, and flushing now means those reads never
-	// depend on the tail buffer's state drifting underneath the snapshot.
+	// Snapshots are a flush point: an audit reads the snapshot over many
+	// mutex acquisitions, and flushing now means those reads never depend
+	// on the tail buffer's state drifting underneath the snapshot, and a
+	// scrub checks what the device holds, not what memory vouches for.
 	if err := s.segs.flushLocked(); err != nil {
 		return nil, err
 	}
@@ -46,6 +49,7 @@ func (s *Store) TakeSnapshot() (*Snapshot, error) {
 		rootHash: append([]byte(nil), s.lm.rootHash()...),
 		seq:      s.commitSeq,
 		counter:  s.counterVal.Load(),
+		chunks:   s.chunkCount,
 		tailSeg:  s.segs.tail.num,
 	}
 	s.snapshots[snap] = struct{}{}
@@ -96,19 +100,20 @@ func (sn *Snapshot) Close() {
 // ForEach streams every live chunk of the snapshot in ascending chunk-id
 // order: the callback receives the chunk id, the ciphertext digest from the
 // location map, and the stored (encrypted) record payload, validated
-// against the digest before delivery.
+// against the digest before delivery. The callback runs with no store lock
+// held, so commits proceed beside it. The ciphertext of chunks adjacent in
+// the log may share one read buffer (see ReadBatch): a callback that keeps
+// it past its return copies it. It returns ErrSnapshotClosed if the
+// snapshot is closed mid-walk, and ErrClosed if the store is.
 func (sn *Snapshot) ForEach(fn func(cid ChunkID, hash []byte, ciphertext []byte) error) error {
-	sn.cs.mu.Lock()
-	defer sn.cs.mu.Unlock()
-	if sn.closed {
-		return ErrSnapshotClosed
-	}
-	return sn.cs.lm.forEachEntry(sn.root, func(cid ChunkID, e entry) error {
-		ct, err := sn.cs.readChunkLocked(cid, e, sn.cs.checkChunkRecord)
-		if err != nil {
-			return err
+	w := auditWalk{sn: sn, ciphertext: true}
+	return w.run(func(ps []readPlan) error {
+		for _, p := range ps {
+			if err := fn(p.cid, p.e.hash, p.ct); err != nil {
+				return err
+			}
 		}
-		return fn(cid, e.hash, ct)
+		return nil
 	})
 }
 
@@ -119,175 +124,138 @@ type DiffChange struct {
 	// current snapshot.
 	Deleted bool
 	// Hash and Ciphertext carry the current version for non-deleted
-	// changes.
+	// changes. Ciphertext may share one read buffer with other changes'
+	// (see ForEach): a callback that keeps it copies it.
 	Hash       []byte
 	Ciphertext []byte
 }
 
 // Diff streams the changes that turn base into sn: chunks added or
 // rewritten since base (with their current ciphertext) and chunks deleted
-// since base. Subtrees whose Merkle hashes match are pruned without being
-// read, which is what makes frequent incremental backups cheap (paper
-// §3.2.1). Both snapshots must come from the same store, with base the
-// older one.
+// since base, in ascending chunk-id order. Subtrees whose Merkle hashes
+// match are pruned without being read, which is what makes frequent
+// incremental backups cheap (paper §3.2.1). Both snapshots must come from
+// the same store, with base the older one. Like ForEach, the callback runs
+// with no store lock held.
 func (sn *Snapshot) Diff(base *Snapshot, fn func(DiffChange) error) error {
-	sn.cs.mu.Lock()
-	defer sn.cs.mu.Unlock()
-	if sn.closed || base.closed {
-		return ErrSnapshotClosed
-	}
 	if base.cs != sn.cs {
 		return fmt.Errorf("%w: diffing snapshots from different stores", ErrUsage)
 	}
 	if base.seq > sn.seq {
 		return fmt.Errorf("%w: diff base snapshot (seq %d) is newer than target (seq %d)", ErrUsage, base.seq, sn.seq)
 	}
-	d := differ{cs: sn.cs, fn: fn}
-	return d.diffNodes(sn.cs.lm, base.root, sn.root)
-}
-
-type differ struct {
-	cs *Store
-	fn func(DiffChange) error
-}
-
-// diffNodes walks two versions of the map, invoking the callback for leaf
-// entries that differ. baseN or curN may be nil (subtree absent on that
-// side). The nodes may be at different levels when the tree grew between
-// the snapshots; the taller side is descended first.
-func (d *differ) diffNodes(m *locMap, baseN, curN *mapNode) error {
-	switch {
-	case baseN == nil && curN == nil:
-		return nil
-	case baseN != nil && curN != nil && baseN.level < curN.level:
-		// The tree grew: the base corresponds to child 0 of the current
-		// spine; every other child is new.
-		for i := 0; i < len(curN.entries); i++ {
-			var b *mapNode
-			if i == 0 {
-				b = baseN
-			}
-			kid, err := d.loadKid(m, curN, i)
-			if err != nil {
+	w := auditWalk{sn: sn, base: base, ciphertext: true}
+	return w.run(func(ps []readPlan) error {
+		for _, p := range ps {
+			ch := DiffChange{CID: p.cid, Deleted: p.e.isEmpty(), Hash: p.e.hash, Ciphertext: p.ct}
+			if err := fn(ch); err != nil {
 				return err
 			}
-			if i == 0 {
-				if err := d.diffNodes(m, b, kid); err != nil {
-					return err
-				}
-			} else if kid != nil {
-				if err := d.emitAll(m, kid); err != nil {
-					return err
-				}
-			}
 		}
 		return nil
-	case baseN != nil && curN != nil && baseN.level > curN.level:
-		// The current tree is shorter than the base: impossible (trees only
-		// grow), treat every base-only region as deleted.
-		for i := 0; i < len(baseN.entries); i++ {
-			var c *mapNode
-			if i == 0 {
-				c = curN
-			}
-			kid, err := d.loadKid(m, baseN, i)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				if err := d.diffNodes(m, kid, c); err != nil {
-					return err
-				}
-			} else if kid != nil {
-				if err := d.emitDeleted(m, kid); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	case curN == nil:
-		return d.emitDeleted(m, baseN)
-	case baseN == nil:
-		return d.emitAll(m, curN)
-	}
+	})
+}
 
-	if baseN.level == 0 {
-		base := baseN.index * uint64(m.fanout)
-		for i := range baseN.entries {
-			be, ce := baseN.entries[i], curN.entries[i]
-			cid := ChunkID(base + uint64(i))
-			switch {
-			case be.isEmpty() && ce.isEmpty():
-			case ce.isEmpty():
-				if err := d.fn(DiffChange{CID: cid, Deleted: true}); err != nil {
-					return err
-				}
-			case be.isEmpty() || !sec.HashEqual(be.hash, ce.hash):
-				ct, err := d.cs.readChunkLocked(cid, ce, d.cs.checkChunkRecord)
-				if err != nil {
-					return err
-				}
-				if err := d.fn(DiffChange{CID: cid, Hash: ce.hash, Ciphertext: ct}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
+// auditWalk is one audit's pass over a snapshot: every chunk of sn, or with
+// base set the chunks whose entries differ between base and sn, ascending,
+// a leaf per step of a mapCursor. A step holds s.mu shared — exclusively
+// only to fault a map node in, as a read's plan act does — to resolve the
+// next leaf and pin its chunks' records, which the read path's execute act
+// then reads with no lock held. They cannot go stale: the snapshot keeps
+// the cleaner off their segments.
+type auditWalk struct {
+	mapCursor
+	sn, base   *Snapshot
+	ciphertext bool // stop each read at the validated ciphertext
+}
 
-	for i := range baseN.entries {
-		be, ce := baseN.entries[i], curN.entries[i]
-		// Prune identical subtrees by hash — the incremental-backup trick.
-		if !be.isEmpty() && !ce.isEmpty() && sec.HashEqual(be.hash, ce.hash) {
-			continue
+// run walks to the end, handing visit each leaf's plans — the chunks
+// reached, ascending, with their reads' outcomes — with no lock held. A
+// chunk base has and sn does not arrives with an empty entry and no read.
+// A failed read ends the walk with its error, unless the walk collects
+// damage and the failure is not ErrIO.
+func (w *auditWalk) run(visit func(ps []readPlan) error) error {
+	s := w.sn.cs
+	// Lift base's root to sn's level by private nodes whose slot 0 holds
+	// it: base is older, and a map only grows at the top.
+	w.roots[0] = w.sn.root
+	if w.base != nil {
+		for w.roots[1] = w.base.root; w.roots[1].level < w.sn.root.level; {
+			n := newMapNode(w.roots[1].level+1, 0, s.lm.fanout)
+			n.kids[0], w.roots[1] = w.roots[1], n
 		}
-		if be.isEmpty() && ce.isEmpty() && baseN.kids[i] == nil && curN.kids[i] == nil {
-			continue
+	}
+	for !w.done {
+		s.mu.RLock()
+		ps, n, fault, err := w.stepLocked(false)
+		s.mu.RUnlock()
+		if fault {
+			s.mu.Lock()
+			ps, n, _, err = w.stepLocked(true)
+			s.mu.Unlock()
 		}
-		bk, err := d.loadKid(m, baseN, i)
 		if err != nil {
 			return err
 		}
-		ck, err := d.loadKid(m, curN, i)
-		if err != nil {
-			return err
+		s.executeReads(ps, n)
+		s.mu.RLock()
+		for i := range ps {
+			if ps[i].seg != nil {
+				s.segs.unpinReaderLocked(ps[i].seg)
+				ps[i].seg = nil
+			}
 		}
-		if err := d.diffNodes(m, bk, ck); err != nil {
+		closed := s.closed.Load()
+		s.mu.RUnlock()
+		if closed {
+			return ErrClosed
+		}
+		for _, p := range ps {
+			if p.err != nil && (w.damage == nil || errors.Is(p.err, ErrIO)) {
+				return p.err
+			}
+		}
+		if err := visit(ps); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// loadKid returns child i of n, loading it from the log if needed; nil when
-// the subtree is absent.
-func (d *differ) loadKid(m *locMap, n *mapNode, i int) (*mapNode, error) {
-	if n.level == 0 {
-		return nil, nil
+// stepLocked runs one step under s.mu: the next leaf's plans, n of them
+// pinned, or fault at a map node that is not resident while s.mu is held
+// only shared.
+func (w *auditWalk) stepLocked(exclusive bool) (ps []readPlan, n int, fault bool, err error) {
+	s := w.sn.cs
+	switch {
+	case s.closed.Load():
+		return nil, 0, false, ErrClosed
+	case w.sn.closed || w.base != nil && w.base.closed:
+		return nil, 0, false, ErrSnapshotClosed
 	}
-	if kid := n.kids[i]; kid != nil {
-		return kid, nil
-	}
-	if n.entries[i].isEmpty() {
-		return nil, nil
-	}
-	return m.loadChild(n, i)
-}
-
-// emitAll reports every chunk under n as added/changed.
-func (d *differ) emitAll(m *locMap, n *mapNode) error {
-	return m.forEachEntry(n, func(cid ChunkID, e entry) error {
-		ct, err := d.cs.readChunkLocked(cid, e, d.cs.checkChunkRecord)
-		if err != nil {
-			return err
+	for len(ps) == 0 {
+		leaves, fault, err := w.leafLocked(s.lm, exclusive)
+		if fault || err != nil || w.done {
+			return nil, 0, fault, err
 		}
-		return d.fn(DiffChange{CID: cid, Hash: e.hash, Ciphertext: ct})
-	})
-}
-
-// emitDeleted reports every chunk under n as deleted.
-func (d *differ) emitDeleted(m *locMap, n *mapNode) error {
-	return m.forEachEntry(n, func(cid ChunkID, _ entry) error {
-		return d.fn(DiffChange{CID: cid, Deleted: true})
-	})
+		for k := range s.lm.fanout {
+			if !wanted(leaves, k) {
+				continue
+			}
+			var e entry
+			if leaves[0] != nil {
+				e = leaves[0].entries[k]
+			}
+			p := readPlan{cid: ChunkID(w.cursor - uint64(s.lm.fanout) + uint64(k)), e: e, ciphertext: w.ciphertext, done: e.isEmpty()}
+			if !p.done {
+				if err := s.pinLocked(&p, e); err != nil {
+					p.finish(nil, err)
+				} else {
+					n++
+				}
+			}
+			ps = append(ps, p)
+		}
+	}
+	return ps, n, false, nil
 }

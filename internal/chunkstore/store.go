@@ -175,6 +175,13 @@ func Open(cfg Config) (*Store, error) {
 	}()
 	sb, err := s.readSuperblock()
 	if errors.Is(err, errNoSuperblock) {
+		// A format leaves the counter at zero until its first superblock
+		// slot is durable (checkpointLocked), so a counter past zero
+		// proves a slot was: the superblock was taken away, and formatting
+		// would roll the database back to empty.
+		if v := s.counterVal.Load(); v != 0 {
+			return nil, fmt.Errorf("%w: superblock is missing or blank, but the one-way counter reads %d (database rolled back to empty?)", ErrTampered, v)
+		}
 		if err := s.format(); err != nil {
 			return nil, err
 		}
@@ -733,27 +740,25 @@ func (s *Store) Stats() Stats {
 
 // Verify re-reads, validates and decrypts every chunk and map node against
 // the Merkle tree, returning ErrTampered on any mismatch. It is the
-// full-database audit used by tools and tests, and holds the store mutex
-// exclusively throughout.
+// full-database audit used by tools and tests. It walks a snapshot of its
+// own (auditWalk), so commits proceed while it runs; it audits the state
+// committed when it started.
 func (s *Store) Verify() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	count := int64(0)
-	err := s.lm.forEachEntry(s.lm.root, func(cid ChunkID, e entry) error {
-		if _, err := s.readChunkLocked(cid, e, s.decryptChunkRecord); err != nil {
-			return err
-		}
-		count++
-		return nil
-	})
+	sn, err := s.TakeSnapshot()
 	if err != nil {
 		return err
 	}
-	if count != s.chunkCount {
-		return fmt.Errorf("%w: map holds %d chunks, expected %d", ErrTampered, count, s.chunkCount)
+	defer sn.Close()
+	count := int64(0)
+	w := auditWalk{sn: sn}
+	if err := w.run(func(ps []readPlan) error {
+		count += int64(len(ps))
+		return nil
+	}); err != nil {
+		return err
+	}
+	if count != sn.chunks {
+		return fmt.Errorf("%w: map holds %d chunks, expected %d", ErrTampered, count, sn.chunks)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 
 	"tdb/internal/platform"
@@ -500,4 +501,37 @@ func TestFileCounterBackedStore(t *testing.T) {
 			t.Fatalf("Read: %q, %v", got, err)
 		}
 	})
+}
+
+// TestWipedSuperblockIsTampered removes, empties and zeroes the superblock
+// of a store with a durable commit. The one-way counter has left zero, so
+// the store was anchored once: Open must refuse it with ErrTampered naming
+// the superblock, never format it afresh — that would roll the database
+// back to empty without a word.
+func TestWipedSuperblockIsTampered(t *testing.T) {
+	wipes := map[string]func(files map[string][]byte){
+		"removed": func(files map[string][]byte) { delete(files, superblockName) },
+		"emptied": func(files map[string][]byte) { files[superblockName] = nil },
+		"zeroed": func(files map[string][]byte) {
+			files[superblockName] = make([]byte, len(files[superblockName]))
+		},
+	}
+	for _, name := range slices.Sorted(maps.Keys(wipes)) {
+		t.Run(name, func(t *testing.T) {
+			env := newTestEnv(t, "aes-ctr-gmac")
+			populate(t, env, 3)
+			files := env.mem.Snapshot()
+			wipes[name](files)
+			env.mem.Restore(files)
+			s, err := Open(env.cfg)
+			if err == nil {
+				st := s.Stats()
+				s.Close()
+				t.Fatalf("Open of a store whose superblock was %s succeeded with %d chunks, want ErrTampered", name, st.Chunks)
+			}
+			if !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), "superblock") {
+				t.Fatalf("Open of a store whose superblock was %s: %v, want ErrTampered naming the superblock", name, err)
+			}
+		})
+	}
 }

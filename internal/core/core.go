@@ -248,7 +248,9 @@ func (db *DB) Chunks() *chunkstore.Store { return db.chunks }
 // Collections exposes the collection store layer.
 func (db *DB) Collections() *collection.Store { return db.cols }
 
-// Verify audits the whole database against its Merkle tree.
+// Verify audits the whole database against its Merkle tree: the state
+// committed when it starts, read from a snapshot, so commits proceed while
+// it runs.
 func (db *DB) Verify() error { return db.chunks.Verify() }
 
 // Checkpoint forces a location map checkpoint (idle-time maintenance).

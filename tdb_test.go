@@ -2,6 +2,8 @@ package tdb_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tdb"
@@ -205,5 +207,62 @@ func TestGobConvenience(t *testing.T) {
 	}
 	if m["a"] != 1 {
 		t.Fatalf("round trip: %v", m)
+	}
+}
+
+// TestWipedSuperblockOnDiskIsTampered removes, empties and zeroes the
+// superblock file of a database in a real directory, whose one-way counter
+// is the default file counter there, after one durable commit. Reopening
+// must fail with ErrTampered, never come back as a fresh, empty database.
+func TestWipedSuperblockOnDiskIsTampered(t *testing.T) {
+	wipes := []struct {
+		name string
+		wipe func(path string) error
+	}{
+		{"removed", os.Remove},
+		{"emptied", func(path string) error { return os.Truncate(path, 0) }},
+		{"zeroed", func(path string) error {
+			fi, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, make([]byte, fi.Size()), 0o600)
+		}},
+	}
+	for _, w := range wipes {
+		t.Run(w.name, func(t *testing.T) {
+			reg := tdb.NewRegistry()
+			reg.Register(songClass, func() tdb.Object { return &Song{} })
+			opts := tdb.Options{Dir: t.TempDir(), Secret: []byte("wiped-superblock-secret-0123456"), Registry: reg}
+			db, err := tdb.Open(opts)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			txn := db.Begin()
+			songs, err := txn.CreateCollection("songs", songByID())
+			if err != nil {
+				t.Fatalf("CreateCollection: %v", err)
+			}
+			if _, err := songs.Insert(&Song{ID: 1, Title: "irreplaceable"}); err != nil {
+				t.Fatalf("Insert: %v", err)
+			}
+			if err := txn.Commit(true); err != nil {
+				t.Fatalf("Commit: %v", err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if err := w.wipe(filepath.Join(opts.Dir, "superblock")); err != nil {
+				t.Fatalf("wiping the superblock: %v", err)
+			}
+			db, err = tdb.Open(opts)
+			if err == nil {
+				db.Close()
+				t.Fatal("a database whose superblock was wiped reopened")
+			}
+			if !errors.Is(err, tdb.ErrTampered) {
+				t.Fatalf("reopen: %v, want ErrTampered", err)
+			}
+		})
 	}
 }
