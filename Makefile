@@ -128,7 +128,10 @@ size:
 # bench reproduces the commit-pipeline / read-path numbers recorded in
 # EXPERIMENTS.md: commits and reads at one and two Ps (-cpu 1,2), and
 # commit stage 1 alone at the workloads' batch shapes
-# (BenchmarkPrepareBatch). Stage 1 runs on the committing goroutine at
+# (BenchmarkPrepareBatch); then a warm 64 × 1 KiB ReadBatch
+# (BenchmarkReadBatchWarm) and the suites' seal and open of one record
+# (BenchmarkSeal, BenchmarkOpen), with allocations: the per-record cost of a
+# commit and of a scan. Stage 1 runs on the committing goroutine at
 # every -cpu setting; -cpu 2 lets concurrent committers overlap. Raw
 # outputs are not committed; to regenerate the rest of the recorded
 # evaluation, see "How to regenerate" at the top of EXPERIMENTS.md
@@ -136,6 +139,8 @@ size:
 # ablation, `go test -bench` for the micro ablations).
 bench:
 	$(GO) test ./internal/chunkstore/ -run XXX -bench 'BenchmarkCommitParallelCrypto|BenchmarkConcurrentRead|BenchmarkPrepareBatch' -benchtime 1s -cpu 1,2
+	$(GO) test ./internal/chunkstore/ -run XXX -bench BenchmarkReadBatchWarm -benchmem -benchtime 1s
+	$(GO) test ./internal/sec/ -run XXX -bench 'BenchmarkSeal|BenchmarkOpen' -benchmem -benchtime 1s
 
 # bench-smoke runs every benchmark exactly once — not for numbers, only to
 # keep the benchmarks compiling and passing their own assertions — plus the

@@ -43,7 +43,7 @@ var lockedIOExcluded = []string{"internal/platform", "internal/bdb"}
 var sinkWhitelist = map[string]bool{
 	"IsTransient": true, // errors.Is wrapper
 	"HashEqual":   true, // constant-time compare
-	"Name":        true, "HashSize": true, "MACSize": true, "Overhead": true,
+	"Name":        true, "HashSize": true,
 }
 
 // declKey memoizes sink reachability per (function, origin package): the

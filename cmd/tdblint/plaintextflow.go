@@ -15,12 +15,12 @@ import (
 // reports any taint path from a plaintext source to an untrusted write that
 // does not pass through the sec crypto suite.
 //
-//	sources     sec Suite.Decrypt results, and its ciphertext argument from
-//	            the call on (Decrypt works in place); key material from
+//	sources     sec Suite.Decrypt and Suite.Open results, and their record
+//	            argument from the call on (both work in place); key material from
 //	            deriveKey in internal/sec; parameters named plaintext/plain
 //	            (the module convention for caller-supplied object payloads)
-//	sanitizers  sec Encrypt / Hash / MAC / Name — after these the bytes are
-//	            ciphertext, a digest, an authenticator, or a label
+//	sanitizers  sec Encrypt / Seal / Digest / Hash / MAC / Name — after these
+//	            the bytes are ciphertext, a digest, an authenticator, or a label
 //	sinks       Write/WriteAt on a type declared in internal/platform, or on
 //	            a plain io.Writer/io.WriterAt (an untrusted stream, e.g. a
 //	            backup target)
@@ -63,10 +63,10 @@ func secDeclared(pkg *Package, call *ast.CallExpr, callee *types.Func) bool {
 
 // flowSourceCall returns a source description if the call introduces
 // plaintext or key material. inPlace reports that the call also overwrites
-// its first argument with that plaintext: Decrypt decrypts in place.
+// its first argument with that plaintext: Decrypt and Open work in place.
 func (l *linter) flowSourceCall(pkg *Package, call *ast.CallExpr, callee *types.Func) (desc string, inPlace bool) {
 	switch callee.Name() {
-	case "Decrypt":
+	case "Decrypt", "Open":
 		if secDeclared(pkg, call, callee) {
 			p := l.mod.relPos(call.Pos())
 			return fmt.Sprintf("plaintext decrypted at %s:%d", p.Filename, p.Line), true
@@ -81,7 +81,7 @@ func (l *linter) flowSourceCall(pkg *Package, call *ast.CallExpr, callee *types.
 }
 
 // flowSanitizers are the sec suite calls whose results are safe to persist.
-var flowSanitizers = map[string]bool{"Encrypt": true, "Digest": true, "Hash": true, "MAC": true, "Name": true}
+var flowSanitizers = map[string]bool{"Encrypt": true, "Seal": true, "Digest": true, "Hash": true, "MAC": true, "Name": true}
 
 func (l *linter) flowSanitizerCall(pkg *Package, call *ast.CallExpr, callee *types.Func) bool {
 	return flowSanitizers[callee.Name()] && secDeclared(pkg, call, callee)

@@ -2,6 +2,10 @@ package backupstore
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -24,31 +28,65 @@ func newEnv(t *testing.T) *env {
 	return newEnvSuite(t, "3des-sha1")
 }
 
-// sha256LeafSuite is the default suite with SHA-256 Merkle leaves: its
-// Digest is its Hash, and it reports the name aes-ctr-sha256, so it writes
-// what that suite wrote before chunk digests became GMAC tags. Only the
-// tests keep it.
-type sha256LeafSuite struct{ sec.Suite }
+// digestLeafSuite is the default suite under another name with a Merkle
+// leaf computed apart from decryption, digest(record), which Open checks
+// before it decrypts: the tests' models of the two retired defaults,
+// aes-ctr-sha256, whose leaf is Hash, and aes-ctr-gmac, whose leaf is a
+// GMAC tag under a second key. Only the tests keep them.
+type digestLeafSuite struct {
+	sec.Suite
+	name   string
+	digest func(dst, record []byte) []byte
+}
 
-func (sha256LeafSuite) Name() string { return "aes-ctr-sha256" }
+func (s digestLeafSuite) Name() string { return s.name }
 
-func (s sha256LeafSuite) Digest(dst, ciphertext []byte) []byte {
-	return append(dst, s.Hash(ciphertext)...)
+func (s digestLeafSuite) Digest(dst, record []byte) []byte { return s.digest(dst, record) }
+
+func (s digestLeafSuite) Seal(plaintext []byte, iv uint64) ([]byte, []byte, error) {
+	record, err := s.Encrypt(plaintext, iv)
+	return record, s.digest(nil, record), err
+}
+
+func (s digestLeafSuite) Open(record, leaf []byte) ([]byte, error) {
+	if !sec.HashEqual(s.digest(nil, record), leaf) {
+		return nil, sec.ErrTampered
+	}
+	return s.Decrypt(record)
 }
 
 // newEnvSuite is newEnv under the named suite.
 func newEnvSuite(t *testing.T, name string) *env {
 	t.Helper()
+	secret := []byte("backup-test-device-secret-012345")
 	suiteName := name
-	if name == "aes-ctr-sha256" {
-		suiteName = "aes-ctr-gmac"
+	if name == "aes-ctr-sha256" || name == "aes-ctr-gmac" {
+		suiteName = "aes-gcm"
 	}
-	suite, err := sec.NewSuite(suiteName, []byte("backup-test-device-secret-012345"))
+	suite, err := sec.NewSuite(suiteName, secret)
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}
-	if name == "aes-ctr-sha256" {
-		suite = sha256LeafSuite{suite}
+	switch base := suite; name {
+	case "aes-ctr-sha256":
+		suite = digestLeafSuite{base, name, func(dst, record []byte) []byte { return append(dst, base.Hash(record)...) }}
+	case "aes-ctr-gmac":
+		mac := hmac.New(sha256.New, secret)
+		mac.Write([]byte("digest\x00"))
+		block, err := aes.NewCipher(mac.Sum(nil)[:16])
+		if err != nil {
+			t.Fatalf("GMAC key: %v", err)
+		}
+		gmac, err := cipher.NewGCMWithNonceSize(block, 16)
+		if err != nil {
+			t.Fatalf("GMAC: %v", err)
+		}
+		suite = digestLeafSuite{base, name, func(dst, record []byte) []byte {
+			if len(record) < 16 {
+				return append(dst, make([]byte, 20)...)
+			}
+			return append(gmac.Seal(dst, record[:16], nil, record[16:]), 0, 0, 0, 0)
+		}}
 	}
 	e := &env{
 		mem:     platform.NewMemStore(),

@@ -27,8 +27,8 @@ type RepairResult struct {
 //
 // Soundness rests on the Merkle tree: each BadChunk carries the ciphertext
 // digest the location map attests to (WantHash), and Repair only accepts a
-// backup copy whose ciphertext digests to exactly that value (a keyed GMAC
-// under the default suite, which no one without the device secret can
+// backup copy whose ciphertext opens against exactly that leaf (the AES-GCM
+// tag under the default suite, which no one without the device secret can
 // match for other bytes but with negligible odds). A matching copy
 // is therefore byte-identical to what the damaged record held before the
 // damage — restoring it can neither roll the chunk back to a stale version
@@ -91,8 +91,8 @@ func Repair(target *chunkstore.Store, arch platform.ArchivalStore, suite sec.Sui
 }
 
 // matchStream scans one backup stream for Put entries whose ciphertext
-// hashes to a needed chunk's expected hash, moving matches from need to
-// healed (as validated plaintext).
+// opens against a needed chunk's expected Merkle leaf, moving matches from
+// need to healed (as validated plaintext).
 func matchStream(arch platform.ArchivalStore, suite sec.Suite, name string, need map[chunkstore.ChunkID]chunkstore.BadChunk, healed map[chunkstore.ChunkID][]byte) error {
 	r, err := arch.OpenStream(name)
 	if err != nil {
@@ -115,14 +115,13 @@ func matchStream(arch platform.ArchivalStore, suite sec.Suite, name string, need
 		if !wanted {
 			continue
 		}
-		if !sec.HashEqual(suite.Digest(nil, e.ciphertext), bad.WantHash) {
+		// Open a private copy: e.ciphertext's capacity runs on into the
+		// stream's next entries.
+		plain, err := suite.Open(append(make([]byte, 0, len(e.ciphertext)+sec.OpenSlack), e.ciphertext...), bad.WantHash)
+		if err != nil {
 			// A copy of the right chunk but the wrong version; keep looking
 			// in older streams.
 			continue
-		}
-		plain, err := suite.Decrypt(e.ciphertext)
-		if err != nil {
-			return fmt.Errorf("%w: repair copy of chunk %d fails decryption", ErrInvalidBackup, e.cid)
 		}
 		healed[e.cid] = plain
 		delete(need, e.cid)

@@ -112,7 +112,7 @@ func Run(cfg Config) (*Result, error) {
 	h.arch = platform.NewMemArchive()
 	h.opts = tdb.Options{
 		Secret:                []byte(chaosSecret),
-		Suite:                 "aes-ctr-gmac",
+		Suite:                 "aes-gcm",
 		Registry:              reg,
 		Archive:               h.arch,
 		SegmentSize:           32 << 10,

@@ -15,7 +15,7 @@ import (
 // writes are the test's own.
 func auditEnv(t *testing.T) (*testEnv, *readHookStore, *Store, []ChunkID) {
 	t.Helper()
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	hs := &readHookStore{UntrustedStore: env.cfg.Store}
 	env.cfg.Store = hs
 	env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
@@ -201,7 +201,7 @@ func TestAuditsScrubKeepsNewerQuarantine(t *testing.T) {
 // a map-node budget small enough that the walks fault nodes in: no scrub
 // may report or quarantine a healthy chunk.
 func TestAuditsScrubBesideCleanerAndCommits(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	env.cfg.Fanout = 4
 	env.cfg.CacheBytes = 2 << 10
 	s := env.open(t)
@@ -273,7 +273,7 @@ func TestAuditsScrubBesideCleanerAndCommits(t *testing.T) {
 // TestAuditsDiffDuringCommits: a Diff streamed while commits run equals the
 // Diff of the same two snapshots streamed with no writers.
 func TestAuditsDiffDuringCommits(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	env.cfg.Fanout = 4
 	s := env.open(t)
 	defer s.Close()

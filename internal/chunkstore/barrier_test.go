@@ -64,7 +64,7 @@ func TestCheckpointIsTwoDurabilityBarriers(t *testing.T) {
 // the durable one. A crash there recovers from it, replaying the residual
 // log across the failed checkpoint's node, checkpoint and commit records.
 func TestCrashBetweenCheckpointHardenAndSlot(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
 	s := env.open(t)
 
@@ -233,7 +233,7 @@ func TestCheckpointSuperblockFaultRetriesSameSlot(t *testing.T) {
 		{"sync fails", "sync", func(fs *platform.FaultStore) { fs.SetSyncFailures(true) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env := newTestEnv(t, "aes-ctr-gmac")
+			env := newTestEnv(t, "aes-gcm")
 			env.cfg.Fanout = 4
 			env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
 			s := env.open(t)

@@ -22,7 +22,8 @@ const (
 	superblockName = "superblock"
 	superMagic     = uint64(0x5444425355500001) // "TDBSUP\x00\x01"
 	superSlotSize  = 512
-	formatVersion  = 3
+	// formatVersion 4: the null suite's checksums became CRC-32C.
+	formatVersion = 4
 )
 
 var errNoSuperblock = errors.New("chunkstore: no superblock")

@@ -258,7 +258,7 @@ func (s *Store) evacuateDamaged(seg *segment) error {
 // record is validated first (checkChunkRecord), so tampering in a cold
 // segment is caught rather than propagated.
 func (s *Store) relocateChunk(cid ChunkID, e entry, typ byte, body []byte) error {
-	if _, err := s.checkChunkRecord(cid, e, typ, body, nil); err != nil {
+	if _, err := s.checkChunkRecord(cid, e, typ, body); err != nil {
 		return fmt.Errorf("chunkstore: cleaning segment %d: %w", e.loc.Seg, err)
 	}
 	loc, err := s.appendLocked(encodeRecord(recWrite, body))

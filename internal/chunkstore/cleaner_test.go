@@ -221,7 +221,7 @@ func TestDeallocatedSpaceIsReclaimed(t *testing.T) {
 // found and moved, so the segment is freed once a checkpoint has published
 // the leaf's new location.
 func TestDamagedSegmentMovesLeafUnderEvictedParent(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	env.cfg.Fanout = 4
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.CacheBytes = 2 << 10

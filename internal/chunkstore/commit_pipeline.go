@@ -9,13 +9,14 @@ import (
 // The two-stage commit pipeline.
 //
 // Stage 1 (prepareBatch) runs OUTSIDE the store mutex, on the committing
-// goroutine: it encrypts every write payload and digests the resulting
-// ciphertext. Crypto dominates commit CPU cost under the paper's suites
-// (§7.3), so keeping it off the serialized critical path lets concurrent
-// committers prepare in parallel with each other while only the short
-// stage 2 serializes. Stage 1 starts no goroutines of its own: on the
-// ledger's batches (about nine 110 B payloads) a fan-out cost more to
-// start and join than the crypto it spread (EXPERIMENTS.md).
+// goroutine: it seals every write payload, encrypting it and computing its
+// Merkle leaf (in one pass under the default suite). Crypto dominates
+// commit CPU cost under the paper's suites (§7.3), so keeping it off the
+// serialized critical path lets concurrent committers prepare in parallel
+// with each other while only the short stage 2 serializes. Stage 1 starts
+// no goroutines of its own: on the ledger's batches (about nine 110 B
+// payloads) a fan-out cost more to start and join than the crypto it
+// spread (EXPERIMENTS.md).
 //
 // Stage 2 (commitPreparedLocked) runs under the store mutex and is built to be
 // atomic in memory:
@@ -53,30 +54,27 @@ import (
 const ivGenBits = 20
 
 // preparedOp carries the stage-1 output for one write/restore operation:
-// the fully encoded log record and the ciphertext digest for the location
-// map. Slots for non-write operations stay zero.
+// the fully encoded log record and the record's Merkle leaf for the
+// location map. Slots for non-write operations stay zero.
 type preparedOp struct {
 	rec  []byte
 	hash []byte
 }
 
-// prepareBatch encrypts and digests every write payload of ops on the
-// calling goroutine. It performs no validation against store state — that
-// happens under the mutex in stage 2.
+// prepareBatch seals every write payload of ops on the calling goroutine.
+// It performs no validation against store state — that happens under the
+// mutex in stage 2.
 func prepareBatch(suite sec.Suite, ops []batchOp, gen uint64) ([]preparedOp, error) {
 	prep := make([]preparedOp, len(ops))
 	for i, op := range ops {
 		if op.kind != opWrite && op.kind != opRestore {
 			continue
 		}
-		ciphertext, err := suite.Encrypt(op.data, gen<<ivGenBits|uint64(i))
+		ciphertext, leaf, err := suite.Seal(op.data, gen<<ivGenBits|uint64(i))
 		if err != nil {
 			return nil, fmt.Errorf("chunkstore: encrypting chunk %d: %w", op.cid, err)
 		}
-		prep[i] = preparedOp{
-			rec:  encodeRecord(recWrite, writeRecordBody(op.cid, ciphertext)),
-			hash: suite.Digest(nil, ciphertext),
-		}
+		prep[i] = preparedOp{rec: encodeRecord(recWrite, writeRecordBody(op.cid, ciphertext)), hash: leaf}
 	}
 	return prep, nil
 }

@@ -517,7 +517,7 @@ func checkCrashImage(h *crashHistory, suite sec.Suite, p int, img crashImage) er
 // a third (checkCrashImage). With -short the unsynced subsets and the tears
 // are bounded more tightly.
 func TestCrashStateSweep(t *testing.T) {
-	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("test-device-secret-0123456789abc"))
+	suite, err := sec.NewSuite("aes-gcm", []byte("test-device-secret-0123456789abc"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}

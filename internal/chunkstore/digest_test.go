@@ -2,6 +2,10 @@ package chunkstore
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -12,19 +16,23 @@ import (
 	"tdb/internal/sec"
 )
 
-// Under the default suite a chunk's Merkle leaf is its ciphertext's GMAC
-// digest (sec.Suite.Digest), and Hash is left to map nodes and the round
-// chain. These tests pin that split and hold the digest to the tamper
-// contract the leaf hash met.
+// Under the default suite a chunk's Merkle leaf is its record's AES-GCM
+// tag: a commit seals each chunk (sec.Suite.Seal) and a read opens it
+// against its leaf (sec.Suite.Open), one pass each, and Hash is left to map
+// nodes and the round chain. These tests pin that split and hold the leaf
+// to the tamper contract the leaf hash met.
 
 // hashCountingSuite wraps a suite and counts its Hash calls, both in all
-// and over bytes its Encrypt produced, and its Digest calls.
+// and over records its Encrypt or Seal produced, and its Seal, Open and
+// Digest calls.
 type hashCountingSuite struct {
 	sec.Suite
 	mu          sync.Mutex
 	ciphertexts map[string]bool
 	hashes      int // every Hash call
-	ctHashes    int // Hash calls over a ciphertext
+	ctHashes    int // Hash calls over a record
+	seals       int
+	opens       int
 	digests     int
 }
 
@@ -34,6 +42,22 @@ func (c *hashCountingSuite) Encrypt(plaintext []byte, iv uint64) ([]byte, error)
 	c.ciphertexts[string(ct)] = true
 	c.mu.Unlock()
 	return ct, err
+}
+
+func (c *hashCountingSuite) Seal(plaintext []byte, iv uint64) ([]byte, []byte, error) {
+	ct, leaf, err := c.Suite.Seal(plaintext, iv)
+	c.mu.Lock()
+	c.seals++
+	c.ciphertexts[string(ct)] = true
+	c.mu.Unlock()
+	return ct, leaf, err
+}
+
+func (c *hashCountingSuite) Open(record, leaf []byte) ([]byte, error) {
+	c.mu.Lock()
+	c.opens++
+	c.mu.Unlock()
+	return c.Suite.Open(record, leaf)
 }
 
 func (c *hashCountingSuite) Hash(data []byte) []byte {
@@ -53,23 +77,27 @@ func (c *hashCountingSuite) Digest(dst, ciphertext []byte) []byte {
 	return c.Suite.Digest(dst, ciphertext)
 }
 
+// counts are hashCountingSuite's counts since the last take.
+type counts struct{ hashes, ctHashes, seals, opens, digests int }
+
 // take returns the counts since the last take and zeroes them.
-func (c *hashCountingSuite) take() (hashes, ctHashes, digests int) {
+func (c *hashCountingSuite) take() counts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hashes, ctHashes, digests = c.hashes, c.ctHashes, c.digests
-	c.hashes, c.ctHashes, c.digests = 0, 0, 0
-	return hashes, ctHashes, digests
+	got := counts{c.hashes, c.ctHashes, c.seals, c.opens, c.digests}
+	c.hashes, c.ctHashes, c.seals, c.opens, c.digests = 0, 0, 0, 0, 0
+	return got
 }
 
 // TestChunkPathsDigestWithoutHash checks that under the default suite no
-// chunk ciphertext is ever hashed: a commit of n chunks digests each once
-// (its Hash calls are the map nodes' and the round chain's, over no
-// ciphertext), and a 64-chunk ReadBatch and a point Read with their map
-// nodes resident digest each chunk once and call Hash not at all. A cold
-// Read after a reopen, which faults its map node in, hashes no ciphertext.
+// chunk record is ever hashed or digested apart: a commit of n chunks seals
+// each once (its Hash calls are the map nodes' and the round chain's, over
+// no record), and a 64-chunk ReadBatch and a point Read with their map
+// nodes resident open each chunk once and call Hash and Digest not at all.
+// A cold Read after a reopen, which faults its map node in, hashes no
+// record.
 func TestChunkPathsDigestWithoutHash(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	cs := &hashCountingSuite{Suite: env.suite, ciphertexts: make(map[string]bool)}
 	env.cfg.Suite = cs
 	env.cfg.SegmentSize = 1 << 20
@@ -78,8 +106,8 @@ func TestChunkPathsDigestWithoutHash(t *testing.T) {
 	const n = 64
 	cs.take()
 	cids := writeBatch(t, s, n, true, kibPayload)
-	if _, ctHashes, digests := cs.take(); ctHashes != 0 || digests != n {
-		t.Fatalf("a commit of %d chunks hashed %d ciphertexts and digested %d, want 0 and %d", n, ctHashes, digests, n)
+	if got := cs.take(); got.ctHashes != 0 || got.digests != 0 || got.seals != n {
+		t.Fatalf("a commit of %d chunks: %+v, want %d seals and no record hashed or digested", n, got, n)
 	}
 
 	for i, r := range s.ReadBatch(cids) {
@@ -87,14 +115,14 @@ func TestChunkPathsDigestWithoutHash(t *testing.T) {
 			t.Fatalf("ReadBatch[%d]: %d bytes, %v", i, len(r.Data), r.Err)
 		}
 	}
-	if hashes, _, digests := cs.take(); hashes != 0 || digests != n {
-		t.Fatalf("a %d-chunk ReadBatch called Hash %d times and Digest %d times, want 0 and %d", n, hashes, digests, n)
+	if got := cs.take(); got != (counts{opens: n}) {
+		t.Fatalf("a %d-chunk ReadBatch: %+v, want %d opens and nothing else", n, got, n)
 	}
 	if got, err := s.Read(cids[7]); err != nil || !bytes.Equal(got, kibPayload(7)) {
 		t.Fatalf("Read: %d bytes, %v", len(got), err)
 	}
-	if hashes, _, digests := cs.take(); hashes != 0 || digests != 1 {
-		t.Fatalf("a point Read called Hash %d times and Digest %d times, want 0 and 1", hashes, digests)
+	if got := cs.take(); got != (counts{opens: 1}) {
+		t.Fatalf("a point Read: %+v, want one open and nothing else", got)
 	}
 
 	if err := s.Close(); err != nil {
@@ -106,8 +134,8 @@ func TestChunkPathsDigestWithoutHash(t *testing.T) {
 	if got, err := s.Read(cids[9]); err != nil || !bytes.Equal(got, kibPayload(9)) {
 		t.Fatalf("cold Read: %d bytes, %v", len(got), err)
 	}
-	if _, ctHashes, digests := cs.take(); ctHashes != 0 || digests != 1 {
-		t.Fatalf("a cold Read hashed %d ciphertexts and digested %d, want 0 and 1", ctHashes, digests)
+	if got := cs.take(); got.ctHashes != 0 || got.digests != 0 || got.opens != 1 {
+		t.Fatalf("a cold Read: %+v, want one open and no record hashed or digested", got)
 	}
 }
 
@@ -149,7 +177,7 @@ func reCRC(rec []byte) {
 // Read, ReadBatch, Verify and Scrub as tampered or degraded, while a
 // neighbour in the same batch still reads.
 func TestDigestCatchesChunkTampering(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	env.cfg.SegmentSize = 1 << 20
 	env.cfg.DisableAutoClean = true
 	s := env.open(t)
@@ -243,37 +271,81 @@ func TestDigestCatchesChunkTampering(t *testing.T) {
 	}
 }
 
-// sha256LeafSuite is the default suite with SHA-256 Merkle leaves: its
-// Digest is its Hash, and it reports the name aes-ctr-sha256, so it writes
-// what that suite wrote before chunk digests became GMAC tags, under the
-// same keys. The cross-suite tests run it beside the real suites, which
-// keeps a keyed AES suite whose leaves are its plain hash covered.
-type sha256LeafSuite struct{ sec.Suite }
-
-func (sha256LeafSuite) Name() string { return "aes-ctr-sha256" }
-
-func (s sha256LeafSuite) Digest(dst, ciphertext []byte) []byte {
-	return append(dst, s.Hash(ciphertext)...)
+// digestLeafSuite is the default suite under another name with a Merkle
+// leaf computed apart from decryption, digest(record), which Open checks
+// before it decrypts. It models the two retired defaults, whose stores the
+// default must refuse by name, and keeps a keyed AES suite whose leaf is
+// not its AEAD tag covered beside the real suites: aes-ctr-sha256, whose
+// leaf is Hash, and aes-ctr-gmac, whose leaf is a GMAC tag under a second
+// key. Only the tests keep them.
+type digestLeafSuite struct {
+	sec.Suite
+	name   string
+	digest func(dst, record []byte) []byte
 }
 
-// TestOpenRefusesRetiredSuite formats a store under aes-ctr-sha256, the
-// default suite before chunk digests became GMAC tags, which derives its
-// MAC key as the default does, and checks that the default suite refuses
-// it at Open as a usage error naming the recorded suite, not as tampering.
+func (s digestLeafSuite) Name() string { return s.name }
+
+func (s digestLeafSuite) Digest(dst, record []byte) []byte { return s.digest(dst, record) }
+
+func (s digestLeafSuite) Seal(plaintext []byte, iv uint64) ([]byte, []byte, error) {
+	record, err := s.Encrypt(plaintext, iv)
+	return record, s.digest(nil, record), err
+}
+
+func (s digestLeafSuite) Open(record, leaf []byte) ([]byte, error) {
+	if !sec.HashEqual(s.digest(nil, record), leaf) {
+		return nil, sec.ErrTampered
+	}
+	return s.Decrypt(record)
+}
+
+// retiredSuite returns the model of a retired default over base, the
+// default suite under secret.
+func retiredSuite(t *testing.T, name string, base sec.Suite, secret []byte) sec.Suite {
+	t.Helper()
+	if name == "aes-ctr-sha256" {
+		return digestLeafSuite{base, name, func(dst, record []byte) []byte { return append(dst, base.Hash(record)...) }}
+	}
+	mac := hmac.New(sha256.New, secret)
+	mac.Write([]byte("digest\x00"))
+	block, err := aes.NewCipher(mac.Sum(nil)[:16])
+	if err != nil {
+		t.Fatalf("GMAC key: %v", err)
+	}
+	gmac, err := cipher.NewGCMWithNonceSize(block, 16)
+	if err != nil {
+		t.Fatalf("GMAC: %v", err)
+	}
+	return digestLeafSuite{base, name, func(dst, record []byte) []byte {
+		if len(record) < 16 {
+			return append(dst, make([]byte, 20)...)
+		}
+		return append(gmac.Seal(dst, record[:16], nil, record[16:]), 0, 0, 0, 0)
+	}}
+}
+
+// TestOpenRefusesRetiredSuite formats a store under each retired default —
+// aes-ctr-sha256, then aes-ctr-gmac, the default before chunk records were
+// sealed with AES-GCM — which derive their MAC key as the default does, and
+// checks that the default suite refuses it at Open as a usage error naming
+// the recorded suite, not as tampering.
 func TestOpenRefusesRetiredSuite(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-sha256")
-	s := env.open(t)
-	allocWrite(t, s, []byte("a usage meter record"))
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	env.cfg.Suite = newTestSuite(t, "aes-ctr-gmac")
-	s, err := Open(env.cfg)
-	if err == nil {
-		s.Close()
-		t.Fatal("the default suite opened a store formatted under aes-ctr-sha256")
-	}
-	if errors.Is(err, ErrTampered) || !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), `"aes-ctr-sha256"`) {
-		t.Fatalf("Open of an aes-ctr-sha256 store: %v, want a usage error naming the recorded suite", err)
+	for _, retired := range []string{"aes-ctr-sha256", "aes-ctr-gmac"} {
+		env := newTestEnv(t, retired)
+		s := env.open(t)
+		allocWrite(t, s, []byte("a usage meter record"))
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		env.cfg.Suite = newTestSuite(t, "aes-gcm")
+		s, err := Open(env.cfg)
+		if err == nil {
+			s.Close()
+			t.Fatalf("the default suite opened a store formatted under %s", retired)
+		}
+		if errors.Is(err, ErrTampered) || !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), `"`+retired+`"`) {
+			t.Fatalf("Open of an %s store: %v, want a usage error naming the recorded suite", retired, err)
+		}
 	}
 }

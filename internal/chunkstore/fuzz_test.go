@@ -20,7 +20,7 @@ import (
 // checkpoint.
 func seedImage(tb testing.TB) (map[string][]byte, sec.Suite) {
 	tb.Helper()
-	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("test-device-secret-0123456789abc"))
+	suite, err := sec.NewSuite("aes-gcm", []byte("test-device-secret-0123456789abc"))
 	if err != nil {
 		tb.Fatalf("NewSuite: %v", err)
 	}

@@ -25,7 +25,7 @@ type groupEnv struct {
 
 func newGroupEnv(t *testing.T) *groupEnv {
 	t.Helper()
-	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("group-commit-test-secret-0123456"))
+	suite, err := sec.NewSuite("aes-gcm", []byte("group-commit-test-secret-0123456"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestRoundOfOneCostsTheInlineHarden(t *testing.T) {
 // The inline-harden cost of TestRoundOfOneCostsTheInlineHarden's loop (16
 // sequential durable commits, write-behind on), recorded as 4080 bytes under
 // the since-deleted AES-CBC/SHA-256 suite and carried over exactly to the
-// CTR suites (aes-ctr-sha256, now aes-ctr-gmac, whose digest is 20 bytes too): per commit its 125-byte payload encrypts to 141 bytes instead of
+// CTR suites (aes-ctr-sha256, then aes-ctr-gmac, now aes-gcm, whose leaf is 20 bytes too): per commit its 125-byte payload encrypts to 141 bytes instead of
 // 144, and the commit record's root hash and MAC shrink from 32 to 20 bytes
 // each, 16 × (255 − 3 − 24) = 3648. Each round now also appends its 41-byte
 // seal record ahead of its sync, inside the same flush: 3648 + 16 × 41 = 4304.
@@ -222,7 +222,7 @@ func TestGroupCommitHardensEarlierNondurable(t *testing.T) {
 // same Batch retries.
 func TestDurableCommitContract(t *testing.T) {
 	setup := func(t *testing.T) (*testEnv, *Store, ChunkID) {
-		env := newTestEnv(t, "aes-ctr-gmac")
+		env := newTestEnv(t, "aes-gcm")
 		env.cfg.DisableAutoClean = true
 		env.cfg.DisableAutoCheckpoint = true
 		// One attempt: a failing sync fails at once, with no backoff sleep.

@@ -84,7 +84,7 @@ func TestIVGenerationsSurviveReopen(t *testing.T) {
 // a commit must extend it mid-run, then reopens and checks the extension was
 // persisted before the generations were used.
 func TestIVReservationExtensionIsDurable(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	env.cfg.DisableAutoClean = true
 	env.cfg.DisableAutoCheckpoint = true
 	s := env.open(t)

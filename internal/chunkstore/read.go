@@ -34,16 +34,20 @@ import (
 // held exclusively.
 //
 // A record is read into exactly one buffer, and that buffer becomes its
-// plaintext: the CRC, type, chunk id and Merkle checks run over it, then
-// the suite decrypts it in place. A run's records are subslices of the
-// run's buffer; only a record still partly or wholly in the write-behind
-// buffer gets a private buffer, filled from that buffer in the plan act, so
-// the write-behind bytes themselves are never decrypted.
+// plaintext: the CRC, type and chunk id checks run over it, then the suite
+// opens it in place against its Merkle leaf, authenticating and decrypting
+// in one pass (sec.Suite.Open). Every buffer has sec.OpenSlack bytes of
+// room past its last record, where Open writes the tag; a record inside a
+// run borrows the next record's first bytes, which are put back. A run's
+// records are subslices of the run's buffer; only a record still partly or
+// wholly in the write-behind buffer gets a private buffer, filled from that
+// buffer in the plan act, so the write-behind bytes themselves are never
+// opened. The audits, which keep the ciphertext, open a private copy.
 //
 // Point reads and batches differ only at the edges: only a batch dedupes
-// its ids and counts PrefetchedChunks. Concurrent readers of one chunk each
-// do their own read; hot chunks are served a layer up, from the object
-// store's decode table.
+// its ids — by sorting them, with no map — and counts PrefetchedChunks.
+// Concurrent readers of one chunk each do their own read; hot chunks are
+// served a layer up, from the object store's decode table.
 
 // Read returns the last committed state of cid (paper Figure 2). It signals
 // ErrNotWritten for ids without committed state and ErrTampered if the
@@ -78,13 +82,12 @@ func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	if len(cids) == 0 {
 		return res
 	}
-	ps := make([]readPlan, 0, len(cids))
-	planOf := make(map[ChunkID]int, len(cids))
-	for _, cid := range cids {
-		if _, dup := planOf[cid]; !dup {
-			planOf[cid] = len(ps)
-			ps = append(ps, readPlan{cid: cid})
-		}
+	ids := slices.Clone(cids)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	ps := make([]readPlan, len(ids))
+	for i, cid := range ids {
+		ps[i].cid = cid
 	}
 	s.readPlans(ps)
 	prefetched := int64(0)
@@ -95,8 +98,8 @@ func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	}
 	s.prefetchedChunks.Add(prefetched)
 	for i, cid := range cids {
-		p := &ps[planOf[cid]]
-		res[i] = BatchRead{CID: cid, Data: p.data, Err: p.err}
+		j, _ := slices.BinarySearch(ids, cid)
+		res[i] = BatchRead{CID: cid, Data: ps[j].data, Err: ps[j].err}
 	}
 	return res
 }
@@ -123,18 +126,16 @@ type readPlan struct {
 
 	e   entry
 	seg *segment // pinned from the plan act to the finish act, else nil
-	// buf is the record image, e.loc.Len bytes: nil until the execute act
-	// reads a wholly file-backed record, private when the plan act copied
-	// part of it from the write-behind buffer.
+	// buf is the record image, e.loc.Len bytes with at least sec.OpenSlack
+	// more capacity: nil until the execute act reads a wholly file-backed
+	// record, private when the plan act copied part of it from the
+	// write-behind buffer.
 	buf []byte
 	// fromFile is the prefix of the record the execute act reads from the
 	// segment file; buf[fromFile:] was copied from the write-behind buffer.
 	fromFile int64
 	stamp    uint64
 
-	// sum is the room the execute act digests the record's ciphertext
-	// into, so checking it allocates nothing.
-	sum [maxDigestSize]byte
 	// ciphertext stops the execute act at the validated ciphertext
 	// (checkChunkRecord), which it leaves in ct instead of data: audits
 	// that copy or only check records.
@@ -146,10 +147,6 @@ type readPlan struct {
 	err  error
 	done bool
 }
-
-// maxDigestSize is room for any suite's chunk digest (sec.Suite.Digest); a
-// longer one would only allocate.
-const maxDigestSize = 32
 
 func (p *readPlan) finish(data []byte, err error) { p.data, p.err, p.done = data, err, true }
 
@@ -282,7 +279,7 @@ func (s *Store) pinLocked(p *readPlan, e entry) error {
 		// — never ss.wb itself. The flushed prefix below wbOff is stable —
 		// published record bytes are never rewritten, and rewind only
 		// discards unpublished tails.
-		p.buf = make([]byte, e.loc.Len)
+		p.buf = make([]byte, e.loc.Len, e.loc.Len+sec.OpenSlack)
 		p.fromFile = 0
 		if off < ss.wbOff {
 			p.fromFile = ss.wbOff - off
@@ -356,16 +353,16 @@ func canCoalesce(run []*readPlan, p *readPlan) bool {
 
 // executeRun fetches one run. A run of several records pays a single
 // segment read into one buffer, and each plan takes its record as a
-// subslice of it, capped at the record's end; each plan then validates and
-// decrypts individually, so one damaged record degrades only its own
-// chunk.
+// subslice of it, whose capacity runs on into the next records and the
+// buffer's slack; each plan then validates and opens individually, so one
+// damaged record degrades only its own chunk.
 func (s *Store) executeRun(run []*readPlan) {
 	if len(run) > 1 {
 		total := 0
 		for _, p := range run {
 			total += int(p.e.loc.Len)
 		}
-		big := make([]byte, total)
+		big := make([]byte, total, total+sec.OpenSlack)
 		if err := s.segs.fileReadAt(run[0].seg, big, int64(run[0].e.loc.Off)); err != nil {
 			for _, p := range run {
 				p.data, p.err = nil, err
@@ -375,7 +372,7 @@ func (s *Store) executeRun(run []*readPlan) {
 		off := 0
 		for _, p := range run {
 			end := off + int(p.e.loc.Len)
-			p.buf = big[off:end:end]
+			p.buf = big[off:end]
 			p.fromFile = 0 // the bytes are in hand; executeRead skips the file
 			off = end
 		}
@@ -388,11 +385,11 @@ func (s *Store) executeRun(run []*readPlan) {
 }
 
 // executeRead fetches whatever of p's record is not in hand, then parses,
-// validates and decrypts it in its own buffer.
+// validates and opens it in its own buffer.
 func (s *Store) executeRead(p *readPlan) {
 	p.data, p.err = nil, nil
 	if p.buf == nil {
-		p.buf = make([]byte, p.e.loc.Len)
+		p.buf = make([]byte, p.e.loc.Len, p.e.loc.Len+sec.OpenSlack)
 	}
 	if p.fromFile > 0 {
 		if p.err = s.segs.fileReadAt(p.seg, p.buf[:p.fromFile], int64(p.e.loc.Off)); p.err != nil {
@@ -404,9 +401,9 @@ func (s *Store) executeRead(p *readPlan) {
 	case err != nil:
 		p.err = err
 	case p.ciphertext:
-		p.ct, p.err = s.checkChunkRecord(p.cid, p.e, typ, body, p.sum[:0])
+		p.ct, p.err = s.checkChunkRecord(p.cid, p.e, typ, body)
 	default:
-		p.data, p.err = s.decryptChunkRecord(p.cid, p.e, typ, body, p.sum[:0])
+		p.data, p.err = s.openChunkRecord(p.cid, p.e, typ, body)
 	}
 }
 
@@ -505,11 +502,10 @@ func (s *Store) namesLocked(cid ChunkID, e entry) (bool, error) {
 	return err == nil && !cur.isEmpty() && cur.loc == e.loc && sec.HashEqual(cur.hash, e.hash), err
 }
 
-// checkChunkRecord validates a fetched record against the chunk's map entry
-// — record type, chunk id, and the ciphertext's digest, the Merkle leaf —
-// and returns the ciphertext. The digest is appended to sum, room the
-// caller owns (nil allocates). Pure computation over the supplied bytes.
-func (s *Store) checkChunkRecord(cid ChunkID, e entry, typ byte, body, sum []byte) ([]byte, error) {
+// chunkCiphertext checks a fetched record's type and chunk id against the
+// chunk's map entry and returns its ciphertext. Pure computation over the
+// supplied bytes.
+func chunkCiphertext(cid ChunkID, e entry, typ byte, body []byte) ([]byte, error) {
 	if typ != recWrite {
 		return nil, fmt.Errorf("%w: chunk %d record at %v has type %d", ErrTampered, cid, e.loc, typ)
 	}
@@ -520,23 +516,40 @@ func (s *Store) checkChunkRecord(cid ChunkID, e entry, typ byte, body, sum []byt
 	if gotCid != cid {
 		return nil, fmt.Errorf("%w: record at %v names chunk %d, want %d", ErrTampered, e.loc, gotCid, cid)
 	}
-	if !sec.HashEqual(s.suite.Digest(sum, ciphertext), e.hash) {
-		return nil, fmt.Errorf("%w: chunk %d fails digest validation", ErrTampered, cid)
-	}
 	return ciphertext, nil
 }
 
-// decryptChunkRecord is checkChunkRecord followed by decryption in place:
-// the chunk's validated plaintext, a subslice of body, which the caller
-// must own.
-func (s *Store) decryptChunkRecord(cid ChunkID, e entry, typ byte, body, sum []byte) ([]byte, error) {
-	ciphertext, err := s.checkChunkRecord(cid, e, typ, body, sum)
+// openChunkRecord validates a fetched record against the chunk's map entry
+// — record type, chunk id, and the ciphertext against its Merkle leaf — and
+// decrypts it in place, returning the plaintext, a subslice of body capped
+// at its own end; the caller must own body. Open may use the sec.OpenSlack
+// bytes past the record, the next record's in a run: they are put back.
+func (s *Store) openChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([]byte, error) {
+	ciphertext, err := chunkCiphertext(cid, e, typ, body)
 	if err != nil {
 		return nil, err
 	}
-	plain, err := s.suite.Decrypt(ciphertext)
+	var saved [sec.OpenSlack]byte
+	tail := ciphertext[len(ciphertext):min(cap(ciphertext), len(ciphertext)+sec.OpenSlack)]
+	copy(saved[:], tail)
+	plain, err := s.suite.Open(ciphertext, e.hash)
+	copy(tail, saved[:])
 	if err != nil {
-		return nil, fmt.Errorf("%w: decrypting chunk %d: %v", ErrTampered, cid, err)
+		return nil, fmt.Errorf("%w: chunk %d fails digest validation: %v", ErrTampered, cid, err)
 	}
-	return plain, nil
+	return plain[:len(plain):len(plain)], nil
+}
+
+// checkChunkRecord is openChunkRecord for a caller that keeps the
+// ciphertext — an audit, the cleaner: it opens a private copy and returns
+// the validated ciphertext, a subslice of body, untouched.
+func (s *Store) checkChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([]byte, error) {
+	ciphertext, err := chunkCiphertext(cid, e, typ, body)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.suite.Open(append(make([]byte, 0, len(ciphertext)+sec.OpenSlack), ciphertext...), e.hash); err != nil {
+		return nil, fmt.Errorf("%w: chunk %d fails digest validation: %v", ErrTampered, cid, err)
+	}
+	return ciphertext, nil
 }

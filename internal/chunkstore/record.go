@@ -223,7 +223,7 @@ func (r *roundChain) signed() []byte {
 // sealRecordBody builds the round's seal record body. Its 12 bytes plus the
 // MAC and the record header make a seal 41 bytes under both keyed suites.
 func (r *roundChain) sealRecordBody(suite sec.Suite) []byte {
-	body := make([]byte, 12, 12+suite.MACSize())
+	body := make([]byte, 12, 12+suite.HashSize())
 	binary.BigEndian.PutUint64(body[0:8], r.stamp)
 	binary.BigEndian.PutUint32(body[8:12], r.count)
 	return append(body, suite.MAC(r.signed())...)

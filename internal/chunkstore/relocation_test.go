@@ -99,7 +99,7 @@ type cleanSetup func(t *testing.T) (*testEnv, *opLog, *Store, map[ChunkID]string
 // maintenance.
 func openLogged(t *testing.T, fanout int) (*testEnv, *opLog, *Store) {
 	t.Helper()
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	log := &opLog{UntrustedStore: env.fs}
 	env.cfg.Store = log
 	env.cfg.Fanout = fanout
@@ -779,7 +779,7 @@ func TestCrashAfterFailedMaintenanceInOpenRound(t *testing.T) {
 	// cycle's copies overflow the buffer and flush in mid-cycle, where a
 	// failed flush leaves the copy being appended in the log.
 	wideSegments := func(t *testing.T) (*testEnv, *opLog, *Store, map[ChunkID]string) {
-		env := newTestEnv(t, "aes-ctr-gmac")
+		env := newTestEnv(t, "aes-gcm")
 		log := &opLog{UntrustedStore: env.fs}
 		env.cfg.Store, env.cfg.SegmentSize = log, 3*writeBehindCap
 		env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true

@@ -52,7 +52,7 @@ func TestSnapshotIsolatedFromLaterWrites(t *testing.T) {
 // alone, and the diff a later incremental backup streams must carry the
 // change.
 func TestSnapshotIsolatedFromNodesPagedInAfterIt(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	env.cfg.Fanout = 4
 	env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
 	s := env.open(t)
@@ -322,7 +322,7 @@ func TestSnapshotSurvivesCleaningChurn(t *testing.T) {
 // by the snapshot from there, and the cleaner frees such segments under an
 // open snapshot.
 func TestSnapshotNodesNeverMovePastItsTail(t *testing.T) {
-	env := newTestEnv(t, "aes-ctr-gmac")
+	env := newTestEnv(t, "aes-gcm")
 	env.cfg.Fanout = 4
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.CacheBytes = 1 // evict every clean node as soon as possible

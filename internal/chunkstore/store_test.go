@@ -37,14 +37,16 @@ func newTestEnv(t *testing.T, suiteName string) *testEnv {
 	return env
 }
 
-// newTestSuite returns the named suite under the test device secret.
-// "aes-ctr-sha256" names sha256LeafSuite, which only the tests keep.
+// newTestSuite returns the named suite under the test device secret. The
+// retired defaults "aes-ctr-sha256" and "aes-ctr-gmac" name models over the
+// default suite (digestLeafSuite), which only the tests keep.
 func newTestSuite(t *testing.T, name string) sec.Suite {
 	t.Helper()
-	if name == "aes-ctr-sha256" {
-		return sha256LeafSuite{newTestSuite(t, "aes-ctr-gmac")}
+	secret := []byte("test-device-secret-0123456789abc")
+	if name == "aes-ctr-sha256" || name == "aes-ctr-gmac" {
+		return retiredSuite(t, name, newTestSuite(t, "aes-gcm"), secret)
 	}
-	suite, err := sec.NewSuite(name, []byte("test-device-secret-0123456789abc"))
+	suite, err := sec.NewSuite(name, secret)
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}
@@ -81,7 +83,7 @@ func allocWrite(t *testing.T, s *Store, data []byte) ChunkID {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	for _, suite := range []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256", "null"} {
+	for _, suite := range []string{"3des-sha1", "aes-gcm", "aes-ctr-gmac", "aes-ctr-sha256", "null"} {
 		t.Run(suite, func(t *testing.T) {
 			env := newTestEnv(t, suite)
 			s := env.open(t)
@@ -428,12 +430,12 @@ func TestStatsTracking(t *testing.T) {
 // TestSuiteMismatchRejected opens a store under each suite it was not
 // created with. The superblock MACs differ before the recorded suite names
 // are compared, so the open fails as tampering (ErrTampered, not ErrUsage)
-// and must say which suite the slots claim. The two AES suites share a MAC
-// key, so between them the slots verify and the recorded name is a usage
-// error instead. A flipped MAC byte under the right suite is plain
-// tampering too.
+// and must say which suite the slots claim. The AES suites — the default
+// and the models of the two it replaced — share a MAC key, so between them
+// the slots verify and the recorded name is a usage error instead. A
+// flipped MAC byte under the right suite is plain tampering too.
 func TestSuiteMismatchRejected(t *testing.T) {
-	suites := []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256", "null"}
+	suites := []string{"3des-sha1", "aes-gcm", "aes-ctr-gmac", "aes-ctr-sha256", "null"}
 	for _, created := range suites {
 		for _, opened := range suites {
 			if opened == created {
@@ -449,7 +451,7 @@ func TestSuiteMismatchRejected(t *testing.T) {
 				cfg := env.cfg
 				cfg.Suite = newTestSuite(t, opened)
 				_, err := Open(cfg)
-				if strings.HasPrefix(created, "aes-ctr-") && strings.HasPrefix(opened, "aes-ctr-") {
+				if strings.HasPrefix(created, "aes-") && strings.HasPrefix(opened, "aes-") {
 					if errors.Is(err, ErrTampered) || !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), fmt.Sprintf("%q", created)) {
 						t.Fatalf("opening a %s store as %s: %v, want a usage error naming %s", created, opened, err, created)
 					}
@@ -464,7 +466,7 @@ func TestSuiteMismatchRejected(t *testing.T) {
 			})
 		}
 	}
-	for _, suite := range []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256"} {
+	for _, suite := range []string{"3des-sha1", "aes-gcm", "aes-ctr-gmac", "aes-ctr-sha256"} {
 		t.Run(suite+"/flipped-mac", func(t *testing.T) {
 			env := newTestEnv(t, suite)
 			s := env.open(t)
@@ -493,13 +495,14 @@ func TestSuiteMismatchRejected(t *testing.T) {
 // TestFormatOneStoreRefused: a store written before round seals existed
 // (format 1) has no seal records, so its newest round would read as cut;
 // one written before node segments existed (format 2) mixes map-node and
-// chunk records in its segments, which the cleaner no longer handles. The
-// superblock slots of either must be refused as such, naming the format,
-// not parsed as a format-3 store. The slots here are re-signed with the
-// right suite, so the version is the only thing wrong with them.
+// chunk records in its segments, which the cleaner no longer handles; one
+// written before the null suite's checksums became CRC-32C (format 3)
+// fails them. The superblock slots of each must be refused as such, naming
+// the format, not parsed as a current store. The slots here are re-signed
+// with the right suite, so the version is the only thing wrong with them.
 func TestFormatOneStoreRefused(t *testing.T) {
-	for _, version := range []uint16{1, 2} {
-		env := newTestEnv(t, "aes-ctr-gmac")
+	for _, version := range []uint16{1, 2, 3} {
+		env := newTestEnv(t, "aes-gcm")
 		s := env.open(t)
 		allocWrite(t, s, []byte("x"))
 		if err := s.Close(); err != nil {

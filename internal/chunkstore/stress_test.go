@@ -13,7 +13,7 @@ import (
 // state. Run under -race this exercises concurrent committers preparing
 // off the store mutex and the shared-lock read path beside them.
 func TestConcurrentReadersCommittersSnapshots(t *testing.T) {
-	for _, suiteName := range []string{"aes-ctr-gmac", "aes-ctr-sha256", "null"} {
+	for _, suiteName := range []string{"aes-gcm", "aes-ctr-gmac", "aes-ctr-sha256", "null"} {
 		t.Run(suiteName, func(t *testing.T) {
 			env := newTestEnv(t, suiteName)
 			env.cfg.SegmentSize = 32 << 10

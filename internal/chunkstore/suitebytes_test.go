@@ -10,7 +10,8 @@ import (
 	"tdb/internal/sec"
 )
 
-// mod8Suite wraps a Suite and sums len(plaintext) % 8 over its encryptions.
+// mod8Suite wraps a Suite and sums len(plaintext) % 8 over its encryptions
+// and seals.
 type mod8Suite struct {
 	sec.Suite
 	sum atomic.Int64
@@ -21,13 +22,18 @@ func (m *mod8Suite) Encrypt(plaintext []byte, iv uint64) ([]byte, error) {
 	return m.Suite.Encrypt(plaintext, iv)
 }
 
+func (m *mod8Suite) Seal(plaintext []byte, iv uint64) ([]byte, []byte, error) {
+	m.sum.Add(int64(len(plaintext) % 8))
+	return m.Suite.Seal(plaintext, iv)
+}
+
 // TestSuiteByteAccounting runs one fixed sequence — durable and nondurable
 // commits of assorted payload sizes, one checkpoint, one clean, Close — on a
-// MeterStore under 3des-sha1 and under aes-ctr-gmac. Both suites digest,
+// MeterStore under 3des-sha1 and under aes-gcm. Both suites digest,
 // hash and MAC to 20 bytes, so every plaintext (payloads, map nodes, checkpoint) and
 // every unencrypted record is the same size under both; only ciphertexts
 // differ, 8 + n + (8 − n%8) bytes against n + 16. The device must therefore
-// see exactly Σ n%8 more bytes under CTR — summed over every encrypted
+// see exactly Σ n%8 more bytes under aes-gcm — summed over every encrypted
 // payload written, which includes the data records the cleaner copies
 // verbatim to the log tail — in the same segments, and each step the same
 // number of writes and syncs. The Σ n%8 drift may move a segment roll to a
@@ -125,12 +131,12 @@ func TestSuiteByteAccounting(t *testing.T) {
 		do("Close", s.Close)
 		return run{io: meter.Stats().Snapshot(), mod8: counted.sum.Load() + copied, steps: steps, segs: segs}
 	}
-	des, ctr := measure("3des-sha1"), measure("aes-ctr-gmac")
+	des, ctr := measure("3des-sha1"), measure("aes-gcm")
 	if des.mod8 != ctr.mod8 {
 		t.Fatalf("the suites encrypted different plaintexts: Σ n%%8 = %d vs %d", des.mod8, ctr.mod8)
 	}
 	if got := ctr.io.BytesWritten - des.io.BytesWritten; got != ctr.mod8 {
-		t.Errorf("aes-ctr-gmac wrote %d bytes more than 3des-sha1 (%d vs %d), want exactly Σ n%%8 = %d",
+		t.Errorf("aes-gcm wrote %d bytes more than 3des-sha1 (%d vs %d), want exactly Σ n%%8 = %d",
 			got, ctr.io.BytesWritten, des.io.BytesWritten, ctr.mod8)
 	}
 	if des.segs != ctr.segs {
@@ -143,7 +149,7 @@ func TestSuiteByteAccounting(t *testing.T) {
 		if !unsettled {
 			compared++
 			if d.io.WriteOps != c.io.WriteOps || d.io.SyncOps != c.io.SyncOps {
-				t.Errorf("step %d: write/sync ops differ: 3des-sha1 %d/%d, aes-ctr-gmac %d/%d",
+				t.Errorf("step %d: write/sync ops differ: 3des-sha1 %d/%d, aes-gcm %d/%d",
 					i, d.io.WriteOps, d.io.SyncOps, c.io.WriteOps, c.io.SyncOps)
 			}
 		}
@@ -154,6 +160,6 @@ func TestSuiteByteAccounting(t *testing.T) {
 	if compared < len(des.steps)/2 {
 		t.Errorf("test premise: only %d of %d steps compared", compared, len(des.steps))
 	}
-	t.Logf("3des-sha1 %+v, aes-ctr-gmac %+v, Σ n%%8 = %d, %d of %d steps compared",
+	t.Logf("3des-sha1 %+v, aes-gcm %+v, Σ n%%8 = %d, %d of %d steps compared",
 		des.io, ctr.io, ctr.mod8, compared, len(des.steps))
 }

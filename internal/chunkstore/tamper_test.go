@@ -69,7 +69,7 @@ func expectTamperedOrIntact(t *testing.T, env *testEnv, ids []ChunkID, want func
 // Decrypt failing: CTR decrypts any bytes, so detection must come from the
 // Merkle hashes, the MACs and the counter.
 func forKeyedSuites(t *testing.T, f func(t *testing.T, suite string)) {
-	for _, suite := range []string{"3des-sha1", "aes-ctr-gmac", "aes-ctr-sha256"} {
+	for _, suite := range []string{"3des-sha1", "aes-gcm", "aes-ctr-gmac", "aes-ctr-sha256"} {
 		t.Run(suite, func(t *testing.T) { f(t, suite) })
 	}
 }
@@ -176,7 +176,7 @@ func TestReplayAttackUndetectedWithoutCounter(t *testing.T) {
 // store given only a store, a suite and a counter advances the counter and
 // rejects a replayed pre-commit image.
 func TestSecureSuiteAlwaysUsesCounter(t *testing.T) {
-	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("test-device-secret-0123456789abc"))
+	suite, err := sec.NewSuite("aes-gcm", []byte("test-device-secret-0123456789abc"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}
@@ -518,7 +518,7 @@ func TestWipedSuperblockIsTampered(t *testing.T) {
 	}
 	for _, name := range slices.Sorted(maps.Keys(wipes)) {
 		t.Run(name, func(t *testing.T) {
-			env := newTestEnv(t, "aes-ctr-gmac")
+			env := newTestEnv(t, "aes-gcm")
 			populate(t, env, 3)
 			files := env.mem.Snapshot()
 			wipes[name](files)

@@ -22,7 +22,7 @@ type wbEnv struct {
 
 func newWBEnv(t *testing.T) *wbEnv {
 	t.Helper()
-	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("write-behind-test-secret-0123456"))
+	suite, err := sec.NewSuite("aes-gcm", []byte("write-behind-test-secret-0123456"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}

@@ -39,9 +39,9 @@ type Options struct {
 	// apart from the database directory.
 	Secret []byte
 
-	// Suite names the crypto suite: "aes-ctr-gmac" (the default: AES-128-CTR,
-	// chunks digested by GMAC, SHA-256 and HMAC-SHA256 truncated to 160 bits
-	// elsewhere), "3des-sha1" (the paper's TDB-S), or "null" (security off —
+	// Suite names the crypto suite: "aes-gcm" (the default: AES-128-GCM,
+	// whose tags are the chunks' Merkle leaves, SHA-256 and HMAC-SHA256
+	// truncated to 160 bits elsewhere), "3des-sha1" (the paper's TDB-S), or "null" (security off —
 	// the paper's plain TDB). A database reopens only under the suite it was
 	// created with.
 	Suite string
@@ -140,7 +140,7 @@ func (db *DB) setup() error {
 	secret := opts.Secret
 	suiteName := opts.Suite
 	if suiteName == "" {
-		suiteName = "aes-ctr-gmac"
+		suiteName = "aes-gcm"
 	}
 	if suiteName != "null" && len(secret) == 0 {
 		return errors.New("core: a device secret is required unless Suite is \"null\"")

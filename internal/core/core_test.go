@@ -290,7 +290,7 @@ func TestMaintenanceEntryPoints(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// String reports the map-node budget the chunk store filled in.
-	if got, want := db.String(), fmt.Sprintf("tdb(aes-ctr-gmac, cache %d)", 4<<20); got != want {
+	if got, want := db.String(), fmt.Sprintf("tdb(aes-gcm, cache %d)", 4<<20); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
 	if db.Objects() == nil || db.Chunks() == nil || db.Collections() == nil {

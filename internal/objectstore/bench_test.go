@@ -151,7 +151,7 @@ func BenchmarkTxnCommitParallel(b *testing.B) {
 }
 
 func benchCommitParallel(b *testing.B, workers int) {
-	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("bench-parallel-commit"))
+	suite, err := sec.NewSuite("aes-gcm", []byte("bench-parallel-commit"))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -305,17 +305,20 @@ func (vt *versionTable) resolve(oid ObjectID, pin uint64) (data []byte, present,
 	return nil, false, false
 }
 
-// decodedPut caches an unpickled committed object for the no-chain path.
-// The no-chain condition is re-checked under decodedMu, which every chain
-// insert holds too: the caller decoded bytes it read without a lock, and a
-// writer may have staged a newer state since. The caller's snapshot pin
-// keeps any such chain alive (its baseline pre-image is visible to the pin),
-// so chains[oid] == nil still proves the decode is the one committed state.
-func (vt *versionTable) decodedPut(oid ObjectID, obj Object, size int64) {
+// decodedPut caches unpickled committed objects for the no-chain path, a
+// prefetch batch in one locked section. The no-chain condition is
+// re-checked for each under decodedMu, which every chain insert holds too:
+// the caller decoded bytes it read without a lock, and a writer may have
+// staged a newer state since. The caller's snapshot pin keeps any such
+// chain alive (its baseline pre-image is visible to the pin), so
+// chains[oid] == nil still proves the decode is the one committed state.
+func (vt *versionTable) decodedPut(objs ...decodedEntry) {
 	vt.decodedMu.Lock()
 	defer vt.decodedMu.Unlock()
-	if vt.chains[oid] == nil {
-		vt.decoded.put(oid, obj, size)
+	for _, e := range objs {
+		if vt.chains[e.oid] == nil {
+			vt.decoded.put(e.oid, e.obj, e.size)
+		}
 	}
 }
 
@@ -338,7 +341,7 @@ func (vt *versionTable) decodedResidency() (n int, bytes int64) {
 // exists): objects with a version chain are skipped (they resolve from the
 // table, and their committed chunk state may be newer than what a snapshot
 // reader will see), as are objects whose committed decode is already cached.
-// Duplicates and nil ids drop.
+// Nil ids drop; duplicates stay, for the chunk store's batch read dedupes.
 func (vt *versionTable) prefetchFilter(oids []ObjectID) []ObjectID {
 	chained := vt.nchains.Load() != 0
 	if chained {
@@ -346,7 +349,6 @@ func (vt *versionTable) prefetchFilter(oids []ObjectID) []ObjectID {
 		defer vt.mu.RUnlock()
 	}
 	out := make([]ObjectID, 0, len(oids))
-	var seen map[ObjectID]struct{}
 	for _, oid := range oids {
 		if oid == NilObject {
 			continue
@@ -359,13 +361,6 @@ func (vt *versionTable) prefetchFilter(oids []ObjectID) []ObjectID {
 		if vt.decoded.get(oid) != nil {
 			continue
 		}
-		if seen == nil {
-			seen = make(map[ObjectID]struct{}, len(oids))
-		}
-		if _, dup := seen[oid]; dup {
-			continue
-		}
-		seen[oid] = struct{}{}
 		out = append(out, oid)
 	}
 	return out

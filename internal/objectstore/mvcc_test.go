@@ -360,14 +360,14 @@ func TestDecodeCacheTableInvariants(t *testing.T) {
 	// A staged chain blocks decodedPut: the decode may predate the stage.
 	sv := []stagedVersion{{oid: 7, data: []byte{1}, present: true, preExisted: true}}
 	vt.stage(sv)
-	vt.decodedPut(7, obj, 100)
+	vt.decodedPut(decodedEntry{oid: 7, obj: obj, size: 100})
 	if dt.get(7) != nil {
 		t.Fatalf("decodedPut cached an object with a live chain")
 	}
 	vt.unstage(sv)
 
 	// With no chain the put lands, and a later stage clears it.
-	vt.decodedPut(7, obj, 100)
+	vt.decodedPut(decodedEntry{oid: 7, obj: obj, size: 100})
 	if dt.get(7) != Object(obj) {
 		t.Fatalf("decodedPut did not cache a chainless object")
 	}
@@ -383,7 +383,7 @@ func TestDecodeCacheTableInvariants(t *testing.T) {
 	// The budget holds: inserting past it evicts down, never grows past it.
 	const piece = decodedMaxEntry
 	for oid := ObjectID(1); oid <= 3*decodedBudget/piece; oid++ {
-		vt.decodedPut(oid, obj, piece)
+		vt.decodedPut(decodedEntry{oid: oid, obj: obj, size: piece})
 		if n, bytes := dt.resident(); bytes != dt.bytes || bytes > decodedBudget {
 			t.Fatalf("after put %d: %d entries hold %d bytes, %d accounted, budget %d", oid, n, bytes, dt.bytes, decodedBudget)
 		}
@@ -395,7 +395,7 @@ func TestDecodeCacheTableInvariants(t *testing.T) {
 	before, _ := dt.resident()
 	for i := range dt.slots {
 		if e := dt.slots[i].Load(); e != nil {
-			vt.decodedPut(e.oid, obj, piece)
+			vt.decodedPut(decodedEntry{oid: e.oid, obj: obj, size: piece})
 		}
 	}
 	if n, bytes := dt.resident(); n != before || bytes != dt.bytes || bytes > decodedBudget {
@@ -412,10 +412,10 @@ func TestDecodeCacheAdmission(t *testing.T) {
 	dt := &vt.decoded
 	obj := &Meter{ID: 1}
 	for oid := ObjectID(1); oid <= 100; oid++ {
-		vt.decodedPut(oid, obj, 1000)
+		vt.decodedPut(decodedEntry{oid: oid, obj: obj, size: 1000})
 	}
 	for _, size := range []int64{decodedMaxEntry + 1, decodedBudget, 2 * decodedBudget} {
-		vt.decodedPut(500, obj, size)
+		vt.decodedPut(decodedEntry{oid: 500, obj: obj, size: size})
 		if dt.get(500) != nil {
 			t.Fatalf("object of %d bytes admitted; the limit is %d", size, decodedMaxEntry)
 		}
@@ -424,11 +424,11 @@ func TestDecodeCacheAdmission(t *testing.T) {
 		}
 	}
 	// An oversized re-put of a cached id must not leave the old decode behind.
-	vt.decodedPut(1, obj, decodedMaxEntry+1)
+	vt.decodedPut(decodedEntry{oid: 1, obj: obj, size: decodedMaxEntry + 1})
 	if dt.get(1) != nil {
 		t.Fatalf("oversized re-put left the previous entry in place")
 	}
-	vt.decodedPut(2, obj, decodedMaxEntry)
+	vt.decodedPut(decodedEntry{oid: 2, obj: obj, size: decodedMaxEntry})
 	if dt.get(2) == nil {
 		t.Fatalf("object of exactly decodedMaxEntry bytes refused")
 	}
@@ -442,7 +442,7 @@ func TestDecodeCacheAdmission(t *testing.T) {
 	for oid := ObjectID(1); len(same) < 3*decodedWays; oid++ {
 		if dt.set(oid) == home {
 			same = append(same, oid)
-			vt.decodedPut(oid, obj, 10)
+			vt.decodedPut(decodedEntry{oid: oid, obj: obj, size: 10})
 		}
 	}
 	hits := 0

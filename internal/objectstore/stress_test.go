@@ -24,7 +24,7 @@ type stressEnv struct {
 
 func newStressEnv(t *testing.T) *stressEnv {
 	t.Helper()
-	suite, err := sec.NewSuite("aes-ctr-gmac", []byte("stress-test-device-secret-012345"))
+	suite, err := sec.NewSuite("aes-gcm", []byte("stress-test-device-secret-012345"))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}

@@ -262,11 +262,11 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 // Prefetch hints that the listed objects are about to be opened, warming
 // the read path for them: their committed chunks are fetched, validated,
 // and decrypted through the chunk store's batch read (coalesced segment
-// reads), and chain-free objects are unpickled into the decode table, so
-// snapshot and 2PL read-only opens skip the chunk store entirely. It
-// returns the number of chunks warmed. Errors are deliberately swallowed —
-// a hint must never fail harder than the open it accelerates, and the open
-// will surface them.
+// reads), which dedupes the ids, and chain-free objects are unpickled into
+// the decode table, so snapshot and 2PL read-only opens skip the chunk
+// store entirely. It returns the number of objects warmed. Errors are
+// deliberately swallowed — a hint must never fail harder than the open it
+// accelerates, and the open will surface them.
 func (t *Txn) Prefetch(oids []ObjectID) int {
 	if len(oids) == 0 {
 		return 0
@@ -288,15 +288,20 @@ func (t *Txn) Prefetch(oids []ObjectID) int {
 	for i, oid := range cands {
 		cids[i] = chunkstore.ChunkID(oid)
 	}
-	warmed := 0
+	// Unpickle the whole batch, then offer it to the decode table in one
+	// locked section. A bad chunk fails its open instead; a duplicate id is
+	// read once and unpickled per occurrence.
+	batch := make([]decodedEntry, 0, len(cands))
 	for i, r := range t.s.chunks.ReadBatch(cids) {
 		if r.Err != nil {
 			continue
 		}
-		warmed++
-		t.s.decodeCommitted(cands[i], r.Data) // a bad chunk fails its open instead
+		if obj, err := unpickleObject(t.s.cfg.Registry, r.Data); err == nil {
+			batch = append(batch, decodedEntry{oid: cands[i], obj: obj, size: int64(len(r.Data))})
+		}
 	}
-	return warmed
+	vt.decodedPut(batch...)
+	return len(batch)
 }
 
 // openShared returns oid's committed state for a 2PL read-only open: the

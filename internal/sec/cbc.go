@@ -14,6 +14,7 @@ import (
 // and a derived IV, SHA-1 hashing, and HMAC-SHA1.
 type cbcSuite struct {
 	*digests
+	hashLeaves
 	block cipher.Block
 	ivKey []byte
 }
@@ -38,14 +39,15 @@ func NewDES3SHA1(secret []byte) (Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &cbcSuite{digests: newDigests(sha1.New, macKey, sha1.Size), block: block, ivKey: ivKey}, nil
+	s := &cbcSuite{digests: newDigests(sha1.New, macKey, sha1.Size), block: block, ivKey: ivKey}
+	s.hashLeaves.s = s
+	return s, nil
 }
 
 func (s *cbcSuite) Name() string { return "3des-sha1" }
 
-// deriveIV computes a deterministic, unique IV for the given seed by
-// encrypting the seed counter with a dedicated key (an instance of the
-// standard "encrypted counter" IV construction).
+// deriveIV computes a deterministic, unique IV for the given seed under a
+// dedicated key (the standard "encrypted counter" IV construction).
 func (s *cbcSuite) deriveIV(seed uint64) []byte {
 	bs := s.block.BlockSize()
 	m := hmac.New(sha256.New, s.ivKey)
@@ -62,8 +64,7 @@ func (s *cbcSuite) Encrypt(plaintext []byte, iv uint64) ([]byte, error) {
 	padded := padPKCS7(plaintext, bs)
 	out := make([]byte, bs+len(padded))
 	copy(out, ivb)
-	enc := cipher.NewCBCEncrypter(s.block, ivb)
-	enc.CryptBlocks(out[bs:], padded)
+	cipher.NewCBCEncrypter(s.block, ivb).CryptBlocks(out[bs:], padded)
 	return out, nil
 }
 
@@ -78,13 +79,4 @@ func (s *cbcSuite) Decrypt(ciphertext []byte) ([]byte, error) {
 	body := ciphertext[bs:]
 	cipher.NewCBCDecrypter(s.block, ciphertext[:bs]).CryptBlocks(body, body)
 	return unpadPKCS7(body, bs)
-}
-
-// Digest implements Suite with Hash.
-func (s *cbcSuite) Digest(dst, ciphertext []byte) []byte { return append(dst, s.Hash(ciphertext)...) }
-
-// Overhead implements Suite: IV plus worst-case padding.
-func (s *cbcSuite) Overhead(n int) int {
-	bs := s.block.BlockSize()
-	return bs + (bs - n%bs)
 }

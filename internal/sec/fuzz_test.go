@@ -6,18 +6,17 @@ import (
 	"testing"
 )
 
-// fuzzSuites are the suites the fuzz targets select among, by index.
-var fuzzSuites = []string{"3des-sha1", "aes-ctr-gmac", "null"}
+// fuzzSuites are the suites the fuzz targets select among, by index. The
+// retired aes-ctr-gmac, modelled by ctrGMACSuite, keeps index 1, which the
+// checked-in corpus entries named after it select.
+var fuzzSuites = []string{"3des-sha1", "aes-ctr-gmac", "null", "aes-gcm"}
 
 // newFuzzSuites builds fuzzSuites under testSecret.
 func newFuzzSuites(f *testing.F) []Suite {
+	all := allSuites(f)
 	suites := make([]Suite, len(fuzzSuites))
 	for i, name := range fuzzSuites {
-		s, err := NewSuite(name, testSecret)
-		if err != nil {
-			f.Fatalf("NewSuite(%s): %v", name, err)
-		}
-		suites[i] = s
+		suites[i] = all[name]
 	}
 	return suites
 }
@@ -35,16 +34,16 @@ const guardLen = 16
 // arbitrary bytes: it never panics, never writes outside the buffer it was
 // given (the guard bytes on either side stay intact), and returns either a
 // subslice of that buffer or an error wrapping ErrBadCiphertext or
-// ErrBadPadding. The seeds are real Encrypt outputs, each of which must
-// first decrypt back to its plaintext.
+// ErrBadPadding. The seeds are real Seal outputs, each of which must first
+// decrypt back to its plaintext.
 func FuzzSuiteDecrypt(f *testing.F) {
 	suites := newFuzzSuites(f)
 	for i, s := range suites {
 		for _, n := range seedLens {
 			pt := fuzzPlaintext(n)
-			ct, err := s.Encrypt(pt, uint64(n))
+			ct, _, err := s.Seal(pt, uint64(n))
 			if err != nil {
-				f.Fatalf("%s: Encrypt(%d bytes): %v", s.Name(), n, err)
+				f.Fatalf("%s: Seal(%d bytes): %v", s.Name(), n, err)
 			}
 			f.Add(uint8(i), ct)
 			got, err := s.Decrypt(append([]byte(nil), ct...))
@@ -79,42 +78,67 @@ func FuzzSuiteDecrypt(f *testing.F) {
 	})
 }
 
-// digestAllocs bounds what one Digest with no room in dst may allocate:
-// the digest itself, and for the hashing suites a pooled hash state.
-const digestAllocs = 3
+// digestAllocs bounds what one Digest with no room in dst may allocate,
+// whatever the input's length: under the hashing suites the digest itself
+// and a pooled hash state; under aes-gcm its copy, its counter-mode stream
+// (two objects) and the digest.
+func digestAllocs(s Suite) float64 {
+	if s.Name() == "aes-gcm" {
+		return 4
+	}
+	return 3
+}
 
-// FuzzChunkDigest holds every suite's chunk digest to its contract on
-// arbitrary bytes, the ones a read digests before any check has passed:
-// it never panics, appends HashSize bytes to dst, allocates at most
-// digestAllocs objects (none into spare capacity under aes-ctr-gmac), and
-// leaves its input intact. Flipping the byte at pos changes the digest of
-// an input at least a header long; for the seeds, real Encrypt outputs,
-// every single-byte flip of header and payload is checked first.
+// openAllocs bounds what one Open of a record with OpenSlack spare bytes
+// may allocate, whatever its length: under the hashing suites the digest, a
+// pooled hash state, CBC's decrypter and its padding error, whose fmt
+// state is pooled too, so that the race detector, which makes sync.Pool
+// drop objects at random, can double the count; under aes-gcm nothing.
+const openAllocs = 16
+
+// FuzzChunkDigest holds every suite's leaf to its contract on arbitrary
+// records, the bytes a read opens before any check has passed. Digest never
+// panics, appends HashSize bytes to dst, leaves its input intact and
+// allocates at most digestAllocs objects. Open of the record against its
+// Digest succeeds exactly when Decrypt does, with the same plaintext, and
+// allocates at most openAllocs objects (none under aes-gcm); flipping the
+// byte at pos of the record, or any byte of the leaf, makes Open fail with
+// ErrTampered and no plaintext. The seeds are real Seal outputs, for which
+// every single-byte flip of header, ciphertext and leaf is checked first.
 func FuzzChunkDigest(f *testing.F) {
 	suites := newFuzzSuites(f)
 	for i, s := range suites {
 		for _, n := range seedLens {
-			ct, err := s.Encrypt(fuzzPlaintext(n), uint64(n))
+			record, leaf, err := s.Seal(fuzzPlaintext(n), uint64(n))
 			if err != nil {
-				f.Fatalf("%s: Encrypt(%d bytes): %v", s.Name(), n, err)
+				f.Fatalf("%s: Seal(%d bytes): %v", s.Name(), n, err)
 			}
-			d := s.Digest(nil, ct)
-			for j := range ct {
-				ct[j] ^= 0x80
-				if HashEqual(s.Digest(nil, ct), d) {
-					f.Fatalf("%s: flipping byte %d of a %d-byte ciphertext leaves its digest unchanged", s.Name(), j, len(ct))
+			if !HashEqual(s.Digest(nil, record), leaf) {
+				f.Fatalf("%s: Digest of a %d-byte record is not its leaf", s.Name(), len(record))
+			}
+			for j := range record {
+				rec := append([]byte(nil), record...)
+				rec[j] ^= 0x80
+				if got, err := s.Open(rec, leaf); !errors.Is(err, ErrTampered) || got != nil {
+					f.Fatalf("%s: flipping byte %d of a %d-byte record: Open = %d bytes, %v", s.Name(), j, len(record), len(got), err)
 				}
-				ct[j] ^= 0x80
 			}
-			f.Add(uint8(i), uint16(len(ct)/2), ct)
+			for j := range leaf {
+				bad := append([]byte(nil), leaf...)
+				bad[j] ^= 0x80
+				if got, err := s.Open(append([]byte(nil), record...), bad); !errors.Is(err, ErrTampered) || got != nil {
+					f.Fatalf("%s: flipping leaf byte %d: Open = %d bytes, %v", s.Name(), j, len(got), err)
+				}
+			}
+			f.Add(uint8(i), uint16(len(record)/2), record)
 		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, pos uint16, data []byte) {
 		s := suites[int(which)%len(suites)]
 		in := append([]byte(nil), data...)
 		var d []byte
-		if allocs := testing.AllocsPerRun(1, func() { d = s.Digest(nil, in) }); allocs > digestAllocs {
-			t.Fatalf("%s: Digest of %d bytes allocates %.0f objects, want <= %d", s.Name(), len(data), allocs, digestAllocs)
+		if allocs := testing.AllocsPerRun(1, func() { d = s.Digest(nil, in) }); allocs > digestAllocs(s) {
+			t.Fatalf("%s: Digest of %d bytes allocates %.0f objects, want <= %.0f", s.Name(), len(data), allocs, digestAllocs(s))
 		}
 		if len(d) != s.HashSize() || !bytes.Equal(in, data) {
 			t.Fatalf("%s: Digest of %d bytes returned %d bytes (want %d) or changed its input", s.Name(), len(data), len(d), s.HashSize())
@@ -122,21 +146,34 @@ func FuzzChunkDigest(f *testing.F) {
 		if got := s.Digest([]byte("dst"), in); string(got[:3]) != "dst" || !HashEqual(got[3:], d) {
 			t.Fatalf("%s: Digest of %d bytes does not append to dst", s.Name(), len(data))
 		}
-		if s.Name() == "aes-ctr-gmac" {
-			sum := make([]byte, 0, s.HashSize())
-			if allocs := testing.AllocsPerRun(1, func() { s.Digest(sum, in) }); allocs != 0 {
-				t.Fatalf("Digest of %d bytes into spare capacity allocates %.0f objects", len(data), allocs)
-			}
-			if len(in) < ctrHeaderSize {
-				return
-			}
-		}
-		if len(in) == 0 {
+
+		want, derr := s.Decrypt(append([]byte(nil), data...))
+		buf := make([]byte, len(data), len(data)+OpenSlack)
+		var got []byte
+		var err error
+		allocs := testing.AllocsPerRun(1, func() {
+			copy(buf, data)
+			got, err = s.Open(buf, d)
+		})
+		switch {
+		case allocs > openAllocs || s.Name() == "aes-gcm" && allocs != 0:
+			t.Fatalf("%s: Open of %d bytes in place allocates %.0f objects", s.Name(), len(data), allocs)
+		case derr != nil && (!errors.Is(err, ErrTampered) || got != nil):
+			t.Fatalf("%s: Open of %d bytes Decrypt rejects (%v): %d bytes, %v", s.Name(), len(data), derr, len(got), err)
+		case derr == nil && (err != nil || !bytes.Equal(got, want)):
+			t.Fatalf("%s: Open of %d bytes against their Digest: %d bytes, %v; Decrypt gives %d", s.Name(), len(data), len(got), err, len(want))
+		case derr != nil || len(data) == 0:
 			return
 		}
-		in[int(pos)%len(in)] ^= 0x01
-		if HashEqual(s.Digest(nil, in), d) {
-			t.Fatalf("%s: flipping byte %d of %d leaves the digest unchanged", s.Name(), int(pos)%len(in), len(in))
+		copy(buf, data)
+		buf[int(pos)%len(buf)] ^= 0x01
+		if got, err := s.Open(buf, d); !errors.Is(err, ErrTampered) || got != nil {
+			t.Fatalf("%s: flipping byte %d of %d: Open = %d bytes, %v", s.Name(), int(pos)%len(data), len(data), len(got), err)
+		}
+		copy(buf, data)
+		d[int(pos)%len(d)] ^= 0x01
+		if got, err := s.Open(buf, d); !errors.Is(err, ErrTampered) || got != nil {
+			t.Fatalf("%s: flipping leaf byte %d: Open = %d bytes, %v", s.Name(), int(pos)%len(d), len(got), err)
 		}
 	})
 }

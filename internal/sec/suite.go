@@ -7,9 +7,9 @@
 // The paper's evaluation configures SHA-1 for hashing and 3DES for
 // encryption (§7.3) and notes that "there are other algorithms that are as
 // secure as 3DES and run significantly faster"; this package therefore also
-// provides aes-ctr-gmac (the default: AES-128-CTR, GMAC chunk digests and
-// truncated SHA-256 elsewhere) and a null suite corresponding to the
-// paper's security-off "TDB" configuration.
+// provides aes-gcm (the default, whose Merkle leaf is a chunk's GCM tag, so
+// a read authenticates and decrypts in one pass) and a null suite
+// corresponding to the paper's security-off "TDB" configuration.
 package sec
 
 import (
@@ -20,94 +20,82 @@ import (
 	"sync"
 )
 
-// Common errors.
 var (
-	// ErrBadPadding is returned when CBC decryption produces invalid
-	// padding, typically because the ciphertext was tampered with or
-	// decrypted with the wrong key.
+	// ErrBadPadding is CBC decryption finding invalid padding.
 	ErrBadPadding = errors.New("sec: invalid padding")
-	// ErrBadCiphertext is returned when a ciphertext is malformed (wrong
-	// length or too short to contain an IV).
+	// ErrBadCiphertext is a ciphertext of impossible length.
 	ErrBadCiphertext = errors.New("sec: malformed ciphertext")
+	// ErrTampered is a record that fails authentication against its leaf.
+	ErrTampered = errors.New("sec: record fails authentication")
 )
 
-// Suite bundles the encryption, hashing, and authentication operations used
-// by the chunk store and backup store. Implementations must be safe for
-// concurrent use.
+// OpenSlack is the spare capacity past a record that Open uses to open it
+// in place: the aes-gcm tag is written there. A record with less allocates.
+const OpenSlack = 16
+
+// Suite bundles the crypto the chunk store and backup store use.
+// Implementations must be safe for concurrent use.
 type Suite interface {
-	// Name identifies the suite ("3des-sha1", "aes-ctr-gmac", "null"). It
-	// is recorded in the database superblock so a database is always
-	// reopened with the suite it was created with.
+	// Name identifies the suite ("3des-sha1", "aes-gcm", "null"), recorded
+	// in the superblock so a database reopens only under its own suite.
 	Name() string
 
-	// Encrypt encrypts plaintext. The ciphertext embeds any IV needed for
-	// decryption. The iv parameter seeds deterministic IV derivation and
-	// must be unique per encryption under one key; the chunk store
-	// partitions the seed space as generation<<20 | slot, where generations
-	// are drawn from a process-wide counter (one per commit preparation,
-	// and a few per checkpoint) and the 20-bit slot numbers the
-	// operations within it, so equal plaintexts never produce equal
-	// ciphertexts even across concurrent commit preparations.
+	// Seal encrypts a chunk's plaintext into a record and returns the
+	// record's Merkle leaf, HashSize bytes, which the record does not carry
+	// (the chunk store keeps it in the parent map node). iv seeds the IV
+	// and must be unique per encryption under one key: the chunk store
+	// draws it as generation<<20 | slot, generations from a counter that
+	// never repeats across the life of the database.
+	Seal(plaintext []byte, iv uint64) (record, leaf []byte, err error)
+
+	// Open authenticates a record against its leaf and decrypts it in
+	// place, returning a subslice of record, which the caller must own. It
+	// may write the OpenSlack bytes past the record if its capacity has
+	// them (under aes-gcm it then allocates nothing) and copies it
+	// otherwise. A failed check is ErrTampered and leaves it unspecified.
+	Open(record, leaf []byte) ([]byte, error)
+
+	// Digest appends the leaf of a record to dst, leaving record intact,
+	// for whoever holds a record but not its leaf (recovery's replay).
+	// Under aes-gcm it decrypts a copy and reseals it, two passes.
+	Digest(dst, record []byte) []byte
+
+	// Encrypt encrypts as Seal does, for records the chunk store links by
+	// Hash or MAC instead (map nodes, checkpoints).
 	Encrypt(plaintext []byte, iv uint64) ([]byte, error)
 
-	// Decrypt reverses Encrypt, in place: it overwrites ciphertext and
-	// returns the plaintext as a subslice of it, allocating nothing. The
-	// caller must own the buffer and must not read it as ciphertext again
-	// (a second Decrypt of the same bytes decrypts the plaintext). On error
-	// the buffer's contents are unspecified. It does not authenticate: a
-	// tampered ciphertext may decrypt to garbage without an error, and a
-	// suite rejects only input it cannot parse. Integrity comes from Digest
-	// (the Merkle leaves over ciphertexts), Hash and MAC, checked before
-	// Decrypt runs.
+	// Decrypt reverses Encrypt in place without authenticating, returning
+	// a subslice of its argument; decrypting the same bytes twice does not
+	// give the plaintext. It rejects only input it cannot parse: integrity
+	// comes from the Hash or MAC checked first.
 	Decrypt(ciphertext []byte) ([]byte, error)
 
-	// Digest appends the Merkle leaf digest of a chunk ciphertext, an
-	// Encrypt output, to dst and returns the extended slice. The digest is
-	// HashSize bytes for any input, and dst must not overlap ciphertext.
-	// Under aes-ctr-gmac it is a GMAC tag keyed from the device secret and
-	// appending it to spare capacity in dst allocates nothing; the other
-	// suites digest with Hash.
-	Digest(dst, ciphertext []byte) []byte
-
-	// Hash computes the one-way hash used for Merkle tree inner nodes, map
-	// nodes and the round chain.
+	// Hash is the one-way hash of Merkle inner nodes, map nodes and the
+	// round chain; HashSize is its length and a leaf's.
 	Hash(data []byte) []byte
-
-	// HashSize returns the byte length of Hash and Digest results.
 	HashSize() int
 
-	// MAC computes a message authentication code keyed with the device
-	// secret, used to sign the database anchor and backup trailers.
+	// MAC, HashSize bytes too, is keyed with the device secret and signs
+	// the database anchor and backup trailers.
 	MAC(data []byte) []byte
-
-	// MACSize returns the byte length of MAC results.
-	MACSize() int
-
-	// Overhead returns the worst-case ciphertext expansion for a plaintext
-	// of length n (IV plus padding).
-	Overhead(n int) int
 }
 
 // VerifyMAC reports whether mac is a valid MAC for data under the suite,
 // using a constant-time comparison.
-func VerifyMAC(s Suite, data, mac []byte) bool {
-	return hmac.Equal(s.MAC(data), mac)
-}
+func VerifyMAC(s Suite, data, mac []byte) bool { return hmac.Equal(s.MAC(data), mac) }
 
 // HashEqual compares two hash values in constant time.
-func HashEqual(a, b []byte) bool {
-	return hmac.Equal(a, b)
-}
+func HashEqual(a, b []byte) bool { return hmac.Equal(a, b) }
 
 // NewSuite constructs the named suite keyed from the device secret.
 // Supported names: "3des-sha1" (the paper's TDB-S configuration),
-// "aes-ctr-gmac" (the default), and "null" (security off).
+// "aes-gcm" (the default), and "null" (security off).
 func NewSuite(name string, secret []byte) (Suite, error) {
 	switch name {
 	case "3des-sha1":
 		return NewDES3SHA1(secret)
-	case "aes-ctr-gmac":
-		return NewAESCTRGMAC(secret)
+	case "aes-gcm":
+		return NewAESGCM(secret)
 	case "null":
 		return NewNull(), nil
 	default:
@@ -115,7 +103,33 @@ func NewSuite(name string, secret []byte) (Suite, error) {
 	}
 }
 
-type hashFactory func() hash.Hash
+// hashLeaves gives a suite whose leaf is the Hash of its record
+// (3des-sha1, null) its Seal, Open and Digest.
+type hashLeaves struct{ s Suite }
+
+// Seal implements Suite: Encrypt, then Hash.
+func (h hashLeaves) Seal(plaintext []byte, iv uint64) ([]byte, []byte, error) {
+	record, err := h.s.Encrypt(plaintext, iv)
+	if err != nil {
+		return nil, nil, err
+	}
+	return record, h.s.Hash(record), nil
+}
+
+// Open implements Suite: a Hash check, then Decrypt.
+func (h hashLeaves) Open(record, leaf []byte) ([]byte, error) {
+	if !HashEqual(h.s.Hash(record), leaf) {
+		return nil, ErrTampered
+	}
+	plain, err := h.s.Decrypt(record)
+	if err != nil {
+		return nil, ErrTampered
+	}
+	return plain, nil
+}
+
+// Digest implements Suite with Hash.
+func (h hashLeaves) Digest(dst, record []byte) []byte { return append(dst, h.s.Hash(record)...) }
 
 // digests implements a keyed suite's Hash and MAC (HMAC under macKey),
 // both truncated to size bytes. Pools avoid allocating a hash.Hash per
@@ -126,7 +140,7 @@ type digests struct {
 	macPool  sync.Pool
 }
 
-func newDigests(hf hashFactory, macKey []byte, size int) *digests {
+func newDigests(hf func() hash.Hash, macKey []byte, size int) *digests {
 	d := &digests{size: size}
 	d.hashPool.New = func() any { return hf() }
 	d.macPool.New = func() any { return hmac.New(hf, macKey) }
@@ -150,6 +164,3 @@ func (d *digests) HashSize() int { return d.size }
 
 // MAC implements Suite.
 func (d *digests) MAC(data []byte) []byte { return d.sum(&d.macPool, data) }
-
-// MACSize implements Suite.
-func (d *digests) MACSize() int { return d.size }

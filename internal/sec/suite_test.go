@@ -2,6 +2,7 @@ package sec
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"errors"
 	"math/rand"
 	"strings"
@@ -11,17 +12,70 @@ import (
 
 var testSecret = []byte("0123456789abcdef0123456789abcdef")
 
-func allSuites(t *testing.T) map[string]Suite {
+func allSuites(t testing.TB) map[string]Suite {
 	t.Helper()
 	des3, err := NewDES3SHA1(testSecret)
 	if err != nil {
 		t.Fatalf("NewDES3SHA1: %v", err)
 	}
-	ctr, err := NewAESCTRGMAC(testSecret)
+	gcm, err := NewAESGCM(testSecret)
 	if err != nil {
-		t.Fatalf("NewAESCTRGMAC: %v", err)
+		t.Fatalf("NewAESGCM: %v", err)
 	}
-	return map[string]Suite{"3des-sha1": des3, "aes-ctr-gmac": ctr, "null": NewNull()}
+	return map[string]Suite{"3des-sha1": des3, "aes-gcm": gcm, "aes-ctr-gmac": newCTRGMAC(t, testSecret), "null": NewNull()}
+}
+
+// ctrGMACSuite models aes-ctr-gmac, the default suite before chunk records
+// were sealed with GCM: aes-gcm's cipher, Hash and MAC, with the leaf a
+// GMAC tag over the record under a second key, computed in a pass apart
+// from decryption. Stores written under it are refused by name (the chunk
+// store's TestOpenRefusesRetiredSuite); here it holds a leaf checked apart
+// from decryption to the suite tests beside the one-pass suite.
+type ctrGMACSuite struct {
+	Suite
+	gmac cipher.AEAD
+}
+
+func newCTRGMAC(t testing.TB, secret []byte) Suite {
+	t.Helper()
+	base, err := NewAESGCM(secret)
+	if err != nil {
+		t.Fatalf("NewAESGCM: %v", err)
+	}
+	block, err := aesBlock(secret, "digest")
+	if err != nil {
+		t.Fatalf("aesBlock: %v", err)
+	}
+	gmac, err := cipher.NewGCMWithNonceSize(block, gcmHeaderSize)
+	if err != nil {
+		t.Fatalf("GMAC: %v", err)
+	}
+	return ctrGMACSuite{Suite: base, gmac: gmac}
+}
+
+func (ctrGMACSuite) Name() string { return "aes-ctr-gmac" }
+
+func (s ctrGMACSuite) Seal(plaintext []byte, iv uint64) ([]byte, []byte, error) {
+	record, err := s.Encrypt(plaintext, iv)
+	return record, s.Digest(nil, record), err
+}
+
+func (s ctrGMACSuite) Open(record, leaf []byte) ([]byte, error) {
+	if !HashEqual(s.Digest(nil, record), leaf) {
+		return nil, ErrTampered
+	}
+	plain, err := s.Decrypt(record)
+	if err != nil {
+		return nil, ErrTampered
+	}
+	return plain, nil
+}
+
+func (s ctrGMACSuite) Digest(dst, record []byte) []byte {
+	if len(record) < gcmHeaderSize {
+		return append(dst, shortDigest[:]...)
+	}
+	return append(s.gmac.Seal(dst, record[:gcmHeaderSize], nil, record[gcmHeaderSize:]), 0, 0, 0, 0)
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
@@ -43,10 +97,74 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 				if !bytes.Equal(got, pt) {
 					t.Fatalf("round trip mismatch at %d bytes", n)
 				}
-				if len(ct) > n+s.Overhead(n) {
-					t.Fatalf("ciphertext %d exceeds declared overhead %d for %d bytes", len(ct), s.Overhead(n), n)
+			}
+		})
+	}
+}
+
+// TestSealOpenRoundTrip: a sealed record opens against its leaf, which is
+// HashSize bytes and what Digest recomputes from the record alone; Open
+// works in place in a buffer with OpenSlack spare bytes, allocating nothing
+// under aes-gcm.
+func TestSealOpenRoundTrip(t *testing.T) {
+	for name, s := range allSuites(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, n := range []int{0, 1, 15, 16, 17, 100, 4096} {
+				pt := bytes.Repeat([]byte{byte(n), 7}, n)[:n]
+				record, leaf, err := s.Seal(pt, uint64(n))
+				if err != nil {
+					t.Fatalf("Seal(%d bytes): %v", n, err)
+				}
+				if ct, _ := s.Encrypt(pt, uint64(n)); !bytes.Equal(ct, record) {
+					t.Fatalf("Seal(%d bytes) and Encrypt disagree", n)
+				}
+				if len(leaf) != s.HashSize() || !HashEqual(s.Digest(nil, record), leaf) {
+					t.Fatalf("Seal(%d bytes): leaf %x is not Digest %x", n, leaf, s.Digest(nil, record))
+				}
+				buf := make([]byte, len(record), len(record)+OpenSlack)
+				var got []byte
+				allocs := testing.AllocsPerRun(1, func() {
+					copy(buf, record)
+					got, err = s.Open(buf, leaf)
+				})
+				if err != nil || !bytes.Equal(got, pt) || !subslice(got, buf) {
+					t.Fatalf("Open(Seal(%d bytes)) = %d bytes, %v; want the plaintext, in place", n, len(got), err)
+				}
+				if name == "aes-gcm" && allocs != 0 {
+					t.Fatalf("Open of %d bytes in place allocates %.0f objects", n, allocs)
+				}
+				if got, err := s.Open(append([]byte(nil), record...), leaf); err != nil || !bytes.Equal(got, pt) {
+					t.Fatalf("Open of %d bytes with no spare capacity: %d bytes, %v", n, len(got), err)
 				}
 			}
+		})
+	}
+}
+
+// TestOpenRejectsTamperedRecords flips every bit position's byte of a
+// record's header and ciphertext and of its leaf in turn: each must fail
+// Open with ErrTampered and return no plaintext.
+func TestOpenRejectsTamperedRecords(t *testing.T) {
+	for name, s := range allSuites(t) {
+		t.Run(name, func(t *testing.T) {
+			record, leaf, _ := s.Seal([]byte("protected content, forty bytes long..."), 9)
+			try := func(what string, i int, rec, lf []byte) {
+				t.Helper()
+				if got, err := s.Open(rec, lf); !errors.Is(err, ErrTampered) || got != nil {
+					t.Fatalf("%s byte %d flipped: Open = %q, %v; want ErrTampered", what, i, got, err)
+				}
+			}
+			for i := range record {
+				rec := append([]byte(nil), record...)
+				rec[i] ^= 0x01
+				try("record", i, rec, leaf)
+			}
+			for i := range leaf {
+				lf := append([]byte(nil), leaf...)
+				lf[i] ^= 0x80
+				try("leaf", i, append([]byte(nil), record...), lf)
+			}
+			try("leaf", -1, append([]byte(nil), record...), leaf[:len(leaf)-1])
 		})
 	}
 }
@@ -120,6 +238,7 @@ func TestDecryptRejectsTamperedCiphertext(t *testing.T) {
 func TestDecryptRejectsMalformedLengths(t *testing.T) {
 	malformed := map[string][]int{
 		"3des-sha1":    {0, 1, 7, 8, 9, 23},
+		"aes-gcm":      {0, 1, 8, 15},
 		"aes-ctr-gmac": {0, 1, 8, 15},
 	}
 	for name, s := range allSuites(t) {
@@ -134,79 +253,90 @@ func TestDecryptRejectsMalformedLengths(t *testing.T) {
 			}
 		})
 	}
-	ctr := allSuites(t)["aes-ctr-gmac"]
-	if got, err := ctr.Decrypt(make([]byte, ctrHeaderSize)); err != nil || len(got) != 0 {
+	gcm := allSuites(t)["aes-gcm"]
+	if got, err := gcm.Decrypt(make([]byte, gcmHeaderSize)); err != nil || len(got) != 0 {
 		t.Fatalf("Decrypt of a bare header: %d bytes, %v", len(got), err)
 	}
 }
 
 // TestCTRSuiteShape pins the byte accounting the default suite promises:
-// every ciphertext is exactly the plaintext plus a 16-byte header, and
-// hashes, chunk digests and MACs are 20 bytes, the sizes of the paper's
-// SHA-1 suite.
+// every record is exactly the plaintext plus a 16-byte header — GCM is
+// counter mode, and the tag lives in the leaf — and hashes, leaves and MACs
+// are 20 bytes, the sizes of the paper's SHA-1 suite.
 func TestCTRSuiteShape(t *testing.T) {
-	s := allSuites(t)["aes-ctr-gmac"]
+	s := allSuites(t)["aes-gcm"]
 	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 100, 2500} {
-		ct, err := s.Encrypt(make([]byte, n), uint64(n))
+		record, leaf, err := s.Seal(make([]byte, n), uint64(n))
 		if err != nil {
-			t.Fatalf("Encrypt(%d bytes): %v", n, err)
+			t.Fatalf("Seal(%d bytes): %v", n, err)
 		}
-		if len(ct) != n+16 || s.Overhead(n) != 16 {
-			t.Fatalf("%d-byte plaintext: ciphertext %d bytes, overhead %d; want %d and 16", n, len(ct), s.Overhead(n), n+16)
+		if len(record) != n+16 || len(leaf) != 20 {
+			t.Fatalf("%d-byte plaintext: record %d bytes, leaf %d; want %d and 20", n, len(record), len(leaf), n+16)
 		}
 	}
-	if s.HashSize() != 20 || len(s.Hash([]byte("x"))) != 20 || s.MACSize() != 20 || len(s.MAC([]byte("x"))) != 20 || len(s.Digest(nil, []byte("x"))) != 20 {
-		t.Fatalf("hash %d/%d, MAC %d/%d bytes; want 20", s.HashSize(), len(s.Hash([]byte("x"))), s.MACSize(), len(s.MAC([]byte("x"))))
+	if s.HashSize() != 20 || len(s.Hash([]byte("x"))) != 20 || len(s.MAC([]byte("x"))) != 20 || len(s.Digest(nil, []byte("x"))) != 20 {
+		t.Fatalf("hash size %d, hash %d, MAC %d bytes; want 20", s.HashSize(), len(s.Hash([]byte("x"))), len(s.MAC([]byte("x"))))
 	}
 }
 
 // TestCTRInstancesNeverShareAKeystream: two instances under one secret —
-// two stores whose IV generations both start at 0 — encrypt the same seed
-// differently (each draws its own salt), yet each decrypts the other's
-// ciphertexts, since the header carries everything decryption needs.
+// two stores whose IV generations both start at 0 — seal the same seed
+// differently (each draws its own salt, so the nonces differ), yet each
+// opens the other's records, since the header carries everything the nonce
+// needs, and the leaves depend on the secret alone.
 func TestCTRInstancesNeverShareAKeystream(t *testing.T) {
-	a, _ := NewAESCTRGMAC(testSecret)
-	b, _ := NewAESCTRGMAC(testSecret)
+	a, _ := NewAESGCM(testSecret)
+	b, _ := NewAESGCM(testSecret)
 	pt := []byte("same secret, same seed, two stores")
-	ca, _ := a.Encrypt(pt, 7)
-	cb, _ := b.Encrypt(pt, 7)
-	if bytes.Equal(ca[ctrHeaderSize:], cb[ctrHeaderSize:]) {
+	ca, la, _ := a.Seal(pt, 7)
+	cb, lb, _ := b.Seal(pt, 7)
+	if bytes.Equal(ca[gcmHeaderSize:], cb[gcmHeaderSize:]) {
 		t.Fatal("two instances produced the same keystream for one seed")
 	}
 	for _, c := range []struct {
-		s  Suite
-		ct []byte
-	}{{a, cb}, {b, ca}} {
+		s        Suite
+		ct, leaf []byte
+	}{{a, cb, lb}, {b, ca, la}} {
+		if got, err := c.s.Open(append([]byte(nil), c.ct...), c.leaf); err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("cross-instance Open: %q, %v", got, err)
+		}
 		if got, err := c.s.Decrypt(c.ct); err != nil || !bytes.Equal(got, pt) {
 			t.Fatalf("cross-instance Decrypt: %q, %v", got, err)
 		}
 	}
-	if !HashEqual(a.MAC(pt), b.MAC(pt)) || !HashEqual(a.Hash(pt), b.Hash(pt)) || !HashEqual(a.Digest(nil, ca), b.Digest(nil, ca)) {
-		t.Fatal("hash, MAC or digest depends on the instance, not only on the secret")
+	if !HashEqual(a.MAC(pt), b.MAC(pt)) || !HashEqual(a.Hash(pt), b.Hash(pt)) || !HashEqual(a.Digest(nil, cb), b.Digest(nil, cb)) {
+		t.Fatal("hash, MAC or leaf depends on the instance, not only on the secret")
 	}
 }
 
-// TestGMACDigest pins what the default suite's digest is: a GMAC tag
-// zero-padded to 20 bytes, keyed apart from Hash and by the device secret,
-// and constant for input shorter than the header, with a non-zero pad that
-// equals no real digest. FuzzChunkDigest holds every suite's digest to the
-// rest of its contract.
+// TestGMACDigest pins what the default suite's leaf is: the AES-GCM tag
+// over the record's payload — a GMAC over the ciphertext — under the "enc"
+// key and the nonce AES_kiv(header)[:12], zero-padded to 20 bytes, keyed
+// apart from Hash and by the device secret, and constant for input shorter
+// than the header, with a non-zero pad that equals no real leaf.
+// FuzzChunkDigest holds every suite's leaf to the rest of its contract.
 func TestGMACDigest(t *testing.T) {
-	s := allSuites(t)["aes-ctr-gmac"]
-	ct, _ := s.Encrypt(make([]byte, 1024), 9)
-	d := s.Digest(nil, ct)
-	if !bytes.Equal(d[gmacTagSize:], make([]byte, ctrDigestSize-gmacTagSize)) {
-		t.Fatalf("digest pad %x, want zeros", d[gmacTagSize:])
+	s := allSuites(t)["aes-gcm"]
+	pt := bytes.Repeat([]byte("leaf"), 256)
+	record, leaf, _ := s.Seal(pt, 9)
+	block, _ := aesBlock(testSecret, "enc")
+	ivBlock, _ := aesBlock(testSecret, "iv")
+	aead, _ := cipher.NewGCM(block)
+	var nonce [16]byte
+	ivBlock.Encrypt(nonce[:], record[:gcmHeaderSize])
+	want := aead.Seal(nil, nonce[:12], pt, nil)
+	if !bytes.Equal(want[:len(pt)], record[gcmHeaderSize:]) || !bytes.Equal(leaf, append(want[len(pt):], 0, 0, 0, 0)) {
+		t.Fatalf("record or leaf %x is not AES-GCM under the header's nonce (tag %x)", leaf, want[len(pt):])
 	}
-	if HashEqual(d, s.Hash(ct)) {
-		t.Fatal("the chunk digest equals Hash")
+	if HashEqual(leaf, s.Hash(record)) {
+		t.Fatal("the leaf equals Hash")
 	}
-	other, _ := NewAESCTRGMAC([]byte("another-device-secret-0123456789"))
-	if HashEqual(d, other.Digest(nil, ct)) {
-		t.Fatal("the chunk digest does not depend on the device secret")
+	other, _ := NewAESGCM([]byte("another-device-secret-0123456789"))
+	if HashEqual(leaf, other.Digest(nil, record)) {
+		t.Fatal("the leaf does not depend on the device secret")
 	}
-	for n := 0; n < ctrHeaderSize; n++ {
-		if got := s.Digest(nil, ct[:n]); !HashEqual(got, shortDigest[:]) {
+	for n := 0; n < gcmHeaderSize; n++ {
+		if got := s.Digest(nil, record[:n]); !HashEqual(got, shortDigest[:]) {
 			t.Fatalf("%d-byte input: digest %x, want %x", n, got, shortDigest)
 		}
 	}
@@ -234,8 +364,8 @@ func TestMACProperties(t *testing.T) {
 	for name, s := range allSuites(t) {
 		t.Run(name, func(t *testing.T) {
 			m := s.MAC([]byte("anchor"))
-			if len(m) != s.MACSize() {
-				t.Fatalf("MAC size %d, declared %d", len(m), s.MACSize())
+			if len(m) != s.HashSize() {
+				t.Fatalf("MAC size %d, declared %d", len(m), s.HashSize())
 			}
 			if !VerifyMAC(s, []byte("anchor"), m) {
 				t.Fatal("valid MAC rejected")
@@ -268,7 +398,7 @@ func TestMACKeyDependsOnSecret(t *testing.T) {
 }
 
 func TestNewSuiteByName(t *testing.T) {
-	for _, name := range []string{"3des-sha1", "aes-ctr-gmac", "null"} {
+	for _, name := range []string{"3des-sha1", "aes-gcm", "null"} {
 		s, err := NewSuite(name, testSecret)
 		if err != nil {
 			t.Fatalf("NewSuite(%q): %v", name, err)
@@ -277,8 +407,10 @@ func TestNewSuiteByName(t *testing.T) {
 			t.Fatalf("NewSuite(%q).Name() = %q", name, s.Name())
 		}
 	}
-	if _, err := NewSuite("rot13", testSecret); err == nil {
-		t.Fatal("unknown suite accepted")
+	for _, name := range []string{"rot13", "aes-ctr-gmac", "aes-ctr-sha256"} {
+		if _, err := NewSuite(name, testSecret); err == nil {
+			t.Fatalf("unknown suite %q accepted", name)
+		}
 	}
 	if _, err := NewSuite("3des-sha1", nil); err == nil {
 		t.Fatal("empty secret accepted")

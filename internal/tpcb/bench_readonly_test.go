@@ -16,7 +16,7 @@ var benchScale = Scale{Accounts: 1000, Tellers: 50, Branches: 5}
 // newBenchDriver loads a small TDB instance on a memory store.
 func newBenchDriver(b *testing.B) *TDBDriver {
 	b.Helper()
-	d, err := NewTDBDriver(TDBOptions{Store: platform.NewMemStore(), Suite: "aes-ctr-gmac"})
+	d, err := NewTDBDriver(TDBOptions{Store: platform.NewMemStore(), Suite: "aes-gcm"})
 	if err != nil {
 		b.Fatalf("NewTDBDriver: %v", err)
 	}
