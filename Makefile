@@ -131,8 +131,13 @@ size:
 # (BenchmarkPrepareBatch); then a warm 64 × 1 KiB ReadBatch
 # (BenchmarkReadBatchWarm) and the suites' seal and open of one record
 # (BenchmarkSeal, BenchmarkOpen), with allocations: the per-record cost of a
-# commit and of a scan. Stage 1 runs on the committing goroutine at
-# every -cpu setting; -cpu 2 lets concurrent committers overlap. Raw
+# commit and of a scan; then repeated prefetching snapshot range scans over a
+# collection twice the decode table's budget (BenchmarkSnapshotScan), at
+# disjoint starts and over one repeated range: ns per record, allocations,
+# and the segment reads of each scan and of the index query after it, 0
+# while scans evict no index page. Stage 1 runs on
+# the committing goroutine at every -cpu setting; -cpu 2 lets concurrent
+# committers overlap. Raw
 # outputs are not committed; to regenerate the rest of the recorded
 # evaluation, see "How to regenerate" at the top of EXPERIMENTS.md
 # (cmd/footprint for Figure 8, cmd/tdbbench for Figures 9-11 and the suite
@@ -141,6 +146,7 @@ bench:
 	$(GO) test ./internal/chunkstore/ -run XXX -bench 'BenchmarkCommitParallelCrypto|BenchmarkConcurrentRead|BenchmarkPrepareBatch' -benchtime 1s -cpu 1,2
 	$(GO) test ./internal/chunkstore/ -run XXX -bench BenchmarkReadBatchWarm -benchmem -benchtime 1s
 	$(GO) test ./internal/sec/ -run XXX -bench 'BenchmarkSeal|BenchmarkOpen' -benchmem -benchtime 1s
+	$(GO) test . -run XXX -bench BenchmarkSnapshotScan -benchtime 1s
 
 # bench-smoke runs every benchmark exactly once — not for numbers, only to
 # keep the benchmarks compiling and passing their own assertions — plus the

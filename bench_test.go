@@ -15,6 +15,7 @@ package tdb_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -155,15 +156,15 @@ const (
 	coldTitle = 1 << 10
 )
 
-// openColdDB loads coldSongs songs under a unique hash index on a metered
-// MemStore, 1024 to a transaction, and reads nothing back.
-func openColdDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer, *platform.MeterStore) {
+// openColdDB loads coldSongs songs, ids 0 to coldSongs−1, under the unique
+// index by on a metered MemStore, 1024 to a transaction, and reads nothing
+// back.
+func openColdDB(tb testing.TB, by tdb.GenericIndexer) (*tdb.DB, *platform.MeterStore) {
 	tb.Helper()
 	db, opts := openTestDB(tb)
 	tb.Cleanup(func() { db.Close() })
-	byID := songByID()
 	txn := db.Begin()
-	if _, err := txn.CreateCollection("songs", byID); err != nil {
+	if _, err := txn.CreateCollection("songs", by); err != nil {
 		tb.Fatalf("CreateCollection: %v", err)
 	}
 	if err := txn.Commit(false); err != nil {
@@ -172,7 +173,7 @@ func openColdDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer, *platform.MeterStor
 	title := strings.Repeat("t", coldTitle)
 	for start := 0; start < coldSongs; start += 1024 {
 		txn := db.Begin()
-		songs, err := txn.WriteCollection("songs", byID)
+		songs, err := txn.WriteCollection("songs", by)
 		if err != nil {
 			tb.Fatalf("WriteCollection: %v", err)
 		}
@@ -185,7 +186,7 @@ func openColdDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer, *platform.MeterStor
 			tb.Fatalf("Commit: %v", err)
 		}
 	}
-	return db, byID, opts.Store.(*platform.MeterStore)
+	return db, opts.Store.(*platform.MeterStore)
 }
 
 // BenchmarkSnapshotLookupCold measures the snapshot miss path in the shape
@@ -194,12 +195,101 @@ func openColdDB(tb testing.TB) (*tdb.DB, tdb.GenericIndexer, *platform.MeterStor
 // table and read, validate, decrypt and unpickle a chunk. Run at -cpu 1,2 it
 // shows whether two readers' misses overlap or queue on a shared lock.
 func BenchmarkSnapshotLookupCold(b *testing.B) {
-	db, byID, meter := openColdDB(b)
+	byID := songByID()
+	db, meter := openColdDB(b, byID)
 	var seeds atomic.Int64
 	benchLookupTxns(b, db, byID, meter, func() func() int64 {
 		rng := rand.New(rand.NewSource(seeds.Add(7919)))
 		return func() int64 { return rng.Int63n(coldSongs) }
 	})
+}
+
+// BenchmarkSnapshotScan measures the prefetching snapshot scan in the shape
+// of the repository benchmark's scan-vs-writer workload, without its
+// writer: one op is a snapshot range scan of scanLen records through a
+// B-tree over coldSongs records, twice the decode table's budget, at the
+// default prefetch window, then the index query of the next scan's range.
+// Every index page is cached before the first op. It reports ns per scanned
+// record, allocations per scan, the scan's segment reads (scan-reads/op)
+// and those of the query after it (query-reads/op). Two traffics:
+//
+//   - disjoint: starts step through the collection by the golden ratio, so
+//     successive ranges never overlap and no scan reuses a record. A scan
+//     that cached its records above the index pages would evict them, and
+//     the next query would read them back.
+//   - repeat: every scan reads the same range, small enough for the decode
+//     table. The load's commits left the table full and nothing else runs,
+//     so the range is served from memory only if a scan may evict to make
+//     room for it; scan-reads/op shows whether it did.
+func BenchmarkSnapshotScan(b *testing.B) {
+	const scanLen = 4096
+	bySeq := tdb.NewIndexer("seq", true, tdb.BTree, func(s *Song) tdb.IntKey { return tdb.IntKey(s.ID) })
+	db, meter := openColdDB(b, bySeq)
+	// query runs the range query of n ids from start in a snapshot
+	// transaction that done ends.
+	query := func(b *testing.B, start, n int64) (it *tdb.Iterator, done func()) {
+		txn := db.BeginReadOnly()
+		h, err := txn.ReadCollection("songs", bySeq)
+		if err != nil {
+			b.Fatalf("ReadCollection: %v", err)
+		}
+		if it, err = h.QueryRange(bySeq, tdb.IntKey(start), tdb.IntKey(start+n-1)); err != nil {
+			b.Fatalf("QueryRange: %v", err)
+		}
+		return it, func() { it.Close(); txn.Abort() }
+	}
+	// Warm the index: the whole collection's query opens every page.
+	it, done := query(b, 0, coldSongs)
+	if it.Len() != coldSongs {
+		b.Fatalf("the collection holds %d songs, want %d", it.Len(), coldSongs)
+	}
+	done()
+	pos := 0.0
+	disjoint := func() int64 {
+		pos += 0.6180339887498949
+		pos -= math.Floor(pos)
+		return int64(pos * (coldSongs - scanLen + 1))
+	}
+	repeat := func() int64 { return coldSongs / 2 }
+	for _, c := range []struct {
+		name string
+		next func() int64
+	}{{"disjoint", disjoint}, {"repeat", repeat}} {
+		b.Run(c.name, func(b *testing.B) {
+			start := c.next()
+			var scanReads, queryReads int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				before := meter.Stats().Snapshot()
+				it, done := query(b, start, scanLen)
+				want := start
+				for it.Next() {
+					s, err := tdb.ReadAs[*Song](it)
+					if err != nil || s.ID != want {
+						b.Fatalf("scan from %d: record %v, %v; want id %d", start, s, err, want)
+					}
+					want++
+				}
+				done()
+				if want != start+scanLen {
+					b.Fatalf("scan from %d returned %d records, want %d", start, want-start, scanLen)
+				}
+				scanReads += meter.Stats().Snapshot().Sub(before).ReadOps
+				start = c.next()
+				b.StopTimer()
+				before = meter.Stats().Snapshot()
+				_, done = query(b, start, scanLen)
+				queryReads += meter.Stats().Snapshot().Sub(before).ReadOps
+				done()
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*scanLen), "ns/record")
+			b.ReportMetric(float64(scanReads)/float64(b.N), "scan-reads/op")
+			b.ReportMetric(float64(queryReads)/float64(b.N), "query-reads/op")
+		})
+	}
 }
 
 // benchLookupTxns runs the lookup benchmarks' op under RunParallel: a

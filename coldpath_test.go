@@ -22,7 +22,8 @@ func TestColdLookupSegmentReads(t *testing.T) {
 		lookups = 8192
 		want    = 4422
 	)
-	db, byID, meter := openColdDB(t)
+	byID := songByID()
+	db, meter := openColdDB(t, byID)
 	rng := rand.New(rand.NewSource(1))
 	run := func(n int) {
 		for done := 0; done < n; done += 8 {

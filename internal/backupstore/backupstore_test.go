@@ -55,6 +55,13 @@ func (s digestLeafSuite) Open(record, leaf []byte) ([]byte, error) {
 	return s.Decrypt(record)
 }
 
+func (s digestLeafSuite) Check(record, leaf []byte) error {
+	if !sec.HashEqual(s.digest(nil, record), leaf) {
+		return sec.ErrTampered
+	}
+	return nil
+}
+
 // newEnvSuite is newEnv under the named suite.
 func newEnvSuite(t *testing.T, name string) *env {
 	t.Helper()

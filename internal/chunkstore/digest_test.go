@@ -23,8 +23,8 @@ import (
 // to the tamper contract the leaf hash met.
 
 // hashCountingSuite wraps a suite and counts its Hash calls, both in all
-// and over records its Encrypt or Seal produced, and its Seal, Open and
-// Digest calls.
+// and over records its Encrypt or Seal produced, and its Seal, Open, Check,
+// Decrypt and Digest calls.
 type hashCountingSuite struct {
 	sec.Suite
 	mu          sync.Mutex
@@ -33,6 +33,8 @@ type hashCountingSuite struct {
 	ctHashes    int // Hash calls over a record
 	seals       int
 	opens       int
+	checks      int
+	decrypts    int
 	digests     int
 }
 
@@ -60,6 +62,20 @@ func (c *hashCountingSuite) Open(record, leaf []byte) ([]byte, error) {
 	return c.Suite.Open(record, leaf)
 }
 
+func (c *hashCountingSuite) Check(record, leaf []byte) error {
+	c.mu.Lock()
+	c.checks++
+	c.mu.Unlock()
+	return c.Suite.Check(record, leaf)
+}
+
+func (c *hashCountingSuite) Decrypt(ciphertext []byte) ([]byte, error) {
+	c.mu.Lock()
+	c.decrypts++
+	c.mu.Unlock()
+	return c.Suite.Decrypt(ciphertext)
+}
+
 func (c *hashCountingSuite) Hash(data []byte) []byte {
 	c.mu.Lock()
 	c.hashes++
@@ -78,14 +94,14 @@ func (c *hashCountingSuite) Digest(dst, ciphertext []byte) []byte {
 }
 
 // counts are hashCountingSuite's counts since the last take.
-type counts struct{ hashes, ctHashes, seals, opens, digests int }
+type counts struct{ hashes, ctHashes, seals, opens, checks, decrypts, digests int }
 
 // take returns the counts since the last take and zeroes them.
 func (c *hashCountingSuite) take() counts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	got := counts{c.hashes, c.ctHashes, c.seals, c.opens, c.digests}
-	c.hashes, c.ctHashes, c.seals, c.opens, c.digests = 0, 0, 0, 0, 0
+	got := counts{c.hashes, c.ctHashes, c.seals, c.opens, c.checks, c.decrypts, c.digests}
+	c.hashes, c.ctHashes, c.seals, c.opens, c.checks, c.decrypts, c.digests = 0, 0, 0, 0, 0, 0, 0
 	return got
 }
 
@@ -136,6 +152,35 @@ func TestChunkPathsDigestWithoutHash(t *testing.T) {
 	}
 	if got := cs.take(); got.ctHashes != 0 || got.digests != 0 || got.opens != 1 {
 		t.Fatalf("a cold Read: %+v, want one open and no record hashed or digested", got)
+	}
+}
+
+// TestScrubChecksWithoutDecrypting checks that a Scrub, which keeps each
+// record's ciphertext, authenticates every chunk with one Check and
+// decrypts nothing at the suite's surface: under 3des-sha1 a Check is the
+// leaf's SHA-1 compare alone, so the audit pays no 3DES pass, and under
+// aes-gcm it is the one GCM open of a private copy inside the suite.
+func TestScrubChecksWithoutDecrypting(t *testing.T) {
+	for _, suite := range []string{"3des-sha1", "aes-gcm"} {
+		t.Run(suite, func(t *testing.T) {
+			env := newTestEnv(t, suite)
+			cs := &hashCountingSuite{Suite: env.suite, ciphertexts: make(map[string]bool)}
+			env.cfg.Suite = cs
+			env.cfg.SegmentSize = 1 << 20
+			s := env.open(t)
+			defer s.Close()
+			const n = 64
+			writeBatch(t, s, n, true, kibPayload)
+			cs.take()
+			report, err := s.Scrub()
+			if err != nil || report.ChunksChecked != n || len(report.Bad) != 0 {
+				t.Fatalf("Scrub: %+v, %v; want %d chunks checked, none bad", report, err, n)
+			}
+			// Hash calls are the map nodes' own links.
+			if got := cs.take(); got != (counts{checks: n, hashes: got.hashes}) {
+				t.Fatalf("Scrub of %d chunks: %+v; want %d checks and no open, decrypt, seal, digest or record hash", n, got, n)
+			}
+		})
 	}
 }
 
@@ -298,6 +343,13 @@ func (s digestLeafSuite) Open(record, leaf []byte) ([]byte, error) {
 		return nil, sec.ErrTampered
 	}
 	return s.Decrypt(record)
+}
+
+func (s digestLeafSuite) Check(record, leaf []byte) error {
+	if !sec.HashEqual(s.digest(nil, record), leaf) {
+		return sec.ErrTampered
+	}
+	return nil
 }
 
 // retiredSuite returns the model of a retired default over base, the

@@ -541,14 +541,15 @@ func (s *Store) openChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([]
 }
 
 // checkChunkRecord is openChunkRecord for a caller that keeps the
-// ciphertext — an audit, the cleaner: it opens a private copy and returns
-// the validated ciphertext, a subslice of body, untouched.
+// ciphertext — an audit, the cleaner: it checks the record against its leaf
+// with sec.Suite.Check, which decrypts nothing under the hashing suites,
+// and returns the validated ciphertext, a subslice of body, untouched.
 func (s *Store) checkChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([]byte, error) {
 	ciphertext, err := chunkCiphertext(cid, e, typ, body)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.suite.Open(append(make([]byte, 0, len(ciphertext)+sec.OpenSlack), ciphertext...), e.hash); err != nil {
+	if err := s.suite.Check(ciphertext, e.hash); err != nil {
 		return nil, fmt.Errorf("%w: chunk %d fails digest validation: %v", ErrTampered, cid, err)
 	}
 	return ciphertext, nil

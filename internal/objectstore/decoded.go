@@ -7,17 +7,27 @@ import "sync/atomic"
 // hot opens of stable objects (directories, index pages, records) skip the
 // chunk store and the unpickling. Snapshot opens, 2PL read-only opens and
 // prefetch all probe it; a probe loads the pointers of one set: no lock, no
-// write to shared memory.
+// write to shared memory. Point reads' misses, commits and 2PL prefetches
+// put their objects, which may evict. A snapshot scan's prefetch only
+// offers its batch (versionTable.memoize): a record is admitted at zero
+// credit, and only into room the budget has spare, so a scan reuses the
+// table but never evicts the index pages and directories other readers
+// reuse. The batch itself goes to the scanning transaction's memo.
 //
 // Soundness: entries exist only for objects with no version chain. stage
 // clears an object's slot before it installs the chain, and runs before the
-// chunk-store merge and before publish advances the stamp. put runs only from
-// decodedPut, which re-checks the no-chain condition under
-// versionTable.decodedMu — every chain insert and delete holds it too, so the
-// chain map cannot change under the check — while its caller's pin keeps any
-// racing chain alive, and from publish, which re-seats a committing writer's
-// instance in the same locked section that drops its chain. So an entry a
-// probe can load is the state every live and every future pin must see.
+// chunk-store merge and before publish advances the stamp. put and offer
+// run only from decodedPut and memoize, which re-check the no-chain
+// condition under versionTable.decodedMu — every chain insert and delete
+// holds it too, so the chain map cannot change under the check — while
+// their caller's pin keeps any racing chain alive, and from publish, which
+// re-seats a committing writer's instance in the same locked section that
+// drops its chain. So an entry a probe can load is the state every live and
+// every future pin must see. memoize's pin is the snapshot's own: a commit
+// after it that touched an object staged its chain before it merged, and
+// reclaimLocked keeps that chain while the pin lives, so no chain after the
+// read means the bytes read are the object's state at the pin, and its
+// latest.
 //
 // Replacement is size-aware (GreedyDual-Size, Cao & Irani 1997): every miss
 // costs about one chunk read whatever the object's size, so per byte of
@@ -153,6 +163,25 @@ func (dt *decodedTable) put(oid ObjectID, obj Object, size int64) {
 	dt.bytes += size
 	dt.count++
 	dt.credit[way] = uint8(min(decodedMaxCredit, dt.bytes/int64(dt.count)/max(size, 1)))
+}
+
+// offer caches obj for oid at zero credit, so it is the first to go when a
+// put needs room, and only if oid has no entry and the budget and oid's set
+// have room: it evicts nothing.
+func (dt *decodedTable) offer(oid ObjectID, obj Object, size int64) {
+	if size > decodedMaxEntry || dt.bytes+size > decodedBudget || dt.get(oid) != nil {
+		return
+	}
+	set := dt.set(oid)
+	for i := set; i < set+decodedWays; i++ {
+		if dt.slots[i].Load() == nil {
+			dt.slots[i].Store(&decodedEntry{oid: oid, obj: obj, size: size})
+			dt.bytes += size
+			dt.count++
+			dt.credit[i] = 0
+			return
+		}
+	}
 }
 
 // resident counts the occupied slots and sums their sizes. The caller holds

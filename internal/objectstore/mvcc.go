@@ -306,7 +306,7 @@ func (vt *versionTable) resolve(oid ObjectID, pin uint64) (data []byte, present,
 }
 
 // decodedPut caches unpickled committed objects for the no-chain path, a
-// prefetch batch in one locked section. The no-chain condition is
+// 2PL prefetch batch in one locked section. The no-chain condition is
 // re-checked for each under decodedMu, which every chain insert holds too:
 // the caller decoded bytes it read without a lock, and a writer may have
 // staged a newer state since. The caller's snapshot pin keeps any such
@@ -318,6 +318,25 @@ func (vt *versionTable) decodedPut(objs ...decodedEntry) {
 	for _, e := range objs {
 		if vt.chains[e.oid] == nil {
 			vt.decoded.put(e.oid, e.obj, e.size)
+		}
+	}
+}
+
+// memoize puts a snapshot transaction's prefetch batch in its memo and
+// offers it to the decode table, in one locked section under decodedPut's
+// no-chain re-check, made against the snapshot's own pin (decoded.go). The
+// memo keeps the first instance of an id, so every open of it returns one
+// object.
+func (vt *versionTable) memoize(memo *snapMemo, objs []decodedEntry) {
+	vt.decodedMu.Lock()
+	defer vt.decodedMu.Unlock()
+	for _, e := range objs {
+		if vt.chains[e.oid] != nil {
+			continue
+		}
+		if _, ok := memo.get(e.oid); !ok {
+			memo.put(e.oid, e.obj)
+			vt.decoded.offer(e.oid, e.obj, e.size)
 		}
 	}
 }
@@ -340,9 +359,10 @@ func (vt *versionTable) decodedResidency() (n int, bytes int64) {
 // from the chunk store, under one read-locked pass (no lock while no chain
 // exists): objects with a version chain are skipped (they resolve from the
 // table, and their committed chunk state may be newer than what a snapshot
-// reader will see), as are objects whose committed decode is already cached.
+// reader will see), as are objects whose committed decode is already cached
+// and, given a snapshot transaction's memo, objects it already holds.
 // Nil ids drop; duplicates stay, for the chunk store's batch read dedupes.
-func (vt *versionTable) prefetchFilter(oids []ObjectID) []ObjectID {
+func (vt *versionTable) prefetchFilter(oids []ObjectID, memo *snapMemo) []ObjectID {
 	chained := vt.nchains.Load() != 0
 	if chained {
 		vt.mu.RLock()
@@ -360,6 +380,11 @@ func (vt *versionTable) prefetchFilter(oids []ObjectID) []ObjectID {
 		}
 		if vt.decoded.get(oid) != nil {
 			continue
+		}
+		if memo != nil {
+			if _, ok := memo.get(oid); ok {
+				continue
+			}
 		}
 		out = append(out, oid)
 	}

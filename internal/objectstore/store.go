@@ -191,9 +191,9 @@ func (s *Store) readCommitted(oid ObjectID) ([]byte, error) {
 
 // decodeCommitted unpickles data, oid's committed chunk state, and offers the
 // instance to the decode table. It is the miss path of every shared open —
-// snapshot and 2PL read-only alike (a prefetch offers its whole batch at
-// once): the caller read data while holding a version-table pin, which is
-// what makes decodedPut's no-chain re-check sound.
+// snapshot and 2PL read-only alike (a 2PL prefetch puts its whole batch
+// at once): the caller read data while holding a version-table pin, which
+// is what makes decodedPut's no-chain re-check sound.
 func (s *Store) decodeCommitted(oid ObjectID, data []byte) (Object, error) {
 	obj, err := unpickleObject(s.cfg.Registry, data)
 	if err != nil {

@@ -39,13 +39,15 @@ type Txn struct {
 	pin uint64
 	// roRoot is the root pointer as of the pinned stamp.
 	roRoot ObjectID
-	// snap remembers objects already resolved by this snapshot, so every
-	// oid unpickles once and repeated opens return the same instance. It is
-	// borrowed from snapMemos from BeginReadOnly until the transaction ends.
+	// snap remembers objects already resolved or prefetched by this
+	// snapshot, so every oid unpickles once and repeated opens return the
+	// same instance. It is borrowed from snapMemos from BeginReadOnly until
+	// the transaction ends.
 	snap *snapMemo
 }
 
-// snapMemo is a snapshot transaction's oid → object memo. A lookup
+// snapMemo is a snapshot transaction's oid → object memo: every object it
+// opens, and every object its scans prefetch (see Txn.Prefetch). A lookup
 // transaction opens a couple of dozen objects, so the first snapMemoInline
 // sit in an array found by a linear scan; only a transaction that opens
 // more (a scan) pays for a map. Memos are recycled, so a transaction
@@ -262,25 +264,33 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 // Prefetch hints that the listed objects are about to be opened, warming
 // the read path for them: their committed chunks are fetched, validated,
 // and decrypted through the chunk store's batch read (coalesced segment
-// reads), which dedupes the ids, and chain-free objects are unpickled into
-// the decode table, so snapshot and 2PL read-only opens skip the chunk
-// store entirely. It returns the number of objects warmed. Errors are
-// deliberately swallowed — a hint must never fail harder than the open it
-// accelerates, and the open will surface them.
+// reads), which dedupes the ids, and chain-free objects are unpickled where
+// the transaction's opens look first. A snapshot transaction puts them in
+// its own memo, which holds every object it opens until it ends anyway,
+// and offers them to the decode table only into spare room, at zero
+// credit: a scan that reads more than the table holds evicts nothing, and
+// a scan over a range that fits leaves it cached for the next one. A 2PL
+// transaction, whose open takes its shared lock only after the prefetch,
+// puts them in the decode table, where a later commit's stage clears a
+// slot it made stale. Ids already in the decode table or, for a snapshot
+// transaction, in its memo are not read. It returns the number of objects
+// unpickled, a duplicate id once per occurrence. Errors are deliberately
+// swallowed — a hint must never fail harder than the open it accelerates,
+// and the open will surface them.
 func (t *Txn) Prefetch(oids []ObjectID) int {
-	if len(oids) == 0 {
+	if len(oids) == 0 || t.readOnly && !t.roActive {
 		return 0
 	}
 	vt := t.s.versions
-	// Pin the current stamp for the duration of the warm. The pin
-	// guarantees that any commit staging a chain for one of these objects
-	// keeps the chain alive until we are done, which is what makes
-	// decodedPut's no-chain recheck sound (see versionTable.decodedPut);
-	// the transaction's own pin cannot serve, because a read-write
-	// transaction holds none.
-	pin, _ := vt.pin()
-	defer vt.unpin(pin)
-	cands := vt.prefetchFilter(oids)
+	// A snapshot's own pin keeps any chain a racing commit stages for these
+	// objects alive until the batch is cached, which is what makes the
+	// no-chain re-check sound (see decoded.go); a 2PL transaction holds no
+	// pin, so it pins the current stamp for the warm.
+	if !t.readOnly {
+		pin, _ := vt.pin()
+		defer vt.unpin(pin)
+	}
+	cands := vt.prefetchFilter(oids, t.snap)
 	if len(cands) == 0 {
 		return 0
 	}
@@ -288,9 +298,9 @@ func (t *Txn) Prefetch(oids []ObjectID) int {
 	for i, oid := range cands {
 		cids[i] = chunkstore.ChunkID(oid)
 	}
-	// Unpickle the whole batch, then offer it to the decode table in one
-	// locked section. A bad chunk fails its open instead; a duplicate id is
-	// read once and unpickled per occurrence.
+	// Unpickle the whole batch, then cache it in one locked section. A bad
+	// chunk fails its open instead; a duplicate id is read once and
+	// unpickled per occurrence.
 	batch := make([]decodedEntry, 0, len(cands))
 	for i, r := range t.s.chunks.ReadBatch(cids) {
 		if r.Err != nil {
@@ -300,13 +310,17 @@ func (t *Txn) Prefetch(oids []ObjectID) int {
 			batch = append(batch, decodedEntry{oid: cands[i], obj: obj, size: int64(len(r.Data))})
 		}
 	}
-	vt.decodedPut(batch...)
+	if t.readOnly {
+		vt.memoize(t.snap, batch)
+	} else {
+		vt.decodedPut(batch...)
+	}
 	return len(batch)
 }
 
 // openShared returns oid's committed state for a 2PL read-only open: the
 // decode table's shared instance, faulted in on a miss through the same
-// helper snapshot opens and prefetch use. The caller's shared lock excludes
+// helper snapshot opens use. The caller's shared lock excludes
 // writers, so the chunk store's committed state is current; the pin keeps
 // decodedPut's soundness argument the one decoded.go states.
 func (s *Store) openShared(oid ObjectID) (Object, error) {

@@ -103,8 +103,11 @@ const openAllocs = 16
 // Digest succeeds exactly when Decrypt does, with the same plaintext, and
 // allocates at most openAllocs objects (none under aes-gcm); flipping the
 // byte at pos of the record, or any byte of the leaf, makes Open fail with
-// ErrTampered and no plaintext. The seeds are real Seal outputs, for which
-// every single-byte flip of header, ciphertext and leaf is checked first.
+// ErrTampered and no plaintext. Check of the record against its Digest
+// succeeds whenever Decrypt does and leaves the record intact, and fails
+// with ErrTampered under the same flips. The seeds are real Seal outputs,
+// for which every single-byte flip of header, ciphertext and leaf is
+// checked first.
 func FuzzChunkDigest(f *testing.F) {
 	suites := newFuzzSuites(f)
 	for i, s := range suites {
@@ -148,6 +151,9 @@ func FuzzChunkDigest(f *testing.F) {
 		}
 
 		want, derr := s.Decrypt(append([]byte(nil), data...))
+		if err := s.Check(in, d); derr == nil && err != nil || !bytes.Equal(in, data) {
+			t.Fatalf("%s: Check of %d bytes against their Digest: %v, input intact %v", s.Name(), len(data), err, bytes.Equal(in, data))
+		}
 		buf := make([]byte, len(data), len(data)+OpenSlack)
 		var got []byte
 		var err error
@@ -165,13 +171,19 @@ func FuzzChunkDigest(f *testing.F) {
 		case derr != nil || len(data) == 0:
 			return
 		}
-		copy(buf, data)
-		buf[int(pos)%len(buf)] ^= 0x01
+		in[int(pos)%len(in)] ^= 0x01
+		if err := s.Check(in, d); !errors.Is(err, ErrTampered) {
+			t.Fatalf("%s: flipping byte %d of %d: Check = %v", s.Name(), int(pos)%len(data), len(data), err)
+		}
+		copy(buf, in)
 		if got, err := s.Open(buf, d); !errors.Is(err, ErrTampered) || got != nil {
 			t.Fatalf("%s: flipping byte %d of %d: Open = %d bytes, %v", s.Name(), int(pos)%len(data), len(data), len(got), err)
 		}
 		copy(buf, data)
 		d[int(pos)%len(d)] ^= 0x01
+		if err := s.Check(data, d); !errors.Is(err, ErrTampered) {
+			t.Fatalf("%s: flipping leaf byte %d: Check = %v", s.Name(), int(pos)%len(d), err)
+		}
 		if got, err := s.Open(buf, d); !errors.Is(err, ErrTampered) || got != nil {
 			t.Fatalf("%s: flipping leaf byte %d: Open = %d bytes, %v", s.Name(), int(pos)%len(d), len(got), err)
 		}

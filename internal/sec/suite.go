@@ -55,6 +55,12 @@ type Suite interface {
 	// otherwise. A failed check is ErrTampered and leaves it unspecified.
 	Open(record, leaf []byte) ([]byte, error)
 
+	// Check authenticates a record against its leaf and leaves it intact,
+	// for a caller that keeps the ciphertext (an audit, the cleaner). The
+	// suites whose leaf is the record's Hash compare hashes; aes-gcm opens
+	// a private copy. A failed check is ErrTampered.
+	Check(record, leaf []byte) error
+
 	// Digest appends the leaf of a record to dst, leaving record intact,
 	// for whoever holds a record but not its leaf (recovery's replay).
 	// Under aes-gcm it decrypts a copy and reseals it, two passes.
@@ -104,7 +110,7 @@ func NewSuite(name string, secret []byte) (Suite, error) {
 }
 
 // hashLeaves gives a suite whose leaf is the Hash of its record
-// (3des-sha1, null) its Seal, Open and Digest.
+// (3des-sha1, null) its Seal, Open, Check and Digest.
 type hashLeaves struct{ s Suite }
 
 // Seal implements Suite: Encrypt, then Hash.
@@ -126,6 +132,14 @@ func (h hashLeaves) Open(record, leaf []byte) ([]byte, error) {
 		return nil, ErrTampered
 	}
 	return plain, nil
+}
+
+// Check implements Suite with a Hash compare.
+func (h hashLeaves) Check(record, leaf []byte) error {
+	if !HashEqual(h.s.Hash(record), leaf) {
+		return ErrTampered
+	}
+	return nil
 }
 
 // Digest implements Suite with Hash.

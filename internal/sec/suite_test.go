@@ -71,6 +71,13 @@ func (s ctrGMACSuite) Open(record, leaf []byte) ([]byte, error) {
 	return plain, nil
 }
 
+func (s ctrGMACSuite) Check(record, leaf []byte) error {
+	if !HashEqual(s.Digest(nil, record), leaf) {
+		return ErrTampered
+	}
+	return nil
+}
+
 func (s ctrGMACSuite) Digest(dst, record []byte) []byte {
 	if len(record) < gcmHeaderSize {
 		return append(dst, shortDigest[:]...)
@@ -121,6 +128,10 @@ func TestSealOpenRoundTrip(t *testing.T) {
 				if len(leaf) != s.HashSize() || !HashEqual(s.Digest(nil, record), leaf) {
 					t.Fatalf("Seal(%d bytes): leaf %x is not Digest %x", n, leaf, s.Digest(nil, record))
 				}
+				kept := append([]byte(nil), record...)
+				if err := s.Check(record, leaf); err != nil || !bytes.Equal(record, kept) {
+					t.Fatalf("Check(Seal(%d bytes)) = %v, record intact %v", n, err, bytes.Equal(record, kept))
+				}
 				buf := make([]byte, len(record), len(record)+OpenSlack)
 				var got []byte
 				allocs := testing.AllocsPerRun(1, func() {
@@ -143,13 +154,18 @@ func TestSealOpenRoundTrip(t *testing.T) {
 
 // TestOpenRejectsTamperedRecords flips every bit position's byte of a
 // record's header and ciphertext and of its leaf in turn: each must fail
-// Open with ErrTampered and return no plaintext.
+// Check with ErrTampered, leaving the record intact, and Open with
+// ErrTampered and no plaintext.
 func TestOpenRejectsTamperedRecords(t *testing.T) {
 	for name, s := range allSuites(t) {
 		t.Run(name, func(t *testing.T) {
 			record, leaf, _ := s.Seal([]byte("protected content, forty bytes long..."), 9)
 			try := func(what string, i int, rec, lf []byte) {
 				t.Helper()
+				kept := append([]byte(nil), rec...)
+				if err := s.Check(rec, lf); !errors.Is(err, ErrTampered) || !bytes.Equal(rec, kept) {
+					t.Fatalf("%s byte %d flipped: Check = %v, record intact %v; want ErrTampered", what, i, err, bytes.Equal(rec, kept))
+				}
 				if got, err := s.Open(rec, lf); !errors.Is(err, ErrTampered) || got != nil {
 					t.Fatalf("%s byte %d flipped: Open = %q, %v; want ErrTampered", what, i, got, err)
 				}

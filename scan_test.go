@@ -120,7 +120,8 @@ func TestScanPrefetchWindows(t *testing.T) {
 	// in its window. Window 0 pays a segment read per record on top of the
 	// catalog and index pages; a window covering the whole result set
 	// coalesces the records and leaves no point read per record, which is
-	// the decode table answering the scan's opens.
+	// the prefetched records answering the scan's opens: from the snapshot
+	// transaction's own memo, or from the decode table under 2PL.
 	want := []struct {
 		window                        int
 		readOps, bytesRead, coalesced int64
@@ -214,7 +215,11 @@ func TestScanRacesCleanerRelocation(t *testing.T) {
 // eight prefetching scanners sweep the collection in snapshot transactions
 // while a writer keeps mutating it through durable commits and the cleaner
 // churns the log underneath. Scanners must always observe a
-// consistent snapshot: every title matches its ID, no duplicates, no errors.
+// consistent snapshot: every title matches its ID, no errors, and every
+// record shows the same number of writer rounds. The writer bumps every
+// song's Plays once per transaction, and song ID starts with Plays ID − 1, so
+// Plays − (ID − 1) is one value across a snapshot: a record read or
+// prefetched past the snapshot's pin would show a later round.
 func TestScannersRaceGroupCommitWriter(t *testing.T) {
 	const n = 120
 	db, opts := openScanDB(t, n, tdb.Options{SegmentSize: 8 << 10})
@@ -249,6 +254,7 @@ func TestScannersRaceGroupCommitWriter(t *testing.T) {
 				}
 				it.SetPrefetch(w)
 				count := 0
+				var first, rounds int64
 				for it.Next() {
 					s, err := tdb.ReadAs[*Song](it)
 					if err != nil {
@@ -257,6 +263,13 @@ func TestScannersRaceGroupCommitWriter(t *testing.T) {
 					}
 					if s.Title != fmt.Sprintf("song-%04d", s.ID) {
 						t.Errorf("scanner %d: torn object %+v", seed, s)
+						break
+					}
+					if count == 0 {
+						first, rounds = s.ID, s.Plays-(s.ID-1)
+					} else if got := s.Plays - (s.ID - 1); got != rounds {
+						t.Errorf("scanner %d (window %d): song %d shows %d writer rounds, song %d showed %d: not one snapshot",
+							seed, w, s.ID, got, first, rounds)
 						break
 					}
 					count++
