@@ -1,7 +1,9 @@
 package backupstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tdb/internal/chunkstore"
 	"tdb/internal/platform"
@@ -77,8 +79,8 @@ func Repair(target *chunkstore.Store, arch platform.ArchivalStore, suite sec.Sui
 		for _, bad := range need {
 			res.Unrepairable = append(res.Unrepairable, bad)
 		}
-		sortChunkIDs(res.Healed)
-		sortBadChunks(res.Unrepairable)
+		slices.Sort(res.Healed)
+		slices.SortFunc(res.Unrepairable, func(a, b chunkstore.BadChunk) int { return cmp.Compare(a.ID, b.ID) })
 	}
 
 	// Re-scrub to prove the store is whole (or show what damage remains).
@@ -127,20 +129,4 @@ func matchStream(arch platform.ArchivalStore, suite sec.Suite, name string, need
 		delete(need, e.cid)
 	}
 	return nil
-}
-
-func sortChunkIDs(ids []chunkstore.ChunkID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
-}
-
-func sortBadChunks(bad []chunkstore.BadChunk) {
-	for i := 1; i < len(bad); i++ {
-		for j := i; j > 0 && bad[j-1].ID > bad[j].ID; j-- {
-			bad[j-1], bad[j] = bad[j], bad[j-1]
-		}
-	}
 }

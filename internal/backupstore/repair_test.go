@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"tdb/internal/chunkstore"
@@ -142,7 +143,7 @@ func TestScrubRepairEndToEnd(t *testing.T) {
 		t.Fatalf("unexpected map damage: %v", report.MapDamage)
 	}
 	wantBad := append([]chunkstore.ChunkID(nil), victims...)
-	sortChunkIDs(wantBad)
+	slices.Sort(wantBad)
 	if got := report.BadIDs(); fmt.Sprint(got) != fmt.Sprint(wantBad) {
 		t.Fatalf("scrub found %v, want %v", got, wantBad)
 	}

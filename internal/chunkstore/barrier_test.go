@@ -125,12 +125,14 @@ func TestCrashBetweenCheckpointHardenAndSlot(t *testing.T) {
 }
 
 // TestWriteBehindOverflowFlushesRecordInOneWrite pins the one append path:
-// every record, whatever its size, goes through the write-behind buffer. A
-// record that leaves the buffer under its cap costs no device operation; one
-// that reaches the cap flushes the buffered prefix and itself in exactly one
-// WriteAt, with no sync and no truncate, and buffering resumes afterwards.
-// A record of four times the cap passes through the same way, and the
-// flush lets its oversized backing array go.
+// every record, whatever its size, goes through the write-behind buffers,
+// and an append never touches the device. A commit or maintenance step
+// first flushes the buffers if they hold the cap or more: a step that finds
+// them under it costs no device operation, and the one after a record took
+// them to the cap flushes the buffered prefix and that record in exactly
+// one WriteAt, with no sync and no truncate, and buffering resumes. A
+// record of four times the cap passes through the same way, and the flush
+// lets its oversized backing array go.
 func TestWriteBehindOverflowFlushesRecordInOneWrite(t *testing.T) {
 	mem := platform.NewMemStore()
 	meter := platform.NewMeterStore(mem)
@@ -138,65 +140,64 @@ func TestWriteBehindOverflowFlushesRecordInOneWrite(t *testing.T) {
 	const segmentSize = 8 << 20 // every record below shares one segment
 
 	// Settle the tail: one buffered record, flushed to the device so the
-	// buffer is empty and every op below is an append's own.
+	// buffer is empty and every op below is a step's own.
 	small := segRecord('s', 100)
-	locSmall, err := ss.append(small, segmentSize)
-	if err != nil {
-		t.Fatalf("append(small): %v", err)
-	}
+	locSmall := ss.append(small, segmentSize)
 	if err := ss.flushLocked(); err != nil {
 		t.Fatalf("flushLocked: %v", err)
 	}
 
-	// appendCost appends rec and returns its location and device cost.
-	appendCost := func(name string, rec []byte) (Location, platform.IOCounts) {
+	// step runs one step's buffer work — the flush over the cap, then the
+	// append of rec — and returns rec's location and the step's device
+	// cost.
+	step := func(name string, rec []byte) (Location, platform.IOCounts) {
 		t.Helper()
 		before := meter.Stats().Snapshot()
-		loc, err := ss.append(rec, segmentSize)
-		if err != nil {
-			t.Fatalf("append(%s): %v", name, err)
+		if err := ss.flushOverCapLocked(); err != nil {
+			t.Fatalf("step %s: flushOverCapLocked: %v", name, err)
 		}
+		loc := ss.append(rec, segmentSize)
 		return loc, meter.Stats().Snapshot().Sub(before)
+	}
+	wantNoIO := func(name string, delta platform.IOCounts) {
+		t.Helper()
+		if delta != (platform.IOCounts{}) {
+			t.Fatalf("step %s touched the device: %+v", name, delta)
+		}
 	}
 	// wantOneWrite requires delta to be exactly one WriteAt of n bytes.
 	wantOneWrite := func(name string, delta platform.IOCounts, n int) {
 		t.Helper()
 		if delta.WriteOps != 1 || delta.BytesWritten != int64(n) || delta.SyncOps != 0 || delta.TruncateOps != 0 {
-			t.Fatalf("%s cost %+v, want exactly one WriteAt of %d bytes (prefix plus record) and nothing else", name, delta, n)
+			t.Fatalf("step %s cost %+v, want exactly one WriteAt of %d bytes (prefix plus record) and nothing else", name, delta, n)
 		}
 	}
 
-	// Under the cap: buffered, no device operation.
+	// Under the cap: buffered, no device operation, also for the record
+	// that takes the buffer to the cap.
 	mid := segRecord('m', 80<<10)
-	locMid, delta := appendCost("mid", mid)
-	if delta != (platform.IOCounts{}) {
-		t.Fatalf("a record under the cap touched the device: %+v", delta)
-	}
-
-	// Reaching the cap: prefix and record in one WriteAt.
+	locMid, delta := step("mid", mid)
+	wantNoIO("mid", delta)
 	big := segRecord('L', 200<<10)
-	locBig, delta := appendCost("big", big)
-	wantOneWrite("the overflowing append", delta, len(mid)+len(big))
+	locBig, delta := step("big", big)
+	wantNoIO("big", delta)
 
-	// Buffering resumes.
+	// The next step finds the cap reached: prefix and record in one
+	// WriteAt, and buffering resumes.
 	tail := segRecord('t', 200)
-	locTail, delta := appendCost("tail", tail)
-	if delta != (platform.IOCounts{}) {
-		t.Fatalf("a small record after the overflow flush touched the device: %+v", delta)
-	}
+	locTail, delta := step("tail", tail)
+	wantOneWrite("after the overflowing record", delta, len(mid)+len(big))
 
 	// A record of four times the cap goes the same way, and its flush
 	// does not keep the grown array.
 	huge := segRecord('H', 4*writeBehindCap)
-	locHuge, delta := appendCost("huge", huge)
-	wantOneWrite("the oversized append", delta, len(tail)+len(huge))
-	if c := cap(ss.wb); c > writeBehindCap {
-		t.Fatalf("write-behind buffer kept a %d-byte array after flushing an oversized record, want at most %d", c, writeBehindCap)
-	}
+	locHuge, delta := step("huge", huge)
+	wantNoIO("huge", delta)
 	after := segRecord('a', 300)
-	locAfter, delta := appendCost("after", after)
-	if delta != (platform.IOCounts{}) {
-		t.Fatalf("a small record after the oversized flush touched the device: %+v", delta)
+	locAfter, delta := step("after", after)
+	wantOneWrite("after the oversized record", delta, len(tail)+len(huge))
+	if c := cap(ss.tail.buf); c > writeBehindCap {
+		t.Fatalf("write-behind buffer kept a %d-byte array after flushing an oversized record, want at most %d", c, writeBehindCap)
 	}
 
 	// Everything reads back through the buffer-aware path, and again after

@@ -348,15 +348,6 @@ func decodeCkptPayload(data []byte, ckptSeg uint64) (ckptPayload, error) {
 // profitability bound), and the older node segments it leaves empty are
 // freed once it is published. With nothing dirty it writes no node.
 func (s *Store) checkpointLocked() error {
-	// A failed commit may have left orphaned records at the tail; they must
-	// be physically discarded before this checkpoint appends anything, or the
-	// checkpoint's own durable records would land beyond the rewind mark —
-	// poised to be truncated away by the next commit's rewind, and leaving
-	// the orphans ahead of a durable commit record where crash recovery would
-	// replay them.
-	if err := s.completePendingRewindLocked(); err != nil {
-		return err
-	}
 	dirty := s.lm.dirtyNodes() // post-order: children before parents
 	if len(dirty) > 0 {
 		if err := s.markSparseNodes(); err != nil {
@@ -374,11 +365,14 @@ func (s *Store) checkpointLocked() error {
 	ivSeq := gen << ivGenBits
 	// Node records never share a segment with chunk records, and this
 	// checkpoint's never share one with an older checkpoint's.
-	if _, err := s.segs.create(true); err != nil {
-		return err
-	}
+	s.segs.create(true, s.cfg.SegmentSize)
 	first := s.segs.tail.num
 	for i, n := range dirty {
+		// A failure here leaves the nodes before n written and unsigned,
+		// which the next seal signs (appendSealLocked).
+		if err := s.segs.flushOverCapLocked(); err != nil {
+			return err
+		}
 		// Refresh inner entries so the serialization carries children's
 		// latest stored locations and content hashes.
 		if n.level > 0 {
@@ -403,11 +397,7 @@ func (s *Store) checkpointLocked() error {
 		if err != nil {
 			return fmt.Errorf("chunkstore: encrypting map node: %w", err)
 		}
-		rec := encodeRecord(recMapNode, mapNodeRecordBody(n.level, n.index, ciphertext))
-		loc, err := s.appendLocked(rec)
-		if err != nil {
-			return err
-		}
+		loc := s.appendLocked(encodeRecord(recMapNode, mapNodeRecordBody(n.level, n.index, ciphertext)))
 		s.adjustLive(loc, int64(loc.Len))
 		if !n.loc.IsZero() {
 			s.adjustLive(n.loc, -int64(n.loc.Len))
@@ -456,20 +446,14 @@ func (s *Store) checkpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("chunkstore: encrypting checkpoint: %w", err)
 	}
-	rec := encodeRecord(recCheckpoint, checkpointRecordBody(s.suite.MAC(ciphertext), ciphertext))
-	ckptLoc, err := s.appendLocked(rec)
-	if err != nil {
-		return err
-	}
+	ckptLoc := s.appendLocked(encodeRecord(recCheckpoint, checkpointRecordBody(s.suite.MAC(ciphertext), ciphertext)))
 	// Checkpoints harden inline, under the mutex they already hold: the
 	// superblock written below must point at a checkpoint that is durable,
 	// and the harden also pays whatever earlier durable commits still owe
 	// (one sync covers them all). On failure the record stays appended and
 	// pending like any unhardened durable commit; the next round, checkpoint
 	// or Close retries.
-	if _, err := s.appendCommitRecordLocked(true); err != nil {
-		return err
-	}
+	s.appendCommitRecordLocked(true)
 	// A format (no slot written yet) seals and syncs its log but advances
 	// the counter only once its slot is durable: Open formats only while
 	// the counter reads zero, so the counter must not leave zero before a
@@ -477,9 +461,7 @@ func (s *Store) checkpointLocked() error {
 	// leaves the log one stamp ahead, which recovery catches up.
 	format := s.superSeq == 0
 	if format {
-		if err := s.sealOpenRoundLocked(); err != nil {
-			return err
-		}
+		s.sealOpenRoundLocked()
 		if err := s.segs.syncDirty(); err != nil {
 			return err
 		}

@@ -64,15 +64,9 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 	if !aggressive && s.segs.totalSize() <= s.cleanTriggerBytes() {
 		return nil
 	}
-	// Like every append-capable operation, cleaning must first discard the
-	// orphaned tail of a failed commit; relocated records appended after it
-	// would be truncated away by the next commit's rewind.
-	if err := s.completePendingRewindLocked(); err != nil {
-		return err
-	}
 	// Cleaning is a flush point: evacuation copies records between segments
 	// and frees victims, which is simplest to reason about (and to scrub
-	// afterwards) when the tail holds no buffered suffix.
+	// afterwards) when no segment holds buffered bytes.
 	if err := s.segs.flushLocked(); err != nil {
 		return err
 	}
@@ -118,11 +112,7 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 	// Durably publish the relocations, then free the victims: freed before
 	// the relocations are durable, a crash would recover a map that still
 	// points into them.
-	n, err := s.appendCommitRecordLocked(true)
-	if err != nil {
-		return err
-	}
-	s.residualBytes += n
+	s.residualBytes += s.appendCommitRecordLocked(true)
 	if err := s.hardenLocked(); err != nil {
 		return err
 	}
@@ -256,18 +246,23 @@ func (s *Store) evacuateDamaged(seg *segment) error {
 // version e verbatim to the log tail and points the map at the copy: the
 // ciphertext, and so the digest, is unchanged, only the location moves. The
 // record is validated first (checkChunkRecord), so tampering in a cold
-// segment is caught rather than propagated.
+// segment is caught rather than propagated. Every fallible step — the
+// check, a flush over the cap, the map path's fault-in — runs before the
+// append, so a failure leaves the chunk where it was; the relocations
+// before it are applied and unsigned, which the next seal signs
+// (appendSealLocked).
 func (s *Store) relocateChunk(cid ChunkID, e entry, typ byte, body []byte) error {
 	if _, err := s.checkChunkRecord(cid, e, typ, body); err != nil {
 		return fmt.Errorf("chunkstore: cleaning segment %d: %w", e.loc.Seg, err)
 	}
-	loc, err := s.appendLocked(encodeRecord(recWrite, body))
-	if err != nil {
+	if err := s.segs.flushOverCapLocked(); err != nil {
 		return err
 	}
-	if _, err := s.lm.set(cid, entry{loc: loc, hash: e.hash}); err != nil {
+	if err := s.lm.pin(cid); err != nil {
 		return err
 	}
+	loc := s.appendLocked(encodeRecord(recWrite, body))
+	s.lm.setPinned(cid, entry{loc: loc, hash: e.hash})
 	s.adjustLive(loc, int64(loc.Len))
 	s.adjustLive(e.loc, -int64(e.loc.Len))
 	s.residualBytes += int64(loc.Len)

@@ -262,7 +262,7 @@ func TestDamagedSegmentMovesLeafUnderEvictedParent(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	p, err := s.lm.descend(kept, 0, false)
+	p, err := s.lm.descend(kept, 0, readPath)
 	if err != nil || p.node == nil {
 		s.mu.Unlock()
 		t.Fatalf("descend(%d): %v", kept, err)

@@ -18,31 +18,27 @@ import (
 // payloads) a fan-out cost more to start and join than the crypto it
 // spread (EXPERIMENTS.md).
 //
-// Stage 2 (commitPreparedLocked) runs under the store mutex and is built to be
-// atomic in memory:
+// Stage 2 (commitPreparedLocked) runs under the store mutex and puts every
+// fallible step before its first mutation:
 //
-//  1. append phase — every record of the batch is appended to the log,
-//     while the resulting location-map updates are collected in a staged
-//     update set (an overlay over the live map). Nothing in the store's
-//     in-memory state is touched. If any append fails, the staged set is
-//     discarded and a tail mark is left behind (pendingRewind) so the next
-//     append-capable operation physically truncates the orphaned records —
-//     without that, crash recovery's replay would resurrect them once a
-//     later commit succeeded.
-//  2. merge phase — the staged updates are applied to the location map,
-//     allocator, live-byte accounting, and chunk count, with an undo log.
-//     The only fallible step here is a location-map descent that needs to
-//     page in a map node; if it fails, the undo log restores the previous
-//     state exactly (undo descents are infallible because the forward
-//     mutation left the whole path cached and dirty, and dirty nodes are
-//     never evicted).
-//  3. seal — the commit record over the post-merge Merkle root is appended.
-//     Failure here also rolls back the merge and marks the tail for rewind.
-//     A durable commit's record joins the pending harden, paid off the
-//     mutex by a round (groupcommit.go).
+//  1. validation against the allocator;
+//  2. a flush of the write-behind buffers if they hold writeBehindCap bytes
+//     or more, which bounds them to the cap plus one batch;
+//  3. a fault-in that leaves the stored map path of every chunk the batch
+//     touches resident, private and dirty (locMap.pin), without changing
+//     the map.
+//
+// A failure in any of them applies nothing. Then one pass in batch order
+// appends each record to the buffers, updates the location map, allocator,
+// live-byte accounting and chunk count, and appends the commit record over
+// the new Merkle root. None of that can fail: an append touches no device
+// (segmentSet.append), and the map updates walk pinned paths, which dirty
+// nodes keep resident (setPinned). A durable commit's record joins the
+// pending harden, paid off the mutex by a round (groupcommit.go).
 //
 // The net effect is the §3.1 guarantee by construction: a commit either
-// fully applies or leaves the in-memory store exactly as it was.
+// fully applies or leaves the store exactly as it was, in memory and on
+// disk.
 
 // ivGenBits is the width of the per-operation slot within one commit's IV
 // sequence space: IV seed = generation<<ivGenBits | op index. Generations
@@ -79,42 +75,12 @@ func prepareBatch(suite sec.Suite, ops []batchOp, gen uint64) ([]preparedOp, err
 	return prep, nil
 }
 
-// completePendingRewindLocked physically discards the log tail left by a failed
-// commit. It runs at the start of every append-capable operation; until it
-// succeeds, no new records may be appended (they would land after orphaned
-// records that crash recovery must be able to truncate away).
-func (s *Store) completePendingRewindLocked() error {
-	if s.pendingRewind == nil {
-		return nil
-	}
-	if err := s.segs.rewind(*s.pendingRewind); err != nil {
-		return fmt.Errorf("chunkstore: discarding aborted commit tail: %w", err)
-	}
-	s.pendingRewind = nil
-	return nil
-}
-
-// stagedOp is one collected update of the append phase, applied (or
-// discarded wholesale) by the merge phase.
-type stagedOp struct {
-	kind int
-	cid  ChunkID
-	// e is the new location-map entry for write/restore operations.
-	e entry
-	// old is the pre-operation entry seen through the batch overlay for
-	// deallocations; appended records whether a dealloc record was written.
-	old      entry
-	appended bool
-}
-
-// commitPreparedLocked is stage 2 of Commit: validate, append, merge, seal.
-// Caller holds s.mu; prep is the stage-1 output aligned with b.ops.
+// commitPreparedLocked is stage 2 of Commit: validate, flush over the cap,
+// fault in, then apply. Caller holds s.mu; prep is the stage-1 output
+// aligned with b.ops.
 func (s *Store) commitPreparedLocked(b *Batch, prep []preparedOp, durable bool) error {
-	if err := s.completePendingRewindLocked(); err != nil {
-		return err
-	}
-	// Validate before touching the log (against pre-batch allocator state,
-	// matching the original commit semantics).
+	// Validate against pre-batch allocator state, matching the original
+	// commit semantics.
 	for _, op := range b.ops {
 		switch op.kind {
 		case opWrite, opDealloc:
@@ -130,133 +96,51 @@ func (s *Store) commitPreparedLocked(b *Batch, prep []preparedOp, durable bool) 
 	if len(b.ops) == 0 && !durable {
 		return nil
 	}
-
-	mark := s.segs.mark()
-	fail := func(err error) error {
-		s.pendingRewind = &mark
+	if err := s.segs.flushOverCapLocked(); err != nil {
 		return err
 	}
-
-	// Append phase: write every record, stage every update, mutate nothing.
-	staged := make([]stagedOp, 0, len(b.ops))
-	overlay := make(map[ChunkID]entry, len(b.ops))
-	overlayGet := func(cid ChunkID) (entry, error) {
-		if e, ok := overlay[cid]; ok {
-			return e, nil
+	for _, op := range b.ops {
+		if err := s.lm.pin(op.cid); err != nil {
+			return err
 		}
-		return s.lm.get(cid)
 	}
+
 	appended := int64(0)
 	for i, op := range b.ops {
 		switch op.kind {
 		case opWrite, opRestore:
-			loc, err := s.segs.append(prep[i].rec, s.cfg.SegmentSize)
-			if err != nil {
-				return fail(err)
+			loc := s.appendLocked(prep[i].rec)
+			appended += int64(loc.Len)
+			if op.kind == opRestore {
+				s.alloc.noteWritten(op.cid)
 			}
-			appended += int64(len(prep[i].rec))
-			e := entry{loc: loc, hash: prep[i].hash}
-			overlay[op.cid] = e
-			staged = append(staged, stagedOp{kind: op.kind, cid: op.cid, e: e})
-		case opDealloc:
-			old, err := overlayGet(op.cid)
-			if err != nil {
-				return fail(err)
-			}
-			so := stagedOp{kind: opDealloc, cid: op.cid, old: old}
-			if !old.isEmpty() {
-				rec := encodeRecord(recDealloc, deallocRecordBody(op.cid))
-				if _, err := s.segs.append(rec, s.cfg.SegmentSize); err != nil {
-					return fail(err)
-				}
-				appended += int64(len(rec))
-				so.appended = true
-				overlay[op.cid] = entry{}
-			}
-			staged = append(staged, so)
-		}
-	}
-
-	// Merge phase: apply the staged updates under an undo log.
-	var undo []func()
-	rollback := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			undo[i]()
-		}
-	}
-	for _, so := range staged {
-		switch so.kind {
-		case opWrite, opRestore:
-			if so.kind == opRestore {
-				prevNext := s.alloc.nextID
-				_, wasFree := s.alloc.freeSet[so.cid]
-				s.alloc.noteWritten(so.cid)
-				cid := so.cid
-				undo = append(undo, func() {
-					s.alloc.nextID = prevNext
-					if wasFree {
-						s.alloc.freeSet[cid] = struct{}{}
-					}
-				})
-			}
-			old, err := s.lm.set(so.cid, so.e)
-			if err != nil {
-				rollback()
-				return fail(err)
-			}
-			cid, newLoc := so.cid, so.e.loc
-			if old.isEmpty() {
+			if old := s.lm.setPinned(op.cid, entry{loc: loc, hash: prep[i].hash}); old.isEmpty() {
 				s.chunkCount++
-				undo = append(undo, func() {
-					s.lm.restoreEntry(cid, entry{})
-					s.adjustLive(newLoc, -int64(newLoc.Len))
-					s.chunkCount--
-				})
 			} else {
 				s.adjustLive(old.loc, -int64(old.loc.Len))
-				undo = append(undo, func() {
-					s.lm.restoreEntry(cid, old)
-					s.adjustLive(newLoc, -int64(newLoc.Len))
-					s.adjustLive(old.loc, int64(old.loc.Len))
-				})
 			}
-			s.adjustLive(so.e.loc, int64(so.e.loc.Len))
+			s.adjustLive(loc, int64(loc.Len))
 		case opDealloc:
-			if so.appended {
-				old, err := s.lm.clear(so.cid)
-				if err != nil {
-					rollback()
-					return fail(err)
-				}
+			// The pinned path is resident, so the cached walk sees the
+			// entry, as earlier operations of the batch left it.
+			old, resident := s.lm.getCached(op.cid)
+			if !resident {
+				panic(fmt.Sprintf("chunkstore: pinned path of chunk %d not resident", op.cid))
+			}
+			if !old.isEmpty() {
+				rec := encodeRecord(recDealloc, deallocRecordBody(op.cid))
+				s.appendLocked(rec)
+				appended += int64(len(rec))
+				s.lm.setPinned(op.cid, entry{})
 				s.adjustLive(old.loc, -int64(old.loc.Len))
 				s.chunkCount--
-				cid := so.cid
-				undo = append(undo, func() {
-					s.lm.restoreEntry(cid, old)
-					s.adjustLive(old.loc, int64(old.loc.Len))
-					s.chunkCount++
-				})
 			}
-			if _, wasFree := s.alloc.freeSet[so.cid]; !wasFree {
-				s.alloc.release(so.cid)
-				cid := so.cid
-				undo = append(undo, func() {
-					// release pushed cid onto the free list tail; LIFO undo
-					// order guarantees it is still the tail here.
-					delete(s.alloc.freeSet, cid)
-					s.alloc.freeList = s.alloc.freeList[:len(s.alloc.freeList)-1]
-				})
+			if _, free := s.alloc.freeSet[op.cid]; !free {
+				s.alloc.release(op.cid)
 			}
 		}
 	}
-
-	// Seal: commit record over the post-merge root.
-	sealed, err := s.appendCommitRecordLocked(durable)
-	if err != nil {
-		rollback()
-		return fail(err)
-	}
-	s.residualBytes += appended + sealed
+	s.residualBytes += appended + s.appendCommitRecordLocked(durable)
 
 	// Off-mutex reads that snapshotted the pre-commit map are told their
 	// snapshot is stale before Commit returns: the epoch bump fails their

@@ -43,18 +43,24 @@ func (op devOp) String() string {
 	return strings.TrimSpace(op.kind + " " + op.name)
 }
 
-// errInjectedSync is the permanent sync failure the recorder injects.
-var errInjectedSync = errors.New("injected sync failure")
+// errInjectedSync and errInjectedCreate are the permanent failures the
+// recorder injects.
+var (
+	errInjectedSync   = errors.New("injected sync failure")
+	errInjectedCreate = errors.New("injected create failure")
+)
 
 // recorder is an UntrustedStore and OneWayCounter over a MemStore and a
 // MemCounter that logs every completed mutation. Syncs of the files
-// failSync approves fail and change nothing.
+// failSync approves fail and change nothing, and so does the creation of
+// files while failCreate is set.
 type recorder struct {
-	mem      *platform.MemStore
-	ctr      *platform.MemCounter
-	mu       sync.Mutex
-	ops      []devOp
-	failSync func(name string) bool
+	mem        *platform.MemStore
+	ctr        *platform.MemCounter
+	mu         sync.Mutex
+	ops        []devOp
+	failSync   func(name string) bool
+	failCreate bool
 }
 
 // setFailSync makes the syncs of the files fail approves fail; nil lets
@@ -62,6 +68,13 @@ type recorder struct {
 func (r *recorder) setFailSync(fail func(name string) bool) {
 	r.mu.Lock()
 	r.failSync = fail
+	r.mu.Unlock()
+}
+
+// setFailCreate makes every file creation fail, or none.
+func (r *recorder) setFailCreate(fail bool) {
+	r.mu.Lock()
+	r.failCreate = fail
 	r.mu.Unlock()
 }
 
@@ -79,6 +92,12 @@ func (r *recorder) now() int {
 }
 
 func (r *recorder) Create(name string) (platform.File, error) {
+	r.mu.Lock()
+	fail := r.failCreate
+	r.mu.Unlock()
+	if fail {
+		return nil, errInjectedCreate
+	}
 	f, err := r.mem.Create(name)
 	if err != nil {
 		return nil, err
@@ -191,9 +210,11 @@ func crashConfig(store platform.UntrustedStore, ctr platform.OneWayCounter, suit
 // that deallocates a stable chunk, more commits, two checkpoints that write only the hot chunk's path — the first
 // leaves the segment holding the stable leaves sparse, the second moves
 // them and empties it — a checkpoint whose syncs fail, a checkpoint, a
-// cleaning cycle, two more commits, a checkpoint whose log harden succeeds
-// and whose superblock sync alone fails, a checkpoint that retries its slot
-// and a final cleaning cycle.
+// cleaning cycle, two more commits, a nondurable commit whose records roll
+// the tail into a new segment between flush points and a durable one whose
+// round's flush fails at that segment's Create, two more commits, a
+// checkpoint whose log harden succeeds and whose superblock sync alone
+// fails, a checkpoint that retries its slot and a final cleaning cycle.
 func recordCrashHistory(t *testing.T, suite sec.Suite) *crashHistory {
 	t.Helper()
 	rec := &recorder{mem: platform.NewMemStore(), ctr: platform.NewMemCounter()}
@@ -210,9 +231,10 @@ func recordCrashHistory(t *testing.T, suite sec.Suite) *crashHistory {
 		h.cids = append(h.cids, cid)
 	}
 	stable, hot := h.cids[:16], h.cids[16]
-	// commit writes kv, deallocating the chunks it maps to "".
-	commit := func(durable bool, kv map[ChunkID]string) {
-		t.Helper()
+	// tryCommit writes kv, deallocating the chunks it maps to "". A commit
+	// that applied (nil or ErrNotDurable) joins the states, acknowledged
+	// only on nil; a failure that applied nothing is returned as is.
+	tryCommit := func(durable bool, kv map[ChunkID]string) error {
 		b := s.NewBatch()
 		next := maps.Clone(h.states[len(h.states)-1])
 		for _, cid := range slices.Sorted(maps.Keys(kv)) {
@@ -224,12 +246,20 @@ func recordCrashHistory(t *testing.T, suite sec.Suite) *crashHistory {
 				next[cid] = kv[cid]
 			}
 		}
-		if err := s.Commit(b, durable); err != nil {
-			t.Fatalf("Commit: %v", err)
+		err := s.Commit(b, durable)
+		if err != nil && !errors.Is(err, ErrNotDurable) {
+			return err
 		}
 		h.states = append(h.states, next)
-		if durable {
+		if durable && err == nil {
 			h.acks = append(h.acks, crashAck{rec.now(), len(h.states) - 1})
+		}
+		return err
+	}
+	commit := func(durable bool, kv map[ChunkID]string) {
+		t.Helper()
+		if err := tryCommit(durable, kv); err != nil {
+			t.Fatalf("Commit: %v", err)
 		}
 	}
 	checkpoint := func() {
@@ -280,6 +310,22 @@ func recordCrashHistory(t *testing.T, suite sec.Suite) *crashHistory {
 	checkpoint()
 	clean()
 	churn("late", 2)
+	s.mu.RLock()
+	segs := len(s.segs.segs)
+	s.mu.RUnlock()
+	commit(false, map[ChunkID]string{stable[4]: strings.Repeat("r", 5000), stable[5]: strings.Repeat("s", 5000)})
+	s.mu.RLock()
+	rolled, created := len(s.segs.segs) > segs, s.segs.tail.file != nil
+	s.mu.RUnlock()
+	if !rolled || created {
+		t.Fatalf("test premise: the commit rolled the log %v, its new tail's file exists %v", rolled, created)
+	}
+	rec.setFailCreate(true)
+	if err := tryCommit(true, map[ChunkID]string{hot: "create-fails"}); !errors.Is(err, ErrNotDurable) || !errors.Is(err, errInjectedCreate) {
+		t.Fatalf("a durable commit whose flush cannot create a segment: %v, want ErrNotDurable for the injected create failure", err)
+	}
+	rec.setFailCreate(false)
+	churn("created", 2)
 	rec.setFailSync(func(name string) bool { return name == superblockName })
 	var ioe *IOError
 	if err := s.Checkpoint(); !errors.As(err, &ioe) || ioe.Op != "sync" || ioe.File != superblockName {

@@ -6,37 +6,36 @@ import (
 	"testing"
 )
 
-// failCommitWithOrphans drives the batch against an injected storage crash
-// until a Commit failure leaves orphaned records at the log tail
-// (pendingRewind set). The batch must hold a write larger than a segment, so
-// stage 2 does I/O of its own (sealing and creating segments) for the crash
-// to land in. The batch's operations survive the failures, so the caller can
+// failCommit fails a durable commit of b in stage 2, where it applies
+// nothing: it fills the write-behind buffers (fillWriteBehind), so the
+// commit starts with their flush, and crashes the device at its first
+// operation. The batch's operations survive the failure, so the caller can
 // retry it once storage recovers.
-func failCommitWithOrphans(t *testing.T, env *testEnv, s *Store, b *Batch) {
+func failCommit(t *testing.T, env *testEnv, s *Store, b *Batch) {
 	t.Helper()
-	for budget := int64(1); ; budget++ {
-		env.fs.SetWriteBudget(budget)
-		err := s.Commit(b, true)
-		env.fs.SetWriteBudget(-1)
-		if err == nil || errors.Is(err, ErrNotDurable) {
-			t.Fatalf("commit applied (%v) before a failure left an orphaned tail", err)
-		}
-		if s.pendingRewind != nil {
-			return
-		}
-		if budget > 10000 {
-			t.Fatal("fault sweep runaway: no failure produced an orphaned tail")
-		}
+	filler, err := s.AllocateChunkID()
+	if err != nil {
+		t.Fatalf("AllocateChunkID: %v", err)
+	}
+	fillWriteBehind(t, s, filler)
+	before := snapshotState(s)
+	env.fs.SetWriteBudget(0)
+	err = s.Commit(b, true)
+	env.fs.SetWriteBudget(-1)
+	if err == nil || errors.Is(err, ErrNotDurable) || errors.Is(err, ErrMaintenance) {
+		t.Fatalf("Commit from full buffers on a crashed device = %v, want a stage-2 failure", err)
+	}
+	if got := snapshotState(s); got != before {
+		t.Fatalf("failed commit changed the store: %+v != %+v", got, before)
 	}
 }
 
-// TestCheckpointAfterFailedCommit: a failed commit leaves orphaned records
-// marked for rewind; a Checkpoint issued before the next commit must discard
-// them first. Without that, the checkpoint's durable records land beyond the
-// rewind mark and the next successful commit physically truncates them —
-// destroying the checkpoint the superblock points at — while the orphaned
-// writes sit ahead of a durable commit record where crash recovery would
-// replay the aborted batch.
+// TestCheckpointAfterFailedCommit: a checkpoint after a failed commit, and
+// the retried commit after it, leave a log that recovers to the retried
+// commit's state from the intact checkpoint. A failed commit that left
+// records behind would break this either way: the checkpoint's durable
+// records would follow them, so recovery would replay the aborted batch, or
+// removing them would take the checkpoint the superblock points at.
 func TestCheckpointAfterFailedCommit(t *testing.T) {
 	for _, suiteName := range []string{"3des-sha1", "null"} {
 		t.Run(suiteName, func(t *testing.T) {
@@ -51,18 +50,10 @@ func TestCheckpointAfterFailedCommit(t *testing.T) {
 			newA := bytes.Repeat([]byte("A"), env.cfg.SegmentSize+700)
 			batch := s.NewBatch()
 			batch.Write(a, newA)
-			failCommitWithOrphans(t, env, s, batch)
-
-			// The checkpoint must rewind the orphaned tail before appending.
+			failCommit(t, env, s, batch)
 			if err := s.Checkpoint(); err != nil {
 				t.Fatalf("Checkpoint after failed commit: %v", err)
 			}
-			if s.pendingRewind != nil {
-				t.Fatal("Checkpoint left the orphaned tail pending rewind")
-			}
-
-			// The retried batch commits after the checkpoint; with the bug its
-			// rewind would truncate the checkpoint's durable records here.
 			if err := s.Commit(batch, true); err != nil {
 				t.Fatalf("Commit retry after checkpoint: %v", err)
 			}
@@ -86,8 +77,8 @@ func TestCheckpointAfterFailedCommit(t *testing.T) {
 }
 
 // TestCleanAfterFailedCommit is the cleaner-path variant: Clean after a
-// failed commit must discard the orphaned tail before relocating records or
-// checkpointing.
+// failed commit relocates records and checkpoints behind nothing the failed
+// commit left.
 func TestCleanAfterFailedCommit(t *testing.T) {
 	env := newTestEnv(t, "3des-sha1")
 	env.cfg.DisableAutoClean = true
@@ -113,13 +104,9 @@ func TestCleanAfterFailedCommit(t *testing.T) {
 	fresh := bytes.Repeat([]byte("z"), env.cfg.SegmentSize+700)
 	batch := s.NewBatch()
 	batch.Write(ids[0], fresh)
-	failCommitWithOrphans(t, env, s, batch)
-
+	failCommit(t, env, s, batch)
 	if err := s.Clean(); err != nil {
 		t.Fatalf("Clean after failed commit: %v", err)
-	}
-	if s.pendingRewind != nil {
-		t.Fatal("Clean left the orphaned tail pending rewind")
 	}
 
 	if err := s.Commit(batch, true); err != nil {
@@ -144,9 +131,9 @@ func TestCleanAfterFailedCommit(t *testing.T) {
 	}
 }
 
-// TestCloseAfterFailedCommit: Close must not let its shutdown checkpoint
-// append beyond an orphaned tail either, and the reopened store must carry
-// the pre-batch state.
+// TestCloseAfterFailedCommit: Close after a failed commit hardens and
+// checkpoints only what applied, so the reopened store carries the
+// pre-batch state.
 func TestCloseAfterFailedCommit(t *testing.T) {
 	env := newTestEnv(t, "null")
 	env.cfg.DisableAutoClean = true
@@ -157,7 +144,7 @@ func TestCloseAfterFailedCommit(t *testing.T) {
 	a := allocWrite(t, s, oldA)
 	batch := s.NewBatch()
 	batch.Write(a, bytes.Repeat([]byte("x"), env.cfg.SegmentSize+600))
-	failCommitWithOrphans(t, env, s, batch)
+	failCommit(t, env, s, batch)
 
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close after failed commit: %v", err)

@@ -229,9 +229,7 @@ func (s *Store) gcSnapshotRound() (tasks []syncTask, seq, stamp uint64, owed boo
 	// record. With hardenDepth sealed stamps still awaiting the counter
 	// (earlier rounds failed) the round seals nothing new and retries the
 	// newest seal.
-	if err := s.sealOpenRoundLocked(); err != nil {
-		return nil, s.commitSeq, 0, true, err
-	}
+	s.sealOpenRoundLocked()
 	if tasks, err = s.segs.syncSnapshotLocked(); err != nil {
 		return nil, s.commitSeq, 0, true, err
 	}
@@ -243,15 +241,12 @@ func (s *Store) gcSnapshotRound() (tasks []syncTask, seq, stamp uint64, owed boo
 // record, and records appended from here on are stamped one higher. The
 // seal must be synced before the counter may reach the stamp. Both harden
 // paths, the rounds' and hardenLocked, seal through it. Caller holds s.mu.
-func (s *Store) sealOpenRoundLocked() error {
+func (s *Store) sealOpenRoundLocked() {
 	if s.sealedCtr >= s.counterVal.Load()+hardenDepth {
-		return nil
+		return
 	}
-	if err := s.appendSealLocked(); err != nil {
-		return err
-	}
+	s.appendSealLocked()
 	s.sealedCtr, s.sealedSeq = s.stampCtr, s.commitSeq
-	return nil
 }
 
 // hardenOwedLocked reports whether a durable commit record is appended that
@@ -297,9 +292,7 @@ func (s *Store) hardenLocked() error {
 	s.gc.advMu.Lock()
 	defer s.gc.advMu.Unlock()
 	for {
-		if err := s.sealOpenRoundLocked(); err != nil {
-			return err
-		}
+		s.sealOpenRoundLocked()
 		if err := s.segs.syncDirty(); err != nil {
 			return err
 		}

@@ -140,9 +140,9 @@ func TestRoundOfOneCostsTheInlineHarden(t *testing.T) {
 		t.Fatalf("counter Read: %v", err)
 	}
 	// The first commit also opens a chunk segment, since the tail Open left
-	// is the format checkpoint's node segment: one more WriteAt, of the
-	// segment header.
-	want := platform.IOCounts{WriteOps: parentWriteOps + 1, BytesWritten: parentBytesWritten + segHeaderSize, SyncOps: parentSyncOps}
+	// is the format checkpoint's node segment: its header, which rides in
+	// the first round's WriteAt.
+	want := platform.IOCounts{WriteOps: parentWriteOps, BytesWritten: parentBytesWritten + segHeaderSize, SyncOps: parentSyncOps}
 	if delta != want {
 		t.Errorf("%d lone durable commits cost %+v, want the inline path's %+v", n, delta, want)
 	}
@@ -278,12 +278,18 @@ func TestDurableCommitContract(t *testing.T) {
 
 	t.Run("stage-2 failure leaves no trace and the batch retries", func(t *testing.T) {
 		env, s, cid := setup(t)
+		filler, err := s.AllocateChunkID()
+		if err != nil {
+			t.Fatalf("AllocateChunkID: %v", err)
+		}
+		// Full write-behind buffers: stage 2 must flush them, and that
+		// fails.
+		fillWriteBehind(t, s, filler)
 		before := snapshotState(s)
 		b := s.NewBatch()
-		// Larger than a segment: stage 2 must create one, and that fails.
 		b.Write(cid, bytes.Repeat([]byte("w"), env.cfg.SegmentSize+1))
 		env.fs.SetWriteBudget(1)
-		err := s.Commit(b, true)
+		err = s.Commit(b, true)
 		env.fs.SetWriteBudget(-1)
 		if err == nil || errors.Is(err, ErrNotDurable) || errors.Is(err, ErrMaintenance) {
 			t.Fatalf("Commit with a failing stage 2: %v, want a plain failure", err)

@@ -121,8 +121,8 @@ func (m *locMap) sweep(keep *mapNode) {
 
 // evict drops a clean, childless, non-root node from the current tree,
 // returning false to veto. The dirty-node veto is load-bearing for commit
-// atomicity: rollback (restoreEntry) relies on the whole just-mutated path
-// staying cached until the commit settles.
+// atomicity: a path pin made resident stays so until the commit that
+// pinned it has applied (setPinned).
 func (m *locMap) evict(n *mapNode) bool {
 	if n.dirty || n.kidCount > 0 || n == m.root {
 		return false
@@ -259,27 +259,48 @@ type pathResult struct {
 	slot int
 }
 
+// descendMode says what descend does to the path it walks.
+type descendMode int
+
+const (
+	// readPath changes nothing; a missing node yields a nil one.
+	readPath descendMode = iota
+	// pinPath clones the stored nodes of the path that a snapshot shares
+	// (copy-on-write) and marks them dirty, so eviction cannot drop them;
+	// a missing node yields a nil one. The tree's shape, and so its root
+	// hash, does not change.
+	pinPath
+	// writePath is pinPath that also creates missing nodes, growing the
+	// tree when cid lies beyond it.
+	writePath
+)
+
 // descend walks from the root to the node at level that covers cid (level 0
-// is the leaf). With forWrite set it creates missing nodes and clones shared
-// ones (copy-on-write for snapshots), marking the path dirty; without it, a
-// missing node yields a nil one.
-func (m *locMap) descend(cid ChunkID, level int, forWrite bool) (pathResult, error) {
+// is the leaf), faulting in the stored nodes it needs.
+func (m *locMap) descend(cid ChunkID, level int, mode descendMode) (pathResult, error) {
 	if uint64(cid) >= m.capacity() {
-		if !forWrite {
+		if mode != writePath {
 			return pathResult{}, nil
 		}
 		m.grow(cid)
 	}
-	if forWrite && m.root.shared {
+	if mode != readPath && m.root.shared {
 		m.unshare(&m.root)
 	}
 	n := m.root
-	for n.level > level {
+	for {
+		if mode != readPath {
+			n.hashStale = true
+			n.dirty = true
+		}
+		if n.level == level {
+			return pathResult{node: n, slot: m.childIndex(cid, level)}, nil
+		}
 		i := m.childIndex(cid, n.level)
 		kid := n.kids[i]
 		if kid == nil {
 			if n.entries[i].isEmpty() {
-				if !forWrite {
+				if mode != writePath {
 					return pathResult{}, nil
 				}
 				kid = newMapNode(n.level-1, n.index*uint64(m.fanout)+uint64(i), m.fanout)
@@ -294,21 +315,12 @@ func (m *locMap) descend(cid ChunkID, level int, forWrite bool) (pathResult, err
 				}
 			}
 		}
-		if forWrite {
-			if kid.shared {
-				kid = m.unshare(&n.kids[i])
-			}
-			n.hashStale = true
-			n.dirty = true
+		if mode != readPath && kid.shared {
+			kid = m.unshare(&n.kids[i])
 		}
 		kid.touch()
 		n = kid
 	}
-	if forWrite {
-		n.hashStale = true
-		n.dirty = true
-	}
-	return pathResult{node: n, slot: m.childIndex(cid, level)}, nil
 }
 
 // getCached returns the leaf entry for cid walking only nodes already
@@ -346,7 +358,7 @@ func (m *locMap) getCached(cid ChunkID) (e entry, resident bool) {
 
 // get returns the leaf entry for cid (a zero entry if absent).
 func (m *locMap) get(cid ChunkID) (entry, error) {
-	p, err := m.descend(cid, 0, false)
+	p, err := m.descend(cid, 0, readPath)
 	if err != nil {
 		return entry{}, err
 	}
@@ -358,7 +370,7 @@ func (m *locMap) get(cid ChunkID) (entry, error) {
 
 // set updates the leaf entry for cid and returns the previous entry.
 func (m *locMap) set(cid ChunkID, e entry) (entry, error) {
-	p, err := m.descend(cid, 0, true)
+	p, err := m.descend(cid, 0, writePath)
 	if err != nil {
 		return entry{}, err
 	}
@@ -372,24 +384,35 @@ func (m *locMap) clear(cid ChunkID) (entry, error) {
 	return m.set(cid, entry{})
 }
 
-// restoreEntry puts back a previous leaf entry during commit rollback. It is
-// infallible by invariant: rollback only targets cids that a forward set (or
-// clear) just mutated, which left every node on the path cached and dirty,
-// and evict never drops dirty nodes — so this descent performs no I/O and
-// cannot fail. An error here would mean the invariant is broken, which is a
-// bug, not a runtime condition.
-func (m *locMap) restoreEntry(cid ChunkID, e entry) {
-	if _, err := m.set(cid, e); err != nil {
-		panic(fmt.Sprintf("chunkstore: rollback descent for chunk %d hit I/O: %v", cid, err))
-	}
+// pin faults in the stored nodes of cid's path and leaves them resident,
+// private and dirty (pinPath), without changing the map: the fallible half
+// of a set, which commits and the cleaner run before their first mutation.
+func (m *locMap) pin(cid ChunkID) error {
+	_, err := m.descend(cid, 0, pinPath)
+	return err
 }
 
-// markShared freezes all cached nodes for a snapshot: subsequent mutations
-// will clone. Returns the frozen root.
-func (m *locMap) markShared() *mapNode {
+// setPinned is set for a chunk whose path pin made resident, with no
+// checkpoint or snapshot since: dirty nodes are never evicted and private
+// ones never cloned, so the descent only walks and creates nodes and cannot
+// fail. An error here would mean that invariant is broken, a bug, not a
+// runtime condition.
+func (m *locMap) setPinned(cid ChunkID, e entry) entry {
+	old, err := m.set(cid, e)
+	if err != nil {
+		panic(fmt.Sprintf("chunkstore: pinned path of chunk %d hit I/O: %v", cid, err))
+	}
+	return old
+}
+
+// setShared sets the shared flag of every resident node of the current
+// tree: true freezes them for a snapshot, so later mutations clone; false,
+// once the last open snapshot has closed, lets them be written in place
+// again.
+func (m *locMap) setShared(shared bool) {
 	var walk func(n *mapNode)
 	walk = func(n *mapNode) {
-		n.shared = true
+		n.shared = shared
 		for _, kid := range n.kids {
 			if kid != nil {
 				walk(kid)
@@ -397,7 +420,6 @@ func (m *locMap) markShared() *mapNode {
 		}
 	}
 	walk(m.root)
-	return m.root
 }
 
 // unshare replaces the node a snapshot shares at *slot, the root pointer or

@@ -173,7 +173,7 @@ func TestClockPromotesSharedReaders(t *testing.T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.lm
-	p, err := m.descend(ChunkID(5), 0, false)
+	p, err := m.descend(ChunkID(5), 0, readPath)
 	if err != nil || p.node == nil {
 		t.Fatalf("descend: %v", err)
 	}

@@ -583,8 +583,9 @@ func TestRecoveryStampWindow(t *testing.T) {
 // hardenDepth+1 and not hardenDepth: with round N parked in its increment
 // and round N+1 in its sync, a third durable record carries the open stamp —
 // three past the hardware counter — and a record that fills the write-behind
-// buffer behind it pushes it to the file with the overflow flush. A crash that keeps unsynced writes must recover it, not call
-// it tampering.
+// buffers behind it makes the next commit push it to the file with the
+// flush over the cap. A crash that keeps unsynced writes must recover it,
+// not call it tampering.
 func TestOpenStampReachesDiskThreeAhead(t *testing.T) {
 	env := newPipeEnv(t, nil)
 	s := env.open(t)
@@ -597,12 +598,18 @@ func TestOpenStampReachesDiskThreeAhead(t *testing.T) {
 	if s.stampCtr != hw0+hardenDepth+1 {
 		t.Fatalf("newest stamp %d with two rounds in flight over counter %d, want %d", s.stampCtr, hw0, hw0+hardenDepth+1)
 	}
-	// A nondurable record of the buffer's full cap overflows it: one flush
-	// carries Y's buffered commit record and the record to the file.
+	// A nondurable record of the buffers' full cap fills them, so the next
+	// commit first flushes Y's buffered commit record and the record to
+	// the file.
 	bulk := s.NewBatch()
 	bulk.Write(allocID(t, s), make([]byte, writeBehindCap))
 	if err := s.Commit(bulk, false); err != nil {
 		t.Fatalf("bulk commit: %v", err)
+	}
+	next := s.NewBatch()
+	next.Write(allocID(t, s), []byte("next"))
+	if err := s.Commit(next, false); err != nil {
+		t.Fatalf("commit after the bulk: %v", err)
 	}
 
 	// Power loss that keeps everything written: no op completes any more.

@@ -119,8 +119,8 @@ const coalesceMax = 1 << 20
 // the chunk's map entry, its pinned segment and the epoch stamp. Only when
 // part of the record is still in the write-behind buffer does it also
 // allocate the record's buffer, pre-filled with those bytes (they may be
-// trimmed once the lock drops; flushed bytes below the buffer are immutable
-// once published).
+// flushed once the lock drops; flushed bytes are immutable once
+// published).
 type readPlan struct {
 	cid ChunkID
 
@@ -272,21 +272,16 @@ func (s *Store) pinLocked(p *readPlan, e entry) error {
 	p.e, p.stamp = e, s.locEpoch.Load()
 	p.buf, p.fromFile = nil, int64(e.loc.Len)
 	off := int64(e.loc.Off)
-	if ss := s.segs; seg == ss.wbSeg && len(ss.wb) > 0 && off+p.fromFile > ss.wbOff {
-		// Part of the record still lives in the write-behind buffer, which
-		// may flush or rewind once the lock drops: copy that suffix into a
+	if off+p.fromFile > seg.flushed {
+		// Part of the record, or all of it — the segment's file may not
+		// exist yet — still lives in the segment's write-behind buffer,
+		// which may flush once the lock drops: copy that suffix into a
 		// private buffer now, which the execute act then decrypts in place
-		// — never ss.wb itself. The flushed prefix below wbOff is stable —
-		// published record bytes are never rewritten, and rewind only
-		// discards unpublished tails.
+		// — never seg.buf itself. The flushed prefix is stable: record
+		// bytes that reached the file are never rewritten.
 		p.buf = make([]byte, e.loc.Len, e.loc.Len+sec.OpenSlack)
-		p.fromFile = 0
-		if off < ss.wbOff {
-			p.fromFile = ss.wbOff - off
-		}
-		if start := off + p.fromFile - ss.wbOff; start < int64(len(ss.wb)) {
-			copy(p.buf[p.fromFile:], ss.wb[start:])
-		}
+		p.fromFile = max(seg.flushed-off, 0)
+		copy(p.buf[p.fromFile:], seg.buf[off+p.fromFile-seg.flushed:])
 	}
 	// Pin the segment so the cleaner cannot close its file handle while the
 	// execute act is using it (free defers the close to the last unpin).

@@ -33,18 +33,19 @@ func writeBatch(t *testing.T, s *Store, n int, durable bool, payload func(i int)
 // kibPayload is a 1 KiB payload distinct per i.
 func kibPayload(i int) []byte { return bytes.Repeat([]byte{byte(i + 1), byte(i * 7)}, 512) }
 
-// flushPrefixLocked writes the first n bytes of the write-behind buffer to
-// the file and keeps the rest buffered — a flush that stopped part-way
-// through a record, so that record lies partly in the file and partly in
-// the buffer. Caller holds s.mu.
+// flushPrefixLocked writes the first n bytes of the tail's write-behind
+// buffer to its file and keeps the rest buffered — a flush that stopped
+// part-way through a record, so that record lies partly in the file and
+// partly in the buffer. The tail's file must exist. Caller holds s.mu.
 func flushPrefixLocked(t *testing.T, s *Store, n int) {
 	t.Helper()
-	ss := s.segs
-	if err := ss.writeAt(ss.wbSeg, ss.wb[:n], ss.wbOff); err != nil {
+	ss, seg := s.segs, s.segs.tail
+	if err := ss.writeAt(seg, seg.buf[:n], seg.flushed); err != nil {
 		t.Fatalf("partial flush: %v", err)
 	}
-	ss.wbOff += int64(n)
-	ss.wb = append(ss.wb[:0], ss.wb[n:]...)
+	seg.flushed += int64(n)
+	ss.buffered -= int64(n)
+	seg.buf = append(seg.buf[:0], seg.buf[n:]...)
 }
 
 // TestReadWriteBehindRecordsIntact reads records lying wholly in the
@@ -63,7 +64,7 @@ func TestReadWriteBehindRecordsIntact(t *testing.T) {
 			cids := append(append([]ChunkID(nil), flushed...), buffered...)
 
 			s.mu.Lock()
-			if len(s.segs.wb) == 0 {
+			if len(s.segs.tail.buf) == 0 || s.segs.tail.file == nil {
 				s.mu.Unlock()
 				t.Fatal("the nondurable batch's records are not in the write-behind buffer")
 			}

@@ -329,7 +329,7 @@ func TestNonResidentReadDoesNoUserIOUnderLock(t *testing.T) {
 	}
 	victim := ids[0]
 	s.mu.Lock()
-	p, err := s.lm.descend(victim, 0, false)
+	p, err := s.lm.descend(victim, 0, readPath)
 	s.mu.Unlock()
 	if err != nil || p.node == nil {
 		t.Fatalf("descend(%d): %v", victim, err)

@@ -234,9 +234,7 @@ func (s *Store) recover(sb superblock) error {
 	if s.cfg.Counter != nil && lastDurable.counter > s.counterVal.Load() {
 		if !sealed {
 			s.round = round
-			if err := s.appendSealLocked(); err != nil {
-				return err
-			}
+			s.appendSealLocked()
 		}
 		for _, num := range s.segs.numbers() {
 			if num >= sb.ckptLoc.Seg {
@@ -436,7 +434,7 @@ func (s *Store) noteNodeWritten(level int, index uint64, loc Location, h []byte)
 		// Descend to the parent, creating or loading nodes as needed. The
 		// parent chain exists: data writes earlier in the residual created
 		// it.
-		p, err := m.descend(ChunkID(index*m.span(level)), level+1, true)
+		p, err := m.descend(ChunkID(index*m.span(level)), level+1, writePath)
 		if err != nil {
 			return err
 		}
@@ -489,7 +487,7 @@ func (s *Store) truncateTail(end position) error {
 		if err := s.segs.truncate(seg, end.off); err != nil {
 			return err
 		}
-		seg.size = end.off
+		seg.size, seg.flushed = end.off, end.off
 	}
 	seg.sealed = false
 	s.segs.tail = seg

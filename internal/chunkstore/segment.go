@@ -41,10 +41,16 @@ func parseSegmentName(name string) (uint64, bool) {
 
 // segment is the in-memory state of one log segment.
 type segment struct {
-	num  uint64
+	num uint64
+	// file is nil until the first flush that reaches the segment creates it
+	// (flushSegmentLocked).
 	file platform.File
 	// size is the number of bytes appended (header included).
 	size int64
+	// flushed is the number of bytes that have reached the file; buf holds
+	// the rest, [flushed, size).
+	flushed int64
+	buf     []byte
 	// live is the number of bytes of current chunk/map-node versions.
 	live int64
 	// prev is the previous segment's size when this one was created: the
@@ -57,9 +63,9 @@ type segment struct {
 	sealed bool
 	// synced tracks whether all appended bytes are durable.
 	synced bool
-	// gen counts content mutations (appends, rewind truncations). An
-	// off-mutex group-commit sync snapshots it to decide, afterwards,
-	// whether its fsync covered everything the segment now holds.
+	// gen counts appends. An off-mutex group-commit sync snapshots it to
+	// decide, afterwards, whether its fsync covered everything the segment
+	// now holds.
 	gen uint64
 	// syncing marks segments an off-mutex sync currently holds file
 	// handles to; free defers closing such handles via doomed.
@@ -77,16 +83,17 @@ type segment struct {
 // truncate): transient device errors are absorbed within the retry policy's
 // bound, and failures surface as *IOError with segment and offset context.
 //
-// Appends land in an in-memory write-behind tail buffer instead of issuing
-// one WriteAt syscall per record; the buffer is flushed as a single WriteAt
-// at well-defined flush points (harden round snapshot, checkpoint and Close
-// harden, cap overflow, segment seal, cleaning, scrub, snapshot, close).
-// Durability is unaffected: every fsync flushes first, and the unflushed
-// bytes of a crash are exactly the nondurable suffix recovery already
-// discards. Reads transparently serve the buffered
-// suffix from memory, so the location map, cleaner, and scrub never observe
-// a torn view. seg.size is always the LOGICAL size (flushed + buffered);
-// only wbOff tracks what has physically reached the file.
+// Appends never touch the device: a record lands in its segment's buffer,
+// and a roll to a new segment only puts the new segment's header in its
+// buffer. The buffers reach the files at well-defined flush points (harden
+// round snapshot, checkpoint and Close harden, a commit or maintenance step
+// that finds the buffers over the cap, cleaning, snapshot, close), the
+// first of which to reach a segment creates its file. Durability is
+// unaffected: every fsync flushes first, and the unflushed bytes of a crash
+// are exactly the nondurable suffix recovery already discards. Reads
+// transparently serve a buffered suffix from memory, so the location map,
+// cleaner, and scrub never observe a torn view. seg.size is always the
+// LOGICAL size (flushed + buffered).
 type segmentSet struct {
 	store platform.UntrustedStore
 	segs  map[uint64]*segment
@@ -97,26 +104,15 @@ type segmentSet struct {
 	// retry bounds transient-error retries on raw segment I/O.
 	retry RetryPolicy
 
-	// wbSeg is the segment owning the buffered suffix (the tail at the time
-	// of the first buffered append). nil until the first buffered append.
-	wbSeg *segment
-	// wbOff is wbSeg's flushed (physical) size: the buffer holds the bytes
-	// [wbOff, wbSeg.size). Invariant whenever wb is empty: wbOff == wbSeg.size,
-	// unless wbSeg was sealed and the tail moved on.
-	wbOff int64
-	// wb is the buffered suffix of wbSeg.
-	wb []byte
-	// wbDirty, when nonzero, is the physical high-water mark a FAILED flush
-	// may have reached: a partially applied WriteAt can leave stale record
-	// bytes on disk in [wbOff, wbDirty) that the buffer no longer mirrors
-	// after a rewind. A rewind below wbDirty must therefore truncate
-	// physically — otherwise a crash could expose a stale suffix that
-	// recovery's tail scan might misparse as live records.
-	wbDirty int64
+	// unflushed lists, ascending, the segments holding buffered bytes, and
+	// buffered counts those bytes. Only the tail and segments sealed since
+	// the last flush are on it.
+	unflushed []*segment
+	buffered  int64
 }
 
-// writeBehindCap is the write-behind tail buffer's capacity: reaching it
-// forces a flush.
+// writeBehindCap is the write-behind buffers' capacity: a commit or
+// maintenance step that finds them at or above it flushes them first.
 const writeBehindCap = 256 << 10
 
 func newSegmentSet(store platform.UntrustedStore, retry RetryPolicy) *segmentSet {
@@ -124,54 +120,87 @@ func newSegmentSet(store platform.UntrustedStore, retry RetryPolicy) *segmentSet
 	return &segmentSet{store: store, segs: make(map[uint64]*segment), next: 1, retry: retry}
 }
 
-// flushLocked writes the buffered tail suffix to its segment file as one
-// WriteAt. On failure the buffer is left intact (wbOff does not advance), so
-// the flush may be retried; rewriting the same bytes at the same offset is
-// idempotent. Caller holds the store mutex (or runs single-threaded during
-// Open/Close), so no append can race the buffer swap.
+// flushLocked writes every buffered byte to its segment file, segment by
+// segment in ascending order, one WriteAt each. A failure leaves the failed
+// segment's bytes and every later segment's buffered, so files are created
+// in number order and a retry rewrites the same bytes at the same offsets,
+// which is idempotent. Caller holds the store mutex (or runs
+// single-threaded during Open/Close), so no append can race it.
 func (ss *segmentSet) flushLocked() error {
-	if len(ss.wb) == 0 {
+	for i, seg := range ss.unflushed {
+		if err := ss.flushSegmentLocked(seg); err != nil {
+			ss.unflushed = slices.Delete(ss.unflushed, 0, i)
+			return err
+		}
+	}
+	ss.unflushed = ss.unflushed[:0]
+	return nil
+}
+
+// flushOverCapLocked flushes the buffers if they hold writeBehindCap bytes
+// or more. Commits and maintenance call it before they append, so the
+// buffers never hold more than the cap plus one step's records.
+func (ss *segmentSet) flushOverCapLocked() error {
+	if ss.buffered < writeBehindCap {
 		return nil
 	}
-	if err := ss.writeAt(ss.wbSeg, ss.wb, ss.wbOff); err != nil {
-		if end := ss.wbOff + int64(len(ss.wb)); end > ss.wbDirty {
-			ss.wbDirty = end
+	return ss.flushLocked()
+}
+
+// flushSegmentLocked writes seg's buffered bytes, creating its file first if
+// this is the first flush to reach it. A file of seg's number that already
+// exists is referenced by nothing — every segment the store loaded has its
+// file, and a file is created only here — so it is the leftover of a
+// create that failed after the file appeared, and is replaced.
+func (ss *segmentSet) flushSegmentLocked(seg *segment) error {
+	if seg.file == nil {
+		name := segmentName(seg.num)
+		attempts, err := ss.retry.run(func() error {
+			var cerr error
+			seg.file, cerr = ss.store.Create(name)
+			if errors.Is(cerr, platform.ErrExists) {
+				if cerr = ss.store.Remove(name); cerr == nil {
+					seg.file, cerr = ss.store.Create(name)
+				}
+			}
+			return cerr
+		})
+		if err != nil {
+			return ioErr("create", name, seg.num, -1, attempts, err)
 		}
+	}
+	if err := ss.writeAt(seg, seg.buf, seg.flushed); err != nil {
 		return err
 	}
-	ss.wbOff += int64(len(ss.wb))
-	if cap(ss.wb) > 2*writeBehindCap {
-		// An oversized record grew the buffer: let its array go rather than
-		// keep its size resident. Ordinary overflow — a prefix under the
-		// cap plus a record under it — stays below twice the cap, so the
-		// steady-state array (just over the cap) is kept.
-		ss.wb = nil
+	ss.buffered -= int64(len(seg.buf))
+	seg.flushed = seg.size
+	if seg != ss.tail || cap(seg.buf) > 2*writeBehindCap {
+		// A sealed segment takes no more appends, and an oversized record
+		// grew the array: let it go rather than keep its size resident.
+		// Ordinary overflow — a prefix under the cap plus a batch under it
+		// — stays below twice the cap, so the tail keeps its array.
+		seg.buf = nil
 	} else {
-		ss.wb = ss.wb[:0]
-	}
-	if ss.wbOff >= ss.wbDirty {
-		// Every byte a failed attempt may have scribbled is now overwritten
-		// with live log content.
-		ss.wbDirty = 0
+		seg.buf = seg.buf[:0]
 	}
 	return nil
 }
 
 // readAt reads into p at off of seg's logical content, retrying transient
-// errors and serving any suffix still in the write-behind buffer from
-// memory. A short read (io.EOF) leaves the unread tail of p zeroed, matching
-// the previous direct-ReadAt behavior.
+// errors and serving any suffix still in seg's buffer from memory. A short
+// read (io.EOF) leaves the unread tail of p zeroed, matching the previous
+// direct-ReadAt behavior.
 func (ss *segmentSet) readAt(seg *segment, p []byte, off int64) error {
-	if seg == ss.wbSeg && len(ss.wb) > 0 && off+int64(len(p)) > ss.wbOff {
+	if len(seg.buf) > 0 && off+int64(len(p)) > seg.flushed {
 		var fromFile int64
-		if off < ss.wbOff {
-			fromFile = ss.wbOff - off
+		if off < seg.flushed {
+			fromFile = seg.flushed - off
 			if err := ss.fileReadAt(seg, p[:fromFile], off); err != nil {
 				return err
 			}
 		}
-		if start := off + fromFile - ss.wbOff; start < int64(len(ss.wb)) {
-			copy(p[fromFile:], ss.wb[start:])
+		if start := off + fromFile - seg.flushed; start < int64(len(seg.buf)) {
+			copy(p[fromFile:], seg.buf[start:])
 		}
 		return nil
 	}
@@ -227,53 +256,39 @@ func (ss *segmentSet) truncate(seg *segment, size int64) error {
 	return nil
 }
 
-// create opens a new tail segment, a node segment if nodes is set. Sealing
-// is a flush point: the old tail's buffered suffix must be on disk before
-// the segment stops accepting appends, so sealed segments never hold
-// buffered bytes.
-func (ss *segmentSet) create(nodes bool) (*segment, error) {
-	if err := ss.flushLocked(); err != nil {
-		return nil, err
-	}
-	num := ss.next
-	var f platform.File
-	attempts, err := ss.retry.run(func() error {
-		var cerr error
-		f, cerr = ss.store.Create(segmentName(num))
-		if errors.Is(cerr, platform.ErrExists) {
-			// Every loaded segment is numbered below next, so a file of this
-			// number is referenced by nothing: it is the leftover of a create
-			// that failed after the file appeared. Replace it.
-			if cerr = ss.store.Remove(segmentName(num)); cerr == nil {
-				f, cerr = ss.store.Create(segmentName(num))
-			}
-		}
-		return cerr
-	})
-	if err != nil {
-		return nil, ioErr("create", segmentName(num), num, -1, attempts, err)
-	}
-	var hdr [segHeaderSize]byte
-	binary.BigEndian.PutUint64(hdr[0:8], segMagic)
-	binary.BigEndian.PutUint64(hdr[8:16], num)
-	seg := &segment{num: num, file: f, size: segHeaderSize, nodes: nodes}
+// create rolls the log to a new tail segment, a node segment if nodes is
+// set, in memory: it consumes the next number, seals the old tail and puts
+// the new segment's header in its buffer. The first flush that reaches the
+// segment creates its file. Files are created in number order, so a crash
+// leaves no gap in the numbering recovery's log scan walks. The buffer
+// starts at the size a full segment or a full flush needs, so a bulk batch
+// does not regrow it record by record.
+func (ss *segmentSet) create(nodes bool, segmentSize int) {
+	seg := &segment{num: ss.next, nodes: nodes, buf: make([]byte, 0, min(segmentSize, writeBehindCap))}
+	ss.next++
 	if ss.tail != nil {
 		seg.prev = ss.tail.size
-	}
-	binary.BigEndian.PutUint64(hdr[16:24], uint64(seg.prev))
-	if err := ss.writeAt(seg, hdr[:], 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	// The number is consumed only now: a failed create must not leave a gap,
-	// recovery's log scan expects dense numbering.
-	ss.next = num + 1
-	ss.segs[num] = seg
-	if ss.tail != nil {
 		ss.tail.sealed = true
 	}
+	ss.segs[seg.num] = seg
 	ss.tail = seg
-	return seg, nil
+	var hdr [segHeaderSize]byte
+	binary.BigEndian.PutUint64(hdr[0:8], segMagic)
+	binary.BigEndian.PutUint64(hdr[8:16], seg.num)
+	binary.BigEndian.PutUint64(hdr[16:24], uint64(seg.prev))
+	ss.buffer(seg, hdr[:])
+}
+
+// buffer appends b to seg's buffer.
+func (ss *segmentSet) buffer(seg *segment, b []byte) {
+	if len(seg.buf) == 0 {
+		ss.unflushed = append(ss.unflushed, seg)
+	}
+	seg.buf = append(seg.buf, b...)
+	seg.size += int64(len(b))
+	seg.synced = false
+	seg.gen++
+	ss.buffered += int64(len(b))
 }
 
 // open loads an existing segment file during recovery. Its live count starts
@@ -300,7 +315,7 @@ func (ss *segmentSet) open(num uint64) (*segment, error) {
 	if err != nil {
 		return nil, ioErr("size", segmentName(num), num, -1, attempts, err)
 	}
-	seg := &segment{num: num, file: f, size: size, sealed: true, synced: true}
+	seg := &segment{num: num, file: f, size: size, flushed: size, sealed: true, synced: true}
 	if size >= segHeaderSize {
 		var hdr [segHeaderSize]byte
 		if err := ss.readAt(seg, hdr[:], 0); err != nil {
@@ -328,14 +343,6 @@ func (ss *segmentSet) free(num uint64) error {
 	}
 	if seg == ss.tail {
 		return fmt.Errorf("%w: cannot free tail segment %d", ErrTampered, num)
-	}
-	if seg == ss.wbSeg {
-		// Discard any buffered suffix with its segment (rewind freeing the
-		// segments a failed commit created).
-		ss.wb = ss.wb[:0]
-		ss.wbSeg = nil
-		ss.wbOff = 0
-		ss.wbDirty = 0
 	}
 	if seg.syncing || seg.readers.Load() > 0 {
 		// An off-mutex group-commit sync or a pinned cache-miss read holds
@@ -379,18 +386,10 @@ func (ss *segmentSet) totalLive() int64 {
 	return t
 }
 
-// tailMark remembers the log's append position so a failed multi-record
-// append (an aborted commit) can be physically discarded later. The bytes
-// between a mark and the current tail are, by construction, referenced by
-// nothing: the staged commit path only publishes locations into the
-// location map after every append of the batch has succeeded.
+// tailMark is a log append position: the tail segment and its length.
 type tailMark struct {
-	// seg and size identify the tail segment and its length at mark time.
 	seg  uint64
 	size int64
-	// next preserves the segment-number counter so rewinding reuses the
-	// numbers of discarded segments (recovery expects dense numbering).
-	next uint64
 }
 
 // mark captures the current append position.
@@ -398,112 +397,29 @@ func (ss *segmentSet) mark() tailMark {
 	if ss.tail == nil {
 		return tailMark{}
 	}
-	return tailMark{seg: ss.tail.num, size: ss.tail.size, next: ss.next}
+	return tailMark{seg: ss.tail.num, size: ss.tail.size}
 }
 
-// rewind discards everything appended after the mark: segments created
-// since are freed and the then-tail is truncated back to its marked length,
-// becoming the tail again. Rewinding is idempotent — on failure the caller
-// may retry with the same mark once the underlying store recovers.
-func (ss *segmentSet) rewind(m tailMark) error {
-	target, ok := ss.segs[m.seg]
-	if !ok {
-		return fmt.Errorf("%w: rewind target segment %d missing", ErrTampered, m.seg)
-	}
-	ss.tail = target
-	for _, num := range ss.numbers() {
-		if num > m.seg {
-			if err := ss.free(num); err != nil {
-				return err
-			}
-		}
-	}
-	if target == ss.wbSeg && len(ss.wb) > 0 && target.size > m.size && m.size >= ss.wbOff {
-		// The discarded suffix lies entirely in the write-behind buffer:
-		// truncate in memory, no syscall — unless a failed flush may have
-		// scribbled stale record bytes on disk past the mark, in [wbOff,
-		// wbDirty). Those are no longer mirrored by the trimmed buffer, so
-		// the file must be cut back to its last known-good physical size
-		// (wbOff, never the mark — bytes in [wbOff, m.size) live only in
-		// the buffer and a truncate to m.size would zero-fill them on
-		// disk). Truncate before trimming so a failed truncate mutates
-		// nothing and rewind stays retryable with the same mark.
-		if ss.wbDirty > m.size {
-			if err := ss.truncate(target, ss.wbOff); err != nil {
-				return fmt.Errorf("chunkstore: truncating aborted commit tail: %w", err)
-			}
-			ss.wbDirty = 0
-		}
-		ss.wb = ss.wb[:m.size-ss.wbOff]
-		target.size = m.size
-		target.synced = false
-		target.gen++
-	}
-	if target.size > m.size {
-		if target == ss.wbSeg {
-			// The mark lies below the buffered region: the whole buffer is
-			// part of the discard, along with the flushed bytes above the
-			// mark. Any failed-flush scribbles sit at or beyond wbOff ≥
-			// m.size and fall to the truncate below.
-			ss.wb = ss.wb[:0]
-		}
-		if err := ss.truncate(target, m.size); err != nil {
-			return fmt.Errorf("chunkstore: truncating aborted commit tail: %w", err)
-		}
-		target.size = m.size
-		target.synced = false
-		target.gen++
-		if target == ss.wbSeg {
-			ss.wbOff = m.size
-			ss.wbDirty = 0
-		}
-	}
-	target.sealed = false
-	ss.next = m.next
-	return nil
-}
-
-// append writes a raw encoded record to the tail (sealing and creating
-// segments as needed when the tail is full) and returns its location. A
-// chunk record never joins a node segment, nor a map-node record a chunk
-// segment: either opens a segment of its own kind. Records that are never
-// live (dealloc, checkpoint, commit, seal) join whatever tail is open.
-func (ss *segmentSet) append(rec []byte, segmentSize int) (Location, error) {
+// append buffers a raw encoded record at the tail, rolling to a new segment
+// when the tail is full, and returns its location. It touches no device
+// and cannot fail. A chunk record never joins a node segment, nor a
+// map-node record a chunk segment: either opens a segment of its own kind.
+// Records that are never live (dealloc, checkpoint, commit, seal) join
+// whatever tail is open.
+func (ss *segmentSet) append(rec []byte, segmentSize int) Location {
 	typ := rec[0]
 	if ss.tail == nil || (typ == recWrite || typ == recMapNode) && ss.tail.nodes != (typ == recMapNode) {
-		if _, err := ss.create(typ == recMapNode); err != nil {
-			return Location{}, err
-		}
+		ss.create(typ == recMapNode, segmentSize)
 	}
 	// Seal the tail if the record does not fit; oversized records get a
 	// fresh segment to themselves.
 	if ss.tail.size > segHeaderSize && ss.tail.size+int64(len(rec)) > int64(segmentSize) {
-		if _, err := ss.create(ss.tail.nodes); err != nil {
-			return Location{}, err
-		}
+		ss.create(ss.tail.nodes, segmentSize)
 	}
 	tail := ss.tail
 	loc := Location{Seg: tail.num, Off: uint32(tail.size), Len: uint32(len(rec))}
-	if ss.wbSeg != tail {
-		// Adopt the current tail. The buffer is empty here: create()
-		// flushes before sealing, and free/rewind drop or flush it.
-		ss.wbSeg = tail
-		ss.wbOff = tail.size
-	}
-	ss.wb = append(ss.wb, rec...)
-	tail.size += int64(len(rec))
-	tail.synced = false
-	tail.gen++
-	if len(ss.wb) >= writeBehindCap {
-		// Cap overflow: the buffered prefix and this record reach the file
-		// in one WriteAt, whatever the record's size. On failure the record
-		// stays buffered and logically appended; the caller's rewind trims
-		// it from memory.
-		if err := ss.flushLocked(); err != nil {
-			return Location{}, err
-		}
-	}
-	return loc, nil
+	ss.buffer(tail, rec)
+	return loc
 }
 
 // readRecord reads and CRC-checks the record at loc, returning its type and
@@ -567,7 +483,7 @@ type syncTask struct {
 	gen uint64
 }
 
-// syncSnapshotLocked flushes the write-behind buffer — the off-mutex fsync
+// syncSnapshotLocked flushes the write-behind buffers — the off-mutex fsync
 // can only harden bytes that have reached the file — then collects every
 // unsynced segment, marking it in-flight so the cleaner defers closing its
 // file handle. Caller holds the store mutex.
@@ -642,6 +558,9 @@ func (ss *segmentSet) unpinReaderLocked(seg *segment) {
 func (ss *segmentSet) closeAll() error {
 	var first error
 	for _, seg := range ss.segs {
+		if seg.file == nil {
+			continue // a failed flush never created it
+		}
 		if err := seg.file.Close(); err != nil && first == nil {
 			first = err
 		}

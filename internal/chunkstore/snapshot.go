@@ -37,15 +37,16 @@ func (s *Store) TakeSnapshot() (*Snapshot, error) {
 	}
 	// Snapshots are a flush point: an audit reads the snapshot over many
 	// mutex acquisitions, and flushing now means those reads never depend
-	// on the tail buffer's state drifting underneath the snapshot, and a
-	// scrub checks what the device holds, not what memory vouches for.
+	// on the write-behind buffers' state drifting underneath the snapshot,
+	// and a scrub checks what the device holds, not what memory vouches
+	// for.
 	if err := s.segs.flushLocked(); err != nil {
 		return nil, err
 	}
-	root := s.lm.markShared()
+	s.lm.setShared(true)
 	snap := &Snapshot{
 		cs:       s,
-		root:     root,
+		root:     s.lm.root,
 		rootHash: append([]byte(nil), s.lm.rootHash()...),
 		seq:      s.commitSeq,
 		counter:  s.counterVal.Load(),
@@ -87,13 +88,21 @@ func (sn *Snapshot) Harden() error {
 	return nil
 }
 
-// Close releases the snapshot, unpinning segments for the cleaner.
+// Close releases the snapshot, unpinning segments for the cleaner. The
+// last open snapshot to close unfreezes the current tree's nodes: no
+// snapshot shares them any more, so the next write to each need not copy
+// it.
 func (sn *Snapshot) Close() {
-	sn.cs.mu.Lock()
-	defer sn.cs.mu.Unlock()
-	if !sn.closed {
-		delete(sn.cs.snapshots, sn)
-		sn.closed = true
+	s := sn.cs
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sn.closed {
+		return
+	}
+	delete(s.snapshots, sn)
+	sn.closed = true
+	if len(s.snapshots) == 0 {
+		s.lm.setShared(false)
 	}
 }
 

@@ -44,6 +44,71 @@ func TestSnapshotIsolatedFromLaterWrites(t *testing.T) {
 	}
 }
 
+// TestClosedSnapshotStopsForcingCopies: once the last open snapshot has
+// closed — here Verify's own — a write changes the current tree's nodes in
+// place, so a one-chunk commit keeps the root and its leaf. While another
+// snapshot stays open, an audit's snapshot closing beside it must not
+// unfreeze the nodes that snapshot shares: it still reads its own state.
+func TestClosedSnapshotStopsForcingCopies(t *testing.T) {
+	env := newTestEnv(t, "3des-sha1")
+	env.cfg.Fanout = 4
+	env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
+	s := env.open(t)
+	defer s.Close()
+	var cid ChunkID
+	for i := 0; i < 20; i++ {
+		cid = allocWrite(t, s, []byte("v0"))
+	}
+	// path returns the current root and cid's leaf.
+	path := func() (root, leaf *mapNode) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		p, err := s.lm.descend(cid, 0, readPath)
+		if err != nil || p.node == nil || p.node == s.lm.root {
+			t.Fatalf("test premise: chunk %d's leaf %p below root %p: %v", cid, p.node, s.lm.root, err)
+		}
+		return s.lm.root, p.node
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	root, leaf := path()
+	b := s.NewBatch()
+	b.Write(cid, []byte("v1"))
+	if err := s.Commit(b, false); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if gotRoot, gotLeaf := path(); gotRoot != root || gotLeaf != leaf {
+		t.Fatalf("a commit after Verify copied the root (%v) or the leaf (%v)", gotRoot != root, gotLeaf != leaf)
+	}
+
+	snap, err := s.TakeSnapshot()
+	if err != nil {
+		t.Fatalf("TakeSnapshot: %v", err)
+	}
+	defer snap.Close()
+	if err := s.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	writeChunk(t, s, cid, []byte("v2"))
+	var snapVal []byte
+	if err := snap.ForEach(func(c ChunkID, _, ciphertext []byte) error {
+		if c == cid {
+			plain, err := env.suite.Decrypt(ciphertext)
+			snapVal = plain
+			return err
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("ForEach: %v", err)
+	}
+	if string(snapVal) != "v1" {
+		t.Fatalf("the open snapshot sees %q after an audit closed beside it, want v1", snapVal)
+	}
+	wantRead(t, s, cid, "v2")
+}
+
 // TestSnapshotIsolatedFromNodesPagedInAfterIt: a map node paged in under a
 // node the snapshot shares is reachable from the snapshot too, so a later
 // write must copy it, not change it in place. The written chunk's path

@@ -13,8 +13,8 @@ import (
 // Store is a log-structured, encrypted, tamper-evident chunk store. All
 // methods are safe for concurrent use. Commits run a two-stage pipeline:
 // payload encryption and digesting execute outside the state mutex, on the
-// committing goroutine, and only log appends plus the staged in-memory
-// merge serialize under the mutex (see commit_pipeline.go). Reads snapshot
+// committing goroutine, and only the buffered log appends and the in-memory
+// updates serialize under the mutex (see commit_pipeline.go). Reads snapshot
 // the chunk's map entry under a short shared-lock section and run the
 // segment I/O, digest validation, and decryption with no lock held,
 // revalidating the snapshot afterwards (see read.go and DESIGN.md §7.7).
@@ -60,11 +60,6 @@ type Store struct {
 	// past it first extends the reservation with a superblock write (see
 	// nextIVGen). Mutated only under mu; read lock-free on the fast path.
 	ivGenLimit atomic.Uint64
-	// pendingRewind, when non-nil, marks orphaned log records appended by a
-	// failed commit. The next append-capable operation must truncate them
-	// away before writing (completePendingRewindLocked); otherwise a later
-	// successful commit would let crash recovery replay the orphans.
-	pendingRewind *tailMark
 	// signedMark is the log tail just past the newest commit or seal
 	// record. Records beyond it are unsigned: a cleaning cycle or
 	// checkpoint that failed left them, and appendSealLocked signs them
@@ -293,17 +288,12 @@ func (s *Store) Close() error {
 	if s.closed.Load() {
 		return nil
 	}
-	// Discard any orphaned tail from a failed commit so it cannot be
-	// mistaken for log content by offline tools; recovery would discard it
-	// anyway (it follows the last durable commit record).
-	err := s.completePendingRewindLocked()
 	// Pay any harden still owed before shutting the segments down: the
 	// pending records are already applied and visible, and the commits
 	// awaiting them must be released before Close marks the store closed.
+	var err error
 	if s.hardenOwedLocked() {
-		if herr := s.hardenLocked(); herr != nil && err == nil {
-			err = herr
-		}
+		err = s.hardenLocked()
 	}
 	if s.residualBytes > 0 {
 		if cerr := s.checkpointLocked(); cerr != nil && err == nil {
@@ -530,7 +520,7 @@ type CommitTicket struct {
 }
 
 // CommitPrepared runs commit stage 2 under the store mutex: validate,
-// append, merge, seal (commit_pipeline.go). Error semantics match Commit,
+// flush, fault in, apply (commit_pipeline.go). Error semantics match Commit,
 // except that a durable commit returns with its harden still owed — the
 // caller completes it with AwaitDurable on the returned ticket. The ticket
 // is valid (and AwaitDurable required) even when the error matches
@@ -580,7 +570,7 @@ func (s *Store) AwaitDurable(t CommitTicket) error {
 // must reach before acknowledging them — and leave a harden owed; the
 // caller decides who pays it (a round for user commits, hardenLocked for a
 // checkpoint). It returns the record's length.
-func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
+func (s *Store) appendCommitRecordLocked(durable bool) int64 {
 	seq := s.commitSeq + 1
 	ctr := s.stampCtr
 	if durable && s.cfg.Counter != nil {
@@ -590,9 +580,7 @@ func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 	signed := commitSignedPortion(seq, durable, ctr, rootHash)
 	mac := s.suite.MAC(signed)
 	rec := encodeRecord(recCommit, commitRecordBody(signed, mac))
-	if _, err := s.appendLocked(rec); err != nil {
-		return 0, err
-	}
+	s.appendLocked(rec)
 	s.signedMark = s.segs.mark()
 	s.commitSeq = seq
 	if durable {
@@ -601,7 +589,7 @@ func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 			s.round.add(s.suite, ctr, mac)
 		}
 	}
-	return int64(len(rec)), nil
+	return int64(len(rec))
 }
 
 // appendSealLocked appends the open round's seal record — its stamp, its
@@ -609,47 +597,29 @@ func (s *Store) appendCommitRecordLocked(durable bool) (int64, error) {
 // empties the open round. The caller seals the stamp (sealedCtr) with it,
 // and syncs before the counter may reach the stamp: recovery reads a
 // counter at a stamp whose round is unsealed or short as a log cut inside
-// an acknowledged round (recovery.go). A seal is never appended behind a
-// failed commit's orphaned records, which a later rewind would take with it,
-// nor behind unsigned records: recovery replays up to the seal and checks
-// the root of the last commit record before it, so records that a failed
-// cleaning cycle or checkpoint left after the round's last commit first get
-// a nondurable commit record over the state they produced.
-func (s *Store) appendSealLocked() error {
+// an acknowledged round (recovery.go). A seal is never appended behind
+// unsigned records: recovery replays up to the seal and checks the root of
+// the last commit record before it, so records that a failed cleaning
+// cycle or checkpoint left after the round's last commit first get a
+// nondurable commit record over the state they produced.
+func (s *Store) appendSealLocked() {
 	if s.round.count == 0 {
-		return nil
-	}
-	if err := s.completePendingRewindLocked(); err != nil {
-		return err
+		return
 	}
 	if s.segs.mark() != s.signedMark {
-		n, err := s.appendCommitRecordLocked(false)
-		if err != nil {
-			return err
-		}
-		s.residualBytes += n
+		s.residualBytes += s.appendCommitRecordLocked(false)
 	}
 	rec := encodeRecord(recSeal, s.round.sealRecordBody(s.suite))
-	if _, err := s.appendLocked(rec); err != nil {
-		return err
-	}
+	s.appendLocked(rec)
 	s.signedMark = s.segs.mark()
 	s.residualBytes += int64(len(rec))
 	s.round.count, s.round.chain = 0, nil
-	return nil
 }
 
-// appendLocked appends one record at the log tail. A failed append may
-// leave the record logically appended though its caller never applied it,
-// so the position before it becomes the pending rewind: neither a later
-// record's sequence number nor recovery's replay may take it for applied.
-func (s *Store) appendLocked(rec []byte) (Location, error) {
-	mark := s.segs.mark()
-	loc, err := s.segs.append(rec, s.cfg.SegmentSize)
-	if err != nil {
-		s.pendingRewind = &mark
-	}
-	return loc, err
+// appendLocked appends one record at the log tail. It touches no device
+// and cannot fail (segmentSet.append).
+func (s *Store) appendLocked(rec []byte) Location {
+	return s.segs.append(rec, s.cfg.SegmentSize)
 }
 
 // adjustLive updates a segment's live-byte count, or during recovery that

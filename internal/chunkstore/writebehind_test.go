@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -112,130 +113,98 @@ func readSegRecord(t *testing.T, ss *segmentSet, loc Location, want []byte) {
 	}
 }
 
-// TestRewindOverBufferedBytesIsPureMemory pins the rewind fast path: when a
-// failed commit's appended records still sit entirely in the write-behind
-// buffer, rewinding them is a memory truncation — zero Truncate (and zero
-// Write) ops on the meter — while a rewind over flushed bytes keeps the
-// physical truncate.
-func TestRewindOverBufferedBytesIsPureMemory(t *testing.T) {
+// TestWriteBehindFailedFlushKeepsBytesBuffered pins lazy segment creation
+// and the failed flush: records that roll the log into new segments between
+// flush points create no file, a flush that fails at a segment's Create
+// leaves that segment and every later one buffered and uncreated (files are
+// created in number order), and every record still reads back. The retried
+// flush creates the files — replacing a stale file of segment 2's number,
+// which only a create that failed after the file appeared could leave —
+// and writes each segment's header and records in one WriteAt.
+func TestWriteBehindFailedFlushKeepsBytesBuffered(t *testing.T) {
 	mem := platform.NewMemStore()
 	meter := platform.NewMeterStore(mem)
-	ss := newSegmentSet(meter, RetryPolicy{})
+	fs := platform.NewFaultStore(meter)
+	ss := newSegmentSet(fs, RetryPolicy{MaxAttempts: 1, Sleep: func(time.Duration) {}})
+	const segmentSize = 1 << 10
 
-	recA, recB, recC := segRecord('A', 100), segRecord('B', 200), segRecord('C', 300)
-	locA, err := ss.append(recA, 1<<20)
-	if err != nil {
-		t.Fatalf("append(recA): %v", err)
+	recA, recB, recC, recD := segRecord('A', 100), segRecord('B', 200), segRecord('C', 900), segRecord('D', 900)
+	locA := ss.append(recA, segmentSize)
+	if err := ss.flushLocked(); err != nil {
+		t.Fatalf("flushLocked: %v", err)
 	}
-	m := ss.mark()
-	if _, err := ss.append(recB, 1<<20); err != nil {
-		t.Fatalf("append(recB): %v", err)
-	}
-	if _, err := ss.append(recC, 1<<20); err != nil {
-		t.Fatalf("append(recC): %v", err)
-	}
-
 	before := meter.Stats().Snapshot()
-	if err := ss.rewind(m); err != nil {
-		t.Fatalf("rewind over buffered bytes: %v", err)
+	locB := ss.append(recB, segmentSize)
+	locC := ss.append(recC, segmentSize) // rolls to segment 2
+	locD := ss.append(recD, segmentSize) // rolls to segment 3
+	if d := meter.Stats().Snapshot().Sub(before); d != (platform.IOCounts{}) {
+		t.Fatalf("appends that rolled the log touched the device: %+v", d)
 	}
-	delta := meter.Stats().Snapshot().Sub(before)
-	if delta.TruncateOps != 0 || delta.WriteOps != 0 {
-		t.Fatalf("buffered rewind hit the device: %+v", delta)
+	if locC.Seg != 2 || locD.Seg != 3 {
+		t.Fatalf("test premise: records in segments %d and %d, want 2 and 3", locC.Seg, locD.Seg)
 	}
-	if ss.tail.size != m.size || int64(len(ss.wb)) != m.size-ss.wbOff {
-		t.Fatalf("buffered rewind accounting: size=%d wb=%d wbOff=%d mark=%d",
-			ss.tail.size, len(ss.wb), ss.wbOff, m.size)
+	files := func() []string {
+		t.Helper()
+		names, err := mem.List()
+		if err != nil {
+			t.Fatalf("List: %v", err)
+		}
+		return names
 	}
-	// recA predates the mark and must survive, served from the buffer.
-	readSegRecord(t, ss, locA, recA)
+	if names := files(); slices.Contains(names, segmentName(2)) || slices.Contains(names, segmentName(3)) {
+		t.Fatalf("segments rolled to between flush points have files: %v", names)
+	}
+	readAll := func() {
+		t.Helper()
+		readSegRecord(t, ss, locA, recA)
+		readSegRecord(t, ss, locB, recB)
+		readSegRecord(t, ss, locC, recC)
+		readSegRecord(t, ss, locD, recD)
+	}
 
-	// After an append + flush the surviving prefix reaches the file in one
-	// coalesced write, and the record reads back from disk.
-	locD, err := ss.append(recC, 1<<20)
-	if err != nil {
-		t.Fatalf("append(recD): %v", err)
+	// The first operation, segment 1's WriteAt, succeeds; segment 2's
+	// Create fails.
+	fs.SetWriteBudget(1)
+	if err := ss.flushLocked(); err == nil {
+		t.Fatal("flush on a crashing device succeeded")
 	}
+	fs.SetWriteBudget(-1)
+	seg1, seg2, seg3 := ss.segs[1], ss.segs[2], ss.segs[3]
+	if len(seg1.buf) != 0 || seg1.flushed != seg1.size {
+		t.Fatalf("segment 1 after its WriteAt: %d bytes buffered, %d of %d flushed", len(seg1.buf), seg1.flushed, seg1.size)
+	}
+	if seg2.file != nil || seg3.file != nil || len(ss.unflushed) != 2 ||
+		ss.buffered != seg2.size+seg3.size || int64(len(seg2.buf)) != seg2.size || int64(len(seg3.buf)) != seg3.size {
+		t.Fatalf("segments 2 and 3 after the failed Create: files %v/%v, %d unflushed, %d buffered of %d+%d",
+			seg2.file != nil, seg3.file != nil, len(ss.unflushed), ss.buffered, seg2.size, seg3.size)
+	}
+	if names := files(); slices.Contains(names, segmentName(2)) || slices.Contains(names, segmentName(3)) {
+		t.Fatalf("a failed flush left files: %v", names)
+	}
+	readAll()
+
+	stale, err := mem.Create(segmentName(2))
+	if err != nil {
+		t.Fatalf("Create(stale): %v", err)
+	}
+	if _, err := stale.WriteAt(bytes.Repeat([]byte{0xee}, 4096), 0); err != nil {
+		t.Fatalf("WriteAt(stale): %v", err)
+	}
+	stale.Close()
 	before = meter.Stats().Snapshot()
 	if err := ss.syncDirty(); err != nil {
 		t.Fatalf("syncDirty: %v", err)
 	}
-	delta = meter.Stats().Snapshot().Sub(before)
-	if delta.WriteOps != 1 {
-		t.Fatalf("flush of the buffered tail took %d writes, want 1", delta.WriteOps)
+	if d := meter.Stats().Snapshot().Sub(before); d.WriteOps != 2 || d.BytesWritten != seg2.size+seg3.size {
+		t.Fatalf("the retried flush cost %+v, want one WriteAt per segment, %d bytes", d, seg2.size+seg3.size)
 	}
-	readSegRecord(t, ss, locA, recA)
-	readSegRecord(t, ss, locD, recC)
-
-	// Contrast: a rewind over already-flushed bytes must truncate physically.
-	m2 := ss.mark()
-	if _, err := ss.append(recB, 1<<20); err != nil {
-		t.Fatalf("append after flush: %v", err)
+	if ss.buffered != 0 || len(ss.unflushed) != 0 {
+		t.Fatalf("after the retried flush: %d bytes buffered in %d segments", ss.buffered, len(ss.unflushed))
 	}
-	if err := ss.flushLocked(); err != nil {
-		t.Fatalf("flushLocked: %v", err)
+	if size, err := seg2.file.Size(); err != nil || size != seg2.size {
+		t.Fatalf("segment 2's file holds %d bytes (%v), want its %d: the stale file was not replaced", size, err, seg2.size)
 	}
-	before = meter.Stats().Snapshot()
-	if err := ss.rewind(m2); err != nil {
-		t.Fatalf("rewind over flushed bytes: %v", err)
-	}
-	if got := meter.Stats().Snapshot().Sub(before).TruncateOps; got != 1 {
-		t.Fatalf("flushed rewind issued %d truncates, want 1", got)
-	}
-	readSegRecord(t, ss, locD, recC)
-}
-
-// TestRewindAfterFailedFlushKeepsEarlierBufferedBytes covers the wbDirty
-// hazard: a FAILED flush may have scribbled stale bytes on disk past the
-// mark, so the rewind must cut the file back — but only to the last
-// known-good physical size (wbOff), never the mark, because the bytes in
-// [wbOff, mark) still live only in the buffer and must not be zero-filled
-// on disk. A buffered record appended before the failing commit survives.
-func TestRewindAfterFailedFlushKeepsEarlierBufferedBytes(t *testing.T) {
-	mem := platform.NewMemStore()
-	meter := platform.NewMeterStore(mem)
-	fs := platform.NewFaultStore(meter)
-	// MaxAttempts 1: the injected transient error is terminal, not retried.
-	retry := RetryPolicy{MaxAttempts: 1, Sleep: func(time.Duration) {}}
-	ss := newSegmentSet(fs, retry)
-
-	recA, recB := segRecord('A', 100), segRecord('B', 200)
-	locA, err := ss.append(recA, 1<<20)
-	if err != nil {
-		t.Fatalf("append(recA): %v", err)
-	}
-	m := ss.mark()
-	if _, err := ss.append(recB, 1<<20); err != nil {
-		t.Fatalf("append(recB): %v", err)
-	}
-
-	fs.SetTransientWrites(1, 1)
-	if err := ss.flushLocked(); err == nil {
-		t.Fatal("flush under injected fault unexpectedly succeeded")
-	}
-	fs.SetTransientWrites(0, 0)
-	if ss.wbDirty <= m.size {
-		t.Fatalf("failed flush did not record its dirty high-water mark: %d", ss.wbDirty)
-	}
-
-	wbOff := ss.wbOff
-	before := meter.Stats().Snapshot()
-	if err := ss.rewind(m); err != nil {
-		t.Fatalf("rewind after failed flush: %v", err)
-	}
-	if got := meter.Stats().Snapshot().Sub(before).TruncateOps; got != 1 {
-		t.Fatalf("rewind past a dirty flush issued %d truncates, want 1", got)
-	}
-	if ss.wbOff != wbOff || ss.wbDirty != 0 {
-		t.Fatalf("rewind accounting: wbOff=%d (want %d) wbDirty=%d", ss.wbOff, wbOff, ss.wbDirty)
-	}
-	// recA was never flushed; it must still read back (from the buffer) and
-	// flush intact afterwards.
-	readSegRecord(t, ss, locA, recA)
-	if err := ss.syncDirty(); err != nil {
-		t.Fatalf("syncDirty after rewind: %v", err)
-	}
-	readSegRecord(t, ss, locA, recA)
+	readAll()
 }
 
 // TestWriteBehindConcurrentMaintenanceStress races buffered commits (durable

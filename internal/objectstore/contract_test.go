@@ -59,27 +59,39 @@ func TestTxnCommitContract(t *testing.T) {
 		t.Fatalf("ViewCount after ErrNotDurable = %d, want the applied 7", got)
 	}
 
-	// Stage-2 failure: the object's record (40,000 ids, 320 KB) is larger
-	// than the write-behind buffer's cap, so its append flushes the buffer,
-	// and that write fails. Nothing applied; the same transaction retries.
-	big := s.Begin()
+	// Stage-2 failure: a nondurable object record of 40,000 ids (320 KB)
+	// fills the chunk store's write-behind buffers past their cap, so the
+	// next commit's stage 2 starts with their flush, and that write fails.
+	// Nothing applied; the same transaction retries.
+	bulk := s.Begin()
 	ids := make([]ObjectID, 40000)
-	bigOID, err := big.Insert(&Profile{Meters: ids})
+	bigOID, err := bulk.Insert(&Profile{Meters: ids})
 	if err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
+	if err := bulk.Commit(false); err != nil {
+		t.Fatalf("nondurable Commit of the bulk record: %v", err)
+	}
+	next := s.Begin()
+	if obj, err = next.OpenWritable(oid); err != nil {
+		t.Fatalf("OpenWritable: %v", err)
+	}
+	obj.(*Meter).ViewCount = 9
 	e.faults.SetWriteBudget(0)
-	err = big.Commit(true)
+	err = next.Commit(true)
 	e.faults.SetWriteBudget(-1)
 	if err == nil || errors.Is(err, chunkstore.ErrNotDurable) || errors.Is(err, chunkstore.ErrMaintenance) {
 		t.Fatalf("Commit with a failing stage 2: %v, want a plain failure", err)
 	}
-	if !big.Active() {
+	if !next.Active() {
 		t.Fatal("transaction finished by a commit that applied nothing")
 	}
+	if got := viewCount(s); got != 7 {
+		t.Fatalf("ViewCount after a failed stage 2 = %d, want the earlier 7", got)
+	}
 	// The retry succeeds, and — being durable — hardens the earlier
-	// ErrNotDurable commit with it.
-	if err := big.Commit(true); err != nil {
+	// ErrNotDurable and nondurable commits with it.
+	if err := next.Commit(true); err != nil {
 		t.Fatalf("retrying the same Txn: %v", err)
 	}
 
@@ -88,8 +100,8 @@ func TestTxnCommitContract(t *testing.T) {
 	}
 	reopened := e.open(t)
 	defer reopened.Close()
-	if got := viewCount(reopened); got != 7 {
-		t.Fatalf("recovered ViewCount = %d, want 7 (hardened by the later durable commit)", got)
+	if got := viewCount(reopened); got != 9 {
+		t.Fatalf("recovered ViewCount = %d, want the retried commit's 9", got)
 	}
 	ro := reopened.BeginReadOnly()
 	defer ro.Abort()

@@ -125,7 +125,8 @@ func (dt *decodedTable) evict(i int) {
 // put caches obj for oid, replacing any entry oid already has. When the byte
 // budget is short the sweep hand walks the slots in table order — ids being
 // hashed, an arbitrary order — spending one credit of each entry it passes
-// and evicting the entries it finds at zero, until the new entry fits. A
+// and evicting the entries it finds at zero, until the new entry fits; it
+// passes empty slots without touching them. A
 // full set evicts its least-credited way, the first found from a rotating
 // start.
 func (dt *decodedTable) put(oid ObjectID, obj Object, size int64) {
@@ -134,9 +135,12 @@ func (dt *decodedTable) put(oid ObjectID, obj Object, size int64) {
 		return
 	}
 	for dt.bytes+size > decodedBudget {
-		if dt.credit[dt.hand] > 0 {
+		switch {
+		case dt.slots[dt.hand].Load() == nil:
+			// Empty: nothing to spend or evict, and no shared write.
+		case dt.credit[dt.hand] > 0:
 			dt.credit[dt.hand]--
-		} else {
+		default:
 			dt.evict(dt.hand)
 		}
 		dt.hand = (dt.hand + 1) % len(dt.slots)
