@@ -76,7 +76,10 @@ fuzz-smoke:
 # repetitions; TestConcurrentEvictingTransactions, every reader kind against
 # constant map-node eviction; and the chunk store's read, CLOCK and
 # cache-pressure tests, which race point reads, batches, fault-ins and the
-# cleaner; and the audit tests (TestAudits*): Verify, Scrub, ForEach and
+# cleaner, hold the store mutex across a read's segment I/O
+# (TestReadTakesStoreLockOnce) and free or close segments a read or a sync
+# still holds (TestReadSegmentHandleLifetime); and the audit tests
+# (TestAudits*): Verify, Scrub, ForEach and
 # Diff each let a durable commit run inside a chunk-record read
 # (TestAuditsScrubCommitInsideRecordRead), scrubs race a committer and the
 # cleaner, a scrub meets a chunk rewritten or re-quarantined mid-walk, and a
@@ -86,7 +89,7 @@ fuzz-smoke:
 read-repeat:
 	$(GO) test -race -count=20 -run 'TestScan|TestConcurrentEvictingTransactions' .
 	$(GO) test -race -count=20 \
-		-run 'TestRead|TestNonResidentRead|TestPointRead|TestHeldAttempt|TestConcurrentReads|TestClock|TestMapNodeCacheEviction|TestAudits' \
+		-run 'TestRead|TestNonResidentRead|TestPointRead|TestConcurrentReads|TestClock|TestMapNodeCacheEviction|TestAudits' \
 		./internal/chunkstore/
 
 # commit-repeat runs the harden coordinator's tests twenty times under the

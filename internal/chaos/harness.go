@@ -47,7 +47,7 @@ type Result struct {
 	TamperChecks int
 	// ReadSlowPaths totals Stats.ReadSlowPaths over every database
 	// generation the run used: map-node fault-ins (the run's CacheBytes is
-	// small enough to evict map nodes) and shared-lock last attempts.
+	// small enough to evict map nodes).
 	ReadSlowPaths int64
 	// FaultStats aggregates the injector's counters across every store
 	// generation of the run.

@@ -138,11 +138,9 @@ type Stats struct {
 	ReadCacheHits   int64
 	ReadCacheMisses int64
 	ReadCacheShards int
-	// ReadSlowPaths counts reads that left the happy path: map-node
-	// fault-ins under the exclusive lock (the node was not resident), and
-	// last attempts that held the shared lock across their segment read
-	// after going stale readMissRetries times. No read does user-data I/O
-	// under the exclusive lock.
+	// ReadSlowPaths counts the map-node fault-ins reads make under the
+	// exclusive lock (the node was not resident). No read does user-data
+	// I/O under the store lock.
 	ReadSlowPaths int64
 	// CoalescedReads counts batch segment reads that merged two or more
 	// physically adjacent records into a single ReadAt; CoalescedChunks is

@@ -105,10 +105,6 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 	if len(victims) == 0 {
 		return nil
 	}
-	// Evacuation relocated live records, so off-mutex reads planned against
-	// the pre-clean map must fail revalidation and retry (their pinned old
-	// segment stays readable until they unpin; see segment.readers).
-	s.locEpoch.Add(1)
 	// Durably publish the relocations, then free the victims: freed before
 	// the relocations are durable, a crash would recover a map that still
 	// points into them.

@@ -142,14 +142,8 @@ func (s *Store) commitPreparedLocked(b *Batch, prep []preparedOp, durable bool) 
 	}
 	s.residualBytes += appended + s.appendCommitRecordLocked(durable)
 
-	// Off-mutex reads that snapshotted the pre-commit map are told their
-	// snapshot is stale before Commit returns: the epoch bump fails their
-	// revalidation. A committed rewrite or deallocation also replaces the
-	// chunk's stored bytes, so any quarantine on the old, damaged version no
-	// longer applies.
-	if len(b.ops) > 0 {
-		s.locEpoch.Add(1)
-	}
+	// A committed rewrite or deallocation replaces the chunk's stored bytes,
+	// so any quarantine on the old, damaged version no longer applies.
 	for _, op := range b.ops {
 		delete(s.quarantine, op.cid)
 	}

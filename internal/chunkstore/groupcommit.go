@@ -22,12 +22,13 @@ import (
 // leader snapshots the dirty segments under s.mu (gcSnapshotRound), syncs
 // them with the mutex released (segmentSet.syncTasks) so companions keep
 // appending, and retakes s.mu only to publish which segments came clean. A
-// segment may grow, be rewound or be retired while its fsync is in flight:
-// each carries a modification generation, a segment is marked clean only if
-// its generation is unchanged, and the cleaner defers closing a retired
-// segment's handle until the sync lets go (segment.syncing/doomed). One sync
-// flushes every unsynced segment in append order, so it makes the round's
-// records and every earlier nondurable commit durable together.
+// segment may grow or be freed while its fsync is in flight: each carries a
+// modification generation, a segment is marked clean only if its
+// generation is unchanged, and the sync holds a reference to each
+// segment's handle, so a segment the cleaner frees meanwhile is closed only
+// when the sync lets go (segment.refs). One sync flushes every unsynced
+// segment in append order, so it makes the round's records and every
+// earlier nondurable commit durable together.
 //
 // Stage 2 is the counter advance, also off the store mutex and serialised
 // only against other advances (groupCommitter.advMu). A leader takes the

@@ -10,28 +10,31 @@ import (
 )
 
 // Chunk reads (DESIGN.md §7.7, §7.8). A point Read is a batch of one: every
-// read runs the same attempts over a set of plans, one per distinct chunk,
-// and an attempt is three acts:
+// read runs over a set of plans, one per distinct chunk, in two acts:
 //
 //  1. plan: one shared-lock section snapshots each chunk's map entry, pins
-//     its segment and stamps the publication epoch (planAllLocked). A chunk
-//     whose map node is not resident is faulted in under the exclusive
-//     lock — map-node I/O only — and planned in that same section, which
-//     is pure work;
+//     its segment's file handle and copies any suffix still in the
+//     write-behind buffer (planAllLocked). A chunk whose map node is not
+//     resident is faulted in under the exclusive lock — map-node I/O only
+//     — and planned in that same section, which is pure work;
 //  2. execute: with no lock held, the records are fetched — a run of
 //     records adjacent in one segment file with a single ReadAt into one
-//     buffer — then validated against the Merkle tree and decrypted in
-//     place, each record in the bytes its read filled (executeReads);
-//  3. finish: one shared-lock section revalidates every plan against the
-//     epoch or, if it moved, the chunk's current entry (finishLocked).
+//     buffer — then validated against the Merkle tree, decrypted in place,
+//     each record in the bytes its read filled, and unpinned
+//     (executeReads).
 //
-// A plan the finish act finds stale — the cleaner or a commit moved its
-// record mid-read — goes round again. After readMissRetries attempts, an
-// attempt runs all three acts inside one shared-lock section, where no
-// publisher can move the record, so it cannot go stale. The audits plan
-// from a snapshot instead and run only the execute act (auditWalk). No
-// read, audits included, reads a user-data record with the store mutex
-// held exclusively.
+// A read is linearized at its plan act: it returns the chunk's committed
+// state at that point, even if a commit or the cleaner moves the record
+// before the execute act reads it. Flushed record bytes are never
+// rewritten, and a freed segment's handle stays open while a read holds it
+// (segment.refs), so the planned bytes are still there. The object store
+// re-checks its version table after every chunk read, and its 2PL locks
+// exclude writers, so a plan-time result is never published as newer than
+// it is. The store mutex is taken again only to confirm a validation
+// failure (failTamperedRead); a failure whose entry moved since the plan
+// is no damage, and only that plan goes round again. The audits plan from
+// a snapshot instead and run only the execute act (auditWalk). No read,
+// audits included, reads a user-data record with the store mutex held.
 //
 // A record is read into exactly one buffer, and that buffer becomes its
 // plaintext: the CRC, type and chunk id checks run over it, then the suite
@@ -104,19 +107,12 @@ func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	return res
 }
 
-// readMissRetries is how many attempts of a read may go stale before its
-// next attempt holds the shared lock from plan to finish. Going stale twice
-// in a row already requires back-to-back relocations of the same chunk
-// mid-read.
-const readMissRetries = 4
-
 // coalesceMax bounds the byte size of one merged segment read, keeping its
 // buffer bounded no matter how long an adjacent run is.
 const coalesceMax = 1 << 20
 
-// readPlan is one chunk's read, kept across attempts until it is done. An
-// attempt's plan act fills in the snapshot the attempt validates against:
-// the chunk's map entry, its pinned segment and the epoch stamp. Only when
+// readPlan is one chunk's read. Its plan act fills in the snapshot the read
+// validates against: the chunk's map entry and its pinned segment. Only when
 // part of the record is still in the write-behind buffer does it also
 // allocate the record's buffer, pre-filled with those bytes (they may be
 // flushed once the lock drops; flushed bytes are immutable once
@@ -125,7 +121,7 @@ type readPlan struct {
 	cid ChunkID
 
 	e   entry
-	seg *segment // pinned from the plan act to the finish act, else nil
+	seg *segment // pinned from the plan act through the execute act, else nil
 	// buf is the record image, e.loc.Len bytes with at least sec.OpenSlack
 	// more capacity: nil until the execute act reads a wholly file-backed
 	// record, private when the plan act copied part of it from the
@@ -134,7 +130,6 @@ type readPlan struct {
 	// fromFile is the prefix of the record the execute act reads from the
 	// segment file; buf[fromFile:] was copied from the write-behind buffer.
 	fromFile int64
-	stamp    uint64
 
 	// ciphertext stops the execute act at the validated ciphertext
 	// (checkChunkRecord), which it leaves in ct instead of data: audits
@@ -142,7 +137,7 @@ type readPlan struct {
 	ciphertext bool
 	ct         []byte
 
-	// data and err are the attempt's outcome, final once done is set.
+	// data and err are the read's outcome, final once done is set.
 	data []byte
 	err  error
 	done bool
@@ -150,43 +145,28 @@ type readPlan struct {
 
 func (p *readPlan) finish(data []byte, err error) { p.data, p.err, p.done = data, err, true }
 
-// readPlans runs attempts until every plan is done.
+// readPlans plans and executes ps until every plan is done: only a plan
+// whose validation failure settle finds was against a moved entry goes
+// round again.
 func (s *Store) readPlans(ps []readPlan) {
-	for attempt := 0; ; attempt++ {
-		if s.readAttempt(ps, attempt >= readMissRetries) {
+	for {
+		s.mu.RLock()
+		n, fault := s.planAllLocked(ps, false)
+		s.mu.RUnlock()
+		if fault {
+			s.mu.Lock()
+			n, _ = s.planAllLocked(ps, true)
+			s.mu.Unlock()
+		}
+		if n == 0 {
+			// Every plan not pinned by the plan act is done.
+			return
+		}
+		s.executeReads(ps, n)
+		if s.settle(ps) {
 			return
 		}
 	}
-}
-
-// readAttempt runs one attempt over the plans not yet done and reports
-// whether all are done. With hold set, an attempt that needs no map node
-// faulted in executes and finishes inside its planning section.
-func (s *Store) readAttempt(ps []readPlan, hold bool) bool {
-	s.mu.RLock()
-	n, fault := s.planAllLocked(ps, false)
-	if hold && !fault && n > 0 {
-		s.readSlow.Add(1)
-		s.executeHeld(ps, n)
-		suspect := s.finishLocked(ps)
-		s.mu.RUnlock()
-		return s.settle(ps, suspect)
-	}
-	s.mu.RUnlock()
-	if fault {
-		s.mu.Lock()
-		n, _ = s.planAllLocked(ps, true)
-		s.mu.Unlock()
-	}
-	if n == 0 {
-		// Every plan not pinned by the plan act is done.
-		return true
-	}
-	s.executeReads(ps, n)
-	s.mu.RLock()
-	suspect := s.finishLocked(ps)
-	s.mu.RUnlock()
-	return s.settle(ps, suspect)
 }
 
 // planAllLocked runs the plan act for every plan not yet done and returns
@@ -269,7 +249,7 @@ func (s *Store) pinLocked(p *readPlan, e entry) error {
 	if int64(e.loc.Off)+int64(e.loc.Len) > seg.size || e.loc.Len < recordHeaderSize {
 		return fmt.Errorf("%w: record %v out of segment bounds", ErrTampered, e.loc)
 	}
-	p.e, p.stamp = e, s.locEpoch.Load()
+	p.e = e
 	p.buf, p.fromFile = nil, int64(e.loc.Len)
 	off := int64(e.loc.Off)
 	if off+p.fromFile > seg.flushed {
@@ -283,18 +263,18 @@ func (s *Store) pinLocked(p *readPlan, e entry) error {
 		p.fromFile = max(seg.flushed-off, 0)
 		copy(p.buf[p.fromFile:], seg.buf[off+p.fromFile-seg.flushed:])
 	}
-	// Pin the segment so the cleaner cannot close its file handle while the
-	// execute act is using it (free defers the close to the last unpin).
-	seg.readers.Add(1)
+	// Pin the segment's file handle: if the cleaner frees the segment before
+	// the execute act is done with it, this read's release closes it.
+	seg.refs.Add(1)
 	p.seg = seg
 	return nil
 }
 
-// executeReads runs the execute act for the n pinned plans. Pinned plans
-// are sorted by (segment, offset) — distinct chunks never share a location,
-// so the order is total — and each run of records that are physically
-// adjacent in one segment file is fetched with a single ReadAt into one
-// buffer, which the run's plans then share.
+// executeReads runs the execute act for the n pinned plans and unpins them.
+// Pinned plans are sorted by (segment, offset) — distinct chunks never
+// share a location, so the order is total — and each run of records that
+// are physically adjacent in one segment file is fetched with a single
+// ReadAt into one buffer, which the run's plans then share.
 func (s *Store) executeReads(ps []readPlan, n int) {
 	if n == 1 {
 		for i := range ps {
@@ -302,32 +282,32 @@ func (s *Store) executeReads(ps []readPlan, n int) {
 				s.executeRead(&ps[i])
 			}
 		}
-		return
+	} else {
+		run := make([]*readPlan, 0, n)
+		for i := range ps {
+			if ps[i].seg != nil {
+				run = append(run, &ps[i])
+			}
+		}
+		slices.SortFunc(run, func(a, b *readPlan) int {
+			return cmp.Or(cmp.Compare(a.e.loc.Seg, b.e.loc.Seg), cmp.Compare(a.e.loc.Off, b.e.loc.Off))
+		})
+		for len(run) > 0 {
+			k := 1
+			for k < len(run) && canCoalesce(run[:k], run[k]) {
+				k++
+			}
+			s.executeRun(run[:k])
+			run = run[k:]
+		}
 	}
-	run := make([]*readPlan, 0, n)
 	for i := range ps {
 		if ps[i].seg != nil {
-			run = append(run, &ps[i])
+			ps[i].seg.release()
+			ps[i].seg = nil
 		}
-	}
-	slices.SortFunc(run, func(a, b *readPlan) int {
-		return cmp.Or(cmp.Compare(a.e.loc.Seg, b.e.loc.Seg), cmp.Compare(a.e.loc.Off, b.e.loc.Off))
-	})
-	for len(run) > 0 {
-		k := 1
-		for k < len(run) && canCoalesce(run[:k], run[k]) {
-			k++
-		}
-		s.executeRun(run[:k])
-		run = run[k:]
 	}
 }
-
-// executeHeld is executeReads for an attempt that holds s.mu shared from
-// its plan act to its finish act.
-//
-//tdblint:serial a read whose attempts went stale readMissRetries times reads its records under the shared lock so no publisher can move them mid-read; other readers still run beside it, only publishers wait
-func (s *Store) executeHeld(ps []readPlan, n int) { s.executeReads(ps, n) }
 
 // canCoalesce reports whether p extends the run: same segment, record
 // starting exactly where the run ends, both sides fully file-backed (a plan
@@ -402,67 +382,27 @@ func (s *Store) executeRead(p *readPlan) {
 	}
 }
 
-// finishLocked runs the finish act under s.mu held shared: it unpins every
-// pinned plan and revalidates its snapshot. A current plan is done with the
-// outcome it read. A stale plan's outcome is discarded — it was read from
-// bytes that may no longer be the chunk's current version — and the plan
-// goes round again. It reports whether a current plan failed validation:
-// settle confirms those under the exclusive lock.
-func (s *Store) finishLocked(ps []readPlan) (suspect bool) {
-	closed := s.closed.Load()
+// settle ends every executed plan with the outcome it read, except a
+// validation failure, which failTamperedRead confirms under the exclusive
+// lock; settle reports whether every plan is done.
+func (s *Store) settle(ps []readPlan) bool {
+	done := true
 	for i := range ps {
 		p := &ps[i]
-		if p.seg == nil {
-			continue
-		}
-		s.segs.unpinReaderLocked(p.seg)
-		p.seg = nil
-		reason, quarantined := s.quarantine[p.cid]
 		switch {
-		case closed:
-			p.finish(nil, ErrClosed)
-		case quarantined:
-			// A scrub quarantined the chunk while the read was in flight.
-			p.finish(nil, degradedReadErr(p.cid, fmt.Errorf("quarantined: %s (%w)", reason, ErrTampered)))
-		case !s.currentLocked(p):
-			p.data, p.err = nil, nil
+		case p.done:
 		case errors.Is(p.err, ErrTampered) && !errors.Is(p.err, ErrIO):
 			// Damage confined to this chunk's stored bytes degrades the
 			// chunk rather than failing like whole-store tampering;
 			// environmental I/O failures pass through untouched.
-			suspect = true
-		default:
-			p.done = true
-		}
-	}
-	return suspect
-}
-
-// currentLocked reports whether p's snapshot still describes the chunk's
-// current version: no publication since the plan act, or — since most
-// publications touch other chunks — the chunk's entry is unchanged.
-func (s *Store) currentLocked(p *readPlan) bool {
-	if s.locEpoch.Load() == p.stamp {
-		return true
-	}
-	cur, resident := s.lm.getCached(p.cid)
-	return resident && cur.loc == p.e.loc && sec.HashEqual(cur.hash, p.e.hash)
-}
-
-// settle confirms the validation failures finishLocked reported suspect,
-// then reports whether every plan is done.
-func (s *Store) settle(ps []readPlan, suspect bool) bool {
-	done := true
-	for i := range ps {
-		p := &ps[i]
-		if suspect && !p.done && p.err != nil {
 			if err, ok := s.failTamperedRead(p.cid, p.e, p.err); ok {
 				p.finish(nil, err)
 			} else {
-				p.err = nil
+				p.err, done = nil, false
 			}
+		default:
+			p.done = true
 		}
-		done = done && p.done
 	}
 	return done
 }
@@ -470,8 +410,9 @@ func (s *Store) settle(ps []readPlan, suspect bool) bool {
 // failTamperedRead confirms a validation failure under the exclusive lock:
 // if the failing snapshot still describes the chunk's current version, the
 // chunk is quarantined, so later reads fail fast without touching storage,
-// and the read fails degraded. done=false means the entry moved mid-read —
-// the failure was read against a stale snapshot, not damage — and the plan
+// and the read fails degraded. done=false means the entry moved since the
+// plan act — a commit replaced the damaged version, or the cleaner moved
+// the record — so the failure is not the current version's, and the plan
 // goes round again.
 func (s *Store) failTamperedRead(cid ChunkID, e entry, rerr error) (err error, done bool) {
 	s.mu.Lock()

@@ -92,12 +92,14 @@ func TestReadBatchErrorsAndDuplicates(t *testing.T) {
 }
 
 // TestReadBatchRetryOnCleanerRelocation drives the batch-scope relocation
-// race by hand: a batch plans its snapshots, the cleaner then evacuates the
-// planned segment, and every executed plan must fail revalidation and go
-// round again — returning the relocated bytes, never the stale ones, and
-// never leaking a segment pin.
+// race by hand: a batch plans its snapshots, then the cleaner evacuates the
+// planned segment and frees it. Every plan returns the exact committed
+// bytes from the pinned, freed segment, whose handle stays open until the
+// batch releases it, and a later ReadBatch lands on the relocated records.
 func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 	env := newTestEnv(t, "aes-gcm")
+	hs := &readHookStore{UntrustedStore: env.cfg.Store}
+	env.cfg.Store = hs
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.DisableAutoClean = true
 	s := env.open(t)
@@ -126,38 +128,35 @@ func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 		writeChunk(t, s, cid, bytes.Repeat([]byte("x"), 512))
 	}
 
-	ps := []readPlan{{cid: victims[0]}, {cid: victims[1]}}
-	s.mu.RLock()
-	n, fault := s.planAllLocked(ps, false)
-	s.mu.RUnlock()
-	if n != 2 || fault {
-		t.Fatalf("plan act: %d pinned, fault %v; want 2, false", n, fault)
-	}
-	segs := []*segment{ps[0].seg, ps[1].seg}
-
+	ps := planRead(t, s, victims...)
+	segs := map[*segment]bool{ps[0].seg: true, ps[1].seg: true}
 	if err := s.Clean(); err != nil {
 		t.Fatalf("Clean: %v", err)
 	}
-
-	s.executeReads(ps, n)
-	s.mu.RLock()
-	s.finishLocked(ps)
-	s.mu.RUnlock()
-	for i := range ps {
-		if ps[i].done {
-			t.Fatalf("plan %d: finish act accepted a stale snapshot: %q, %v", i, ps[i].data, ps[i].err)
+	for seg := range segs {
+		if inSet(s, seg.num) {
+			t.Fatalf("cleaner did not free planned segment %d; test setup rotted", seg.num)
+		}
+		if c := hs.closeCount(segmentName(seg.num)); c != 0 {
+			t.Fatalf("freed segment %d closed %d times while the batch held it", seg.num, c)
 		}
 	}
+
 	s.readPlans(ps)
 	for i := range ps {
 		want := bytes.Repeat([]byte{'V', byte(i)}, 128)
 		if ps[i].err != nil || !bytes.Equal(ps[i].data, want) {
-			t.Fatalf("plan %d after relocation: %q, %v", i, ps[i].data, ps[i].err)
+			t.Fatalf("plan %d planned before the relocation: %q, %v", i, ps[i].data, ps[i].err)
 		}
 	}
-	for _, seg := range segs {
-		if got := seg.readers.Load(); got != 0 {
-			t.Fatalf("segment pin count = %d after batch, want 0", got)
+	for seg := range segs {
+		if c, refs := hs.closeCount(segmentName(seg.num)), seg.refs.Load(); c != 1 || refs != 0 {
+			t.Fatalf("after the batch released it, freed segment %d was closed %d times with %d references, want 1 and 0", seg.num, c, refs)
+		}
+	}
+	for i, r := range s.ReadBatch(victims) {
+		if want := bytes.Repeat([]byte{'V', byte(i)}, 128); r.Err != nil || !bytes.Equal(r.Data, want) {
+			t.Fatalf("ReadBatch after relocation [%d]: %q, %v", i, r.Data, r.Err)
 		}
 	}
 }

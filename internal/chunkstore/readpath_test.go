@@ -2,6 +2,7 @@ package chunkstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -81,93 +82,402 @@ func TestStatsUnderSharedLock(t *testing.T) {
 	}
 }
 
+// cleanableVictim writes a 256-byte victim chunk into an early segment and
+// fills the segment with chunks that are then rewritten, so the segment
+// accumulates garbage and more segments open, making it cleanable
+// (non-tail, garbage present). Commits are durable unless nondurable is set.
+func cleanableVictim(t *testing.T, s *Store, fill byte, nondurable bool) (ChunkID, []byte) {
+	t.Helper()
+	commit := func(cid ChunkID, data []byte) {
+		b := s.NewBatch()
+		b.Write(cid, data)
+		if err := s.Commit(b, !nondurable); err != nil {
+			t.Fatalf("Commit(write %d): %v", cid, err)
+		}
+	}
+	alloc := func() ChunkID {
+		cid, err := s.AllocateChunkID()
+		if err != nil {
+			t.Fatalf("AllocateChunkID: %v", err)
+		}
+		return cid
+	}
+	want := bytes.Repeat([]byte{fill}, 256)
+	victim := alloc()
+	commit(victim, want)
+	var filler []ChunkID
+	for i := 0; i < 24; i++ {
+		cid := alloc()
+		commit(cid, bytes.Repeat([]byte{byte(i)}, 512))
+		filler = append(filler, cid)
+	}
+	for _, cid := range filler {
+		commit(cid, bytes.Repeat([]byte("x"), 512))
+	}
+	return victim, want
+}
+
+// planRead runs the plan act for cids under the shared lock and requires
+// every plan pinned.
+func planRead(t *testing.T, s *Store, cids ...ChunkID) []readPlan {
+	t.Helper()
+	ps := make([]readPlan, len(cids))
+	for i, cid := range cids {
+		ps[i].cid = cid
+	}
+	s.mu.RLock()
+	n, fault := s.planAllLocked(ps, false)
+	s.mu.RUnlock()
+	if n != len(cids) || fault {
+		t.Fatalf("plan act: %d of %d pinned, fault %v", n, len(cids), fault)
+	}
+	return ps
+}
+
+// inSet reports whether segment num is still in the store's segment set.
+func inSet(s *Store, num uint64) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.segs.segs[num]
+	return ok
+}
+
 // TestReadRetryOnCleanerRelocation drives the relocation race by hand: a
-// read plans its snapshot, the cleaner then evacuates the chunk's segment,
-// and the completed off-lock read must fail revalidation (stale epoch and
-// moved entry) rather than publish a result computed from the old record.
+// read plans its snapshot, then the cleaner evacuates the chunk's segment
+// and frees it. The read is linearized at its plan act: it returns the
+// exact committed bytes from the pinned, freed segment, whose handle stays
+// open until the read releases it, and a later Read lands on the relocated
+// record.
 func TestReadRetryOnCleanerRelocation(t *testing.T) {
 	env := newTestEnv(t, "aes-gcm")
+	hs := &readHookStore{UntrustedStore: env.cfg.Store}
+	env.cfg.Store = hs
 	env.cfg.SegmentSize = 4 << 10
 	env.cfg.DisableAutoClean = true
 	s := env.open(t)
 	defer s.Close()
 
-	// The victim chunk shares its early segment with filler chunks; the
-	// filler is then rewritten so the segment accumulates garbage and more
-	// segments open, making it cleanable (non-tail, garbage present).
-	victim := allocWrite(t, s, bytes.Repeat([]byte("V"), 256))
-	var filler []ChunkID
-	for i := 0; i < 24; i++ {
-		filler = append(filler, allocWrite(t, s, bytes.Repeat([]byte{byte(i)}, 512)))
-	}
-	for _, cid := range filler {
-		writeChunk(t, s, cid, bytes.Repeat([]byte("x"), 512))
-	}
-
-	locBefore := func() Location {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		e, err := s.lm.get(victim)
-		if err != nil {
-			t.Fatalf("lm.get: %v", err)
-		}
-		return e.loc
-	}()
-
-	ps := []readPlan{{cid: victim}}
-	s.mu.RLock()
-	n, fault := s.planAllLocked(ps, false)
-	s.mu.RUnlock()
+	victim, want := cleanableVictim(t, s, 'V', false)
+	locBefore := chunkLoc(t, s, victim).loc
+	ps := planRead(t, s, victim)
 	p := &ps[0]
-	if n != 1 || fault || p.seg == nil {
-		t.Fatalf("plan act: %d pinned, fault %v, done %v (%v)", n, fault, p.done, p.err)
-	}
 	seg := p.seg
-	if got := seg.readers.Load(); got != 1 {
-		t.Fatalf("segment pin count = %d after plan, want 1", got)
-	}
+	name := segmentName(seg.num)
 
 	if err := s.Clean(); err != nil {
 		t.Fatalf("Clean: %v", err)
 	}
-	locAfter := func() Location {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		e, err := s.lm.get(victim)
-		if err != nil {
-			t.Fatalf("lm.get: %v", err)
-		}
-		return e.loc
-	}()
-	if locAfter == locBefore {
-		t.Fatalf("cleaner did not relocate the victim (loc %v); test setup rotted", locBefore)
+	if chunkLoc(t, s, victim).loc == locBefore || inSet(s, seg.num) {
+		t.Fatalf("cleaner did not relocate the victim (loc %v) and free its segment; test setup rotted", locBefore)
+	}
+	if c := hs.closeCount(name); c != 0 {
+		t.Fatalf("freed segment %s closed %d times while a read held it", name, c)
 	}
 
-	// The execute act still succeeds against the pinned old segment — the
-	// bytes are intact and validate — but the finish act must reject it.
-	s.executeReads(ps, n)
-	if p.err != nil {
-		t.Fatalf("execute act against pinned segment: %v", p.err)
-	}
-	s.mu.RLock()
-	suspect := s.finishLocked(ps)
-	s.mu.RUnlock()
-	if p.done || suspect {
-		t.Fatalf("finish act accepted a stale snapshot: data=%q err=%v suspect=%v", p.data, p.err, suspect)
-	}
-	if got := seg.readers.Load(); got != 0 {
-		t.Fatalf("segment pin count = %d after finish, want 0", got)
-	}
-
-	// The plan goes round again and lands on the relocated record.
+	// The read runs on against the pinned, freed segment: its bytes are
+	// intact and validate, and they are the chunk's state at the plan.
 	s.readPlans(ps)
-	want := bytes.Repeat([]byte("V"), 256)
 	if p.err != nil || !bytes.Equal(p.data, want) {
-		t.Fatalf("retried plan after relocation: %q, %v", p.data, p.err)
+		t.Fatalf("read planned before the relocation: %q, %v", p.data, p.err)
+	}
+	if c, refs := hs.closeCount(name), seg.refs.Load(); c != 1 || refs != 0 {
+		t.Fatalf("after the read released it, freed segment %s was closed %d times with %d references, want 1 and 0", name, c, refs)
 	}
 	got, err := s.Read(victim)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("Read after relocation: %q, %v", got, err)
+	}
+}
+
+// TestReadTakesStoreLockOnce pins that a read takes the store mutex only in
+// its plan act: inside the record's segment ReadAt, the test goroutine
+// takes the mutex exclusively and holds it until the read has returned the
+// right bytes, first for a point Read and then for a 2-chunk ReadBatch.
+func TestReadTakesStoreLockOnce(t *testing.T) {
+	env := newTestEnv(t, "aes-gcm")
+	hs := &readHookStore{UntrustedStore: env.cfg.Store}
+	env.cfg.Store = hs
+	s := env.open(t)
+	defer s.Close()
+	b := s.NewBatch()
+	var ids []ChunkID
+	var want [][]byte
+	for i := 0; i < 2; i++ {
+		cid, err := s.AllocateChunkID()
+		if err != nil {
+			t.Fatalf("AllocateChunkID: %v", err)
+		}
+		ids, want = append(ids, cid), append(want, bytes.Repeat([]byte{'L', byte(i)}, 300))
+		b.Write(cid, want[i])
+	}
+	if err := s.Commit(b, true); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	records := map[Location]bool{}
+	for _, cid := range ids {
+		records[chunkLoc(t, s, cid).loc] = true
+	}
+
+	for _, n := range []int{1, 2} {
+		inRead, locked := make(chan struct{}), make(chan struct{})
+		var fired atomic.Bool
+		hook := func(name string, off int64) {
+			for loc := range records {
+				if name == segmentName(loc.Seg) && off == int64(loc.Off) && fired.CompareAndSwap(false, true) {
+					close(inRead)
+					<-locked
+				}
+			}
+		}
+		hs.onRead.Store(&hook)
+		res := make(chan error, 1)
+		go func() {
+			var rs []BatchRead
+			if n == 1 {
+				data, err := s.Read(ids[0])
+				rs = []BatchRead{{CID: ids[0], Data: data, Err: err}}
+			} else {
+				rs = s.ReadBatch(ids)
+			}
+			for i, r := range rs {
+				if r.Err == nil && !bytes.Equal(r.Data, want[i]) {
+					r.Err = fmt.Errorf("chunk %d: wrong data %q", r.CID, r.Data)
+				}
+				if r.Err != nil {
+					res <- r.Err
+					return
+				}
+			}
+			res <- nil
+		}()
+		select {
+		case <-inRead:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d-chunk read never reached its record's segment read", n)
+		}
+		s.mu.Lock()
+		close(locked)
+		select {
+		case err := <-res:
+			s.mu.Unlock()
+			if err != nil {
+				t.Fatalf("%d-chunk read with the store mutex held elsewhere: %v", n, err)
+			}
+		case <-time.After(5 * time.Second):
+			s.mu.Unlock()
+			<-res
+			t.Fatalf("%d-chunk read blocked on the store mutex after its segment read", n)
+		}
+		hs.onRead.Store(nil)
+	}
+}
+
+// TestReadSegmentHandleLifetime pins the segment handle's reference count:
+// each segment file is closed exactly once, after its last reference is
+// released, and no read meets a closed handle. The cleaner frees a segment
+// a read has pinned, then one an off-mutex sync task holds, and Close runs
+// with a read in flight.
+func TestReadSegmentHandleLifetime(t *testing.T) {
+	env := newTestEnv(t, "aes-gcm")
+	hs := &readHookStore{UntrustedStore: env.cfg.Store}
+	env.cfg.Store = hs
+	env.cfg.SegmentSize = 4 << 10
+	env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
+	s := env.open(t)
+	open := true
+	defer func() {
+		if open {
+			s.Close()
+		}
+	}()
+
+	// A read holds a segment the cleaner frees.
+	victim, want := cleanableVictim(t, s, 'R', false)
+	ps := planRead(t, s, victim)
+	seg := ps[0].seg
+	if err := s.Clean(); err != nil {
+		t.Fatalf("Clean: %v", err)
+	}
+	if inSet(s, seg.num) || hs.closeCount(segmentName(seg.num)) != 0 {
+		t.Fatalf("segment %d: freed %v, closed %d times while a read held it; want freed and open", seg.num, !inSet(s, seg.num), hs.closeCount(segmentName(seg.num)))
+	}
+	s.readPlans(ps)
+	if ps[0].err != nil || !bytes.Equal(ps[0].data, want) {
+		t.Fatalf("read of the freed segment: %q, %v", ps[0].data, ps[0].err)
+	}
+	if c := hs.closeCount(segmentName(seg.num)); c != 1 {
+		t.Fatalf("freed segment closed %d times after the read released it, want 1", c)
+	}
+
+	// An off-mutex sync task holds segments the cleaner frees: nondurable
+	// commits leave them unsynced, so the sync snapshot takes them.
+	cleanableVictim(t, s, 'S', true)
+	s.mu.Lock()
+	tasks, err := s.segs.syncSnapshotLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatalf("syncSnapshotLocked: %v", err)
+	}
+	if err := s.Clean(); err != nil {
+		t.Fatalf("Clean: %v", err)
+	}
+	var freed []string
+	for _, task := range tasks {
+		if name := segmentName(task.seg.num); !inSet(s, task.seg.num) {
+			freed = append(freed, name)
+			if c := hs.closeCount(name); c != 0 {
+				t.Fatalf("segment %s closed %d times while a sync task held it", name, c)
+			}
+		}
+	}
+	if len(freed) == 0 {
+		t.Fatal("the cleaner freed no segment the sync snapshot took; test setup rotted")
+	}
+	err = s.segs.syncTasks(tasks)
+	s.mu.Lock()
+	s.segs.finishSyncLocked(tasks, err == nil)
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatalf("off-mutex sync of freed segments: %v", err)
+	}
+	for _, name := range freed {
+		if c := hs.closeCount(name); c != 1 {
+			t.Fatalf("freed segment %s closed %d times after the sync released it, want 1", name, c)
+		}
+	}
+
+	// Close runs while a read is parked inside its segment ReadAt.
+	e := chunkLoc(t, s, victim)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var fired atomic.Bool
+	hook := func(name string, off int64) {
+		if name == segmentName(e.loc.Seg) && off == int64(e.loc.Off) && fired.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+	}
+	hs.onRead.Store(&hook)
+	type result struct {
+		data []byte
+		err  error
+	}
+	res := make(chan result, 1)
+	go func() {
+		data, err := s.Read(victim)
+		res <- result{data, err}
+	}()
+	<-parked
+	open = false
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close with a read in flight: %v", err)
+	}
+	if c := hs.closeCount(segmentName(e.loc.Seg)); c != 0 {
+		t.Fatalf("Close closed the in-flight read's segment %d times", c)
+	}
+	close(release)
+	if r := <-res; r.err != nil || !bytes.Equal(r.data, want) {
+		t.Fatalf("read in flight across Close: %q, %v", r.data, r.err)
+	}
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	for name, opens := range hs.opens {
+		if c := hs.closes[name]; c != opens {
+			t.Errorf("segment %s: %d handles, closed %d times", name, opens, c)
+		}
+	}
+}
+
+// TestReadRetriesRotThatACommitReplaced drives the one retry left in the
+// read path: a read plans a chunk, its stored record rots, and a commit
+// rewrites the chunk before the read settles. The validation failure was
+// against an entry that has moved, so it is no damage: the read goes round
+// again and returns the new value, quarantines nothing and leaves no pin.
+func TestReadRetriesRotThatACommitReplaced(t *testing.T) {
+	env := newTestEnv(t, "aes-gcm")
+	hs := &readHookStore{UntrustedStore: env.cfg.Store}
+	env.cfg.Store = hs
+	s := env.open(t)
+	defer s.Close()
+	cid := allocWrite(t, s, []byte("the old version"))
+	newer := []byte("the version a commit wrote mid-read")
+	e := chunkLoc(t, s, cid)
+	var fired atomic.Bool
+	hook := func(name string, off int64) {
+		if name == segmentName(e.loc.Seg) && off == int64(e.loc.Off) && fired.CompareAndSwap(false, true) {
+			rotChunk(t, env, s, cid)
+			writeChunk(t, s, cid, newer)
+		}
+	}
+	hs.onRead.Store(&hook)
+	got, err := s.Read(cid)
+	hs.onRead.Store(nil)
+	if !fired.Load() {
+		t.Fatal("the read never fetched the planned record; test setup rotted")
+	}
+	if err != nil || !bytes.Equal(got, newer) {
+		t.Fatalf("read whose rotted record a commit replaced: %q, %v; want the new value", got, err)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.quarantine) != 0 {
+		t.Fatalf("quarantined %v, want nothing", s.quarantine)
+	}
+	for num, seg := range s.segs.segs {
+		if refs := seg.refs.Load(); refs != 1 {
+			t.Fatalf("segment %d holds %d references after the read, want only the set's", num, refs)
+		}
+	}
+}
+
+// TestReadLinearizedAtPlan pins where a read takes effect: a read planned
+// before an overwriting commit, or before a deallocation, that lands while
+// it fetches its record returns the pre-commit value; a read planned after
+// it returns the new value, or ErrNotAllocated for the deallocated chunk.
+func TestReadLinearizedAtPlan(t *testing.T) {
+	env := newTestEnv(t, "aes-gcm")
+	hs := &readHookStore{UntrustedStore: env.cfg.Store}
+	env.cfg.Store = hs
+	s := env.open(t)
+	defer s.Close()
+	older, newer := []byte("the pre-commit value"), []byte("the committed value")
+	for _, tc := range []struct {
+		name    string
+		op      func(b *Batch, cid ChunkID)
+		want    []byte
+		wantErr error
+	}{
+		{"overwrite", func(b *Batch, cid ChunkID) { b.Write(cid, newer) }, newer, nil},
+		{"deallocate", func(b *Batch, cid ChunkID) { b.Deallocate(cid) }, nil, ErrNotAllocated},
+	} {
+		cid := allocWrite(t, s, older)
+		e := chunkLoc(t, s, cid)
+		var fired atomic.Bool
+		hook := func(name string, off int64) {
+			if name == segmentName(e.loc.Seg) && off == int64(e.loc.Off) && fired.CompareAndSwap(false, true) {
+				b := s.NewBatch()
+				tc.op(b, cid)
+				if err := s.Commit(b, true); err != nil {
+					t.Errorf("%s: Commit mid-read: %v", tc.name, err)
+				}
+			}
+		}
+		hs.onRead.Store(&hook)
+		got, err := s.Read(cid)
+		hs.onRead.Store(nil)
+		if !fired.Load() {
+			t.Fatalf("%s: the read never fetched the planned record; test setup rotted", tc.name)
+		}
+		if err != nil || !bytes.Equal(got, older) {
+			t.Fatalf("%s: read planned before the commit: %q, %v; want the pre-commit value", tc.name, got, err)
+		}
+		got, err = s.Read(cid)
+		if tc.wantErr != nil {
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("%s: read planned after the commit: %q, %v; want %v", tc.name, got, err, tc.wantErr)
+			}
+		} else if err != nil || !bytes.Equal(got, tc.want) {
+			t.Fatalf("%s: read planned after the commit: %q, %v; want the new value", tc.name, got, err)
+		}
 	}
 }
 
@@ -269,17 +579,30 @@ func stablePayload(i int) []byte {
 }
 
 // readHookStore wraps the segment files a store creates or opens so a test
-// can observe every ReadAt they serve.
+// can observe every ReadAt they serve and count every Close. A ReadAt on a
+// closed handle fails with errReadOnClosedHandle.
 type readHookStore struct {
 	platform.UntrustedStore
 	onRead atomic.Pointer[func(name string, off int64)]
+
+	mu     sync.Mutex
+	opens  map[string]int // segment file name → handles created or opened
+	closes map[string]int // segment file name → Close calls on its handles
 }
+
+var errReadOnClosedHandle = errors.New("ReadAt on a closed segment handle")
 
 func (h *readHookStore) wrap(name string, f platform.File, err error) (platform.File, error) {
 	if _, isSeg := parseSegmentName(name); err != nil || !isSeg {
 		return f, err
 	}
-	return readHookFile{f, name, h}, nil
+	h.mu.Lock()
+	if h.opens == nil {
+		h.opens = map[string]int{}
+	}
+	h.opens[name]++
+	h.mu.Unlock()
+	return &readHookFile{File: f, name: name, h: h}, nil
 }
 
 func (h *readHookStore) Create(name string) (platform.File, error) {
@@ -292,17 +615,40 @@ func (h *readHookStore) Open(name string) (platform.File, error) {
 	return h.wrap(name, f, err)
 }
 
-type readHookFile struct {
-	platform.File
-	name string
-	h    *readHookStore
+// closeCount returns how many times the handles of segment file name were
+// closed.
+func (h *readHookStore) closeCount(name string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.closes[name]
 }
 
-func (f readHookFile) ReadAt(p []byte, off int64) (int, error) {
+type readHookFile struct {
+	platform.File
+	name   string
+	h      *readHookStore
+	closed atomic.Bool
+}
+
+func (f *readHookFile) ReadAt(p []byte, off int64) (int, error) {
 	if fn := f.h.onRead.Load(); fn != nil {
 		(*fn)(f.name, off)
 	}
+	if f.closed.Load() {
+		return 0, errReadOnClosedHandle
+	}
 	return f.File.ReadAt(p, off)
+}
+
+func (f *readHookFile) Close() error {
+	f.closed.Store(true)
+	f.h.mu.Lock()
+	if f.h.closes == nil {
+		f.h.closes = map[string]int{}
+	}
+	f.h.closes[f.name]++
+	f.h.mu.Unlock()
+	return f.File.Close()
 }
 
 // TestNonResidentReadDoesNoUserIOUnderLock pins that a read whose map node
@@ -404,49 +750,5 @@ func TestPointReadAllocs(t *testing.T) {
 	st := s.Stats()
 	if st.PrefetchedChunks != 0 || st.ReadSlowPaths != 0 {
 		t.Errorf("point reads counted %d prefetched chunks and %d slow paths, want 0 and 0", st.PrefetchedChunks, st.ReadSlowPaths)
-	}
-}
-
-// TestHeldAttemptReadsUnderSharedLock drives the last attempt of a read
-// whose attempts all went stale: it reads the record holding the store
-// mutex shared — never exclusively — finishes without retaking the lock,
-// and counts as a slow path.
-func TestHeldAttemptReadsUnderSharedLock(t *testing.T) {
-	env := newTestEnv(t, "aes-gcm")
-	hs := &readHookStore{UntrustedStore: env.cfg.Store}
-	env.cfg.Store = hs
-	s := env.open(t)
-	defer s.Close()
-	want := []byte("a usage meter record")
-	cid := allocWrite(t, s, want)
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-
-	reads := 0
-	hook := func(string, int64) {
-		reads++
-		if s.mu.TryLock() {
-			s.mu.Unlock()
-			t.Error("held attempt read its record with the store mutex free")
-		} else if !s.mu.TryRLock() {
-			t.Error("held attempt read its record with the store mutex held exclusively")
-		} else {
-			s.mu.RUnlock()
-		}
-	}
-	hs.onRead.Store(&hook)
-	ps := []readPlan{{cid: cid}}
-	done := s.readAttempt(ps, true)
-	hs.onRead.Store(nil)
-	p := &ps[0]
-	if !done || p.err != nil || !bytes.Equal(p.data, want) {
-		t.Fatalf("held attempt: done %v, %q, %v", done, p.data, p.err)
-	}
-	if reads != 1 {
-		t.Fatalf("held attempt made %d segment reads, want 1", reads)
-	}
-	if got := s.Stats().ReadSlowPaths; got != 1 {
-		t.Fatalf("ReadSlowPaths = %d after one held attempt, want 1", got)
 	}
 }

@@ -67,18 +67,29 @@ type segment struct {
 	// decide, afterwards, whether its fsync covered everything the segment
 	// now holds.
 	gen uint64
-	// syncing marks segments an off-mutex sync currently holds file
-	// handles to; free defers closing such handles via doomed.
-	syncing bool
-	doomed  bool
-	// readers counts reads currently holding the file handle (pinned by a
-	// read's plan act, released by its finish act; see read.go). free defers closing a pinned segment's handle via doomed;
-	// the last unpinner closes it. Atomic because pins and unpins happen
-	// under the shared lock, concurrently with each other.
-	readers atomic.Int32
+	// refs counts the holders of the file handle: the segment set, from
+	// create or open until free or closeAll, plus each read that pinned the
+	// segment and each off-mutex sync task. Whoever releases the last
+	// reference closes the file. A reference is only taken under the store
+	// mutex while the set still holds its own, so the count never climbs
+	// back from zero.
+	refs atomic.Int32
 }
 
-// segmentSet manages all segment files of one store. All raw segment I/O
+// release drops one reference to seg's file handle, closing the file if it
+// was the last.
+func (seg *segment) release() error {
+	if seg.refs.Add(-1) != 0 || seg.file == nil {
+		return nil
+	}
+	return seg.file.Close()
+}
+
+// segmentSet manages all segment files of one store. A segment's file is
+// never rewritten where it holds records, and a freed segment's handle
+// stays open until its last reference is released (segment.refs), so a
+// read that pinned a segment reads the bytes it planned even after the
+// cleaner freed it. All raw segment I/O
 // funnels through the retrying helpers below (readAt, writeAt, syncFile,
 // truncate): transient device errors are absorbed within the retry policy's
 // bound, and failures surface as *IOError with segment and offset context.
@@ -270,6 +281,7 @@ func (ss *segmentSet) create(nodes bool, segmentSize int) {
 		seg.prev = ss.tail.size
 		ss.tail.sealed = true
 	}
+	seg.refs.Store(1)
 	ss.segs[seg.num] = seg
 	ss.tail = seg
 	var hdr [segHeaderSize]byte
@@ -316,6 +328,7 @@ func (ss *segmentSet) open(num uint64) (*segment, error) {
 		return nil, ioErr("size", segmentName(num), num, -1, attempts, err)
 	}
 	seg := &segment{num: num, file: f, size: size, flushed: size, sealed: true, synced: true}
+	seg.refs.Store(1)
 	if size >= segHeaderSize {
 		var hdr [segHeaderSize]byte
 		if err := ss.readAt(seg, hdr[:], 0); err != nil {
@@ -335,7 +348,12 @@ func (ss *segmentSet) open(num uint64) (*segment, error) {
 	return seg, nil
 }
 
-// free removes a segment file whose live data has been fully evacuated.
+// free removes a segment whose live data has been fully evacuated: it
+// drops the set's reference to the file handle and unlinks the file. A read
+// or an off-mutex sync still holding the handle keeps it open, and the
+// last of them closes it. No new reference can form: free runs under the
+// exclusive store lock and removes the segment from the set, and a read's
+// plan act only pins segments it finds in the set.
 func (ss *segmentSet) free(num uint64) error {
 	seg, ok := ss.segs[num]
 	if !ok {
@@ -344,18 +362,10 @@ func (ss *segmentSet) free(num uint64) error {
 	if seg == ss.tail {
 		return fmt.Errorf("%w: cannot free tail segment %d", ErrTampered, num)
 	}
-	if seg.syncing || seg.readers.Load() > 0 {
-		// An off-mutex group-commit sync or a pinned cache-miss read holds
-		// this file handle; closing it now would fail that fsync or read.
-		// Unlink the file and leave the handle to finishSyncLocked or the
-		// last unpinning reader. No new pin can form: free runs under the
-		// exclusive store lock and removes the segment from the set, and
-		// a read's plan act only pins segments it finds in the set.
-		seg.doomed = true
-	} else if err := seg.file.Close(); err != nil {
+	delete(ss.segs, num)
+	if err := seg.release(); err != nil {
 		return err
 	}
-	delete(ss.segs, num)
 	attempts, err := ss.retry.run(func() error {
 		return ss.store.Remove(segmentName(num))
 	})
@@ -485,8 +495,8 @@ type syncTask struct {
 
 // syncSnapshotLocked flushes the write-behind buffers — the off-mutex fsync
 // can only harden bytes that have reached the file — then collects every
-// unsynced segment, marking it in-flight so the cleaner defers closing its
-// file handle. Caller holds the store mutex.
+// unsynced segment, taking a reference to its file handle for the sync.
+// Caller holds the store mutex.
 func (ss *segmentSet) syncSnapshotLocked() ([]syncTask, error) {
 	if err := ss.flushLocked(); err != nil {
 		return nil, err
@@ -495,7 +505,7 @@ func (ss *segmentSet) syncSnapshotLocked() ([]syncTask, error) {
 	for _, n := range ss.numbers() {
 		seg := ss.segs[n]
 		if !seg.synced {
-			seg.syncing = true
+			seg.refs.Add(1)
 			tasks = append(tasks, syncTask{seg: seg, gen: seg.gen})
 		}
 	}
@@ -516,52 +526,26 @@ func (ss *segmentSet) syncTasks(tasks []syncTask) error {
 }
 
 // finishSyncLocked publishes the outcome of an off-mutex sync: with ok,
-// segments untouched since the snapshot become clean; segments the cleaner
-// doomed while the sync was in flight get their handles closed. Caller
-// holds the store mutex.
+// segments untouched since the snapshot become clean. It then releases the
+// sync's references, closing the handle of a segment the cleaner freed
+// while the sync was in flight. Caller holds the store mutex.
 func (ss *segmentSet) finishSyncLocked(tasks []syncTask, ok bool) {
 	for _, task := range tasks {
-		seg := task.seg
-		seg.syncing = false
-		if seg.doomed {
-			if seg.readers.Load() == 0 {
-				seg.doomed = false
-				seg.file.Close()
-			}
-			// Otherwise the last unpinning reader closes the handle (see
-			// unpinReaderLocked); it observes syncing == false from here on.
-			continue
+		if ok && task.seg.gen == task.gen {
+			task.seg.synced = true
 		}
-		if ok && seg.gen == task.gen {
-			seg.synced = true
-		}
+		task.seg.release()
 	}
 }
 
-// unpinReaderLocked drops an off-mutex reader's pin on seg, closing the file
-// handle when the cleaner doomed the segment mid-read and this was the last
-// pin. Caller holds the store mutex, shared mode sufficing: a doomed segment
-// has been removed from the set (no new pins can form), so only the single
-// reader whose decrement reaches zero touches the doomed flag and handle,
-// and every exclusive-lock mutation of doomed/syncing is ordered against
-// this read-locked section by the mutex itself.
-func (ss *segmentSet) unpinReaderLocked(seg *segment) {
-	if seg.readers.Add(-1) == 0 && seg.doomed && !seg.syncing {
-		seg.doomed = false
-		seg.file.Close()
-	}
-}
-
-// closeAll closes every file handle.
+// closeAll drops the set's reference to every file handle: each file is
+// closed now, or by the read or sync that still holds it.
 //
 //tdblint:serial Close tears down handles under the store mutex so no commit can race the shutdown
 func (ss *segmentSet) closeAll() error {
 	var first error
 	for _, seg := range ss.segs {
-		if seg.file == nil {
-			continue // a failed flush never created it
-		}
-		if err := seg.file.Close(); err != nil && first == nil {
+		if err := seg.release(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -207,16 +207,7 @@ func (w *auditWalk) run(visit func(ps []readPlan) error) error {
 			return err
 		}
 		s.executeReads(ps, n)
-		s.mu.RLock()
-		for i := range ps {
-			if ps[i].seg != nil {
-				s.segs.unpinReaderLocked(ps[i].seg)
-				ps[i].seg = nil
-			}
-		}
-		closed := s.closed.Load()
-		s.mu.RUnlock()
-		if closed {
+		if s.closed.Load() {
 			return ErrClosed
 		}
 		for _, p := range ps {

@@ -16,8 +16,8 @@ import (
 // committing goroutine, and only the buffered log appends and the in-memory
 // updates serialize under the mutex (see commit_pipeline.go). Reads snapshot
 // the chunk's map entry under a short shared-lock section and run the
-// segment I/O, digest validation, and decryption with no lock held,
-// revalidating the snapshot afterwards (see read.go and DESIGN.md §7.7).
+// segment I/O, digest validation, and decryption with no lock held (see
+// read.go and DESIGN.md §7.7).
 // Decoded objects are cached a layer up, in the object store's decode
 // table.
 type Store struct {
@@ -29,16 +29,8 @@ type Store struct {
 	lm    *locMap
 	alloc *allocator
 
-	// locEpoch counts exclusive-lock publications that can move or replace
-	// a committed chunk record: sealed commits and cleaner relocations, both
-	// bumped while holding mu exclusively. A read's plan act stamps it and
-	// its finish act revalidates (read.go); an unchanged epoch proves the
-	// snapshot's (loc, hash) still describes the chunk's current version.
-	locEpoch atomic.Uint64
-	// readSlow counts the reads that left the happy path: map-node fault-ins
-	// under the exclusive lock, and last attempts that hold the shared lock
-	// across their segment read after going stale readMissRetries times.
-	// Tests assert it stays zero for warm-map workloads.
+	// readSlow counts the map-node fault-ins reads make under the exclusive
+	// lock. Tests assert it stays zero for warm-map workloads.
 	readSlow atomic.Int64
 	// coalescedReads counts batch segment reads that merged two or more
 	// physically adjacent records into one ReadAt; coalescedChunks counts the

@@ -114,3 +114,28 @@ func TestSnapshotPrefetchEvictsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapMemoKeepsBoundedMap pins the recycled memo's map on both sides
+// of snapMemoSpillKeep: a map of at most that many entries is emptied and
+// kept for the next transaction, a larger one is dropped.
+func TestSnapMemoKeepsBoundedMap(t *testing.T) {
+	for _, tc := range []struct {
+		spilled int
+		kept    bool
+	}{{snapMemoSpillKeep, true}, {snapMemoSpillKeep + 1, false}} {
+		m := new(snapMemo)
+		for oid := range ObjectID(snapMemoInline + tc.spilled) {
+			m.put(oid+1, nil)
+		}
+		if len(m.spill) != tc.spilled {
+			t.Fatalf("memo spilled %d entries, want %d", len(m.spill), tc.spilled)
+		}
+		m.reset()
+		if kept := m.spill != nil; kept != tc.kept || len(m.spill) != 0 || m.n != 0 {
+			t.Fatalf("reset of a %d-entry map: kept %v with %d entries and %d inline, want kept %v, empty", tc.spilled, kept, len(m.spill), m.n, tc.kept)
+		}
+		if _, ok := m.get(snapMemoInline + 1); ok {
+			t.Fatal("a reset memo still finds an object")
+		}
+	}
+}

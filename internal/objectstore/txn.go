@@ -51,7 +51,8 @@ type Txn struct {
 // transaction opens a couple of dozen objects, so the first snapMemoInline
 // sit in an array found by a linear scan; only a transaction that opens
 // more (a scan) pays for a map. Memos are recycled, so a transaction
-// neither allocates nor zeroes one.
+// neither allocates nor zeroes one, and a scan reuses the map an earlier
+// scan grew, up to snapMemoSpillKeep entries.
 type snapMemo struct {
 	n      int
 	inline [snapMemoInline]struct {
@@ -63,13 +64,30 @@ type snapMemo struct {
 
 const snapMemoInline = 32
 
+// snapMemoSpillKeep bounds the map a recycled memo keeps: one scan of the
+// repository benchmark's range (4096 records and the index pages above
+// them) fits, while a map grown by a larger scan is dropped rather than
+// held in the pool at its size.
+const snapMemoSpillKeep = 8192
+
 var snapMemos = sync.Pool{New: func() any { return new(snapMemo) }}
 
 // release forgets what the memo holds and returns it to the pool.
 func (m *snapMemo) release() {
-	clear(m.inline[:m.n])
-	m.n, m.spill = 0, nil
+	m.reset()
 	snapMemos.Put(m)
+}
+
+// reset forgets what the memo holds, keeping its map for the next
+// transaction unless it holds more than snapMemoSpillKeep entries.
+func (m *snapMemo) reset() {
+	clear(m.inline[:m.n])
+	m.n = 0
+	if len(m.spill) > snapMemoSpillKeep {
+		m.spill = nil
+	} else {
+		clear(m.spill)
+	}
 }
 
 func (m *snapMemo) get(oid ObjectID) (Object, bool) {

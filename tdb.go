@@ -135,7 +135,7 @@ type (
 	RetryPolicy = chunkstore.RetryPolicy
 	// Stats is what DB.Stats reports: storage sizes, commit/cleaning
 	// counters, and read-path telemetry (ReadSlowPaths — map-node fault-ins
-	// and shared-lock last attempts — and the scan-prefetch counters:
+	// — and the scan-prefetch counters:
 	// coalesced reads and prefetched chunks). The
 	// ReadCache* and PrefetchHits/PrefetchWasted fields are always zero:
 	// the chunk store keeps no plaintext cache.
