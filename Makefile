@@ -83,7 +83,9 @@ fuzz-smoke:
 # Diff each let a durable commit run inside a chunk-record read
 # (TestAuditsScrubCommitInsideRecordRead), scrubs race a committer and the
 # cleaner, a scrub meets a chunk rewritten or re-quarantined mid-walk, and a
-# Diff streamed during commits matches the quiet one.
+# Diff streamed during commits matches the quiet one; and the object store's
+# snapshot prefetch tests, whose batches unpickle records from buffers the
+# chunk store lends and reuses (TestSnapshotPrefetchSurvivesBufferReuse).
 # (TestAuditedWorkloadUnderCachePressure is single-goroutine and takes
 # seconds under -race; it runs once in the -race suite.)
 read-repeat:
@@ -91,6 +93,7 @@ read-repeat:
 	$(GO) test -race -count=20 \
 		-run 'TestRead|TestNonResidentRead|TestPointRead|TestConcurrentReads|TestClock|TestMapNodeCacheEviction|TestAudits' \
 		./internal/chunkstore/
+	$(GO) test -race -count=20 -run 'TestSnapshotPrefetch' ./internal/objectstore/
 
 # commit-repeat runs the harden coordinator's tests twenty times under the
 # race detector. Which commit leads a round, and which round a commit joins,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"tdb/internal/sec"
 )
@@ -37,15 +38,26 @@ import (
 // audits included, reads a user-data record with the store mutex held.
 //
 // A record is read into exactly one buffer, and that buffer becomes its
-// plaintext: the CRC, type and chunk id checks run over it, then the suite
-// opens it in place against its Merkle leaf, authenticating and decrypting
-// in one pass (sec.Suite.Open). Every buffer has sec.OpenSlack bytes of
-// room past its last record, where Open writes the tag; a record inside a
-// run borrows the next record's first bytes, which are put back. A run's
-// records are subslices of the run's buffer; only a record still partly or
-// wholly in the write-behind buffer gets a private buffer, filled from that
-// buffer in the plan act, so the write-behind bytes themselves are never
-// opened. The audits, which keep the ciphertext, open a private copy.
+// plaintext: the length, type and chunk id checks run over it, then the
+// suite opens it in place against its Merkle leaf, authenticating and
+// decrypting in one pass (sec.Suite.Open). The record's CRC is not checked:
+// the leaf covers every byte the CRC does and more, and the CRC exists only
+// for recovery's search for the end of the log (record.go). Every buffer
+// has sec.OpenSlack bytes of room past its last record, where Open writes
+// the tag; a record inside a run borrows the next record's first bytes,
+// which are put back. A run's records are subslices of the run's buffer;
+// only a record still partly or wholly in the write-behind buffer gets a
+// private buffer, filled from that buffer in the plan act, so the
+// write-behind bytes themselves are never opened. The audits, which keep
+// the ciphertext, open a private copy.
+//
+// Who owns the buffers depends on the call. A point Read's buffer and
+// ReadBatch's run buffers become the caller's. VisitBatch carves each run's
+// buffer, and each lone record's, out of one buffer the store's lendPool
+// lends the batch (an arena), shows every result to its visitor, and takes
+// the buffer back after the last visit: a scan that unpickles each record
+// in its visit allocates no record buffers, and no plans, once the pool is
+// warm. The audits' buffers are private.
 //
 // Point reads and batches differ only at the edges: only a batch dedupes
 // its ids — by sorting them, with no map — and counts PrefetchedChunks.
@@ -57,7 +69,7 @@ import (
 // stored chunk fails validation against the Merkle tree.
 func (s *Store) Read(cid ChunkID) ([]byte, error) {
 	p := []readPlan{{cid: cid}}
-	s.readPlans(p)
+	s.readPlans(p, nil)
 	return p[0].data, p[0].err
 }
 
@@ -75,24 +87,48 @@ type BatchRead struct {
 // batch — a scan hint must never fail harder than the dereference it
 // accelerates. Every distinct chunk is read, even one another reader is
 // fetching at the same time: each result carries the chunk's data or an
-// error. The results of one coalesced run are disjoint subslices of one
-// backing array, each capped at its own record, so writing into one never
-// touches another; but holding any of them keeps the whole run's buffer
-// (up to coalesceMax bytes) alive, so a caller that keeps a result past
-// decoding it copies it.
+// error. The results are the caller's. The results of one coalesced run
+// are disjoint subslices of one backing array, each capped at its own
+// record, so writing into one never touches another; but holding any of
+// them keeps the whole run's buffer (up to coalesceMax bytes) alive, so a
+// caller that keeps a result past decoding it copies it, or decodes it
+// inside VisitBatch instead.
 func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	res := make([]BatchRead, len(cids))
+	s.readBatch(cids, nil, func(i int, data []byte, err error) {
+		res[i] = BatchRead{CID: cids[i], Data: data, Err: err}
+	})
+	return res
+}
+
+// VisitBatch reads every chunk of cids as ReadBatch does and calls visit
+// once for each cids[i], in order of i, with the chunk's plaintext or its
+// error (a duplicate id shows every visit the same bytes). data is lent,
+// not given: it lives in a buffer the store takes back once the last visit
+// returns, so visit must copy whatever it keeps.
+func (s *Store) VisitBatch(cids []ChunkID, visit func(i int, data []byte, err error)) {
+	s.readBatch(cids, &s.lend, visit)
+}
+
+// readBatch is ReadBatch and VisitBatch: it dedupes cids, reads them with
+// plans and buffers from pool (nil: allocated, and the buffers the
+// caller's), visits every result, and then gives pool what it lent back.
+func (s *Store) readBatch(cids []ChunkID, pool *lendPool, visit func(i int, data []byte, err error)) {
 	if len(cids) == 0 {
-		return res
+		return
+	}
+	var a *arena
+	if pool != nil {
+		a = &arena{lp: pool}
 	}
 	ids := slices.Clone(cids)
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
-	ps := make([]readPlan, len(ids))
+	ps := pool.getPlans(len(ids))
 	for i, cid := range ids {
 		ps[i].cid = cid
 	}
-	s.readPlans(ps)
+	s.readPlans(ps, a)
 	prefetched := int64(0)
 	for i := range ps {
 		if ps[i].err == nil {
@@ -102,14 +138,145 @@ func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	s.prefetchedChunks.Add(prefetched)
 	for i, cid := range cids {
 		j, _ := slices.BinarySearch(ids, cid)
-		res[i] = BatchRead{CID: cid, Data: ps[j].data, Err: ps[j].err}
+		visit(i, ps[j].data, ps[j].err)
 	}
-	return res
+	a.done()
+	pool.putPlans(ps)
 }
 
 // coalesceMax bounds the byte size of one merged segment read, keeping its
 // buffer bounded no matter how long an adjacent run is.
 const coalesceMax = 1 << 20
+
+// lendPool lends VisitBatch what a batch would otherwise allocate on every
+// call: its plans and the buffer its records are read into. Between calls
+// it keeps at most poolKeep of each: buffers of at most coalesceMax bytes
+// and sec.OpenSlack, plan slices of at most poolMaxPlans plans — about 5
+// MiB per store at most, and a few scan windows' worth in practice. A batch
+// that needs more gets what it needs, and the pool does not keep it.
+type lendPool struct {
+	bufs  freeList[[]byte]
+	plans freeList[[]readPlan]
+}
+
+const (
+	poolKeep     = 4
+	poolMaxBuf   = coalesceMax + sec.OpenSlack
+	poolMaxPlans = 1024
+	// The pool makes buffers of at least poolMinBuf bytes and plan slices
+	// of at least poolMinPlans, rounded up to a power of two from there, so
+	// that batches of varying sizes reuse one rather than replacing it each
+	// time one is larger.
+	poolMinBuf   = 64 << 10
+	poolMinPlans = 64
+)
+
+// poolSize rounds n up to the size the pool makes: least times a power of
+// two, but at most most.
+func poolSize(n, least, most int) int {
+	for least < n {
+		least *= 2
+	}
+	return min(least, most)
+}
+
+// freeList keeps at most poolKeep values for reuse.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	n    int
+	free [poolKeep]T
+}
+
+// take returns a kept value, or the zero value if none is kept.
+func (f *freeList[T]) take() (v T) {
+	var zero T
+	f.mu.Lock()
+	if f.n > 0 {
+		f.n--
+		v, f.free[f.n] = f.free[f.n], zero
+	}
+	f.mu.Unlock()
+	return v
+}
+
+// keep keeps v if fewer than poolKeep values are kept.
+func (f *freeList[T]) keep(v T) {
+	f.mu.Lock()
+	if f.n < poolKeep {
+		f.free[f.n] = v
+		f.n++
+	}
+	f.mu.Unlock()
+}
+
+// getPlans lends n zeroed plans.
+func (lp *lendPool) getPlans(n int) []readPlan {
+	if lp == nil || n > poolMaxPlans {
+		return make([]readPlan, n)
+	}
+	ps := lp.plans.take()
+	if cap(ps) < n {
+		ps = make([]readPlan, poolSize(n, poolMinPlans, poolMaxPlans))
+	}
+	return ps[:n]
+}
+
+// putPlans takes back plans getPlans lent. It zeroes them, which drops
+// their references to segments, map hashes and results.
+func (lp *lendPool) putPlans(ps []readPlan) {
+	if lp == nil {
+		return
+	}
+	clear(ps)
+	if cap(ps) <= poolMaxPlans {
+		lp.plans.keep(ps)
+	}
+}
+
+// arena hands one VisitBatch its record buffers, each carved from one
+// buffer lent by the store's lendPool with sec.OpenSlack bytes to spare
+// before the next. A nil arena allocates each buffer, for the caller to
+// keep.
+type arena struct {
+	lp   *lendPool
+	lent []byte // the pool's buffer, returned by done
+	free []byte // what is left to carve: of lent, or of a buffer of its own
+}
+
+// reserve makes room for n more bytes of buffers. The first reservation
+// borrows the pool's buffer when n fits one; any other that does not fit
+// what is left allocates.
+func (a *arena) reserve(n int) {
+	switch {
+	case a == nil || len(a.free) >= n:
+	case a.lent == nil && n <= poolMaxBuf:
+		a.lent = a.lp.bufs.take()
+		if cap(a.lent) < n {
+			a.lent = make([]byte, poolSize(n, poolMinBuf, poolMaxBuf))
+		}
+		a.free = a.lent[:cap(a.lent)]
+	default:
+		a.free = make([]byte, n)
+	}
+}
+
+// get returns a buffer of n bytes with sec.OpenSlack more capacity, from
+// room reserve made.
+func (a *arena) get(n int) []byte {
+	if a == nil {
+		return make([]byte, n, n+sec.OpenSlack)
+	}
+	b := a.free[: n : n+sec.OpenSlack]
+	a.free = a.free[n+sec.OpenSlack:]
+	return b
+}
+
+// done gives the pool its buffer back.
+func (a *arena) done() {
+	if a != nil && a.lent != nil {
+		a.lp.bufs.keep(a.lent)
+	}
+}
 
 // readPlan is one chunk's read. Its plan act fills in the snapshot the read
 // validates against: the chunk's map entry and its pinned segment. Only when
@@ -145,10 +312,10 @@ type readPlan struct {
 
 func (p *readPlan) finish(data []byte, err error) { p.data, p.err, p.done = data, err, true }
 
-// readPlans plans and executes ps until every plan is done: only a plan
-// whose validation failure settle finds was against a moved entry goes
-// round again.
-func (s *Store) readPlans(ps []readPlan) {
+// readPlans plans and executes ps until every plan is done, with record
+// buffers from a (see executeReads): only a plan whose validation failure
+// settle finds was against a moved entry goes round again.
+func (s *Store) readPlans(ps []readPlan, a *arena) {
 	for {
 		s.mu.RLock()
 		n, fault := s.planAllLocked(ps, false)
@@ -162,7 +329,7 @@ func (s *Store) readPlans(ps []readPlan) {
 			// Every plan not pinned by the plan act is done.
 			return
 		}
-		s.executeReads(ps, n)
+		s.executeReads(ps, n, a)
 		if s.settle(ps) {
 			return
 		}
@@ -274,12 +441,23 @@ func (s *Store) pinLocked(p *readPlan, e entry) error {
 // Pinned plans are sorted by (segment, offset) — distinct chunks never
 // share a location, so the order is total — and each run of records that
 // are physically adjacent in one segment file is fetched with a single
-// ReadAt into one buffer, which the run's plans then share.
-func (s *Store) executeReads(ps []readPlan, n int) {
+// ReadAt into one buffer, which the run's plans then share. Buffers come
+// from a, which first reserves room for every record with its slack; with
+// a nil arena they are allocated and belong to the results.
+func (s *Store) executeReads(ps []readPlan, n int, a *arena) {
+	if a != nil {
+		need := 0
+		for i := range ps {
+			if ps[i].seg != nil && ps[i].buf == nil {
+				need += int(ps[i].e.loc.Len) + sec.OpenSlack
+			}
+		}
+		a.reserve(need)
+	}
 	if n == 1 {
 		for i := range ps {
 			if ps[i].seg != nil {
-				s.executeRead(&ps[i])
+				s.executeRead(a, &ps[i])
 			}
 		}
 	} else {
@@ -297,7 +475,7 @@ func (s *Store) executeReads(ps []readPlan, n int) {
 			for k < len(run) && canCoalesce(run[:k], run[k]) {
 				k++
 			}
-			s.executeRun(run[:k])
+			s.executeRun(a, run[:k])
 			run = run[k:]
 		}
 	}
@@ -331,13 +509,13 @@ func canCoalesce(run []*readPlan, p *readPlan) bool {
 // subslice of it, whose capacity runs on into the next records and the
 // buffer's slack; each plan then validates and opens individually, so one
 // damaged record degrades only its own chunk.
-func (s *Store) executeRun(run []*readPlan) {
+func (s *Store) executeRun(a *arena, run []*readPlan) {
 	if len(run) > 1 {
 		total := 0
 		for _, p := range run {
 			total += int(p.e.loc.Len)
 		}
-		big := make([]byte, total, total+sec.OpenSlack)
+		big := a.get(total)
 		if err := s.segs.fileReadAt(run[0].seg, big, int64(run[0].e.loc.Off)); err != nil {
 			for _, p := range run {
 				p.data, p.err = nil, err
@@ -355,16 +533,17 @@ func (s *Store) executeRun(run []*readPlan) {
 		s.coalescedChunks.Add(int64(len(run)))
 	}
 	for _, p := range run {
-		s.executeRead(p)
+		s.executeRead(a, p)
 	}
 }
 
 // executeRead fetches whatever of p's record is not in hand, then parses,
-// validates and opens it in its own buffer.
-func (s *Store) executeRead(p *readPlan) {
+// validates and opens it in its own buffer: the run's or the plan act's,
+// else one from a.
+func (s *Store) executeRead(a *arena, p *readPlan) {
 	p.data, p.err = nil, nil
 	if p.buf == nil {
-		p.buf = make([]byte, p.e.loc.Len, p.e.loc.Len+sec.OpenSlack)
+		p.buf = a.get(int(p.e.loc.Len))
 	}
 	if p.fromFile > 0 {
 		if p.err = s.segs.fileReadAt(p.seg, p.buf[:p.fromFile], int64(p.e.loc.Off)); p.err != nil {

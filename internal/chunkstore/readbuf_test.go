@@ -2,6 +2,7 @@ package chunkstore
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -149,35 +150,126 @@ func TestReadBatchResultsDoNotAlias(t *testing.T) {
 }
 
 // TestReadBatchAllocs pins the allocations of a warm batch read of 64
-// adjacent 1 KiB chunks, one coalesced run, at exactly 5: the results, the
-// sorted ids the batch dedupes and maps results back through, the plans,
-// the run's slice of plan pointers, and the run's buffer, the only record
-// buffer. Opening the records in that buffer allocates nothing. The race
+// adjacent 1 KiB chunks, one coalesced run. ReadBatch allocates exactly 5:
+// the results, the sorted ids the batch dedupes and maps results back
+// through, the plans, the run's slice of plan pointers, and the run's
+// buffer, the only record buffer. VisitBatch allocates exactly 2, the ids
+// and the run's slice: its plans and its buffer are lent by the store's
+// pool. Opening the records allocates nothing, under aes-gcm or under the
+// null suite, whose leaf check hashes into an array on the stack. The race
 // detector makes sync.Pool drop pooled objects at random, so under it
 // counts vary and only the I/O is checked.
 func TestReadBatchAllocs(t *testing.T) {
+	for _, suite := range []string{"aes-gcm", "null"} {
+		t.Run(suite, func(t *testing.T) {
+			env := newTestEnv(t, suite)
+			env.cfg.Store = env.mem
+			env.cfg.SegmentSize = 1 << 20
+			s := env.open(t)
+			defer s.Close()
+			cids := writeBatch(t, s, 64, true, kibPayload)
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			reads := s.Stats().CoalescedReads
+			const runs = 100
+			batch := testing.AllocsPerRun(runs, func() {
+				for i, r := range s.ReadBatch(cids) {
+					if r.Err != nil || len(r.Data) != 1024 {
+						t.Fatalf("ReadBatch[%d]: %d bytes, %v", i, len(r.Data), r.Err)
+					}
+				}
+			})
+			visit := testing.AllocsPerRun(runs, func() {
+				s.VisitBatch(cids, func(i int, data []byte, err error) {
+					if err != nil || len(data) != 1024 {
+						t.Fatalf("VisitBatch[%d]: %d bytes, %v", i, len(data), err)
+					}
+				})
+			})
+			if got := s.Stats().CoalescedReads - reads; got != 2*(runs+1) {
+				t.Fatalf("%d batch reads paid %d coalesced reads, want one each", 2*(runs+1), got)
+			}
+			if !raceDetector && (batch != 5 || visit != 2) {
+				t.Errorf("a warm 64-chunk batch read allocates %.0f objects through ReadBatch and %.0f through VisitBatch, want 5 and 2", batch, visit)
+			}
+		})
+	}
+}
+
+// TestReadVisitBatchMatchesReadBatch reads one id list through ReadBatch
+// and VisitBatch: flushed runs, records partly and wholly in the
+// write-behind buffer, a record larger than coalesceMax, duplicates, and
+// ids never written or never allocated. VisitBatch visits every index once,
+// in order, with ReadBatch's bytes or error. A batch that holds the large
+// record reads into a buffer of its own; one of the flushed records
+// borrows the pool's. Afterwards the store's pool keeps at most poolKeep
+// buffers, none larger than a full run and its slack, and zeroed plans
+// only.
+func TestReadVisitBatchMatchesReadBatch(t *testing.T) {
 	env := newTestEnv(t, "aes-gcm")
-	env.cfg.Store = env.mem
-	env.cfg.SegmentSize = 1 << 20
+	env.cfg.SegmentSize = 4 << 20
 	s := env.open(t)
 	defer s.Close()
-	cids := writeBatch(t, s, 64, true, kibPayload)
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	big := bytes.Repeat([]byte("L"), coalesceMax+100)
+	cids := writeBatch(t, s, 8, true, kibPayload)
+	cids = append(cids, allocWrite(t, s, big))
+	cids = append(cids, writeBatch(t, s, 4, false, kibPayload)...)
+	s.mu.Lock()
+	flushPrefixLocked(t, s, 100)
+	s.mu.Unlock()
+	unwritten, err := s.AllocateChunkID()
+	if err != nil {
+		t.Fatalf("AllocateChunkID: %v", err)
 	}
-	reads := s.Stats().CoalescedReads
-	const runs = 100
-	allocs := testing.AllocsPerRun(runs, func() {
-		for i, r := range s.ReadBatch(cids) {
-			if r.Err != nil || len(r.Data) != 1024 {
-				t.Fatalf("ReadBatch[%d]: %d bytes, %v", i, len(r.Data), r.Err)
+	cids = append(cids, cids[2], unwritten, unwritten+1000, cids[0])
+
+	for round := 0; round < 3; round++ {
+		want := s.ReadBatch(cids)
+		next := 0
+		s.VisitBatch(cids, func(i int, data []byte, err error) {
+			if i != next {
+				t.Fatalf("visit %d came after %d", i, next-1)
 			}
+			next++
+			w := want[i]
+			if !bytes.Equal(data, w.Data) || (err == nil) != (w.Err == nil) ||
+				errors.Is(err, ErrNotWritten) != errors.Is(w.Err, ErrNotWritten) ||
+				errors.Is(err, ErrNotAllocated) != errors.Is(w.Err, ErrNotAllocated) {
+				t.Fatalf("round %d: VisitBatch[%d] = %d bytes, %v; ReadBatch gave %d bytes, %v", round, i, len(data), err, len(w.Data), w.Err)
+			}
+		})
+		if next != len(cids) {
+			t.Fatalf("VisitBatch visited %d of %d indexes", next, len(cids))
+		}
+		if want[8].Err != nil || !bytes.Equal(want[8].Data, big) || !errors.Is(want[len(cids)-3].Err, ErrNotWritten) || !errors.Is(want[len(cids)-2].Err, ErrNotAllocated) {
+			t.Fatalf("ReadBatch: large record %d bytes, %v; unwritten %v; unallocated %v", len(want[8].Data), want[8].Err, want[len(cids)-3].Err, want[len(cids)-2].Err)
+		}
+	}
+
+	s.VisitBatch(cids[:8], func(i int, data []byte, err error) {
+		if err != nil || !bytes.Equal(data, kibPayload(i)) {
+			t.Fatalf("VisitBatch[%d] = %d bytes, %v", i, len(data), err)
 		}
 	})
-	if got := s.Stats().CoalescedReads - reads; got != runs+1 {
-		t.Fatalf("%d batch reads paid %d coalesced reads, want one each", runs+1, got)
+	lp := &s.lend
+	lp.bufs.mu.Lock()
+	defer lp.bufs.mu.Unlock()
+	if lp.bufs.n == 0 || lp.bufs.n > poolKeep {
+		t.Fatalf("the pool keeps %d buffers, want 1 to %d", lp.bufs.n, poolKeep)
 	}
-	if !raceDetector && allocs != 5 {
-		t.Errorf("a warm 64-chunk batch read allocates %.0f objects, want 5", allocs)
+	for _, b := range lp.bufs.free[:lp.bufs.n] {
+		if cap(b) > poolMaxBuf {
+			t.Fatalf("the pool keeps a %d-byte buffer, past a full run's %d", cap(b), poolMaxBuf)
+		}
+	}
+	lp.plans.mu.Lock()
+	defer lp.plans.mu.Unlock()
+	for _, ps := range lp.plans.free[:lp.plans.n] {
+		for _, p := range ps[:cap(ps)] {
+			if p.seg != nil || p.buf != nil || p.data != nil || p.e.hash != nil || p.err != nil {
+				t.Fatalf("the pool keeps a plan that was not zeroed: %+v", p)
+			}
+		}
 	}
 }

@@ -176,7 +176,7 @@ func TestReadRetryOnCleanerRelocation(t *testing.T) {
 
 	// The read runs on against the pinned, freed segment: its bytes are
 	// intact and validate, and they are the chunk's state at the plan.
-	s.readPlans(ps)
+	s.readPlans(ps, nil)
 	if p.err != nil || !bytes.Equal(p.data, want) {
 		t.Fatalf("read planned before the relocation: %q, %v", p.data, p.err)
 	}
@@ -301,7 +301,7 @@ func TestReadSegmentHandleLifetime(t *testing.T) {
 	if inSet(s, seg.num) || hs.closeCount(segmentName(seg.num)) != 0 {
 		t.Fatalf("segment %d: freed %v, closed %d times while a read held it; want freed and open", seg.num, !inSet(s, seg.num), hs.closeCount(segmentName(seg.num)))
 	}
-	s.readPlans(ps)
+	s.readPlans(ps, nil)
 	if ps[0].err != nil || !bytes.Equal(ps[0].data, want) {
 		t.Fatalf("read of the freed segment: %q, %v", ps[0].data, ps[0].err)
 	}
@@ -721,34 +721,39 @@ func TestNonResidentReadDoesNoUserIOUnderLock(t *testing.T) {
 }
 
 // TestPointReadAllocs pins the allocations of a point read whose map path
-// is resident at exactly 2: the plan and its record buffer. The record is
-// opened against its leaf in that buffer, in one AES-GCM pass that
-// allocates neither a keystream nor a plaintext. A batch of one allocates
-// none of ReadBatch's sorted ids, run slice or results, and does not count
-// as a prefetch. The store is a plain MemStore: the fault-injecting test store
-// formats its bookkeeping through fmt, whose pooled buffers make counts
-// vary under the race detector.
+// is resident at exactly 2: the plan and its record buffer, which a point
+// read keeps private. The record is opened against its leaf in that
+// buffer, in one AES-GCM pass that allocates neither a keystream nor a
+// plaintext, or under the null suite by a checksum into a stack array. A
+// batch of one allocates none of ReadBatch's sorted ids, run slice or
+// results, and does not count as a prefetch. The store is a plain
+// MemStore: the fault-injecting test store formats its bookkeeping through
+// fmt, whose pooled buffers make counts vary under the race detector.
 func TestPointReadAllocs(t *testing.T) {
-	env := newTestEnv(t, "aes-gcm")
-	env.cfg.Store = env.mem
-	s := env.open(t)
-	defer s.Close()
-	want := bytes.Repeat([]byte("meter"), 100)
-	cid := allocWrite(t, s, want)
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		got, err := s.Read(cid)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Read: %q, %v", got, err)
-		}
-	})
-	if allocs != 2 {
-		t.Errorf("a warm-map point read allocates %.0f objects, want 2", allocs)
-	}
-	st := s.Stats()
-	if st.PrefetchedChunks != 0 || st.ReadSlowPaths != 0 {
-		t.Errorf("point reads counted %d prefetched chunks and %d slow paths, want 0 and 0", st.PrefetchedChunks, st.ReadSlowPaths)
+	for _, suite := range []string{"aes-gcm", "null"} {
+		t.Run(suite, func(t *testing.T) {
+			env := newTestEnv(t, suite)
+			env.cfg.Store = env.mem
+			s := env.open(t)
+			defer s.Close()
+			want := bytes.Repeat([]byte("meter"), 100)
+			cid := allocWrite(t, s, want)
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				got, err := s.Read(cid)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("Read: %q, %v", got, err)
+				}
+			})
+			if allocs != 2 {
+				t.Errorf("a warm-map point read allocates %.0f objects, want 2", allocs)
+			}
+			st := s.Stats()
+			if st.PrefetchedChunks != 0 || st.ReadSlowPaths != 0 {
+				t.Errorf("point reads counted %d prefetched chunks and %d slow paths, want 0 and 0", st.PrefetchedChunks, st.ReadSlowPaths)
+			}
+		})
 	}
 }

@@ -12,9 +12,13 @@ import (
 //
 //	type(1) | bodyLen(4) | crc32(4) | body(bodyLen)
 //
-// The CRC covers the type byte and the body. It exists to find the valid
-// end of the log after a crash (torn tail); tampering is detected by the
-// Merkle tree and commit MACs, never by the CRC.
+// The CRC covers the type byte, the length and the body. It exists only to
+// find the valid end of the log after a crash (torn tail): recovery's log
+// scan checks it, and nothing else does. A read from a location the map,
+// a checkpoint or the superblock names checks the length against that
+// location and authenticates the rest against the Merkle leaf, map node
+// hash or checkpoint MAC, which covers every byte the CRC does; tampering
+// is detected by those and the commit MACs, never by the CRC.
 const (
 	recWrite      = byte(1) // body: cid(8) | ciphertext
 	recDealloc    = byte(2) // body: cid(8)
@@ -55,7 +59,8 @@ func decodeRecordHeader(hdr []byte) (byte, uint32, error) {
 	return hdr[0], binary.BigEndian.Uint32(hdr[1:5]), nil
 }
 
-// checkRecordCRC validates the CRC of a full record buffer.
+// checkRecordCRC validates the CRC of a full record buffer: recovery's
+// test for the end of the log.
 func checkRecordCRC(rec []byte) bool {
 	if len(rec) < recordHeaderSize {
 		return false

@@ -432,9 +432,12 @@ func (ss *segmentSet) append(rec []byte, segmentSize int) Location {
 	return loc
 }
 
-// readRecord reads and CRC-checks the record at loc, returning its type and
-// body. CRC failure is reported as tampering: outside of crash recovery's
-// tail scan, every stored record is expected to be intact.
+// readRecord reads the record at loc, the location a map entry, checkpoint
+// or superblock names, and returns its type and body. It checks the
+// record's length against loc, not its CRC: every caller authenticates the
+// body, and the type its caller checks, against what named the location —
+// a Merkle leaf, a map node's hash, the checkpoint MAC — which catches all
+// the CRC would and tampering besides.
 func (ss *segmentSet) readRecord(loc Location) (byte, []byte, error) {
 	seg, ok := ss.segs[loc.Seg]
 	if !ok {
@@ -450,8 +453,9 @@ func (ss *segmentSet) readRecord(loc Location) (byte, []byte, error) {
 	return parseRecordBytes(loc, buf)
 }
 
-// parseRecordBytes decodes and CRC-checks a raw record image read from loc.
-// Pure computation over the supplied bytes, shared by readRecord and the
+// parseRecordBytes decodes a raw record image read from loc, checking its
+// length field against loc but not its CRC (see readRecord). Pure
+// computation over the supplied bytes, shared by readRecord and the
 // off-mutex read path (which fetches the image itself while holding no
 // lock).
 func parseRecordBytes(loc Location, buf []byte) (byte, []byte, error) {
@@ -461,9 +465,6 @@ func parseRecordBytes(loc Location, buf []byte) (byte, []byte, error) {
 	}
 	if int(bodyLen)+recordHeaderSize != len(buf) {
 		return 0, nil, fmt.Errorf("%w: record %v length mismatch", ErrTampered, loc)
-	}
-	if !checkRecordCRC(buf) {
-		return 0, nil, fmt.Errorf("%w: record %v CRC mismatch", ErrTampered, loc)
 	}
 	return typ, buf[recordHeaderSize:], nil
 }

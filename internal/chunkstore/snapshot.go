@@ -206,7 +206,7 @@ func (w *auditWalk) run(visit func(ps []readPlan) error) error {
 		if err != nil {
 			return err
 		}
-		s.executeReads(ps, n)
+		s.executeReads(ps, n, nil)
 		if s.closed.Load() {
 			return ErrClosed
 		}

@@ -88,7 +88,9 @@ func (p *Pickler) RawBytes(v []byte) { p.buf = append(p.buf, v...) }
 // Unpickler decodes object state written by a Pickler. Errors are sticky:
 // after the first decoding error every accessor returns zero values and Err
 // reports the failure, so Unpickle methods can decode unconditionally and
-// check once.
+// check once. Every accessor copies what it returns, so an object may keep
+// anything it decodes but must not keep the Unpickler: the bytes under it
+// may be a buffer the store reuses once Unpickle returns (Txn.Prefetch).
 type Unpickler struct {
 	data []byte
 	pos  int

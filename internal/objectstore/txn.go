@@ -50,15 +50,19 @@ type Txn struct {
 // opens, and every object its scans prefetch (see Txn.Prefetch). A lookup
 // transaction opens a couple of dozen objects, so the first snapMemoInline
 // sit in an array found by a linear scan; only a transaction that opens
-// more (a scan) pays for a map. Memos are recycled, so a transaction
-// neither allocates nor zeroes one, and a scan reuses the map an earlier
-// scan grew, up to snapMemoSpillKeep entries.
+// more (a scan) pays for a map. The first put past the array moves the
+// array's entries into the map, so from then on a lookup is one map probe.
+// Memos are recycled, so a transaction neither allocates nor zeroes one,
+// and a scan reuses the map an earlier scan grew, up to snapMemoSpillKeep
+// entries.
 type snapMemo struct {
 	n      int
 	inline [snapMemoInline]struct {
 		oid ObjectID
 		obj Object
 	}
+	// spill holds every entry once the memo has spilled, and is empty or
+	// nil before.
 	spill map[ObjectID]Object
 }
 
@@ -91,24 +95,34 @@ func (m *snapMemo) reset() {
 }
 
 func (m *snapMemo) get(oid ObjectID) (Object, bool) {
+	if len(m.spill) > 0 {
+		obj, ok := m.spill[oid]
+		return obj, ok
+	}
 	for i := range m.inline[:m.n] {
 		if m.inline[i].oid == oid {
 			return m.inline[i].obj, true
 		}
 	}
-	obj, ok := m.spill[oid]
-	return obj, ok
+	return nil, false
 }
 
 // put records an oid that get did not find.
 func (m *snapMemo) put(oid ObjectID, obj Object) {
-	if m.n < snapMemoInline {
-		m.inline[m.n].oid, m.inline[m.n].obj = oid, obj
-		m.n++
-		return
-	}
-	if m.spill == nil {
-		m.spill = make(map[ObjectID]Object)
+	if len(m.spill) == 0 {
+		if m.n < snapMemoInline {
+			m.inline[m.n].oid, m.inline[m.n].obj = oid, obj
+			m.n++
+			return
+		}
+		if m.spill == nil {
+			m.spill = make(map[ObjectID]Object)
+		}
+		for _, e := range m.inline[:m.n] {
+			m.spill[e.oid] = e.obj
+		}
+		clear(m.inline[:m.n])
+		m.n = 0
 	}
 	m.spill[oid] = obj
 }
@@ -316,18 +330,20 @@ func (t *Txn) Prefetch(oids []ObjectID) int {
 	for i, oid := range cands {
 		cids[i] = chunkstore.ChunkID(oid)
 	}
-	// Unpickle the whole batch, then cache it in one locked section. A bad
-	// chunk fails its open instead; a duplicate id is read once and
-	// unpickled per occurrence.
+	// Unpickle the whole batch, each record in its visit — the chunk store
+	// lends the bytes only until the last visit, and an unpickled object
+	// copies every byte it keeps (Unpickler) — then cache it in one locked
+	// section. A bad chunk fails its open instead; a duplicate id is read
+	// once and unpickled per occurrence.
 	batch := make([]decodedEntry, 0, len(cands))
-	for i, r := range t.s.chunks.ReadBatch(cids) {
-		if r.Err != nil {
-			continue
+	t.s.chunks.VisitBatch(cids, func(i int, data []byte, err error) {
+		if err != nil {
+			return
 		}
-		if obj, err := unpickleObject(t.s.cfg.Registry, r.Data); err == nil {
-			batch = append(batch, decodedEntry{oid: cands[i], obj: obj, size: int64(len(r.Data))})
+		if obj, err := unpickleObject(t.s.cfg.Registry, data); err == nil {
+			batch = append(batch, decodedEntry{oid: cands[i], obj: obj, size: int64(len(data))})
 		}
-	}
+	})
 	if t.readOnly {
 		vt.memoize(t.snap, batch)
 	} else {

@@ -46,6 +46,12 @@ func NewDES3SHA1(secret []byte) (Suite, error) {
 
 func (s *cbcSuite) Name() string { return "3des-sha1" }
 
+// hashIs implements leafHasher with Hash's SHA-1, summed into an array.
+func (s *cbcSuite) hashIs(record, leaf []byte) bool {
+	sum := sha1.Sum(record)
+	return HashEqual(sum[:], leaf)
+}
+
 // deriveIV computes a deterministic, unique IV for the given seed under a
 // dedicated key (the standard "encrypted counter" IV construction).
 func (s *cbcSuite) deriveIV(seed uint64) []byte {

@@ -33,7 +33,20 @@ func (nullSuite) Decrypt(ciphertext []byte) ([]byte, error) { return ciphertext,
 
 // Hash implements Suite with CRC-32C (Castagnoli), zero-padded to 8 bytes.
 func (nullSuite) Hash(data []byte) []byte {
-	return binary.BigEndian.AppendUint64(make([]byte, 0, 8), uint64(crc32.Checksum(data, castagnoli))<<32)
+	sum := crcSum(data)
+	return sum[:]
+}
+
+// hashIs implements leafHasher.
+func (nullSuite) hashIs(record, leaf []byte) bool {
+	sum := crcSum(record)
+	return HashEqual(sum[:], leaf)
+}
+
+// crcSum is Hash into an array.
+func crcSum(data []byte) (sum [8]byte) {
+	binary.BigEndian.PutUint32(sum[:4], crc32.Checksum(data, castagnoli))
+	return sum
 }
 
 // HashSize implements Suite.

@@ -111,7 +111,16 @@ func NewSuite(name string, secret []byte) (Suite, error) {
 
 // hashLeaves gives a suite whose leaf is the Hash of its record
 // (3des-sha1, null) its Seal, Open, Check and Digest.
-type hashLeaves struct{ s Suite }
+type hashLeaves struct{ s leafHasher }
+
+// leafHasher is a suite whose leaf is the Hash of its record. hashIs
+// reports whether Hash(record) is leaf, in constant time, computing the
+// hash into an array on its own stack rather than a fresh slice: a read
+// checks one leaf per record.
+type leafHasher interface {
+	Suite
+	hashIs(record, leaf []byte) bool
+}
 
 // Seal implements Suite: Encrypt, then Hash.
 func (h hashLeaves) Seal(plaintext []byte, iv uint64) ([]byte, []byte, error) {
@@ -124,7 +133,7 @@ func (h hashLeaves) Seal(plaintext []byte, iv uint64) ([]byte, []byte, error) {
 
 // Open implements Suite: a Hash check, then Decrypt.
 func (h hashLeaves) Open(record, leaf []byte) ([]byte, error) {
-	if !HashEqual(h.s.Hash(record), leaf) {
+	if !h.s.hashIs(record, leaf) {
 		return nil, ErrTampered
 	}
 	plain, err := h.s.Decrypt(record)
@@ -136,7 +145,7 @@ func (h hashLeaves) Open(record, leaf []byte) ([]byte, error) {
 
 // Check implements Suite with a Hash compare.
 func (h hashLeaves) Check(record, leaf []byte) error {
-	if !HashEqual(h.s.Hash(record), leaf) {
+	if !h.s.hashIs(record, leaf) {
 		return ErrTampered
 	}
 	return nil
