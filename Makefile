@@ -15,7 +15,7 @@ CHAOS_ACTIONS ?= 1000
 # with make fuzz-smoke FUZZTIME=60s.
 FUZZTIME ?= 3s
 
-.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-paper bench-module chaos fuzz-smoke read-repeat commit-repeat size
+.PHONY: build test check faults lint fmt bench bench-smoke bench-read-scaling bench-paper bench-module chaos fuzz-smoke read-repeat commit-repeat size size-check
 
 build:
 	$(GO) build ./...
@@ -82,8 +82,11 @@ fuzz-smoke:
 # (TestAudits*): Verify, Scrub, ForEach and
 # Diff each let a durable commit run inside a chunk-record read
 # (TestAuditsScrubCommitInsideRecordRead), scrubs race a committer and the
-# cleaner, a scrub meets a chunk rewritten or re-quarantined mid-walk, and a
-# Diff streamed during commits matches the quiet one; and the object store's
+# cleaner, a scrub meets a chunk rewritten or re-quarantined mid-walk, a
+# Diff streamed during commits matches the quiet one, and a warm Verify,
+# whose leaves share one borrowed arena as scan windows do, allocates less
+# than the chunks it reads (TestAuditsVerifyAllocatesLessThanLiveBytes);
+# and the object store's
 # snapshot prefetch tests, whose batches unpickle records from buffers the
 # chunk store lends and reuses (TestSnapshotPrefetchSurvivesBufferReuse).
 # (TestAuditedWorkloadUnderCachePressure is single-goroutine and takes
@@ -111,13 +114,14 @@ commit-repeat:
 # tests, vet, the trust-invariant analyzers, the full suite under the race
 # detector (the chunk store's commit pipeline and read path are concurrent),
 # a one-shot pass over every benchmark so the perf harness can't silently
-# rot, and the nested benchmark module's own vet and tests.
+# rot, the nested benchmark module's own vet and tests, and the size gate.
 check: faults chaos fmt fuzz-smoke read-repeat commit-repeat
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
 	$(MAKE) bench-smoke
 	$(MAKE) bench-module
+	$(MAKE) size-check
 
 # size prints the non-test Go lines (wc -l) of every package of the root
 # module, largest first, and their total. The nested benchmark module, the
@@ -130,6 +134,13 @@ size:
 		if (d == "") d = "."; n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "0 %7d %s\n", n[d], d; printf "1 %7d total\n", t }' | \
 	sort -k1,1n -k2,2nr -k3 | cut -c3-
+
+# size-check fails if any count make size prints differs from SIZE.txt, the
+# checked-in counts (Figure 8 as a budget, ROADMAP item 19). A change that
+# moves a count regenerates the file (make -s size > SIZE.txt) and says so.
+size-check:
+	@$(MAKE) --no-print-directory -s size | diff -u SIZE.txt - || \
+		{ echo "size-check: make size differs from SIZE.txt"; exit 1; }
 
 # bench reproduces the commit-pipeline / read-path numbers recorded in
 # EXPERIMENTS.md: commits and reads at one and two Ps (-cpu 1,2), and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -39,6 +40,40 @@ func chunkSegments(s *Store) map[string]bool {
 		}
 	}
 	return out
+}
+
+// TestAuditsVerifyAllocatesLessThanLiveBytes pins that an audit's leaves
+// share the arena it borrows: a warm Verify over 4096 × 1 KiB chunks
+// allocates fewer bytes than the chunks it reads hold. An audit that gave
+// every leaf, or every record, a buffer of its own would allocate more.
+func TestAuditsVerifyAllocatesLessThanLiveBytes(t *testing.T) {
+	const n, size = 4096, 1 << 10
+	env := newTestEnv(t, "aes-gcm")
+	env.cfg.Store = env.mem
+	env.cfg.SegmentSize = 1 << 20
+	env.cfg.DisableAutoClean, env.cfg.DisableAutoCheckpoint = true, true
+	s := env.open(t)
+	defer s.Close()
+	for i := 0; i < n; i += 256 {
+		writeBatch(t, s, 256, true, func(j int) []byte { return bytes.Repeat([]byte{byte(i + j)}, size) })
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatalf("first Verify: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Verify(); err != nil {
+		t.Fatalf("second Verify: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a warm Verify of %d × %d-byte chunks allocated %d KiB", n, size, got>>10)
+	if got >= n*size {
+		t.Fatalf("a warm Verify of %d × %d-byte chunks allocated %d KiB, not less than the %d KiB they hold", n, size, got>>10, n*size>>10)
+	}
 }
 
 // TestAuditsScrubCommitInsideRecordRead pins that no audit reads a chunk

@@ -144,7 +144,7 @@ type Stats struct {
 	ReadSlowPaths int64
 	// CoalescedReads counts batch segment reads that merged two or more
 	// physically adjacent records into a single ReadAt; CoalescedChunks is
-	// the number of records those merged reads delivered (see ReadBatch).
+	// the number of records those merged reads delivered (see VisitBatch).
 	CoalescedReads  int64
 	CoalescedChunks int64
 	// PrefetchedChunks counts chunks the batch read path fetched and

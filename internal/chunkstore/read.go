@@ -1,6 +1,7 @@
 package chunkstore
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -45,19 +46,22 @@ import (
 // for recovery's search for the end of the log (record.go). Every buffer
 // has sec.OpenSlack bytes of room past its last record, where Open writes
 // the tag; a record inside a run borrows the next record's first bytes,
-// which are put back. A run's records are subslices of the run's buffer;
-// only a record still partly or wholly in the write-behind buffer gets a
-// private buffer, filled from that buffer in the plan act, so the
-// write-behind bytes themselves are never opened. The audits, which keep
-// the ciphertext, open a private copy.
+// which are put back. A record's buffer is carved from its read's arena,
+// and a run's records are subslices of the run's; only a record still
+// partly or wholly in the write-behind buffer gets a private buffer, filled
+// from that buffer in the plan act, so the write-behind bytes themselves
+// are never opened.
 //
-// Who owns the buffers depends on the call. A point Read's buffer and
-// ReadBatch's run buffers become the caller's. VisitBatch carves each run's
-// buffer, and each lone record's, out of one buffer the store's lendPool
-// lends the batch (an arena), shows every result to its visitor, and takes
-// the buffer back after the last visit: a scan that unpickles each record
-// in its visit allocates no record buffers, and no plans, once the pool is
-// warm. The audits' buffers are private.
+// A point Read owns its buffer, which becomes the caller's; everything else
+// borrows. VisitBatch and every audit walk borrow an arena — the plans and
+// the one buffer the records are carved from — from the store's bounded
+// free list, show every result to their visitor, and give it back; an
+// audit reuses it for each leaf. A scan that unpickles each record in its
+// visit, or an audit that only checks it, allocates no record buffers, and
+// no plans, once the list is warm. ReadBatch copies its results out of
+// VisitBatch. A point read does not borrow: its caller keeps the bytes, so
+// a lent buffer would cost a copy besides, and a prototype that pooled
+// point reads lost the read-cold benchmark in 7 of 10 pairs.
 //
 // Point reads and batches differ only at the edges: only a batch dedupes
 // its ids — by sorting them, with no map — and counts PrefetchedChunks.
@@ -68,9 +72,9 @@ import (
 // ErrNotWritten for ids without committed state and ErrTampered if the
 // stored chunk fails validation against the Merkle tree.
 func (s *Store) Read(cid ChunkID) ([]byte, error) {
-	p := []readPlan{{cid: cid}}
-	s.readPlans(p, nil)
-	return p[0].data, p[0].err
+	a := arena{plans: []readPlan{{cid: cid}}}
+	s.readPlans(&a)
+	return a.plans[0].data, a.plans[0].err
 }
 
 // BatchRead is one chunk's result in a ReadBatch: the validated plaintext,
@@ -87,16 +91,11 @@ type BatchRead struct {
 // batch — a scan hint must never fail harder than the dereference it
 // accelerates. Every distinct chunk is read, even one another reader is
 // fetching at the same time: each result carries the chunk's data or an
-// error. The results are the caller's. The results of one coalesced run
-// are disjoint subslices of one backing array, each capped at its own
-// record, so writing into one never touches another; but holding any of
-// them keeps the whole run's buffer (up to coalesceMax bytes) alive, so a
-// caller that keeps a result past decoding it copies it, or decodes it
-// inside VisitBatch instead.
+// error. The results are the caller's: each is a copy out of VisitBatch.
 func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 	res := make([]BatchRead, len(cids))
-	s.readBatch(cids, nil, func(i int, data []byte, err error) {
-		res[i] = BatchRead{CID: cids[i], Data: data, Err: err}
+	s.VisitBatch(cids, func(i int, data []byte, err error) {
+		res[i] = BatchRead{CID: cids[i], Data: bytes.Clone(data), Err: err}
 	})
 	return res
 }
@@ -104,31 +103,21 @@ func (s *Store) ReadBatch(cids []ChunkID) []BatchRead {
 // VisitBatch reads every chunk of cids as ReadBatch does and calls visit
 // once for each cids[i], in order of i, with the chunk's plaintext or its
 // error (a duplicate id shows every visit the same bytes). data is lent,
-// not given: it lives in a buffer the store takes back once the last visit
+// not given: it lives in an arena the store takes back once the last visit
 // returns, so visit must copy whatever it keeps.
 func (s *Store) VisitBatch(cids []ChunkID, visit func(i int, data []byte, err error)) {
-	s.readBatch(cids, &s.lend, visit)
-}
-
-// readBatch is ReadBatch and VisitBatch: it dedupes cids, reads them with
-// plans and buffers from pool (nil: allocated, and the buffers the
-// caller's), visits every result, and then gives pool what it lent back.
-func (s *Store) readBatch(cids []ChunkID, pool *lendPool, visit func(i int, data []byte, err error)) {
 	if len(cids) == 0 {
 		return
-	}
-	var a *arena
-	if pool != nil {
-		a = &arena{lp: pool}
 	}
 	ids := slices.Clone(cids)
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
-	ps := pool.getPlans(len(ids))
+	a := s.arenas.take()
+	ps := a.plansFor(len(ids))
 	for i, cid := range ids {
 		ps[i].cid = cid
 	}
-	s.readPlans(ps, a)
+	s.readPlans(a)
 	prefetched := int64(0)
 	for i := range ps {
 		if ps[i].err == nil {
@@ -140,142 +129,106 @@ func (s *Store) readBatch(cids []ChunkID, pool *lendPool, visit func(i int, data
 		j, _ := slices.BinarySearch(ids, cid)
 		visit(i, ps[j].data, ps[j].err)
 	}
-	a.done()
-	pool.putPlans(ps)
+	s.arenas.give(a)
 }
 
 // coalesceMax bounds the byte size of one merged segment read, keeping its
 // buffer bounded no matter how long an adjacent run is.
 const coalesceMax = 1 << 20
 
-// lendPool lends VisitBatch what a batch would otherwise allocate on every
-// call: its plans and the buffer its records are read into. Between calls
-// it keeps at most poolKeep of each: buffers of at most coalesceMax bytes
-// and sec.OpenSlack, plan slices of at most poolMaxPlans plans — about 5
-// MiB per store at most, and a few scan windows' worth in practice. A batch
-// that needs more gets what it needs, and the pool does not keep it.
-type lendPool struct {
-	bufs  freeList[[]byte]
-	plans freeList[[]readPlan]
+// An arena is what one read borrows: its plans, and the buffer its records
+// are carved from, each with sec.OpenSlack bytes to spare before the next.
+type arena struct {
+	plans []readPlan
+	buf   []byte // the buffer records are carved from
+	free  []byte // what is left of buf to carve
 }
 
+// The store's arenaList keeps at most arenaKeep arenas between reads, each
+// with a buffer of at most arenaMaxBuf bytes — a full run and its slack —
+// and at most arenaMaxPlans plans: about 5 MiB per store at most, and a few
+// scan windows' worth in practice. A read that needs more gets what it
+// needs, and the list does not keep it. A lent arena's buffer and plan
+// slices are at least arenaMinBuf bytes and arenaMinPlans plans, so that a
+// scan's windows of varying sizes reuse one rather than replacing it.
 const (
-	poolKeep     = 4
-	poolMaxBuf   = coalesceMax + sec.OpenSlack
-	poolMaxPlans = 1024
-	// The pool makes buffers of at least poolMinBuf bytes and plan slices
-	// of at least poolMinPlans, rounded up to a power of two from there, so
-	// that batches of varying sizes reuse one rather than replacing it each
-	// time one is larger.
-	poolMinBuf   = 64 << 10
-	poolMinPlans = 64
+	arenaKeep     = 4
+	arenaMaxBuf   = coalesceMax + sec.OpenSlack
+	arenaMaxPlans = 1024
+	arenaMinBuf   = 64 << 10
+	arenaMinPlans = 64
 )
 
-// poolSize rounds n up to the size the pool makes: least times a power of
-// two, but at most most.
-func poolSize(n, least, most int) int {
-	for least < n {
-		least *= 2
-	}
-	return min(least, most)
-}
-
-// freeList keeps at most poolKeep values for reuse.
-type freeList[T any] struct {
+// arenaList is the store's bounded free list of arenas.
+type arenaList struct {
 	mu   sync.Mutex
-	n    int
-	free [poolKeep]T
+	free []*arena
 }
 
-// take returns a kept value, or the zero value if none is kept.
-func (f *freeList[T]) take() (v T) {
-	var zero T
-	f.mu.Lock()
-	if f.n > 0 {
-		f.n--
-		v, f.free[f.n] = f.free[f.n], zero
+// take lends an arena: a kept one, or a new one with a buffer of
+// arenaMinBuf bytes.
+func (l *arenaList) take() *arena {
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		a := l.free[n-1]
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return a
 	}
-	f.mu.Unlock()
-	return v
+	l.mu.Unlock()
+	a := &arena{buf: make([]byte, arenaMinBuf)}
+	a.free = a.buf
+	return a
 }
 
-// keep keeps v if fewer than poolKeep values are kept.
-func (f *freeList[T]) keep(v T) {
-	f.mu.Lock()
-	if f.n < poolKeep {
-		f.free[f.n] = v
-		f.n++
-	}
-	f.mu.Unlock()
-}
-
-// getPlans lends n zeroed plans.
-func (lp *lendPool) getPlans(n int) []readPlan {
-	if lp == nil || n > poolMaxPlans {
-		return make([]readPlan, n)
-	}
-	ps := lp.plans.take()
-	if cap(ps) < n {
-		ps = make([]readPlan, poolSize(n, poolMinPlans, poolMaxPlans))
-	}
-	return ps[:n]
-}
-
-// putPlans takes back plans getPlans lent. It zeroes them, which drops
-// their references to segments, map hashes and results.
-func (lp *lendPool) putPlans(ps []readPlan) {
-	if lp == nil {
+// give takes back an arena take lent, reset, and keeps it if it is within
+// the bounds and fewer than arenaKeep are kept.
+func (l *arenaList) give(a *arena) {
+	a.reset()
+	if cap(a.buf) > arenaMaxBuf || cap(a.plans) > arenaMaxPlans {
 		return
 	}
-	clear(ps)
-	if cap(ps) <= poolMaxPlans {
-		lp.plans.keep(ps)
+	l.mu.Lock()
+	if len(l.free) < arenaKeep {
+		l.free = append(l.free, a)
 	}
+	l.mu.Unlock()
 }
 
-// arena hands one VisitBatch its record buffers, each carved from one
-// buffer lent by the store's lendPool with sec.OpenSlack bytes to spare
-// before the next. A nil arena allocates each buffer, for the caller to
-// keep.
-type arena struct {
-	lp   *lendPool
-	lent []byte // the pool's buffer, returned by done
-	free []byte // what is left to carve: of lent, or of a buffer of its own
+// plansFor returns n zeroed plans, the arena's.
+func (a *arena) plansFor(n int) []readPlan {
+	if cap(a.plans) < n {
+		a.plans = make([]readPlan, max(n, arenaMinPlans))
+	}
+	a.plans = a.plans[:n]
+	return a.plans
 }
 
-// reserve makes room for n more bytes of buffers. The first reservation
-// borrows the pool's buffer when n fits one; any other that does not fit
-// what is left allocates.
+// reset zeroes the arena's plans, which drops their references to segments,
+// map hashes and results, and makes its whole buffer free to carve again.
+func (a *arena) reset() {
+	clear(a.plans)
+	a.plans = a.plans[:0]
+	a.free = a.buf[:cap(a.buf)]
+}
+
+// reserve makes room to carve n more bytes. When what is left of the
+// buffer is too small, the arena makes a new one, of n bytes or the size of
+// the one it replaces if that is larger; records carved from the old one
+// keep it alive as long as they need it.
 func (a *arena) reserve(n int) {
-	switch {
-	case a == nil || len(a.free) >= n:
-	case a.lent == nil && n <= poolMaxBuf:
-		a.lent = a.lp.bufs.take()
-		if cap(a.lent) < n {
-			a.lent = make([]byte, poolSize(n, poolMinBuf, poolMaxBuf))
-		}
-		a.free = a.lent[:cap(a.lent)]
-	default:
-		a.free = make([]byte, n)
+	if len(a.free) < n {
+		a.buf = make([]byte, max(n, cap(a.buf)))
+		a.free = a.buf
 	}
 }
 
-// get returns a buffer of n bytes with sec.OpenSlack more capacity, from
-// room reserve made.
+// get carves a buffer of n bytes with sec.OpenSlack more capacity from room
+// reserve made.
 func (a *arena) get(n int) []byte {
-	if a == nil {
-		return make([]byte, n, n+sec.OpenSlack)
-	}
 	b := a.free[: n : n+sec.OpenSlack]
 	a.free = a.free[n+sec.OpenSlack:]
 	return b
-}
-
-// done gives the pool its buffer back.
-func (a *arena) done() {
-	if a != nil && a.lent != nil {
-		a.lp.bufs.keep(a.lent)
-	}
 }
 
 // readPlan is one chunk's read. Its plan act fills in the snapshot the read
@@ -312,10 +265,12 @@ type readPlan struct {
 
 func (p *readPlan) finish(data []byte, err error) { p.data, p.err, p.done = data, err, true }
 
-// readPlans plans and executes ps until every plan is done, with record
-// buffers from a (see executeReads): only a plan whose validation failure
-// settle finds was against a moved entry goes round again.
-func (s *Store) readPlans(ps []readPlan, a *arena) {
+// readPlans plans and executes a's plans until every one is done, with
+// record buffers carved from a (see executeReads): only a plan whose
+// validation failure settle finds was against a moved entry goes round
+// again.
+func (s *Store) readPlans(a *arena) {
+	ps := a.plans
 	for {
 		s.mu.RLock()
 		n, fault := s.planAllLocked(ps, false)
@@ -329,7 +284,7 @@ func (s *Store) readPlans(ps []readPlan, a *arena) {
 			// Every plan not pinned by the plan act is done.
 			return
 		}
-		s.executeReads(ps, n, a)
+		s.executeReads(a, n)
 		if s.settle(ps) {
 			return
 		}
@@ -437,23 +392,22 @@ func (s *Store) pinLocked(p *readPlan, e entry) error {
 	return nil
 }
 
-// executeReads runs the execute act for the n pinned plans and unpins them.
-// Pinned plans are sorted by (segment, offset) — distinct chunks never
-// share a location, so the order is total — and each run of records that
-// are physically adjacent in one segment file is fetched with a single
-// ReadAt into one buffer, which the run's plans then share. Buffers come
-// from a, which first reserves room for every record with its slack; with
-// a nil arena they are allocated and belong to the results.
-func (s *Store) executeReads(ps []readPlan, n int, a *arena) {
-	if a != nil {
-		need := 0
-		for i := range ps {
-			if ps[i].seg != nil && ps[i].buf == nil {
-				need += int(ps[i].e.loc.Len) + sec.OpenSlack
-			}
+// executeReads runs the execute act for the n pinned plans of a and unpins
+// them. Pinned plans are sorted by (segment, offset) — distinct chunks
+// never share a location, so the order is total — and each run of records
+// that are physically adjacent in one segment file is fetched with a
+// single ReadAt into one buffer, which the run's plans then share. Buffers
+// are carved from a, which first reserves room for every record with its
+// slack.
+func (s *Store) executeReads(a *arena, n int) {
+	ps := a.plans
+	need := 0
+	for i := range ps {
+		if ps[i].seg != nil && ps[i].buf == nil {
+			need += int(ps[i].e.loc.Len) + sec.OpenSlack
 		}
-		a.reserve(need)
 	}
+	a.reserve(need)
 	if n == 1 {
 		for i := range ps {
 			if ps[i].seg != nil {
@@ -539,7 +493,7 @@ func (s *Store) executeRun(a *arena, run []*readPlan) {
 
 // executeRead fetches whatever of p's record is not in hand, then parses,
 // validates and opens it in its own buffer: the run's or the plan act's,
-// else one from a.
+// else one carved from a.
 func (s *Store) executeRead(a *arena, p *readPlan) {
 	p.data, p.err = nil, nil
 	if p.buf == nil {

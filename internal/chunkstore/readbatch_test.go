@@ -142,7 +142,7 @@ func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 		}
 	}
 
-	s.readPlans(ps, nil)
+	s.readPlans(&arena{plans: ps})
 	for i := range ps {
 		want := bytes.Repeat([]byte{'V', byte(i)}, 128)
 		if ps[i].err != nil || !bytes.Equal(ps[i].data, want) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"tdb/internal/sec"
 )
 
 // The read path reads each record into one buffer and decrypts it there
@@ -150,12 +152,12 @@ func TestReadBatchResultsDoNotAlias(t *testing.T) {
 }
 
 // TestReadBatchAllocs pins the allocations of a warm batch read of 64
-// adjacent 1 KiB chunks, one coalesced run. ReadBatch allocates exactly 5:
-// the results, the sorted ids the batch dedupes and maps results back
-// through, the plans, the run's slice of plan pointers, and the run's
-// buffer, the only record buffer. VisitBatch allocates exactly 2, the ids
-// and the run's slice: its plans and its buffer are lent by the store's
-// pool. Opening the records allocates nothing, under aes-gcm or under the
+// adjacent 1 KiB chunks, one coalesced run. VisitBatch allocates exactly 2:
+// the sorted ids the batch dedupes and maps results back through, and the
+// run's slice of plan pointers; its plans and its buffer are lent by the
+// store's arena list. ReadBatch, which copies its results out of
+// VisitBatch, allocates exactly 67: the results, those 2, and one copy per
+// result. Opening the records allocates nothing, under aes-gcm or under the
 // null suite, whose leaf check hashes into an array on the stack. The race
 // detector makes sync.Pool drop pooled objects at random, so under it
 // counts vary and only the I/O is checked.
@@ -190,8 +192,8 @@ func TestReadBatchAllocs(t *testing.T) {
 			if got := s.Stats().CoalescedReads - reads; got != 2*(runs+1) {
 				t.Fatalf("%d batch reads paid %d coalesced reads, want one each", 2*(runs+1), got)
 			}
-			if !raceDetector && (batch != 5 || visit != 2) {
-				t.Errorf("a warm 64-chunk batch read allocates %.0f objects through ReadBatch and %.0f through VisitBatch, want 5 and 2", batch, visit)
+			if !raceDetector && (batch != 3+64 || visit != 2) {
+				t.Errorf("a warm 64-chunk batch read allocates %.0f objects through ReadBatch and %.0f through VisitBatch, want 67 and 2", batch, visit)
 			}
 		})
 	}
@@ -203,9 +205,9 @@ func TestReadBatchAllocs(t *testing.T) {
 // ids never written or never allocated. VisitBatch visits every index once,
 // in order, with ReadBatch's bytes or error. A batch that holds the large
 // record reads into a buffer of its own; one of the flushed records
-// borrows the pool's. Afterwards the store's pool keeps at most poolKeep
-// buffers, none larger than a full run and its slack, and zeroed plans
-// only.
+// borrows an arena's. Afterwards the store's arena list keeps 1 to
+// arenaKeep arenas, none with a buffer larger than a full run and its
+// slack, and zeroed plans only, over their whole capacity.
 func TestReadVisitBatchMatchesReadBatch(t *testing.T) {
 	env := newTestEnv(t, "aes-gcm")
 	env.cfg.SegmentSize = 4 << 20
@@ -252,23 +254,19 @@ func TestReadVisitBatchMatchesReadBatch(t *testing.T) {
 			t.Fatalf("VisitBatch[%d] = %d bytes, %v", i, len(data), err)
 		}
 	})
-	lp := &s.lend
-	lp.bufs.mu.Lock()
-	defer lp.bufs.mu.Unlock()
-	if lp.bufs.n == 0 || lp.bufs.n > poolKeep {
-		t.Fatalf("the pool keeps %d buffers, want 1 to %d", lp.bufs.n, poolKeep)
+	l := &s.arenas
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) == 0 || len(l.free) > arenaKeep {
+		t.Fatalf("the arena list keeps %d arenas, want 1 to %d", len(l.free), arenaKeep)
 	}
-	for _, b := range lp.bufs.free[:lp.bufs.n] {
-		if cap(b) > poolMaxBuf {
-			t.Fatalf("the pool keeps a %d-byte buffer, past a full run's %d", cap(b), poolMaxBuf)
+	for _, a := range l.free {
+		if cap(a.buf) > coalesceMax+sec.OpenSlack {
+			t.Fatalf("the arena list keeps a %d-byte buffer, past a full run's %d", cap(a.buf), coalesceMax+sec.OpenSlack)
 		}
-	}
-	lp.plans.mu.Lock()
-	defer lp.plans.mu.Unlock()
-	for _, ps := range lp.plans.free[:lp.plans.n] {
-		for _, p := range ps[:cap(ps)] {
-			if p.seg != nil || p.buf != nil || p.data != nil || p.e.hash != nil || p.err != nil {
-				t.Fatalf("the pool keeps a plan that was not zeroed: %+v", p)
+		for _, p := range a.plans[:cap(a.plans)] {
+			if p.seg != nil || p.buf != nil || p.ct != nil || p.data != nil || p.e.hash != nil || p.err != nil || p.done {
+				t.Fatalf("the arena list keeps a plan that was not zeroed: %+v", p)
 			}
 		}
 	}

@@ -176,7 +176,7 @@ func TestReadRetryOnCleanerRelocation(t *testing.T) {
 
 	// The read runs on against the pinned, freed segment: its bytes are
 	// intact and validate, and they are the chunk's state at the plan.
-	s.readPlans(ps, nil)
+	s.readPlans(&arena{plans: ps})
 	if p.err != nil || !bytes.Equal(p.data, want) {
 		t.Fatalf("read planned before the relocation: %q, %v", p.data, p.err)
 	}
@@ -301,7 +301,7 @@ func TestReadSegmentHandleLifetime(t *testing.T) {
 	if inSet(s, seg.num) || hs.closeCount(segmentName(seg.num)) != 0 {
 		t.Fatalf("segment %d: freed %v, closed %d times while a read held it; want freed and open", seg.num, !inSet(s, seg.num), hs.closeCount(segmentName(seg.num)))
 	}
-	s.readPlans(ps, nil)
+	s.readPlans(&arena{plans: ps})
 	if ps[0].err != nil || !bytes.Equal(ps[0].data, want) {
 		t.Fatalf("read of the freed segment: %q, %v", ps[0].data, ps[0].err)
 	}

@@ -110,10 +110,10 @@ func (sn *Snapshot) Close() {
 // order: the callback receives the chunk id, the ciphertext digest from the
 // location map, and the stored (encrypted) record payload, validated
 // against the digest before delivery. The callback runs with no store lock
-// held, so commits proceed beside it. The ciphertext of chunks adjacent in
-// the log may share one read buffer (see ReadBatch): a callback that keeps
-// it past its return copies it. It returns ErrSnapshotClosed if the
-// snapshot is closed mid-walk, and ErrClosed if the store is.
+// held, so commits proceed beside it. The ciphertext is lent until the
+// callback returns: it lives in a buffer the walk reuses for later chunks,
+// so a callback that keeps it copies it. It returns ErrSnapshotClosed if
+// the snapshot is closed mid-walk, and ErrClosed if the store is.
 func (sn *Snapshot) ForEach(fn func(cid ChunkID, hash []byte, ciphertext []byte) error) error {
 	w := auditWalk{sn: sn, ciphertext: true}
 	return w.run(func(ps []readPlan) error {
@@ -133,8 +133,8 @@ type DiffChange struct {
 	// current snapshot.
 	Deleted bool
 	// Hash and Ciphertext carry the current version for non-deleted
-	// changes. Ciphertext may share one read buffer with other changes'
-	// (see ForEach): a callback that keeps it copies it.
+	// changes. Ciphertext is lent until the callback returns (see
+	// ForEach): a callback that keeps it copies it.
 	Hash       []byte
 	Ciphertext []byte
 }
@@ -182,7 +182,8 @@ type auditWalk struct {
 // reached, ascending, with their reads' outcomes — with no lock held. A
 // chunk base has and sn does not arrives with an empty entry and no read.
 // A failed read ends the walk with its error, unless the walk collects
-// damage and the failure is not ErrIO.
+// damage and the failure is not ErrIO. Every leaf is read into one arena
+// the walk borrows, which is reset once visit returns.
 func (w *auditWalk) run(visit func(ps []readPlan) error) error {
 	s := w.sn.cs
 	// Lift base's root to sn's level by private nodes whose slot 0 holds
@@ -194,49 +195,52 @@ func (w *auditWalk) run(visit func(ps []readPlan) error) error {
 			n.kids[0], w.roots[1] = w.roots[1], n
 		}
 	}
+	a := s.arenas.take()
+	defer s.arenas.give(a)
 	for !w.done {
 		s.mu.RLock()
-		ps, n, fault, err := w.stepLocked(false)
+		n, fault, err := w.stepLocked(a, false)
 		s.mu.RUnlock()
 		if fault {
 			s.mu.Lock()
-			ps, n, _, err = w.stepLocked(true)
+			n, _, err = w.stepLocked(a, true)
 			s.mu.Unlock()
 		}
 		if err != nil {
 			return err
 		}
-		s.executeReads(ps, n, nil)
+		s.executeReads(a, n)
 		if s.closed.Load() {
 			return ErrClosed
 		}
-		for _, p := range ps {
+		for _, p := range a.plans {
 			if p.err != nil && (w.damage == nil || errors.Is(p.err, ErrIO)) {
 				return p.err
 			}
 		}
-		if err := visit(ps); err != nil {
+		if err := visit(a.plans); err != nil {
 			return err
 		}
+		a.reset()
 	}
 	return nil
 }
 
-// stepLocked runs one step under s.mu: the next leaf's plans, n of them
-// pinned, or fault at a map node that is not resident while s.mu is held
-// only shared.
-func (w *auditWalk) stepLocked(exclusive bool) (ps []readPlan, n int, fault bool, err error) {
+// stepLocked runs one step under s.mu: the next leaf's plans, into a, n of
+// them pinned, or fault at a map node that is not resident while s.mu is
+// held only shared.
+func (w *auditWalk) stepLocked(a *arena, exclusive bool) (n int, fault bool, err error) {
 	s := w.sn.cs
 	switch {
 	case s.closed.Load():
-		return nil, 0, false, ErrClosed
+		return 0, false, ErrClosed
 	case w.sn.closed || w.base != nil && w.base.closed:
-		return nil, 0, false, ErrSnapshotClosed
+		return 0, false, ErrSnapshotClosed
 	}
-	for len(ps) == 0 {
+	for len(a.plans) == 0 {
 		leaves, fault, err := w.leafLocked(s.lm, exclusive)
 		if fault || err != nil || w.done {
-			return nil, 0, fault, err
+			return 0, fault, err
 		}
 		for k := range s.lm.fanout {
 			if !wanted(leaves, k) {
@@ -254,8 +258,8 @@ func (w *auditWalk) stepLocked(exclusive bool) (ps []readPlan, n int, fault bool
 					n++
 				}
 			}
-			ps = append(ps, p)
+			a.plans = append(a.plans, p)
 		}
 	}
-	return ps, n, false, nil
+	return n, false, nil
 }

@@ -253,6 +253,8 @@ func TestSnapshotDiff(t *testing.T) {
 
 	changes := map[ChunkID]DiffChange{}
 	err := cur.Diff(base, func(ch DiffChange) error {
+		// The ciphertext is lent until the callback returns.
+		ch.Ciphertext = bytes.Clone(ch.Ciphertext)
 		changes[ch.CID] = ch
 		return nil
 	})

@@ -40,8 +40,9 @@ type Store struct {
 	coalescedReads   atomic.Int64
 	coalescedChunks  atomic.Int64
 	prefetchedChunks atomic.Int64
-	// lend lends VisitBatch its plans and record buffers (read.go).
-	lend lendPool
+	// arenas lends VisitBatch and the audits their plans and record
+	// buffers (read.go).
+	arenas arenaList
 	// ivGen hands out IV-sequence generations (one per commit preparation,
 	// and a few per checkpoint; the cleaner copies ciphertext verbatim and
 	// takes none). It never repeats across the life of the database: the

@@ -358,6 +358,20 @@ func TestGMACDigest(t *testing.T) {
 	}
 }
 
+// TestGCMShortDigestAllocs pins Digest of a record shorter than a header
+// at exactly one allocation, the digest: such a record is neither copied
+// nor decrypted, so no error is built through fmt, whose pooled printer
+// state a GC may drop between runs.
+func TestGCMShortDigestAllocs(t *testing.T) {
+	s := allSuites(t)["aes-gcm"]
+	record := []byte("\x00Z\x00\x00Z\x00Z\x00Z\x00\x00Z\x00Z\x00")
+	for n := 0; n < gcmHeaderSize; n++ {
+		if allocs := testing.AllocsPerRun(100, func() { s.Digest(nil, record[:n]) }); allocs != 1 {
+			t.Errorf("Digest of %d bytes allocates %.0f objects, want 1", n, allocs)
+		}
+	}
+}
+
 func TestHashProperties(t *testing.T) {
 	for name, s := range allSuites(t) {
 		t.Run(name, func(t *testing.T) {
